@@ -1,6 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+
+from moutardnv import cli
 
 from conftest import fixture_path
 
@@ -91,3 +98,71 @@ def test_cli_determinism(tmp_path):
         assert r.returncode == 0
         outs.append((r.stdout, out.read_bytes()))
     assert outs[0] == outs[1]
+
+
+# (command, fixture) -> sha256 of (stdout, the --out file). Printed fractions
+# are in canonical form, so any change to the exact objects or to their
+# printing shows here. nv-evolve and nv-faddeev do not apply to the cubic
+# static seed.
+OUTPUT_DIGESTS = {
+    ("potential", "sec22"):
+        ("c540c0bcff3c768db5b3645c8c5259df8579582e8fd691dab9ec80f23b310d19",
+         "d688a08ae0427b17cbb9e878a5ae6128bf77591a48585c2551025e39e5a3de06"),
+    ("potential", "sec22_cubic"):
+        ("1cb17fc7eb00b4ae2efae3fda49430b779e88f03e06b2ac744725015b891dcd2",
+         "886429e7837eba5d31c87604cfdbb6d0aa38860cbd01e34ca2e17b531b9fd566"),
+    ("potential", "sec32"):
+        ("6aa660c873d1902be23b0fe2f0856d6bb43716aa5a77e4472f14a23076ec568c",
+         "69a5bdaedcb1ebc78f6810fd2bf9dae8221148ee83e8ccdb4aad5a3f869055b2"),
+    ("kernel", "sec22"):
+        ("e6b79ce379ad8bd179414d334f944e1ba8354d54927dbb09bd6164dce95a62b9",
+         "e3b9fe3e08a02587c2be8f7b6bb64f3f6868fac7523fdbce4fc7895595f38dda"),
+    ("kernel", "sec22_cubic"):
+        ("a81b7d80a17f4ac158760ce08c529dfab4455fcd0034882f32a7fd5044af93f7",
+         "f34b1b38713cecf55b9f239e4a73b25d54ac3b9ebf7214056df675dbf144bd7d"),
+    ("kernel", "sec32"):
+        ("a5453e5c5b222eff48033af1bb43fab1289d8181eefd0762393aa7c6be9a73d1",
+         "a4e091089b2862d76768851c0b25f6cabad5bce044941f3dfc3c2153bfa2a3c8"),
+    ("faddeev", "sec22"):
+        ("c669ba52629fe08a1c87627ae0211b44de8c3ce9c432092327ec532a5bcb5b12",
+         "b07075863953864fd1707198b5c6237682a39b24d11688f99ffd852b282d7792"),
+    ("faddeev", "sec22_cubic"):
+        ("5b0986b0252636c39adb8c335761ed1bb395508d0f2b44170fc9a09f7a18f9bc",
+         "dde0c222ace33c1dda9d53489319f6c23be7acb36903ae76709a5d400665d83a"),
+    ("faddeev", "sec32"):
+        ("e9fb4b15d6f13ca3a1e488f11bd4e2d8294065f65d94edf2c3633220f25922bc",
+         "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
+    ("scatter", "sec22"):
+        ("627803eb44dff7828eb1561a7fa2c2abdd7a94e4472c9d7afcf2f43263c1cc4f",
+         "21cd3cd837bd4dcd7f7aaff14aa98ff7eeddc44d707210bb83f1b949ce606a60"),
+    ("scatter", "sec22_cubic"):
+        ("8588246465403e76000e00f5fc8b637b9c7d351b656a93fdde2c3e546f9ee20a",
+         "a626bb12ae0898ff94abe76fb1996e899b57b2626566786297077c0be6a0b85b"),
+    ("scatter", "sec32"):
+        ("627803eb44dff7828eb1561a7fa2c2abdd7a94e4472c9d7afcf2f43263c1cc4f",
+         "21cd3cd837bd4dcd7f7aaff14aa98ff7eeddc44d707210bb83f1b949ce606a60"),
+    ("nv-evolve", "sec22"):
+        ("b86c2ee807e4cd340bfcb354ca17c7a36e2fc84a02a8b58c5e94c97c7d51974b",
+         "581104839f33de79bdd70bc8d840c02a3d70a6b7d0594d31a7fb1f520d08ee88"),
+    ("nv-evolve", "sec32"):
+        ("a540582cce8753eca4de6545f81c637ad0fdb69679624f4ecfcb0f25a7e4ec6e",
+         "0d5c82f2f3e8f4e85e97d60b2271b061419b0f9de8f9d2736b33241eb734758b"),
+    ("nv-faddeev", "sec22"):
+        ("e19393911d58ed471e5ced016b440cd665022e931512fe9683460e8ecedb8f51",
+         "584df153a9c38312d676d957cf0bcf76360450c3ac685f1d4c2d9ba5394ef6da"),
+    ("nv-faddeev", "sec32"):
+        ("43f2891ed2533f6e2e84683cacfbdea41dfe9f30918444a9254b27542754351f",
+         "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(OUTPUT_DIGESTS))
+def test_cli_output_bytes_unchanged(command, name, tmp_path):
+    out = tmp_path / "out.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main([command, "--seed", fixture_path(f"{name}.json"), "--out", str(out)])
+    assert rc == 0
+    got = (hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+           hashlib.sha256(out.read_bytes()).hexdigest())
+    assert got == OUTPUT_DIGESTS[(command, name)]
