@@ -3,7 +3,7 @@ eigenfunctions with exponential asymptotics, and blowing-up solutions of the
 associated integrable evolution, with symbolic residual verification and
 independent numeric cross-checks."""
 
-from .algebra import GaussianRational, MPoly, PowerFrac, RationalFn, laplace_log
+from .algebra import GaussianRational, MPoly, RationalFn, laplace_log
 from .errors import (AlgebraError, AsymptoticMismatch, CompatibilityError,
                      ExponentOverflow, LambdaZeroError, NotEvolved, NotHarmonic,
                      NotHolomorphic, PoleError, ResidualNonzero,

@@ -411,86 +411,64 @@ def _raw(tmap: dict) -> MPoly:
     return p
 
 
-# -- module-level operation aliases -----------------------------------
-
-def add(a: MPoly, b: MPoly) -> MPoly:
-    return a + b
-
-
-def mul(a: MPoly, b: MPoly) -> MPoly:
-    return a * b
-
-
-def diff_z(f: MPoly) -> MPoly:
-    return f.diff_z()
-
-
-def diff_zbar(f: MPoly) -> MPoly:
-    return f.diff_zbar()
-
-
-def diff_t(f: MPoly) -> MPoly:
-    return f.diff_t()
-
-
-def antideriv_z(f: MPoly) -> MPoly:
-    return f.antideriv_z()
-
-
-def antideriv_zbar(f: MPoly) -> MPoly:
-    return f.antideriv_zbar()
-
-
-def conj_swap(f: MPoly) -> MPoly:
-    return f.conj_swap()
-
-
-def is_real_valued(f: MPoly) -> bool:
-    return f.is_real_valued()
-
-
-def eval_poly(f: MPoly, z0: complex, t0: float = 0.0) -> complex:
-    return f.eval(z0, t0)
-
-
 class RationalFn:
-    """Quotient of two MPoly.
+    """The fraction num / base**k.
 
-    Fractions stay unreduced except for common monomial factors and a scalar
-    normalization of the denominator; equality is by cross-multiplication.
+    Every denominator of the construction is a power of one polynomial (W or
+    an omega_j), so sums, products and derivatives over a shared base only
+    lift numerators: d(num/base^k) = (num' * base - k*num*base') / base^(k+1).
+    Fractions over different bases compare by cross-multiplication; their sums
+    and products are not needed and raise.  The canonical form (common
+    monomial removed, leading denominator coefficient 1) is applied only for
+    printing and serialization.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "base", "k")
 
-    def __init__(self, num: MPoly, den: MPoly = None, normalize: bool = True):
-        if den is None:
-            den = MPoly.const(1)
-        if den.is_zero():
-            raise ZeroPolynomial("RationalFn denominator is zero")
-        if normalize and not num.is_zero():
-            num, den = _strip_common(num, den)
-        elif normalize:
-            den = MPoly.const(1)
+    def __init__(self, num: MPoly, base: MPoly, k: int = 1):
+        if base.is_zero():
+            raise ZeroPolynomial("RationalFn base is zero")
         self.num = num
-        self.den = den
+        self.base = base
+        self.k = k
 
-    @classmethod
-    def from_poly(cls, p: MPoly) -> "RationalFn":
-        return cls(p, MPoly.const(1), normalize=False)
+    @property
+    def den(self) -> MPoly:
+        return self.base ** self.k
+
+    def _lift(self, k: int) -> MPoly:
+        out = self.num
+        for _ in range(k - self.k):
+            out = out * self.base
+        return out
+
+    def _same_base(self, other):
+        """other as a fraction over self.base (a number or polynomial has k = 0),
+        None for other types; a fraction over another base raises."""
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = MPoly.const(other)
+        if isinstance(other, MPoly):
+            return RationalFn(other, self.base, 0)
+        if not isinstance(other, RationalFn):
+            return None
+        if other.base is not self.base and other.base != self.base:
+            raise ValueError("fractions over different bases")
+        return other
 
     def __add__(self, other):
-        other = _as_rf(other)
+        other = self._same_base(other)
         if other is None:
             return NotImplemented
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        k = max(self.k, other.k)
+        return RationalFn(self._lift(k) + other._lift(k), self.base, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den, normalize=False)
+        return RationalFn(-self.num, self.base, self.k)
 
     def __sub__(self, other):
-        other = _as_rf(other)
+        other = self._same_base(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -499,78 +477,73 @@ class RationalFn:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _as_rf(other)
+        if isinstance(other, (int, Fraction, GaussianRational, MPoly)):
+            return RationalFn(self.num * other, self.base, self.k)
+        other = self._same_base(other)
         if other is None:
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        return RationalFn(self.num * other.num, self.base, self.k + other.k)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroPolynomial("division by zero RationalFn")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = MPoly.const(other)
+        if isinstance(other, MPoly):
+            other = RationalFn(other, self.base, 0)
+        if not isinstance(other, RationalFn):
             return NotImplemented
+        if other.base is self.base or other.base == self.base:
+            k = max(self.k, other.k)
+            return self._lift(k) == other._lift(k)
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RationalFn is unhashable (equality is by cross-multiplication)")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def _diff(self, d):
+        if self.k == 0:
+            return RationalFn(d(self.num), self.base, 0)
+        num = d(self.num) * self.base - self.num * d(self.base) * self.k
+        return RationalFn(num, self.base, self.k + 1)
+
     def diff_z(self) -> "RationalFn":
-        return RationalFn(self.num.diff_z() * self.den - self.num * self.den.diff_z(),
-                          self.den * self.den)
+        return self._diff(MPoly.diff_z)
 
     def diff_zbar(self) -> "RationalFn":
-        return RationalFn(self.num.diff_zbar() * self.den - self.num * self.den.diff_zbar(),
-                          self.den * self.den)
+        return self._diff(MPoly.diff_zbar)
 
     def diff_t(self) -> "RationalFn":
-        return RationalFn(self.num.diff_t() * self.den - self.num * self.den.diff_t(),
-                          self.den * self.den)
+        return self._diff(MPoly.diff_t)
 
     def conj_swap(self) -> "RationalFn":
-        return RationalFn(self.num.conj_swap(), self.den.conj_swap(), normalize=False)
+        return RationalFn(self.num.conj_swap(), self.base.conj_swap(), self.k)
 
     def is_real_valued(self) -> bool:
-        return self.num.conj_swap() * self.den == self.num * self.den.conj_swap()
-
-    def subs_t(self, t0) -> "RationalFn":
-        return RationalFn(self.num.subs_t(t0), self.den.subs_t(t0))
+        return self.conj_swap() == self
 
     def eval(self, z0: complex, t0: float = 0.0) -> complex:
         nv = self.num.eval(z0, t0)
-        dv = self.den.eval(z0, t0)
+        dv = self.base.eval(z0, t0) ** self.k
         if abs(dv) < POLE_FLOOR * (1.0 + abs(nv)):
             raise PoleError(f"denominator ~ 0 at z={z0}, t={t0}")
         return nv / dv
 
+    def canonical(self):
+        """(num, den) with the common monomial factor removed and den's
+        leading coefficient scaled to 1; a zero fraction is 0 / 1."""
+        if self.num.is_zero():
+            return self.num, MPoly.const(1)
+        return _strip_common(self.num, self.den)
+
     def __str__(self):
-        if self.den == MPoly.const(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num, den = self.canonical()
+        if den == MPoly.const(1):
+            return str(num)
+        return f"({num}) / ({den})"
 
     def __repr__(self):
-        return f"RationalFn({self})"
-
-
-def _as_rf(x):
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, MPoly):
-        return RationalFn.from_poly(x)
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return RationalFn.from_poly(MPoly.const(x))
-    return None
+        return f"RationalFn(({self.num}) / ({self.base})^{self.k})"
 
 
 def _strip_common(num: MPoly, den: MPoly):
@@ -595,104 +568,15 @@ def _strip_common(num: MPoly, den: MPoly):
     return num, den
 
 
-def rf_eval(f: RationalFn, z0: complex, t0: float = 0.0) -> complex:
-    return f.eval(z0, t0)
+def log_derivative2(w: MPoly, d1, d2) -> RationalFn:
+    """d1 d2 log w = (w * w_12 - w_1 * w_2) / w^2 for derivations d1, d2 of MPoly
+    (MPoly.diff_z, MPoly.diff_zbar)."""
+    if w.is_zero():
+        raise ZeroPolynomial("log of the zero polynomial")
+    w1 = d1(w)
+    return RationalFn(w * d2(w1) - w1 * d2(w), w, 2)
 
 
 def laplace_log(w: MPoly) -> RationalFn:
-    """Laplacian of log w as a rational function: 4(w*w_zzb - w_z*w_zb)/w^2."""
-    if w.is_zero():
-        raise ZeroPolynomial("laplace_log of the zero polynomial")
-    num = (w * w.diff_z().diff_zbar() - w.diff_z() * w.diff_zbar()) * 4
-    return RationalFn(num, w * w)
-
-
-class PowerFrac:
-    """Internal fraction num / base**k with a single shared base.
-
-    Keeps residual computations from squaring denominators on every
-    derivative: d(num/base^k) = (num' * base - k*num*base') / base^(k+1).
-    """
-
-    __slots__ = ("num", "base", "k")
-
-    def __init__(self, num: MPoly, base: MPoly, k: int = 0):
-        if base.is_zero():
-            raise ZeroPolynomial("PowerFrac base is zero")
-        if num.is_zero():
-            k = 0
-        self.num = num
-        self.base = base
-        self.k = k
-
-    @classmethod
-    def from_poly(cls, p: MPoly, base: MPoly) -> "PowerFrac":
-        return cls(p, base, 0)
-
-    def _lift(self, k: int) -> MPoly:
-        out = self.num
-        for _ in range(k - self.k):
-            out = out * self.base
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, MPoly):
-            other = PowerFrac(other, self.base, 0)
-        if not isinstance(other, PowerFrac):
-            return NotImplemented
-        k = max(self.k, other.k)
-        return PowerFrac(self._lift(k) + other._lift(k), self.base, k)
-
-    def __neg__(self):
-        return PowerFrac(-self.num, self.base, self.k)
-
-    def __sub__(self, other):
-        if isinstance(other, MPoly):
-            other = PowerFrac(other, self.base, 0)
-        if not isinstance(other, PowerFrac):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return PowerFrac(self.num * other, self.base, self.k)
-        if isinstance(other, MPoly):
-            return PowerFrac(self.num * other, self.base, self.k)
-        if not isinstance(other, PowerFrac):
-            return NotImplemented
-        return PowerFrac(self.num * other.num, self.base, self.k + other.k)
-
-    __rmul__ = __mul__
-
-    def _diff(self, dnum, dbase):
-        if self.k == 0:
-            return PowerFrac(dnum(self.num), self.base, 0)
-        num = dnum(self.num) * self.base - self.num * dbase * self.k
-        return PowerFrac(num, self.base, self.k + 1)
-
-    def diff_z(self):
-        return self._diff(MPoly.diff_z, self.base.diff_z())
-
-    def diff_zbar(self):
-        return self._diff(MPoly.diff_zbar, self.base.diff_zbar())
-
-    def diff_t(self):
-        return self._diff(MPoly.diff_t, self.base.diff_t())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def to_rational(self) -> RationalFn:
-        return RationalFn(self.num, self.base ** self.k)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerFrac):
-            return NotImplemented
-        k = max(self.k, other.k)
-        return self._lift(k) == other._lift(k)
-
-    def __hash__(self):
-        raise TypeError("PowerFrac is unhashable")
-
-    def __repr__(self):
-        return f"PowerFrac(({self.num}) / ({self.base})^{self.k})"
+    """Laplacian of log w: 4 d dbar log w."""
+    return log_derivative2(w, MPoly.diff_z, MPoly.diff_zbar) * 4

@@ -15,8 +15,7 @@ from . import faddeev as fd
 from . import harness as hn
 from . import moutard as mt
 from . import nv
-from .algebra import RationalFn
-from .errors import AlgebraError
+from .errors import AlgebraError, ExponentOverflow
 
 
 def _parse_lambda(text: str) -> complex:
@@ -170,6 +169,8 @@ def cmd_verify(args) -> int:
         try:
             fn()
             checks.append((name, True, ""))
+        except ExponentOverflow:
+            raise
         except Exception as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
 
@@ -257,6 +258,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except ExponentOverflow as exc:
+        print(f"input error: seed too large: {exc}", file=sys.stderr)
+        return 2
     except AlgebraError as exc:
         print(f"FAIL {type(exc).__name__}: {exc}")
         return 1

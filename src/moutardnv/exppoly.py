@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import MPoly, POLE_FLOOR, PowerFrac, RationalFn
+from .algebra import MPoly, POLE_FLOOR
 from .errors import LambdaZeroError, PoleError, ZeroPolynomial
 
 
 class WaveFn:
     """e^{lam z} * sum_k lam^{-k} f_k, with integer k of either sign.
 
-    coeffs maps k to f_k (MPoly, or PowerFrac once a denominator has been
-    absorbed); negative keys carry positive powers of lam, which derivatives
-    produce.  den, when set, is one shared MPoly denominator for every slot.
+    coeffs maps k to f_k (MPoly, or RationalFn inside the residual checks);
+    negative keys carry positive powers of lam, which derivatives produce.
+    den, when set, is one shared MPoly denominator for every slot.
     """
 
     __slots__ = ("time_phase", "coeffs", "den")
@@ -88,18 +88,8 @@ class WaveFn:
         """Multiply by lam^{-dk}."""
         return WaveFn({k + dk: f for k, f in self.coeffs.items()}, self.time_phase, self.den)
 
-    def absorb_denominator(self) -> "WaveFn":
-        """Convert to PowerFrac coefficients over the shared denominator."""
-        if self.den is None:
-            return self
-        return WaveFn({k: PowerFrac(f, self.den, 1) for k, f in self.coeffs.items()},
-                      self.time_phase, None)
-
     def map_coeffs(self, fn) -> "WaveFn":
         return WaveFn({k: fn(f) for k, f in self.coeffs.items()}, self.time_phase, self.den)
-
-    def conj_swap_coeffs(self) -> "WaveFn":
-        return self.map_coeffs(lambda f: f.conj_swap())
 
     def __repr__(self):
         phase = "e^{lam z + lam^3 t}" if self.time_phase else "e^{lam z}"
@@ -173,16 +163,6 @@ def wave_antideriv_zbar(w: WaveFn) -> WaveFn:
     return w.map_coeffs(lambda f: f.antideriv_zbar())
 
 
-def wave_mul_rational(w: WaveFn, r: RationalFn) -> WaveFn:
-    """Multiply by a rational function, keeping one shared denominator."""
-    if r.num.is_zero():
-        return WaveFn({}, w.time_phase)
-    den = r.den if w.den is None else w.den * r.den
-    if den == MPoly.const(1):
-        den = None
-    return WaveFn({k: f * r.num for k, f in w.coeffs.items()}, w.time_phase, den)
-
-
 def wave_eval(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> complex:
     """Numeric value including the exponential prefactor."""
     lam0 = complex(lam0)
@@ -193,13 +173,7 @@ def wave_eval(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> c
         phase += lam0 ** 3 * t0
     total = 0.0 + 0.0j
     for k, f in w.coeffs.items():
-        if isinstance(f, PowerFrac):
-            val = f.to_rational().eval(z0, t0)
-        elif isinstance(f, MPoly):
-            val = f.eval(z0, t0)
-        else:
-            val = f.eval(z0, t0)
-        total += lam0 ** (-k) * val
+        total += lam0 ** (-k) * f.eval(z0, t0)
     if w.den is not None:
         dv = w.den.eval(z0, t0)
         if abs(dv) < POLE_FLOOR * (1.0 + abs(total)):
@@ -214,11 +188,7 @@ def wave_eval_naive(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0
     phase = lam0 * complex(z0) + (lam0 ** 3 * t0 if w.time_phase else 0.0)
     total = 0.0 + 0.0j
     for k, f in w.coeffs.items():
-        base = f.to_rational() if isinstance(f, PowerFrac) else f
-        if isinstance(base, MPoly):
-            val = base.eval_naive(z0, t0)
-        else:
-            val = base.eval(z0, t0)
+        val = f.eval_naive(z0, t0) if isinstance(f, MPoly) else f.eval(z0, t0)
         total += lam0 ** (-k) * val
     if w.den is not None:
         total /= w.den.eval_naive(z0, t0)

@@ -6,10 +6,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .algebra import (GR_I, GaussianRational, MPoly, PowerFrac, RationalFn)
+from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, PoleError, ResidualNonzero
 from .exppoly import (WaveFn, wave_diff_z, wave_diff_zbar, wave_eval)
-from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave
+from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
 
 @dataclass
@@ -92,15 +92,12 @@ def residual(fw: FaddeevWave) -> MPoly:
         raise ValueError("wave denominator must match the stored w")
     base = fw.w
     k0 = 1 if fw.psi.den is not None else 0
-    mult = WaveFn({k: PowerFrac(f if isinstance(f, MPoly) else f.num, base, k0)
-                   for k, f in fw.psi.coeffs.items()}, fw.psi.time_phase)
+    mult = WaveFn({k: RationalFn(f, base, k0) for k, f in fw.psi.coeffs.items()},
+                  fw.psi.time_phase)
     lap = wave_diff_z(wave_diff_zbar(mult))
-    u_num = (base * base.diff_z().diff_zbar() - base.diff_z() * base.diff_zbar()) * (-8)
-    u_pf = PowerFrac(u_num, base, 2)
-    res_wave = lap.scale(-4) + mult.scale(u_pf)
+    res_wave = lap.scale(-4) + mult.scale(potential(base))
     for k in sorted(res_wave.coeffs):
-        f = res_wave.coeffs[k]
-        num = f.num if isinstance(f, PowerFrac) else f
+        num = res_wave.coeffs[k].num
         if not num.is_zero():
             return num
     return MPoly.zero()

@@ -237,11 +237,12 @@ def poly_from_json(d) -> MPoly:
 
 
 def rational_to_json(f: RationalFn) -> dict:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
+    num, den = f.canonical()
+    return {"num": poly_to_json(num), "den": poly_to_json(den)}
 
 
 def rational_from_json(d) -> RationalFn:
-    return RationalFn(poly_from_json(d["num"]), poly_from_json(d["den"]), normalize=False)
+    return RationalFn(poly_from_json(d["num"]), poly_from_json(d["den"]))
 
 
 def wave_to_json(fw: FaddeevWave) -> dict:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (GR_I, GaussianRational, MPoly, RationalFn, laplace_log)
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, laplace_log
 from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
 from .exppoly import (WaveFn, wave_antideriv_z, wave_diff_z, wave_diff_zbar)
 
@@ -52,27 +52,25 @@ def harmonic_from_holomorphic(p: MPoly) -> MPoly:
     return p + p.conj_swap()
 
 
-def double_w(seed: SeedPair) -> MPoly:
-    """Argument of the logarithm in the double-iteration potential formula.
-
-    W = i*[(p1*conj(p2) - p2*conj(p1)) + F - conj(F)] + c with F the
-    z-antiderivative of p1'p2 - p1 p2' (the dzb-integrand is minus the
-    conjugate of the dz-integrand, which is what makes W real-valued).
-    """
-    p1, p2 = seed.p1, seed.p2
-    if p1.deg_t() > 0 or p2.deg_t() > 0:
-        raise NotHolomorphic("static double_w expects t-free seeds; use nv.extended_w")
-    pb1, pb2 = p1.conj_swap(), p2.conj_swap()
+def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
+    """(p1*conj(p2) - p2*conj(p1)) + F - conj(F) with F the z-antiderivative of
+    p1'p2 - p1 p2' (the dzb-integrand is minus the conjugate of the
+    dz-integrand, which is what makes i times the bracket real-valued)."""
     f = (p1.diff_z() * p2 - p1 * p2.diff_z()).antideriv_z()
-    bracket = (p1 * pb2 - p2 * pb1) + f - f.conj_swap()
-    return bracket * GR_I + MPoly.const(seed.c)
+    return (p1 * p2.conj_swap() - p2 * p1.conj_swap()) + f - f.conj_swap()
+
+
+def double_w(seed: SeedPair) -> MPoly:
+    """Argument of the logarithm in the double-iteration potential formula:
+    W = i*w_bracket(p1, p2) + c."""
+    if seed.p1.deg_t() > 0 or seed.p2.deg_t() > 0:
+        raise NotHolomorphic("static double_w expects t-free seeds; use nv.extended_w")
+    return w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
 
 
 def potential(w: MPoly) -> RationalFn:
     """u = -2 * Laplacian(log W)."""
-    if w.is_zero():
-        raise ZeroPolynomial("potential of W = 0")
-    return laplace_log(w) * GaussianRational(-2)
+    return laplace_log(w) * -2
 
 
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
@@ -160,9 +158,10 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
                              grid_n: int = 201) -> NonvanishingReport:
     """Check sign-definiteness of a real-valued W on a box plus its leading form.
 
-    certified-positive means sign-definite: |W| bounded away from zero on the
-    grid and the leading homogeneous form has the same strict sign on a dense
-    angular grid (so no zero can hide outside the box).
+    certified-positive means sign-definite: no sign change on the grid, |W|
+    above its rounding scale sum |c_ij||z|^(i+j) at every grid point, and the
+    leading homogeneous form has the same strict sign on a dense angular grid
+    (so no zero can hide outside the box).
     """
     if w.is_constant():
         c = w.constant_term()
@@ -176,13 +175,15 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     vals = np.zeros_like(X, dtype=complex)
+    mag = np.zeros_like(X)              # sum |c_ij| |z|^(i+j): the rounding scale of W(z)
     for (i, j, k), coeff in w.terms.items():
         if k > 0:
             continue          # certificate is for static (t-free) W
         vals += complex(coeff) * Z ** i * np.conj(Z) ** j
+        mag += abs(complex(coeff)) * np.abs(Z) ** (i + j)
     re = vals.real
-    scale = np.abs(re).max() or 1.0
-    if re.max() >= -1e-9 * scale and re.min() <= 1e-9 * scale:
+    near_zero = np.abs(re) <= 64 * np.finfo(float).eps * mag
+    if re.min() <= 0.0 <= re.max() or near_zero.any():
         idx = np.unravel_index(np.abs(re).argmin(), re.shape)
         return NonvanishingReport("zero-found", float(np.abs(re).min()), 0, False,
                                   (float(X[idx]), float(Y[idx])), "sign change or zero on grid")

@@ -11,13 +11,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import (GR_I, GaussianRational, MPoly, PowerFrac, RationalFn)
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
 from .exppoly import WaveFn, wave_diff_t, wave_diff_z, wave_diff_zbar
 from .faddeev import FaddeevWave, faddeev_superpose, residual
-from .moutard import (MoutardFrame, SeedPair, double_w, harmonic_from_holomorphic,
-                      kernel_functions, moutard_transform_wave, potential)
+from .moutard import (MoutardFrame, SeedPair, harmonic_from_holomorphic, kernel_functions,
+                      moutard_transform_wave, potential, w_bracket)
 
 
 def heat3_evolve(p: MPoly) -> MPoly:
@@ -60,8 +60,7 @@ def extended_w(seed: SeedPair) -> MPoly:
     """
     seed = evolved_seed(seed)
     p1, p2 = seed.p1, seed.p2
-    f = (p1.diff_z() * p2 - p1 * p2.diff_z()).antideriv_z()
-    bracket = (p1 * p2.conj_swap() - p2 * p1.conj_swap()) + f - f.conj_swap()
+    bracket = w_bracket(p1, p2)
     d1, d2, d3 = p1.diff_z(), p1.diff_z().diff_z(), p1.diff_z().diff_z().diff_z()
     e1, e2, e3 = p2.diff_z(), p2.diff_z().diff_z(), p2.diff_z().diff_z().diff_z()
     x = d3 * p2 - p1 * e3 + (d1 * e2 - d2 * e1) * 2
@@ -78,45 +77,32 @@ def extended_w(seed: SeedPair) -> MPoly:
 @dataclass
 class NVSolution:
     """An exact rational solution of the evolution system: the denominator
-    polynomial and the potential pair built from it."""
+    polynomial and the potential pair built from it, both over wt^2."""
 
     wt: MPoly
     u: RationalFn
     v: RationalFn
-    q: MPoly = None          # alias of wt; kept as the search denominator
-
-    def __post_init__(self):
-        if self.q is None:
-            self.q = self.wt
 
 
 def nv_potentials(wt: MPoly) -> NVSolution:
     """U = 2 d dbar log Wt, V = 2 d^2 log Wt, with dbar V = d U asserted exactly."""
     if wt.is_zero():
         raise ZeroPolynomial("potentials of Wt = 0")
-    wz, wzb = wt.diff_z(), wt.diff_zbar()
-    unum = (wt * wz.diff_zbar() - wz * wzb) * 2
-    vnum = (wt * wz.diff_z() - wz * wz) * 2
-    u_pf = PowerFrac(unum, wt, 2)
-    v_pf = PowerFrac(vnum, wt, 2)
-    if v_pf.diff_zbar() != u_pf.diff_z():
+    u = log_derivative2(wt, MPoly.diff_z, MPoly.diff_zbar) * 2
+    v = log_derivative2(wt, MPoly.diff_z, MPoly.diff_z) * 2
+    if v.diff_zbar() != u.diff_z():
         raise TemporalResidualNonzero("dbar V != d U for this Wt")
-    den = wt * wt
-    return NVSolution(wt, RationalFn(unum, den), RationalFn(vnum, den))
+    return NVSolution(wt, u, v)
 
 
 def nv_residual(sol: NVSolution) -> MPoly:
     """Cleared numerator of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U);
     the zero polynomial exactly when the pair evolves correctly."""
     wt = sol.wt
-    wz, wzb = wt.diff_z(), wt.diff_zbar()
-    unum = (wt * wz.diff_zbar() - wz * wzb) * 2
-    vnum = (wt * wz.diff_z() - wz * wz) * 2
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
-    u = PowerFrac(unum, wt, 2)
-    v = PowerFrac(vnum, wt, 2)
-    vb = PowerFrac(vnum.conj_swap(), wt, 2)
+    u, v = sol.u, sol.v
+    vb = RationalFn(v.num.conj_swap(), wt, v.k)
     res = u.diff_t()
     res = res - u.diff_z().diff_z().diff_z()
     res = res - u.diff_zbar().diff_zbar().diff_zbar()
@@ -152,12 +138,10 @@ def temporal_residual(fw: FaddeevWave) -> MPoly:
     slot by slot; zero exactly when the wave follows the evolution."""
     wt = fw.w
     k0 = 1 if fw.psi.den is not None else 0
-    mult = WaveFn({k: PowerFrac(f, wt, k0) for k, f in fw.psi.coeffs.items()},
+    mult = WaveFn({k: RationalFn(f, wt, k0) for k, f in fw.psi.coeffs.items()},
                   fw.psi.time_phase)
-    wz = wt.diff_z()
-    vnum3 = (wt * wz.diff_z() - wz * wz) * 6
-    v3 = PowerFrac(vnum3, wt, 2)
-    vb3 = PowerFrac(vnum3.conj_swap(), wt, 2)
+    v3 = log_derivative2(wt, MPoly.diff_z, MPoly.diff_z) * 6
+    vb3 = RationalFn(v3.num.conj_swap(), wt, 2)
     d1 = wave_diff_z(mult)
     d3 = wave_diff_z(wave_diff_z(d1))
     b1 = wave_diff_zbar(mult)
@@ -466,11 +450,10 @@ def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: floa
     if 2 not in mus:
         raise ValueError("wave has no lam^{-2} slot")
     mu2 = mus[2]
-    wt = sol.wt
     n2 = mu2.num
-    hr = _eigen_check((n2 + n2.conj_swap()), wt)
-    hi = _eigen_check((n2 - n2.conj_swap()) * GR_I, wt)
-    decay = mu2.num.total_degree_space() - wt.total_degree_space()
+    hr = _eigen_check(n2 + n2.conj_swap(), sol.u)
+    hi = _eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u)
+    decay = n2.total_degree_space() - mu2.base.total_degree_space()
     report = Mu2Report(hr, hi, decay)
 
     for t0 in t_samples:
@@ -478,22 +461,21 @@ def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: floa
             raise ValueError("t samples must precede the blow-up time")
         norms = []
         for r in (r_outer / 2.0, r_outer):
-            norms.append(_disc_l2(mu2, wt, float(t0), r, t_star))
+            norms.append(_disc_l2(mu2, float(t0), r, t_star))
         report.entries.append(Mu2Entry(float(t0), norms[0], norms[1],
                                        norms[1] - norms[0]))
     return report
 
 
-def _eigen_check(num: MPoly, wt: MPoly) -> bool:
-    """(d dbar + U) (num/wt) = 0 with U = 2 d dbar log wt, exactly."""
-    f = PowerFrac(num, wt, 1)
-    wz = wt.diff_z()
-    unum = (wt * wz.diff_zbar() - wz * wt.diff_zbar()) * 2
-    u = PowerFrac(unum, wt, 2)
+def _eigen_check(num: MPoly, u: RationalFn) -> bool:
+    """(d dbar + U) (num/wt) = 0 exactly, with U = 2 d dbar log wt over wt^2."""
+    f = RationalFn(num, u.base, 1)
     return (f.diff_z().diff_zbar() + u * f).num.is_zero()
 
 
-def _disc_l2(mu2: RationalFn, wt: MPoly, t0: float, r: float, t_star) -> float:
+def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
+    """Integral of |mu2|^2 over |z| < r at time t0 (polar Riemann sum)."""
+    wt = mu2.base
     nr, ntheta = 240, 96
     rs = np.linspace(r / nr, r, nr)
     thetas = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
@@ -523,7 +505,7 @@ def _disc_l2(mu2: RationalFn, wt: MPoly, t0: float, r: float, t_star) -> float:
             raise SingularBeforeBlowup(
                 f"denominator vanished near z={where}, t={t0} < t_star={t_star}")
         raise PoleError(f"denominator vanished near z={where}, t={t0}")
-    vals = np.abs(num / den) ** 2 * R
+    vals = np.abs(num / den ** mu2.k) ** 2 * R
     dr = rs[1] - rs[0]
     dth = thetas[1] - thetas[0]
     return float(vals.sum() * dr * dth)

@@ -27,7 +27,6 @@ def test_criterion_1_potential_identity(seed22):
 
 
 def test_criterion_2_kernel_functions(seed22):
-    from moutardnv.algebra import PowerFrac
     from test_faddeev import test_reference_kernel_functions_scalar_match
     frame = build_frame(seed22)
     ok = True
@@ -38,9 +37,9 @@ def test_criterion_2_kernel_functions(seed22):
     # (-4 d dbar + u) phi_j = 0 exactly
     w = frame.w
     u_num = (w * w.diff_z().diff_zbar() - w.diff_z() * w.diff_zbar()) * (-8)
-    u = PowerFrac(u_num, w, 2)
+    u = RationalFn(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
-        f = PowerFrac(om, w, 1)
+        f = RationalFn(om, w, 1)
         ok = ok and (f.diff_z().diff_zbar() * (-4) + u * f).num.is_zero()
     _report(2, "kernel functions exact up to recorded scalars", ok)
 

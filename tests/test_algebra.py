@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, PowerFrac,
-                               RationalFn, laplace_log)
+from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn,
+                               laplace_log)
 from moutardnv.errors import ExponentOverflow, PoleError, ZeroPolynomial
 
-from conftest import gr, poly, to_sympy
+from conftest import T, Z, ZB, gr, poly, rf_equal_sympy, to_sympy
 
 
 def test_gaussian_rational_arithmetic():
@@ -154,21 +154,40 @@ def test_laplace_log_matches_sympy():
     assert sp.expand(lhs - rhs) == 0
 
 
-def test_power_frac_arithmetic():
+def test_same_base_arithmetic():
     z, zb = MPoly.var_z(), MPoly.var_zbar()
     base = MPoly.const(1) + z * zb
-    a = PowerFrac(z, base, 1)
-    b = PowerFrac(zb, base, 2)
+    a = RationalFn(z, base, 1)
+    b = RationalFn(zb, base, 2)
     s = a + b
-    assert s.to_rational() == RationalFn(z * base + zb, base * base)
-    assert (a * b).to_rational() == RationalFn(z * zb, base * base * base)
+    assert (s.num, s.k) == (z * base + zb, 2)
+    assert s == RationalFn(z * base + zb, base * base)
+    assert a * b == RationalFn(z * zb, base * base * base)
+    assert (a * b).k == 3
     d = a.diff_z()
-    assert d.to_rational() == RationalFn(base - z * zb, base * base)
+    assert d.k == 2
+    assert d == RationalFn(base - z * zb, base * base)
+    with pytest.raises(ValueError):
+        a + RationalFn(z, base * base)
 
 
-def test_power_frac_matches_rational_derivative():
+def test_rational_derivative_matches_sympy():
+    import sympy as sp
+    z, zb, t = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t()
+    base = MPoly.const(2) + z * z * zb + t
+    f = RationalFn(z + zb, base, 2)
+    expr = (Z + ZB) / to_sympy(base) ** 2
+    for got, var in ((f.diff_zbar(), ZB), (f.diff_t(), T), (f.diff_z().diff_zbar(), None)):
+        ref = sp.diff(expr, Z, ZB) if var is None else sp.diff(expr, var)
+        num, den = sp.fraction(sp.together(ref))
+        assert rf_equal_sympy(got, num, den)
+
+
+def test_canonical_form():
     z, zb = MPoly.var_z(), MPoly.var_zbar()
-    base = MPoly.const(2) + z * z * zb
-    f = PowerFrac(z + zb, base, 2)
-    assert f.diff_zbar().to_rational() == f.to_rational().diff_zbar()
-    assert f.diff_t().to_rational() == f.to_rational().diff_t()
+    # z * 2 / (z * (2 zb + 4)) prints as 1 / (zb + 2), the denominator's leading coefficient 1
+    f = RationalFn(z * gr(2), z * (zb * gr(2) + MPoly.const(4)))
+    assert f.canonical() == (MPoly.const(1), zb + MPoly.const(2))
+    assert str(f) == "(1) / (2 + 1*zb)"
+    assert str(RationalFn(z * z, z)) == "1*z"
+    assert str(RationalFn(MPoly.zero(), z, 2)) == "0"

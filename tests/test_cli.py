@@ -166,3 +166,17 @@ def test_cli_output_bytes_unchanged(command, name, tmp_path):
     got = (hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
            hashlib.sha256(out.read_bytes()).hexdigest())
     assert got == OUTPUT_DIGESTS[(command, name)]
+
+
+def test_oversized_seed_is_input_error(tmp_path):
+    seed = tmp_path / "z40.json"
+    seed.write_text(json.dumps({"p1": [[40, {"re": "1", "im": "0"}]],
+                                "p2": [[1, {"re": "1", "im": "0"}]],
+                                "c": {"re": "1", "im": "0"}, "time": False}))
+    for command in ("potential", "scatter", "verify"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main([command, "--seed", str(seed)])
+        assert rc == 2, (command, stdout.getvalue())
+        assert "ExponentOverflow" not in stdout.getvalue()
+        assert "exceeds cap" in stderr.getvalue()

@@ -6,7 +6,7 @@ from moutardnv.algebra import MPoly
 from moutardnv.errors import LambdaZeroError, PoleError
 from moutardnv.exppoly import (WaveFn, wave_antideriv_z, wave_antideriv_zbar,
                                wave_diff_t, wave_diff_z, wave_diff_zbar,
-                               wave_eval, wave_eval_naive, wave_mul_rational)
+                               wave_eval, wave_eval_naive)
 
 from conftest import gr, poly
 
@@ -98,11 +98,3 @@ def test_wave_denominator_and_pole():
     with pytest.raises(PoleError):
         wave_eval(w, 1.0, 0.0, 1.0)
 
-
-def test_wave_mul_rational_keeps_shared_denominator():
-    from moutardnv.algebra import RationalFn
-    z = MPoly.var_z()
-    den = MPoly.const(1) + z * MPoly.var_zbar()
-    w = wave_mul_rational(WaveFn.free(), RationalFn(z, den, normalize=False))
-    assert w.den == den
-    assert w.coeffs[0] == z

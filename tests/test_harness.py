@@ -37,7 +37,7 @@ def test_fd_residual_reference(seed22):
 
 
 def test_fd_residual_free_wave():
-    u = RationalFn(MPoly.zero(), MPoly.const(1), normalize=False)
+    u = RationalFn(MPoly.zero(), MPoly.const(1))
     rep = fd_residual(u, WaveFn.free(), 1.0, GridSpec(-1, 1, -1, 1, 5), 1e-2)
     assert abs(rep.order - 2.0) <= 0.1
 
@@ -78,7 +78,7 @@ def test_sign_check_reference(seed22):
 
 
 def test_sign_check_zero_and_positive():
-    zero = RationalFn(MPoly.zero(), MPoly.const(1), normalize=False)
+    zero = RationalFn(MPoly.zero(), MPoly.const(1))
     assert sign_check(zero, GridSpec(-1, 1, -1, 1, 5)).verdict == "nonpositive"
     den = MPoly.const(1) + MPoly.var_z() * MPoly.var_zbar()
     pos = RationalFn(MPoly.const(1), den)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy as sp
 
@@ -11,6 +13,7 @@ from moutardnv.moutard import (SeedPair, build_frame, double_w,
                                potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
+from test_properties import random_holomorphic
 
 
 def test_harmonic_from_holomorphic():
@@ -56,24 +59,23 @@ def test_potential_is_neg_two_laplacian_log(seed22):
 
 def test_kernel_functions_reciprocal(seed22):
     frame = build_frame(seed22)
-    one = RationalFn(MPoly.const(1), MPoly.const(1), normalize=False)
-    assert frame.theta1 * frame.phi1 == one
-    assert frame.theta2 * frame.phi2 == one
+    # theta_j * phi_j = 1, cleared of denominators
+    for theta, phi in ((frame.theta1, frame.phi1), (frame.theta2, frame.phi2)):
+        assert theta.num * phi.num == theta.den * phi.den
     # product omega_j * theta_j reproduces +-W
-    assert frame.theta1 * RationalFn.from_poly(frame.omega1) == RationalFn.from_poly(frame.w)
-    assert frame.theta2 * RationalFn.from_poly(frame.omega2) == RationalFn.from_poly(-frame.w)
+    assert frame.theta1 * frame.omega1 == frame.w
+    assert frame.theta2 * frame.omega2 == -frame.w
 
 
 def test_kernel_functions_are_zero_modes(seed22):
     # (d dbar + u/(-4)*(-1)) check via the clearing identity:
     # -4 d dbar phi + u phi = 0 with phi = omega/W
-    from moutardnv.algebra import PowerFrac
     frame = build_frame(seed22)
     w = frame.w
     u_num = (w * w.diff_z().diff_zbar() - w.diff_z() * w.diff_zbar()) * (-8)
-    u = PowerFrac(u_num, w, 2)
+    u = RationalFn(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
-        f = PowerFrac(om, w, 1)
+        f = RationalFn(om, w, 1)
         res = f.diff_z().diff_zbar() * (-4) + u * f
         assert res.num.is_zero()
 
@@ -106,9 +108,9 @@ def test_transform_polynomial_eigenfunction():
     theta = moutard_transform_wave(om, phi)
     assert isinstance(theta, RationalFn)
     # verify the system: d(om*theta)/dz = i(phi om_z - om phi_z)
-    prod = theta * RationalFn.from_poly(om)
+    prod = theta * om
     lhs = prod.diff_z()
-    rhs = RationalFn.from_poly((phi * om.diff_z() - om * phi.diff_z()) * GR_I)
+    rhs = (phi * om.diff_z() - om * phi.diff_z()) * GR_I
     assert lhs == rhs
 
 
@@ -136,10 +138,22 @@ def test_nonvanishing_certificate_positive(seed22):
 
 def test_nonvanishing_certificate_zero_found():
     z, zb = MPoly.var_z(), MPoly.var_zbar()
-    rep = nonvanishing_certificate(z * zb - MPoly.const(1))
-    assert rep.verdict == "zero-found"
-    x, y = rep.witness
-    assert abs(x * x + y * y - 1.0) < 0.2
+    circle = z * zb - MPoly.const(1)
+    # a sign change, and a double zero where W touches 0 without changing sign
+    for w in (circle, circle * circle):
+        rep = nonvanishing_certificate(w)
+        assert rep.verdict == "zero-found"
+        x, y = rep.witness
+        assert abs(x * x + y * y - 1.0) < 0.2
+
+
+def test_nonvanishing_certificate_wide_range_degree5():
+    # one-signed on the box with min|W| ~ 1e3 but max|W| ~ 1e13: no zero
+    rng = random.Random(0)
+    p1, p2 = random_holomorphic(rng, 5), random_holomorphic(rng, 5)
+    rep = nonvanishing_certificate(double_w(SeedPair(p1, p2, gr(-1000))))
+    assert rep.verdict == "certified-positive"
+    assert rep.grid_min_abs > 100
 
 
 def test_nonvanishing_certificate_constant():

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 import sympy as sp
 
@@ -220,6 +223,23 @@ def test_mu2_integrability_report(seed32):
         assert e.increment < 0.05 * e.l2_full
     # norms grow toward the critical time
     assert rep.entries[1].l2_full > rep.entries[0].l2_full
+
+
+def test_mu2_norm_matches_direct_integral(seed32):
+    # midpoint rule in polar coordinates over |z| < 20 on the exact fraction's eval
+    fw = nv.nv_faddeev(seed32)
+    sol = nv.nv_potentials(fw.w)
+    rep = nv.mu2_integrability(sol, fw, [0.0], r_outer=40.0, t_star=29 / 12)
+    mu2 = nv.kernel_mu(fw)[2]
+    nr, nth, radius = 60, 24, 20.0
+    dr, dth = radius / nr, 2 * math.pi / nth
+    direct = 0.0
+    for a in range(nr):
+        r = (a + 0.5) * dr
+        for b in range(nth):
+            z0 = cmath.rect(r, (b + 0.5) * dth)
+            direct += abs(mu2.eval(z0, 0.0)) ** 2 * r * dr * dth
+    assert abs(rep.entries[0].l2_half - direct) < 1e-2 * direct
 
 
 def test_mu2_integrability_singularities(seed32):
