@@ -7,6 +7,7 @@ exact; floating point only ever appears in the eval methods.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ExponentOverflow, PoleError, ZeroPolynomial
 
@@ -123,34 +124,60 @@ GR_ONE = GaussianRational(1, 0)
 GR_I = GaussianRational(0, 1)
 
 
+def _gauss(x):
+    """An exact scalar as (re, im, den): a Gaussian-integer numerator over a
+    positive integer denominator."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    if isinstance(x, GaussianRational):
+        re, im = x.re, x.im
+        rd, idn = re.denominator, im.denominator
+        if rd == idn:
+            return re.numerator, im.numerator, rd
+        d = lcm(rd, idn)
+        return re.numerator * (d // rd), im.numerator * (d // idn), d
+    return _gauss(_coerce(x))
+
+
+def _gr(re: int, im: int, d: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+
+def _check_expo(i, j, k):
+    if i > MAX_EXPONENT or j > MAX_EXPONENT or k > MAX_EXPONENT:
+        raise ExponentOverflow(f"exponent triple {(i, j, k)} exceeds cap {MAX_EXPONENT}")
+
+
 class MPoly:
     """Sparse polynomial in (z, zb, t) over the Gaussian rationals.
 
-    Terms map exponent triples to nonzero coefficients; the map itself is the
-    canonical form, so equality is plain dict equality.
+    Stored as Gaussian-integer numerators (re, im), keyed by exponent triple,
+    over one positive integer denominator, with the gcd of the denominator and
+    all numerators equal to 1.  That form is canonical, so equality is
+    structural.  Instances are immutable; the GaussianRational view `terms`
+    and the complex coefficients read by `eval` are built once, on demand.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_c", "_d", "_view", "_cx", "_plan")
 
     def __init__(self, terms=None):
-        tmap = {}
-        if terms:
-            for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = _coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                i, j, k = expo
-                if i > MAX_EXPONENT or j > MAX_EXPONENT or k > MAX_EXPONENT:
-                    raise ExponentOverflow(f"exponent triple {expo} exceeds cap {MAX_EXPONENT}")
-                if i < 0 or j < 0 or k < 0:
-                    raise ValueError(f"negative exponent in {expo}")
-                prev = tmap.get((i, j, k))
-                coeff = coeff if prev is None else prev + coeff
-                if coeff.is_zero():
-                    tmap.pop((i, j, k), None)
-                else:
-                    tmap[(i, j, k)] = coeff
-        self.terms = tmap
+        acc = {}
+        for expo, coeff in ((terms.items() if isinstance(terms, dict) else terms) or ()):
+            coeff = _coerce(coeff)
+            if coeff.is_zero():
+                continue
+            i, j, k = expo
+            _check_expo(i, j, k)
+            if i < 0 or j < 0 or k < 0:
+                raise ValueError(f"negative exponent in {expo}")
+            expo = (i, j, k)
+            acc[expo] = acc[expo] + coeff if expo in acc else coeff
+        d = lcm(1, *(x.denominator for c in acc.values() for x in (c.re, c.im)))
+        _set(self, {e: (int(c.re * d), int(c.im * d))
+                    for e, c in acc.items() if not c.is_zero()}, d)
+        _normalize(self)
 
     # -- constructors -------------------------------------------------
 
@@ -160,48 +187,102 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        return cls({(0, 0, 0): _coerce(c)})
+        return cls.monomial(0, 0, 0, c)
 
     @classmethod
     def var_z(cls):
-        return cls({(1, 0, 0): GR_ONE})
+        return cls.monomial(1, 0, 0)
 
     @classmethod
     def var_zbar(cls):
-        return cls({(0, 1, 0): GR_ONE})
+        return cls.monomial(0, 1, 0)
 
     @classmethod
     def var_t(cls):
-        return cls({(0, 0, 1): GR_ONE})
+        return cls.monomial(0, 0, 1)
 
     @classmethod
-    def monomial(cls, i, j, k, coeff=GR_ONE) -> "MPoly":
-        return cls({(i, j, k): _coerce(coeff)})
+    def monomial(cls, i, j, k, coeff=1) -> "MPoly":
+        re, im, d = _gauss(coeff)
+        if not re and not im:
+            return _wrap({}, 1)
+        _check_expo(i, j, k)
+        if i < 0 or j < 0 or k < 0:
+            raise ValueError(f"negative exponent in {(i, j, k)}")
+        return _poly({(i, j, k): (re, im)}, d)
+
+    @classmethod
+    def from_numerators(cls, numerators: dict, denominator: int) -> "MPoly":
+        """The polynomial sum (re + i*im)/denominator * z^i zb^j t^k over a dict
+        (i, j, k) -> (re, im) of nonzero Gaussian integers."""
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        return _poly(numerators, denominator)
+
+    # -- representation -----------------------------------------------
+
+    @property
+    def numerators(self) -> dict:
+        """(i, j, k) -> (re, im): Gaussian-integer numerators over `denominator`;
+        read-only."""
+        return self._c
+
+    @property
+    def denominator(self) -> int:
+        return self._d
+
+    @property
+    def terms(self) -> dict:
+        """(i, j, k) -> GaussianRational with reduced parts; a read-only view,
+        built once."""
+        view = self._view
+        if view is None:
+            d = self._d
+            view = self._view = {e: _gr(re, im, d) for e, (re, im) in self._c.items()}
+        return view
+
+    def complex_terms(self) -> list:
+        """((i, j, k), complex coefficient) in `sorted_terms` order, converted
+        once; each value equals complex() of the exact coefficient."""
+        cx = self._cx
+        if cx is None:
+            d = self._d
+            cx = self._cx = [(e, complex(re / d) + 1j * complex(im / d))
+                             for e, (re, im) in sorted(self._c.items(), key=_term_order)]
+        return cx
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return _raw(out)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        d = lcm(self._d, other._d)
+        ma, mb = d // self._d, d // other._d
+        out = {e: (re * ma, im * ma) for e, (re, im) in self._c.items()}
+        for e, (re, im) in other._c.items():
+            re, im = re * mb, im * mb
+            s = out.get(e)
+            if s is not None:
+                re, im = s[0] + re, s[1] + im
+                if not re and not im:
+                    del out[e]
+                    continue
+            out[e] = (re, im)
+        return _poly(out, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({e: -c for e, c in self.terms.items()})
+        return _wrap({e: (-re, -im) for e, (re, im) in self._c.items()}, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -211,29 +292,39 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other)
-            if c.is_zero():
-                return MPoly.zero()
-            return _raw({e: v * c for e, v in self.terms.items()})
+        if isinstance(other, _SCALARS):
+            return self._scale(*_gauss(other))
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                expo = (i1 + i2, j1 + j2, k1 + k2)
-                if expo[0] > MAX_EXPONENT or expo[1] > MAX_EXPONENT or expo[2] > MAX_EXPONENT:
-                    raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
-                c = c1 * c2
-                s = out.get(expo)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(expo, None)
+        a, b = self._c, other._c
+        if not a or not b:
+            return _wrap({}, 1)
+        expo = tuple(max(e[x] for e in a) + max(e[x] for e in b) for x in range(3))
+        if max(expo) > MAX_EXPONENT:
+            raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
+        acc = {}
+        get = acc.get
+        inner = [(i, j, k, re, im) for (i, j, k), (re, im) in b.items()]
+        for (i1, j1, k1), (p, q) in a.items():
+            for i2, j2, k2, re, im in inner:
+                e = (i1 + i2, j1 + j2, k1 + k2)
+                s = get(e)
+                if s is None:
+                    acc[e] = [p * re - q * im, p * im + q * re]
                 else:
-                    out[expo] = s
-        return _raw(out)
+                    s[0] += p * re - q * im
+                    s[1] += p * im + q * re
+        return _poly({e: (re, im) for e, (re, im) in acc.items() if re or im},
+                     self._d * other._d)
 
     __rmul__ = __mul__
+
+    def _scale(self, re, im, d):
+        """self * (re + i*im)/d."""
+        if not re and not im:
+            return _wrap({}, 1)
+        return _poly({e: (a * re - b * im, a * im + b * re) for e, (a, b) in self._c.items()},
+                     self._d * d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -250,38 +341,60 @@ class MPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._d, frozenset(self._c.items())))
 
     # -- calculus -----------------------------------------------------
 
     def diff_z(self) -> "MPoly":
-        return _raw({(i - 1, j, k): c * i for (i, j, k), c in self.terms.items() if i > 0})
+        return _poly({(i - 1, j, k): (re * i, im * i)
+                      for (i, j, k), (re, im) in self._c.items() if i > 0}, self._d)
 
     def diff_zbar(self) -> "MPoly":
-        return _raw({(i, j - 1, k): c * j for (i, j, k), c in self.terms.items() if j > 0})
+        return _poly({(i, j - 1, k): (re * j, im * j)
+                      for (i, j, k), (re, im) in self._c.items() if j > 0}, self._d)
 
     def diff_t(self) -> "MPoly":
-        return _raw({(i, j, k - 1): c * k for (i, j, k), c in self.terms.items() if k > 0})
+        return _poly({(i, j, k - 1): (re * k, im * k)
+                      for (i, j, k), (re, im) in self._c.items() if k > 0}, self._d)
+
+    def _antideriv(self, axis: int) -> "MPoly":
+        """Integrate term by term in one variable: over the common multiple m
+        of the new exponents, term e gains the integer factor m / (e[axis] + 1)."""
+        m = 1
+        for e in self._c:
+            m = lcm(m, e[axis] + 1)
+        out = {}
+        for e, (re, im) in self._c.items():
+            n = e[axis] + 1
+            expo = e[:axis] + (n,) + e[axis + 1:]
+            _check_expo(*expo)
+            f = m // n
+            out[expo] = (re * f, im * f)
+        return _poly(out, self._d * m)
 
     def antideriv_z(self) -> "MPoly":
-        return MPoly({(i + 1, j, k): c / (i + 1) for (i, j, k), c in self.terms.items()})
+        return self._antideriv(0)
 
     def antideriv_zbar(self) -> "MPoly":
-        return MPoly({(i, j + 1, k): c / (j + 1) for (i, j, k), c in self.terms.items()})
+        return self._antideriv(1)
 
     def antideriv_t(self) -> "MPoly":
-        return MPoly({(i, j, k + 1): c / (k + 1) for (i, j, k), c in self.terms.items()})
+        return self._antideriv(2)
 
     def conj_swap(self) -> "MPoly":
         """Complex conjugation of a function of (z, zb): swap z <-> zb, conjugate coefficients."""
-        return _raw({(j, i, k): c.conjugate() for (i, j, k), c in self.terms.items()})
+        return _wrap({(j, i, k): (re, -im) for (i, j, k), (re, im) in self._c.items()}, self._d)
+
+    def conj_coeffs(self) -> "MPoly":
+        """Conjugate every coefficient, leaving the variables alone."""
+        return _wrap({e: (re, -im) for e, (re, im) in self._c.items()}, self._d)
 
     def is_real_valued(self) -> bool:
         return self.conj_swap() == self
@@ -289,125 +402,199 @@ class MPoly:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
+        return all(e == (0, 0, 0) for e in self._c)
 
     def is_holomorphic(self) -> bool:
         """True when the polynomial depends on z and t only."""
-        return all(j == 0 for (_, j, _) in self.terms)
+        return all(j == 0 for (_, j, _) in self._c)
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0, 0, 0), GR_ZERO)
+        return self.coeff(0, 0, 0)
 
     def coeff(self, i, j, k=0) -> GaussianRational:
-        return self.terms.get((i, j, k), GR_ZERO)
+        c = self._c.get((i, j, k))
+        return GR_ZERO if c is None else _gr(c[0], c[1], self._d)
 
     def deg_z(self) -> int:
-        return max((i for (i, _, _) in self.terms), default=-1)
+        return max((i for (i, _, _) in self._c), default=-1)
 
     def deg_zbar(self) -> int:
-        return max((j for (_, j, _) in self.terms), default=-1)
+        return max((j for (_, j, _) in self._c), default=-1)
 
     def deg_t(self) -> int:
-        return max((k for (_, _, k) in self.terms), default=-1)
+        return max((k for (_, _, k) in self._c), default=-1)
 
     def total_degree_space(self) -> int:
         """Total degree in (z, zb), treating t as a parameter; -1 for the zero polynomial."""
-        return max((i + j for (i, j, _) in self.terms), default=-1)
+        return max((i + j for (i, j, _) in self._c), default=-1)
 
     def spatial_leading_terms(self) -> dict:
         """Terms of maximal z+zb degree, keyed by (i, j) with MPoly-in-t coefficients."""
         d = self.total_degree_space()
         out = {}
-        for (i, j, k), c in self.terms.items():
+        for (i, j, k), c in self._c.items():
             if i + j == d:
                 out.setdefault((i, j), {})[(0, 0, k)] = c
-        return {ij: _raw(tk) for ij, tk in out.items()}
+        return {ij: _poly(tk, self._d) for ij, tk in out.items()}
 
     def subs_t(self, t0) -> "MPoly":
         """Exact substitution of a rational value for t."""
-        t0 = _coerce(t0)
-        out = MPoly.zero()
+        tr, ti, td = _gauss(t0)
+        kmax = self.deg_t()
+        if kmax <= 0:
+            return self
+        # t0^k * td^kmax = (tr + i*ti)^k * td^(kmax-k), a Gaussian integer
+        powers = [(1, 0)]
+        for _ in range(kmax):
+            pr, pi = powers[-1]
+            powers.append((pr * tr - pi * ti, pr * ti + pi * tr))
+        powers = [(pr * td ** (kmax - k), pi * td ** (kmax - k))
+                  for k, (pr, pi) in enumerate(powers)]
         acc = {}
-        for (i, j, k), c in self.terms.items():
-            val = c
-            for _ in range(k):
-                val = val * t0
+        for (i, j, k), (re, im) in self._c.items():
+            pr, pi = powers[k]
+            re, im = re * pr - im * pi, re * pi + im * pr
             expo = (i, j, 0)
-            prev = acc.get(expo)
-            val = val if prev is None else prev + val
-            if val.is_zero():
-                acc.pop(expo, None)
-            else:
-                acc[expo] = val
-        out.terms = acc
-        return out
+            s = acc.get(expo)
+            acc[expo] = (re, im) if s is None else (s[0] + re, s[1] + im)
+        return _poly({e: v for e, v in acc.items() if v[0] or v[1]}, self._d * td ** kmax)
 
     def at_origin_t(self) -> "MPoly":
         """Restriction to z = zb = 0, leaving a polynomial in t."""
-        return _raw({(0, 0, k): c for (i, j, k), c in self.terms.items() if i == 0 and j == 0})
+        return _poly({e: c for e, c in self._c.items() if e[0] == 0 and e[1] == 0}, self._d)
 
     # -- numerics -----------------------------------------------------
 
+    def _horner_plan(self) -> list:
+        """[(i, [(j, k-list, value), ...]), ...], exponents descending; a
+        t-free (i, j) carries its Horner value instead of a k-list."""
+        nested = {}
+        for (i, j, k), c in self.complex_terms():
+            nested.setdefault(i, {}).setdefault(j, {})[k] = c
+        plan = []
+        for i in sorted(nested, reverse=True):
+            row = []
+            for j in sorted(nested[i], reverse=True):
+                ks = sorted(nested[i][j].items(), reverse=True)
+                if len(ks) == 1 and ks[0][0] == 0:
+                    row.append((j, None, (0.0 + 0.0j) + ks[0][1]))
+                else:
+                    row.append((j, ks, None))
+            plan.append((i, row))
+        self._plan = (self.deg_zbar(), plan)
+        return self._plan
+
     def eval(self, z0: complex, t0: float = 0.0) -> complex:
         """Horner evaluation, nesting z then zb then t."""
+        zb_degree, plan = self._plan or self._horner_plan()
         z0 = complex(z0)
-        zb0 = z0.conjugate()
-        nested = {}
-        for (i, j, k), c in self.terms.items():
-            nested.setdefault(i, {}).setdefault(j, {})[k] = complex(c)
+        zb_pow = [z0.conjugate() ** j for j in range(zb_degree + 1)]
         total = 0.0 + 0.0j
-        for i in sorted(nested, reverse=True):
+        for i, row in plan:
             layer_j = 0.0 + 0.0j
-            for j in sorted(nested[i], reverse=True):
-                layer_k = 0.0 + 0.0j
-                prev_k = None
-                for k in sorted(nested[i][j], reverse=True):
-                    if prev_k is not None:
-                        layer_k *= t0 ** (prev_k - k)
-                    layer_k += nested[i][j][k]
-                    prev_k = k
-                if prev_k:
-                    layer_k *= t0 ** prev_k
-                # attach zb power by difference from previous j (plain power: sparse exponents)
-                layer_j += layer_k * zb0 ** j
+            for j, ks, value in row:
+                if ks is None:
+                    layer_k = value
+                else:
+                    layer_k = 0.0 + 0.0j
+                    prev_k = None
+                    for k, c in ks:
+                        if prev_k is not None:
+                            layer_k *= t0 ** (prev_k - k)
+                        layer_k += c
+                        prev_k = k
+                    if prev_k:
+                        layer_k *= t0 ** prev_k
+                # attach zb power (plain power: sparse exponents)
+                layer_j += layer_k * zb_pow[j]
             total += layer_j * z0 ** i
         return total
 
     def eval_naive(self, z0: complex, t0: float = 0.0) -> complex:
         z0 = complex(z0)
         zb0 = z0.conjugate()
-        return sum(complex(c) * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in self.terms.items())
+        return sum(c * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in self.complex_terms())
 
     # -- presentation -------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]))
+        return sorted(self.terms.items(), key=_term_order)
 
     def __str__(self):
-        if not self.terms:
+        if not self._c:
             return "0"
-        parts = []
-        for (i, j, k), c in self.sorted_terms():
-            factors = [str(c)]
-            if i:
-                factors.append("z" if i == 1 else f"z^{i}")
-            if j:
-                factors.append("zb" if j == 1 else f"zb^{j}")
-            if k:
-                factors.append("t" if k == 1 else f"t^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(_format_term(e, c) for e, c in self.sorted_terms())
+
+    def summary(self) -> str:
+        """Term count, total degree and leading term: a description of bounded
+        length, for error messages."""
+        if not self._c:
+            return "0"
+        lead = max(self._c, key=lambda e: (sum(e), e))
+        text = str(self.coeff(*lead))
+        if len(text) > 40:
+            re, im = self._c[lead]
+            text = f"~({complex(re / self._d, im / self._d):.6g})"
+        return (f"{len(self._c)} terms, total degree {sum(lead)}, "
+                f"leading term {_format_term(lead, text)}")
 
     def __repr__(self):
         return f"MPoly({self})"
 
 
-def _raw(tmap: dict) -> MPoly:
-    p = MPoly()
-    p.terms = tmap
+_SCALARS = (int, Fraction, GaussianRational)
+
+
+def _term_order(item):
+    return sum(item[0]), item[0]
+
+
+def _format_term(expo, c) -> str:
+    i, j, k = expo
+    factors = [str(c)]
+    if i:
+        factors.append("z" if i == 1 else f"z^{i}")
+    if j:
+        factors.append("zb" if j == 1 else f"zb^{j}")
+    if k:
+        factors.append("t" if k == 1 else f"t^{k}")
+    return "*".join(factors)
+
+
+def _set(p: MPoly, c: dict, d: int) -> None:
+    p._c = c
+    p._d = d
+    p._view = p._cx = p._plan = None
+
+
+def _wrap(c: dict, d: int) -> MPoly:
+    """An MPoly over numerators already in canonical form."""
+    p = MPoly.__new__(MPoly)
+    _set(p, c, d)
+    return p
+
+
+def _poly(c: dict, d: int) -> MPoly:
+    """An MPoly over nonzero numerators c and denominator d > 0, brought to
+    lowest terms."""
+    return _normalize(_wrap(c, d))
+
+
+def _normalize(p: MPoly) -> MPoly:
+    """Divide out the gcd of the denominator and every numerator, in place."""
+    d = p._d
+    if d == 1:
+        return p
+    g = d
+    for re, im in p._c.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return p
+    p._c = {e: (re // g, im // g) for e, (re, im) in p._c.items()}
+    p._d = d // g
     return p
 
 
@@ -417,8 +604,9 @@ class RationalFn:
     Every denominator of the construction is a power of one polynomial (W or
     an omega_j), so sums, products and derivatives over a shared base only
     lift numerators: d(num/base^k) = (num' * base - k*num*base') / base^(k+1).
-    Fractions over different bases compare by cross-multiplication; their sums
-    and products are not needed and raise.  The canonical form (common
+    Fractions over bases that differ by a constant factor compare after one
+    rescale, over other bases by cross-multiplication; sums and products over
+    different bases are not needed and raise.  The canonical form (common
     monomial removed, leading denominator coefficient 1) is applied only for
     printing and serialization.
     """
@@ -493,10 +681,17 @@ class RationalFn:
             other = RationalFn(other, self.base, 0)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if other.base is self.base or other.base == self.base:
-            k = max(self.k, other.k)
-            return self._lift(k) == other._lift(k)
-        return self.num * other.den == other.num * self.den
+        if other.base is not self.base and other.base != self.base:
+            s = _constant_ratio(other.base, self.base)
+            if s is None:
+                return self.num * other.den == other.num * self.den
+            # other.num / (s*base)^k = (other.num / s^k) / base^k
+            f = GR_ONE
+            for _ in range(other.k):
+                f = f / s
+            other = RationalFn(other.num * f, self.base, other.k)
+        k = max(self.k, other.k)
+        return self._lift(k) == other._lift(k)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -546,25 +741,27 @@ class RationalFn:
         return f"RationalFn(({self.num}) / ({self.base})^{self.k})"
 
 
+def _constant_ratio(p: MPoly, q: MPoly):
+    """The constant s with p == s * q, or None when there is none."""
+    if not q.numerators or p.numerators.keys() != q.numerators.keys():
+        return None
+    e = next(iter(q.numerators))
+    s = p.coeff(*e) / q.coeff(*e)
+    return s if q * s == p else None
+
+
 def _strip_common(num: MPoly, den: MPoly):
     """Remove the common monomial factor and rescale so den's leading coefficient is 1."""
-    def min_expo(p):
-        mi = mj = mk = MAX_EXPONENT + 1
-        for (i, j, k) in p.terms:
-            mi, mj, mk = min(mi, i), min(mj, j), min(mk, k)
-        return mi, mj, mk
-
-    ni, nj, nk = min_expo(num)
-    di, dj, dk = min_expo(den)
-    ci, cj, ck = min(ni, di), min(nj, dj), min(nk, dk)
-    if ci or cj or ck:
-        num = _raw({(i - ci, j - cj, k - ck): c for (i, j, k), c in num.terms.items()})
-        den = _raw({(i - ci, j - cj, k - ck): c for (i, j, k), c in den.terms.items()})
-    lead = max(den.terms, key=lambda e: (sum(e), e))
-    scale = den.terms[lead]
+    shift = tuple(min(e[axis] for p in (num, den) for e in p.numerators) for axis in range(3))
+    if any(shift):
+        ci, cj, ck = shift
+        num, den = (MPoly.from_numerators({(i - ci, j - cj, k - ck): c
+                                           for (i, j, k), c in p.numerators.items()},
+                                          p.denominator)
+                    for p in (num, den))
+    scale = den.coeff(*max(den.numerators, key=lambda e: (sum(e), e)))
     if scale != GR_ONE:
-        num = _raw({e: c / scale for e, c in num.terms.items()})
-        den = _raw({e: c / scale for e, c in den.terms.items()})
+        num, den = num * (GR_ONE / scale), den * (GR_ONE / scale)
     return num, den
 
 

@@ -146,15 +146,15 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
     for k, f in w.coeffs.items():
         if not isinstance(f, MPoly):
             raise TypeError("wave_antideriv_z needs polynomial coefficients")
-        for (n, m, p), c in f.terms.items():
-            sign = 1
+        slots = {}        # j -> numerators of the lam^{-(k+j+1)} slot, over f's denominator
+        for (n, m, p), (re, im) in f.numerators.items():
             fac = 1
             for j in range(n + 1):
-                # fac = n!/(n-j)!
-                coeff = c * (sign * fac)
-                _acc(out, k + j + 1, MPoly.monomial(n - j, m, p, coeff))
-                sign = -sign
-                fac *= (n - j)
+                # fac = (-1)^j n!/(n-j)!
+                slots.setdefault(j, {})[(n - j, m, p)] = (re * fac, im * fac)
+                fac *= j - n
+        for j, nums in slots.items():
+            _acc(out, k + j + 1, MPoly.from_numerators(nums, f.denominator))
     return WaveFn(out, w.time_phase, w.den)
 
 

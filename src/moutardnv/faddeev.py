@@ -78,7 +78,8 @@ def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> Faddee
     fw = FaddeevWave(psi, frame.u, w)
     res = residual(fw)
     if not res.is_zero():
-        raise ResidualNonzero(f"superposed wave is not an exact eigenfunction: {res}")
+        raise ResidualNonzero(
+            f"superposed wave is not an exact eigenfunction: residual {res.summary()}")
     return fw
 
 
@@ -106,7 +107,7 @@ def residual(fw: FaddeevWave) -> MPoly:
 def build_faddeev(seed: SeedPair, conjugate: bool = False) -> FaddeevWave:
     """Run the whole static pipeline: frame, two wave transforms, superposition."""
     if conjugate:
-        cseed = SeedPair(_conj_coeffs(seed.p1), _conj_coeffs(seed.p2), seed.c)
+        cseed = SeedPair(seed.p1.conj_coeffs(), seed.p2.conj_coeffs(), seed.c)
         fw = build_faddeev(cseed, conjugate=False)
         psi = WaveFn({k: f.conj_swap() for k, f in fw.psi.coeffs.items()},
                      fw.psi.time_phase, den=fw.w.conj_swap())
@@ -116,10 +117,6 @@ def build_faddeev(seed: SeedPair, conjugate: bool = False) -> FaddeevWave:
     psi1 = moutard_transform_wave(frame.omega1, free)
     psi2 = moutard_transform_wave(frame.omega2, free)
     return faddeev_superpose(frame, psi1, psi2)
-
-
-def _conj_coeffs(p: MPoly) -> MPoly:
-    return MPoly({e: c.conjugate() for e, c in p.terms.items()})
 
 
 def scattering_data(fw: FaddeevWave, validate: bool = True,
@@ -148,17 +145,16 @@ def scattering_data(fw: FaddeevWave, validate: bool = True,
             if num != w:
                 raise AsymptoticMismatch("slot 0 is not normalized to 1")
             continue
-        if num.total_degree_space() > d - 1:
+        deg = num.total_degree_space()
+        if deg > d - 1:
             raise AsymptoticMismatch(f"slot {k} numerator does not decay")
-        contrib = None
-        for (i, j, p), c in num.terms.items():
-            if i + j == d - 1:
-                if (i, j) != (a - 1, b) or p > 0:
-                    raise AsymptoticMismatch(
-                        f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{p}")
-                contrib = c
-        if contrib is not None:
-            a_coeffs[k] = contrib / lead_c
+        if deg < d - 1:
+            continue
+        for (i, j), cpoly in num.spatial_leading_terms().items():
+            if (i, j) != (a - 1, b) or cpoly.deg_t() > 0:
+                raise AsymptoticMismatch(
+                    f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{cpoly.deg_t()}")
+            a_coeffs[k] = cpoly.constant_term() / lead_c
     sd = ScatteringData(a_coeffs)
     if validate:
         _validate_rays(fw, sd, ray_radius, ray_tol)

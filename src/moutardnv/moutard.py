@@ -4,7 +4,7 @@ kernel functions, and the transform of eigenfunctions (wave and polynomial paths
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,11 +176,11 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     Z = X + 1j * Y
     vals = np.zeros_like(X, dtype=complex)
     mag = np.zeros_like(X)              # sum |c_ij| |z|^(i+j): the rounding scale of W(z)
-    for (i, j, k), coeff in w.terms.items():
+    for (i, j, k), coeff in w.complex_terms():
         if k > 0:
             continue          # certificate is for static (t-free) W
-        vals += complex(coeff) * Z ** i * np.conj(Z) ** j
-        mag += abs(complex(coeff)) * np.abs(Z) ** (i + j)
+        vals += coeff * Z ** i * np.conj(Z) ** j
+        mag += abs(coeff) * np.abs(Z) ** (i + j)
     re = vals.real
     near_zero = np.abs(re) <= 64 * np.finfo(float).eps * mag
     if re.min() <= 0.0 <= re.max() or near_zero.any():

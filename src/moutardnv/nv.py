@@ -15,7 +15,7 @@ from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
 from .exppoly import WaveFn, wave_diff_t, wave_diff_z, wave_diff_zbar
-from .faddeev import FaddeevWave, faddeev_superpose, residual
+from .faddeev import FaddeevWave, faddeev_superpose
 from .moutard import (MoutardFrame, SeedPair, harmonic_from_holomorphic, kernel_functions,
                       moutard_transform_wave, potential, w_bracket)
 
@@ -129,7 +129,7 @@ def nv_faddeev(seed: SeedPair) -> FaddeevWave:
     fw = faddeev_superpose(frame, psi1, psi2)
     tres = temporal_residual(fw)
     if not tres.is_zero():
-        raise TemporalResidualNonzero(f"time leg fails: {tres}")
+        raise TemporalResidualNonzero(f"time leg fails: residual {tres.summary()}")
     return fw
 
 
@@ -193,8 +193,8 @@ def normalize_real(q: MPoly) -> MPoly:
 def _np_eval(q: MPoly, Z, t):
     vals = np.zeros(np.shape(Z), dtype=complex)
     Zb = np.conj(Z)
-    for (i, j, k), c in q.sorted_terms():
-        vals = vals + complex(c) * Z ** i * Zb ** j * (t ** k)
+    for (i, j, k), c in q.complex_terms():
+        vals = vals + c * Z ** i * Zb ** j * (t ** k)
     return vals.real
 
 
@@ -307,7 +307,7 @@ def _to_xy(p: MPoly) -> np.ndarray:
     dz, dzb = p.deg_z(), p.deg_zbar()
     d = dz + dzb
     C = np.zeros((d + 1, d + 1))
-    for (i, j, k), c in p.terms.items():
+    for (i, j, k), c in p.complex_terms():
         if k > 0:
             raise ValueError("spatial polynomial expected")
         # (x+iy)^i (x-iy)^j expanded by binomials
@@ -322,7 +322,7 @@ def _to_xy(p: MPoly) -> np.ndarray:
             if cv == 0:
                 continue
             prod[mi:mi + j + 1, ni:ni + j + 1] += cv * zj
-        C[: i + j + 1, : i + j + 1] += (complex(c) * prod[: i + j + 1, : i + j + 1]).real
+        C[: i + j + 1, : i + j + 1] += (c * prod[: i + j + 1, : i + j + 1]).real
     return C
 
 
@@ -484,10 +484,10 @@ def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
     den = np.zeros(Z.shape, dtype=complex)
     num = np.zeros(Z.shape, dtype=complex)
     Zb = np.conj(Z)
-    for (i, j, k), c in wt.sorted_terms():
-        den += complex(c) * Z ** i * Zb ** j * t0 ** k
-    for (i, j, k), c in mu2.num.sorted_terms():
-        num += complex(c) * Z ** i * Zb ** j * t0 ** k
+    for (i, j, k), c in wt.complex_terms():
+        den += c * Z ** i * Zb ** j * t0 ** k
+    for (i, j, k), c in mu2.num.complex_terms():
+        num += c * Z ** i * Zb ** j * t0 ** k
     dre = den.real
     singular = dre.min() <= 0.0 <= dre.max()
     idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)

@@ -191,3 +191,25 @@ def test_canonical_form():
     assert str(f) == "(1) / (2 + 1*zb)"
     assert str(RationalFn(z * z, z)) == "1*z"
     assert str(RationalFn(MPoly.zero(), z, 2)) == "0"
+
+
+def test_rational_equality_over_bases_differing_by_a_constant():
+    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    w = (MPoly.const(3) + z * zb * gr(2) + z * z * zb * zb
+         + z * gr("1/2", "1") + zb * gr("1/2", "-1"))
+    f = laplace_log(w)
+    assert f == laplace_log(-w)
+    assert f == laplace_log(w * 3)
+    assert RationalFn(z, w) == RationalFn(z * w, -w, 2)
+    g = laplace_log(-w)
+    bad = RationalFn(g.num + z, g.base, g.k)
+    assert f != bad and bad != f
+    assert RationalFn(z, w) != RationalFn(z, -w)
+
+
+def test_mpoly_summary():
+    p = poly({(2, 1, 0): ("1", "-1/2"), (0, 3, 2): ("1/3", "0"), (0, 0, 0): ("-7", "2")})
+    assert p.summary() == "3 terms, total degree 5, leading term 1/3*zb^3*t^2"
+    assert MPoly.zero().summary() == "0"
+    huge = MPoly.monomial(1, 0, 0, gr(Fraction(10 ** 60, 7)))
+    assert huge.summary() == "1 terms, total degree 1, leading term ~(1.42857e+59+0j)*z"

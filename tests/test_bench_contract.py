@@ -1,19 +1,28 @@
-"""The traced benchmark run patches library names from outside; a rename in
-the library must fail here rather than break that run silently."""
+"""The benchmark patches library names from outside and reads MPoly's
+coefficients as GaussianRationals; a rename or a change of the polynomial
+core must fail here rather than break the benchmark silently."""
 
 import importlib.util
 import os
+import sys
 
 from moutardnv import nv
 from moutardnv.algebra import MPoly
 
-TRACING = os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module        # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_tracing_installs_and_uninstalls():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     before = (MPoly.__mul__, MPoly.__rmul__, MPoly.eval, nv.minimize, nv.extended_w)
     uninstall = tracing.install(tracing.Tracer())
     try:
@@ -21,3 +30,21 @@ def test_bench_tracing_installs_and_uninstalls():
     finally:
         uninstall()
     assert (MPoly.__mul__, MPoly.__rmul__, MPoly.eval, nv.minimize, nv.extended_w) == before
+
+
+def test_bench_reads_mpoly_as_before():
+    for attr in ("__mul__", "__rmul__", "eval"):
+        assert attr in MPoly.__dict__
+    wl = bench_module("workloads")
+    seed, _ = wl.fixture("sec22")
+    checks, res = wl.static_op(seed)
+    assert not checks.failures
+    bits, terms = wl.object_size(res)
+    assert bits > 0 and terms >= len(res["w"].terms)
+    gold = wl.load_goldens()["static"]["sec22"]
+    assert not wl.compare_outputs(wl.exact_outputs(res), gold)
+    w = res["w"]
+    (i, j, k), _ = w.sorted_terms()[0]
+    bad = w + MPoly.monomial(i, j, k, wl.gr(1))
+    digest = wl.exact_outputs({"w": w, "fw": None})["w"]
+    assert wl.exact_outputs({"w": bad, "fw": None})["w"] != digest

@@ -147,3 +147,22 @@ def test_superposition_input_validation(seed22):
     psi2 = moutard_transform_wave(frame.omega2, WaveFn.free())
     with pytest.raises(ValueError):
         faddeev_superpose(frame, psi2, psi1)
+
+
+def test_corrupted_wave_residual_message_is_a_summary(seed22):
+    from moutardnv.faddeev import faddeev_superpose
+    from moutardnv.moutard import moutard_transform_wave
+    frame = build_frame(seed22)
+    psi1 = moutard_transform_wave(frame.omega1, WaveFn.free())
+    psi2 = moutard_transform_wave(frame.omega2, WaveFn.free())
+    # a lam^-1 term leaves the omega cancellation in slot 0 intact
+    bad = psi2 + WaveFn({1: MPoly.var_z() * MPoly.var_zbar()}, den=frame.omega2)
+    with pytest.raises(ResidualNonzero) as err:
+        faddeev_superpose(frame, psi1, bad)
+    combo = WaveFn(bad.coeffs).scale(frame.omega1) - WaveFn(psi1.coeffs).scale(frame.omega2)
+    coeffs = dict(combo.coeffs)
+    coeffs[0] = frame.w
+    res = residual(FaddeevWave(WaveFn(coeffs, den=frame.w), frame.u, frame.w))
+    message = str(err.value)
+    assert f"residual {len(res.terms)} terms, total degree" in message
+    assert len(message) < 200 < len(str(res))

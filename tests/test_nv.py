@@ -6,7 +6,7 @@ import sympy as sp
 
 from moutardnv.algebra import GR_I, MPoly, RationalFn
 from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError,
-                              SingularBeforeBlowup)
+                              SingularBeforeBlowup, TemporalResidualNonzero)
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
 from moutardnv.moutard import SeedPair, double_w
 from moutardnv import nv
@@ -249,3 +249,13 @@ def test_mu2_integrability_singularities(seed32):
         nv.mu2_integrability(sol, fw, [3.0], t_star=10.0)
     with pytest.raises(PoleError):
         nv.mu2_integrability(sol, fw, [29 / 12], t_star=None)
+
+
+def test_temporal_residual_message_is_a_summary(seed32, monkeypatch):
+    big = (MPoly.var_z() + MPoly.var_zbar() * gr("123456789/987654321", "-1/7")) ** 9
+    monkeypatch.setattr(nv, "temporal_residual", lambda fw: big)
+    with pytest.raises(TemporalResidualNonzero) as err:
+        nv.nv_faddeev(seed32)
+    message = str(err.value)
+    assert "residual 10 terms, total degree 9, leading term" in message
+    assert len(message) < 200 < len(str(big))
