@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
+import numpy.polynomial.polynomial as npp
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
@@ -190,49 +190,138 @@ def normalize_real(q: MPoly) -> MPoly:
     raise ValueError("polynomial is not real-valued up to a constant scale")
 
 
-def _np_eval(q: MPoly, Z, t):
-    vals = np.zeros(np.shape(Z), dtype=complex)
-    Zb = np.conj(Z)
-    for (i, j, k), c in q.complex_terms():
-        vals = vals + c * Z ** i * Zb ** j * (t ** k)
-    return vals.real
+def _grid_coeffs(p: MPoly, Z) -> np.ndarray:
+    """The t-coefficients p_k(z, zb) of p on the points Z, shape
+    (deg_t + 1,) + Z.shape; each power of Z and of its conjugate is computed
+    once and shared by every term."""
+    zp = [Z ** i for i in range(max(p.deg_z(), p.deg_zbar()) + 1)]
+    zbp = [np.conj(P) for P in zp]
+    out = np.zeros((p.deg_t() + 1,) + np.shape(Z), dtype=complex)
+    for (i, j, k), c in p.complex_terms():
+        out[k] += c * zp[i] * zbp[j]
+    return out
+
+
+def _horner_t(coeffs, t: float):
+    """sum_k coeffs[k] t^k."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+def _local_coeffs(q: MPoly) -> np.ndarray:
+    """Coefficients [k, d, i, j] of z^i zb^j t^k in d = q, q_z, q_zz, q_zzb."""
+    qz = q.diff_z()
+    out = np.zeros((q.deg_t() + 1, 4, q.deg_z() + 1, q.deg_zbar() + 1), dtype=complex)
+    for d, p in enumerate((q, qz, qz.diff_z(), qz.diff_zbar())):
+        for (i, j, k), c in p.complex_terms():
+            out[k, d, i, j] = c
+    return out
+
+
+def _slice_objective(local: np.ndarray, t: float, sign: float):
+    """Value, gradient and Hessian in (x, y) of sign * q(x + iy, t) for a
+    real-valued q given by `_local_coeffs`: with z = x + iy,
+    q_x = 2 Re q_z, q_y = -2 Im q_z, q_xx = 2 Re q_zz + 2 q_zzb,
+    q_xy = -2 Im q_zz and q_yy = 2 q_zzb - 2 Re q_zz."""
+    m = _horner_t(local, t)
+    ri, rj = np.arange(m.shape[1]), np.arange(m.shape[2])
+
+    def fun(p):
+        z = complex(p[0], p[1])
+        v, vz, vzz, vzzb = ((m @ (z.conjugate() ** rj)) @ (z ** ri)).tolist()
+        hxy = -2.0 * sign * vzz.imag
+        return (sign * v.real, (2.0 * sign * vz.real, -2.0 * sign * vz.imag),
+                ((2.0 * sign * (vzz.real + vzzb.real), hxy),
+                 (hxy, 2.0 * sign * (vzzb.real - vzz.real))))
+    return fun
+
+
+@dataclass
+class LocalMin:
+    """A local minimum found by `minimize`, and the objective calls it took."""
+
+    x: tuple
+    fun: float
+    nfev: int
+
+
+def _descent_step(g, h):
+    """Newton step where the 2x2 Hessian is positive definite, otherwise the
+    negative gradient scaled by a bound on the Hessian's spectral radius."""
+    (a, b), (_, c) = h
+    det = a * c - b * b
+    if a > 0.0 and det > 0.0:
+        return ((b * g[1] - c * g[0]) / det, (b * g[0] - a * g[1]) / det)
+    scale = max(abs(a) + abs(b), abs(b) + abs(c)) or 1.0
+    return (-g[0] / scale, -g[1] / scale)
+
+
+DESCENT_XTOL = 1e-12       # step length, relative to 1 + |x|, that ends a descent
+DESCENT_MAXITER = 100
+DESCENT_HALVINGS = 60
+
+
+def minimize(fun, x0) -> LocalMin:
+    """Local minimum of a smooth function of two variables by damped Newton
+    descent from x0; `fun(x)` returns the value, the gradient and the Hessian.
+
+    A step that does not lower the value is halved until it does; the descent
+    stops when a step is below DESCENT_XTOL or no halving helps.
+    """
+    x = (float(x0[0]), float(x0[1]))
+    f, g, h = fun(x)
+    nfev = 1
+    for _ in range(DESCENT_MAXITER):
+        sx, sy = _descent_step(g, h)
+        tol = DESCENT_XTOL * (1.0 + max(abs(x[0]), abs(x[1])))
+        for _ in range(DESCENT_HALVINGS):
+            if max(abs(sx), abs(sy)) <= tol:
+                return LocalMin(x, f, nfev)
+            xn = (x[0] + sx, x[1] + sy)
+            fn, gn, hn = fun(xn)
+            nfev += 1
+            if fn < f:
+                break
+            sx, sy = 0.5 * sx, 0.5 * sy
+        else:
+            break
+        x, f, g, h = xn, fn, gn, hn
+    return LocalMin(x, f, nfev)
 
 
 def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
                 refine_tol: float = 1e-10, t_max: float = 10.0) -> BlowupReport:
     """t_star = inf{t > 0: the normalized real form of q has a real zero}.
 
-    Grid scan in t with per-slice spatial minimization (coarse grid plus
-    simplex descent), refined by bisection; for q affine in t, an independent
-    exact-stationarity enumeration (resultant elimination by evaluation and
-    interpolation) competes, and the minimum with the cross-method spread is
-    reported.
+    Grid scan in t with per-slice spatial minimization (the grid argmin of the
+    slice, from precomputed t-coefficient grids, then a damped Newton descent
+    on the exact derivatives), refined by bisection; for q affine in t, an
+    independent exact-stationarity enumeration (resultant elimination by
+    evaluation and interpolation) competes, and the minimum with the
+    cross-method spread is reported.
     """
     q = normalize_real(q)
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)
     X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
+    grids = _grid_coeffs(q, X + 1j * Y).real
 
-    f0 = _np_eval(q, Z, 0.0)
+    f0 = grids[0]
     if f0.min() <= 0.0 <= f0.max():
         idx = np.unravel_index(np.abs(f0).argmin(), f0.shape)
         return BlowupReport(True, 0.0, (float(X[idx]), float(Y[idx])),
                             "grid", 0.0, "zero already present at t = 0")
     sign = 1.0 if f0.min() > 0 else -1.0
+    local = _local_coeffs(q)
 
     def slice_min(t):
-        vals = sign * _np_eval(q, Z, t)
+        vals = sign * _horner_t(grids, t)
         idx = np.unravel_index(vals.argmin(), vals.shape)
-        x0, y0 = float(X[idx]), float(Y[idx])
-
-        def obj(p):
-            return sign * _np_eval(q, p[0] + 1j * p[1], t)
-
-        r = minimize(obj, [x0, y0], method="Nelder-Mead",
-                     options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        return float(r.fun), (float(r.x[0]), float(r.x[1]))
+        r = minimize(_slice_objective(local, t, sign), (X[idx], Y[idx]))
+        return r.fun, r.x
 
     ts = np.linspace(0.0, t_max, 201)
     lo = 0.0
@@ -283,10 +372,10 @@ def _enumerate_affine(q: MPoly, t_max: float):
     g2 = _to_xy(a * _dy(b) - b * _dy(a))
     best = None
     for x0, y0 in _real_common_roots(g1, g2):
-        av = _xy_eval(_to_xy(a), x0, y0)
+        av = npp.polyval2d(x0, y0, _to_xy(a))
         if abs(av) < 1e-12:
             continue
-        t0 = -_xy_eval(_to_xy(b), x0, y0) / av
+        t0 = -npp.polyval2d(x0, y0, _to_xy(b)) / av
         if t0 > 1e-12 and t0 <= t_max and (best is None or t0 < best[0]):
             best = (float(t0), (float(x0), float(y0)))
     return best
@@ -326,14 +415,6 @@ def _to_xy(p: MPoly) -> np.ndarray:
     return C
 
 
-def _xy_eval(C, x, y):
-    total = 0.0
-    for (i, j), c in np.ndenumerate(C):
-        if c != 0:
-            total += c * x ** i * y ** j
-    return total
-
-
 def _y_poly(C, x):
     """Coefficients of y -> p(x, y), highest degree last."""
     ny = C.shape[1]
@@ -370,12 +451,12 @@ def _real_common_roots(C1, C2, span: float = 10.0):
     dscale = np.abs(dets).max()
     if dscale == 0:
         return []
-    coef = np.polynomial.polynomial.polyfit(ss, dets / dscale, deg_bound)
+    coef = npp.polyfit(ss, dets / dscale, deg_bound)
     scale = np.abs(coef).max()
     coef = np.trim_zeros(np.where(np.abs(coef) > 1e-10 * scale, coef, 0.0), "b")
     if len(coef) <= 1:
         return []
-    roots = np.polynomial.polynomial.polyroots(coef)
+    roots = npp.polyroots(coef)
     out = []
     for r in roots:
         if abs(r.imag) > 1e-6:
@@ -384,22 +465,33 @@ def _real_common_roots(C1, C2, span: float = 10.0):
         p1 = _trim(_y_poly(C1, x0))
         if len(p1) <= 1:
             continue
-        for yr in np.polynomial.polynomial.polyroots(p1):
+        for yr in npp.polyroots(p1):
             if abs(yr.imag) > 1e-6:
                 continue
             y0 = float(yr.real)
-            if abs(_xy_eval(C2, x0, y0)) < 1e-4 * (1.0 + np.abs(C2).max()):
+            if abs(npp.polyval2d(x0, y0, C2)) < 1e-4 * (1.0 + np.abs(C2).max()):
                 out.append(_polish_root(C1, C2, x0, y0))
     return out
 
 
 def _polish_root(C1, C2, x0, y0):
-    def obj(p):
-        return _xy_eval(C1, p[0], p[1]) ** 2 + _xy_eval(C2, p[0], p[1]) ** 2
-
-    r = minimize(obj, [x0, y0], method="Nelder-Mead",
-                 options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 2000})
-    return float(r.x[0]), float(r.x[1])
+    """Newton's method on the system C1(x, y) = C2(x, y) = 0 from (x0, y0),
+    kept while each step lowers the residual."""
+    jac = [[npp.polyder(C, axis=a) for a in (0, 1)] for C in (C1, C2)]
+    x, y = float(x0), float(y0)
+    res = (npp.polyval2d(x, y, C1), npp.polyval2d(x, y, C2))
+    for _ in range(DESCENT_MAXITER):
+        (a, b), (c, d) = [[npp.polyval2d(x, y, D) for D in row] for row in jac]
+        det = a * d - b * c
+        if det == 0.0:
+            break
+        dx = (b * res[1] - d * res[0]) / det
+        dy = (c * res[0] - a * res[1]) / det
+        new = (npp.polyval2d(x + dx, y + dy, C1), npp.polyval2d(x + dx, y + dy, C2))
+        if not abs(new[0]) + abs(new[1]) < abs(res[0]) + abs(res[1]):
+            break
+        x, y, res = x + dx, y + dy, new
+    return float(x), float(y)
 
 
 def _trim(coeffs, tol=1e-12):
@@ -481,24 +573,17 @@ def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
     thetas = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
     R, TH = np.meshgrid(rs, thetas)
     Z = R * np.exp(1j * TH)
-    den = np.zeros(Z.shape, dtype=complex)
-    num = np.zeros(Z.shape, dtype=complex)
-    Zb = np.conj(Z)
-    for (i, j, k), c in wt.complex_terms():
-        den += c * Z ** i * Zb ** j * t0 ** k
-    for (i, j, k), c in mu2.num.complex_terms():
-        num += c * Z ** i * Zb ** j * t0 ** k
+    den = _horner_t(_grid_coeffs(wt, Z), t0)
+    num = _horner_t(_grid_coeffs(mu2.num, Z), t0)
     dre = den.real
     singular = dre.min() <= 0.0 <= dre.max()
     idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)
     if not singular:
         # a touching zero leaves the grid minimum tiny but one-signed; refine
-        def obj(p):
-            return abs(wt.eval(complex(p[0], p[1]), t0).real)
-
-        r0 = minimize(obj, [Z[idx].real, Z[idx].imag], method="Nelder-Mead",
-                      options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 2000})
-        singular = float(r0.fun) < 1e-6 * (1.0 + abs(wt.eval(0.0, t0)))
+        sign = 1.0 if dre[idx] > 0 else -1.0
+        fun = _slice_objective(_local_coeffs(wt), t0, sign)
+        r0 = minimize(fun, (Z[idx].real, Z[idx].imag))
+        singular = r0.fun < 1e-6 * (1.0 + abs(wt.eval(0.0, t0)))
     if singular:
         where = Z[idx]
         if t_star is not None and t0 < t_star:

@@ -48,3 +48,33 @@ def test_bench_reads_mpoly_as_before():
     bad = w + MPoly.monomial(i, j, k, wl.gr(1))
     digest = wl.exact_outputs({"w": w, "fw": None})["w"]
     assert wl.exact_outputs({"w": bad, "fw": None})["w"] != digest
+
+
+def test_blowup_matches_goldens_on_sec32_and_time_candidates():
+    wl = bench_module("workloads")
+    gold = wl.load_goldens()["time"]
+    seeds = {"sec32": wl.fixture("sec32")[0], **wl.time_candidates()}
+    assert len(seeds) == 49
+    for name, seed in seeds.items():
+        rep = nv.blowup_time(nv.extended_w(seed))
+        got = wl.exact_outputs({"w": None, "fw": None, "blowup": rep})
+        assert not wl.compare_outputs(got, {"blowup": gold[name]["blowup"]}), name
+
+
+def test_traced_blowup_counts_minimize_calls(seed32):
+    tracing = bench_module("tracing")
+    tracer = tracing.Tracer()
+    wt = nv.extended_w(seed32)
+    uninstall = tracing.install(tracer)
+    try:
+        tracer.op = "blowup-sec32"
+        nv.blowup_time(wt)
+    finally:
+        tracer.op = None
+        uninstall()
+    spans = list(tracing.span_dicts(tracer.spans))
+    calls = [d for d in spans if d["name"] == "nv.minimize"]
+    assert calls and all(d["nfev"] > 0 for d in calls)
+    agg = tracing.aggregate(spans)
+    assert agg["nv.blowup_time"]["calls"] == 1
+    assert agg["nv.minimize"]["nfev"] >= len(calls)

@@ -180,3 +180,9 @@ def test_oversized_seed_is_input_error(tmp_path):
         assert rc == 2, (command, stdout.getvalue())
         assert "ExponentOverflow" not in stdout.getvalue()
         assert "exceeds cap" in stderr.getvalue()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, moutardnv, moutardnv.cli; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -200,6 +201,105 @@ def test_blowup_trivial_cases():
     assert not rep2.found
     rep3 = nv.blowup_time(zzb - one + t)
     assert rep3.found and rep3.t_star == 0.0
+
+
+def _xy_poly(fn):
+    """fn(x, y) for the real coordinates x = (z + zb)/2, y = (z - zb)/(2i)."""
+    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    return fn((z + zb) * gr("1/2"), (z - zb) * gr(0, "-1/2"))
+
+
+def test_blowup_shifted_paraboloid_is_exact():
+    # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0
+    z0 = gr("1/3", "2/7")
+    z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
+    q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t
+    rep = nv.blowup_time(q)
+    assert rep.found and abs(rep.t_star - 1.0) < 1e-9
+    assert abs(rep.witness[0] - 1 / 3) < 1e-9 and abs(rep.witness[1] - 2 / 7) < 1e-9
+
+
+def test_blowup_quadratic_in_t_uses_descent_alone():
+    # deg_t = 2: no enumeration, the grid scan and the descent give t_star and z0
+    z0 = gr("-5/7", "3/11")
+    z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
+    q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t * t
+    rep = nv.blowup_time(q)
+    assert rep.found and rep.method == "grid+descent" and rep.spread is None
+    assert abs(rep.t_star - 1.0) < 1e-9
+    assert abs(rep.witness[0] + 5 / 7) < 1e-9 and abs(rep.witness[1] - 3 / 11) < 1e-9
+
+
+def test_blowup_descent_from_an_indefinite_hessian():
+    # (x^2 - 1)^2 + y^2 + 1 - t: on a 3x3 grid the start is (-0.4, 0), where
+    # q_xx = 12x^2 - 4 < 0; the descent must still reach a minimum (+-1, 0).
+    # Each step must lower a value rounded to ~1e-16, so x is good to ~1e-8.
+    q = _xy_poly(lambda x, y: (x * x - MPoly.const(1)) ** 2 + y * y
+                 + MPoly.const(1) - MPoly.var_t())
+    box = (-0.4, 5.0, -1.0, 1.0)
+    _, _, ((hxx, hxy), (_, hyy)) = nv._slice_objective(nv._local_coeffs(q), 0.5, 1.0)((-0.4, 0))
+    assert hxx * hyy - hxy * hxy < 0
+    rep = nv.blowup_time(q, box=box, grid_n=3)
+    assert rep.found and abs(rep.t_star - 1.0) < 1e-9
+    x, y = rep.witness
+    assert abs(abs(x) - 1.0) < 1e-7 and abs(y) < 1e-7
+
+
+def test_minimize_from_an_indefinite_start():
+    # gradient steps until the Hessian turns positive definite, then Newton's
+    # quadratic convergence: a few calls reach (1, 0) to 1e-12
+    calls = []
+
+    def fun(p):
+        x, y = p
+        calls.append((x * x - 1) ** 2 + y * y)
+        return (calls[-1], (4 * x * (x * x - 1), 2 * y),
+                ((12 * x * x - 4, 0.0), (0.0, 2.0)))
+
+    r = nv.minimize(fun, (0.3, 0.5))
+    assert r.nfev == len(calls) and r.fun == min(calls)
+    assert abs(r.x[0] - 1.0) < 1e-12 and abs(r.x[1]) < 1e-12 and r.fun < 1e-24
+    assert r.nfev <= 20
+
+
+def test_minimize_backtracks_an_overshooting_newton_step():
+    # sqrt(1 + x^2) is convex, but from |x| > 1 a full Newton step overshoots
+    def fun(p):
+        x, y = p
+        calls.append(p)
+        rx, ry = math.sqrt(1 + x * x), math.sqrt(1 + y * y)
+        return rx + ry, (x / rx, y / ry), ((1 / rx ** 3, 0.0), (0.0, 1 / ry ** 3))
+
+    calls = []
+    r = nv.minimize(fun, (2.0, -3.0))
+    assert r.nfev == len(calls)
+    assert abs(r.x[0]) < 1e-9 and abs(r.x[1]) < 1e-9 and abs(r.fun - 2.0) < 1e-15
+
+
+def test_slice_objective_matches_exact_xy_derivatives(seed32):
+    q = nv.normalize_real(nv.extended_w(seed32))
+    dx, dy = nv._dx, nv._dy
+    exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
+    for t, sign in ((0.7, 1.0), (2.1, -1.0)):
+        fun = nv._slice_objective(nv._local_coeffs(q), t, sign)
+        for x, y in ((0.3, -1.2), (-2.0, 0.9)):
+            f, (gx, gy), ((hxx, hxy), (hyx, hyy)) = fun((x, y))
+            ref = [sign * p.eval(complex(x, y), t).real for p in exact]
+            got = [f, gx, gy, hxx, hxy, hyy]
+            assert hxy == hyx
+            assert all(abs(a - b) < 1e-9 * (1 + abs(b)) for a, b in zip(got, ref))
+
+
+def test_real_common_roots_newton_polish():
+    # C1 = x^2 + y - (1/9 - 2/5), C2 = x + y^2 - (1/3 + 4/25): a simple root (1/3, -2/5)
+    c1 = np.zeros((3, 3))
+    c1[0, 0], c1[2, 0], c1[0, 1] = -(1 / 9 - 2 / 5), 1.0, 1.0
+    c2 = np.zeros((3, 3))
+    c2[0, 0], c2[1, 0], c2[0, 2] = -(1 / 3 + 4 / 25), 1.0, 1.0
+    roots = nv._real_common_roots(c1, c2)
+    assert min(abs(x - 1 / 3) + abs(y + 2 / 5) for x, y in roots) < 1e-12
+    x, y = nv._polish_root(c1, c2, 1 / 3 + 2e-2, -2 / 5 - 3e-2)
+    assert abs(x - 1 / 3) < 1e-12 and abs(y + 2 / 5) < 1e-12
 
 
 def test_normalize_real(seed32):
