@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import ExponentOverflow, PoleError, ZeroPolynomial
 
 #: Per-variable exponent cap; terms beyond this signal malformed input.
@@ -16,6 +18,18 @@ MAX_EXPONENT = 64
 
 #: Relative floor below which a denominator value counts as a pole.
 POLE_FLOOR = 1e-12
+
+
+def divide_off_poles(num, den, what: str, z0, t0):
+    """num / den, where |den| < POLE_FLOOR * (1 + |num|) marks a pole: at one
+    point that raises PoleError, in an array of points the value there is
+    NaN (and no division by zero happens)."""
+    if not isinstance(den, np.ndarray):
+        if abs(den) < POLE_FLOOR * (1.0 + abs(num)):
+            raise PoleError(f"{what} ~ 0 at z={z0}, t={t0}")
+        return num / den
+    off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
+    return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
 
 
 def _as_fraction(x) -> Fraction:
@@ -462,6 +476,13 @@ class MPoly:
             acc[expo] = (re, im) if s is None else (s[0] + re, s[1] + im)
         return _poly({e: v for e, v in acc.items() if v[0] or v[1]}, self._d * td ** kmax)
 
+    def t_coefficients(self) -> list:
+        """[p_0, ..., p_K], polynomials in (z, zb) with self = sum p_k t^k."""
+        out = [{} for _ in range(self.deg_t() + 1)]
+        for (i, j, k), c in self._c.items():
+            out[k][(i, j, 0)] = c
+        return [_poly(c, self._d) for c in out]
+
     def at_origin_t(self) -> "MPoly":
         """Restriction to z = zb = 0, leaving a polynomial in t."""
         return _poly({e: c for e, c in self._c.items() if e[0] == 0 and e[1] == 0}, self._d)
@@ -469,49 +490,43 @@ class MPoly:
     # -- numerics -----------------------------------------------------
 
     def _horner_plan(self) -> list:
-        """[(i, [(j, k-list, value), ...]), ...], exponents descending; a
-        t-free (i, j) carries its Horner value instead of a k-list."""
+        """[(i, [(j, [(k, c), ...]), ...]), ...], every exponent descending."""
         nested = {}
         for (i, j, k), c in self.complex_terms():
-            nested.setdefault(i, {}).setdefault(j, {})[k] = c
-        plan = []
-        for i in sorted(nested, reverse=True):
-            row = []
-            for j in sorted(nested[i], reverse=True):
-                ks = sorted(nested[i][j].items(), reverse=True)
-                if len(ks) == 1 and ks[0][0] == 0:
-                    row.append((j, None, (0.0 + 0.0j) + ks[0][1]))
-                else:
-                    row.append((j, ks, None))
-            plan.append((i, row))
-        self._plan = (self.deg_zbar(), plan)
+            nested.setdefault(i, {}).setdefault(j, []).append((k, c))
+        self._plan = [(i, [(j, sorted(ks, reverse=True))
+                           for j, ks in sorted(nested[i].items(), reverse=True)])
+                      for i in sorted(nested, reverse=True)]
         return self._plan
 
-    def eval(self, z0: complex, t0: float = 0.0) -> complex:
-        """Horner evaluation, nesting z then zb then t."""
-        zb_degree, plan = self._plan or self._horner_plan()
-        z0 = complex(z0)
-        zb_pow = [z0.conjugate() ** j for j in range(zb_degree + 1)]
-        total = 0.0 + 0.0j
-        for i, row in plan:
-            layer_j = 0.0 + 0.0j
-            for j, ks, value in row:
-                if ks is None:
-                    layer_k = value
-                else:
-                    layer_k = 0.0 + 0.0j
-                    prev_k = None
-                    for k, c in ks:
-                        if prev_k is not None:
-                            layer_k *= t0 ** (prev_k - k)
-                        layer_k += c
-                        prev_k = k
-                    if prev_k:
-                        layer_k *= t0 ** prev_k
-                # attach zb power (plain power: sparse exponents)
-                layer_j += layer_k * zb_pow[j]
-            total += layer_j * z0 ** i
-        return total
+    def eval(self, z0, t0: float = 0.0):
+        """Nested Horner evaluation in z, then zb, then t, at the real time t0.
+
+        z0 is one point, giving a Python complex, or an array of points,
+        giving an array of their shape; on arrays every step works in place
+        on one accumulator per variable.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._horner_plan()
+        if isinstance(z0, (int, float, complex)):
+            z0 = complex(z0)
+        else:
+            z0 = np.asarray(z0, dtype=complex)
+        zb0 = z0.conjugate()
+
+        def in_t(ks):
+            return horner(ks, t0)
+
+        def in_zb(row):
+            return horner(row, zb0, in_t)
+
+        acc = horner(plan, z0, in_zb)
+        if isinstance(z0, complex):
+            return complex(acc)
+        if isinstance(acc, np.ndarray) and acc.shape == z0.shape:
+            return acc
+        return np.full(z0.shape, acc, dtype=complex)
 
     def eval_naive(self, z0: complex, t0: float = 0.0) -> complex:
         z0 = complex(z0)
@@ -562,6 +577,26 @@ def _format_term(expo, c) -> str:
     if k:
         factors.append("t" if k == 1 else f"t^{k}")
     return "*".join(factors)
+
+
+def horner(pairs, x, inner=None):
+    """sum v(c) x^e over (e, c) pairs, e descending, with v = inner or the
+    identity, for a number or an array x.  On arrays the accumulator is
+    multiplied and added to in place, so each v(c) is a number or an array
+    that may be overwritten."""
+    acc = prev = None
+    for e, c in pairs:
+        v = c if inner is None else inner(c)
+        if prev is None:
+            acc = v
+        else:
+            for _ in range(prev - e):
+                acc *= x
+            acc += v
+        prev = e
+    for _ in range(prev or 0):
+        acc *= x
+    return 0j if acc is None else acc
 
 
 def _set(p: MPoly, c: dict, d: int) -> None:
@@ -717,12 +752,10 @@ class RationalFn:
     def is_real_valued(self) -> bool:
         return self.conj_swap() == self
 
-    def eval(self, z0: complex, t0: float = 0.0) -> complex:
-        nv = self.num.eval(z0, t0)
-        dv = self.base.eval(z0, t0) ** self.k
-        if abs(dv) < POLE_FLOOR * (1.0 + abs(nv)):
-            raise PoleError(f"denominator ~ 0 at z={z0}, t={t0}")
-        return nv / dv
+    def eval(self, z0, t0: float = 0.0):
+        """Value at a point or an array of points, by `divide_off_poles`."""
+        return divide_off_poles(self.num.eval(z0, t0), self.base.eval(z0, t0) ** self.k,
+                                "denominator", z0, t0)
 
     def canonical(self):
         """(num, den) with the common monomial factor removed and den's

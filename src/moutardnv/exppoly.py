@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import MPoly, POLE_FLOOR
-from .errors import LambdaZeroError, PoleError, ZeroPolynomial
+import numpy as np
+
+from .algebra import MPoly, divide_off_poles
+from .errors import LambdaZeroError, ZeroPolynomial
 
 
 class WaveFn:
@@ -163,23 +165,33 @@ def wave_antideriv_zbar(w: WaveFn) -> WaveFn:
     return w.map_coeffs(lambda f: f.antideriv_zbar())
 
 
-def wave_eval(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> complex:
-    """Numeric value including the exponential prefactor."""
+def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
+    """Value of the wave without its exponential prefactor, at a point or an
+    array of points; a pole of the shared denominator as in `divide_off_poles`."""
     lam0 = complex(lam0)
     if lam0 == 0 and any(k > 0 for k in w.coeffs):
         raise LambdaZeroError("lam = 0 with negative powers of lam present")
-    phase = lam0 * complex(z0)
-    if w.time_phase:
-        phase += lam0 ** 3 * t0
-    total = 0.0 + 0.0j
+    total = 0j if isinstance(z0, (int, float, complex)) else np.zeros(np.shape(z0), complex)
     for k, f in w.coeffs.items():
         total += lam0 ** (-k) * f.eval(z0, t0)
-    if w.den is not None:
-        dv = w.den.eval(z0, t0)
-        if abs(dv) < POLE_FLOOR * (1.0 + abs(total)):
-            raise PoleError(f"wave denominator ~ 0 at z={z0}, t={t0}")
-        total /= dv
-    return cmath.exp(phase) * total
+    if w.den is None:
+        return total
+    return divide_off_poles(total, w.den.eval(z0, t0), "wave denominator", z0, t0)
+
+
+def wave_eval(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
+    """Numeric value including the exponential prefactor, at a point or an
+    array of points (NaN at a pole)."""
+    mult = wave_multiplier(w, z0, t0, lam0)
+    return exp_phase(complex(lam0), z0, t0 if w.time_phase else None) * mult
+
+
+def exp_phase(lam0: complex, z0, t0=None):
+    """e^{lam z0}, times e^{lam^3 t0} unless t0 is None."""
+    phase = lam0 * z0
+    if t0 is not None:
+        phase += lam0 ** 3 * t0
+    return cmath.exp(phase) if isinstance(phase, complex) else np.exp(phase)
 
 
 def wave_eval_naive(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> complex:

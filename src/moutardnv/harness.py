@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -54,42 +55,39 @@ class FDReport:
     points_used: int
 
 
-def _psi_value(psi, z0, t0, lam0):
+def _psi_value(psi, z, t0, lam0):
     if isinstance(psi, FaddeevWave):
-        return faddeev_eval(psi, z0, t0, lam0)
+        return faddeev_eval(psi, z, t0, lam0)
     if isinstance(psi, WaveFn):
-        return wave_eval(psi, z0, t0, lam0)
-    return psi(z0)
+        return wave_eval(psi, z, t0, lam0)
+    return psi(z)
+
+
+def _grid_points(grid: GridSpec):
+    """The grid as one complex array: y along the rows, x along the columns."""
+    xs, ys = grid.points()
+    return xs[None, :] + 1j * ys[:, None]
 
 
 def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> FDReport:
     """Independent check of (-Laplacian + u) psi = 0 with the 5-point stencil.
 
     Evaluates at steps h and h/2 and reports the observed convergence order;
-    an exact eigenfunction gives order close to 2.
+    an exact eigenfunction gives order close to 2.  psi is a wave or a
+    function of an array of points, NaN at a pole; a grid point is used when
+    neither u nor psi has a pole on its stencil.
     """
+    z = _grid_points(grid)
+    uc = u.eval(z, grid.t)
     res = []
     for step in (h, h / 2.0):
-        worst = 0.0
-        used = 0
-        xs, ys = grid.points()
-        for y0 in ys:
-            for x0 in xs:
-                z0 = complex(x0, y0)
-                try:
-                    uc = u.eval(z0, grid.t)
-                    pc = _psi_value(psi, z0, grid.t, lam0)
-                    pe = _psi_value(psi, z0 + step, grid.t, lam0)
-                    pw = _psi_value(psi, z0 - step, grid.t, lam0)
-                    pn = _psi_value(psi, z0 + 1j * step, grid.t, lam0)
-                    ps = _psi_value(psi, z0 - 1j * step, grid.t, lam0)
-                except PoleError:
-                    continue
-                lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
-                r = abs(-lap + uc * pc) / max(1.0, abs(pc))
-                worst = max(worst, r)
-                used += 1
-        res.append((worst, used))
+        shifts = np.array([0.0, step, -step, 1j * step, -1j * step])
+        values = _psi_value(psi, z + shifts[:, None, None], grid.t, lam0)
+        used = ~(np.isnan(uc) | np.isnan(values).any(axis=0))
+        pc, pe, pw, pn, ps = values[:, used]
+        lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
+        r = np.abs(-lap + uc[used] * pc) / np.maximum(1.0, np.abs(pc))
+        res.append((float(r.max(initial=0.0)), int(used.sum())))
     res_h, res_half = res[0][0], res[1][0]
     order = math.log2(res_h / res_half) if res_half > 0 else float("inf")
     return FDReport(res_h, res_half, order, h, res[0][1])
@@ -97,29 +95,23 @@ def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> 
 
 def decay_fit(f: RationalFn, rays=None, r_range=(1e2, 1e4), n_samples: int = 40,
               t0: float = 0.0) -> DecayFit:
-    """Least-squares slope of log|f| against log r along the given rays."""
+    """Least-squares slope of log|f| against log r along the given rays;
+    poles and exact zeros are left out of each ray's fit."""
     if rays is None:
         rays = [k * math.pi / 4 + 0.07 for k in range(8)]
     rs = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), n_samples)
+    directions = np.array([complex(math.cos(ang), math.sin(ang)) for ang in rays])
+    values = np.abs(f.eval(directions[:, None] * rs, t0))
     slopes = []
     rms = []
-    for ang in rays:
-        direction = complex(math.cos(ang), math.sin(ang))
-        logs_r, logs_f = [], []
-        for r in rs:
-            try:
-                v = abs(f.eval(r * direction, t0))
-            except PoleError:
-                continue
-            if v == 0:
-                continue
-            logs_r.append(math.log(r))
-            logs_f.append(math.log(v))
-        if len(logs_r) < 3:
+    for ang, v in zip(rays, values):
+        kept = v > 0.0                          # False at a pole (NaN) and at a zero
+        if kept.sum() < 3:
             raise PoleError(f"ray {ang} has too few finite samples")
+        logs_r, logs_f = np.log(rs[kept]), np.log(v[kept])
         slope, intercept = np.polyfit(logs_r, logs_f, 1)
-        fit = slope * np.asarray(logs_r) + intercept
-        rms.append(float(np.sqrt(np.mean((fit - np.asarray(logs_f)) ** 2))))
+        fit = slope * logs_r + intercept
+        rms.append(float(np.sqrt(np.mean((fit - logs_f) ** 2))))
         slopes.append(float(slope))
     mean = float(np.mean(slopes))
     spread = float(max(abs(s - mean) for s in slopes))
@@ -140,16 +132,10 @@ def sign_check(u: RationalFn, grid: GridSpec, tol: float = 1e-9) -> SignReport:
     symbolic nonpositivity certificate when the numerator factors as a
     negative constant times a hermitian square."""
     xs, ys = grid.points()
-    worst = -float("inf")
-    witness = None
-    for y0 in ys:
-        for x0 in xs:
-            try:
-                v = u.eval(complex(x0, y0), grid.t).real
-            except PoleError:
-                continue
-            if v > worst:
-                worst, witness = v, (float(x0), float(y0))
+    values = u.eval(_grid_points(grid), grid.t).real
+    values[np.isnan(values)] = -np.inf          # a pole
+    idx = np.unravel_index(values.argmax(), values.shape)
+    worst, witness = float(values[idx]), (float(xs[idx[1]]), float(ys[idx[0]]))
     cert, detail = hermitian_square_certificate(u.num)
     if worst <= tol:
         return SignReport("nonpositive", worst, None, cert, detail)
@@ -267,13 +253,12 @@ def write_grid_csv(path, rows) -> None:
 
 
 def sample_grid(fn, grid: GridSpec):
-    """Row-major sweep, y outer and x inner; fn(z, t) -> complex.  Points where
-    fn hits a pole are skipped."""
+    """Row-major sweep, y outer and x inner, of fn(z, t): a function of an
+    array of points giving their complex values, NaN at a pole.  Points
+    where fn has a pole are skipped."""
     xs, ys = grid.points()
-    for y0 in ys:
-        for x0 in xs:
-            try:
-                v = complex(fn(complex(x0, y0), grid.t))
-            except PoleError:
-                continue
-            yield (float(x0), float(y0), grid.t, v.real, v.imag)
+    values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
+    finite = ~np.isnan(values)
+    rows, cols = np.nonzero(finite)
+    yield from zip(xs[cols].tolist(), ys[rows].tolist(), repeat(grid.t),
+                   values.real[finite].tolist(), values.imag[finite].tolist())

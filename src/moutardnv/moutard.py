@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, laplace_log
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, horner, laplace_log
 from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
 from .exppoly import (WaveFn, wave_antideriv_z, wave_diff_z, wave_diff_zbar)
 
@@ -172,31 +172,28 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    vals = np.zeros_like(X, dtype=complex)
-    mag = np.zeros_like(X)              # sum |c_ij| |z|^(i+j): the rounding scale of W(z)
+    Z = xs[None, :] + 1j * ys[:, None]
+    re = w.eval(Z).real                 # the certificate is for static W: t = 0
+    # the rounding scale of W(z), sum |c_ij| |z|^(i+j): one real Horner in |z|
+    by_degree = {0: 0.0}
     for (i, j, k), coeff in w.complex_terms():
-        if k > 0:
-            continue          # certificate is for static (t-free) W
-        vals += coeff * Z ** i * np.conj(Z) ** j
-        mag += abs(coeff) * np.abs(Z) ** (i + j)
-    re = vals.real
-    near_zero = np.abs(re) <= 64 * np.finfo(float).eps * mag
+        if k == 0:
+            by_degree[i + j] = by_degree.get(i + j, 0.0) + abs(coeff)
+    scale = horner(sorted(by_degree.items(), reverse=True), np.abs(Z))
+    near_zero = np.abs(re) <= 64 * np.finfo(float).eps * scale
     if re.min() <= 0.0 <= re.max() or near_zero.any():
         idx = np.unravel_index(np.abs(re).argmin(), re.shape)
         return NonvanishingReport("zero-found", float(np.abs(re).min()), 0, False,
-                                  (float(X[idx]), float(Y[idx])), "sign change or zero on grid")
+                                  (float(xs[idx[1]]), float(ys[idx[0]])),
+                                  "sign change or zero on grid")
     sign = 1 if re.min() > 0 else -1
     grid_min_abs = float(np.abs(re).min())
 
-    lead = w.spatial_leading_terms()
+    d = w.total_degree_space()
+    lead = MPoly.from_numerators({e: c for e, c in w.numerators.items()
+                                  if e[0] + e[1] == d and e[2] == 0}, w.denominator)
     angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    zc = np.exp(1j * angles)
-    lvals = np.zeros_like(zc)
-    for (i, j), cpoly in lead.items():
-        lvals = lvals + complex(cpoly.constant_term()) * zc ** i * np.conj(zc) ** j
-    lre = lvals.real
+    lre = lead.eval(np.exp(1j * angles)).real
     definite = bool((sign * lre > 1e-12).all())
     verdict = "certified-positive" if definite else "inconclusive"
     detail = ("grid sign-definite; leading form strictly "

@@ -190,18 +190,6 @@ def normalize_real(q: MPoly) -> MPoly:
     raise ValueError("polynomial is not real-valued up to a constant scale")
 
 
-def _grid_coeffs(p: MPoly, Z) -> np.ndarray:
-    """The t-coefficients p_k(z, zb) of p on the points Z, shape
-    (deg_t + 1,) + Z.shape; each power of Z and of its conjugate is computed
-    once and shared by every term."""
-    zp = [Z ** i for i in range(max(p.deg_z(), p.deg_zbar()) + 1)]
-    zbp = [np.conj(P) for P in zp]
-    out = np.zeros((p.deg_t() + 1,) + np.shape(Z), dtype=complex)
-    for (i, j, k), c in p.complex_terms():
-        out[k] += c * zp[i] * zbp[j]
-    return out
-
-
 def _horner_t(coeffs, t: float):
     """sum_k coeffs[k] t^k."""
     acc = coeffs[-1]
@@ -307,7 +295,8 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)
     X, Y = np.meshgrid(xs, ys)
-    grids = _grid_coeffs(q, X + 1j * Y).real
+    Z = X + 1j * Y
+    grids = np.array([p.eval(Z).real for p in q.t_coefficients()])
 
     f0 = grids[0]
     if f0.min() <= 0.0 <= f0.max():
@@ -573,8 +562,8 @@ def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
     thetas = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
     R, TH = np.meshgrid(rs, thetas)
     Z = R * np.exp(1j * TH)
-    den = _horner_t(_grid_coeffs(wt, Z), t0)
-    num = _horner_t(_grid_coeffs(mu2.num, Z), t0)
+    den = wt.eval(Z, t0)
+    num = mu2.num.eval(Z, t0)
     dre = den.real
     singular = dre.min() <= 0.0 <= dre.max()
     idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)

@@ -5,9 +5,11 @@ core must fail here rather than break the benchmark silently."""
 import importlib.util
 import os
 import sys
+import tracemalloc
 
 from moutardnv import nv
 from moutardnv.algebra import MPoly
+from moutardnv.moutard import build_frame, nonvanishing_certificate
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -78,3 +80,21 @@ def test_traced_blowup_counts_minimize_calls(seed32):
     agg = tracing.aggregate(spans)
     assert agg["nv.blowup_time"]["calls"] == 1
     assert agg["nv.minimize"]["nfev"] >= len(calls)
+
+
+def test_nonvanishing_certificate_memory_peak():
+    """The benchmark bounds the peak RSS of the static ops, and the
+    certificate's 201 x 201 grid is their largest allocation: evaluating W
+    there builds no table of powers and stays within 4.0 MiB."""
+    wl = bench_module("workloads")
+    pool = wl.static_pool(wl.load_goldens())
+    seed = next(s for s, d in pool.values() if d == 5)
+    w = build_frame(seed).w
+    tracemalloc.start()
+    try:
+        rep = nonvanishing_certificate(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict != "zero-found"
+    assert peak <= 4.0 * 2 ** 20

@@ -111,6 +111,23 @@ def test_ray_validation_catches_wrong_a(seed22):
         _validate_rays(fw, ScatteringData({1: gr("5")}), 1e3, 0.05)
 
 
+@pytest.mark.parametrize("extra", ["radial", "non-radial"])
+def test_ray_validation_catches_corrupted_slot(seed22, extra):
+    """A slot-1 term of the leading degree d - 1 moves z (m - 1) at infinity by
+    a fifth of the leading coefficient of W: the ray check, against the exact
+    A of the intact wave, must fail."""
+    from moutardnv.faddeev import _validate_rays
+    fw = build_faddeev(seed22)
+    sd = scattering_data(fw)
+    (a, b), lead = next(iter(fw.w.spatial_leading_terms().items()))
+    i, j = (a - 1, b) if extra == "radial" else (a, b - 1)
+    bad = dict(fw.psi.coeffs)
+    bad[1] = bad[1] + MPoly.monomial(i, j, 0, lead.constant_term() * gr("1/5"))
+    broken = FaddeevWave(WaveFn(bad, den=fw.w), fw.u, fw.w)
+    with pytest.raises(AsymptoticMismatch):
+        _validate_rays(broken, sd, 1e3, 0.05)
+
+
 def test_decay_bookkeeping(seed22):
     assert_decay_bookkeeping(build_faddeev(seed22))
 
@@ -131,11 +148,11 @@ def test_conjugate_branch(seed22):
     assert fw.conjugate
     assert fw.w.is_real_valued()
     # asymptotics follow e^{lam zb}: the rational multiplier tends to 1
-    from moutardnv.faddeev import _multiplier_value
+    from moutardnv.exppoly import wave_multiplier
     z0 = 300.0 + 150.0j
     lam0 = 1.0
     ratio = faddeev_eval(fw, z0, 0.0, lam0) / cmath.exp(lam0 * z0.conjugate())
-    assert abs(ratio - _multiplier_value(fw, z0, 0.0, lam0)) < 1e-9
+    assert abs(ratio - wave_multiplier(fw.psi, z0, 0.0, lam0)) < 1e-9
     assert abs(ratio - 1.0) < 0.05
 
 

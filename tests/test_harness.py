@@ -6,7 +6,7 @@ import pytest
 
 from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.errors import PoleError
-from moutardnv.exppoly import WaveFn
+from moutardnv.exppoly import WaveFn, wave_eval
 from moutardnv.faddeev import FaddeevWave, build_faddeev
 from moutardnv.harness import (DecayFit, GridSpec, decay_fit, fd_residual,
                                hermitian_square_certificate, load_seed,
@@ -134,6 +134,50 @@ def test_grid_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert fields[3] == format(1.0 / 3.0, ".17g")
     assert float(fields[4]) == -2.0 / 7.0
+
+
+def scalar_reference(fn, grid):
+    """(x, y, fn(z)) in row-major order at the grid points where fn raises no
+    PoleError, one point at a time."""
+    xs, ys = grid.points()
+    out = []
+    for y0 in ys:
+        for x0 in xs:
+            try:
+                out.append((float(x0), float(y0), fn(complex(x0, y0))))
+            except PoleError:
+                continue
+    return out
+
+
+def test_pole_mask_matches_scalar_reference():
+    base = MPoly.var_z() * MPoly.var_zbar() - MPoly.const(1)     # zero on |z| = 1
+    u = RationalFn(MPoly.const(1), base)
+    grid = GridSpec(-1, 1, -1, 1, 9)                            # 4 points on |z| = 1
+    ref = scalar_reference(lambda z: u.eval(z, grid.t), grid)
+    rows = list(sample_grid(u.eval, grid))
+    assert len(rows) == len(ref) == 77
+    for (x, y, t, re, im), (rx, ry, v) in zip(rows, ref):
+        assert (x, y, t) == (rx, ry, grid.t)
+        assert abs(complex(re, im) - v) <= 1e-12 * abs(v)
+
+    # a stencil point on the circle drops its grid point, as a scalar PoleError did
+    psi = WaveFn({0: MPoly.var_z() + MPoly.const(2)}, den=base)
+    h = 0.25
+
+    def stencil_ok(z):
+        for dz in (0, h, -h, 1j * h, -1j * h):
+            wave_eval(psi, z + dz, grid.t, 1.0)
+        return u.eval(z, grid.t)
+
+    rep = fd_residual(u, psi, 1.0, grid, h)
+    assert rep.points_used == len(scalar_reference(stencil_ok, grid)) < 77
+
+    # ties at the maximum 16 go to the first point in row-major order
+    best = max(ref, key=lambda r: r[2].real)
+    rep = sign_check(u, grid)
+    assert rep.max_value == best[2].real == 16.0
+    assert rep.witness == best[:2] == (-0.25, -1.0)
 
 
 def test_sample_grid_order_and_pole_skip():

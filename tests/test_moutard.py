@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -145,6 +146,12 @@ def test_nonvanishing_certificate_zero_found():
         assert rep.verdict == "zero-found"
         x, y = rep.witness
         assert abs(x * x + y * y - 1.0) < 0.2
+    # (x^2 - 1)^2 + 2^-47 (|z|^2 + 1)^2 is positive, but below 64 eps times the
+    # rounding scale on x = +-1, where the scale sums several terms per degree
+    x = (z + zb) * Fraction(1, 2)
+    w = (x * x - MPoly.const(1)) ** 2 + (z * zb + MPoly.const(1)) ** 2 * Fraction(1, 2 ** 47)
+    rep = nonvanishing_certificate(w)
+    assert rep.verdict == "zero-found" and rep.witness == (-1.0, 0.0)
 
 
 def test_nonvanishing_certificate_wide_range_degree5():

@@ -2,17 +2,22 @@
 
 The reference keeps each polynomial as a dict (i, j, k) -> (re, im) of
 Fractions and implements every operation term by term, the way the core did
-before it moved to Gaussian-integer numerators over one denominator.
+before it moved to Gaussian-integer numerators over one denominator.  The
+array evaluator is checked against the term-by-term `eval_naive`.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from moutardnv import nv
 from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly
 from moutardnv.errors import ExponentOverflow
+from moutardnv.exppoly import wave_eval
+from moutardnv.faddeev import build_faddeev, faddeev_eval
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 25, 49, 360)
 
@@ -145,6 +150,56 @@ def test_eval_matches_naive_and_exact_coefficients():
             t0 = rng.uniform(-1.5, 1.5)
             got, want = p.eval(z0, t0), p.eval_naive(z0, t0)
             assert abs(got - want) <= 1e-12 * scale * (1 + abs(z0)) ** 6 * (1 + abs(t0)) ** 2
+
+
+def rounding_scale(p, z, t0):
+    """sum |c| |z|^(i+j) |t0|^k: the size of the terms evaluation adds up."""
+    return sum(abs(c) * np.abs(z) ** (i + j) * abs(t0) ** k for (i, j, k), c in p.complex_terms())
+
+
+def test_array_eval_matches_naive_on_point_arrays():
+    rng = random.Random(2718)
+    for degree in range(2, 7):
+        for _ in range(6):
+            p = random_poly(rng, degree)
+            t0 = rng.uniform(-1.5, 1.5)
+            for shape in ((), (7,), (4, 5)):
+                n = math.prod(shape)
+                z = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)])
+                z = z.reshape(shape)
+                got = p.eval(z, t0)
+                assert isinstance(got, np.ndarray) and got.shape == shape
+                want = np.array([p.eval_naive(v, t0) for v in z.ravel()]).reshape(shape)
+                assert (np.abs(got - want) <= 1e-12 * rounding_scale(p, z, t0)).all()
+
+
+def test_scalar_eval_returns_python_complex():
+    p = random_poly(random.Random(5), 4)
+    z = np.array([0.5, 1 - 2j, 0.3 + 0.1j, 3])
+    values = p.eval(z, 0.25)
+    for z0, v in zip((0.5, 1 - 2j, np.complex128(0.3 + 0.1j), 3), values):
+        got = p.eval(z0, 0.25)
+        assert type(got) is complex
+        assert abs(got - v) <= 1e-12 * rounding_scale(p, z0, 0.25)
+    assert type(MPoly.zero().eval(1j)) is complex
+    assert (MPoly.const(3).eval(z) == 3).all() and (MPoly.zero().eval(z) == 0).all()
+
+
+@pytest.mark.parametrize("wave", ["static", "conjugate", "time"])
+def test_wave_values_on_arrays_match_scalar_values(wave, seed22, seed32):
+    if wave == "time":
+        fw = nv.nv_faddeev(seed32)
+        assert fw.psi.time_phase
+    else:
+        fw = build_faddeev(seed22, conjugate=wave == "conjugate")
+    z = np.array([[1.3 - 0.8j, -2.1 + 0.4j, 0.2j], [3.0 + 0j, -0.7 - 1.9j, 2.2 + 2.2j]])
+    lam0, t0 = 0.9 + 0.3j, 0.4
+    for fn in (lambda v: faddeev_eval(fw, v, t0, lam0), lambda v: wave_eval(fw.psi, v, t0, lam0)):
+        got = fn(z)
+        assert got.shape == z.shape
+        for v, g in zip(z.ravel(), got.ravel()):
+            want = fn(complex(v))
+            assert type(want) is complex and abs(g - want) <= 1e-12 * abs(want)
 
 
 def test_canonical_form_equality_and_hash():

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from moutardnv.algebra import GaussianRational, MPoly, laplace_log
+from moutardnv.errors import AsymptoticMismatch
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
 from moutardnv.moutard import SeedPair, build_frame
 from moutardnv import nv
@@ -48,6 +51,23 @@ def test_scattering_degree_bookkeeping_random_seeds():
         for k, num in fw.psi.coeffs.items():
             if k:
                 assert num.total_degree_space() <= d - 1
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_ray_check_passes_random_seeds(degree):
+    """The numeric ray estimate agrees with the exact A(lam) on every seed
+    whose leading form the exact extraction accepts."""
+    rng = random.Random(1000 + degree)
+    checked = 0
+    for _ in range(8):
+        fw = build_faddeev(random_seed(rng, degree))
+        try:
+            scattering_data(fw, validate=False)
+        except AsymptoticMismatch:
+            continue            # W's leading form is not one monomial: no A to check
+        scattering_data(fw)
+        checked += 1
+    assert checked >= 6
 
 
 def test_nv_pipeline_random_seeds():
