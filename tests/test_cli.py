@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from moutardnv import cli
+from moutardnv import cli, nv
+from moutardnv.harness import load_seed
+from moutardnv.moutard import double_w, potential
 
 from conftest import fixture_path
 
@@ -78,6 +80,24 @@ def test_sample_grid_csv(tmp_path):
     assert len(lines) == 10
 
 
+def test_sample_grid_time_seed_samples_extended_w(tmp_path):
+    # at t = 1 the time term of W changes u everywhere but at the origin,
+    # which the grid leaves out
+    out = tmp_path / "u.csv"
+    rc = cli.main(["sample-grid", "--seed", fixture_path("sec32.json"), "--t", "1",
+                   "--grid=-1.5,1,-1,1.5,3", "--csv", "--out", str(out)])
+    assert rc == 0
+    seed = load_seed(fixture_path("sec32.json"))[0]
+    u_time, u_static = potential(nv.extended_w(seed)), potential(double_w(seed))
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for x, y, t, re, im in rows:
+        z, got = complex(x, y), complex(re, im)
+        assert t == 1.0
+        assert abs(got - u_time.eval(z, 1.0)) <= 1e-12 * (1.0 + abs(got))
+        assert abs(got - u_static.eval(z, 1.0)) > 1e-3
+
+
 def test_missing_seed_is_input_error():
     r = run_cli("scatter", "--seed", "/no/such/file.json")
     assert r.returncode == 2
@@ -100,10 +120,10 @@ def test_cli_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-# (command, fixture) -> sha256 of (stdout, the --out file). Printed fractions
-# are in canonical form, so any change to the exact objects or to their
-# printing shows here. nv-evolve and nv-faddeev do not apply to the cubic
-# static seed.
+# (command, fixture) -> sha256 of (stdout, the --out file), or None where the
+# command writes no --out file (verify). Printed fractions are in canonical
+# form, so any change to the exact objects or to their printing shows here.
+# nv-evolve, nv-faddeev and blowup do not apply to the cubic static seed.
 OUTPUT_DIGESTS = {
     ("potential", "sec22"):
         ("c540c0bcff3c768db5b3645c8c5259df8579582e8fd691dab9ec80f23b310d19",
@@ -153,6 +173,15 @@ OUTPUT_DIGESTS = {
     ("nv-faddeev", "sec32"):
         ("43f2891ed2533f6e2e84683cacfbdea41dfe9f30918444a9254b27542754351f",
          "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
+    ("blowup", "sec32"):
+        ("4a169e89f01561098d98a9c94bb8b7615da2881ef577185bb8f2422ecf808add",
+         "28809f300cb09d2da75a4656ca4af48a0aa8d3e3acb27ce7a5e918685c5f9cbd"),
+    ("verify", "sec22"):
+        ("d5143ad9e0c75620b5a24c3280bd1cd1bb2b038e724c9c18986920314de0c821", None),
+    ("verify", "sec22_cubic"):
+        ("d5143ad9e0c75620b5a24c3280bd1cd1bb2b038e724c9c18986920314de0c821", None),
+    ("verify", "sec32"):
+        ("d05ad73952d061da9db3cd2977de109710157d44382ca42765d337422872a7bc", None),
 }
 
 
@@ -164,7 +193,7 @@ def test_cli_output_bytes_unchanged(command, name, tmp_path):
         rc = cli.main([command, "--seed", fixture_path(f"{name}.json"), "--out", str(out)])
     assert rc == 0
     got = (hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
-           hashlib.sha256(out.read_bytes()).hexdigest())
+           hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None)
     assert got == OUTPUT_DIGESTS[(command, name)]
 
 
