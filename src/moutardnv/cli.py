@@ -49,12 +49,18 @@ def _fmt_coord(v: float) -> str:
     return f"{v:.4f}"
 
 
+def _pipeline(time: bool):
+    """The W builder and the wave builder of a seed: the time layer's for a
+    time seed, the static ones otherwise."""
+    if time:
+        return nv.extended_w, nv.nv_faddeev
+    return mt.double_w, fd.build_faddeev
+
+
 def cmd_potential(args) -> int:
     seed, time = _load(args)
-    if time:
-        w = nv.extended_w(seed)
-    else:
-        w = mt.double_w(seed)
+    build_w, _ = _pipeline(time)
+    w = build_w(seed)
     u = mt.potential(w)
     print(u)
     _write_json(args, {"u": hn.rational_to_json(u), "w": hn.poly_to_json(w)})
@@ -62,26 +68,20 @@ def cmd_potential(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    seed, time = _load(args)
-    frame = mt.build_frame(seed if not time else nv.evolved_seed(seed))
-    for name, f in (("theta1", frame.theta1), ("theta2", frame.theta2),
-                    ("phi1", frame.phi1), ("phi2", frame.phi2)):
+    seed, _ = _load(args)
+    frame = mt.build_frame(seed)
+    fracs = {"theta1": frame.theta1, "theta2": frame.theta2,
+             "phi1": frame.phi1, "phi2": frame.phi2}
+    for name, f in fracs.items():
         print(f"{name} = {f}")
-    _write_json(args, {name: hn.rational_to_json(f) for name, f in
-                       (("theta1", frame.theta1), ("theta2", frame.theta2),
-                        ("phi1", frame.phi1), ("phi2", frame.phi2))})
+    _write_json(args, {name: hn.rational_to_json(f) for name, f in fracs.items()})
     return 0
-
-
-def _build_wave(seed, time):
-    if time:
-        return nv.nv_faddeev(seed)
-    return fd.build_faddeev(seed)
 
 
 def cmd_faddeev(args) -> int:
     seed, time = _load(args)
-    fw = _build_wave(seed, time)
+    _, build_wave = _pipeline(time)
+    fw = build_wave(seed)
     print("residual=0")
     print(fw.psi)
     _write_json(args, hn.wave_to_json(fw))
@@ -90,7 +90,8 @@ def cmd_faddeev(args) -> int:
 
 def cmd_scatter(args) -> int:
     seed, time = _load(args)
-    fw = _build_wave(seed, time)
+    _, build_wave = _pipeline(time)
+    fw = build_wave(seed)
     sd = fd.scattering_data(fw)
     print(sd)
     _write_json(args, {"A": {str(k): {"re": str(c.re), "im": str(c.im)}
@@ -125,7 +126,7 @@ def cmd_nv_faddeev(args) -> int:
 
 def cmd_blowup(args) -> int:
     seed, _ = _load(args)
-    wt = nv.extended_w(nv.evolved_seed(seed))
+    wt = nv.extended_w(seed)
     rep = nv.blowup_time(wt, refine_tol=args.tol or 1e-10)
     if not rep.found:
         print("no_blowup")
@@ -144,16 +145,13 @@ def cmd_sample_grid(args) -> int:
     if args.out is None:
         raise ValueError("sample-grid requires --out")
     grid = _parse_grid(args.grid, args.t)
-    if time:
-        w = nv.extended_w(nv.evolved_seed(seed))
-    else:
-        w = mt.double_w(seed)
+    build_w, build_wave = _pipeline(time)
     if args.lam is not None:
-        fw = _build_wave(seed, time)
+        fw = build_wave(seed)
         lam0 = _parse_lambda(args.lam)
         fn = lambda z, t: fd.faddeev_eval(fw, z, t, lam0)
     else:
-        u = mt.potential(w)
+        u = mt.potential(build_w(seed))
         fn = lambda z, t: u.eval(z, t)
     hn.write_grid_csv(args.out, hn.sample_grid(fn, grid))
     print(f"wrote {args.out}")
@@ -166,55 +164,51 @@ def cmd_verify(args) -> int:
     checks = []
 
     def run(name, fn):
+        """The check's value, or None when it fails."""
         try:
-            fn()
-            checks.append((name, True, ""))
+            out = fn()
         except ExponentOverflow:
             raise
         except Exception as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
+            return None
+        checks.append((name, True, ""))
+        return out
 
     if not time:
-        frame = {}
-        run("frame-build", lambda: frame.update(f=mt.build_frame(seed)))
-        wave = {}
-        run("wave-residual-exact", lambda: wave.update(w=fd.build_faddeev(seed)))
-        if "w" in wave:
-            run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(wave["w"]))
-            run("scattering-exact-vs-rays", lambda: fd.scattering_data(wave["w"]))
+        frame = run("frame-build", lambda: mt.build_frame(seed))
+        fw = run("wave-residual-exact", lambda: fd.build_faddeev(seed))
+        if fw is not None:
+            run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(fw))
+            run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
 
             def fd_order():
-                rep = hn.fd_residual(wave["w"].u, wave["w"], 1.0,
-                                     hn.GridSpec(-2, 2, -2, 2, 7), 1e-2)
+                rep = hn.fd_residual(fw.u, fw, 1.0, hn.GridSpec(-2, 2, -2, 2, 7), 1e-2)
                 if rep.order < 1.9:
                     raise AlgebraError(f"order {rep.order:.2f} < 1.9")
 
             run("finite-difference-order", fd_order)
-        if "f" in frame:
+        if frame is not None:
             def nonvanish():
-                rep = mt.nonvanishing_certificate(frame["f"].w)
+                rep = mt.nonvanishing_certificate(frame.w)
                 if rep.verdict == "zero-found":
                     raise AlgebraError(f"W vanishes near {rep.witness}")
 
             run("denominator-nonvanishing", nonvanish)
     else:
-        es = nv.evolved_seed(seed)
-        state = {}
-        run("extended-w", lambda: state.update(wt=nv.extended_w(es)))
-        if "wt" in state:
-            sol = nv.nv_potentials(state["wt"])
+        wt = run("extended-w", lambda: nv.extended_w(seed))
+        if wt is not None:
+            sol = nv.nv_potentials(wt)
 
             def residual_zero():
-                r = nv.nv_residual(sol)
-                if not r.is_zero():
+                if not nv.nv_residual(sol).is_zero():
                     raise AlgebraError("evolution residual nonzero")
 
             run("evolution-residual-exact", residual_zero)
-            wave = {}
-            run("wave-residuals-exact", lambda: wave.update(w=nv.nv_faddeev(seed)))
-            if "w" in wave:
-                run("scattering-exact-vs-rays", lambda: fd.scattering_data(wave["w"]))
-            run("blowup-search", lambda: nv.blowup_time(state["wt"]))
+            fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(seed))
+            if fw is not None:
+                run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
+            run("blowup-search", lambda: nv.blowup_time(wt))
 
     ok = all(c[1] for c in checks)
     print(f"verify: {'PASS' if ok else 'FAIL'}")

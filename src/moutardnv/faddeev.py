@@ -85,25 +85,32 @@ def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> Faddee
     return fw
 
 
-def residual(fw: FaddeevWave) -> MPoly:
-    """Cleared numerator of (-4 d dbar + u) psi.
-
-    Every lam-slot must clear; returns the zero polynomial exactly when psi is
-    an eigenfunction, else the first nonzero slot's numerator.
-    """
+def slot_residual(fw: FaddeevWave, operator) -> MPoly:
+    """Apply a linear operator to the wave's multiplier, its lam-slots lifted
+    to fractions over W, and return the cleared numerator of the first
+    nonzero slot of the result: the zero polynomial exactly when every slot
+    clears."""
     if fw.psi.den is not None and fw.psi.den != fw.w:
         raise ValueError("wave denominator must match the stored w")
-    base = fw.w
     k0 = 1 if fw.psi.den is not None else 0
-    mult = WaveFn({k: RationalFn(f, base, k0) for k, f in fw.psi.coeffs.items()},
+    mult = WaveFn({k: RationalFn(f, fw.w, k0) for k, f in fw.psi.coeffs.items()},
                   fw.psi.time_phase)
-    lap = wave_diff_z(wave_diff_zbar(mult))
-    res_wave = lap.scale(-4) + mult.scale(potential(base))
-    for k in sorted(res_wave.coeffs):
-        num = res_wave.coeffs[k].num
-        if not num.is_zero():
-            return num
-    return MPoly.zero()
+    res = operator(mult)
+    return res.coeffs[min(res.coeffs)].num if res.coeffs else MPoly.zero()
+
+
+def residual(fw: FaddeevWave) -> MPoly:
+    """Cleared numerator of (-4 d dbar + u) psi with u = -2*Laplacian(log w):
+    zero exactly when psi is an eigenfunction, else the first nonzero slot's."""
+    u = potential(fw.w)
+    return slot_residual(fw, lambda m: wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(u))
+
+
+def frame_wave(frame: MoutardFrame, free: WaveFn) -> FaddeevWave:
+    """The free wave transformed by omega1 and by omega2, superposed over the
+    frame's W."""
+    return faddeev_superpose(frame, moutard_transform_wave(frame.omega1, free),
+                             moutard_transform_wave(frame.omega2, free))
 
 
 def build_faddeev(seed: SeedPair, conjugate: bool = False) -> FaddeevWave:
@@ -114,11 +121,7 @@ def build_faddeev(seed: SeedPair, conjugate: bool = False) -> FaddeevWave:
         psi = WaveFn({k: f.conj_swap() for k, f in fw.psi.coeffs.items()},
                      fw.psi.time_phase, den=fw.w.conj_swap())
         return FaddeevWave(psi, fw.u.conj_swap(), fw.w.conj_swap(), conjugate=True)
-    frame = build_frame(seed)
-    free = WaveFn.free()
-    psi1 = moutard_transform_wave(frame.omega1, free)
-    psi2 = moutard_transform_wave(frame.omega2, free)
-    return faddeev_superpose(frame, psi1, psi2)
+    return frame_wave(build_frame(seed), WaveFn.free())
 
 
 def scattering_data(fw: FaddeevWave, validate: bool = True,

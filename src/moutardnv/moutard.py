@@ -42,7 +42,6 @@ class MoutardFrame:
     theta2: RationalFn
     phi1: RationalFn
     phi2: RationalFn
-    seed: SeedPair = None
 
 
 def harmonic_from_holomorphic(p: MPoly) -> MPoly:
@@ -62,9 +61,7 @@ def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
 
 def double_w(seed: SeedPair) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula:
-    W = i*w_bracket(p1, p2) + c."""
-    if seed.p1.deg_t() > 0 or seed.p2.deg_t() > 0:
-        raise NotHolomorphic("static double_w expects t-free seeds; use nv.extended_w")
+    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed."""
     return w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
 
 
@@ -84,13 +81,16 @@ def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
     return theta1, theta2, phi1, phi2
 
 
-def build_frame(seed: SeedPair) -> MoutardFrame:
-    omega1 = harmonic_from_holomorphic(seed.p1.subs_t(0) if seed.p1.deg_t() > 0 else seed.p1)
-    omega2 = harmonic_from_holomorphic(seed.p2.subs_t(0) if seed.p2.deg_t() > 0 else seed.p2)
-    w = double_w(seed)
+def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
+    """The frame of the seed around w, by default double_w(seed); the time
+    layer passes the extended W of an evolved seed."""
+    omega1 = harmonic_from_holomorphic(seed.p1)
+    omega2 = harmonic_from_holomorphic(seed.p2)
+    if w is None:
+        w = double_w(seed)
     u = potential(w)
     theta1, theta2, phi1, phi2 = kernel_functions(omega1, omega2, w)
-    return MoutardFrame(omega1, omega2, w, u, theta1, theta2, phi1, phi2, seed)
+    return MoutardFrame(omega1, omega2, w, u, theta1, theta2, phi1, phi2)
 
 
 def _is_free_wave(phi: WaveFn) -> bool:

@@ -1,6 +1,8 @@
 """Time-dependent layer: third-order evolution of holomorphic data, the
-extended W, the associated (U, V) pair and its evolution-equation residual,
-time-dependent waves, kernel fractions, and blow-up time detection."""
+extended W (the static W of the evolved seed plus one time term), the
+associated (U, V) pair and its evolution-equation residual, time-dependent
+waves through the static frame, wave and residual code, kernel fractions, and
+blow-up time detection."""
 
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
 from .exppoly import WaveFn, wave_diff_t, wave_diff_z, wave_diff_zbar
-from .faddeev import FaddeevWave, faddeev_superpose
-from .moutard import (MoutardFrame, SeedPair, harmonic_from_holomorphic, kernel_functions,
-                      moutard_transform_wave, potential, w_bracket)
+from .faddeev import FaddeevWave, frame_wave, slot_residual
+from .moutard import SeedPair, build_frame, double_w
 
 
 def heat3_evolve(p: MPoly) -> MPoly:
@@ -51,23 +52,20 @@ def evolved_seed(seed: SeedPair) -> SeedPair:
 
 
 def extended_w(seed: SeedPair) -> MPoly:
-    """The time-dependent W.
-
-    Spatial legs as in the static double iteration (at fixed t); the time leg
-    integrates the third-derivative bracket X = p1'''p2 - p1 p2''' + 2(p1'p2''
-    - p1''p2') along the t-axis at the origin.  The resulting 1-form is closed
-    for evolved seeds, which is asserted via dW/dt = i(X - conj(X)).
+    """The time-dependent W: the static double_w of the evolved seed (the
+    spatial legs at fixed t) plus i times the time leg X - conj(X) integrated
+    along the t-axis at the origin, where X = p1'''p2 - p1 p2''' + 2(p1'p2''
+    - p1''p2') is the third-derivative bracket.  The resulting 1-form is
+    closed for evolved seeds, which is asserted via dW/dt = i(X - conj(X)).
     """
     seed = evolved_seed(seed)
     p1, p2 = seed.p1, seed.p2
-    bracket = w_bracket(p1, p2)
     d1, d2, d3 = p1.diff_z(), p1.diff_z().diff_z(), p1.diff_z().diff_z().diff_z()
     e1, e2, e3 = p2.diff_z(), p2.diff_z().diff_z(), p2.diff_z().diff_z().diff_z()
     x = d3 * p2 - p1 * e3 + (d1 * e2 - d2 * e1) * 2
-    tleg = x - x.conj_swap()
-    g = tleg.at_origin_t().antideriv_t()
-    w = (bracket + g) * GR_I + MPoly.const(seed.c)
-    if w.diff_t() != tleg * GR_I:
+    tleg = (x - x.conj_swap()) * GR_I
+    w = double_w(seed) + tleg.at_origin_t().antideriv_t()
+    if w.diff_t() != tleg:
         raise NotEvolved("time leg is not closed; seed is not correctly evolved")
     if not w.is_real_valued():
         raise NotEvolved("extended W failed to be real-valued")
@@ -102,7 +100,7 @@ def nv_residual(sol: NVSolution) -> MPoly:
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
     u, v = sol.u, sol.v
-    vb = RationalFn(v.num.conj_swap(), wt, v.k)
+    vb = v.conj_swap()
     res = u.diff_t()
     res = res - u.diff_z().diff_z().diff_z()
     res = res - u.diff_zbar().diff_zbar().diff_zbar()
@@ -117,16 +115,7 @@ def nv_faddeev(seed: SeedPair) -> FaddeevWave:
     d psi/dt = (d^3 + dbar^3 + 3V d + 3Vb dbar) psi checked as exact residuals.
     """
     seed = evolved_seed(seed)
-    omega1 = harmonic_from_holomorphic(seed.p1)
-    omega2 = harmonic_from_holomorphic(seed.p2)
-    wt = extended_w(seed)
-    u = potential(wt)
-    theta1, theta2, phi1, phi2 = kernel_functions(omega1, omega2, wt)
-    frame = MoutardFrame(omega1, omega2, wt, u, theta1, theta2, phi1, phi2, seed)
-    free = WaveFn.free(time_phase=True)
-    psi1 = moutard_transform_wave(omega1, free)
-    psi2 = moutard_transform_wave(omega2, free)
-    fw = faddeev_superpose(frame, psi1, psi2)
+    fw = frame_wave(build_frame(seed, extended_w(seed)), WaveFn.free(time_phase=True))
     tres = temporal_residual(fw)
     if not tres.is_zero():
         raise TemporalResidualNonzero(f"time leg fails: residual {tres.summary()}")
@@ -136,22 +125,14 @@ def nv_faddeev(seed: SeedPair) -> FaddeevWave:
 def temporal_residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of d psi/dt - (d^3 + dbar^3 + 3V d + 3Vb dbar) psi,
     slot by slot; zero exactly when the wave follows the evolution."""
-    wt = fw.w
-    k0 = 1 if fw.psi.den is not None else 0
-    mult = WaveFn({k: RationalFn(f, wt, k0) for k, f in fw.psi.coeffs.items()},
-                  fw.psi.time_phase)
-    v3 = log_derivative2(wt, MPoly.diff_z, MPoly.diff_z) * 6
-    vb3 = RationalFn(v3.num.conj_swap(), wt, 2)
-    d1 = wave_diff_z(mult)
-    d3 = wave_diff_z(wave_diff_z(d1))
-    b1 = wave_diff_zbar(mult)
-    b3 = wave_diff_zbar(wave_diff_zbar(b1))
-    res = wave_diff_t(mult) - d3 - b3 - d1.scale(v3) - b1.scale(vb3)
-    for k in sorted(res.coeffs):
-        num = res.coeffs[k].num
-        if not num.is_zero():
-            return num
-    return MPoly.zero()
+    v3 = log_derivative2(fw.w, MPoly.diff_z, MPoly.diff_z) * 6
+    vb3 = v3.conj_swap()
+
+    def operator(m):
+        d1, b1 = wave_diff_z(m), wave_diff_zbar(m)
+        d3, b3 = wave_diff_z(wave_diff_z(d1)), wave_diff_zbar(wave_diff_zbar(b1))
+        return wave_diff_t(m) - d3 - b3 - d1.scale(v3) - b1.scale(vb3)
+    return slot_residual(fw, operator)
 
 
 def kernel_mu(fw: FaddeevWave) -> dict:
@@ -286,9 +267,9 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     Grid scan in t with per-slice spatial minimization (the grid argmin of the
     slice, from precomputed t-coefficient grids, then a damped Newton descent
     on the exact derivatives), refined by bisection; for q affine in t, an
-    independent exact-stationarity enumeration (resultant elimination by
-    evaluation and interpolation) competes, and the minimum with the
-    cross-method spread is reported.
+    independent enumeration of the stationary points (a floating-point
+    resultant, found by evaluation and Chebyshev interpolation) competes, and
+    the minimum with the cross-method spread is reported.
     """
     q = normalize_real(q)
     xmin, xmax, ymin, ymax = box
@@ -359,12 +340,13 @@ def _enumerate_affine(q: MPoly, t_max: float):
     # stationary points of -b/a: a*b_x - b*a_x = 0, a*b_y - b*a_y = 0
     g1 = _to_xy(a * _dx(b) - b * _dx(a))
     g2 = _to_xy(a * _dy(b) - b * _dy(a))
+    ca, cb = _to_xy(a), _to_xy(b)
     best = None
     for x0, y0 in _real_common_roots(g1, g2):
-        av = npp.polyval2d(x0, y0, _to_xy(a))
+        av = npp.polyval2d(x0, y0, ca)
         if abs(av) < 1e-12:
             continue
-        t0 = -npp.polyval2d(x0, y0, _to_xy(b)) / av
+        t0 = -npp.polyval2d(x0, y0, cb) / av
         if t0 > 1e-12 and t0 <= t_max and (best is None or t0 < best[0]):
             best = (float(t0), (float(x0), float(y0)))
     return best
@@ -451,14 +433,18 @@ def _real_common_roots(C1, C2, span: float = 10.0):
         if abs(r.imag) > 1e-6:
             continue
         x0 = float(r.real) * span
-        p1 = _trim(_y_poly(C1, x0))
-        if len(p1) <= 1:
+        # y-roots of C1(x0, .) checked on C2, or of C2(x0, .) on C1 when C1
+        # has no y term there
+        ys, other = _trim(_y_poly(C1, x0)), C2
+        if len(ys) <= 1:
+            ys, other = _trim(_y_poly(C2, x0)), C1
+        if len(ys) <= 1:
             continue
-        for yr in npp.polyroots(p1):
+        for yr in npp.polyroots(ys):
             if abs(yr.imag) > 1e-6:
                 continue
             y0 = float(yr.real)
-            if abs(npp.polyval2d(x0, y0, C2)) < 1e-4 * (1.0 + np.abs(C2).max()):
+            if abs(npp.polyval2d(x0, y0, other)) < 1e-4 * (1.0 + np.abs(other).max()):
                 out.append(_polish_root(C1, C2, x0, y0))
     return out
 

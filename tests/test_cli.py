@@ -98,6 +98,21 @@ def test_sample_grid_time_seed_samples_extended_w(tmp_path):
         assert abs(got - u_static.eval(z, 1.0)) > 1e-3
 
 
+def test_kernel_on_a_cubic_time_seed_prints_the_t0_kernel(tmp_path):
+    data = json.loads(open(fixture_path("sec22_cubic.json")).read())
+    data["time"] = True
+    time_seed = tmp_path / "sec22_cubic_time.json"
+    time_seed.write_text(json.dumps(data))
+    outputs = []
+    for path in (fixture_path("sec22_cubic.json"), str(time_seed)):
+        out, stdout = tmp_path / "kernel.json", io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(["kernel", "--seed", path, "--out", str(out)])
+        assert rc == 0, stdout.getvalue()
+        outputs.append((stdout.getvalue(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_missing_seed_is_input_error():
     r = run_cli("scatter", "--seed", "/no/such/file.json")
     assert r.returncode == 2

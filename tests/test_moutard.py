@@ -41,12 +41,6 @@ def test_double_w_real_and_degenerate(seed22):
     assert double_w(SeedPair(p, p, gr("-7"))) == MPoly.const(gr("-7"))
 
 
-def test_double_w_rejects_time_dependence():
-    p = MPoly.var_z() * MPoly.var_t()
-    with pytest.raises(NotHolomorphic):
-        double_w(SeedPair(p, MPoly.var_z(), gr(0)))
-
-
 def test_potential_is_neg_two_laplacian_log(seed22):
     w = double_w(seed22)
     u = potential(w)

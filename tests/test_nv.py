@@ -210,12 +210,15 @@ def _xy_poly(fn):
 
 
 def test_blowup_shifted_paraboloid_is_exact():
-    # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0
+    # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0. The
+    # first stationarity equation, -2(x - x0) = 0, has no y term, so the
+    # enumeration must take y from the second.
     z0 = gr("1/3", "2/7")
     z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
     q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t
     rep = nv.blowup_time(q)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
+    assert rep.method == "grid+descent+enumeration" and rep.spread < 1e-9
     assert abs(rep.witness[0] - 1 / 3) < 1e-9 and abs(rep.witness[1] - 2 / 7) < 1e-9
 
 
