@@ -49,10 +49,6 @@ class GaussianRational:
         self.re = _as_fraction(re)
         self.im = _as_fraction(im)
 
-    @classmethod
-    def parse(cls, re: str, im: str = "0") -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
     def __add__(self, other):
         other = _coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -348,8 +344,7 @@ class MPoly:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
+            if n > 1:
                 base = base * base
             n >>= 1
         return result

@@ -16,6 +16,7 @@ from . import harness as hn
 from . import moutard as mt
 from . import nv
 from .errors import AlgebraError, ExponentOverflow
+from .exppoly import WaveFn
 
 
 def _parse_lambda(text: str) -> complex:
@@ -31,13 +32,8 @@ def _parse_grid(text: str, t: float) -> hn.GridSpec:
                        float(parts[3]), int(parts[4]), t)
 
 
-def _load(args):
-    seed, time = hn.load_seed(args.seed)
-    return seed, time
-
-
 def _write_json(args, payload) -> None:
-    if args.out and not args.csv:
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -58,7 +54,7 @@ def _pipeline(time: bool):
 
 
 def cmd_potential(args) -> int:
-    seed, time = _load(args)
+    seed, time = hn.load_seed(args.seed)
     build_w, _ = _pipeline(time)
     w = build_w(seed)
     u = mt.potential(w)
@@ -68,7 +64,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    seed, _ = _load(args)
+    seed, _ = hn.load_seed(args.seed)
     frame = mt.build_frame(seed)
     fracs = {"theta1": frame.theta1, "theta2": frame.theta2,
              "phi1": frame.phi1, "phi2": frame.phi2}
@@ -79,7 +75,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_faddeev(args) -> int:
-    seed, time = _load(args)
+    seed, time = hn.load_seed(args.seed)
     _, build_wave = _pipeline(time)
     fw = build_wave(seed)
     print("residual=0")
@@ -89,7 +85,7 @@ def cmd_faddeev(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    seed, time = _load(args)
+    seed, time = hn.load_seed(args.seed)
     _, build_wave = _pipeline(time)
     fw = build_wave(seed)
     sd = fd.scattering_data(fw)
@@ -100,7 +96,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_nv_evolve(args) -> int:
-    seed, _ = _load(args)
+    seed, _ = hn.load_seed(args.seed)
     es = nv.evolved_seed(seed)
     wt = nv.extended_w(es)
     sol = nv.nv_potentials(wt)
@@ -114,7 +110,7 @@ def cmd_nv_evolve(args) -> int:
 
 
 def cmd_nv_faddeev(args) -> int:
-    seed, _ = _load(args)
+    seed, _ = hn.load_seed(args.seed)
     fw = nv.nv_faddeev(seed)
     sd = fd.scattering_data(fw)
     print(f"{sd} stationary=yes")
@@ -125,7 +121,7 @@ def cmd_nv_faddeev(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    seed, _ = _load(args)
+    seed, _ = hn.load_seed(args.seed)
     wt = nv.extended_w(seed)
     rep = nv.blowup_time(wt, refine_tol=args.tol or 1e-10)
     if not rep.found:
@@ -139,7 +135,7 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_sample_grid(args) -> int:
-    seed, time = _load(args)
+    seed, time = hn.load_seed(args.seed)
     if args.grid is None:
         raise ValueError("sample-grid requires --grid")
     if args.out is None:
@@ -159,8 +155,7 @@ def cmd_sample_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed, time = _load(args)
-    tol = args.tol or 1e-9
+    seed, time = hn.load_seed(args.seed)
     checks = []
 
     def run(name, fn):
@@ -177,7 +172,9 @@ def cmd_verify(args) -> int:
 
     if not time:
         frame = run("frame-build", lambda: mt.build_frame(seed))
-        fw = run("wave-residual-exact", lambda: fd.build_faddeev(seed))
+        # without a frame, building it again fails this row with the same error
+        fw = run("wave-residual-exact", lambda: fd.frame_wave(
+            frame if frame is not None else mt.build_frame(seed), WaveFn.free()))
         if fw is not None:
             run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(fw))
             run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
@@ -198,14 +195,12 @@ def cmd_verify(args) -> int:
     else:
         wt = run("extended-w", lambda: nv.extended_w(seed))
         if wt is not None:
-            sol = nv.nv_potentials(wt)
-
             def residual_zero():
-                if not nv.nv_residual(sol).is_zero():
+                if not nv.nv_residual(nv.nv_potentials(wt)).is_zero():
                     raise AlgebraError("evolution residual nonzero")
 
             run("evolution-residual-exact", residual_zero)
-            fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(seed))
+            fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(seed, wt))
             if fw is not None:
                 run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
             run("blowup-search", lambda: nv.blowup_time(wt))
@@ -240,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--seed", required=True)
         p.add_argument("--out")
-        p.add_argument("--csv", action="store_true")
-        p.add_argument("--lambda", dest="lam")
-        p.add_argument("--t", type=float, default=0.0)
-        p.add_argument("--grid")
-        p.add_argument("--tol", type=float)
+    sub.choices["blowup"].add_argument("--tol", type=float)
+    grid = sub.choices["sample-grid"]
+    grid.add_argument("--lambda", dest="lam")
+    grid.add_argument("--t", type=float, default=0.0)
+    grid.add_argument("--grid")
+    grid.add_argument("--csv", action="store_true", help="the output is always CSV")
     return ap
 
 

@@ -86,10 +86,6 @@ class WaveFn:
         """Multiply every coefficient by an MPoly or scalar."""
         return WaveFn({k: f * factor for k, f in self.coeffs.items()}, self.time_phase, self.den)
 
-    def shift(self, dk: int) -> "WaveFn":
-        """Multiply by lam^{-dk}."""
-        return WaveFn({k + dk: f for k, f in self.coeffs.items()}, self.time_phase, self.den)
-
     def map_coeffs(self, fn) -> "WaveFn":
         return WaveFn({k: fn(f) for k, f in self.coeffs.items()}, self.time_phase, self.den)
 
@@ -158,11 +154,6 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
         for j, nums in slots.items():
             _acc(out, k + j + 1, MPoly.from_numerators(nums, f.denominator))
     return WaveFn(out, w.time_phase, w.den)
-
-
-def wave_antideriv_zbar(w: WaveFn) -> WaveFn:
-    """zb-antiderivative; the phase does not involve zb."""
-    return w.map_coeffs(lambda f: f.antideriv_zbar())
 
 
 def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):

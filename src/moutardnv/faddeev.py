@@ -11,7 +11,7 @@ from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import (WaveFn, exp_phase, wave_diff_z, wave_diff_zbar, wave_eval,
                       wave_multiplier)
-from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
+from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave
 
 
 @dataclass
@@ -19,8 +19,8 @@ class FaddeevWave:
     """A wave solving (-4 d dbar + u) psi = 0 exactly.
 
     psi holds the multiplier slots over the shared denominator w; u is always
-    -2*Laplacian(log w).  conjugate marks the e^{lam zb} branch obtained by the
-    global swap symmetry.
+    -2*Laplacian(log w), the frame's potential, built once with w.  conjugate
+    marks the e^{lam zb} branch obtained by the global swap symmetry.
     """
 
     psi: WaveFn
@@ -100,10 +100,10 @@ def slot_residual(fw: FaddeevWave, operator) -> MPoly:
 
 
 def residual(fw: FaddeevWave) -> MPoly:
-    """Cleared numerator of (-4 d dbar + u) psi with u = -2*Laplacian(log w):
-    zero exactly when psi is an eigenfunction, else the first nonzero slot's."""
-    u = potential(fw.w)
-    return slot_residual(fw, lambda m: wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(u))
+    """Cleared numerator of (-4 d dbar + u) psi with the wave's own u, the
+    frame's -2*Laplacian(log w): zero exactly when psi is an eigenfunction,
+    else the first nonzero slot's."""
+    return slot_residual(fw, lambda m: wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(fw.u))
 
 
 def frame_wave(frame: MoutardFrame, free: WaveFn) -> FaddeevWave:

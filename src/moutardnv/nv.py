@@ -109,13 +109,16 @@ def nv_residual(sol: NVSolution) -> MPoly:
     return res.num
 
 
-def nv_faddeev(seed: SeedPair) -> FaddeevWave:
+def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
     """Time-dependent wave: the spatial superposition over the evolved seed at
-    symbolic t, with both the spatial equation and the temporal leg
-    d psi/dt = (d^3 + dbar^3 + 3V d + 3Vb dbar) psi checked as exact residuals.
+    symbolic t around w, by default extended_w(seed), with both the spatial
+    equation and the temporal leg d psi/dt = (d^3 + dbar^3 + 3V d + 3Vb dbar) psi
+    checked as exact residuals.
     """
     seed = evolved_seed(seed)
-    fw = frame_wave(build_frame(seed, extended_w(seed)), WaveFn.free(time_phase=True))
+    if w is None:
+        w = extended_w(seed)
+    fw = frame_wave(build_frame(seed, w), WaveFn.free(time_phase=True))
     tres = temporal_residual(fw)
     if not tres.is_zero():
         raise TemporalResidualNonzero(f"time leg fails: residual {tres.summary()}")

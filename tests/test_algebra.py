@@ -23,7 +23,7 @@ def test_gaussian_rational_arithmetic():
 
 
 def test_gaussian_rational_parse_and_complex():
-    c = GaussianRational.parse("-5/8", "7/3")
+    c = GaussianRational("-5/8", "7/3")
     assert c.re == Fraction(-5, 8) and c.im == Fraction(7, 3)
     assert complex(c) == complex(-5 / 8, 7 / 3)
     assert gr("2").is_real()

@@ -1,4 +1,5 @@
 import contextlib
+import cProfile
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from moutardnv import cli, nv
+from moutardnv import faddeev as fd
 from moutardnv.harness import load_seed
 from moutardnv.moutard import double_w, potential
 
@@ -230,3 +232,90 @@ def test_import_does_not_load_scipy():
     code = "import sys, moutardnv, moutardnv.cli; print('scipy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0 and r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("time", [False, True])
+def test_verify_on_a_zero_w_seed_prints_every_check(time, tmp_path):
+    # p1 = p2 = z and c = 0 give W = 0: every check fails, none aborts the table
+    seed = tmp_path / "zero.json"
+    seed.write_text(json.dumps({"p1": [[1, {"re": "1", "im": "0"}]],
+                                "p2": [[1, {"re": "1", "im": "0"}]],
+                                "c": {"re": "0", "im": "0"}, "time": time}))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", str(seed)])
+    lines = stdout.getvalue().splitlines()
+    assert rc == 1
+    assert lines[0] == "verify: FAIL"
+    rows = [line.split()[1] for line in lines[1:]]
+    assert all(line.split()[0] in ("PASS", "FAIL") for line in lines[1:])
+    if time:
+        assert rows == ["extended-w", "evolution-residual-exact",
+                        "wave-residuals-exact", "blowup-search"]
+    else:
+        assert rows == ["frame-build", "wave-residual-exact"]
+        assert lines[1].split(" ", 2)[2] == lines[2].split(" ", 2)[2]
+
+
+@pytest.mark.parametrize("argv", [["potential", "--t", "5"], ["verify", "--tol", "1"],
+                                  ["scatter", "--lambda=1,0"]])
+def test_an_option_the_subcommand_does_not_read_is_an_input_error(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", fixture_path("sec22.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in stderr.getvalue()
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    options = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+               for name, p in sub.choices.items()}
+    assert options.pop("blowup") == ["out", "seed", "tol"]
+    assert options.pop("sample-grid") == ["csv", "grid", "lam", "out", "seed", "t"]
+    assert all(v == ["out", "seed"] for v in options.values())
+    assert len(options) == 7
+
+
+BUILDERS = ("extended_w", "double_w", "build_frame", "log_derivative2")
+
+
+def _build_counts(fn):
+    """Calls of the chain's builders in moutardnv while fn runs, by name."""
+    prof = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        prof.runcall(fn)
+    prof.create_stats()
+    counts = dict.fromkeys(BUILDERS, 0)
+    for (path, _, name), (_, calls, *_) in prof.stats.items():
+        if name in BUILDERS and "moutardnv" in path:
+            counts[name] += calls
+    return counts
+
+
+BUILD_COUNTS = [
+    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+    ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
+                         "log_derivative2": 4}),
+    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+    ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
+                             "log_derivative2": 2}),
+    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+]
+
+
+@pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
+                         ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
+def test_each_object_is_built_once(what, name, expected):
+    # one W, one frame and one potential per call; the time layer adds the
+    # (U, V) pair and the temporal residual's V, one log_derivative2 each
+    path = fixture_path(f"{name}.json")
+    builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
+    if what in builders:
+        seed = load_seed(path)[0]
+        fn = lambda: builders[what](seed)
+    else:
+        fn = lambda: cli.main([what, "--seed", path])
+    assert _build_counts(fn) == {**dict.fromkeys(BUILDERS, 0), **expected}

@@ -4,9 +4,8 @@ import pytest
 
 from moutardnv.algebra import MPoly
 from moutardnv.errors import LambdaZeroError, PoleError
-from moutardnv.exppoly import (WaveFn, wave_antideriv_z, wave_antideriv_zbar,
-                               wave_diff_t, wave_diff_z, wave_diff_zbar,
-                               wave_eval, wave_eval_naive)
+from moutardnv.exppoly import (WaveFn, wave_antideriv_z, wave_diff_t, wave_diff_z,
+                               wave_diff_zbar, wave_eval, wave_eval_naive)
 
 from conftest import gr, poly
 
@@ -24,7 +23,6 @@ def test_wave_antideriv_inverts_derivative():
     z, zb = MPoly.var_z(), MPoly.var_zbar()
     w = WaveFn({0: z * z * zb, 2: z * zb * zb, -1: MPoly.const(3)})
     assert wave_diff_z(wave_antideriv_z(w)) == w
-    assert wave_diff_zbar(wave_antideriv_zbar(w)) == w
 
 
 def test_wave_antideriv_formula():
@@ -60,7 +58,6 @@ def test_wave_arithmetic_and_scale():
     assert set(s.coeffs) == {0, 2}
     assert (a - a).is_zero()
     assert a.scale(gr(3)).coeffs[1] == MPoly.const(6)
-    assert a.shift(2).coeffs[2] == z
 
 
 def test_wave_eval_matches_naive_and_direct():

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function or class is read in its own module.
 
-No linter is installed, so this is the unused-import check: it parses each
-module under src/moutardnv/ (the package's __init__.py re-exports, so it is
-left out) and compares the names its imports bind with the names its code
-reads, string annotations included.
+No linter is installed, so these are the unused-import and dead-helper
+checks: they parse each module under src/moutardnv/ (the package's
+__init__.py re-exports, so it is left out) and compare the names its imports
+or private definitions bind with the names its code reads, string
+annotations included.
 """
 
 import ast
@@ -64,3 +66,32 @@ def test_check_sees_an_unused_import():
     imported = _imported(tree)
     assert set(imported) == {"os", "a", "c"}
     assert {n for n in imported if n not in _used(tree)} == {"c"}
+
+
+def _unread_private(tree):
+    """name -> line for every module-level _-prefixed function or class that
+    no other top-level statement of the module reads."""
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")):
+            rest = ast.Module([n for n in tree.body if n is not node], [])
+            if node.name not in _used(rest):
+                out[node.name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_private_helpers(module):
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read())
+    unread = _unread_private(tree)
+    assert not unread, f"{module}: private helper never read: {unread}"
+
+
+def test_check_sees_an_unread_private_helper():
+    tree = ast.parse("def _a():\n    return _a()\n"
+                     "def _b():\n    return 1\n"
+                     "class _C:\n    pass\n"
+                     "def f(x: '_C'):\n    return _b()\n")
+    assert set(_unread_private(tree)) == {"_a"}
