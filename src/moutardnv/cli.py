@@ -53,6 +53,12 @@ def _pipeline(time: bool):
     return mt.double_w, fd.build_faddeev
 
 
+def _evolved_w(seed):
+    """The evolved seed and its extended W."""
+    es = nv.evolved_seed(seed)
+    return es, nv.extended_w(es)
+
+
 def cmd_potential(args) -> int:
     seed, time = hn.load_seed(args.seed)
     build_w, _ = _pipeline(time)
@@ -97,8 +103,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_nv_evolve(args) -> int:
     seed, _ = hn.load_seed(args.seed)
-    es = nv.evolved_seed(seed)
-    wt = nv.extended_w(es)
+    es, wt = _evolved_w(seed)
     sol = nv.nv_potentials(wt)
     print(f"p1(t) = {es.p1}")
     print(f"p2(t) = {es.p2}")
@@ -123,7 +128,7 @@ def cmd_nv_faddeev(args) -> int:
 def cmd_blowup(args) -> int:
     seed, _ = hn.load_seed(args.seed)
     wt = nv.extended_w(seed)
-    rep = nv.blowup_time(wt, refine_tol=args.tol or 1e-10)
+    rep = nv.blowup_time(wt, refine_tol=args.tol)
     if not rep.found:
         print("no_blowup")
         return 0
@@ -193,14 +198,15 @@ def cmd_verify(args) -> int:
 
             run("denominator-nonvanishing", nonvanish)
     else:
-        wt = run("extended-w", lambda: nv.extended_w(seed))
-        if wt is not None:
+        built = run("extended-w", lambda: _evolved_w(seed))
+        if built is not None:
+            es, wt = built
             def residual_zero():
                 if not nv.nv_residual(nv.nv_potentials(wt)).is_zero():
                     raise AlgebraError("evolution residual nonzero")
 
             run("evolution-residual-exact", residual_zero)
-            fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(seed, wt))
+            fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(es, wt))
             if fw is not None:
                 run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
             run("blowup-search", lambda: nv.blowup_time(wt))
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--seed", required=True)
         p.add_argument("--out")
-    sub.choices["blowup"].add_argument("--tol", type=float)
+    sub.choices["blowup"].add_argument("--tol", type=float, default=1e-10)
     grid = sub.choices["sample-grid"]
     grid.add_argument("--lambda", dest="lam")
     grid.add_argument("--t", type=float, default=0.0)

@@ -8,6 +8,8 @@ which is why it carries the whole eigenfunction pipeline.
 from __future__ import annotations
 
 import cmath
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 
@@ -18,8 +20,8 @@ from .errors import LambdaZeroError, ZeroPolynomial
 class WaveFn:
     """e^{lam z} * sum_k lam^{-k} f_k, with integer k of either sign.
 
-    coeffs maps k to f_k (MPoly, or RationalFn inside the residual checks);
-    negative keys carry positive powers of lam, which derivatives produce.
+    coeffs maps k to the MPoly f_k; negative keys carry positive powers of
+    lam, which derivatives produce.
     den, when set, is one shared MPoly denominator for every slot.
     """
 
@@ -134,16 +136,56 @@ def _acc(out, k, f):
     out[k] = f if s is None else s + f
 
 
+D_ZZBAR = {(1, 1, 0): 1}                                    # D_z D_zb
+D_TIME_LEG = {(0, 0, 1): 1, (3, 0, 0): -1, (0, 3, 0): -1}   # D_t - D_z^3 - D_zb^3
+_POLY_DIFFS = (MPoly.diff_z, MPoly.diff_zbar, MPoly.diff_t)
+
+
+def hirota(f, g: MPoly, form: dict):
+    """sum c D^a (f . g) over the items (a, c) of form, a = (m, n, p) the
+    orders in z, zb and t, for a wave or polynomial f and a polynomial g:
+    D^a (f . g) is the sum over b <= a of (-1)^|b| C(a, b) d^(a-b) f d^b g.
+
+    A wave's derivatives carry its phase.  The f-terms met by one derivative
+    of g are summed before the one product with it; for f is g the two
+    orders of a pair of derivatives share a product too.
+    """
+    wave = isinstance(f, WaveFn)
+    fdiffs = (wave_diff_z, wave_diff_zbar, wave_diff_t) if wave else _POLY_DIFFS
+    times = WaveFn.scale if wave else MPoly.__mul__
+    gcache = {(0, 0, 0): g}
+    fcache = gcache if f is g else {(0, 0, 0): f}
+    by_g = {}
+    for a, c in form.items():
+        for b in product(*(range(x + 1) for x in a)):
+            fb, gb = tuple(x - y for x, y in zip(a, b)), b
+            if f is g and fb < gb:
+                fb, gb = gb, fb
+            term = times(_partial(fcache, fdiffs, fb), c * (-1) ** sum(b) * prod(map(comb, a, b)))
+            by_g[gb] = by_g[gb] + term if gb in by_g else term
+    out = times(f, 0)
+    for gb, fsum in by_g.items():
+        out = out + times(fsum, _partial(gcache, _POLY_DIFFS, gb))
+    return out
+
+
+def _partial(cache: dict, diffs, b):
+    """d_z^i d_zb^j d_t^k of cache[(0, 0, 0)] for b = (i, j, k), memoized."""
+    if b not in cache:
+        axis = next(x for x in range(3) if b[x])
+        prev = tuple(v - (x == axis) for x, v in enumerate(b))
+        cache[b] = diffs[axis](_partial(cache, diffs, prev))
+    return cache[b]
+
+
 def wave_antideriv_z(w: WaveFn) -> WaveFn:
     """Exact z-antiderivative inside the wave class (no integration constant).
 
     Uses int e^{lam z} z^n dz = e^{lam z} * sum_{j=0..n} (-1)^j n!/(n-j)! z^{n-j} lam^{-(j+1)};
-    zb and t ride along.  Coefficients must be plain polynomials.
+    zb and t ride along.
     """
     out = {}
     for k, f in w.coeffs.items():
-        if not isinstance(f, MPoly):
-            raise TypeError("wave_antideriv_z needs polynomial coefficients")
         slots = {}        # j -> numerators of the lam^{-(k+j+1)} slot, over f's denominator
         for (n, m, p), (re, im) in f.numerators.items():
             fac = 1
@@ -191,8 +233,7 @@ def wave_eval_naive(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0
     phase = lam0 * complex(z0) + (lam0 ** 3 * t0 if w.time_phase else 0.0)
     total = 0.0 + 0.0j
     for k, f in w.coeffs.items():
-        val = f.eval_naive(z0, t0) if isinstance(f, MPoly) else f.eval(z0, t0)
-        total += lam0 ** (-k) * val
+        total += lam0 ** (-k) * f.eval_naive(z0, t0)
     if w.den is not None:
         total /= w.den.eval_naive(z0, t0)
     return cmath.exp(phase) * total

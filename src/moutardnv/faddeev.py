@@ -9,8 +9,7 @@ import numpy as np
 
 from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, ResidualNonzero
-from .exppoly import (WaveFn, exp_phase, wave_diff_z, wave_diff_zbar, wave_eval,
-                      wave_multiplier)
+from .exppoly import D_ZZBAR, WaveFn, exp_phase, hirota, wave_eval, wave_multiplier
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave
 
 
@@ -85,25 +84,30 @@ def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> Faddee
     return fw
 
 
-def slot_residual(fw: FaddeevWave, operator) -> MPoly:
-    """Apply a linear operator to the wave's multiplier, its lam-slots lifted
-    to fractions over W, and return the cleared numerator of the first
-    nonzero slot of the result: the zero polynomial exactly when every slot
-    clears."""
+def residual(fw: FaddeevWave) -> MPoly:
+    """Cleared numerator of (-4 d dbar + u) psi with the wave's own u: zero
+    exactly when psi is an eigenfunction.  A u other than -2*Laplacian(log w)
+    gives the numerator of the difference; with it, (-4 d dbar + u) psi is
+    -4 e^{lam z} D_z D_zb (chi . w) / w^2, read by `bilinear_residual`."""
+    gap = potential_gap(fw.u, fw.w, -4)
+    return gap if not gap.is_zero() else bilinear_residual(fw, D_ZZBAR)
+
+
+def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
+    """The first nonzero slot of hirota(chi, w, form) for the wave
+    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase);
+    a wave without a denominator has chi = w times its slots."""
     if fw.psi.den is not None and fw.psi.den != fw.w:
         raise ValueError("wave denominator must match the stored w")
-    k0 = 1 if fw.psi.den is not None else 0
-    mult = WaveFn({k: RationalFn(f, fw.w, k0) for k, f in fw.psi.coeffs.items()},
-                  fw.psi.time_phase)
-    res = operator(mult)
-    return res.coeffs[min(res.coeffs)].num if res.coeffs else MPoly.zero()
+    chi = WaveFn(fw.psi.coeffs, fw.psi.time_phase)
+    res = hirota(chi if fw.psi.den is not None else chi.scale(fw.w), fw.w, form)
+    return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
 
 
-def residual(fw: FaddeevWave) -> MPoly:
-    """Cleared numerator of (-4 d dbar + u) psi with the wave's own u, the
-    frame's -2*Laplacian(log w): zero exactly when psi is an eigenfunction,
-    else the first nonzero slot's."""
-    return slot_residual(fw, lambda m: wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(fw.u))
+def potential_gap(u: RationalFn, w: MPoly, c) -> MPoly:
+    """Cleared numerator of u - c D_z D_zb (w . w) / w^2, zero exactly when
+    u = 2c d dbar log w."""
+    return (u - RationalFn(hirota(w, w, D_ZZBAR) * c, w, 2)).num
 
 
 def frame_wave(frame: MoutardFrame, free: WaveFn) -> FaddeevWave:

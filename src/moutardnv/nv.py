@@ -16,8 +16,8 @@ import numpy.polynomial.polynomial as npp
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
-from .exppoly import WaveFn, wave_diff_t, wave_diff_z, wave_diff_zbar
-from .faddeev import FaddeevWave, frame_wave, slot_residual
+from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
+from .faddeev import FaddeevWave, bilinear_residual, frame_wave, potential_gap
 from .moutard import SeedPair, build_frame, double_w
 
 
@@ -43,11 +43,14 @@ def assert_evolved(p: MPoly) -> None:
 
 
 def evolved_seed(seed: SeedPair) -> SeedPair:
-    """Evolve a static seed in time; a t-dependent seed is validated instead."""
-    if seed.p1.deg_t() == 0 and seed.p2.deg_t() == 0:
-        return SeedPair(heat3_evolve(seed.p1), heat3_evolve(seed.p2), seed.c)
-    assert_evolved(seed.p1)
-    assert_evolved(seed.p2)
+    """Evolve a static seed in time.  A t-dependent seed is validated instead,
+    and so is a static seed of degree below 3, its own evolution; both are
+    returned as they are, so an evolved seed is never evolved again."""
+    p1, p2 = seed.p1, seed.p2
+    if p1.deg_t() == 0 and p2.deg_t() == 0 and max(p1.deg_z(), p2.deg_z()) >= 3:
+        return SeedPair(heat3_evolve(p1), heat3_evolve(p2), seed.c)
+    assert_evolved(p1)
+    assert_evolved(p2)
     return seed
 
 
@@ -127,15 +130,10 @@ def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
 
 def temporal_residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of d psi/dt - (d^3 + dbar^3 + 3V d + 3Vb dbar) psi,
-    slot by slot; zero exactly when the wave follows the evolution."""
-    v3 = log_derivative2(fw.w, MPoly.diff_z, MPoly.diff_z) * 6
-    vb3 = v3.conj_swap()
-
-    def operator(m):
-        d1, b1 = wave_diff_z(m), wave_diff_zbar(m)
-        d3, b3 = wave_diff_z(wave_diff_z(d1)), wave_diff_zbar(wave_diff_zbar(b1))
-        return wave_diff_t(m) - d3 - b3 - d1.scale(v3) - b1.scale(vb3)
-    return slot_residual(fw, operator)
+    V = 2 d^2 log w: for psi = e^{lam z + lam^3 t} chi / w it is
+    (D_t - D_z^3 - D_zb^3)(chi . w) / w^2, whose first nonzero slot is
+    returned; zero exactly when the wave follows the evolution."""
+    return bilinear_residual(fw, D_TIME_LEG)
 
 
 def kernel_mu(fw: FaddeevWave) -> dict:
@@ -272,8 +270,12 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     on the exact derivatives), refined by bisection; for q affine in t, an
     independent enumeration of the stationary points (a floating-point
     resultant, found by evaluation and Chebyshev interpolation) competes, and
-    the minimum with the cross-method spread is reported.
+    the minimum with the cross-method spread is reported.  The bisection
+    ends at refine_tol, which must be positive and finite, or where the
+    midpoint meets an end of the interval in floating point.
     """
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     q = normalize_real(q)
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
@@ -311,6 +313,8 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     witness = None
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         m, pt = slice_min(mid)
         if m <= 0.0:
             hi, witness = mid, pt
@@ -538,9 +542,10 @@ def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: floa
 
 
 def _eigen_check(num: MPoly, u: RationalFn) -> bool:
-    """(d dbar + U) (num/wt) = 0 exactly, with U = 2 d dbar log wt over wt^2."""
-    f = RationalFn(num, u.base, 1)
-    return (f.diff_z().diff_zbar() + u * f).num.is_zero()
+    """(d dbar + U) (num/wt) = 0 exactly for U = 2 d dbar log wt over wt^2,
+    which is D_z D_zb (num . wt) / wt^2; False when U is not that potential."""
+    wt = u.base
+    return potential_gap(u, wt, 1).is_zero() and hirota(num, wt, D_ZZBAR).is_zero()
 
 
 def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:

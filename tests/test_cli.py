@@ -41,6 +41,25 @@ def test_blowup_reference_output():
     assert line.endswith("witness=(-1,0)") or line.endswith("witness=(0,-1)")
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_blowup_tol_must_be_positive_and_finite(tol):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["blowup", "--seed", fixture_path("sec32.json"), f"--tol={tol}"])
+    assert rc == 2
+    assert "refine_tol must be positive and finite" in stderr.getvalue()
+
+
+def test_blowup_tol_below_float_spacing_terminates():
+    # the bisection stops where its midpoint rounds to an end of the interval
+    r = subprocess.run([sys.executable, "-m", "moutardnv.cli", "blowup", "--seed",
+                        fixture_path("sec32.json"), "--tol", "1e-300"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[("blowup", "sec32")][0]
+
+
 def test_potential_writes_json(tmp_path):
     out = tmp_path / "u.json"
     r = run_cli("potential", "--seed", fixture_path("sec22.json"), "--out", str(out))
@@ -277,7 +296,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert len(options) == 7
 
 
-BUILDERS = ("extended_w", "double_w", "build_frame", "log_derivative2")
+BUILDERS = ("extended_w", "double_w", "build_frame", "log_derivative2", "heat3_evolve")
 
 
 def _build_counts(fn):
@@ -297,11 +316,11 @@ BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                         "log_derivative2": 4}),
+                         "log_derivative2": 3}),
     ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
     ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "log_derivative2": 2}),
+                             "log_derivative2": 1}),
     ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
 ]
 
@@ -309,8 +328,9 @@ BUILD_COUNTS = [
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W, one frame and one potential per call; the time layer adds the
-    # (U, V) pair and the temporal residual's V, one log_derivative2 each
+    # one W, one frame and one potential per call, and verify's (U, V) pair,
+    # one log_derivative2 each; sec32's quadratics are their own evolution,
+    # so heat3_evolve never runs on it
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:

@@ -183,3 +183,10 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22):
     message = str(err.value)
     assert f"residual {len(res.terms)} terms, total degree" in message
     assert len(message) < 200 < len(str(res))
+
+
+def test_residual_checks_the_wave_against_its_u(seed22):
+    fw = build_faddeev(seed22)
+    res = residual(FaddeevWave(fw.psi, fw.u * 2, fw.w))
+    assert not res.is_zero()
+    assert res == fw.u.num                 # the numerator of 2u - u over W^2

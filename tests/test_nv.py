@@ -362,3 +362,20 @@ def test_temporal_residual_message_is_a_summary(seed32, monkeypatch):
     message = str(err.value)
     assert "residual 10 terms, total degree 9, leading term" in message
     assert len(message) < 200 < len(str(big))
+
+
+def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
+    fw = nv.nv_faddeev(seed32)
+    sol = nv.nv_potentials(fw.w)
+    n2 = fw.psi.coeffs[2]
+    harmonic = n2 + n2.conj_swap()
+    assert nv._eigen_check(harmonic, sol.u)
+    assert not nv._eigen_check(harmonic + fw.w * MPoly.var_z(), sol.u)
+    assert not nv._eigen_check(harmonic, sol.u * 2)
+
+
+def test_an_evolved_seed_is_not_evolved_again(seed32):
+    assert nv.evolved_seed(seed32) is seed32        # quadratics are their own evolution
+    cubic = SeedPair(MPoly.var_z() ** 3, MPoly.var_z(), gr(-20))
+    es = nv.evolved_seed(cubic)
+    assert es.p1.deg_t() == 1 and nv.evolved_seed(es) is es

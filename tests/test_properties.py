@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from moutardnv.algebra import GaussianRational, MPoly, laplace_log
+from moutardnv.algebra import GaussianRational, MPoly, RationalFn, laplace_log, log_derivative2
 from moutardnv.errors import AsymptoticMismatch
+from moutardnv.exppoly import (D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_diff_t, wave_diff_z,
+                               wave_diff_zbar)
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
-from moutardnv.moutard import SeedPair, build_frame
+from moutardnv.moutard import SeedPair, build_frame, potential
 from moutardnv import nv
 
 from conftest import gr
@@ -92,3 +94,73 @@ def test_nv_wave_random_seeds():
         sd = scattering_data(fw, validate=False)
         for c in sd.a_coeffs.values():
             assert isinstance(c, GaussianRational)   # exact, necessarily t-free
+
+
+def random_gr(rng):
+    return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                            Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+
+def random_real_w(rng):
+    """A real-valued W with t, of spatial degree 2-8 and a nonzero constant."""
+    d, a = rng.randint(2, 8), rng.randint(0, 8)
+    p = MPoly.monomial(min(a, d), d - min(a, d), 0, rng.randint(1, 5))
+    for _ in range(3):
+        i = rng.randint(0, d - 1)
+        p = p + MPoly.monomial(i, rng.randint(0, d - 1 - i), rng.randint(0, 1), random_gr(rng))
+    return p + p.conj_swap() + MPoly.const(rng.choice([-30, 30]))
+
+
+def random_wave(rng, time_phase):
+    """A wave with 1-3 polynomial slots in z, zb and t."""
+    coeffs = {}
+    for k in rng.sample(range(-1, 4), rng.randint(1, 3)):
+        coeffs[k] = sum((MPoly.monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 1),
+                                        random_gr(rng)) for _ in range(3)), MPoly.zero())
+    return WaveFn(coeffs, time_phase)
+
+
+def lifted(chi, w):
+    """chi / w with each slot lifted to a fraction over w."""
+    return WaveFn({k: RationalFn(f, w) for k, f in chi.coeffs.items()}, chi.time_phase)
+
+
+def over_w2(res, w, c=1):
+    return {k: RationalFn(f * c, w, 2) for k, f in res.coeffs.items()}
+
+
+def test_residuals_are_hirota_forms_over_w2():
+    """(-4 d dbar + u)(chi/W) = -4 D_z D_zb (chi . W) / W^2 and
+    (d_t - d^3 - dbar^3 - 3V d - 3Vb dbar)(chi/W) = (D_t - D_z^3 - D_zb^3)(chi . W) / W^2,
+    the left-hand sides differentiated as fractions over W."""
+    rng = random.Random(20261018)
+    for trial in range(30):
+        w = random_real_w(rng)
+        chi = random_wave(rng, time_phase=rng.random() < 0.5)
+        m = lifted(chi, w)
+        spatial = wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(potential(w))
+        assert spatial.coeffs == over_w2(hirota(chi, w, D_ZZBAR), w, -4), f"trial {trial}"
+        v3 = log_derivative2(w, MPoly.diff_z, MPoly.diff_z) * 6
+        d1, b1 = wave_diff_z(m), wave_diff_zbar(m)
+        time_leg = (wave_diff_t(m) - wave_diff_z(wave_diff_z(d1))
+                    - wave_diff_zbar(wave_diff_zbar(b1)) - d1.scale(v3) - b1.scale(v3.conj_swap()))
+        assert time_leg.coeffs == over_w2(hirota(chi, w, D_TIME_LEG), w), f"trial {trial}"
+
+
+def test_residual_work_is_bilinear(monkeypatch):
+    """fd.residual multiplies W-sized polynomials by slots, not lifted
+    fractions: at most a third of the 6938 MPoly term pairs that lifting
+    every slot to a fraction over W cost on this dense degree-3 seed."""
+    fw = build_faddeev(random_seed(random.Random(0), 3))
+    pairs = 0
+    mul = MPoly.__mul__
+
+    def counted(a, b):
+        nonlocal pairs
+        if isinstance(b, MPoly):
+            pairs += len(a.numerators) * len(b.numerators)
+        return mul(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    assert residual(fw).is_zero()
+    assert 0 < pairs <= 6938 // 3
