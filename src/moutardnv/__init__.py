@@ -3,7 +3,7 @@ eigenfunctions with exponential asymptotics, and blowing-up solutions of the
 associated integrable evolution, with symbolic residual verification and
 independent numeric cross-checks."""
 
-from .algebra import GaussianRational, MPoly, RationalFn, laplace_log
+from .algebra import GaussianRational, MPoly, RationalFn
 from .errors import (AlgebraError, AsymptoticMismatch, CompatibilityError,
                      ExponentOverflow, LambdaZeroError, NotEvolved, NotHarmonic,
                      NotHolomorphic, PoleError, ResidualNonzero,
@@ -14,7 +14,7 @@ from .faddeev import (FaddeevWave, ScatteringData, build_faddeev, faddeev_eval,
 from .harness import (DecayFit, GridSpec, decay_fit, fd_residual, load_seed,
                       sample_grid, save_seed, sign_check, write_grid_csv)
 from .moutard import (MoutardFrame, SeedPair, build_frame, double_w,
-                      harmonic_from_holomorphic, kernel_functions,
+                      harmonic_from_holomorphic, kernel_functions, laplace_log,
                       moutard_transform_wave, nonvanishing_certificate, potential)
 from .nv import (BlowupReport, NVSolution, blowup_time, extended_w, heat3_evolve,
                  kernel_mu, mu2_integrability, nv_faddeev, nv_potentials,

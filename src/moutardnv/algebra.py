@@ -791,17 +791,3 @@ def _strip_common(num: MPoly, den: MPoly):
     if scale != GR_ONE:
         num, den = num * (GR_ONE / scale), den * (GR_ONE / scale)
     return num, den
-
-
-def log_derivative2(w: MPoly, d1, d2) -> RationalFn:
-    """d1 d2 log w = (w * w_12 - w_1 * w_2) / w^2 for derivations d1, d2 of MPoly
-    (MPoly.diff_z, MPoly.diff_zbar)."""
-    if w.is_zero():
-        raise ZeroPolynomial("log of the zero polynomial")
-    w1 = d1(w)
-    return RationalFn(w * d2(w1) - w1 * d2(w), w, 2)
-
-
-def laplace_log(w: MPoly) -> RationalFn:
-    """Laplacian of log w: 4 d dbar log w."""
-    return log_derivative2(w, MPoly.diff_z, MPoly.diff_zbar) * 4

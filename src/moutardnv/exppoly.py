@@ -137,6 +137,7 @@ def _acc(out, k, f):
 
 
 D_ZZBAR = {(1, 1, 0): 1}                                    # D_z D_zb
+D_ZZ = {(2, 0, 0): 1}                                       # D_z^2
 D_TIME_LEG = {(0, 0, 1): 1, (3, 0, 0): -1, (0, 3, 0): -1}   # D_t - D_z^3 - D_zb^3
 _POLY_DIFFS = (MPoly.diff_z, MPoly.diff_zbar, MPoly.diff_t)
 
@@ -146,23 +147,26 @@ def hirota(f, g: MPoly, form: dict):
     orders in z, zb and t, for a wave or polynomial f and a polynomial g:
     D^a (f . g) is the sum over b <= a of (-1)^|b| C(a, b) d^(a-b) f d^b g.
 
-    A wave's derivatives carry its phase.  The f-terms met by one derivative
-    of g are summed before the one product with it; for f is g the two
-    orders of a pair of derivatives share a product too.
+    A wave's derivatives carry its phase.  Each pair of derivatives is scaled
+    once, by its summed weight, and the f-terms met by one derivative of g
+    share one product with it; for f is g, so do both orders of a pair.
     """
     wave = isinstance(f, WaveFn)
     fdiffs = (wave_diff_z, wave_diff_zbar, wave_diff_t) if wave else _POLY_DIFFS
     times = WaveFn.scale if wave else MPoly.__mul__
     gcache = {(0, 0, 0): g}
     fcache = gcache if f is g else {(0, 0, 0): f}
-    by_g = {}
+    weights = {}
     for a, c in form.items():
         for b in product(*(range(x + 1) for x in a)):
             fb, gb = tuple(x - y for x, y in zip(a, b)), b
             if f is g and fb < gb:
                 fb, gb = gb, fb
-            term = times(_partial(fcache, fdiffs, fb), c * (-1) ** sum(b) * prod(map(comb, a, b)))
-            by_g[gb] = by_g[gb] + term if gb in by_g else term
+            weights[gb, fb] = weights.get((gb, fb), 0) + c * (-1) ** sum(b) * prod(map(comb, a, b))
+    by_g = {}
+    for (gb, fb), c in weights.items():
+        term = times(_partial(fcache, fdiffs, fb), c)
+        by_g[gb] = by_g[gb] + term if gb in by_g else term
     out = times(f, 0)
     for gb, fsum in by_g.items():
         out = out + times(fsum, _partial(gcache, _POLY_DIFFS, gb))

@@ -173,7 +173,20 @@ def _gr_to_json(c: GaussianRational) -> dict:
 
 
 def _gr_from_json(d) -> GaussianRational:
-    return GaussianRational(Fraction(d["re"]), Fraction(d.get("im", "0")))
+    """{"re": x, "im": y} with y optional, each part a rational string or an int."""
+    if not isinstance(d, dict) or "re" not in d:
+        raise ValueError(f"a coefficient must be an object with 're', got {d!r}")
+    parts = (d["re"], d.get("im", "0"))
+    if not all(isinstance(x, str) or _is_int(x) for x in parts):
+        raise ValueError(f"coefficient parts must be strings or integers, got {d!r}")
+    try:
+        return GaussianRational(*map(Fraction, parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {d!r}") from None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def seed_to_json(seed: SeedPair, time: bool = False) -> dict:
@@ -190,14 +203,29 @@ def seed_to_json(seed: SeedPair, time: bool = False) -> dict:
 
 
 def seed_from_json(data: dict):
-    def poly(entries):
+    """The seed and its time flag; ValueError for any other shape than
+    {"p1": [[n, coefficient], ...], "p2": ..., "c": coefficient, "time": bool},
+    n an integer >= 0 and "time" optional."""
+    if not isinstance(data, dict):
+        raise ValueError("a seed must be a JSON object")
+
+    def poly(name):
+        entries = data[name]
+        if not isinstance(entries, list):
+            raise ValueError(f"{name} must be a list of [degree, coefficient] pairs")
         acc = MPoly.zero()
-        for n, c in entries:
-            acc = acc + MPoly.monomial(int(n), 0, 0, _gr_from_json(c))
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and _is_int(entry[0]) and entry[0] >= 0):
+                raise ValueError(f"{name}: expected [integer degree >= 0, coefficient], "
+                                 f"got {entry!r}")
+            acc = acc + MPoly.monomial(entry[0], 0, 0, _gr_from_json(entry[1]))
         return acc
 
-    seed = SeedPair(poly(data["p1"]), poly(data["p2"]), _gr_from_json(data["c"]))
-    return seed, bool(data.get("time", False))
+    time = data.get("time", False)
+    if not isinstance(time, bool):
+        raise ValueError(f"time must be true or false, got {time!r}")
+    return SeedPair(poly("p1"), poly("p2"), _gr_from_json(data["c"])), time
 
 
 def save_seed(path, seed: SeedPair, time: bool = False) -> None:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, horner, laplace_log
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, horner
 from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
-from .exppoly import (WaveFn, wave_antideriv_z, wave_diff_z, wave_diff_zbar)
+from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_diff_z, wave_diff_zbar
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,13 @@ def double_w(seed: SeedPair) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula:
     W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed."""
     return w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
+
+
+def laplace_log(w: MPoly) -> RationalFn:
+    """Laplacian of log w: 4 d dbar log w = 2 D_z D_zb (w . w) / w^2."""
+    if w.is_zero():
+        raise ZeroPolynomial("log of the zero polynomial")
+    return RationalFn(hirota(w, w, D_ZZBAR) * 2, w, 2)
 
 
 def potential(w: MPoly) -> RationalFn:

@@ -13,10 +13,10 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, log_derivative2
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
-from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
+from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
 from .faddeev import FaddeevWave, bilinear_residual, frame_wave, potential_gap
 from .moutard import SeedPair, build_frame, double_w
 
@@ -86,30 +86,32 @@ class NVSolution:
 
 
 def nv_potentials(wt: MPoly) -> NVSolution:
-    """U = 2 d dbar log Wt, V = 2 d^2 log Wt, with dbar V = d U asserted exactly."""
+    """U = 2 d dbar log Wt and V = 2 d^2 log Wt, the forms D_z D_zb and D_z^2 on
+    (Wt . Wt) over Wt^2, with dbar V = d U asserted exactly over Wt^3."""
     if wt.is_zero():
         raise ZeroPolynomial("potentials of Wt = 0")
-    u = log_derivative2(wt, MPoly.diff_z, MPoly.diff_zbar) * 2
-    v = log_derivative2(wt, MPoly.diff_z, MPoly.diff_z) * 2
-    if v.diff_zbar() != u.diff_z():
+    pu, pv = hirota(wt, wt, D_ZZBAR), hirota(wt, wt, D_ZZ)
+    if _diff_over_w2(pv, wt, MPoly.diff_zbar) != _diff_over_w2(pu, wt, MPoly.diff_z):
         raise TemporalResidualNonzero("dbar V != d U for this Wt")
-    return NVSolution(wt, u, v)
+    return NVSolution(wt, RationalFn(pu, wt, 2), RationalFn(pv, wt, 2))
 
 
 def nv_residual(sol: NVSolution) -> MPoly:
-    """Cleared numerator of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U);
-    the zero polynomial exactly when the pair evolves correctly."""
+    """Cleared numerator over Wt^3 of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U),
+    zero exactly when the pair evolves correctly.  As D_z^3 D_zb (Wt . Wt) / Wt^2 =
+    U_zz + 3VU, the equation is d_t (D_z D_zb) = d_z (D_z^3 D_zb) + d_zb (D_z D_zb^3)
+    for these forms on (Wt . Wt), each over Wt^2."""
     wt = sol.wt
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
-    u, v = sol.u, sol.v
-    vb = v.conj_swap()
-    res = u.diff_t()
-    res = res - u.diff_z().diff_z().diff_z()
-    res = res - u.diff_zbar().diff_zbar().diff_zbar()
-    res = res - (v * u).diff_z() * 3
-    res = res - (vb * u).diff_zbar() * 3
-    return res.num
+    return (_diff_over_w2(hirota(wt, wt, D_ZZBAR), wt, MPoly.diff_t)
+            - _diff_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
+            - _diff_over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, MPoly.diff_zbar))
+
+
+def _diff_over_w2(p: MPoly, w: MPoly, d) -> MPoly:
+    """Numerator over w^3 of d(p / w^2) for a derivation d of MPoly."""
+    return d(p) * w - p * d(w) * 2
 
 
 def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
@@ -525,8 +527,9 @@ def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: floa
         raise ValueError("wave has no lam^{-2} slot")
     mu2 = mus[2]
     n2 = mu2.num
-    hr = _eigen_check(n2 + n2.conj_swap(), sol.u)
-    hi = _eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u)
+    u_ok = potential_gap(sol.u, sol.wt, 1).is_zero()
+    hr = u_ok and _eigen_check(n2 + n2.conj_swap(), sol.u)
+    hi = u_ok and _eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u)
     decay = n2.total_degree_space() - mu2.base.total_degree_space()
     report = Mu2Report(hr, hi, decay)
 
@@ -542,10 +545,10 @@ def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: floa
 
 
 def _eigen_check(num: MPoly, u: RationalFn) -> bool:
-    """(d dbar + U) (num/wt) = 0 exactly for U = 2 d dbar log wt over wt^2,
-    which is D_z D_zb (num . wt) / wt^2; False when U is not that potential."""
-    wt = u.base
-    return potential_gap(u, wt, 1).is_zero() and hirota(num, wt, D_ZZBAR).is_zero()
+    """(d dbar + U) (num/wt) = 0 exactly for wt = u.base, which is
+    D_z D_zb (num . wt) / wt^2 when U = 2 d dbar log wt; that U is the
+    caller's to check (`mu2_integrability` does, once per report)."""
+    return hirota(num, u.base, D_ZZBAR).is_zero()
 
 
 def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:

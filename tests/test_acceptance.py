@@ -2,10 +2,10 @@
 
 import random
 
-from moutardnv.algebra import MPoly, RationalFn, laplace_log
+from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
 from moutardnv.harness import GridSpec, decay_fit, fd_residual, sign_check
-from moutardnv.moutard import build_frame
+from moutardnv.moutard import build_frame, laplace_log
 from moutardnv import nv
 
 from conftest import gr

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn,
-                               laplace_log)
+from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import ExponentOverflow, PoleError, ZeroPolynomial
+from moutardnv.moutard import laplace_log
 
 from conftest import T, Z, ZB, gr, poly, rf_equal_sympy, to_sympy
 

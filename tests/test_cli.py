@@ -10,6 +10,7 @@ import pytest
 
 from moutardnv import cli, nv
 from moutardnv import faddeev as fd
+from moutardnv.algebra import RationalFn
 from moutardnv.harness import load_seed
 from moutardnv.moutard import double_w, potential
 
@@ -139,11 +140,49 @@ def test_missing_seed_is_input_error():
     assert r.returncode == 2
 
 
-def test_malformed_seed_is_input_error(tmp_path):
+def _sec22_with(**changes):
+    with open(fixture_path("sec22.json")) as fh:
+        return json.dumps({**json.load(fh), **changes})
+
+
+MALFORMED_SEEDS = {
+    "not-json": "{not json",
+    "top-level-list": "[]",
+    "p1-number": _sec22_with(p1=5),
+    "bare-coefficient": _sec22_with(p1=[[2, 3]]),
+    "fractional-degree": _sec22_with(p1=[[1.5, {"re": "1"}]]),
+    "bool-degree": _sec22_with(p1=[[True, {"re": "1"}]]),
+    "negative-degree": _sec22_with(p1=[[-1, {"re": "1"}]]),
+    "float-part": _sec22_with(p1=[[1, {"re": 0.1}]]),
+    "zero-denominator": _sec22_with(p1=[[1, {"re": "1/0"}]]),
+    "c-number": _sec22_with(c=7),
+    "time-string": _sec22_with(time="no"),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SEEDS.values(), ids=MALFORMED_SEEDS.keys())
+def test_malformed_seed_is_input_error(tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    r = run_cli("potential", "--seed", str(bad))
-    assert r.returncode == 2
+    bad.write_text(text)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["potential", "--seed", str(bad)])
+    assert rc == 2
+    assert "input error" in stderr.getvalue()
+
+
+@pytest.mark.parametrize("name", ["sec22", "sec22_cubic", "sec32"])
+def test_verify_differentiates_no_fraction(name, monkeypatch):
+    # every residual verify checks is a polynomial numerator: none lifts a
+    # fraction through a derivative
+    def lifted(*_):
+        raise AssertionError("RationalFn derivative taken")
+
+    monkeypatch.setattr(RationalFn, "_diff", lifted)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", fixture_path(f"{name}.json")])
+    assert rc == 0, stdout.getvalue()
 
 
 def test_cli_determinism(tmp_path):
@@ -296,7 +335,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert len(options) == 7
 
 
-BUILDERS = ("extended_w", "double_w", "build_frame", "log_derivative2", "heat3_evolve")
+BUILDERS = ("extended_w", "double_w", "build_frame", "laplace_log", "nv_potentials",
+            "heat3_evolve")
 
 
 def _build_counts(fn):
@@ -313,24 +353,23 @@ def _build_counts(fn):
 
 
 BUILD_COUNTS = [
-    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
-    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
+    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                         "log_derivative2": 3}),
-    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
-    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+                         "laplace_log": 1, "nv_potentials": 1}),
+    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
+    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "log_derivative2": 1}),
-    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "log_derivative2": 1}),
+                             "laplace_log": 1}),
+    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
 ]
 
 
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W, one frame and one potential per call, and verify's (U, V) pair,
-    # one log_derivative2 each; sec32's quadratics are their own evolution,
-    # so heat3_evolve never runs on it
+    # one W, one frame and one potential per call, and verify's (U, V) pair;
+    # sec32's quadratics are their own evolution, so heat3_evolve never runs on it
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from moutardnv.algebra import GR_I, MPoly, RationalFn, laplace_log
+from moutardnv.algebra import GR_I, MPoly, RationalFn
 from moutardnv.errors import (CompatibilityError, NotHarmonic, NotHolomorphic,
                               ZeroPolynomial)
 from moutardnv.exppoly import WaveFn, wave_diff_z, wave_diff_zbar
 from moutardnv.moutard import (SeedPair, build_frame, double_w,
-                               harmonic_from_holomorphic, kernel_functions,
+                               harmonic_from_holomorphic, kernel_functions, laplace_log,
                                moutard_transform_wave, nonvanishing_certificate,
                                potential)
 

@@ -203,6 +203,17 @@ def test_blowup_trivial_cases():
     assert rep3.found and rep3.t_star == 0.0
 
 
+def test_blowup_where_the_enumeration_misses_the_minimum():
+    # W = -20 + 2t + S(x, y) with max S = 8 at (2, -2): t_star = 6 exactly
+    # (checked by sympy). The float enumeration misses that stationary point
+    # and reports 9.95 from another; grid and descent must give 6 on their own.
+    z = MPoly.var_z()
+    seed = SeedPair(z * z * gr("1/4"), z * gr(2, 1) + z * z * gr(1, "-3/4"), gr(-20))
+    rep = nv.blowup_time(nv.extended_w(seed))
+    assert rep.found and abs(rep.t_star - 6.0) < 1e-9
+    assert abs(rep.witness[0] - 2.0) < 1e-6 and abs(rep.witness[1] + 2.0) < 1e-6
+
+
 def _xy_poly(fn):
     """fn(x, y) for the real coordinates x = (z + zb)/2, y = (z - zb)/(2i)."""
     z, zb = MPoly.var_z(), MPoly.var_zbar()
@@ -371,7 +382,8 @@ def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
     harmonic = n2 + n2.conj_swap()
     assert nv._eigen_check(harmonic, sol.u)
     assert not nv._eigen_check(harmonic + fw.w * MPoly.var_z(), sol.u)
-    assert not nv._eigen_check(harmonic, sol.u * 2)
+    rep = nv.mu2_integrability(nv.NVSolution(sol.wt, sol.u * 2, sol.v), fw, [])
+    assert not rep.harmonic_real and not rep.harmonic_imag
 
 
 def test_an_evolved_seed_is_not_evolved_again(seed32):

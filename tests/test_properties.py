@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from moutardnv.algebra import GaussianRational, MPoly, RationalFn, laplace_log, log_derivative2
+from moutardnv.algebra import GaussianRational, MPoly, RationalFn
 from moutardnv.errors import AsymptoticMismatch
 from moutardnv.exppoly import (D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_diff_t, wave_diff_z,
                                wave_diff_zbar)
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
-from moutardnv.moutard import SeedPair, build_frame, potential
+from moutardnv.moutard import SeedPair, build_frame, laplace_log
 from moutardnv import nv
 
 from conftest import gr
@@ -129,6 +129,12 @@ def over_w2(res, w, c=1):
     return {k: RationalFn(f * c, w, 2) for k, f in res.coeffs.items()}
 
 
+def log_d2(w, d1, d2):
+    """d1 d2 log w = (w w_12 - w_1 w_2) / w^2, built here rather than by hirota."""
+    w1 = d1(w)
+    return RationalFn(w * d2(w1) - w1 * d2(w), w, 2)
+
+
 def test_residuals_are_hirota_forms_over_w2():
     """(-4 d dbar + u)(chi/W) = -4 D_z D_zb (chi . W) / W^2 and
     (d_t - d^3 - dbar^3 - 3V d - 3Vb dbar)(chi/W) = (D_t - D_z^3 - D_zb^3)(chi . W) / W^2,
@@ -138,20 +144,42 @@ def test_residuals_are_hirota_forms_over_w2():
         w = random_real_w(rng)
         chi = random_wave(rng, time_phase=rng.random() < 0.5)
         m = lifted(chi, w)
-        spatial = wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(potential(w))
+        u = log_d2(w, MPoly.diff_z, MPoly.diff_zbar) * -8
+        spatial = wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(u)
         assert spatial.coeffs == over_w2(hirota(chi, w, D_ZZBAR), w, -4), f"trial {trial}"
-        v3 = log_derivative2(w, MPoly.diff_z, MPoly.diff_z) * 6
+        v3 = log_d2(w, MPoly.diff_z, MPoly.diff_z) * 6
         d1, b1 = wave_diff_z(m), wave_diff_zbar(m)
         time_leg = (wave_diff_t(m) - wave_diff_z(wave_diff_z(d1))
                     - wave_diff_zbar(wave_diff_zbar(b1)) - d1.scale(v3) - b1.scale(v3.conj_swap()))
         assert time_leg.coeffs == over_w2(hirota(chi, w, D_TIME_LEG), w), f"trial {trial}"
 
 
-def test_residual_work_is_bilinear(monkeypatch):
-    """fd.residual multiplies W-sized polynomials by slots, not lifted
-    fractions: at most a third of the 6938 MPoly term pairs that lifting
-    every slot to a fraction over W cost on this dense degree-3 seed."""
-    fw = build_faddeev(random_seed(random.Random(0), 3))
+def lifted_nv_residual(w):
+    """U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U) for U = 2 d dbar log w and
+    V = 2 d^2 log w, differentiated and multiplied as fractions over w."""
+    u = log_d2(w, MPoly.diff_z, MPoly.diff_zbar) * 2
+    v = log_d2(w, MPoly.diff_z, MPoly.diff_z) * 2
+    return (u.diff_t() - u.diff_z().diff_z().diff_z() - u.diff_zbar().diff_zbar().diff_zbar()
+            - (v * u).diff_z() * 3 - (v.conj_swap() * u).diff_zbar() * 3)
+
+
+def test_nv_residual_is_the_lifted_residual(seed32):
+    """nv_residual's conservation form over W^3 equals the evolution equation
+    lifted through fractions, on W that evolve (sec32) and on W that do not."""
+    rng = random.Random(20261019)
+    zzb = MPoly.var_z() * MPoly.var_zbar()
+    ws = [random_real_w(rng) for _ in range(30)]
+    ws += [nv.extended_w(seed32), MPoly.const(1) + zzb + zzb * zzb]
+    zero = []
+    for trial, w in enumerate(ws):
+        res = nv.nv_residual(nv.nv_potentials(w))
+        assert RationalFn(res, w, 3) == lifted_nv_residual(w), f"trial {trial}"
+        zero.append(res.is_zero())
+    assert zero[-2] and zero.count(False) >= 20
+
+
+def term_pairs(monkeypatch, fn):
+    """fn() and the MPoly x MPoly term pairs multiplied while it runs."""
     pairs = 0
     mul = MPoly.__mul__
 
@@ -162,5 +190,26 @@ def test_residual_work_is_bilinear(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(MPoly, "__mul__", counted)
-    assert residual(fw).is_zero()
+    out = fn()
+    monkeypatch.undo()
+    return out, pairs
+
+
+def test_residual_work_is_bilinear(monkeypatch):
+    """fd.residual multiplies W-sized polynomials by slots, not lifted
+    fractions: at most a third of the 6938 MPoly term pairs that lifting
+    every slot to a fraction over W cost on this dense degree-3 seed."""
+    fw = build_faddeev(random_seed(random.Random(0), 3))
+    res, pairs = term_pairs(monkeypatch, lambda: residual(fw))
+    assert res.is_zero()
     assert 0 < pairs <= 6938 // 3
+
+
+def test_nv_residual_work_is_bilinear(seed32, monkeypatch):
+    """nv_residual multiplies W-sized polynomials, not lifted fractions: at
+    most a tenth of the 4703 MPoly term pairs that differentiating U and V as
+    fractions over W cost on sec32."""
+    sol = nv.nv_potentials(nv.extended_w(seed32))
+    res, pairs = term_pairs(monkeypatch, lambda: nv.nv_residual(sol))
+    assert res.is_zero()
+    assert 0 < pairs <= 4703 // 10
