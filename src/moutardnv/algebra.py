@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import ExponentOverflow, PoleError, ZeroPolynomial
 
 #: Per-variable exponent cap; terms beyond this signal malformed input.
@@ -24,10 +22,11 @@ def divide_off_poles(num, den, what: str, z0, t0):
     """num / den, where |den| < POLE_FLOOR * (1 + |num|) marks a pole: at one
     point that raises PoleError, in an array of points the value there is
     NaN (and no division by zero happens)."""
-    if not isinstance(den, np.ndarray):
+    if isinstance(den, (int, float, complex)):
         if abs(den) < POLE_FLOOR * (1.0 + abs(num)):
             raise PoleError(f"{what} ~ 0 at z={z0}, t={t0}")
         return num / den
+    import numpy as np
     off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
     return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
 
@@ -507,6 +506,7 @@ class MPoly:
         if isinstance(z0, (int, float, complex)):
             z0 = complex(z0)
         else:
+            import numpy as np
             z0 = np.asarray(z0, dtype=complex)
         zb0 = z0.conjugate()
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -21,7 +22,10 @@ from .exppoly import WaveFn
 
 def _parse_lambda(text: str) -> complex:
     re, im = text.split(",")
-    return complex(float(re), float(im))
+    lam = complex(float(re), float(im))
+    if lam == 0 or not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite and nonzero, got {text}")
+    return lam
 
 
 def _parse_grid(text: str, t: float) -> hn.GridSpec:
@@ -148,8 +152,8 @@ def cmd_sample_grid(args) -> int:
     grid = _parse_grid(args.grid, args.t)
     build_w, build_wave = _pipeline(time)
     if args.lam is not None:
-        fw = build_wave(seed)
         lam0 = _parse_lambda(args.lam)
+        fw = build_wave(seed)
         fn = lambda z, t: fd.faddeev_eval(fw, z, t, lam0)
     else:
         u = mt.potential(build_w(seed))

@@ -11,8 +11,6 @@ import cmath
 from itertools import product
 from math import comb, prod
 
-import numpy as np
-
 from .algebra import MPoly, divide_off_poles
 from .errors import LambdaZeroError, ZeroPolynomial
 
@@ -208,7 +206,11 @@ def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     lam0 = complex(lam0)
     if lam0 == 0 and any(k > 0 for k in w.coeffs):
         raise LambdaZeroError("lam = 0 with negative powers of lam present")
-    total = 0j if isinstance(z0, (int, float, complex)) else np.zeros(np.shape(z0), complex)
+    if isinstance(z0, (int, float, complex)):
+        total = 0j
+    else:
+        import numpy as np
+        total = np.zeros(np.shape(z0), complex)
     for k, f in w.coeffs.items():
         total += lam0 ** (-k) * f.eval(z0, t0)
     if w.den is None:
@@ -228,7 +230,10 @@ def exp_phase(lam0: complex, z0, t0=None):
     phase = lam0 * z0
     if t0 is not None:
         phase += lam0 ** 3 * t0
-    return cmath.exp(phase) if isinstance(phase, complex) else np.exp(phase)
+    if isinstance(phase, complex):
+        return cmath.exp(phase)
+    import numpy as np
+    return np.exp(phase)
 
 
 def wave_eval_naive(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> complex:

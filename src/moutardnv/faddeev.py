@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, exp_phase, hirota, wave_eval, wave_multiplier
@@ -174,6 +172,7 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData, radius: float, tol: floa
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
     so the Richardson estimate 2 g(2r) - g(r) meets the exact A to O(r^-2).
     Rays through a pole at either radius are skipped."""
+    import numpy as np
     ray = radius * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
     z = np.stack([ray, 2.0 * ray])
     for lam0 in (1.0, 0.7 + 0.4j):

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-import numpy as np
-
 from .algebra import GaussianRational, MPoly, RationalFn
 from .errors import PoleError
 from .exppoly import WaveFn, wave_eval
@@ -29,10 +27,14 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max,
+                                       self.t))):
+            raise ValueError("grid bounds and t must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid bounds must be increasing")
 
     def points(self):
+        import numpy as np
         xs = np.linspace(self.x_min, self.x_max, self.n)
         ys = np.linspace(self.y_min, self.y_max, self.n)
         return xs, ys
@@ -77,6 +79,7 @@ def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> 
     function of an array of points, NaN at a pole; a grid point is used when
     neither u nor psi has a pole on its stencil.
     """
+    import numpy as np
     z = _grid_points(grid)
     uc = u.eval(z, grid.t)
     res = []
@@ -97,6 +100,7 @@ def decay_fit(f: RationalFn, rays=None, r_range=(1e2, 1e4), n_samples: int = 40,
               t0: float = 0.0) -> DecayFit:
     """Least-squares slope of log|f| against log r along the given rays;
     poles and exact zeros are left out of each ray's fit."""
+    import numpy as np
     if rays is None:
         rays = [k * math.pi / 4 + 0.07 for k in range(8)]
     rs = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), n_samples)
@@ -131,6 +135,7 @@ def sign_check(u: RationalFn, grid: GridSpec, tol: float = 1e-9) -> SignReport:
     """Numeric maximum of a real-valued rational function over a grid, plus a
     symbolic nonpositivity certificate when the numerator factors as a
     negative constant times a hermitian square."""
+    import numpy as np
     xs, ys = grid.points()
     values = u.eval(_grid_points(grid), grid.t).real
     values[np.isnan(values)] = -np.inf          # a pole
@@ -284,6 +289,7 @@ def sample_grid(fn, grid: GridSpec):
     """Row-major sweep, y outer and x inner, of fn(z, t): a function of an
     array of points giving their complex values, NaN at a pole.  Points
     where fn has a pole are skipped."""
+    import numpy as np
     xs, ys = grid.points()
     values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
     finite = ~np.isnan(values)

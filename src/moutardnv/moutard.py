@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, horner
 from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_diff_z, wave_diff_zbar
@@ -176,6 +174,7 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
             return NonvanishingReport("zero-found", 0.0, 0, False, (0.0, 0.0), "zero constant")
         return NonvanishingReport("certified-positive", abs(float(c.re)), 1 if c.re > 0 else -1,
                                   True, None, "nonzero constant")
+    import numpy as np
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)

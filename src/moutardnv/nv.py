@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-import numpy.polynomial.polynomial as npp
-
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn
 from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
                      TemporalResidualNonzero, ZeroPolynomial)
@@ -182,8 +179,9 @@ def _horner_t(coeffs, t: float):
     return acc
 
 
-def _local_coeffs(q: MPoly) -> np.ndarray:
+def _local_coeffs(q: MPoly):
     """Coefficients [k, d, i, j] of z^i zb^j t^k in d = q, q_z, q_zz, q_zzb."""
+    import numpy as np
     qz = q.diff_z()
     out = np.zeros((q.deg_t() + 1, 4, q.deg_z() + 1, q.deg_zbar() + 1), dtype=complex)
     for d, p in enumerate((q, qz, qz.diff_z(), qz.diff_zbar())):
@@ -192,11 +190,12 @@ def _local_coeffs(q: MPoly) -> np.ndarray:
     return out
 
 
-def _slice_objective(local: np.ndarray, t: float, sign: float):
+def _slice_objective(local, t: float, sign: float):
     """Value, gradient and Hessian in (x, y) of sign * q(x + iy, t) for a
     real-valued q given by `_local_coeffs`: with z = x + iy,
     q_x = 2 Re q_z, q_y = -2 Im q_z, q_xx = 2 Re q_zz + 2 q_zzb,
     q_xy = -2 Im q_zz and q_yy = 2 q_zzb - 2 Re q_zz."""
+    import numpy as np
     m = _horner_t(local, t)
     ri, rj = np.arange(m.shape[1]), np.arange(m.shape[2])
 
@@ -278,6 +277,7 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     """
     if not 0.0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
+    import numpy as np
     q = normalize_real(q)
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
@@ -342,6 +342,7 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
 def _enumerate_affine(q: MPoly, t_max: float):
     """For q = a(x,y) t + b(x,y): minimize t(x,y) = -b/a over the stationary
     points of the gradient system, solved by resultant elimination."""
+    import numpy.polynomial.polynomial as npp
     a = q.diff_t()
     b = q.subs_t(0)
     if a.deg_t() > 0:
@@ -369,8 +370,9 @@ def _dy(p: MPoly) -> MPoly:
     return (p.diff_z() - p.diff_zbar()) * GR_I
 
 
-def _to_xy(p: MPoly) -> np.ndarray:
+def _to_xy(p: MPoly):
     """Real coefficient matrix C with p(x,y) = sum C[i,j] x^i y^j."""
+    import numpy as np
     if p.is_zero():
         return np.zeros((1, 1))
     dz, dzb = p.deg_z(), p.deg_zbar()
@@ -402,10 +404,10 @@ def _y_poly(C, x):
 
 
 def _xy_degrees(C):
-    nz = np.argwhere(np.abs(C) > 0)
-    if len(nz) == 0:
+    xs, ys = C.nonzero()
+    if len(xs) == 0:
         return None
-    return int(nz[:, 0].max()), int(nz[:, 1].max())
+    return int(xs.max()), int(ys.max())
 
 
 def _real_common_roots(C1, C2, span: float = 10.0):
@@ -413,6 +415,8 @@ def _real_common_roots(C1, C2, span: float = 10.0):
     computed by evaluation at sample x values and interpolation.  The x
     variable is scaled to [-1, 1] so the Chebyshev-node fit stays conditioned.
     """
+    import numpy as np
+    import numpy.polynomial.polynomial as npp
     d1 = _xy_degrees(C1)
     d2 = _xy_degrees(C2)
     if d1 is None or d2 is None:
@@ -461,6 +465,7 @@ def _real_common_roots(C1, C2, span: float = 10.0):
 def _polish_root(C1, C2, x0, y0):
     """Newton's method on the system C1(x, y) = C2(x, y) = 0 from (x0, y0),
     kept while each step lowers the residual."""
+    import numpy.polynomial.polynomial as npp
     jac = [[npp.polyder(C, axis=a) for a in (0, 1)] for C in (C1, C2)]
     x, y = float(x0), float(y0)
     res = (npp.polyval2d(x, y, C1), npp.polyval2d(x, y, C2))
@@ -494,6 +499,7 @@ def _sylvester_det(p, q):
         return p[0] ** m if m >= 0 else 1.0
     if m == 0:
         return q[0] ** n
+    import numpy as np
     S = np.zeros((n + m, n + m))
     for r in range(m):
         S[r, r:r + n + 1] = p[::-1]
@@ -553,6 +559,7 @@ def _eigen_check(num: MPoly, u: RationalFn) -> bool:
 
 def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
     """Integral of |mu2|^2 over |z| < r at time t0 (polar Riemann sum)."""
+    import numpy as np
     wt = mu2.base
     nr, ntheta = 240, 96
     rs = np.linspace(r / nr, r, nr)

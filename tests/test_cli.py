@@ -102,6 +102,43 @@ def test_sample_grid_csv(tmp_path):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("name,options", [("sec22", ["--lambda=1,0"]),
+                                          ("sec32", ["--t", "1"])])
+def test_sample_grid_in_a_fresh_interpreter_matches_in_process(name, options, tmp_path):
+    # the child loads numpy at its first float call; in process it is loaded already
+    argv = ["sample-grid", "--seed", fixture_path(f"{name}.json"), "--grid=-1.5,1,-1,1.5,4",
+            *options]
+    fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+    r = run_cli(*argv, "--out", str(fresh))
+    assert r.returncode == 0, r.stderr
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out", str(here)]) == 0
+    assert len(here.read_text().splitlines()) > 1
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+BAD_GRID_OPTIONS = {
+    "infinite-bound": ("sec22", ["--grid=-inf,3,-3,3,5"]),
+    "nan-t": ("sec22", ["--grid=-1,1,-1,1,5", "--t", "nan"]),
+    "nan-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=nan,0"]),
+    "infinite-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=1,inf"]),
+    "zero-lambda": ("sec32", ["--grid=-1,1,-1,1,5", "--lambda=0,0"]),
+}
+
+
+@pytest.mark.parametrize("name,options", BAD_GRID_OPTIONS.values(),
+                         ids=BAD_GRID_OPTIONS.keys())
+def test_sample_grid_bad_number_is_input_error(name, options, tmp_path):
+    out = tmp_path / "grid.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["sample-grid", "--seed", fixture_path(f"{name}.json"), *options,
+                       "--out", str(out)])
+    assert rc == 2, stdout.getvalue()
+    assert "input error" in stderr.getvalue()
+    assert not out.exists()
+
+
 def test_sample_grid_time_seed_samples_extended_w(tmp_path):
     # at t = 1 the time term of W changes u everywhere but at the origin,
     # which the grid leaves out
@@ -286,10 +323,35 @@ def test_oversized_seed_is_input_error(tmp_path):
         assert "exceeds cap" in stderr.getvalue()
 
 
+def _loaded_after(*argvs):
+    """In a fresh interpreter that imports moutardnv and moutardnv.cli and
+    then runs `cli.main` on each argv: the exit codes, and which of scipy and
+    numpy are loaded at the end."""
+    code = ("import contextlib, io, json, sys, moutardnv, moutardnv.cli\n"
+            "rcs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rcs.append(moutardnv.cli.main(argv))\n"
+            "print(json.dumps([rcs, sorted({'scipy', 'numpy'} & set(sys.modules))]))\n")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
 def test_import_does_not_load_scipy():
-    code = "import sys, moutardnv, moutardnv.cli; print('scipy' in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert r.returncode == 0 and r.stdout.strip() == "False"
+    # nor numpy, which only the numeric checks import, at their first call:
+    # the exact-only subcommands never load it, and verify's checks do
+    assert _loaded_after() == [[], []]
+    exact_only = [[command, "--seed", fixture_path(f"{name}.json")]
+                  for command in ("potential", "kernel", "faddeev", "nv-evolve")
+                  for name in ("sec22", "sec22_cubic", "sec32")]
+    rcs, loaded = _loaded_after(*exact_only)
+    assert loaded == []
+    # the cubic static seed does not evolve (NotEvolved); every other call succeeds
+    assert rcs == [1 if argv[0] == "nv-evolve" and "sec22_cubic" in argv[2] else 0
+                   for argv in exact_only]
+    assert _loaded_after(["verify", "--seed", fixture_path("sec22.json")]) == [[0], ["numpy"]]
 
 
 @pytest.mark.parametrize("time", [False, True])

@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module, and every
-module-level private function or class is read in its own module.
+"""Every name a library module imports is used in that module, every
+module-level private function or class is read in its own module, and no
+module imports numpy when it is itself imported.
 
 No linter is installed, so these are the unused-import and dead-helper
 checks: they parse each module under src/moutardnv/ (the package's
 __init__.py re-exports, so it is left out) and compare the names its imports
 or private definitions bind with the names its code reads, string
-annotations included.
+annotations included.  The numpy check parses __init__.py too: the exact
+chain runs without numpy, which only the functions that evaluate floats
+import, each in its own body.
 """
 
 import ast
@@ -14,7 +17,8 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "moutardnv")
-MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+ALL_MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+MODULES = [f for f in ALL_MODULES if f != "__init__.py"]
 
 
 def _imported(tree):
@@ -95,3 +99,35 @@ def test_check_sees_an_unread_private_helper():
                      "class _C:\n    pass\n"
                      "def f(x: '_C'):\n    return _b()\n")
     assert set(_unread_private(tree)) == {"_a"}
+
+
+def _eager_imports(tree):
+    """Top-level package of every absolute import that runs when the module
+    is imported: every import statement outside a function body."""
+    out = set()
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_level_numpy_import(module):
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read())
+    assert "numpy" not in _eager_imports(tree), f"{module} imports numpy when imported"
+
+
+def test_check_sees_a_module_level_import():
+    tree = ast.parse("import numpy.linalg as la\nfrom . import errors\n"
+                     "try:\n    from numpy import polynomial\nexcept ImportError:\n    pass\n"
+                     "class C:\n    import json\n"
+                     "def f():\n    import scipy\n"
+                     "    def g():\n        import math\n")
+    assert _eager_imports(tree) == {"numpy", "json"}
