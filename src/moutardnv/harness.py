@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 from .algebra import GaussianRational, MPoly, RationalFn
 from .errors import PoleError
@@ -32,6 +32,8 @@ class GridSpec:
             raise ValueError("grid bounds and t must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid bounds must be increasing")
+        if not all(map(math.isfinite, (self.x_max - self.x_min, self.y_max - self.y_min))):
+            raise ValueError("grid spans must be finite floats")
 
     def points(self):
         import numpy as np
@@ -278,20 +280,30 @@ def _fmt17(v: float) -> str:
 
 
 def write_grid_csv(path, rows) -> None:
-    """rows: iterable of (x, y, t, re, im), written with 17 significant digits."""
+    """rows: iterable of (x, y, t, re, im), written with 17 significant digits.
+    The first row is taken before the file is opened, so rows that raise at
+    once (as `sample_grid` does) leave no file."""
+    rows = iter(rows)
+    first = list(islice(rows, 1))
     with open(path, "w") as fh:
         fh.write("x,y,t,re,im\n")
-        for x, y, t, re, im in rows:
+        for x, y, t, re, im in chain(first, rows):
             fh.write(",".join(_fmt17(v) for v in (x, y, t, re, im)) + "\n")
 
 
 def sample_grid(fn, grid: GridSpec):
     """Row-major sweep, y outer and x inner, of fn(z, t): a function of an
     array of points giving their complex values, NaN at a pole.  Points
-    where fn has a pole are skipped."""
+    where fn has a pole are skipped.  ValueError when a value, or a step of
+    computing it, leaves float range (say W at a huge bound, W^2 below the
+    potential, or the wave's e^{lam z})."""
     import numpy as np
     xs, ys = grid.points()
-    values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
+        except FloatingPointError as exc:
+            raise ValueError(f"values on the grid leave float range ({exc})") from None
     finite = ~np.isnan(values)
     rows, cols = np.nonzero(finite)
     yield from zip(xs[cols].tolist(), ys[rows].tolist(), repeat(grid.t),

@@ -97,11 +97,14 @@ def nv_residual(sol: NVSolution) -> MPoly:
     """Cleared numerator over Wt^3 of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U),
     zero exactly when the pair evolves correctly.  As D_z^3 D_zb (Wt . Wt) / Wt^2 =
     U_zz + 3VU, the equation is d_t (D_z D_zb) = d_z (D_z^3 D_zb) + d_zb (D_z D_zb^3)
-    for these forms on (Wt . Wt), each over Wt^2."""
-    wt = sol.wt
+    for these forms on (Wt . Wt), each over Wt^2.  D_z D_zb (Wt . Wt) is read
+    off sol.u, whose numerator over Wt^2 `nv_potentials` stores as it is."""
+    wt, u = sol.wt, sol.u
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
-    return (_diff_over_w2(hirota(wt, wt, D_ZZBAR), wt, MPoly.diff_t)
+    if u.k != 2 or u.base != wt:
+        raise ValueError("nv_residual expects U over Wt^2, as nv_potentials builds it")
+    return (_diff_over_w2(u.num, wt, MPoly.diff_t)
             - _diff_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
             - _diff_over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, MPoly.diff_zbar))
 
@@ -148,13 +151,19 @@ def kernel_mu(fw: FaddeevWave) -> dict:
 @dataclass
 class BlowupReport:
     """First positive time at which the (normalized, real) denominator
-    acquires a real zero, with the witness point and method agreement."""
+    acquires a real zero, with the witness point.
+
+    `spread` is set when the enumeration of stationary points ran (q affine
+    in t): the gap between t_star from the grid and descent (closed, or
+    scanned) and the smallest t of the enumeration's stationary points.  It
+    is not an error bound: the enumeration misses the minimizing point on 13
+    of 18 seeds (sec32 and the benchmark's 17 blow-up time candidates)."""
 
     found: bool
     t_star: float = None
     witness: tuple = None
     method: str = ""
-    spread: float = None     # |grid+descent - enumeration| when both ran
+    spread: float = None
     detail: str = ""
 
 
@@ -266,32 +275,79 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
                 refine_tol: float = 1e-10, t_max: float = 10.0) -> BlowupReport:
     """t_star = inf{t > 0: the normalized real form of q has a real zero}.
 
-    Grid scan in t with per-slice spatial minimization (the grid argmin of the
-    slice, from precomputed t-coefficient grids, then a damped Newton descent
-    on the exact derivatives), refined by bisection; for q affine in t, an
-    independent enumeration of the stationary points (a floating-point
-    resultant, found by evaluation and Chebyshev interpolation) competes, and
-    the minimum with the cross-method spread is reported.  The bisection
-    ends at refine_tol, which must be positive and finite, or where the
-    midpoint meets an end of the interval in floating point.
+    The t-coefficients of q are evaluated once on the grid.  Where q(., 0)
+    changes sign there, t_star is 0.  Otherwise, with s its sign there, the
+    minimum of a slice is that of s q(., t), found by a damped Newton descent
+    on the exact derivatives from the slice's grid argmin.
+
+    When q = W0(x, y) + kappa t with a constant kappa (every degree-2 time
+    seed), the first zero is closed: one descent gives m0 = min s W0, and
+    t_star = m0 / |kappa| when s kappa < 0.  If m0 <= 0, W0 already
+    vanishes off the grid's nodes (between them or past the box) and t_star
+    is 0; if s kappa >= 0, or m0 / |kappa| > t_max, no zero is reported.  Any other q is scanned over
+    200 t-slices of (0, t_max], and the first slice whose minimum reaches
+    zero is refined by bisection (`_scan`); refine_tol must be positive and
+    finite, and ends that bisection.
+
+    For q affine in t, an independent enumeration of the stationary points
+    of t(x, y) (a floating-point resultant, found by evaluation and Chebyshev
+    interpolation) runs beside: a t below t_star + refine_tol replaces
+    t_star and the witness, and `spread` is the gap between the two.
     """
     if not 0.0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     import numpy as np
     q = normalize_real(q)
-    xmin, xmax, ymin, ymax = box
-    xs = np.linspace(xmin, xmax, grid_n)
-    ys = np.linspace(ymin, ymax, grid_n)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    grids = np.array([p.eval(Z).real for p in q.t_coefficients()])
-
+    X, Y, grids = _sample(q, box, grid_n)
     f0 = grids[0]
     if f0.min() <= 0.0 <= f0.max():
         idx = np.unravel_index(np.abs(f0).argmin(), f0.shape)
         return BlowupReport(True, 0.0, (float(X[idx]), float(Y[idx])),
                             "grid", 0.0, "zero already present at t = 0")
     sign = 1.0 if f0.min() > 0 else -1.0
+    slice_min = _slice_minimizer(q, X, Y, grids, sign)
+    kappa = _constant_slope(q)
+    if kappa is None:
+        hit = _scan(slice_min, t_max, refine_tol)
+    else:
+        m0, witness = slice_min(0.0)
+        if m0 <= 0.0:
+            return BlowupReport(True, 0.0, witness, "grid+descent", 0.0,
+                                "zero already present at t = 0")
+        hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
+    if hit is None or hit[0] > t_max:
+        return BlowupReport(False, None, None, "grid+descent", None,
+                            f"no zero for t in (0, {t_max}]")
+    t_star, witness = hit
+    method = "grid+descent"
+    spread = None
+
+    if q.deg_t() == 1:
+        enum = _enumerate_affine(q, t_max)
+        if enum is not None:
+            t_enum, w_enum = enum
+            spread = abs(t_enum - t_star)
+            if t_enum <= t_star + refine_tol:
+                t_star, witness = t_enum, w_enum
+            method = "grid+descent+enumeration"
+    return BlowupReport(True, t_star, witness, method, spread, "")
+
+
+def _sample(q: MPoly, box, grid_n: int):
+    """The grid_n x grid_n grid X, Y over box, and each t-coefficient of the
+    real-valued q evaluated on it."""
+    import numpy as np
+    xmin, xmax, ymin, ymax = box
+    X, Y = np.meshgrid(np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n))
+    Z = X + 1j * Y
+    return X, Y, np.array([p.eval(Z).real for p in q.t_coefficients()])
+
+
+def _slice_minimizer(q: MPoly, X, Y, grids, sign: float):
+    """slice_min(t): the minimum of sign * q(., t) and where it is, by a
+    damped Newton descent from the slice's argmin on the grid X, Y, where
+    `grids` are the t-coefficients of q."""
+    import numpy as np
     local = _local_coeffs(q)
 
     def slice_min(t):
@@ -299,19 +355,36 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
         idx = np.unravel_index(vals.argmin(), vals.shape)
         r = minimize(_slice_objective(local, t, sign), (X[idx], Y[idx]))
         return r.fun, r.x
+    return slice_min
 
-    ts = np.linspace(0.0, t_max, 201)
+
+def _constant_slope(q: MPoly):
+    """kappa, as a float, when the real-valued q is W0(x, y) + kappa t with a
+    constant kappa (zero when q has no t); None otherwise."""
+    if q.deg_t() > 1:
+        return None
+    slope = q.diff_t()
+    if not slope.is_constant():
+        return None
+    return complex(slope.constant_term()).real
+
+
+def _scan(slice_min, t_max: float, refine_tol: float):
+    """(t, witness) at the first of 200 t-slices of (0, t_max] whose minimum
+    reaches zero, refined by bisection until the interval is at most
+    refine_tol or its midpoint meets an end in floating point; None when no
+    slice reaches zero."""
+    import numpy as np
     lo = 0.0
     hi = None
-    for t in ts[1:]:
+    for t in np.linspace(0.0, t_max, 201)[1:]:
         m, _ = slice_min(float(t))
         if m <= 0.0:
             hi = float(t)
             break
         lo = float(t)
     if hi is None:
-        return BlowupReport(False, None, None, "grid+descent", None,
-                            f"no zero for t in (0, {t_max}]")
+        return None
     witness = None
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
@@ -322,21 +395,9 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
             hi, witness = mid, pt
         else:
             lo = mid
-    t_grid = hi
     if witness is None:
         _, witness = slice_min(hi)
-    method = "grid+descent"
-    spread = None
-
-    if q.deg_t() == 1:
-        enum = _enumerate_affine(q, t_max)
-        if enum is not None:
-            t_enum, w_enum = enum
-            spread = abs(t_enum - t_grid)
-            if t_enum <= t_grid + refine_tol:
-                t_grid, witness = t_enum, w_enum
-            method = "grid+descent+enumeration"
-    return BlowupReport(True, t_grid, witness, method, spread, "")
+    return hi, witness
 
 
 def _enumerate_affine(q: MPoly, t_max: float):

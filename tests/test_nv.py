@@ -1,11 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from moutardnv.algebra import GR_I, MPoly, RationalFn
+from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError,
                               SingularBeforeBlowup, TemporalResidualNonzero)
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
@@ -212,6 +215,89 @@ def test_blowup_where_the_enumeration_misses_the_minimum():
     rep = nv.blowup_time(nv.extended_w(seed))
     assert rep.found and abs(rep.t_star - 6.0) < 1e-9
     assert abs(rep.witness[0] - 2.0) < 1e-6 and abs(rep.witness[1] + 2.0) < 1e-6
+
+
+def test_blowup_affine_reference_is_closed(seed32):
+    # W = W0 - 12 t with min W0 = 29: t_star = 29/12 with no bisection tolerance
+    rep = nv.blowup_time(nv.extended_w(seed32))
+    assert abs(rep.t_star - 29.0 / 12.0) < 1e-12 and rep.spread < 1e-12
+
+
+def _paraboloid(z0, c, slope):
+    """|z - z0|^2 + c + slope * t."""
+    z, zb, t = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t()
+    return ((z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate()))
+            + MPoly.const(c) + t * slope)
+
+
+@pytest.mark.parametrize("slope", [-1, 0])
+def test_blowup_zero_between_grid_nodes_at_t0(slope):
+    # the t = 0 grid stays positive, but W0 dips to -1/10000 at z0 between its
+    # nodes: the zero is already there at t = 0, whatever the t term
+    z0 = gr("1/3", "2/7")
+    rep = nv.blowup_time(_paraboloid(z0, gr("-1/10000"), slope))
+    assert rep.found and rep.t_star == 0.0
+    assert rep.detail == "zero already present at t = 0"
+    assert abs(complex(*rep.witness) - complex(z0)) < 1e-6
+
+
+@pytest.mark.parametrize("c,slope,t_max", [(20, -1, 10.0),    # t_star = 20 > t_max
+                                           (1, 1, 10.0),      # s kappa > 0
+                                           (1, 0, 10.0),      # no t term
+                                           (1, -1, 0.5)])     # t_star = 1 > t_max
+def test_blowup_affine_without_a_zero_up_to_t_max(c, slope, t_max):
+    rep = nv.blowup_time(_paraboloid(gr("1/3", "2/7"), gr(c), slope), t_max=t_max)
+    assert not rep.found and rep.t_star is None and rep.witness is None
+    assert rep.detail == f"no zero for t in (0, {t_max}]"
+
+
+BOX, GRID_N = (-5.0, 5.0, -5.0, 5.0), 161
+_small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_coeff = st.builds(GaussianRational, _small, _small)
+
+
+@st.composite
+def degree2_time_w(draw):
+    """W of a degree-2 time seed, with constant terms in p1, p2 or without,
+    whose c sets the minimum of s W0 on the blow-up grid to a drawn margin
+    (s the sign of the |z|^4 term), so that every branch of the search shows."""
+    const = draw(st.booleans())
+
+    def holomorphic():
+        return sum((MPoly.monomial(n, 0, 0, draw(_coeff)) for n in range(0 if const else 1, 3)),
+                   MPoly.zero())
+
+    p1, p2 = holomorphic(), holomorphic()
+    w = nv.extended_w(SeedPair(p1, p2, gr(0)))
+    s = -1 if w.coeff(2, 2).re < 0 else 1
+    xs = np.linspace(BOX[0], BOX[1], GRID_N)
+    w0 = w.subs_t(0).eval(xs[None, :] + 1j * xs[:, None]).real
+    c = s * (draw(st.sampled_from([-1, 1, 3, 10, 40])) - math.floor((s * w0).min()))
+    return nv.extended_w(SeedPair(p1, p2, gr(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree2_time_w())
+def test_blowup_closed_form_agrees_with_the_scan(w):
+    # the enumeration may lower t_star, so it is left out of both sides
+    q = nv.normalize_real(w)
+    kappa = nv._constant_slope(q)
+    assert kappa is not None
+    with mock.patch.object(nv, "_enumerate_affine", lambda q, t_max: None):
+        rep = nv.blowup_time(w)
+    X, Y, grids = nv._sample(q, BOX, GRID_N)
+    f0 = grids[0]
+    if f0.min() <= 0.0 <= f0.max():
+        assert rep.found and rep.t_star == 0.0 and rep.method == "grid"
+        return
+    sign = 1.0 if f0.min() > 0 else -1.0
+    hit = nv._scan(nv._slice_minimizer(q, X, Y, grids, sign), 10.0, 1e-10)
+    if hit is None:
+        # the scan's first slice is at t_max / 200: a zero of W0 between grid
+        # nodes or past the box that the t term removes before then is missed
+        assert not rep.found or (rep.t_star == 0.0 and sign * kappa > 0.0)
+    else:
+        assert rep.found and abs(rep.t_star - hit[0]) <= 1e-10
 
 
 def _xy_poly(fn):
