@@ -139,7 +139,7 @@ def cmd_blowup(args) -> int:
     wx, wy = rep.witness
     print(f"t_star≈{rep.t_star:.6f} witness=({_fmt_coord(wx)},{_fmt_coord(wy)})")
     _write_json(args, {"t_star": rep.t_star, "witness": list(rep.witness),
-                       "method": rep.method, "spread": rep.spread})
+                       "method": rep.method})
     return 0
 
 

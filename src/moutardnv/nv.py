@@ -153,17 +153,14 @@ class BlowupReport:
     """First positive time at which the (normalized, real) denominator
     acquires a real zero, with the witness point.
 
-    `spread` is set when the enumeration of stationary points ran (q affine
-    in t): the gap between t_star from the grid and descent (closed, or
-    scanned) and the smallest t of the enumeration's stationary points.  It
-    is not an error bound: the enumeration misses the minimizing point on 13
-    of 18 seeds (sec32 and the benchmark's 17 blow-up time candidates)."""
+    `method` is "grid" when the denominator already changes sign on the
+    search grid at t = 0, and "grid+descent" otherwise.  The result is
+    numerical evidence from that search, not a certificate."""
 
     found: bool
     t_star: float = None
     witness: tuple = None
     method: str = ""
-    spread: float = None
     detail: str = ""
 
 
@@ -278,21 +275,20 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     The t-coefficients of q are evaluated once on the grid.  Where q(., 0)
     changes sign there, t_star is 0.  Otherwise, with s its sign there, the
     minimum of a slice is that of s q(., t), found by a damped Newton descent
-    on the exact derivatives from the slice's grid argmin.
+    on the exact derivatives from the slice's grid argmin; among equal grid
+    values the argmin is the node of least x, then of least y.
 
-    When q = W0(x, y) + kappa t with a constant kappa (every degree-2 time
-    seed), the first zero is closed: one descent gives m0 = min s W0, and
-    t_star = m0 / |kappa| when s kappa < 0.  If m0 <= 0, W0 already
+    One descent at t = 0 gives m0 = min s W0.  If m0 <= 0, W0 already
     vanishes off the grid's nodes (between them or past the box) and t_star
-    is 0; if s kappa >= 0, or m0 / |kappa| > t_max, no zero is reported.  Any other q is scanned over
-    200 t-slices of (0, t_max], and the first slice whose minimum reaches
-    zero is refined by bisection (`_scan`); refine_tol must be positive and
-    finite, and ends that bisection.
-
-    For q affine in t, an independent enumeration of the stationary points
-    of t(x, y) (a floating-point resultant, found by evaluation and Chebyshev
-    interpolation) runs beside: a t below t_star + refine_tol replaces
-    t_star and the witness, and `spread` is the gap between the two.
+    is 0; where that descent ended past the box, the witness is the zero of
+    W0 found by bisection on the segment back to its start (`_zero_between`).
+    When q = W0(x, y) + kappa t with a constant kappa (every degree-2 time
+    seed), the first zero is then closed: t_star = m0 / |kappa| when
+    s kappa < 0; if s kappa >= 0, or m0 / |kappa| > t_max, no zero is
+    reported.  Any other q is scanned over 200 t-slices of (0, t_max], and
+    the first slice whose minimum reaches zero is refined by bisection
+    (`_scan`); refine_tol must be positive and finite, and ends that
+    bisection.
     """
     if not 0.0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
@@ -303,42 +299,51 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     if f0.min() <= 0.0 <= f0.max():
         idx = np.unravel_index(np.abs(f0).argmin(), f0.shape)
         return BlowupReport(True, 0.0, (float(X[idx]), float(Y[idx])),
-                            "grid", 0.0, "zero already present at t = 0")
+                            "grid", "zero already present at t = 0")
     sign = 1.0 if f0.min() > 0 else -1.0
     slice_min = _slice_minimizer(q, X, Y, grids, sign)
+    m0, witness = slice_min(0.0)
+    if m0 <= 0.0:
+        xmin, xmax, ymin, ymax = box
+        if not (xmin <= witness[0] <= xmax and ymin <= witness[1] <= ymax):
+            idx = np.unravel_index((sign * f0).argmin(), f0.shape)
+            witness = _zero_between(lambda p: sign * q.eval(complex(*p)).real,
+                                    (float(X[idx]), float(Y[idx])), witness)
+        return BlowupReport(True, 0.0, witness, "grid+descent",
+                            "zero already present at t = 0")
     kappa = _constant_slope(q)
     if kappa is None:
         hit = _scan(slice_min, t_max, refine_tol)
     else:
-        m0, witness = slice_min(0.0)
-        if m0 <= 0.0:
-            return BlowupReport(True, 0.0, witness, "grid+descent", 0.0,
-                                "zero already present at t = 0")
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
     if hit is None or hit[0] > t_max:
-        return BlowupReport(False, None, None, "grid+descent", None,
+        return BlowupReport(False, None, None, "grid+descent",
                             f"no zero for t in (0, {t_max}]")
-    t_star, witness = hit
-    method = "grid+descent"
-    spread = None
+    return BlowupReport(True, hit[0], hit[1], "grid+descent", "")
 
-    if q.deg_t() == 1:
-        enum = _enumerate_affine(q, t_max)
-        if enum is not None:
-            t_enum, w_enum = enum
-            spread = abs(t_enum - t_star)
-            if t_enum <= t_star + refine_tol:
-                t_star, witness = t_enum, w_enum
-            method = "grid+descent+enumeration"
-    return BlowupReport(True, t_star, witness, method, spread, "")
+
+def _zero_between(f, a, b):
+    """A point where f <= 0 within DESCENT_XTOL (relative to 1 + |x|) of a
+    zero of f, by bisection of the segment from a, where f > 0, to b, where
+    f <= 0."""
+    while True:
+        scale = 1.0 + max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+        if max(abs(b[0] - a[0]), abs(b[1] - a[1])) <= DESCENT_XTOL * scale:
+            return b
+        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+        if f(mid) <= 0.0:
+            b = mid
+        else:
+            a = mid
 
 
 def _sample(q: MPoly, box, grid_n: int):
-    """The grid_n x grid_n grid X, Y over box, and each t-coefficient of the
-    real-valued q evaluated on it."""
+    """The grid_n x grid_n grid X, Y over box, indexed [x, y], and each
+    t-coefficient of the real-valued q evaluated on it."""
     import numpy as np
     xmin, xmax, ymin, ymax = box
-    X, Y = np.meshgrid(np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n))
+    X, Y = np.meshgrid(np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n),
+                       indexing="ij")
     Z = X + 1j * Y
     return X, Y, np.array([p.eval(Z).real for p in q.t_coefficients()])
 
@@ -398,175 +403,6 @@ def _scan(slice_min, t_max: float, refine_tol: float):
     if witness is None:
         _, witness = slice_min(hi)
     return hi, witness
-
-
-def _enumerate_affine(q: MPoly, t_max: float):
-    """For q = a(x,y) t + b(x,y): minimize t(x,y) = -b/a over the stationary
-    points of the gradient system, solved by resultant elimination."""
-    import numpy.polynomial.polynomial as npp
-    a = q.diff_t()
-    b = q.subs_t(0)
-    if a.deg_t() > 0:
-        return None
-    # stationary points of -b/a: a*b_x - b*a_x = 0, a*b_y - b*a_y = 0
-    g1 = _to_xy(a * _dx(b) - b * _dx(a))
-    g2 = _to_xy(a * _dy(b) - b * _dy(a))
-    ca, cb = _to_xy(a), _to_xy(b)
-    best = None
-    for x0, y0 in _real_common_roots(g1, g2):
-        av = npp.polyval2d(x0, y0, ca)
-        if abs(av) < 1e-12:
-            continue
-        t0 = -npp.polyval2d(x0, y0, cb) / av
-        if t0 > 1e-12 and t0 <= t_max and (best is None or t0 < best[0]):
-            best = (float(t0), (float(x0), float(y0)))
-    return best
-
-
-def _dx(p: MPoly) -> MPoly:
-    return p.diff_z() + p.diff_zbar()
-
-
-def _dy(p: MPoly) -> MPoly:
-    return (p.diff_z() - p.diff_zbar()) * GR_I
-
-
-def _to_xy(p: MPoly):
-    """Real coefficient matrix C with p(x,y) = sum C[i,j] x^i y^j."""
-    import numpy as np
-    if p.is_zero():
-        return np.zeros((1, 1))
-    dz, dzb = p.deg_z(), p.deg_zbar()
-    d = dz + dzb
-    C = np.zeros((d + 1, d + 1))
-    for (i, j, k), c in p.complex_terms():
-        if k > 0:
-            raise ValueError("spatial polynomial expected")
-        # (x+iy)^i (x-iy)^j expanded by binomials
-        zi = np.zeros((i + 1, i + 1), dtype=complex)
-        for m in range(i + 1):
-            zi[i - m, m] = math.comb(i, m) * (1j) ** m
-        zj = np.zeros((j + 1, j + 1), dtype=complex)
-        for m in range(j + 1):
-            zj[j - m, m] = math.comb(j, m) * (-1j) ** m
-        prod = np.zeros((i + j + 1, i + j + 1), dtype=complex)
-        for (mi, ni), cv in np.ndenumerate(zi):
-            if cv == 0:
-                continue
-            prod[mi:mi + j + 1, ni:ni + j + 1] += cv * zj
-        C[: i + j + 1, : i + j + 1] += (c * prod[: i + j + 1, : i + j + 1]).real
-    return C
-
-
-def _y_poly(C, x):
-    """Coefficients of y -> p(x, y), highest degree last."""
-    ny = C.shape[1]
-    return [sum(C[i, j] * x ** i for i in range(C.shape[0])) for j in range(ny)]
-
-
-def _xy_degrees(C):
-    xs, ys = C.nonzero()
-    if len(xs) == 0:
-        return None
-    return int(xs.max()), int(ys.max())
-
-
-def _real_common_roots(C1, C2, span: float = 10.0):
-    """Real solutions of the pair of bivariate polynomials via the y-resultant,
-    computed by evaluation at sample x values and interpolation.  The x
-    variable is scaled to [-1, 1] so the Chebyshev-node fit stays conditioned.
-    """
-    import numpy as np
-    import numpy.polynomial.polynomial as npp
-    d1 = _xy_degrees(C1)
-    d2 = _xy_degrees(C2)
-    if d1 is None or d2 is None:
-        return []
-    deg_bound = d1[0] * d2[1] + d2[0] * d1[1]
-    if deg_bound == 0:
-        return []
-    n_samp = deg_bound + 1
-    ss = np.cos(np.pi * (np.arange(n_samp) + 0.5) / n_samp)
-    dets = []
-    for s in ss:
-        p1 = _trim(_y_poly(C1, s * span))
-        p2 = _trim(_y_poly(C2, s * span))
-        dets.append(_sylvester_det(p1, p2))
-    dets = np.asarray(dets)
-    dscale = np.abs(dets).max()
-    if dscale == 0:
-        return []
-    coef = npp.polyfit(ss, dets / dscale, deg_bound)
-    scale = np.abs(coef).max()
-    coef = np.trim_zeros(np.where(np.abs(coef) > 1e-10 * scale, coef, 0.0), "b")
-    if len(coef) <= 1:
-        return []
-    roots = npp.polyroots(coef)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-6:
-            continue
-        x0 = float(r.real) * span
-        # y-roots of C1(x0, .) checked on C2, or of C2(x0, .) on C1 when C1
-        # has no y term there
-        ys, other = _trim(_y_poly(C1, x0)), C2
-        if len(ys) <= 1:
-            ys, other = _trim(_y_poly(C2, x0)), C1
-        if len(ys) <= 1:
-            continue
-        for yr in npp.polyroots(ys):
-            if abs(yr.imag) > 1e-6:
-                continue
-            y0 = float(yr.real)
-            if abs(npp.polyval2d(x0, y0, other)) < 1e-4 * (1.0 + np.abs(other).max()):
-                out.append(_polish_root(C1, C2, x0, y0))
-    return out
-
-
-def _polish_root(C1, C2, x0, y0):
-    """Newton's method on the system C1(x, y) = C2(x, y) = 0 from (x0, y0),
-    kept while each step lowers the residual."""
-    import numpy.polynomial.polynomial as npp
-    jac = [[npp.polyder(C, axis=a) for a in (0, 1)] for C in (C1, C2)]
-    x, y = float(x0), float(y0)
-    res = (npp.polyval2d(x, y, C1), npp.polyval2d(x, y, C2))
-    for _ in range(DESCENT_MAXITER):
-        (a, b), (c, d) = [[npp.polyval2d(x, y, D) for D in row] for row in jac]
-        det = a * d - b * c
-        if det == 0.0:
-            break
-        dx = (b * res[1] - d * res[0]) / det
-        dy = (c * res[0] - a * res[1]) / det
-        new = (npp.polyval2d(x + dx, y + dy, C1), npp.polyval2d(x + dx, y + dy, C2))
-        if not abs(new[0]) + abs(new[1]) < abs(res[0]) + abs(res[1]):
-            break
-        x, y, res = x + dx, y + dy, new
-    return float(x), float(y)
-
-
-def _trim(coeffs, tol=1e-12):
-    c = list(coeffs)
-    scale = max((abs(v) for v in c), default=0.0)
-    while c and abs(c[-1]) <= tol * max(scale, 1.0):
-        c.pop()
-    return c
-
-
-def _sylvester_det(p, q):
-    n, m = len(p) - 1, len(q) - 1
-    if n < 0 or m < 0:
-        return 0.0
-    if n == 0:
-        return p[0] ** m if m >= 0 else 1.0
-    if m == 0:
-        return q[0] ** n
-    import numpy as np
-    S = np.zeros((n + m, n + m))
-    for r in range(m):
-        S[r, r:r + n + 1] = p[::-1]
-    for r in range(n):
-        S[m + r, r:r + m + 1] = q[::-1]
-    return float(np.linalg.det(S))
 
 
 @dataclass

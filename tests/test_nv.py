@@ -189,10 +189,9 @@ def test_blowup_reference(seed32):
     rep = nv.blowup_time(wt)
     assert rep.found
     assert abs(rep.t_star - 29.0 / 12.0) < 1e-6
+    # W0 is least at (-1, 0) and (0, -1); the grid argmin takes the least x
     x, y = rep.witness
-    near = min(abs(x + 1) + abs(y), abs(x) + abs(y + 1))
-    assert near < 1e-4
-    assert rep.spread is not None and rep.spread < 1e-6
+    assert abs(x + 1) + abs(y) < 1e-4
 
 
 def test_blowup_trivial_cases():
@@ -208,8 +207,9 @@ def test_blowup_trivial_cases():
 
 def test_blowup_where_the_enumeration_misses_the_minimum():
     # W = -20 + 2t + S(x, y) with max S = 8 at (2, -2): t_star = 6 exactly
-    # (checked by sympy). The float enumeration misses that stationary point
-    # and reports 9.95 from another; grid and descent must give 6 on their own.
+    # (checked by sympy). A float enumeration of the stationary points of
+    # t(x, y) missed that point and gave 9.95 from another; grid and descent
+    # give 6.
     z = MPoly.var_z()
     seed = SeedPair(z * z * gr("1/4"), z * gr(2, 1) + z * z * gr(1, "-3/4"), gr(-20))
     rep = nv.blowup_time(nv.extended_w(seed))
@@ -220,7 +220,7 @@ def test_blowup_where_the_enumeration_misses_the_minimum():
 def test_blowup_affine_reference_is_closed(seed32):
     # W = W0 - 12 t with min W0 = 29: t_star = 29/12 with no bisection tolerance
     rep = nv.blowup_time(nv.extended_w(seed32))
-    assert abs(rep.t_star - 29.0 / 12.0) < 1e-12 and rep.spread < 1e-12
+    assert abs(rep.t_star - 29.0 / 12.0) < 1e-12
 
 
 def _paraboloid(z0, c, slope):
@@ -279,25 +279,13 @@ def degree2_time_w(draw):
 @settings(max_examples=40, deadline=None)
 @given(degree2_time_w())
 def test_blowup_closed_form_agrees_with_the_scan(w):
-    # the enumeration may lower t_star, so it is left out of both sides
-    q = nv.normalize_real(w)
-    kappa = nv._constant_slope(q)
-    assert kappa is not None
-    with mock.patch.object(nv, "_enumerate_affine", lambda q, t_max: None):
-        rep = nv.blowup_time(w)
-    X, Y, grids = nv._sample(q, BOX, GRID_N)
-    f0 = grids[0]
-    if f0.min() <= 0.0 <= f0.max():
-        assert rep.found and rep.t_star == 0.0 and rep.method == "grid"
-        return
-    sign = 1.0 if f0.min() > 0 else -1.0
-    hit = nv._scan(nv._slice_minimizer(q, X, Y, grids, sign), 10.0, 1e-10)
-    if hit is None:
-        # the scan's first slice is at t_max / 200: a zero of W0 between grid
-        # nodes or past the box that the t term removes before then is missed
-        assert not rep.found or (rep.t_star == 0.0 and sign * kappa > 0.0)
-    else:
-        assert rep.found and abs(rep.t_star - hit[0]) <= 1e-10
+    assert nv._constant_slope(nv.normalize_real(w)) is not None
+    rep = nv.blowup_time(w)
+    with mock.patch.object(nv, "_constant_slope", lambda q: None):
+        scan = nv.blowup_time(w)
+    assert (rep.found, rep.method, rep.detail) == (scan.found, scan.method, scan.detail)
+    if rep.found:
+        assert abs(rep.t_star - scan.t_star) <= 1e-10
 
 
 def _xy_poly(fn):
@@ -306,26 +294,36 @@ def _xy_poly(fn):
     return fn((z + zb) * gr("1/2"), (z - zb) * gr(0, "-1/2"))
 
 
+@pytest.mark.parametrize("tterm", [lambda t: t * t, lambda t: -t], ids=["t^2", "-t"])
+def test_blowup_zero_past_the_box_at_t0(tterm):
+    # W0 = 200 - x^3 + y^2 is positive on the grid but vanishes at
+    # (200^(1/3), 0), just past it; the t = 0 descent runs off along +x, and
+    # the witness is the zero on the way, whether W is affine in t or not
+    q = _xy_poly(lambda x, y: MPoly.const(200) - x * x * x + y * y) + tterm(MPoly.var_t())
+    rep = nv.blowup_time(q)
+    assert rep.found and rep.t_star == 0.0 and rep.method == "grid+descent"
+    assert rep.detail == "zero already present at t = 0"
+    assert abs(rep.witness[0] - 200 ** (1 / 3)) < 1e-6 and abs(rep.witness[1]) < 1e-6
+
+
 def test_blowup_shifted_paraboloid_is_exact():
-    # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0. The
-    # first stationarity equation, -2(x - x0) = 0, has no y term, so the
-    # enumeration must take y from the second.
+    # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0
     z0 = gr("1/3", "2/7")
     z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
     q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t
     rep = nv.blowup_time(q)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
-    assert rep.method == "grid+descent+enumeration" and rep.spread < 1e-9
+    assert rep.method == "grid+descent"
     assert abs(rep.witness[0] - 1 / 3) < 1e-9 and abs(rep.witness[1] - 2 / 7) < 1e-9
 
 
 def test_blowup_quadratic_in_t_uses_descent_alone():
-    # deg_t = 2: no enumeration, the grid scan and the descent give t_star and z0
+    # deg_t = 2: the grid scan and the descent give t_star and z0
     z0 = gr("-5/7", "3/11")
     z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
     q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t * t
     rep = nv.blowup_time(q)
-    assert rep.found and rep.method == "grid+descent" and rep.spread is None
+    assert rep.found and rep.method == "grid+descent"
     assert abs(rep.t_star - 1.0) < 1e-9
     assert abs(rep.witness[0] + 5 / 7) < 1e-9 and abs(rep.witness[1] - 3 / 11) < 1e-9
 
@@ -378,7 +376,8 @@ def test_minimize_backtracks_an_overshooting_newton_step():
 
 def test_slice_objective_matches_exact_xy_derivatives(seed32):
     q = nv.normalize_real(nv.extended_w(seed32))
-    dx, dy = nv._dx, nv._dy
+    dx = lambda p: p.diff_z() + p.diff_zbar()
+    dy = lambda p: (p.diff_z() - p.diff_zbar()) * GR_I
     exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
     for t, sign in ((0.7, 1.0), (2.1, -1.0)):
         fun = nv._slice_objective(nv._local_coeffs(q), t, sign)
@@ -388,18 +387,6 @@ def test_slice_objective_matches_exact_xy_derivatives(seed32):
             got = [f, gx, gy, hxx, hxy, hyy]
             assert hxy == hyx
             assert all(abs(a - b) < 1e-9 * (1 + abs(b)) for a, b in zip(got, ref))
-
-
-def test_real_common_roots_newton_polish():
-    # C1 = x^2 + y - (1/9 - 2/5), C2 = x + y^2 - (1/3 + 4/25): a simple root (1/3, -2/5)
-    c1 = np.zeros((3, 3))
-    c1[0, 0], c1[2, 0], c1[0, 1] = -(1 / 9 - 2 / 5), 1.0, 1.0
-    c2 = np.zeros((3, 3))
-    c2[0, 0], c2[1, 0], c2[0, 2] = -(1 / 3 + 4 / 25), 1.0, 1.0
-    roots = nv._real_common_roots(c1, c2)
-    assert min(abs(x - 1 / 3) + abs(y + 2 / 5) for x, y in roots) < 1e-12
-    x, y = nv._polish_root(c1, c2, 1 / 3 + 2e-2, -2 / 5 - 3e-2)
-    assert abs(x - 1 / 3) < 1e-12 and abs(y + 2 / 5) < 1e-12
 
 
 def test_normalize_real(seed32):
