@@ -1,13 +1,13 @@
 """Exact sparse polynomial and rational-function arithmetic over the Gaussian rationals.
 
 Variables are z, zb (the formal conjugate of z) and t.  All coefficients are
-exact; floating point only ever appears in the eval methods.
+exact; floating point only ever appears in the evaluators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ExponentOverflow, PoleError, ZeroPolynomial
 
@@ -523,6 +523,36 @@ class MPoly:
             return acc
         return np.full(z0.shape, acc, dtype=complex)
 
+    def xy_coefficients(self):
+        """The float array a with Re self(x + iy, 0) = sum a[m, n] x^m y^n,
+        from the terms free of t.
+
+        z^i zb^j = (x + iy)^i (x - iy)^j is expanded with binomials on the
+        Gaussian-integer numerators in Python ints, so each entry is exact
+        until its one division by the denominator.
+        """
+        import numpy as np
+        deg = max((i + j for (i, j, k) in self._c if k == 0), default=0)
+        acc = [[0] * (deg + 1) for _ in range(deg + 1)]
+        for (i, j, k), (re, im) in self._c.items():
+            if k:
+                continue
+            # x^(i+j-n) y^n with n = p + q carries i^n (-1)^q, and the real
+            # part of (re + i im) i^n runs through `parts` as n mod 4
+            parts = (re, -im, -re, im)
+            for p in range(i + 1):
+                cp = comb(i, p)
+                for q in range(j + 1):
+                    v = cp * comb(j, q) * parts[(p + q) % 4]
+                    acc[i + j - p - q][p + q] += -v if q % 2 else v
+        d = self._d
+        return np.array([[v / d for v in row] for row in acc])
+
+    def eval_grid(self, xs, ys):
+        """Re self(x + iy, 0) on the Cartesian grid of the 1-D axes xs and
+        ys, indexed [y, x]: `grid_product` of `xy_coefficients`."""
+        return grid_product(self.xy_coefficients(), xs, ys)
+
     def eval_naive(self, z0: complex, t0: float = 0.0) -> complex:
         z0 = complex(z0)
         zb0 = z0.conjugate()
@@ -592,6 +622,16 @@ def horner(pairs, x, inner=None):
     for _ in range(prev or 0):
         acc *= x
     return 0j if acc is None else acc
+
+
+def grid_product(a, xs, ys):
+    """sum a[m, n] x^m y^n at each point of the grid of the 1-D axes xs and
+    ys, indexed [y, x]: two matrix products V_y a^T V_x^T of the power tables
+    V_x[:, m] = xs^m and V_y[:, n] = ys^n."""
+    import numpy as np
+    vx = np.vander(xs, a.shape[0], increasing=True)
+    vy = np.vander(ys, a.shape[1], increasing=True)
+    return (vy @ a.T) @ vx.T
 
 
 def _set(p: MPoly, c: dict, d: int) -> None:

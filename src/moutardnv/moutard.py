@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, horner
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
 from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_diff_z, wave_diff_zbar
 
@@ -164,9 +164,10 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     """Check sign-definiteness of a real-valued W on a box plus its leading form.
 
     certified-positive means sign-definite: no sign change on the grid, |W|
-    above its rounding scale sum |c_ij||z|^(i+j) at every grid point, and the
-    leading homogeneous form has the same strict sign on a dense angular grid
-    (so no zero can hide outside the box).
+    above its rounding scale sum |a_mn||x|^m|y|^n (a from
+    `MPoly.xy_coefficients`) at every grid point, and the leading homogeneous
+    form has the same strict sign on a dense angular grid (so no zero can
+    hide outside the box).
     """
     if w.is_constant():
         c = w.constant_term()
@@ -178,22 +179,18 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)
-    Z = xs[None, :] + 1j * ys[:, None]
-    re = w.eval(Z).real                 # the certificate is for static W: t = 0
-    # the rounding scale of W(z), sum |c_ij| |z|^(i+j): one real Horner in |z|
-    by_degree = {0: 0.0}
-    for (i, j, k), coeff in w.complex_terms():
-        if k == 0:
-            by_degree[i + j] = by_degree.get(i + j, 0.0) + abs(coeff)
-    scale = horner(sorted(by_degree.items(), reverse=True), np.abs(Z))
-    near_zero = np.abs(re) <= 64 * np.finfo(float).eps * scale
-    if re.min() <= 0.0 <= re.max() or near_zero.any():
-        idx = np.unravel_index(np.abs(re).argmin(), re.shape)
-        return NonvanishingReport("zero-found", float(np.abs(re).min()), 0, False,
-                                  (float(xs[idx[1]]), float(ys[idx[0]])),
+    a = w.xy_coefficients()             # the certificate is for static W: t = 0
+    re = grid_product(a, xs, ys)        # indexed [y, x]
+    # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
+    scale = grid_product(np.abs(a), np.abs(xs), np.abs(ys))
+    mag = np.abs(re)
+    if re.min() <= 0.0 <= re.max() or (mag <= 64 * np.finfo(float).eps * scale).any():
+        iy, ix = np.unravel_index(mag.argmin(), re.shape)
+        return NonvanishingReport("zero-found", float(mag[iy, ix]), 0, False,
+                                  (float(xs[ix]), float(ys[iy])),
                                   "sign change or zero on grid")
     sign = 1 if re.min() > 0 else -1
-    grid_min_abs = float(np.abs(re).min())
+    grid_min_abs = float(mag.min())
 
     d = w.total_degree_space()
     lead = MPoly.from_numerators({e: c for e, c in w.numerators.items()

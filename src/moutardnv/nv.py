@@ -294,21 +294,21 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     import numpy as np
     q = normalize_real(q)
-    X, Y, grids = _sample(q, box, grid_n)
+    xs, ys, grids = _sample(q, box, grid_n)
     f0 = grids[0]
     if f0.min() <= 0.0 <= f0.max():
-        idx = np.unravel_index(np.abs(f0).argmin(), f0.shape)
-        return BlowupReport(True, 0.0, (float(X[idx]), float(Y[idx])),
+        ix, iy = np.unravel_index(np.abs(f0).argmin(), f0.shape)
+        return BlowupReport(True, 0.0, (float(xs[ix]), float(ys[iy])),
                             "grid", "zero already present at t = 0")
     sign = 1.0 if f0.min() > 0 else -1.0
-    slice_min = _slice_minimizer(q, X, Y, grids, sign)
+    slice_min = _slice_minimizer(q, xs, ys, grids, sign)
     m0, witness = slice_min(0.0)
     if m0 <= 0.0:
         xmin, xmax, ymin, ymax = box
         if not (xmin <= witness[0] <= xmax and ymin <= witness[1] <= ymax):
-            idx = np.unravel_index((sign * f0).argmin(), f0.shape)
+            ix, iy = np.unravel_index((sign * f0).argmin(), f0.shape)
             witness = _zero_between(lambda p: sign * q.eval(complex(*p)).real,
-                                    (float(X[idx]), float(Y[idx])), witness)
+                                    (float(xs[ix]), float(ys[iy])), witness)
         return BlowupReport(True, 0.0, witness, "grid+descent",
                             "zero already present at t = 0")
     kappa = _constant_slope(q)
@@ -338,27 +338,26 @@ def _zero_between(f, a, b):
 
 
 def _sample(q: MPoly, box, grid_n: int):
-    """The grid_n x grid_n grid X, Y over box, indexed [x, y], and each
-    t-coefficient of the real-valued q evaluated on it."""
+    """The axes xs, ys of the grid_n x grid_n grid over box, and each
+    t-coefficient of the real-valued q evaluated on that grid (`eval_grid`),
+    indexed [x, y]."""
     import numpy as np
     xmin, xmax, ymin, ymax = box
-    X, Y = np.meshgrid(np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n),
-                       indexing="ij")
-    Z = X + 1j * Y
-    return X, Y, np.array([p.eval(Z).real for p in q.t_coefficients()])
+    xs, ys = np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n)
+    return xs, ys, np.array([p.eval_grid(xs, ys).T for p in q.t_coefficients()])
 
 
-def _slice_minimizer(q: MPoly, X, Y, grids, sign: float):
+def _slice_minimizer(q: MPoly, xs, ys, grids, sign: float):
     """slice_min(t): the minimum of sign * q(., t) and where it is, by a
-    damped Newton descent from the slice's argmin on the grid X, Y, where
-    `grids` are the t-coefficients of q."""
+    damped Newton descent from the slice's argmin on the grid of the axes
+    xs, ys, where `grids` are the t-coefficients of q indexed [x, y]."""
     import numpy as np
     local = _local_coeffs(q)
 
     def slice_min(t):
         vals = sign * _horner_t(grids, t)
-        idx = np.unravel_index(vals.argmin(), vals.shape)
-        r = minimize(_slice_objective(local, t, sign), (X[idx], Y[idx]))
+        ix, iy = np.unravel_index(vals.argmin(), vals.shape)
+        r = minimize(_slice_objective(local, t, sign), (xs[ix], ys[iy]))
         return r.fun, r.x
     return slice_min
 

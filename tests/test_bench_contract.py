@@ -7,9 +7,11 @@ import os
 import sys
 import tracemalloc
 
+import numpy as np
+
 from moutardnv import nv
 from moutardnv.algebra import MPoly
-from moutardnv.moutard import build_frame, nonvanishing_certificate
+from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -82,10 +84,32 @@ def test_traced_blowup_counts_minimize_calls(seed32):
     assert agg["nv.minimize"]["nfev"] >= len(calls)
 
 
+def test_nonvanishing_certificate_matches_eval_on_static_candidates():
+    """On every static candidate of the benchmark the certificate, which
+    evaluates W in its x-y basis, agrees with the sign of W.eval on the same
+    201 x 201 grid."""
+    wl = bench_module("workloads")
+    xs = np.linspace(-10.0, 10.0, 201)
+    grid = xs[None, :] + 1j * xs[:, None]
+    counts = {}
+    for name, (seed, _) in wl.static_candidates().items():
+        w = double_w(seed)
+        rep = nonvanishing_certificate(w)
+        values = w.eval(grid).real
+        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+        if rep.verdict == "certified-positive":
+            assert (rep.sign * values > 0).all(), name
+        else:
+            assert rep.verdict == "zero-found", name
+            assert values.min() <= 0.0 <= values.max(), name
+    assert counts == {"certified-positive": 99, "zero-found": 149}
+
+
 def test_nonvanishing_certificate_memory_peak():
     """The benchmark bounds the peak RSS of the static ops, and the
-    certificate's 201 x 201 grid is their largest allocation: evaluating W
-    there builds no table of powers and stays within 4.0 MiB."""
+    certificate's 201 x 201 grid is their largest allocation: W is evaluated
+    there as two matrix products of 1-D power tables, and its rounding scale
+    as two more, within 2.0 MiB."""
     wl = bench_module("workloads")
     pool = wl.static_pool(wl.load_goldens())
     seed = next(s for s, d in pool.values() if d == 5)
@@ -97,4 +121,19 @@ def test_nonvanishing_certificate_memory_peak():
     finally:
         tracemalloc.stop()
     assert rep.verdict != "zero-found"
-    assert peak <= 4.0 * 2 ** 20
+    assert peak <= 2.0 * 2 ** 20
+
+
+def test_blowup_time_memory_peak(seed32):
+    """The time ops' largest allocation is the blow-up search's 161 x 161
+    grid, one array per t-coefficient of W, evaluated from 1-D power tables
+    without a mesh of points: within 2.0 MiB on sec32."""
+    wt = nv.extended_w(seed32)
+    tracemalloc.start()
+    try:
+        rep = nv.blowup_time(wt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.found and rep.witness == (-1.0, 0.0)
+    assert peak <= 2.0 * 2 ** 20

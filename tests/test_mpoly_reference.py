@@ -3,7 +3,8 @@
 The reference keeps each polynomial as a dict (i, j, k) -> (re, im) of
 Fractions and implements every operation term by term, the way the core did
 before it moved to Gaussian-integer numerators over one denominator.  The
-array evaluator is checked against the term-by-term `eval_naive`.
+array evaluator is checked against the term-by-term `eval_naive`, and the
+x-y basis of the grid evaluator against sympy's expansion of W(x + iy).
 """
 
 import math
@@ -12,9 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
+from conftest import Z, ZB, to_sympy
 
 from moutardnv import nv
-from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly
+from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly, grid_product
 from moutardnv.errors import ExponentOverflow
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev, faddeev_eval
@@ -183,6 +186,68 @@ def test_scalar_eval_returns_python_complex():
         assert abs(got - v) <= 1e-12 * rounding_scale(p, z0, 0.25)
     assert type(MPoly.zero().eval(1j)) is complex
     assert (MPoly.const(3).eval(z) == 3).all() and (MPoly.zero().eval(z) == 0).all()
+
+
+def random_real_w(rng, degree, constant, with_t=False):
+    """q + conj(q) for a random q with z- and zb-degree up to `degree`, one
+    term reaching it; the constant term kept or dropped."""
+    terms = {(degree, rng.randint(0, degree), 0): 1}
+    for _ in range(rng.randint(1, 10)):
+        k = rng.randint(0, 2) if with_t else 0
+        terms[(rng.randint(0, degree), rng.randint(0, degree), k)] = GaussianRational(
+            Fraction(rng.randint(-60, 60), rng.choice(DENOMINATORS)),
+            Fraction(rng.randint(-60, 60), rng.choice(DENOMINATORS)))
+    q = MPoly(terms)
+    w = q + q.conj_swap()
+    if not constant:
+        w = w - MPoly.const(w.constant_term())
+    assert w.is_real_valued() and w.deg_z() == w.deg_zbar() == degree
+    return w
+
+
+def real_ws(seed):
+    rng = random.Random(seed)
+    for degree in range(1, 7):
+        for constant in (True, False):
+            yield random_real_w(rng, degree, constant)
+
+
+def test_xy_coefficients_match_sympy_expansion():
+    x, y = sp.symbols("x y", real=True)
+    for w in real_ws(1618):
+        expr = sp.expand(to_sympy(w).subs({Z: x + sp.I * y, ZB: x - sp.I * y}))
+        want = {}
+        for (m, n), c in sp.Poly(expr, x, y).as_dict().items():
+            assert c.is_rational
+            want[(m, n)] = c.p / c.q
+        a = w.xy_coefficients()
+        got = {(m, n): v for (m, n), v in np.ndenumerate(a) if v}
+        assert got == want
+        assert a.shape == (w.total_degree_space() + 1,) * 2
+
+
+def test_eval_grid_matches_naive_within_xy_rounding_scale():
+    rng = random.Random(4669)
+    for w in real_ws(2718):
+        xs = np.array(sorted(rng.uniform(-3, 3) for _ in range(7)))
+        ys = np.array(sorted(rng.uniform(-3, 3) for _ in range(5)))
+        got = w.eval_grid(xs, ys)
+        assert got.shape == (len(ys), len(xs))
+        want = np.array([[w.eval_naive(complex(x0, y0)).real for x0 in xs] for y0 in ys])
+        scale = grid_product(np.abs(w.xy_coefficients()), np.abs(xs), np.abs(ys))
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+def test_eval_grid_reads_the_terms_at_t_zero():
+    rng = random.Random(31)
+    xs, ys = np.linspace(-2, 2, 9), np.linspace(-1, 3, 4)
+    for degree in range(1, 7):
+        w = random_real_w(rng, degree, True, with_t=True)
+        assert w.deg_t() > 0
+        assert np.array_equal(w.eval_grid(xs, ys), w.subs_t(0).eval_grid(xs, ys))
+        assert np.array_equal(w.xy_coefficients(), w.subs_t(0).xy_coefficients())
+    t_only = MPoly.var_t() * 3
+    assert (t_only.eval_grid(xs, ys) == 0).all()
 
 
 @pytest.mark.parametrize("wave", ["static", "conjugate", "time"])
