@@ -4,20 +4,18 @@ associated integrable evolution, with symbolic residual verification and
 independent numeric cross-checks."""
 
 from .algebra import GaussianRational, MPoly, RationalFn
-from .errors import (AlgebraError, AsymptoticMismatch, CompatibilityError,
-                     ExponentOverflow, LambdaZeroError, NotEvolved, NotHarmonic,
-                     NotHolomorphic, PoleError, ResidualNonzero,
-                     SingularBeforeBlowup, TemporalResidualNonzero, ZeroPolynomial)
+from .errors import (AlgebraError, AsymptoticMismatch, CoefficientOverflow,
+                     CompatibilityError, ExponentOverflow, LambdaZeroError, NotEvolved,
+                     NotHarmonic, NotHolomorphic, PoleError, ResidualNonzero,
+                     TemporalResidualNonzero, ZeroPolynomial)
 from .exppoly import WaveFn, wave_eval
-from .faddeev import (FaddeevWave, ScatteringData, build_faddeev, faddeev_eval,
-                      faddeev_superpose, residual, scattering_data)
-from .harness import (DecayFit, GridSpec, decay_fit, fd_residual, load_seed,
-                      sample_grid, save_seed, sign_check, write_grid_csv)
+from .faddeev import (FaddeevWave, ScatteringData, build_faddeev, faddeev_superpose,
+                      residual, scattering_data)
+from .harness import GridSpec, fd_residual, load_seed, sample_grid, save_seed, write_grid_csv
 from .moutard import (MoutardFrame, SeedPair, build_frame, double_w,
                       harmonic_from_holomorphic, kernel_functions, laplace_log,
                       moutard_transform_wave, nonvanishing_certificate, potential)
 from .nv import (BlowupReport, NVSolution, blowup_time, extended_w, heat3_evolve,
-                 kernel_mu, mu2_integrability, nv_faddeev, nv_potentials,
-                 nv_residual, temporal_residual)
+                 kernel_mu, nv_faddeev, nv_potentials, nv_residual, temporal_residual)
 
 __version__ = "1.0.0"

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import ExponentOverflow, PoleError, ZeroPolynomial
+from .errors import CoefficientOverflow, ExponentOverflow, PoleError, ZeroPolynomial
 
 #: Per-variable exponent cap; terms beyond this signal malformed input.
 MAX_EXPONENT = 64
@@ -29,6 +29,17 @@ def divide_off_poles(num, den, what: str, z0, t0):
     import numpy as np
     off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
     return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
+
+
+def _to_float(n: int, d: int) -> float:
+    """The exact n / d as a float; CoefficientOverflow when it is beyond
+    float range.  Every exact coefficient a numeric check reads passes here."""
+    try:
+        return n / d
+    except OverflowError:
+        raise CoefficientOverflow(
+            f"a coefficient near 2^{n.bit_length() - d.bit_length()} is beyond float range"
+        ) from None
 
 
 def _as_fraction(x) -> Fraction:
@@ -104,7 +115,9 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        re, im = self.re, self.im
+        return (complex(_to_float(re.numerator, re.denominator))
+                + 1j * complex(_to_float(im.numerator, im.denominator)))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -256,7 +269,7 @@ class MPoly:
         cx = self._cx
         if cx is None:
             d = self._d
-            cx = self._cx = [(e, complex(re / d) + 1j * complex(im / d))
+            cx = self._cx = [(e, complex(_to_float(re, d)) + 1j * complex(_to_float(im, d)))
                              for e, (re, im) in sorted(self._c.items(), key=_term_order)]
         return cx
 
@@ -400,10 +413,6 @@ class MPoly:
         """Complex conjugation of a function of (z, zb): swap z <-> zb, conjugate coefficients."""
         return _wrap({(j, i, k): (re, -im) for (i, j, k), (re, im) in self._c.items()}, self._d)
 
-    def conj_coeffs(self) -> "MPoly":
-        """Conjugate every coefficient, leaving the variables alone."""
-        return _wrap({e: (re, -im) for e, (re, im) in self._c.items()}, self._d)
-
     def is_real_valued(self) -> bool:
         return self.conj_swap() == self
 
@@ -546,17 +555,12 @@ class MPoly:
                     v = cp * comb(j, q) * parts[(p + q) % 4]
                     acc[i + j - p - q][p + q] += -v if q % 2 else v
         d = self._d
-        return np.array([[v / d for v in row] for row in acc])
+        return np.array([[_to_float(v, d) for v in row] for row in acc])
 
     def eval_grid(self, xs, ys):
         """Re self(x + iy, 0) on the Cartesian grid of the 1-D axes xs and
         ys, indexed [y, x]: `grid_product` of `xy_coefficients`."""
         return grid_product(self.xy_coefficients(), xs, ys)
-
-    def eval_naive(self, z0: complex, t0: float = 0.0) -> complex:
-        z0 = complex(z0)
-        zb0 = z0.conjugate()
-        return sum(c * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in self.complex_terms())
 
     # -- presentation -------------------------------------------------
 
@@ -672,13 +676,11 @@ class RationalFn:
     """The fraction num / base**k.
 
     Every denominator of the construction is a power of one polynomial (W or
-    an omega_j), so sums, products and derivatives over a shared base only
-    lift numerators: d(num/base^k) = (num' * base - k*num*base') / base^(k+1).
-    Fractions over bases that differ by a constant factor compare after one
-    rescale, over other bases by cross-multiplication; sums and products over
-    different bases are not needed and raise.  The canonical form (common
-    monomial removed, leading denominator coefficient 1) is applied only for
-    printing and serialization.
+    an omega_j), kept as its base and exponent.  The library builds
+    fractions, scales them by a number or a polynomial, evaluates and prints
+    them; every identity it checks is a polynomial numerator.  The canonical
+    form (common monomial removed, leading denominator coefficient 1) is
+    applied only for printing and serialization.
     """
 
     __slots__ = ("num", "base", "k")
@@ -694,98 +696,13 @@ class RationalFn:
     def den(self) -> MPoly:
         return self.base ** self.k
 
-    def _lift(self, k: int) -> MPoly:
-        out = self.num
-        for _ in range(k - self.k):
-            out = out * self.base
-        return out
-
-    def _same_base(self, other):
-        """other as a fraction over self.base (a number or polynomial has k = 0),
-        None for other types; a fraction over another base raises."""
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MPoly.const(other)
-        if isinstance(other, MPoly):
-            return RationalFn(other, self.base, 0)
-        if not isinstance(other, RationalFn):
-            return None
-        if other.base is not self.base and other.base != self.base:
-            raise ValueError("fractions over different bases")
-        return other
-
-    def __add__(self, other):
-        other = self._same_base(other)
-        if other is None:
-            return NotImplemented
-        k = max(self.k, other.k)
-        return RationalFn(self._lift(k) + other._lift(k), self.base, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.base, self.k)
-
-    def __sub__(self, other):
-        other = self._same_base(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
+        """Scaling by a number or a polynomial."""
         if isinstance(other, (int, Fraction, GaussianRational, MPoly)):
             return RationalFn(self.num * other, self.base, self.k)
-        other = self._same_base(other)
-        if other is None:
-            return NotImplemented
-        return RationalFn(self.num * other.num, self.base, self.k + other.k)
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MPoly.const(other)
-        if isinstance(other, MPoly):
-            other = RationalFn(other, self.base, 0)
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        if other.base is not self.base and other.base != self.base:
-            s = _constant_ratio(other.base, self.base)
-            if s is None:
-                return self.num * other.den == other.num * self.den
-            # other.num / (s*base)^k = (other.num / s^k) / base^k
-            f = GR_ONE
-            for _ in range(other.k):
-                f = f / s
-            other = RationalFn(other.num * f, self.base, other.k)
-        k = max(self.k, other.k)
-        return self._lift(k) == other._lift(k)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _diff(self, d):
-        if self.k == 0:
-            return RationalFn(d(self.num), self.base, 0)
-        num = d(self.num) * self.base - self.num * d(self.base) * self.k
-        return RationalFn(num, self.base, self.k + 1)
-
-    def diff_z(self) -> "RationalFn":
-        return self._diff(MPoly.diff_z)
-
-    def diff_zbar(self) -> "RationalFn":
-        return self._diff(MPoly.diff_zbar)
-
-    def diff_t(self) -> "RationalFn":
-        return self._diff(MPoly.diff_t)
-
-    def conj_swap(self) -> "RationalFn":
-        return RationalFn(self.num.conj_swap(), self.base.conj_swap(), self.k)
-
-    def is_real_valued(self) -> bool:
-        return self.conj_swap() == self
 
     def eval(self, z0, t0: float = 0.0):
         """Value at a point or an array of points, by `divide_off_poles`."""
@@ -807,15 +724,6 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn(({self.num}) / ({self.base})^{self.k})"
-
-
-def _constant_ratio(p: MPoly, q: MPoly):
-    """The constant s with p == s * q, or None when there is none."""
-    if not q.numerators or p.numerators.keys() != q.numerators.keys():
-        return None
-    e = next(iter(q.numerators))
-    s = p.coeff(*e) / q.coeff(*e)
-    return s if q * s == p else None
 
 
 def _strip_common(num: MPoly, den: MPoly):

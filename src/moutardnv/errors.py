@@ -13,6 +13,10 @@ class ExponentOverflow(AlgebraError):
     """A term exceeded the per-variable exponent cap (guards against runaway blowup)."""
 
 
+class CoefficientOverflow(AlgebraError):
+    """An exact coefficient that a numeric check needs as a float is beyond float range."""
+
+
 class PoleError(AlgebraError):
     """Numeric evaluation hit (or came too close to) a zero of a denominator."""
 
@@ -47,7 +51,3 @@ class TemporalResidualNonzero(AlgebraError):
 
 class AsymptoticMismatch(AlgebraError):
     """Exact scattering extraction and the numeric ray fit disagree."""
-
-
-class SingularBeforeBlowup(AlgebraError):
-    """The denominator vanished at a sampled time below the reported blow-up time."""

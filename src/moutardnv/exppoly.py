@@ -234,15 +234,3 @@ def exp_phase(lam0: complex, z0, t0=None):
         return cmath.exp(phase)
     import numpy as np
     return np.exp(phase)
-
-
-def wave_eval_naive(w: WaveFn, z0: complex, t0: float = 0.0, lam0: complex = 1.0) -> complex:
-    """Independent straight-line evaluation used by cross-check tests."""
-    lam0 = complex(lam0)
-    phase = lam0 * complex(z0) + (lam0 ** 3 * t0 if w.time_phase else 0.0)
-    total = 0.0 + 0.0j
-    for k, f in w.coeffs.items():
-        total += lam0 ** (-k) * f.eval_naive(z0, t0)
-    if w.den is not None:
-        total /= w.den.eval_naive(z0, t0)
-    return cmath.exp(phase) * total

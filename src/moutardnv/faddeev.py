@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, ResidualNonzero
-from .exppoly import D_ZZBAR, WaveFn, exp_phase, hirota, wave_eval, wave_multiplier
+from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave
 
 
@@ -16,14 +16,12 @@ class FaddeevWave:
     """A wave solving (-4 d dbar + u) psi = 0 exactly.
 
     psi holds the multiplier slots over the shared denominator w; u is always
-    -2*Laplacian(log w), the frame's potential, built once with w.  conjugate
-    marks the e^{lam zb} branch obtained by the global swap symmetry.
+    -2*Laplacian(log w), the frame's potential, built once with w.
     """
 
     psi: WaveFn
     u: RationalFn
     w: MPoly
-    conjugate: bool = False
 
 
 @dataclass
@@ -103,9 +101,14 @@ def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
 
 
 def potential_gap(u: RationalFn, w: MPoly, c) -> MPoly:
-    """Cleared numerator of u - c D_z D_zb (w . w) / w^2, zero exactly when
-    u = 2c d dbar log w."""
-    return (u - RationalFn(hirota(w, w, D_ZZBAR) * c, w, 2)).num
+    """Cleared numerator of u - c D_z D_zb (w . w) / w^2 over w^2, zero
+    exactly when u = 2c d dbar log w; u must be a fraction over w^k, k <= 2."""
+    if u.base != w or u.k > 2:
+        raise ValueError("u must be a fraction over w^k with k <= 2")
+    num = u.num
+    for _ in range(2 - u.k):
+        num = num * w
+    return num - hirota(w, w, D_ZZBAR) * c
 
 
 def frame_wave(frame: MoutardFrame, free: WaveFn) -> FaddeevWave:
@@ -115,14 +118,8 @@ def frame_wave(frame: MoutardFrame, free: WaveFn) -> FaddeevWave:
                              moutard_transform_wave(frame.omega2, free))
 
 
-def build_faddeev(seed: SeedPair, conjugate: bool = False) -> FaddeevWave:
+def build_faddeev(seed: SeedPair) -> FaddeevWave:
     """Run the whole static pipeline: frame, two wave transforms, superposition."""
-    if conjugate:
-        cseed = SeedPair(seed.p1.conj_coeffs(), seed.p2.conj_coeffs(), seed.c)
-        fw = build_faddeev(cseed, conjugate=False)
-        psi = WaveFn({k: f.conj_swap() for k, f in fw.psi.coeffs.items()},
-                     fw.psi.time_phase, den=fw.w.conj_swap())
-        return FaddeevWave(psi, fw.u.conj_swap(), fw.w.conj_swap(), conjugate=True)
     return frame_wave(build_frame(seed), WaveFn.free())
 
 
@@ -184,15 +181,6 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData, radius: float, tol: floa
             m = bad[0]
             raise AsymptoticMismatch(
                 f"ray fit at z={ray[m]}, lam={lam0}: {got[m]} vs exact {expected}")
-
-
-def faddeev_eval(fw: FaddeevWave, z0, t0: float = 0.0, lam0: complex = 1.0):
-    """Numeric value of the wave at a point or an array of points (NaN at a
-    pole), honoring the conjugate-branch flag."""
-    if not fw.conjugate:
-        return wave_eval(fw.psi, z0, t0, lam0)
-    return (exp_phase(complex(lam0), z0.conjugate(), t0 if fw.psi.time_phase else None)
-            * wave_multiplier(fw.psi, z0, t0, lam0))
 
 
 def assert_decay_bookkeeping(fw: FaddeevWave) -> None:

@@ -9,10 +9,13 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 
 from .algebra import GaussianRational, MPoly, RationalFn
-from .errors import PoleError
 from .exppoly import WaveFn, wave_eval
-from .faddeev import FaddeevWave, faddeev_eval
+from .faddeev import FaddeevWave
 from .moutard import SeedPair
+
+
+#: Largest points per axis of a grid: n^2 complex values are held at once.
+MAX_GRID_N = 1000
 
 
 @dataclass
@@ -25,8 +28,8 @@ class GridSpec:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not 2 <= self.n <= MAX_GRID_N:
+            raise ValueError(f"n must be between 2 and {MAX_GRID_N}, got {self.n}")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max,
                                        self.t))):
             raise ValueError("grid bounds and t must be finite")
@@ -43,14 +46,6 @@ class GridSpec:
 
 
 @dataclass
-class DecayFit:
-    exponent: float
-    r_range: tuple
-    residual: float          # RMS of the log-log fit
-    spread: float = 0.0      # max deviation of per-ray slopes from the mean
-
-
-@dataclass
 class FDReport:
     res_h: float
     res_half: float
@@ -61,7 +56,7 @@ class FDReport:
 
 def _psi_value(psi, z, t0, lam0):
     if isinstance(psi, FaddeevWave):
-        return faddeev_eval(psi, z, t0, lam0)
+        psi = psi.psi
     if isinstance(psi, WaveFn):
         return wave_eval(psi, z, t0, lam0)
     return psi(z)
@@ -96,79 +91,6 @@ def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> 
     res_h, res_half = res[0][0], res[1][0]
     order = math.log2(res_h / res_half) if res_half > 0 else float("inf")
     return FDReport(res_h, res_half, order, h, res[0][1])
-
-
-def decay_fit(f: RationalFn, rays=None, r_range=(1e2, 1e4), n_samples: int = 40,
-              t0: float = 0.0) -> DecayFit:
-    """Least-squares slope of log|f| against log r along the given rays;
-    poles and exact zeros are left out of each ray's fit."""
-    import numpy as np
-    if rays is None:
-        rays = [k * math.pi / 4 + 0.07 for k in range(8)]
-    rs = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), n_samples)
-    directions = np.array([complex(math.cos(ang), math.sin(ang)) for ang in rays])
-    values = np.abs(f.eval(directions[:, None] * rs, t0))
-    slopes = []
-    rms = []
-    for ang, v in zip(rays, values):
-        kept = v > 0.0                          # False at a pole (NaN) and at a zero
-        if kept.sum() < 3:
-            raise PoleError(f"ray {ang} has too few finite samples")
-        logs_r, logs_f = np.log(rs[kept]), np.log(v[kept])
-        slope, intercept = np.polyfit(logs_r, logs_f, 1)
-        fit = slope * logs_r + intercept
-        rms.append(float(np.sqrt(np.mean((fit - logs_f) ** 2))))
-        slopes.append(float(slope))
-    mean = float(np.mean(slopes))
-    spread = float(max(abs(s - mean) for s in slopes))
-    return DecayFit(mean, tuple(r_range), float(np.mean(rms)), spread)
-
-
-@dataclass
-class SignReport:
-    verdict: str             # "nonpositive" | "positive-somewhere"
-    max_value: float
-    witness: tuple = None
-    certificate: bool = False
-    certificate_detail: str = ""
-
-
-def sign_check(u: RationalFn, grid: GridSpec, tol: float = 1e-9) -> SignReport:
-    """Numeric maximum of a real-valued rational function over a grid, plus a
-    symbolic nonpositivity certificate when the numerator factors as a
-    negative constant times a hermitian square."""
-    import numpy as np
-    xs, ys = grid.points()
-    values = u.eval(_grid_points(grid), grid.t).real
-    values[np.isnan(values)] = -np.inf          # a pole
-    idx = np.unravel_index(values.argmax(), values.shape)
-    worst, witness = float(values[idx]), (float(xs[idx[1]]), float(ys[idx[0]]))
-    cert, detail = hermitian_square_certificate(u.num)
-    if worst <= tol:
-        return SignReport("nonpositive", worst, None, cert, detail)
-    return SignReport("positive-somewhere", worst, witness, cert, detail)
-
-
-def hermitian_square_certificate(num: MPoly):
-    """Try to write num = s * N * conj(N) with s a real constant and N linear
-    in z; returns (sign_is_nonpositive_consistent, detail)."""
-    if num.is_zero():
-        return True, "numerator is zero"
-    if num.deg_z() > 1 or num.deg_zbar() > 1 or num.deg_t() > 0:
-        return False, "no certificate attempted (numerator not bilinear)"
-    c00 = num.coeff(0, 0)
-    c10 = num.coeff(1, 0)
-    c01 = num.coeff(0, 1)
-    c11 = num.coeff(1, 1)
-    if not (c00.is_real() and c11.is_real()):
-        return False, "diagonal coefficients not real"
-    if c01 != c10.conjugate():
-        return False, "cross coefficients not conjugate"
-    if c11 * c00 != c10 * c10.conjugate():
-        return False, "determinant obstruction: not a hermitian square"
-    lead = c11 if not c11.is_zero() else c00
-    sgn = "nonpositive" if lead.re < 0 else "nonnegative"
-    return True, f"numerator = s*(az+b)*conj(az+b) with s {sgn}"
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +172,15 @@ def poly_to_json(p: MPoly) -> dict:
     return {"terms": [[i, j, k, _gr_to_json(c)] for (i, j, k), c in p.sorted_terms()]}
 
 
-def poly_from_json(d) -> MPoly:
-    acc = MPoly.zero()
-    for i, j, k, c in d["terms"]:
-        acc = acc + MPoly.monomial(int(i), int(j), int(k), _gr_from_json(c))
-    return acc
-
-
 def rational_to_json(f: RationalFn) -> dict:
     num, den = f.canonical()
     return {"num": poly_to_json(num), "den": poly_to_json(den)}
 
 
-def rational_from_json(d) -> RationalFn:
-    return RationalFn(poly_from_json(d["num"]), poly_from_json(d["den"]))
-
-
 def wave_to_json(fw: FaddeevWave) -> dict:
     return {
         "time": fw.psi.time_phase,
-        "conjugate": fw.conjugate,
+        "conjugate": False,             # every wave is on the e^{lam z} branch
         "den": poly_to_json(fw.w),
         "slots": {str(k): poly_to_json(f) for k, f in sorted(fw.psi.coeffs.items())},
     }

@@ -1,5 +1,5 @@
 """The Moutard transformation: harmonic seeds, the double-iteration potential,
-kernel functions, and the transform of eigenfunctions (wave and polynomial paths).
+kernel functions, and the transform of wave eigenfunctions.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
-from .errors import (CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial)
+from .errors import CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_diff_z, wave_diff_zbar
 
 
@@ -102,19 +102,14 @@ def _is_free_wave(phi: WaveFn) -> bool:
     return set(phi.coeffs) == {0} and phi.coeffs[0] == MPoly.const(1)
 
 
-def moutard_transform_wave(omega: MPoly, phi) -> "WaveFn | RationalFn":
-    """Transform of an eigenfunction by omega via the first-order system.
+def moutard_transform_wave(omega: MPoly, phi: WaveFn) -> WaveFn:
+    """Transform of a wave eigenfunction by omega via the first-order system.
 
     In complex form: d(omega*theta)/dz = i(phi*omega_z - omega*phi_z) and
-    d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb).  Waves are handled in
-    the exponential class (where the antiderivative is unique, so all
-    integration constants vanish and the transform decays by construction);
-    polynomial eigenfunctions take the plain-polynomial path.
+    d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb).  The wave is handled
+    in the exponential class, where the antiderivative is unique, so all
+    integration constants vanish and the transform decays by construction.
     """
-    if isinstance(phi, MPoly):
-        return _transform_poly(omega, phi)
-    if not isinstance(phi, WaveFn):
-        raise TypeError("phi must be a WaveFn or an MPoly")
     if phi.den is not None:
         raise ValueError("transform expects polynomial-coefficient waves")
     if _is_free_wave(phi):
@@ -132,19 +127,6 @@ def moutard_transform_wave(omega: MPoly, phi) -> "WaveFn | RationalFn":
     if wave_diff_zbar(prod) != rhs_zb:
         raise CompatibilityError("zb leg failed after integration")
     return WaveFn(prod.coeffs, phi.time_phase, den=omega)
-
-
-def _transform_poly(omega: MPoly, phi: MPoly) -> RationalFn:
-    rhs_z = (phi * omega.diff_z() - omega * phi.diff_z()) * GR_I
-    rhs_zb = (omega * phi.diff_zbar() - phi * omega.diff_zbar()) * GR_I
-    if rhs_z.diff_zbar() != rhs_zb.diff_z():
-        raise CompatibilityError("transform legs disagree; phi is not an eigenfunction")
-    g = rhs_z.antideriv_z()
-    rest = rhs_zb - g.diff_zbar()
-    if rest.deg_z() > 0:
-        raise CompatibilityError("zb leg failed after integration")
-    prod = g + rest.antideriv_zbar()
-    return RationalFn(prod, omega)
 
 
 @dataclass
@@ -173,7 +155,7 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
         c = w.constant_term()
         if c.is_zero() or not c.is_real():
             return NonvanishingReport("zero-found", 0.0, 0, False, (0.0, 0.0), "zero constant")
-        return NonvanishingReport("certified-positive", abs(float(c.re)), 1 if c.re > 0 else -1,
+        return NonvanishingReport("certified-positive", abs(complex(c).real), 1 if c.re > 0 else -1,
                                   True, None, "nonzero constant")
     import numpy as np
     xmin, xmax, ymin, ymax = box

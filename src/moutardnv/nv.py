@@ -7,14 +7,13 @@ blow-up time detection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn
-from .errors import (NotEvolved, NotHolomorphic, PoleError, SingularBeforeBlowup,
-                     TemporalResidualNonzero, ZeroPolynomial)
+from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
-from .faddeev import FaddeevWave, bilinear_residual, frame_wave, potential_gap
+from .faddeev import FaddeevWave, bilinear_residual, frame_wave
 from .moutard import SeedPair, build_frame, double_w
 
 
@@ -238,6 +237,7 @@ def _descent_step(g, h):
 DESCENT_XTOL = 1e-12       # step length, relative to 1 + |x|, that ends a descent
 DESCENT_MAXITER = 100
 DESCENT_HALVINGS = 60
+SCAN_TOL = 1e-10           # t-interval length that ends the bisection of `_scan`
 
 
 def minimize(fun, x0) -> LocalMin:
@@ -269,7 +269,7 @@ def minimize(fun, x0) -> LocalMin:
 
 
 def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
-                refine_tol: float = 1e-10, t_max: float = 10.0) -> BlowupReport:
+                t_max: float = 10.0) -> BlowupReport:
     """t_star = inf{t > 0: the normalized real form of q has a real zero}.
 
     The t-coefficients of q are evaluated once on the grid.  Where q(., 0)
@@ -286,12 +286,9 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     seed), the first zero is then closed: t_star = m0 / |kappa| when
     s kappa < 0; if s kappa >= 0, or m0 / |kappa| > t_max, no zero is
     reported.  Any other q is scanned over 200 t-slices of (0, t_max], and
-    the first slice whose minimum reaches zero is refined by bisection
-    (`_scan`); refine_tol must be positive and finite, and ends that
-    bisection.
+    the first slice whose minimum reaches zero is refined by bisection to
+    SCAN_TOL (`_scan`).
     """
-    if not 0.0 < refine_tol < math.inf:
-        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     import numpy as np
     q = normalize_real(q)
     xs, ys, grids = _sample(q, box, grid_n)
@@ -313,7 +310,7 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
                             "zero already present at t = 0")
     kappa = _constant_slope(q)
     if kappa is None:
-        hit = _scan(slice_min, t_max, refine_tol)
+        hit = _scan(slice_min, t_max)
     else:
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
     if hit is None or hit[0] > t_max:
@@ -373,11 +370,11 @@ def _constant_slope(q: MPoly):
     return complex(slope.constant_term()).real
 
 
-def _scan(slice_min, t_max: float, refine_tol: float):
+def _scan(slice_min, t_max: float):
     """(t, witness) at the first of 200 t-slices of (0, t_max] whose minimum
     reaches zero, refined by bisection until the interval is at most
-    refine_tol or its midpoint meets an end in floating point; None when no
-    slice reaches zero."""
+    SCAN_TOL or its midpoint meets an end in floating point (as it can for a
+    large t_max); None when no slice reaches zero."""
     import numpy as np
     lo = 0.0
     hi = None
@@ -390,7 +387,7 @@ def _scan(slice_min, t_max: float, refine_tol: float):
     if hi is None:
         return None
     witness = None
-    while hi - lo > refine_tol:
+    while hi - lo > SCAN_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -403,83 +400,3 @@ def _scan(slice_min, t_max: float, refine_tol: float):
         _, witness = slice_min(hi)
     return hi, witness
 
-
-@dataclass
-class Mu2Entry:
-    t: float
-    l2_half: float          # integral of |mu2|^2 over |z| < R/2
-    l2_full: float          # over |z| < R
-    increment: float        # tail contribution, shrinking when integrable
-
-
-@dataclass
-class Mu2Report:
-    harmonic_real: bool     # (d dbar + U)(Re mu2) = 0 exactly
-    harmonic_imag: bool
-    decay_exponent: int     # from degree bookkeeping
-    entries: list = field(default_factory=list)
-
-
-def mu2_integrability(sol: NVSolution, fw: FaddeevWave, t_samples, r_outer: float = 40.0,
-                      t_star: float = None) -> Mu2Report:
-    """Zero-energy eigenfunction check and square-integrability evidence for
-    the lam^{-2} kernel fraction."""
-    mus = kernel_mu(fw)
-    if 2 not in mus:
-        raise ValueError("wave has no lam^{-2} slot")
-    mu2 = mus[2]
-    n2 = mu2.num
-    u_ok = potential_gap(sol.u, sol.wt, 1).is_zero()
-    hr = u_ok and _eigen_check(n2 + n2.conj_swap(), sol.u)
-    hi = u_ok and _eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u)
-    decay = n2.total_degree_space() - mu2.base.total_degree_space()
-    report = Mu2Report(hr, hi, decay)
-
-    for t0 in t_samples:
-        if t_star is not None and t0 >= t_star:
-            raise ValueError("t samples must precede the blow-up time")
-        norms = []
-        for r in (r_outer / 2.0, r_outer):
-            norms.append(_disc_l2(mu2, float(t0), r, t_star))
-        report.entries.append(Mu2Entry(float(t0), norms[0], norms[1],
-                                       norms[1] - norms[0]))
-    return report
-
-
-def _eigen_check(num: MPoly, u: RationalFn) -> bool:
-    """(d dbar + U) (num/wt) = 0 exactly for wt = u.base, which is
-    D_z D_zb (num . wt) / wt^2 when U = 2 d dbar log wt; that U is the
-    caller's to check (`mu2_integrability` does, once per report)."""
-    return hirota(num, u.base, D_ZZBAR).is_zero()
-
-
-def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
-    """Integral of |mu2|^2 over |z| < r at time t0 (polar Riemann sum)."""
-    import numpy as np
-    wt = mu2.base
-    nr, ntheta = 240, 96
-    rs = np.linspace(r / nr, r, nr)
-    thetas = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
-    R, TH = np.meshgrid(rs, thetas)
-    Z = R * np.exp(1j * TH)
-    den = wt.eval(Z, t0)
-    num = mu2.num.eval(Z, t0)
-    dre = den.real
-    singular = dre.min() <= 0.0 <= dre.max()
-    idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)
-    if not singular:
-        # a touching zero leaves the grid minimum tiny but one-signed; refine
-        sign = 1.0 if dre[idx] > 0 else -1.0
-        fun = _slice_objective(_local_coeffs(wt), t0, sign)
-        r0 = minimize(fun, (Z[idx].real, Z[idx].imag))
-        singular = r0.fun < 1e-6 * (1.0 + abs(wt.eval(0.0, t0)))
-    if singular:
-        where = Z[idx]
-        if t_star is not None and t0 < t_star:
-            raise SingularBeforeBlowup(
-                f"denominator vanished near z={where}, t={t0} < t_star={t_star}")
-        raise PoleError(f"denominator vanished near z={where}, t={t0}")
-    vals = np.abs(num / den ** mu2.k) ** 2 * R
-    dr = rs[1] - rs[0]
-    dth = thetas[1] - thetas[0]
-    return float(vals.sum() * dr * dth)

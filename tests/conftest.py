@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from moutardnv.algebra import GaussianRational, MPoly, RationalFn
+from moutardnv.algebra import GaussianRational, MPoly
 from moutardnv.harness import load_seed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -62,11 +62,3 @@ def from_sympy(expr) -> MPoly:
         g = gr(Fraction(re.p, re.q), Fraction(im.p, im.q))
         acc = acc + MPoly.monomial(i, j, k, g)
     return acc
-
-
-def rf_equal_sympy(f: RationalFn, num_expr, den_expr) -> bool:
-    """Cross-multiplied equality of an exact rational function against a
-    sympy-expressed fraction."""
-    lhs = to_sympy(f.num) * sp.expand(den_expr)
-    rhs = to_sympy(f.den) * sp.expand(num_expr)
-    return sp.expand(lhs - rhs) == 0

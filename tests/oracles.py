@@ -1,0 +1,292 @@
+"""Reference code that only the tests use.
+
+- Term-by-term evaluators, the independent references of the Horner ones.
+- `Frac`: sums, products and derivatives of fractions over one shared base,
+  with `same_fraction` as its equality.  The library itself only builds,
+  scales, evaluates and prints fractions.
+- The numeric evidence for paper claims that no `mnv` subcommand prints:
+  the decay and the sign of u, and the square-integrability of the kernel
+  fraction mu2 of the blowing-up solutions.
+"""
+
+import cmath
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partialmethod
+
+import numpy as np
+
+from moutardnv import nv
+from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
+from moutardnv.errors import AlgebraError, PoleError
+from moutardnv.exppoly import D_ZZBAR, hirota
+from moutardnv.faddeev import potential_gap
+from moutardnv.harness import _gr_from_json, _grid_points
+
+
+def eval_naive(p: MPoly, z0, t0: float = 0.0) -> complex:
+    z0 = complex(z0)
+    zb0 = z0.conjugate()
+    return sum(c * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in p.complex_terms())
+
+
+def wave_eval_naive(w, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:
+    lam0 = complex(lam0)
+    phase = lam0 * complex(z0) + (lam0 ** 3 * t0 if w.time_phase else 0.0)
+    total = sum(lam0 ** (-k) * eval_naive(f, z0, t0) for k, f in w.coeffs.items())
+    if w.den is not None:
+        total /= eval_naive(w.den, z0, t0)
+    return cmath.exp(phase) * total
+
+
+# ---------------------------------------------------------------------------
+# fraction calculus
+
+
+def same_fraction(f: RationalFn, g) -> bool:
+    """f and g (a fraction, polynomial or number) are the same function.
+    Over bases that differ by a constant factor this takes one rescale,
+    over other bases a cross-multiplication."""
+    if not isinstance(g, RationalFn):
+        g = RationalFn(MPoly.const(0) + g, f.base, 0)
+    if g.base != f.base:
+        s = _constant_ratio(g.base, f.base)
+        if s is None:
+            return f.num * g.den == g.num * f.den
+        # g.num / (s*base)^k = (g.num / s^k) / base^k
+        scale = GR_ONE
+        for _ in range(g.k):
+            scale = scale / s
+        g = RationalFn(g.num * scale, f.base, g.k)
+    k = max(f.k, g.k)
+    return _lift(f, k) == _lift(g, k)
+
+
+def _lift(f: RationalFn, k: int) -> MPoly:
+    """The numerator of f over base^k, k >= f.k."""
+    out = f.num
+    for _ in range(k - f.k):
+        out = out * f.base
+    return out
+
+
+def _constant_ratio(p: MPoly, q: MPoly):
+    """The constant s with p == s * q, or None when there is none."""
+    if not q.numerators or p.numerators.keys() != q.numerators.keys():
+        return None
+    e = next(iter(q.numerators))
+    s = p.coeff(*e) / q.coeff(*e)
+    return s if q * s == p else None
+
+
+def frac(f: RationalFn) -> "Frac":
+    return Frac(f.num, f.base, f.k)
+
+
+class Frac(RationalFn):
+    """num / base**k with the calculus over one shared base: sums, products
+    and d(num/base^k) = (num' * base - k*num*base') / base^(k+1) only lift
+    numerators.  A number or polynomial is a fraction with k = 0; a fraction
+    over another base raises ValueError."""
+
+    __slots__ = ()
+
+    def _over(self, other) -> "Frac":
+        if isinstance(other, (int, Fraction, GaussianRational, MPoly)):
+            return Frac(MPoly.const(0) + other, self.base, 0)
+        if other.base != self.base:
+            raise ValueError("fractions over different bases")
+        return frac(other)
+
+    def __add__(self, other):
+        other = self._over(other)
+        k = max(self.k, other.k)
+        return Frac(_lift(self, k) + _lift(other, k), self.base, k)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Frac(-self.num, self.base, self.k)
+
+    def __sub__(self, other):
+        return self + -self._over(other)
+
+    def __mul__(self, other):
+        other = self._over(other)
+        return Frac(self.num * other.num, self.base, self.k + other.k)
+
+    __rmul__ = __mul__
+    __eq__ = same_fraction
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def _diff(self, d) -> "Frac":
+        if self.k == 0:
+            return Frac(d(self.num), self.base, 0)
+        return Frac(d(self.num) * self.base - self.num * d(self.base) * self.k,
+                    self.base, self.k + 1)
+
+    diff_z = partialmethod(_diff, MPoly.diff_z)
+    diff_zbar = partialmethod(_diff, MPoly.diff_zbar)
+    diff_t = partialmethod(_diff, MPoly.diff_t)
+
+    def conj_swap(self) -> "Frac":
+        return Frac(self.num.conj_swap(), self.base.conj_swap(), self.k)
+
+    def is_real_valued(self) -> bool:
+        return self.conj_swap() == self
+
+
+def poly_from_json(d) -> MPoly:
+    return sum((MPoly.monomial(int(i), int(j), int(k), _gr_from_json(c))
+                for i, j, k, c in d["terms"]), MPoly.zero())
+
+
+def rational_from_json(d) -> RationalFn:
+    return RationalFn(poly_from_json(d["num"]), poly_from_json(d["den"]))
+
+
+# ---------------------------------------------------------------------------
+# decay and sign of u
+
+
+@dataclass
+class DecayFit:
+    exponent: float
+    residual: float          # RMS of the log-log fit
+
+
+def decay_fit(f: RationalFn, t0: float = 0.0) -> DecayFit:
+    """Least-squares slope of log|f| against log r, 100 <= r <= 10^4, along
+    eight rays; poles and exact zeros are left out of each ray's fit."""
+    rays = [k * math.pi / 4 + 0.07 for k in range(8)]
+    rs = np.logspace(2.0, 4.0, 40)
+    values = np.abs(f.eval(np.exp(1j * np.array(rays))[:, None] * rs, t0))
+    slopes, rms = [], []
+    for ang, v in zip(rays, values):
+        kept = v > 0.0                          # False at a pole (NaN) and at a zero
+        if kept.sum() < 3:
+            raise PoleError(f"ray {ang} has too few finite samples")
+        logs_r, logs_f = np.log(rs[kept]), np.log(v[kept])
+        slope, intercept = np.polyfit(logs_r, logs_f, 1)
+        rms.append(float(np.sqrt(np.mean((slope * logs_r + intercept - logs_f) ** 2))))
+        slopes.append(float(slope))
+    return DecayFit(float(np.mean(slopes)), float(np.mean(rms)))
+
+
+@dataclass
+class SignReport:
+    verdict: str             # "nonpositive" | "positive-somewhere"
+    max_value: float
+    witness: tuple
+    certificate: bool
+    certificate_detail: str
+
+
+def sign_check(u: RationalFn, grid) -> SignReport:
+    """Numeric maximum of a real-valued rational function over a grid, plus a
+    symbolic nonpositivity certificate when the numerator factors as a
+    negative constant times a hermitian square."""
+    xs, ys = grid.points()
+    values = u.eval(_grid_points(grid), grid.t).real
+    values[np.isnan(values)] = -np.inf          # a pole
+    idx = np.unravel_index(values.argmax(), values.shape)
+    worst, witness = float(values[idx]), (float(xs[idx[1]]), float(ys[idx[0]]))
+    if worst <= 1e-9:
+        return SignReport("nonpositive", worst, None, *hermitian_square_certificate(u.num))
+    return SignReport("positive-somewhere", worst, witness,
+                      *hermitian_square_certificate(u.num))
+
+
+def hermitian_square_certificate(num: MPoly):
+    """Try to write num = s * N * conj(N) with s a real constant and N linear
+    in z; returns (sign_is_nonpositive_consistent, detail)."""
+    if num.is_zero():
+        return True, "numerator is zero"
+    if num.deg_z() > 1 or num.deg_zbar() > 1 or num.deg_t() > 0:
+        return False, "no certificate attempted (numerator not bilinear)"
+    c00, c10, c01, c11 = (num.coeff(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    if not (c00.is_real() and c11.is_real()):
+        return False, "diagonal coefficients not real"
+    if c01 != c10.conjugate():
+        return False, "cross coefficients not conjugate"
+    if c11 * c00 != c10 * c10.conjugate():
+        return False, "determinant obstruction: not a hermitian square"
+    lead = c11 if not c11.is_zero() else c00
+    sgn = "nonpositive" if lead.re < 0 else "nonnegative"
+    return True, f"numerator = s*(az+b)*conj(az+b) with s {sgn}"
+
+
+# ---------------------------------------------------------------------------
+# square-integrability of the kernel fraction mu2
+
+
+class SingularBeforeBlowup(AlgebraError):
+    """The denominator vanished at a sampled time below the reported blow-up time."""
+
+
+@dataclass
+class Mu2Entry:
+    t: float
+    l2_half: float          # integral of |mu2|^2 over |z| < R/2
+    l2_full: float          # over |z| < R
+    increment: float        # tail contribution, shrinking when integrable
+
+
+@dataclass
+class Mu2Report:
+    harmonic_real: bool     # (d dbar + U)(Re mu2) = 0 exactly
+    harmonic_imag: bool
+    decay_exponent: int     # from degree bookkeeping
+    entries: list = field(default_factory=list)
+
+
+def mu2_integrability(sol, fw, t_samples, r_outer: float = 40.0,
+                      t_star: float = None) -> Mu2Report:
+    """Zero-energy eigenfunction check and square-integrability evidence for
+    the lam^{-2} kernel fraction at times t_samples before t_star."""
+    mu2 = nv.kernel_mu(fw)[2]
+    n2 = mu2.num
+    u_ok = potential_gap(sol.u, sol.wt, 1).is_zero()
+    report = Mu2Report(u_ok and eigen_check(n2 + n2.conj_swap(), sol.u),
+                       u_ok and eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u),
+                       n2.total_degree_space() - mu2.base.total_degree_space())
+    for t0 in map(float, t_samples):
+        half, full = (_disc_l2(mu2, t0, r, t_star) for r in (r_outer / 2.0, r_outer))
+        report.entries.append(Mu2Entry(t0, half, full, full - half))
+    return report
+
+
+def eigen_check(num: MPoly, u: RationalFn) -> bool:
+    """(d dbar + U) (num/wt) = 0 exactly for wt = u.base, which is
+    D_z D_zb (num . wt) / wt^2 when U = 2 d dbar log wt; that U is the
+    caller's to check (`mu2_integrability` does, once per report)."""
+    return hirota(num, u.base, D_ZZBAR).is_zero()
+
+
+def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
+    """Integral of |mu2|^2 over |z| < r at time t0 (polar Riemann sum)."""
+    wt = mu2.base
+    rs = np.linspace(r / 240, r, 240)
+    thetas = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+    R, TH = np.meshgrid(rs, thetas)
+    Z = R * np.exp(1j * TH)
+    den = wt.eval(Z, t0)
+    dre = den.real
+    singular = dre.min() <= 0.0 <= dre.max()
+    idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)
+    if not singular:
+        # a touching zero leaves the grid minimum tiny but one-signed; refine
+        fun = nv._slice_objective(nv._local_coeffs(wt), t0, 1.0 if dre[idx] > 0 else -1.0)
+        r0 = nv.minimize(fun, (Z[idx].real, Z[idx].imag))
+        singular = r0.fun < 1e-6 * (1.0 + abs(wt.eval(0.0, t0)))
+    if singular:
+        where = f"denominator vanished near z={Z[idx]}, t={t0}"
+        if t_star is not None and t0 < t_star:
+            raise SingularBeforeBlowup(f"{where} < t_star={t_star}")
+        raise PoleError(where)
+    vals = np.abs(mu2.num.eval(Z, t0) / den ** mu2.k) ** 2 * R
+    return float(vals.sum() * (rs[1] - rs[0]) * (thetas[1] - thetas[0]))

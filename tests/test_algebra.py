@@ -1,14 +1,14 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
-from moutardnv.errors import ExponentOverflow, PoleError, ZeroPolynomial
+from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
+from moutardnv.errors import ExponentOverflow, PoleError
 from moutardnv.moutard import laplace_log
 
-from conftest import T, Z, ZB, gr, poly, rf_equal_sympy, to_sympy
+from conftest import gr, poly, to_sympy
+from oracles import eval_naive, same_fraction
 
 
 def test_gaussian_rational_arithmetic():
@@ -78,7 +78,7 @@ def test_mpoly_eval_matches_naive():
     p = poly({(2, 1, 0): ("1", "-1/2"), (0, 3, 2): ("1/3", "0"), (0, 0, 0): ("-7", "2")})
     for z0 in (0.3 + 0.7j, -2.0, 1j):
         a = p.eval(z0, 1.5)
-        b = p.eval_naive(z0, 1.5)
+        b = eval_naive(p, z0, 1.5)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
@@ -117,19 +117,8 @@ def test_rational_equality_cross_multiplied():
     one = MPoly.const(1)
     f = RationalFn(z * z - z * zb, z)          # (z - zb) after cancel
     g = RationalFn((z - zb) * (one + zb), one + zb)
-    assert f == g
-    assert f != RationalFn(z, one)
-
-
-def test_rational_arithmetic_and_diff():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
-    den = MPoly.const(1) + z * zb
-    f = RationalFn(z, den)
-    g = f.diff_z()
-    # d/dz (z / (1+z zb)) = 1/(1+z zb)^2
-    assert g == RationalFn(MPoly.const(1), den * den)
-    assert (f + f) == f * gr(2)
-    assert f - f == RationalFn(MPoly.zero(), den)
+    assert same_fraction(f, g)
+    assert not same_fraction(f, RationalFn(z, one))
 
 
 def test_rational_eval_and_pole():
@@ -154,35 +143,6 @@ def test_laplace_log_matches_sympy():
     assert sp.expand(lhs - rhs) == 0
 
 
-def test_same_base_arithmetic():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
-    base = MPoly.const(1) + z * zb
-    a = RationalFn(z, base, 1)
-    b = RationalFn(zb, base, 2)
-    s = a + b
-    assert (s.num, s.k) == (z * base + zb, 2)
-    assert s == RationalFn(z * base + zb, base * base)
-    assert a * b == RationalFn(z * zb, base * base * base)
-    assert (a * b).k == 3
-    d = a.diff_z()
-    assert d.k == 2
-    assert d == RationalFn(base - z * zb, base * base)
-    with pytest.raises(ValueError):
-        a + RationalFn(z, base * base)
-
-
-def test_rational_derivative_matches_sympy():
-    import sympy as sp
-    z, zb, t = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t()
-    base = MPoly.const(2) + z * z * zb + t
-    f = RationalFn(z + zb, base, 2)
-    expr = (Z + ZB) / to_sympy(base) ** 2
-    for got, var in ((f.diff_zbar(), ZB), (f.diff_t(), T), (f.diff_z().diff_zbar(), None)):
-        ref = sp.diff(expr, Z, ZB) if var is None else sp.diff(expr, var)
-        num, den = sp.fraction(sp.together(ref))
-        assert rf_equal_sympy(got, num, den)
-
-
 def test_canonical_form():
     z, zb = MPoly.var_z(), MPoly.var_zbar()
     # z * 2 / (z * (2 zb + 4)) prints as 1 / (zb + 2), the denominator's leading coefficient 1
@@ -198,13 +158,13 @@ def test_rational_equality_over_bases_differing_by_a_constant():
     w = (MPoly.const(3) + z * zb * gr(2) + z * z * zb * zb
          + z * gr("1/2", "1") + zb * gr("1/2", "-1"))
     f = laplace_log(w)
-    assert f == laplace_log(-w)
-    assert f == laplace_log(w * 3)
-    assert RationalFn(z, w) == RationalFn(z * w, -w, 2)
+    assert same_fraction(f, laplace_log(-w))
+    assert same_fraction(f, laplace_log(w * 3))
+    assert same_fraction(RationalFn(z, w), RationalFn(z * w, -w, 2))
     g = laplace_log(-w)
     bad = RationalFn(g.num + z, g.base, g.k)
-    assert f != bad and bad != f
-    assert RationalFn(z, w) != RationalFn(z, -w)
+    assert not same_fraction(f, bad) and not same_fraction(bad, f)
+    assert not same_fraction(RationalFn(z, w), RationalFn(z, -w))
 
 
 def test_mpoly_summary():

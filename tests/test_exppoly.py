@@ -5,9 +5,10 @@ import pytest
 from moutardnv.algebra import MPoly
 from moutardnv.errors import LambdaZeroError, PoleError
 from moutardnv.exppoly import (WaveFn, wave_antideriv_z, wave_diff_t, wave_diff_z,
-                               wave_diff_zbar, wave_eval, wave_eval_naive)
+                               wave_diff_zbar, wave_eval)
 
-from conftest import gr, poly
+from conftest import gr
+from oracles import wave_eval_naive
 
 
 def test_free_wave_derivative():

@@ -4,12 +4,13 @@ import pytest
 
 from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.errors import AsymptoticMismatch, ResidualNonzero
-from moutardnv.exppoly import WaveFn
+from moutardnv.exppoly import WaveFn, wave_eval
 from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev,
-                               faddeev_eval, residual, scattering_data)
+                               residual, scattering_data)
 from moutardnv.moutard import build_frame
 
 from conftest import gr, poly
+from oracles import same_fraction
 
 
 REF_POTENTIAL_NUM = poly({
@@ -34,7 +35,7 @@ def test_reference_potential_identity(seed22):
     fw = build_faddeev(seed22)
     expected = RationalFn(REF_POTENTIAL_NUM,
                           REF_POTENTIAL_DEN_ROOT * REF_POTENTIAL_DEN_ROOT)
-    assert fw.u == expected
+    assert same_fraction(fw.u, expected)
 
 
 def test_reference_wave_slots_exact(seed22):
@@ -58,8 +59,8 @@ def test_reference_kernel_functions_scalar_match(seed22):
                                 (2, 0, 0): ("4", "-1"), (0, 2, 0): ("4", "1")}), den)
     phi2_ref = RationalFn(poly({(1, 0, 0): ("2", "-2"), (0, 1, 0): ("2", "2"),
                                 (2, 0, 0): ("3", "-5"), (0, 2, 0): ("3", "5")}), den)
-    assert frame.phi1 == phi1_ref * gr("-2")
-    assert frame.phi2 == phi2_ref * gr("2")
+    assert same_fraction(frame.phi1, phi1_ref * gr("-2"))
+    assert same_fraction(frame.phi2, phi2_ref * gr("2"))
 
 
 def test_residual_exact_zero(seed22):
@@ -135,25 +136,12 @@ def test_decay_bookkeeping(seed22):
 def test_wave_value_agrees_with_direct_sum(seed22):
     fw = build_faddeev(seed22)
     lam0, z0 = 0.9 + 0.3j, 1.3 - 0.8j
-    got = faddeev_eval(fw, z0, 0.0, lam0)
+    got = wave_eval(fw.psi, z0, 0.0, lam0)
     wv = fw.w.eval(z0)
     direct = cmath.exp(lam0 * z0) * (1
                                      + fw.psi.coeffs[1].eval(z0) / (lam0 * wv)
                                      + fw.psi.coeffs[2].eval(z0) / (lam0 ** 2 * wv))
     assert abs(got - direct) < 1e-12 * abs(got)
-
-
-def test_conjugate_branch(seed22):
-    fw = build_faddeev(seed22, conjugate=True)
-    assert fw.conjugate
-    assert fw.w.is_real_valued()
-    # asymptotics follow e^{lam zb}: the rational multiplier tends to 1
-    from moutardnv.exppoly import wave_multiplier
-    z0 = 300.0 + 150.0j
-    lam0 = 1.0
-    ratio = faddeev_eval(fw, z0, 0.0, lam0) / cmath.exp(lam0 * z0.conjugate())
-    assert abs(ratio - wave_multiplier(fw.psi, z0, 0.0, lam0)) < 1e-9
-    assert abs(ratio - 1.0) < 0.05
 
 
 def test_superposition_input_validation(seed22):
@@ -190,3 +178,6 @@ def test_residual_checks_the_wave_against_its_u(seed22):
     res = residual(FaddeevWave(fw.psi, fw.u * 2, fw.w))
     assert not res.is_zero()
     assert res == fw.u.num                 # the numerator of 2u - u over W^2
+    for u in (RationalFn(fw.u.num, fw.w * 2, 2), RationalFn(fw.u.num * fw.w, fw.w, 3)):
+        with pytest.raises(ValueError):
+            residual(FaddeevWave(fw.psi, u, fw.w))

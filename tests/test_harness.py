@@ -1,23 +1,18 @@
-import json
-import math
-import os
-
 import pytest
 
 from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.errors import PoleError
 from moutardnv.exppoly import WaveFn, wave_eval
 from moutardnv.faddeev import FaddeevWave, build_faddeev
-from moutardnv.harness import (DecayFit, GridSpec, decay_fit, fd_residual,
-                               hermitian_square_certificate, load_seed,
-                               poly_from_json, poly_to_json, rational_from_json,
-                               rational_to_json, sample_grid, save_seed,
-                               seed_from_json, seed_to_json, sign_check,
-                               write_grid_csv)
+from moutardnv.harness import (MAX_GRID_N, GridSpec, fd_residual, load_seed, poly_to_json,
+                               rational_to_json, sample_grid, save_seed, seed_from_json,
+                               seed_to_json, write_grid_csv)
 from moutardnv.moutard import build_frame
 from moutardnv import nv
 
 from conftest import fixture_path, gr, poly
+from oracles import (decay_fit, hermitian_square_certificate, poly_from_json,
+                     rational_from_json, same_fraction, sign_check)
 
 
 def test_grid_spec_validation():
@@ -28,6 +23,10 @@ def test_grid_spec_validation():
     xs, ys = GridSpec(-1, 1, -2, 2, 3).points()
     assert list(xs) == [-1, 0, 1]
     assert list(ys) == [-2, 0, 2]
+    # n^2 points are held at once: a larger n is rejected before any is made
+    assert GridSpec(0, 1, 0, 1, MAX_GRID_N).n == MAX_GRID_N
+    with pytest.raises(ValueError):
+        GridSpec(0, 1, 0, 1, 30000)
 
 
 def test_fd_residual_reference(seed22):
@@ -123,7 +122,7 @@ def test_poly_and_rational_json_roundtrip(seed22):
     fw = build_faddeev(seed22)
     assert poly_from_json(poly_to_json(fw.w)) == fw.w
     r = rational_from_json(rational_to_json(fw.u))
-    assert r == fw.u
+    assert same_fraction(r, fw.u)
 
 
 def test_grid_csv_format(tmp_path):

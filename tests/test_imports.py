@@ -1,11 +1,12 @@
 """Every name a library module imports is used in that module, every
-module-level private function or class is read in its own module, and no
-module imports numpy when it is itself imported.
+module-level private function or class is read in its own module, every
+module-level function or class is reached from `mnv` or the benchmark, and
+no module imports numpy when it is itself imported.
 
-No linter is installed, so these are the unused-import and dead-helper
+No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
-__init__.py re-exports, so it is left out) and compare the names its imports
-or private definitions bind with the names its code reads, string
+__init__.py re-exports, so it is left out of the first two) and compare the
+names its imports or definitions bind with the names code reads, string
 annotations included.  The numpy check parses __init__.py too: the exact
 chain runs without numpy, which only the functions that evaluate floats
 import, each in its own body.
@@ -17,8 +18,14 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "moutardnv")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 ALL_MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 MODULES = [f for f in ALL_MODULES if f != "__init__.py"]
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
 
 
 def _imported(tree):
@@ -57,8 +64,7 @@ def _used(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(os.path.join(SRC, module))
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{module}: imported but not used: {unused}"
@@ -87,8 +93,7 @@ def _unread_private(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unread_private_helpers(module):
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(os.path.join(SRC, module))
     unread = _unread_private(tree)
     assert not unread, f"{module}: private helper never read: {unread}"
 
@@ -119,8 +124,7 @@ def _eager_imports(tree):
 
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_module_level_numpy_import(module):
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(os.path.join(SRC, module))
     assert "numpy" not in _eager_imports(tree), f"{module} imports numpy when imported"
 
 
@@ -131,3 +135,67 @@ def test_check_sees_a_module_level_import():
                      "def f():\n    import scipy\n"
                      "    def g():\n        import math\n")
     assert _eager_imports(tree) == {"numpy", "json"}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node, strings=False):
+    """Every name and attribute a subtree reads; with strings, every string
+    constant that is an identifier too (bench/tracing.py wraps library
+    functions by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and str(sub.value).isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def _unreached(modules, roots):
+    """'module.name' of every module-level function or class of the modules
+    (name -> parsed tree) that neither the names in roots nor a module-level
+    statement other than an import reach, following the bodies of what is
+    reached.  Definitions are matched by name alone, so a name read anywhere
+    reaches every definition of it."""
+    defs, reached = {}, set(roots)
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _reads(node)
+    todo = [name for name in reached if name in defs]
+    while todo:
+        for node in defs[todo.pop()]:
+            for name in _reads(node) & defs.keys() - reached:
+                reached.add(name)
+                todo.append(name)
+    return sorted(f"{mod}.{node.name}" for mod, tree in modules.items()
+                  for node in tree.body
+                  if isinstance(node, DEFINITIONS) and node.name not in reached)
+
+
+def test_every_definition_is_reached_from_mnv_or_the_benchmark():
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    roots = set()
+    for f in sorted(os.listdir(BENCH)):
+        if f.endswith(".py"):
+            roots |= _reads(_parse(os.path.join(BENCH, f)), strings=True)
+    assert _unreached(modules, roots) == []
+
+
+def test_check_sees_an_unreached_definition():
+    # TABLE -> Entry -> Entry.run -> b.middle -> end: a chain across modules;
+    # orphan reads itself and is read by no one
+    modules = {"a": ast.parse("import b\n"
+                              "def orphan():\n    return orphan()\n"
+                              "class Entry:\n    def run(self):\n        return b.middle()\n"
+                              "TABLE = {'run': Entry}\n"),
+               "b": ast.parse("def middle():\n    return end()\n"
+                              "def end():\n    return 2\n")}
+    assert _unreached(modules, set()) == ["a.orphan"]
+    assert _unreached(modules, {"orphan"}) == []
