@@ -479,13 +479,6 @@ class MPoly:
             acc[expo] = (re, im) if s is None else (s[0] + re, s[1] + im)
         return _poly({e: v for e, v in acc.items() if v[0] or v[1]}, self._d * td ** kmax)
 
-    def t_coefficients(self) -> list:
-        """[p_0, ..., p_K], polynomials in (z, zb) with self = sum p_k t^k."""
-        out = [{} for _ in range(self.deg_t() + 1)]
-        for (i, j, k), c in self._c.items():
-            out[k][(i, j, 0)] = c
-        return [_poly(c, self._d) for c in out]
-
     def at_origin_t(self) -> "MPoly":
         """Restriction to z = zb = 0, leaving a polynomial in t."""
         return _poly({e: c for e, c in self._c.items() if e[0] == 0 and e[1] == 0}, self._d)
@@ -533,19 +526,16 @@ class MPoly:
         return np.full(z0.shape, acc, dtype=complex)
 
     def xy_coefficients(self):
-        """The float array a with Re self(x + iy, 0) = sum a[m, n] x^m y^n,
-        from the terms free of t.
+        """The float array a with Re self(x + iy, t) = sum a[k, m, n] t^k x^m y^n.
 
         z^i zb^j = (x + iy)^i (x - iy)^j is expanded with binomials on the
         Gaussian-integer numerators in Python ints, so each entry is exact
         until its one division by the denominator.
         """
         import numpy as np
-        deg = max((i + j for (i, j, k) in self._c if k == 0), default=0)
-        acc = [[0] * (deg + 1) for _ in range(deg + 1)]
+        kdeg, deg = max(self.deg_t(), 0), max(self.total_degree_space(), 0)
+        acc = [[[0] * (deg + 1) for _ in range(deg + 1)] for _ in range(kdeg + 1)]
         for (i, j, k), (re, im) in self._c.items():
-            if k:
-                continue
             # x^(i+j-n) y^n with n = p + q carries i^n (-1)^q, and the real
             # part of (re + i im) i^n runs through `parts` as n mod 4
             parts = (re, -im, -re, im)
@@ -553,14 +543,9 @@ class MPoly:
                 cp = comb(i, p)
                 for q in range(j + 1):
                     v = cp * comb(j, q) * parts[(p + q) % 4]
-                    acc[i + j - p - q][p + q] += -v if q % 2 else v
+                    acc[k][i + j - p - q][p + q] += -v if q % 2 else v
         d = self._d
-        return np.array([[_to_float(v, d) for v in row] for row in acc])
-
-    def eval_grid(self, xs, ys):
-        """Re self(x + iy, 0) on the Cartesian grid of the 1-D axes xs and
-        ys, indexed [y, x]: `grid_product` of `xy_coefficients`."""
-        return grid_product(self.xy_coefficients(), xs, ys)
+        return np.array([[[_to_float(v, d) for v in row] for row in ak] for ak in acc])
 
     # -- presentation -------------------------------------------------
 
@@ -578,10 +563,15 @@ class MPoly:
         if not self._c:
             return "0"
         lead = max(self._c, key=lambda e: (sum(e), e))
-        text = str(self.coeff(*lead))
-        if len(text) > 40:
-            re, im = self._c[lead]
-            text = f"~({complex(re / self._d, im / self._d):.6g})"
+        re, im = self._c[lead]
+        bits, dbits = max(abs(re), abs(im)).bit_length(), self._d.bit_length()
+        if max(bits, dbits) > 1000:
+            # hundreds of digits, near or past float range: its size, not its value
+            text = f"(|c|~2^{bits - dbits})"
+        else:
+            text = str(self.coeff(*lead))
+            if len(text) > 40:
+                text = f"~({complex(re / self._d, im / self._d):.6g})"
         return (f"{len(self._c)} terms, total degree {sum(lead)}, "
                 f"leading term {_format_term(lead, text)}")
 

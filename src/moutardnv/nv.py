@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
 from .faddeev import FaddeevWave, bilinear_residual, frame_wave
@@ -184,33 +184,22 @@ def _horner_t(coeffs, t: float):
     return acc
 
 
-def _local_coeffs(q: MPoly):
-    """Coefficients [k, d, i, j] of z^i zb^j t^k in d = q, q_z, q_zz, q_zzb."""
-    import numpy as np
-    qz = q.diff_z()
-    out = np.zeros((q.deg_t() + 1, 4, q.deg_z() + 1, q.deg_zbar() + 1), dtype=complex)
-    for d, p in enumerate((q, qz, qz.diff_z(), qz.diff_zbar())):
-        for (i, j, k), c in p.complex_terms():
-            out[k, d, i, j] = c
-    return out
-
-
-def _slice_objective(local, t: float, sign: float):
+def _slice_objective(a, t: float, sign: float):
     """Value, gradient and Hessian in (x, y) of sign * q(x + iy, t) for a
-    real-valued q given by `_local_coeffs`: with z = x + iy,
-    q_x = 2 Re q_z, q_y = -2 Im q_z, q_xx = 2 Re q_zz + 2 q_zzb,
-    q_xy = -2 Im q_zz and q_yy = 2 q_zzb - 2 Re q_zz."""
+    real-valued q with x-y coefficients a (`MPoly.xy_coefficients`): the
+    slice c = sign * sum_k a[k] t^k and its five derivative matrices,
+    stacked and read at a point as two matrix-vector products with the
+    powers of y and of x."""
     import numpy as np
-    m = _horner_t(local, t)
-    ri, rj = np.arange(m.shape[1]), np.arange(m.shape[2])
+    c = sign * _horner_t(a, t)          # square: m and n run to the total degree
+    d = np.diag(np.arange(1.0, len(c)), 1)      # d/dx of sum c[m, n] x^m y^n is d @ c
+    cx, cy = d @ c, c @ d.T
+    stack = np.array([c, cx, cy, d @ cx, d @ cy, cy @ d.T])
+    e = np.arange(len(c))
 
     def fun(p):
-        z = complex(p[0], p[1])
-        v, vz, vzz, vzzb = ((m @ (z.conjugate() ** rj)) @ (z ** ri)).tolist()
-        hxy = -2.0 * sign * vzz.imag
-        return (sign * v.real, (2.0 * sign * vz.real, -2.0 * sign * vz.imag),
-                ((2.0 * sign * (vzz.real + vzzb.real), hxy),
-                 (hxy, 2.0 * sign * (vzzb.real - vzz.real))))
+        v, vx, vy, vxx, vxy, vyy = ((stack @ p[1] ** e) @ p[0] ** e).tolist()
+        return v, (vx, vy), ((vxx, vxy), (vxy, vyy))
     return fun
 
 
@@ -272,45 +261,52 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
                 t_max: float = 10.0) -> BlowupReport:
     """t_star = inf{t > 0: the normalized real form of q has a real zero}.
 
-    The t-coefficients of q are evaluated once on the grid.  Where q(., 0)
-    changes sign there, t_star is 0.  Otherwise, with s its sign there, the
-    minimum of a slice is that of s q(., t), found by a damped Newton descent
-    on the exact derivatives from the slice's grid argmin; among equal grid
-    values the argmin is the node of least x, then of least y.
+    The slice q(., t) is the array sum_k a[k] t^k of the x-y coefficients a
+    of q (`MPoly.xy_coefficients`), read on the grid by `grid_product` and
+    at a point by `_slice_objective`.  Where q(., 0) changes sign on the
+    grid, t_star is 0.  Otherwise, with s its sign there, the minimum of a
+    slice is that of s q(., t), found by a damped Newton descent on the
+    exact derivatives from the slice's grid argmin; among equal grid values
+    the argmin is the node of least x, then of least y.
 
     One descent at t = 0 gives m0 = min s W0.  If m0 <= 0, W0 already
     vanishes off the grid's nodes (between them or past the box) and t_star
     is 0; where that descent ended past the box, the witness is the zero of
     W0 found by bisection on the segment back to its start (`_zero_between`).
     When q = W0(x, y) + kappa t with a constant kappa (every degree-2 time
-    seed), the first zero is then closed: t_star = m0 / |kappa| when
-    s kappa < 0; if s kappa >= 0, or m0 / |kappa| > t_max, no zero is
-    reported.  Any other q is scanned over 200 t-slices of (0, t_max], and
-    the first slice whose minimum reaches zero is refined by bisection to
-    SCAN_TOL (`_scan`).
+    seed), the first zero is then closed and only the t = 0 grid is
+    evaluated: t_star = m0 / |kappa| when s kappa < 0; if s kappa >= 0, or
+    m0 / |kappa| > t_max, no zero is reported.  Any other q is scanned over
+    200 t-slices of (0, t_max], and the first slice whose minimum reaches
+    zero is refined by bisection to SCAN_TOL (`_scan`).
     """
     import numpy as np
     q = normalize_real(q)
-    xs, ys, grids = _sample(q, box, grid_n)
-    f0 = grids[0]
+    a = q.xy_coefficients()
+    xmin, xmax, ymin, ymax = box
+    xs, ys = np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n)
+
+    def grid(t):                        # q(., t) on the grid, indexed [x, y]
+        return grid_product(_horner_t(a, t), xs, ys).T
+
+    f0 = grid(0.0)
     if f0.min() <= 0.0 <= f0.max():
         ix, iy = np.unravel_index(np.abs(f0).argmin(), f0.shape)
         return BlowupReport(True, 0.0, (float(xs[ix]), float(ys[iy])),
                             "grid", "zero already present at t = 0")
     sign = 1.0 if f0.min() > 0 else -1.0
-    slice_min = _slice_minimizer(q, xs, ys, grids, sign)
-    m0, witness = slice_min(0.0)
+    m0, witness = _slice_min(a, 0.0, sign, xs, ys, f0)
     if m0 <= 0.0:
-        xmin, xmax, ymin, ymax = box
         if not (xmin <= witness[0] <= xmax and ymin <= witness[1] <= ymax):
             ix, iy = np.unravel_index((sign * f0).argmin(), f0.shape)
-            witness = _zero_between(lambda p: sign * q.eval(complex(*p)).real,
+            objective = _slice_objective(a, 0.0, sign)
+            witness = _zero_between(lambda p: objective(p)[0],
                                     (float(xs[ix]), float(ys[iy])), witness)
         return BlowupReport(True, 0.0, witness, "grid+descent",
                             "zero already present at t = 0")
     kappa = _constant_slope(q)
     if kappa is None:
-        hit = _scan(slice_min, t_max)
+        hit = _scan(lambda t: _slice_min(a, t, sign, xs, ys, grid(t)), t_max)
     else:
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
     if hit is None or hit[0] > t_max:
@@ -334,29 +330,14 @@ def _zero_between(f, a, b):
             a = mid
 
 
-def _sample(q: MPoly, box, grid_n: int):
-    """The axes xs, ys of the grid_n x grid_n grid over box, and each
-    t-coefficient of the real-valued q evaluated on that grid (`eval_grid`),
-    indexed [x, y]."""
+def _slice_min(a, t: float, sign: float, xs, ys, grid):
+    """The minimum of sign * q(., t), for q with x-y coefficients a, and
+    where it is: a damped Newton descent from the argmin of sign * grid,
+    the slice on the grid of the axes xs, ys, indexed [x, y]."""
     import numpy as np
-    xmin, xmax, ymin, ymax = box
-    xs, ys = np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n)
-    return xs, ys, np.array([p.eval_grid(xs, ys).T for p in q.t_coefficients()])
-
-
-def _slice_minimizer(q: MPoly, xs, ys, grids, sign: float):
-    """slice_min(t): the minimum of sign * q(., t) and where it is, by a
-    damped Newton descent from the slice's argmin on the grid of the axes
-    xs, ys, where `grids` are the t-coefficients of q indexed [x, y]."""
-    import numpy as np
-    local = _local_coeffs(q)
-
-    def slice_min(t):
-        vals = sign * _horner_t(grids, t)
-        ix, iy = np.unravel_index(vals.argmin(), vals.shape)
-        r = minimize(_slice_objective(local, t, sign), (xs[ix], ys[iy]))
-        return r.fun, r.x
-    return slice_min
+    ix, iy = np.unravel_index((sign * grid).argmin(), grid.shape)
+    r = minimize(_slice_objective(a, t, sign), (xs[ix], ys[iy]))
+    return r.fun, r.x
 
 
 def _constant_slope(q: MPoly):

@@ -280,7 +280,7 @@ def _disc_l2(mu2: RationalFn, t0: float, r: float, t_star) -> float:
     idx = np.unravel_index(np.abs(dre).argmin(), dre.shape)
     if not singular:
         # a touching zero leaves the grid minimum tiny but one-signed; refine
-        fun = nv._slice_objective(nv._local_coeffs(wt), t0, 1.0 if dre[idx] > 0 else -1.0)
+        fun = nv._slice_objective(wt.xy_coefficients(), t0, 1.0 if dre[idx] > 0 else -1.0)
         r0 = nv.minimize(fun, (Z[idx].real, Z[idx].imag))
         singular = r0.fun < 1e-6 * (1.0 + abs(wt.eval(0.0, t0)))
     if singular:

@@ -173,3 +173,15 @@ def test_mpoly_summary():
     assert MPoly.zero().summary() == "0"
     huge = MPoly.monomial(1, 0, 0, gr(Fraction(10 ** 60, 7)))
     assert huge.summary() == "1 terms, total degree 1, leading term ~(1.42857e+59+0j)*z"
+
+
+def test_mpoly_summary_of_a_coefficient_beyond_float_range():
+    # summary() builds the messages of the residual errors, so it must not
+    # raise on a coefficient that no float holds; short ones keep their text
+    big = Fraction(10 ** 400)
+    assert MPoly.monomial(1, 0, 0, big).summary() == (
+        "1 terms, total degree 1, leading term (|c|~2^1328)*z")
+    p = MPoly.monomial(0, 2, 1, gr(Fraction(1, 3), -big)) + MPoly.const(1)
+    assert p.summary() == "2 terms, total degree 3, leading term (|c|~2^1329)*zb^2*t"
+    assert MPoly.monomial(0, 0, 2, gr(1, Fraction(-1, 2))).summary() == (
+        "1 terms, total degree 2, leading term (1-1/2*i)*t^2")

@@ -126,8 +126,8 @@ def test_nonvanishing_certificate_memory_peak():
 
 def test_blowup_time_memory_peak(seed32):
     """The time ops' largest allocation is the blow-up search's 161 x 161
-    grid, one array per t-coefficient of W, evaluated from 1-D power tables
-    without a mesh of points: within 2.0 MiB on sec32."""
+    grid of one time slice of W, evaluated from 1-D power tables without a
+    mesh of points: within 2.0 MiB on sec32."""
     wt = nv.extended_w(seed32)
     tracemalloc.start()
     try:

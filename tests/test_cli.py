@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,20 @@ def test_blowup_reference_output():
     line = r.stdout.splitlines()[0]
     assert line.startswith("t_star≈2.416667 witness=(")
     assert line.endswith("witness=(-1,0)")
+
+
+def test_blowup_sec32_time_is_exact(seed32, tmp_path):
+    # sec32's W is W0 + kappa t, and its first zero is at t = 29/12 exactly:
+    # the library and the --out file give that time correctly rounded
+    t_star = float(Fraction(29, 12))
+    rep = nv.blowup_time(nv.extended_w(seed32))
+    assert rep.t_star == t_star and rep.witness == (-1.0, 0.0)
+    out = tmp_path / "blowup.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["blowup", "--seed", fixture_path("sec32.json"), "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert data["t_star"] == t_star and data["witness"] == [-1.0, 0.0]
 
 
 def test_potential_writes_json(tmp_path):
@@ -270,7 +285,7 @@ OUTPUT_DIGESTS = {
          "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
     ("blowup", "sec32"):
         ("4a169e89f01561098d98a9c94bb8b7615da2881ef577185bb8f2422ecf808add",
-         "f01deef19aa25bb3a4bea556c582189fbcd992547ec2d0cc1f957ffa6e135eb8"),
+         "2b1d02f6f6ab88e03ee626913a678b01afd874e9005dd6d001c9723f91d5097b"),
     ("verify", "sec22"):
         ("d5143ad9e0c75620b5a24c3280bd1cd1bb2b038e724c9c18986920314de0c821", None),
     ("verify", "sec22_cubic"):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module-level private function or class is read in its own module, every
-module-level function or class is reached from `mnv` or the benchmark, and
-no module imports numpy when it is itself imported.
+module-level function or class is reached from `mnv` or the benchmark, every
+method is read by name in the library or the benchmark, and no module
+imports numpy when it is itself imported.
 
 No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
@@ -199,3 +200,46 @@ def test_check_sees_an_unreached_definition():
                               "def end():\n    return 2\n")}
     assert _unreached(modules, set()) == ["a.orphan"]
     assert _unreached(modules, {"orphan"}) == []
+
+
+# Methods that only tests read, each with the reason it stays.  The list is
+# exact: a method the library or the benchmark comes to read leaves it.
+TEST_ONLY_METHODS = {
+    "MPoly.var_z": "the coordinate z, from which tests build polynomials",
+    "MPoly.var_zbar": "the coordinate zb, from which tests build polynomials",
+    "MPoly.var_t": "the time t, from which tests build polynomials",
+    "MPoly.antideriv_zbar": "the zb-antiderivative, checked with those in z and t",
+    "MPoly.deg_zbar": "the zb-degree, which tests check of the polynomials they draw",
+    "MPoly.subs_t": "exact substitution of a time: the reference for a slice at t",
+    "ScatteringData.b_is_zero": "the paper's B = 0, which the acceptance tests assert",
+}
+
+
+def _unread_methods(modules, readers):
+    """'Class.method' of every method, dunders left out, of a module-level
+    class of the modules (parsed trees) whose name no attribute of the
+    readers (parsed trees) reads."""
+    reads = {sub.attr for tree in readers for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute)}
+    return sorted(f"{node.name}.{fn.name}" for tree in modules for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  for fn in node.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                  and fn.name not in reads)
+
+
+def test_every_method_is_read_in_the_library_or_the_benchmark():
+    src = [_parse(os.path.join(SRC, f)) for f in ALL_MODULES]
+    bench = [_parse(os.path.join(BENCH, f)) for f in sorted(os.listdir(BENCH))
+             if f.endswith(".py")]
+    assert _unread_methods(src, src + bench) == sorted(TEST_ONLY_METHODS)
+
+
+def test_check_sees_an_unread_method():
+    tree = ast.parse("class A:\n    def __init__(self):\n        self.used()\n"
+                     "    def used(self):\n        return 1\n"
+                     "    def orphan(self):\n        return 2\n"
+                     "    @property\n    def size(self):\n        return 3\n"
+                     "def f(a):\n    return a.size\n")
+    assert _unread_methods([tree], [tree]) == ["A.orphan"]

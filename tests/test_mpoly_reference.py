@@ -221,7 +221,7 @@ def test_xy_coefficients_match_sympy_expansion():
         for (m, n), c in sp.Poly(expr, x, y).as_dict().items():
             assert c.is_rational
             want[(m, n)] = c.p / c.q
-        a = w.xy_coefficients()
+        a = w.xy_coefficients()[0]
         got = {(m, n): v for (m, n), v in np.ndenumerate(a) if v}
         assert got == want
         assert a.shape == (w.total_degree_space() + 1,) * 2
@@ -232,10 +232,11 @@ def test_eval_grid_matches_naive_within_xy_rounding_scale():
     for w in real_ws(2718):
         xs = np.array(sorted(rng.uniform(-3, 3) for _ in range(7)))
         ys = np.array(sorted(rng.uniform(-3, 3) for _ in range(5)))
-        got = w.eval_grid(xs, ys)
+        a = w.xy_coefficients()[0]
+        got = grid_product(a, xs, ys)
         assert got.shape == (len(ys), len(xs))
         want = np.array([[eval_naive(w, complex(x0, y0)).real for x0 in xs] for y0 in ys])
-        scale = grid_product(np.abs(w.xy_coefficients()), np.abs(xs), np.abs(ys))
+        scale = grid_product(np.abs(a), np.abs(xs), np.abs(ys))
         assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
@@ -245,10 +246,48 @@ def test_eval_grid_reads_the_terms_at_t_zero():
     for degree in range(1, 7):
         w = random_real_w(rng, degree, True, with_t=True)
         assert w.deg_t() > 0
-        assert np.array_equal(w.eval_grid(xs, ys), w.subs_t(0).eval_grid(xs, ys))
-        assert np.array_equal(w.xy_coefficients(), w.subs_t(0).xy_coefficients())
+        # a[0] is as wide as every spatial term of w; w(., 0) may be narrower
+        a, b = w.xy_coefficients()[0], w.subs_t(0).xy_coefficients()[0]
+        a0 = np.zeros_like(a)
+        a0[:b.shape[0], :b.shape[1]] = b
+        assert np.array_equal(grid_product(a, xs, ys), grid_product(a0, xs, ys))
+        assert np.array_equal(a, a0)
     t_only = MPoly.var_t() * 3
-    assert (t_only.eval_grid(xs, ys) == 0).all()
+    assert (grid_product(t_only.xy_coefficients()[0], xs, ys) == 0).all()
+
+
+def test_slices_of_xy_coefficients_match_exact_xy_derivatives():
+    # a real W of spatial degree 2-8 and t-degree 0-3: at several t, the
+    # slice of its x-y coefficients on a grid, and the blow-up search's
+    # value, gradient and Hessian at a point, against the exact x and y
+    # derivatives of W built as MPoly
+    rng = random.Random(1729)
+    dx = lambda p: p.diff_z() + p.diff_zbar()
+    dy = lambda p: (p.diff_z() - p.diff_zbar()) * GaussianRational(0, 1)
+    for degree in (2, 3, 4):
+        for kdeg in range(4):
+            w = random_real_w(rng, degree, True)
+            for k in range(1, kdeg + 1):
+                w = w + random_real_w(rng, rng.randint(1, degree), True) * MPoly.var_t() ** k
+            assert w.deg_t() == kdeg and 2 <= w.total_degree_space() <= 8
+            a = w.xy_coefficients()
+            exact = (w, dx(w), dy(w), dx(dx(w)), dx(dy(w)), dy(dy(w)))
+            xs = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(7)))
+            ys = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(5)))
+            for t0 in (0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)):
+                got = grid_product(nv._horner_t(a, t0), xs, ys)
+                want = np.array([[eval_naive(w, complex(x0, y0), t0).real for x0 in xs]
+                                 for y0 in ys])
+                scale = grid_product(nv._horner_t(np.abs(a), abs(t0)), np.abs(xs), np.abs(ys))
+                assert (np.abs(got - want) <= 1e-12 * scale).all()
+                for sign in (1.0, -1.0):
+                    fun = nv._slice_objective(a, t0, sign)
+                    for x, y in zip(xs[::3], ys[::2]):
+                        f, (gx, gy), ((hxx, hxy), (hyx, hyy)) = fun((x, y))
+                        ref = [sign * p.eval(complex(x, y), t0).real for p in exact]
+                        got_d = [f, gx, gy, hxx, hxy, hyy]
+                        assert hxy == hyx
+                        assert all(abs(g - r) < 1e-9 * (1 + abs(r)) for g, r in zip(got_d, ref))
 
 
 @pytest.mark.parametrize("wave", ["static", "time"])

@@ -335,7 +335,7 @@ def test_blowup_descent_from_an_indefinite_hessian():
     q = _xy_poly(lambda x, y: (x * x - MPoly.const(1)) ** 2 + y * y
                  + MPoly.const(1) - MPoly.var_t())
     box = (-0.4, 5.0, -1.0, 1.0)
-    _, _, ((hxx, hxy), (_, hyy)) = nv._slice_objective(nv._local_coeffs(q), 0.5, 1.0)((-0.4, 0))
+    _, _, ((hxx, hxy), (_, hyy)) = nv._slice_objective(q.xy_coefficients(), 0.5, 1.0)((-0.4, 0))
     assert hxx * hyy - hxy * hxy < 0
     rep = nv.blowup_time(q, box=box, grid_n=3)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
@@ -380,7 +380,7 @@ def test_slice_objective_matches_exact_xy_derivatives(seed32):
     dy = lambda p: (p.diff_z() - p.diff_zbar()) * GR_I
     exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
     for t, sign in ((0.7, 1.0), (2.1, -1.0)):
-        fun = nv._slice_objective(nv._local_coeffs(q), t, sign)
+        fun = nv._slice_objective(q.xy_coefficients(), t, sign)
         for x, y in ((0.3, -1.2), (-2.0, 0.9)):
             f, (gx, gy), ((hxx, hxy), (hyx, hyy)) = fun((x, y))
             ref = [sign * p.eval(complex(x, y), t).real for p in exact]
