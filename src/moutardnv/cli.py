@@ -17,7 +17,7 @@ from . import harness as hn
 from . import moutard as mt
 from . import nv
 from .errors import AlgebraError, CoefficientOverflow, ExponentOverflow
-from .exppoly import WaveFn, wave_eval
+from .exppoly import wave_eval
 
 
 def _parse_lambda(text: str) -> complex:
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
         frame = run("frame-build", lambda: mt.build_frame(seed))
         # without a frame, building it again fails this row with the same error
         fw = run("wave-residual-exact", lambda: fd.frame_wave(
-            frame if frame is not None else mt.build_frame(seed), WaveFn.free()))
+            frame if frame is not None else mt.build_frame(seed)))
         if fw is not None:
             run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(fw))
             run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))

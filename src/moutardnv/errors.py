@@ -37,10 +37,6 @@ class NotEvolved(AlgebraError):
     """Time-dependent seed does not satisfy dp/dt = d^3 p/dz^3."""
 
 
-class CompatibilityError(AlgebraError):
-    """The two legs of the transform system disagree; the input is not an eigenfunction."""
-
-
 class ResidualNonzero(AlgebraError):
     """A construction that must solve the Schroedinger equation exactly does not."""
 

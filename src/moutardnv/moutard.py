@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
-from .errors import CompatibilityError, NotHarmonic, NotHolomorphic, ZeroPolynomial
-from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_diff_z, wave_diff_zbar
+from .errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
+from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
 @dataclass(frozen=True)
@@ -98,35 +98,23 @@ def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
     return MoutardFrame(omega1, omega2, w, u, theta1, theta2, phi1, phi2)
 
 
-def _is_free_wave(phi: WaveFn) -> bool:
-    return set(phi.coeffs) == {0} and phi.coeffs[0] == MPoly.const(1)
+def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
+    """Transform of the free wave phi = e^{lam z} (e^{lam z + lam^3 t} with
+    the time phase) by a harmonic omega, as omega*theta over the denominator
+    omega.
 
-
-def moutard_transform_wave(omega: MPoly, phi: WaveFn) -> WaveFn:
-    """Transform of a wave eigenfunction by omega via the first-order system.
-
-    In complex form: d(omega*theta)/dz = i(phi*omega_z - omega*phi_z) and
-    d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb).  The wave is handled
-    in the exponential class, where the antiderivative is unique, so all
-    integration constants vanish and the transform decays by construction.
+    The first-order system d(omega*theta)/dz = i(phi*omega_z - omega*phi_z),
+    d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb) has the closed solution
+    omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega), since omega_z
+    is holomorphic.  The antiderivative is taken in the exponential class,
+    where it is unique, so no integration constant appears and the transform
+    decays by construction.
     """
-    if phi.den is not None:
-        raise ValueError("transform expects polynomial-coefficient waves")
-    if _is_free_wave(phi):
-        lap = omega.diff_z().diff_zbar()
-        if not lap.is_zero():
-            raise NotHarmonic("first transform needs a harmonic omega")
-
-    dphi_z = wave_diff_z(phi)
-    dphi_zb = wave_diff_zbar(phi)
-    rhs_z = (phi.scale(omega.diff_z()) - dphi_z.scale(omega)).scale(GR_I)
-    rhs_zb = (dphi_zb.scale(omega) - phi.scale(omega.diff_zbar())).scale(GR_I)
-    if wave_diff_zbar(rhs_z) != wave_diff_z(rhs_zb):
-        raise CompatibilityError("transform legs disagree; phi is not an eigenfunction")
-    prod = wave_antideriv_z(rhs_z)
-    if wave_diff_zbar(prod) != rhs_zb:
-        raise CompatibilityError("zb leg failed after integration")
-    return WaveFn(prod.coeffs, phi.time_phase, den=omega)
+    if not omega.diff_z().diff_zbar().is_zero():
+        raise NotHarmonic("the transform needs a harmonic omega")
+    free = WaveFn.free(time_phase)
+    prod = (wave_antideriv_z(free.scale(omega.diff_z())).scale(2) - free.scale(omega)).scale(GR_I)
+    return WaveFn(prod.coeffs, time_phase, den=omega)
 
 
 @dataclass
@@ -145,11 +133,12 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
                              grid_n: int = 201) -> NonvanishingReport:
     """Check sign-definiteness of a real-valued W on a box plus its leading form.
 
-    certified-positive means sign-definite: no sign change on the grid, |W|
+    certified-positive means sign-definite on the grid: no sign change, |W|
     above its rounding scale sum |a_mn||x|^m|y|^n (a from
     `MPoly.xy_coefficients`) at every grid point, and the leading homogeneous
-    form has the same strict sign on a dense angular grid (so no zero can
-    hide outside the box).
+    form is one t-free monomial c|z|^{2k}, read exactly, with c of the grid's
+    sign.  Then W has that sign far enough out on every ray; how far is not
+    bounded, so a zero between the box and that radius is not excluded.
     """
     if w.is_constant():
         c = w.constant_term()
@@ -174,13 +163,9 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     sign = 1 if re.min() > 0 else -1
     grid_min_abs = float(mag.min())
 
-    d = w.total_degree_space()
-    lead = MPoly.from_numerators({e: c for e, c in w.numerators.items()
-                                  if e[0] + e[1] == d and e[2] == 0}, w.denominator)
-    angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    lre = lead.eval(np.exp(1j * angles)).real
-    definite = bool((sign * lre > 1e-12).all())
+    ((i, j), c), *rest = w.spatial_leading_terms().items()
+    definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
     verdict = "certified-positive" if definite else "inconclusive"
-    detail = ("grid sign-definite; leading form strictly "
-              + ("definite" if definite else "indefinite or degenerate"))
+    detail = ("grid sign-definite; leading form " + ("" if definite else "not ")
+              + "one monomial c|z|^2k of the grid's sign")
     return NonvanishingReport(verdict, grid_min_abs, sign, definite, None, detail)

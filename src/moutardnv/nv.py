@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
-from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
+from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, frame_wave
 from .moutard import SeedPair, build_frame, double_w
 
@@ -122,7 +122,7 @@ def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
     seed = evolved_seed(seed)
     if w is None:
         w = extended_w(seed)
-    fw = frame_wave(build_frame(seed, w), WaveFn.free(time_phase=True))
+    fw = frame_wave(build_frame(seed, w), time_phase=True)
     tres = temporal_residual(fw)
     if not tres.is_zero():
         raise TemporalResidualNonzero(f"time leg fails: residual {tres.summary()}")

@@ -84,6 +84,30 @@ def test_traced_blowup_counts_minimize_calls(seed32):
     assert agg["nv.minimize"]["nfev"] >= len(calls)
 
 
+def test_traced_names_keep_their_callers():
+    """Every traced function but the two harness I/O helpers, which only the
+    cli workload reaches, records a span on the static and time ops: a
+    library change that stops calling one fails here instead of leaving its
+    per-layer metric empty."""
+    tracing = bench_module("tracing")
+    wl = bench_module("workloads")
+    sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        tracer.op = "static-sec22"
+        static_checks, _ = wl.static_op(sec22)
+        tracer.op = "time-sec32"
+        time_checks, _ = wl.time_op(sec32)
+    finally:
+        tracer.op = None
+        uninstall()
+    assert not static_checks.failures and not time_checks.failures
+    seen = {d["name"] for d in tracing.span_dicts(tracer.spans)}
+    traced = {f"{mod}.{fn}" for mod, fns in tracing.FUNCTIONS.items() for fn in fns}
+    assert traced - {"harness.write_grid_csv", "harness.load_seed"} - seen == set()
+
+
 def test_nonvanishing_certificate_matches_eval_on_static_candidates():
     """On every static candidate of the benchmark the certificate, which
     evaluates W in its x-y basis, agrees with the sign of W.eval on the same

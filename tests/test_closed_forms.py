@@ -1,0 +1,92 @@
+"""The closed forms of the free wave's transform and of the superposed wave,
+checked exactly over seeds of degree 1-6 and the benchmark's time candidates."""
+
+import random
+
+import pytest
+
+from moutardnv import nv
+from moutardnv.algebra import GR_I, MPoly
+from moutardnv.errors import AsymptoticMismatch
+from moutardnv.exppoly import WaveFn, wave_diff_z, wave_diff_zbar
+from moutardnv.faddeev import build_faddeev, scattering_data
+from moutardnv.moutard import SeedPair, harmonic_from_holomorphic, moutard_transform_wave
+
+from conftest import gr
+from test_bench_contract import bench_module
+from test_properties import random_gr, random_holomorphic
+
+
+def holomorphic(rng, degree, constant):
+    p = random_holomorphic(rng, degree)
+    return p + MPoly.const(random_gr(rng)) if constant else p
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_transform_solves_the_first_order_system(degree, time_phase):
+    """omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega) satisfies
+    d(omega*theta)/dz = i(phi omega_z - omega phi_z) and
+    d(omega*theta)/dzb = i(omega phi_zb - phi omega_zb) for the free wave phi,
+    slot by slot; with the time phase omega is evolved in t."""
+    rng = random.Random(100 * degree + time_phase)
+    phi = WaveFn.free(time_phase)
+    for trial in range(6):
+        p = holomorphic(rng, degree, constant=trial % 2)
+        if time_phase:
+            p = nv.heat3_evolve(p)
+        om = harmonic_from_holomorphic(p)
+        theta = moutard_transform_wave(om, time_phase)
+        assert theta.den == om and theta.time_phase == time_phase
+        prod = WaveFn(theta.coeffs, time_phase)
+        rhs_z = (phi.scale(om.diff_z()) - wave_diff_z(phi).scale(om)).scale(GR_I)
+        rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(om.diff_zbar())).scale(GR_I)
+        assert wave_diff_z(prod) == rhs_z, f"trial {trial}: {p}"
+        assert wave_diff_zbar(prod) == rhs_zb, f"trial {trial}: {p}"
+
+
+def d_z(p, k):
+    for _ in range(k):
+        p = p.diff_z()
+    return p
+
+
+def check_closed_forms(fw, seed):
+    """Slot 0 is W, slot k is 2i(-1)^(k-1)(omega1 d^k p2 - omega2 d^k p1) for
+    1 <= k <= d and no other slot exists; A = -2d/lam wherever the exact
+    extraction accepts W's leading form.  Returns whether A was checked."""
+    p1, p2 = seed.p1, seed.p2
+    om1, om2 = harmonic_from_holomorphic(p1), harmonic_from_holomorphic(p2)
+    d = max(p1.deg_z(), p2.deg_z())
+    assert fw.psi.den == fw.w and fw.psi.coeffs[0] == fw.w
+    assert set(fw.psi.coeffs) <= set(range(d + 1))
+    for k in range(1, d + 1):
+        n_k = (om1 * d_z(p2, k) - om2 * d_z(p1, k)) * GR_I * (2 * (-1) ** (k - 1))
+        assert fw.psi.slot(k) == n_k, f"slot {k}"
+    try:
+        sd = scattering_data(fw, validate=False)
+    except AsymptoticMismatch:
+        return False
+    assert sd.a_coeffs == {1: gr(-2 * d)}
+    return True
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_static_wave_closed_forms(degree):
+    rng = random.Random(200 + degree)
+    checked = 0
+    for trial in range(12):
+        constant = trial % 2
+        seed = SeedPair(holomorphic(rng, degree, constant), holomorphic(rng, degree, constant),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        checked += check_closed_forms(build_faddeev(seed), seed)
+    assert checked >= 10
+
+
+def test_time_wave_closed_forms():
+    wl = bench_module("workloads")
+    seeds = {"sec32": wl.fixture("sec32")[0], **wl.time_candidates()}
+    checked = 0
+    for seed in seeds.values():
+        checked += check_closed_forms(nv.nv_faddeev(seed), nv.evolved_seed(seed))
+    assert checked >= 45

@@ -148,8 +148,8 @@ def test_superposition_input_validation(seed22):
     from moutardnv.faddeev import faddeev_superpose
     from moutardnv.moutard import moutard_transform_wave
     frame = build_frame(seed22)
-    psi1 = moutard_transform_wave(frame.omega1, WaveFn.free())
-    psi2 = moutard_transform_wave(frame.omega2, WaveFn.free())
+    psi1 = moutard_transform_wave(frame.omega1)
+    psi2 = moutard_transform_wave(frame.omega2)
     with pytest.raises(ValueError):
         faddeev_superpose(frame, psi2, psi1)
 
@@ -158,8 +158,8 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22):
     from moutardnv.faddeev import faddeev_superpose
     from moutardnv.moutard import moutard_transform_wave
     frame = build_frame(seed22)
-    psi1 = moutard_transform_wave(frame.omega1, WaveFn.free())
-    psi2 = moutard_transform_wave(frame.omega2, WaveFn.free())
+    psi1 = moutard_transform_wave(frame.omega1)
+    psi2 = moutard_transform_wave(frame.omega2)
     # a lam^-1 term leaves the omega cancellation in slot 0 intact
     bad = psi2 + WaveFn({1: MPoly.var_z() * MPoly.var_zbar()}, den=frame.omega2)
     with pytest.raises(ResidualNonzero) as err:

@@ -76,7 +76,7 @@ def test_kernel_functions_are_zero_modes(seed22):
 
 def test_transform_free_wave_product_form(seed22):
     om = harmonic_from_holomorphic(seed22.p1)
-    theta = moutard_transform_wave(om, WaveFn.free())
+    theta = moutard_transform_wave(om)
     assert theta.den == om
     # slot 0 of omega*theta is exactly -i*omega
     assert theta.coeffs[0] == om * (-GR_I)
@@ -92,7 +92,7 @@ def test_transform_free_wave_product_form(seed22):
 def test_transform_requires_harmonic_omega():
     om = MPoly.var_z() * MPoly.var_zbar()       # not harmonic
     with pytest.raises(NotHarmonic):
-        moutard_transform_wave(om, WaveFn.free())
+        moutard_transform_wave(om)
 
 
 def test_commuting_square_same_potential(seed22):
