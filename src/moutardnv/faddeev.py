@@ -4,24 +4,37 @@ superposition, exact residuals, and scattering-data extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import MPoly, RationalFn
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
-from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave
+from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
 
 @dataclass
 class FaddeevWave:
-    """A wave solving (-4 d dbar + u) psi = 0 exactly.
+    """A wave psi = e^{lam z} chi / W (e^{lam z + lam^3 t} chi / W on the time
+    phase) for (-4 d dbar + u) psi = 0.
 
-    psi holds the multiplier slots over the shared denominator w; u is always
-    -2*Laplacian(log w), the frame's potential, built once with w.
+    psi holds the multiplier slots chi over its denominator W, so W and the
+    potential u = -2*Laplacian(log W) are read off psi: u is built on first
+    read, once.
     """
 
     psi: WaveFn
-    u: RationalFn
-    w: MPoly
+
+    def __post_init__(self):
+        if self.psi.den is None:
+            raise ValueError("a Faddeev wave needs its denominator W")
+
+    @property
+    def w(self) -> MPoly:
+        return self.psi.den
+
+    @cached_property
+    def u(self) -> RationalFn:
+        return potential(self.w)
 
 
 @dataclass
@@ -72,7 +85,7 @@ def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> Faddee
     coeffs = dict(combo.coeffs)
     coeffs[0] = w                                  # the leading 1, over the common denominator
     psi = WaveFn(coeffs, psi1.time_phase, den=w)
-    fw = FaddeevWave(psi, frame.u, w)
+    fw = FaddeevWave(psi)
     res = residual(fw)
     if not res.is_zero():
         raise ResidualNonzero(
@@ -81,34 +94,17 @@ def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> Faddee
 
 
 def residual(fw: FaddeevWave) -> MPoly:
-    """Cleared numerator of (-4 d dbar + u) psi with the wave's own u: zero
-    exactly when psi is an eigenfunction.  A u other than -2*Laplacian(log w)
-    gives the numerator of the difference; with it, (-4 d dbar + u) psi is
+    """Cleared numerator of (-4 d dbar + u) psi, zero exactly when psi is an
+    eigenfunction: with u = -2*Laplacian(log w) it is
     -4 e^{lam z} D_z D_zb (chi . w) / w^2, read by `bilinear_residual`."""
-    gap = potential_gap(fw.u, fw.w, -4)
-    return gap if not gap.is_zero() else bilinear_residual(fw, D_ZZBAR)
+    return bilinear_residual(fw, D_ZZBAR)
 
 
 def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
     """The first nonzero slot of hirota(chi, w, form) for the wave
-    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase);
-    a wave without a denominator has chi = w times its slots."""
-    if fw.psi.den is not None and fw.psi.den != fw.w:
-        raise ValueError("wave denominator must match the stored w")
-    chi = WaveFn(fw.psi.coeffs, fw.psi.time_phase)
-    res = hirota(chi if fw.psi.den is not None else chi.scale(fw.w), fw.w, form)
+    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase)."""
+    res = hirota(WaveFn(fw.psi.coeffs, fw.psi.time_phase), fw.w, form)
     return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
-
-
-def potential_gap(u: RationalFn, w: MPoly, c) -> MPoly:
-    """Cleared numerator of u - c D_z D_zb (w . w) / w^2 over w^2, zero
-    exactly when u = 2c d dbar log w; u must be a fraction over w^k, k <= 2."""
-    if u.base != w or u.k > 2:
-        raise ValueError("u must be a fraction over w^k with k <= 2")
-    num = u.num
-    for _ in range(2 - u.k):
-        num = num * w
-    return num - hirota(w, w, D_ZZBAR) * c
 
 
 def frame_wave(frame: MoutardFrame, time_phase: bool = False) -> FaddeevWave:
@@ -125,9 +121,10 @@ def build_faddeev(seed: SeedPair) -> FaddeevWave:
 
 def scattering_data(fw: FaddeevWave, validate: bool = True,
                     ray_radius: float = 1e3, ray_tol: float = 0.05) -> ScatteringData:
-    """Exact extraction of A(lam) from degree-leading coefficients, with an
-    independent numeric ray-fit validation.  B = 0 structurally: no conjugate
-    exponential can arise from rational multipliers."""
+    """Exact extraction of A(lam) from degree-leading coefficients, checked
+    against A = -2d/lam for W of degree 2d, with an independent numeric ray-fit
+    validation.  B = 0 structurally: no conjugate exponential can arise from
+    rational multipliers."""
     w = fw.w
     if w.is_constant():
         for k in fw.psi.coeffs:
@@ -158,6 +155,8 @@ def scattering_data(fw: FaddeevWave, validate: bool = True,
                     f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{cpoly.deg_t()}")
             a_coeffs[k] = cpoly.constant_term() / lead_c
     sd = ScatteringData(a_coeffs)
+    if a_coeffs != {1: -d}:
+        raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
     if validate:
         _validate_rays(fw, sd, ray_radius, ray_tol)
     return sd

@@ -35,7 +35,6 @@ class MoutardFrame:
     omega1: MPoly
     omega2: MPoly
     w: MPoly
-    u: RationalFn
     theta1: RationalFn
     theta2: RationalFn
     phi1: RationalFn
@@ -59,14 +58,18 @@ def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
 
 def double_w(seed: SeedPair) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula:
-    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed."""
-    return w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
+    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed.  W is
+    zero only when c = 0 and p1, p2 are real multiples of one polynomial, and
+    then so is the time leg of `nv.extended_w`: this is the one place that
+    rejects it."""
+    w = w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
+    if w.is_zero():
+        raise ZeroPolynomial("W is identically zero")
+    return w
 
 
 def laplace_log(w: MPoly) -> RationalFn:
     """Laplacian of log w: 4 d dbar log w = 2 D_z D_zb (w . w) / w^2."""
-    if w.is_zero():
-        raise ZeroPolynomial("log of the zero polynomial")
     return RationalFn(hirota(w, w, D_ZZBAR) * 2, w, 2)
 
 
@@ -93,9 +96,8 @@ def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
     omega2 = harmonic_from_holomorphic(seed.p2)
     if w is None:
         w = double_w(seed)
-    u = potential(w)
     theta1, theta2, phi1, phi2 = kernel_functions(omega1, omega2, w)
-    return MoutardFrame(omega1, omega2, w, u, theta1, theta2, phi1, phi2)
+    return MoutardFrame(omega1, omega2, w, theta1, theta2, phi1, phi2)
 
 
 def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
@@ -122,11 +124,8 @@ class NonvanishingReport:
     """Grid/leading-form evidence that W has no real zero."""
 
     verdict: str                       # "certified-positive" | "zero-found" | "inconclusive"
-    grid_min_abs: float
     sign: int                          # sign of W on the grid when constant, else 0
-    leading_form_definite: bool
     witness: tuple = None              # (x, y) where W ~ 0, for zero-found
-    detail: str = ""
 
 
 def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
@@ -143,9 +142,8 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     if w.is_constant():
         c = w.constant_term()
         if c.is_zero() or not c.is_real():
-            return NonvanishingReport("zero-found", 0.0, 0, False, (0.0, 0.0), "zero constant")
-        return NonvanishingReport("certified-positive", abs(complex(c).real), 1 if c.re > 0 else -1,
-                                  True, None, "nonzero constant")
+            return NonvanishingReport("zero-found", 0, (0.0, 0.0))
+        return NonvanishingReport("certified-positive", 1 if c.re > 0 else -1)
     import numpy as np
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
@@ -157,15 +155,8 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     mag = np.abs(re)
     if re.min() <= 0.0 <= re.max() or (mag <= 64 * np.finfo(float).eps * scale).any():
         iy, ix = np.unravel_index(mag.argmin(), re.shape)
-        return NonvanishingReport("zero-found", float(mag[iy, ix]), 0, False,
-                                  (float(xs[ix]), float(ys[iy])),
-                                  "sign change or zero on grid")
+        return NonvanishingReport("zero-found", 0, (float(xs[ix]), float(ys[iy])))
     sign = 1 if re.min() > 0 else -1
-    grid_min_abs = float(mag.min())
-
     ((i, j), c), *rest = w.spatial_leading_terms().items()
     definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
-    verdict = "certified-positive" if definite else "inconclusive"
-    detail = ("grid sign-definite; leading form " + ("" if definite else "not ")
-              + "one monomial c|z|^2k of the grid's sign")
-    return NonvanishingReport(verdict, grid_min_abs, sign, definite, None, detail)
+    return NonvanishingReport("certified-positive" if definite else "inconclusive", sign)

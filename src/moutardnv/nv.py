@@ -84,8 +84,6 @@ class NVSolution:
 def nv_potentials(wt: MPoly) -> NVSolution:
     """U = 2 d dbar log Wt and V = 2 d^2 log Wt, the forms D_z D_zb and D_z^2 on
     (Wt . Wt) over Wt^2, with dbar V = d U asserted exactly over Wt^3."""
-    if wt.is_zero():
-        raise ZeroPolynomial("potentials of Wt = 0")
     pu, pv = hirota(wt, wt, D_ZZBAR), hirota(wt, wt, D_ZZ)
     if _diff_over_w2(pv, wt, MPoly.diff_zbar) != _diff_over_w2(pu, wt, MPoly.diff_z):
         raise TemporalResidualNonzero("dbar V != d U for this Wt")

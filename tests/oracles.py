@@ -21,7 +21,6 @@ from moutardnv import nv
 from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import AlgebraError, PoleError
 from moutardnv.exppoly import D_ZZBAR, hirota
-from moutardnv.faddeev import potential_gap
 from moutardnv.harness import _gr_from_json, _grid_points
 
 
@@ -250,7 +249,7 @@ def mu2_integrability(sol, fw, t_samples, r_outer: float = 40.0,
     the lam^{-2} kernel fraction at times t_samples before t_star."""
     mu2 = nv.kernel_mu(fw)[2]
     n2 = mu2.num
-    u_ok = potential_gap(sol.u, sol.wt, 1).is_zero()
+    u_ok = potential_gap(sol.u, sol.wt).is_zero()
     report = Mu2Report(u_ok and eigen_check(n2 + n2.conj_swap(), sol.u),
                        u_ok and eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u),
                        n2.total_degree_space() - mu2.base.total_degree_space())
@@ -258,6 +257,14 @@ def mu2_integrability(sol, fw, t_samples, r_outer: float = 40.0,
         half, full = (_disc_l2(mu2, t0, r, t_star) for r in (r_outer / 2.0, r_outer))
         report.entries.append(Mu2Entry(t0, half, full, full - half))
     return report
+
+
+def potential_gap(u: RationalFn, w: MPoly) -> MPoly:
+    """Cleared numerator over w^2 of u - D_z D_zb (w . w) / w^2 for a u over
+    w^2: zero exactly when u = 2 d dbar log w."""
+    if u.base != w or u.k != 2:
+        raise ValueError("u must be a fraction over w^2")
+    return u.num - hirota(w, w, D_ZZBAR)
 
 
 def eigen_check(num: MPoly, u: RationalFn) -> bool:

@@ -13,6 +13,8 @@ from moutardnv import nv
 from moutardnv.algebra import MPoly
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
+from test_cli import _build_counts
+
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
@@ -106,6 +108,16 @@ def test_traced_names_keep_their_callers():
     seen = {d["name"] for d in tracing.span_dicts(tracer.spans)}
     traced = {f"{mod}.{fn}" for mod, fns in tracing.FUNCTIONS.items() for fn in fns}
     assert traced - {"harness.write_grid_csv", "harness.load_seed"} - seen == set()
+
+
+def test_ops_form_each_hirota_product_once():
+    """static_op(sec22): the wave residual and the potential that the
+    finite-difference check reads.  time_op(sec32): U and V, the two
+    third-order forms of the evolution residual, and the wave's two residuals."""
+    wl = bench_module("workloads")
+    sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
+    assert _build_counts(lambda: wl.static_op(sec22), ("hirota",)) == {"hirota": 2}
+    assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 6}
 
 
 def test_nonvanishing_certificate_matches_eval_on_static_candidates():

@@ -388,7 +388,8 @@ def test_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("time", [False, True])
 def test_verify_on_a_zero_w_seed_prints_every_check(time, tmp_path):
-    # p1 = p2 = z and c = 0 give W = 0: every check fails, none aborts the table
+    # p1 = p2 = z and c = 0 give W = 0: every check that runs fails, none
+    # aborts the table
     seed = tmp_path / "zero.json"
     seed.write_text(json.dumps({"p1": [[1, {"re": "1", "im": "0"}]],
                                 "p2": [[1, {"re": "1", "im": "0"}]],
@@ -402,11 +403,33 @@ def test_verify_on_a_zero_w_seed_prints_every_check(time, tmp_path):
     rows = [line.split()[1] for line in lines[1:]]
     assert all(line.split()[0] in ("PASS", "FAIL") for line in lines[1:])
     if time:
-        assert rows == ["extended-w", "evolution-residual-exact",
-                        "wave-residuals-exact", "blowup-search"]
+        # every later check reads the extended W, which is rejected
+        assert rows == ["extended-w"]
     else:
         assert rows == ["frame-build", "wave-residual-exact"]
         assert lines[1].split(" ", 2)[2] == lines[2].split(" ", 2)[2]
+
+
+ZERO_W_ARGV = {"sample-grid": ["--grid=-1,1,-1,1,3", "--out"]}
+
+
+@pytest.mark.parametrize("time", [False, True])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_subcommand_rejects_a_zero_w_with_one_message(command, time, tmp_path):
+    # p2 = 3 p1 and c = 0 give W = 0, and on the time seed a zero time leg too
+    p1 = [[1, {"re": "1", "im": "0"}], [2, {"re": "1", "im": "0"}]]
+    p2 = [[1, {"re": "3", "im": "0"}], [2, {"re": "3", "im": "0"}]]
+    seed = tmp_path / "zero.json"
+    seed.write_text(json.dumps({"p1": p1, "p2": p2, "c": {"re": "0", "im": "0"},
+                                "time": time}))
+    out = tmp_path / "out.csv"
+    argv = [command, "--seed", str(seed)] + ZERO_W_ARGV.get(command, ["--out"]) + [str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    assert rc == 1
+    assert "ZeroPolynomial: W is identically zero" in stdout.getvalue()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["potential", "--t", "5"], ["verify", "--tol", "1"],
@@ -449,19 +472,19 @@ BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                         "laplace_log": 1, "nv_potentials": 1}),
-    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
-    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
-    ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "laplace_log": 1}),
-    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
+                         "nv_potentials": 1}),
+    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
+    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
+    ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1}),
+    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1}),
 ]
 
 
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W, one frame and one potential per call, and verify's (U, V) pair;
+    # one W and one frame per call, and verify's (U, V) pair; the potential
+    # only where it is read, by the static verify's finite-difference check;
     # sec32's quadratics are their own evolution, so heat3_evolve never runs on it
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
@@ -474,10 +497,9 @@ def test_each_object_is_built_once(what, name, expected):
 
 
 def test_verify_on_sec32_forms_hirota_products_once():
-    # D_z D_zb (W . W) is formed by nv_potentials, by the frame's laplace_log
-    # and by potential_gap, the independent check of the wave's u; nv_residual
-    # reads it off U. Then D_z^2, D_z^3 D_zb and D_z D_zb^3 on (W . W), and the
-    # two wave residuals.
+    # D_z D_zb (W . W) is formed once, by nv_potentials; nv_residual reads it
+    # off U. Then D_z^2, D_z^3 D_zb and D_z D_zb^3 on (W . W), and the two wave
+    # residuals.
     counts = _build_counts(lambda: cli.main(["verify", "--seed", fixture_path("sec32.json")]),
                            ("hirota",))
-    assert counts == {"hirota": 8}
+    assert counts == {"hirota": 6}

@@ -7,7 +7,7 @@ from moutardnv.errors import AsymptoticMismatch, ResidualNonzero
 from moutardnv.exppoly import WaveFn, wave_eval
 from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev,
                                residual, scattering_data)
-from moutardnv.moutard import build_frame
+from moutardnv.moutard import build_frame, potential
 
 from conftest import gr, poly
 from oracles import same_fraction
@@ -72,7 +72,7 @@ def test_residual_detects_corruption(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.var_zbar()
-    broken = FaddeevWave(WaveFn(bad, den=fw.w), fw.u, fw.w)
+    broken = FaddeevWave(WaveFn(bad, den=fw.w))
     assert not residual(broken).is_zero()
 
 
@@ -91,8 +91,7 @@ def test_scattering_cubic_reference(seed22_cubic):
 
 
 def test_scattering_free_wave():
-    fw = FaddeevWave(WaveFn.free(), RationalFn(MPoly.zero(), MPoly.const(1)),
-                     MPoly.const(1))
+    fw = FaddeevWave(WaveFn({0: MPoly.const(1)}, den=MPoly.const(1)))
     assert scattering_data(fw).a_coeffs == {}
 
 
@@ -100,7 +99,7 @@ def test_scattering_rejects_bad_degree(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.var_z() ** 4
-    broken = FaddeevWave(WaveFn(bad, den=fw.w), fw.u, fw.w)
+    broken = FaddeevWave(WaveFn(bad, den=fw.w))
     with pytest.raises(AsymptoticMismatch):
         scattering_data(broken, validate=False)
 
@@ -124,9 +123,13 @@ def test_ray_validation_catches_corrupted_slot(seed22, extra):
     i, j = (a - 1, b) if extra == "radial" else (a, b - 1)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.monomial(i, j, 0, lead.constant_term() * gr("1/5"))
-    broken = FaddeevWave(WaveFn(bad, den=fw.w), fw.u, fw.w)
+    broken = FaddeevWave(WaveFn(bad, den=fw.w))
     with pytest.raises(AsymptoticMismatch):
         _validate_rays(broken, sd, 1e3, 0.05)
+    if extra == "radial":
+        # the exact A of the broken wave is -4 + 1/5, not -deg(W)
+        with pytest.raises(AsymptoticMismatch):
+            scattering_data(broken, validate=False)
 
 
 def test_decay_bookkeeping(seed22):
@@ -167,17 +170,26 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22):
     combo = WaveFn(bad.coeffs).scale(frame.omega1) - WaveFn(psi1.coeffs).scale(frame.omega2)
     coeffs = dict(combo.coeffs)
     coeffs[0] = frame.w
-    res = residual(FaddeevWave(WaveFn(coeffs, den=frame.w), frame.u, frame.w))
+    res = residual(FaddeevWave(WaveFn(coeffs, den=frame.w)))
     message = str(err.value)
     assert f"residual {len(res.terms)} terms, total degree" in message
     assert len(message) < 200 < len(str(res))
 
 
-def test_residual_checks_the_wave_against_its_u(seed22):
+def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
+    # W is psi's denominator and u = potential(W) is built on first read, once;
+    # a wave without a denominator has no W to read
+    from moutardnv import faddeev
     fw = build_faddeev(seed22)
-    res = residual(FaddeevWave(fw.psi, fw.u * 2, fw.w))
-    assert not res.is_zero()
-    assert res == fw.u.num                 # the numerator of 2u - u over W^2
-    for u in (RationalFn(fw.u.num, fw.w * 2, 2), RationalFn(fw.u.num * fw.w, fw.w, 3)):
-        with pytest.raises(ValueError):
-            residual(FaddeevWave(fw.psi, u, fw.w))
+    built = []
+
+    def counted(w):
+        built.append(w)
+        return potential(w)
+
+    monkeypatch.setattr(faddeev, "potential", counted)
+    assert fw.w is fw.psi.den
+    assert same_fraction(fw.u, potential(fw.w))
+    assert fw.u is fw.u and built == [fw.w]
+    with pytest.raises(ValueError):
+        FaddeevWave(WaveFn.free())

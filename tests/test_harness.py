@@ -45,7 +45,7 @@ def test_fd_residual_corrupted_wave(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.var_zbar() * gr("1/1000")
-    broken = FaddeevWave(WaveFn(bad, den=fw.w), fw.u, fw.w)
+    broken = FaddeevWave(WaveFn(bad, den=fw.w))
     rep = fd_residual(fw.u, broken, 1.0, GridSpec(-2, 2, -2, 2, 5), 1e-2)
     assert rep.order < 1.0
 

@@ -180,7 +180,7 @@ def test_temporal_residual_detects_frozen_wave(seed32):
     fw = nv.nv_faddeev(seed32)
     frozen = WaveFn({k: f.subs_t(0) for k, f in fw.psi.coeffs.items()},
                     time_phase=True, den=fw.w.subs_t(0))
-    broken = FaddeevWave(frozen, fw.u, fw.w.subs_t(0))
+    broken = FaddeevWave(frozen)
     assert not nv.temporal_residual(broken).is_zero()
 
 
@@ -268,7 +268,8 @@ def degree2_time_w(draw):
                    MPoly.zero())
 
     p1, p2 = holomorphic(), holomorphic()
-    w = nv.extended_w(SeedPair(p1, p2, gr(0)))
+    # W at c = 0, which may be zero: extended_w rejects that W, not W + 1
+    w = nv.extended_w(SeedPair(p1, p2, gr(1))) - MPoly.const(1)
     s = -1 if w.coeff(2, 2).re < 0 else 1
     xs = np.linspace(BOX[0], BOX[1], GRID_N)
     w0 = w.subs_t(0).eval(xs[None, :] + 1j * xs[:, None]).real
