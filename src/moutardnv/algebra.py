@@ -7,7 +7,8 @@ exact; floating point only ever appears in the evaluators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import CoefficientOverflow, ExponentOverflow, PoleError, ZeroPolynomial
 
@@ -179,10 +180,10 @@ class MPoly:
     over one positive integer denominator, with the gcd of the denominator and
     all numerators equal to 1.  That form is canonical, so equality is
     structural.  Instances are immutable; the GaussianRational view `terms`
-    and the complex coefficients read by `eval` are built once, on demand.
+    and the x-y coefficient array read by `eval` are built once, on demand.
     """
 
-    __slots__ = ("_c", "_d", "_view", "_cx", "_plan")
+    __slots__ = ("_c", "_d", "_view", "_xy")
 
     def __init__(self, terms=None):
         acc = {}
@@ -262,16 +263,6 @@ class MPoly:
             d = self._d
             view = self._view = {e: _gr(re, im, d) for e, (re, im) in self._c.items()}
         return view
-
-    def complex_terms(self) -> list:
-        """((i, j, k), complex coefficient) in `sorted_terms` order, converted
-        once; each value equals complex() of the exact coefficient."""
-        cx = self._cx
-        if cx is None:
-            d = self._d
-            cx = self._cx = [(e, complex(_to_float(re, d)) + 1j * complex(_to_float(im, d)))
-                             for e, (re, im) in sorted(self._c.items(), key=_term_order)]
-        return cx
 
     # -- ring operations ----------------------------------------------
 
@@ -485,67 +476,35 @@ class MPoly:
 
     # -- numerics -----------------------------------------------------
 
-    def _horner_plan(self) -> list:
-        """[(i, [(j, [(k, c), ...]), ...]), ...], every exponent descending."""
-        nested = {}
-        for (i, j, k), c in self.complex_terms():
-            nested.setdefault(i, {}).setdefault(j, []).append((k, c))
-        self._plan = [(i, [(j, sorted(ks, reverse=True))
-                           for j, ks in sorted(nested[i].items(), reverse=True)])
-                      for i in sorted(nested, reverse=True)]
-        return self._plan
-
     def eval(self, z0, t0: float = 0.0):
-        """Nested Horner evaluation in z, then zb, then t, at the real time t0.
-
-        z0 is one point, giving a Python complex, or an array of points,
-        giving an array of their shape; on arrays every step works in place
-        on one accumulator per variable.
-        """
-        plan = self._plan
-        if plan is None:
-            plan = self._horner_plan()
-        if isinstance(z0, (int, float, complex)):
-            z0 = complex(z0)
-        else:
-            import numpy as np
-            z0 = np.asarray(z0, dtype=complex)
-        zb0 = z0.conjugate()
-
-        def in_t(ks):
-            return horner(ks, t0)
-
-        def in_zb(row):
-            return horner(row, zb0, in_t)
-
-        acc = horner(plan, z0, in_zb)
-        if isinstance(z0, complex):
-            return complex(acc)
-        if isinstance(acc, np.ndarray) and acc.shape == z0.shape:
-            return acc
-        return np.full(z0.shape, acc, dtype=complex)
+        """`xy_eval` at the real time t0 and one point or an array of points."""
+        return xy_eval(self.xy_coefficients(), z0, t0)
 
     def xy_coefficients(self):
-        """The float array a with Re self(x + iy, t) = sum a[k, m, n] t^k x^m y^n.
-
-        z^i zb^j = (x + iy)^i (x - iy)^j is expanded with binomials on the
-        Gaussian-integer numerators in Python ints, so each entry is exact
-        until its one division by the denominator.
-        """
+        """The complex array a with self(x + iy, t) = sum a[k, m, n] t^k x^m y^n,
+        m and n running to the total degree; built once, read-only.  Term
+        c z^i zb^j t^k adds i^n K[n] c at [k, i + j - n, n] for the row
+        K = `_xy_row(i, j)`, in Python ints on the Gaussian-integer numerators,
+        so each part is exact until its one division by the denominator."""
+        a = self._xy
+        if a is not None:
+            return a
         import numpy as np
-        kdeg, deg = max(self.deg_t(), 0), max(self.total_degree_space(), 0)
-        acc = [[[0] * (deg + 1) for _ in range(deg + 1)] for _ in range(kdeg + 1)]
+        acc = {}
         for (i, j, k), (re, im) in self._c.items():
-            # x^(i+j-n) y^n with n = p + q carries i^n (-1)^q, and the real
-            # part of (re + i im) i^n runs through `parts` as n mod 4
-            parts = (re, -im, -re, im)
-            for p in range(i + 1):
-                cp = comb(i, p)
-                for q in range(j + 1):
-                    v = cp * comb(j, q) * parts[(p + q) % 4]
-                    acc[k][i + j - p - q][p + q] += -v if q % 2 else v
-        d = self._d
-        return np.array([[[_to_float(v, d) for v in row] for row in ak] for ak in acc])
+            parts = ((re, im), (-im, re), (-re, -im), (im, -re))    # i^n (re + i im)
+            for n, kn in enumerate(_xy_row(i, j)):
+                pr, pi = parts[n % 4]
+                s = acc.setdefault((k, i + j - n, n), [0, 0])
+                s[0] += kn * pr
+                s[1] += kn * pi
+        deg = max(self.total_degree_space(), 0) + 1
+        a = np.zeros((max(self.deg_t(), 0) + 1, deg, deg), complex)
+        for e, (re, im) in acc.items():
+            a[e] = complex(_to_float(re, self._d), _to_float(im, self._d))
+        a.flags.writeable = False
+        self._xy = a
+        return a
 
     # -- presentation -------------------------------------------------
 
@@ -598,24 +557,50 @@ def _format_term(expo, c) -> str:
     return "*".join(factors)
 
 
-def horner(pairs, x, inner=None):
-    """sum v(c) x^e over (e, c) pairs, e descending, with v = inner or the
-    identity, for a number or an array x.  On arrays the accumulator is
-    multiplied and added to in place, so each v(c) is a number or an array
-    that may be overwritten."""
-    acc = prev = None
-    for e, c in pairs:
-        v = c if inner is None else inner(c)
-        if prev is None:
-            acc = v
-        else:
-            for _ in range(prev - e):
-                acc *= x
-            acc += v
-        prev = e
-    for _ in range(prev or 0):
-        acc *= x
-    return 0j if acc is None else acc
+@lru_cache(maxsize=None)
+def _xy_row(i: int, j: int) -> tuple:
+    """K with (x + iy)^i (x - iy)^j = sum_n i^n K[n] x^(i+j-n) y^n: the
+    coefficients of (1 + s)^i (1 - s)^j, from the row of (i, j - 1) or of
+    (i - 1, 0)."""
+    if i == j == 0:
+        return (1,)
+    prev, sign = (_xy_row(i, j - 1), -1) if j else (_xy_row(i - 1, 0), 1)
+    return tuple(p + sign * q for p, q in zip(prev + (0,), (0,) + prev))
+
+
+def _horner_t(coeffs, t: float):
+    """sum_k coeffs[k] t^k."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+#: Points that `xy_eval` reads at once: its power tables stay this many rows.
+XY_BLOCK = 1024
+
+
+def xy_eval(a, z0, t0: float = 0.0):
+    """sum a[k, m, n] t0^k x^m y^n at z0 = x + iy, for the x-y coefficients a
+    of a polynomial (`MPoly.xy_coefficients`): the slice c = sum_k a[k] t0^k,
+    then, per block of XY_BLOCK points, one real matrix product of the powers
+    of x with the real and imaginary parts of c side by side, and one with
+    the powers of y.  z0 is one point, giving a Python complex, or an array
+    of points, giving an array of their shape."""
+    import numpy as np
+    c = _horner_t(a, t0)
+    m, n = c.shape
+    parts = np.concatenate((c.real, c.imag), axis=1)
+    z = np.asarray(z0, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.empty((flat.size, 2))      # (Re, Im) per point, read as complex
+    for s in range(0, flat.size, XY_BLOCK):
+        block = flat[s:s + XY_BLOCK]
+        rows = (np.vander(block.real, m, increasing=True) @ parts).reshape(-1, 2, n)
+        out[s:s + XY_BLOCK] = (rows @ np.vander(block.imag, n, increasing=True)[:, :, None])[..., 0]
+    if isinstance(z0, (int, float, complex)):
+        return complex(*out[0])
+    return out.view(complex).reshape(z.shape)
 
 
 def grid_product(a, xs, ys):
@@ -631,7 +616,7 @@ def grid_product(a, xs, ys):
 def _set(p: MPoly, c: dict, d: int) -> None:
     p._c = c
     p._d = d
-    p._view = p._cx = p._plan = None
+    p._view = p._xy = None
 
 
 def _wrap(c: dict, d: int) -> MPoly:

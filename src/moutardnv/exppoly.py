@@ -11,7 +11,7 @@ import cmath
 from itertools import product
 from math import comb, prod
 
-from .algebra import MPoly, divide_off_poles
+from .algebra import MPoly, divide_off_poles, xy_eval
 from .errors import LambdaZeroError, ZeroPolynomial
 
 
@@ -202,20 +202,22 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
 
 def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     """Value of the wave without its exponential prefactor, at a point or an
-    array of points; a pole of the shared denominator as in `divide_off_poles`."""
+    array of points: sum_k lam^{-k} f_k formed on the slots' x-y coefficients
+    and read by one `xy_eval`, over the shared denominator read by another; a
+    pole of it as in `divide_off_poles`."""
+    import numpy as np
     lam0 = complex(lam0)
     if lam0 == 0 and any(k > 0 for k in w.coeffs):
         raise LambdaZeroError("lam = 0 with negative powers of lam present")
-    if isinstance(z0, (int, float, complex)):
-        total = 0j
-    else:
-        import numpy as np
-        total = np.zeros(np.shape(z0), complex)
-    for k, f in w.coeffs.items():
-        total += lam0 ** (-k) * f.eval(z0, t0)
+    arrays = {k: f.xy_coefficients() for k, f in w.coeffs.items()}
+    shape = tuple(map(max, zip((1, 1, 1), *(a.shape for a in arrays.values()))))
+    total = np.zeros(shape, complex)            # each slot's array fills one corner
+    for k, a in arrays.items():
+        total[tuple(map(slice, a.shape))] += lam0 ** (-k) * a
+    num = xy_eval(total, z0, t0)
     if w.den is None:
-        return total
-    return divide_off_poles(total, w.den.eval(z0, t0), "wave denominator", z0, t0)
+        return num
+    return divide_off_poles(num, w.den.eval(z0, t0), "wave denominator", z0, t0)
 
 
 def wave_eval(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import MPoly, RationalFn
-from .errors import AsymptoticMismatch, ResidualNonzero
+from .errors import AsymptoticMismatch, CoefficientOverflow, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
@@ -165,13 +165,18 @@ def scattering_data(fw: FaddeevWave, validate: bool = True,
 def _validate_rays(fw: FaddeevWave, sd: ScatteringData, radius: float, tol: float):
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
     so the Richardson estimate 2 g(2r) - g(r) meets the exact A to O(r^-2).
-    Rays through a pole at either radius are skipped."""
+    Rays through a pole at either radius are skipped; a value beyond float
+    range there raises CoefficientOverflow, so no ray goes uncompared."""
     import numpy as np
     ray = radius * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
     z = np.stack([ray, 2.0 * ray])
     for lam0 in (1.0, 0.7 + 0.4j):
         expected = sd.a_at(lam0)
-        g = z * (wave_multiplier(fw.psi, z, 0.0, lam0) - 1.0)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                g = z * (wave_multiplier(fw.psi, z, 0.0, lam0) - 1.0)
+        except FloatingPointError as exc:
+            raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
         got = 2.0 * g[1] - g[0]
         bad = np.flatnonzero(np.abs(got - expected) > tol)
         if bad.size:

@@ -148,7 +148,7 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)
-    a = w.xy_coefficients()[0]          # the certificate is for static W: t = 0
+    a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
     re = grid_product(a, xs, ys)        # indexed [y, x]
     # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
     scale = grid_product(np.abs(a), np.abs(xs), np.abs(ys))

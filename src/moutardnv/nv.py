@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, _horner_t, grid_product
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, frame_wave
@@ -174,22 +174,14 @@ def normalize_real(q: MPoly) -> MPoly:
     raise ValueError("polynomial is not real-valued up to a constant scale")
 
 
-def _horner_t(coeffs, t: float):
-    """sum_k coeffs[k] t^k."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * t + c
-    return acc
-
-
 def _slice_objective(a, t: float, sign: float):
     """Value, gradient and Hessian in (x, y) of sign * q(x + iy, t) for a
     real-valued q with x-y coefficients a (`MPoly.xy_coefficients`): the
-    slice c = sign * sum_k a[k] t^k and its five derivative matrices,
-    stacked and read at a point as two matrix-vector products with the
-    powers of y and of x."""
+    slice c = sign * sum_k Re a[k] t^k (Im a = 0) and its five derivative
+    matrices, stacked and read at a point as two matrix-vector products with
+    the powers of y and of x."""
     import numpy as np
-    c = sign * _horner_t(a, t)          # square: m and n run to the total degree
+    c = sign * _horner_t(a.real, t)     # square: m and n run to the total degree
     d = np.diag(np.arange(1.0, len(c)), 1)      # d/dx of sum c[m, n] x^m y^n is d @ c
     cx, cy = d @ c, c @ d.T
     stack = np.array([c, cx, cy, d @ cx, d @ cy, cy @ d.T])
@@ -280,7 +272,7 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     """
     import numpy as np
     q = normalize_real(q)
-    a = q.xy_coefficients()
+    a = q.xy_coefficients().real       # q is real-valued: Im a = 0
     xmin, xmax, ymin, ymax = box
     xs, ys = np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n)
 
@@ -341,12 +333,9 @@ def _slice_min(a, t: float, sign: float, xs, ys, grid):
 def _constant_slope(q: MPoly):
     """kappa, as a float, when the real-valued q is W0(x, y) + kappa t with a
     constant kappa (zero when q has no t); None otherwise."""
-    if q.deg_t() > 1:
+    if q.deg_t() > 1 or not q.diff_t().is_constant():
         return None
-    slope = q.diff_t()
-    if not slope.is_constant():
-        return None
-    return complex(slope.constant_term()).real
+    return float(q.xy_coefficients()[1, 0, 0].real) if q.deg_t() == 1 else 0.0
 
 
 def _scan(slice_min, t_max: float):

@@ -1,6 +1,6 @@
 """Reference code that only the tests use.
 
-- Term-by-term evaluators, the independent references of the Horner ones.
+- Term-by-term evaluators, the independent references of the x-y one.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -27,7 +27,7 @@ from moutardnv.harness import _gr_from_json, _grid_points
 def eval_naive(p: MPoly, z0, t0: float = 0.0) -> complex:
     z0 = complex(z0)
     zb0 = z0.conjugate()
-    return sum(c * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in p.complex_terms())
+    return sum(complex(c) * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in p.sorted_terms())
 
 
 def wave_eval_naive(w, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:

@@ -9,8 +9,10 @@ import tracemalloc
 
 import numpy as np
 
-from moutardnv import nv
+from moutardnv import algebra, exppoly, faddeev, nv
 from moutardnv.algebra import MPoly
+from moutardnv.exppoly import wave_eval
+from moutardnv.faddeev import build_faddeev
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
 from test_cli import _build_counts
@@ -120,6 +122,47 @@ def test_ops_form_each_hirota_product_once():
     assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 6}
 
 
+def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):
+    """No polynomial's x-y array is expanded twice, and each wave_multiplier
+    call reads the lam-summed numerator and W in one `xy_eval` each,
+    whatever the number of slots (d + 1 for a seed of degree d)."""
+    wl = bench_module("workloads")
+    sec22, cubic, sec32 = (wl.fixture(name)[0] for name in ("sec22", "sec22_cubic", "sec32"))
+    expanded, per_call, inside = [], [], []
+    xy_coefficients, xy_eval, multiplier = (MPoly.xy_coefficients, algebra.xy_eval,
+                                            exppoly.wave_multiplier)
+
+    def counted_xy_coefficients(p):
+        if p._xy is None:
+            expanded.append(p)          # held, so no id is reused
+        return xy_coefficients(p)
+
+    def counted_xy_eval(*args):
+        if inside:
+            inside[-1] += 1
+        return xy_eval(*args)
+
+    def counted_multiplier(*args, **kwargs):
+        inside.append(0)
+        try:
+            return multiplier(*args, **kwargs)
+        finally:
+            per_call.append(inside.pop())
+
+    monkeypatch.setattr(MPoly, "xy_coefficients", counted_xy_coefficients)
+    for module in (algebra, exppoly):
+        monkeypatch.setattr(module, "xy_eval", counted_xy_eval)
+    for module in (exppoly, faddeev):
+        monkeypatch.setattr(module, "wave_multiplier", counted_multiplier)
+    for op, seed in ((wl.static_op, sec22), (wl.static_op, cubic), (wl.time_op, sec32)):
+        expanded.clear()
+        per_call.clear()
+        checks, _ = op(seed)
+        assert not checks.failures
+        assert expanded and len({id(p) for p in expanded}) == len(expanded)
+        assert per_call and set(per_call) == {2}
+
+
 def test_nonvanishing_certificate_matches_eval_on_static_candidates():
     """On every static candidate of the benchmark the certificate, which
     evaluates W in its x-y basis, agrees with the sign of W.eval on the same
@@ -173,3 +216,22 @@ def test_blowup_time_memory_peak(seed32):
         tracemalloc.stop()
     assert rep.found and rep.witness == (-1.0, 0.0)
     assert peak <= 2.0 * 2 ** 20
+
+
+def test_grid_eval_memory_peak(seed22):
+    """sample-grid reads u or the wave on the cli workload's 101 x 101 grid:
+    `xy_eval` reads the points in blocks of XY_BLOCK, so neither evaluation
+    holds more than a few arrays of the grid's size, within 1.0 MiB."""
+    fw = build_faddeev(seed22)
+    u = fw.u
+    xs = np.linspace(-3.0, 3.0, 101)
+    z = xs[None, :] + 1j * xs[:, None]
+    for evaluate in (lambda: u.eval(z, 0.0), lambda: wave_eval(fw.psi, z, 0.0, 1.0)):
+        tracemalloc.start()
+        try:
+            values = evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == z.shape and np.isfinite(values).all()
+        assert peak <= 1.0 * 2 ** 20

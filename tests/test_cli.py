@@ -339,6 +339,24 @@ def test_a_coefficient_beyond_float_range_is_input_error(tmp_path):
         assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
 
 
+def test_ray_values_beyond_float_range_are_input_error(tmp_path):
+    # W has a 2e300 |z|^4 leading term: every value of the wave on the rays
+    # (r = 10^3 and 2 10^3) leaves float range, so no ray could be compared
+    big = "1" + "0" * 150
+    for time in (False, True):
+        seed = tmp_path / f"huge_{time}.json"
+        seed.write_text(json.dumps({
+            "p1": [[1, {"re": "1", "im": "0"}], [2, {"re": big, "im": "0"}]],
+            "p2": [[1, {"re": "1", "im": "1"}], [2, {"re": "0", "im": big}]],
+            "c": {"re": "1", "im": "0"}, "time": time}))
+        for command in ("scatter", "nv-faddeev", "verify"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main([command, "--seed", str(seed)])
+            assert rc == 2, (command, time, stdout.getvalue())
+            assert "seed too large" in stderr.getvalue(), (command, time)
+
+
 def test_oversized_seed_is_input_error(tmp_path):
     seed = tmp_path / "z40.json"
     seed.write_text(json.dumps({"p1": [[40, {"re": "1", "im": "0"}]],

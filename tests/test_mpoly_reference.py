@@ -3,8 +3,8 @@
 The reference keeps each polynomial as a dict (i, j, k) -> (re, im) of
 Fractions and implements every operation term by term, the way the core did
 before it moved to Gaussian-integer numerators over one denominator.  The
-array evaluator is checked against the term-by-term `oracles.eval_naive`, and the
-x-y basis of the grid evaluator against sympy's expansion of W(x + iy).
+x-y evaluator is checked against the term-by-term `oracles.eval_naive`, and the
+x-y coefficients it reads against sympy's expansion of q(x + iy, t).
 """
 
 import math
@@ -14,11 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from conftest import Z, ZB, to_sympy
+from conftest import T, Z, ZB, to_sympy
 from oracles import eval_naive
 
 from moutardnv import nv
-from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly, grid_product
+from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly, _horner_t, grid_product
 from moutardnv.errors import ExponentOverflow
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
@@ -146,9 +146,7 @@ def test_calculus_and_substitution_match_reference():
 def test_eval_matches_naive_and_exact_coefficients():
     rng = random.Random(99)
     for p, _ in pairs(31, 30):
-        for e, c in p.complex_terms():
-            assert c == complex(p.terms[e])
-        scale = sum(abs(c) for _, c in p.complex_terms())
+        scale = sum(abs(complex(c)) for c in p.terms.values())
         for _ in range(5):
             z0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             t0 = rng.uniform(-1.5, 1.5)
@@ -158,7 +156,8 @@ def test_eval_matches_naive_and_exact_coefficients():
 
 def rounding_scale(p, z, t0):
     """sum |c| |z|^(i+j) |t0|^k: the size of the terms evaluation adds up."""
-    return sum(abs(c) * np.abs(z) ** (i + j) * abs(t0) ** k for (i, j, k), c in p.complex_terms())
+    return sum(abs(complex(c)) * np.abs(z) ** (i + j) * abs(t0) ** k
+               for (i, j, k), c in p.terms.items())
 
 
 def test_array_eval_matches_naive_on_point_arrays():
@@ -213,18 +212,41 @@ def real_ws(seed):
             yield random_real_w(rng, degree, constant)
 
 
-def test_xy_coefficients_match_sympy_expansion():
+def complex_t_polys(seed):
+    """Complex polynomials of z- and zb-degree up to 2, 4 and 6 and t-degree
+    1-3, one term reaching each degree, over mixed denominators."""
+    rng = random.Random(seed)
+    for kdeg in (1, 2, 3):
+        for degree in (2, 4, 6):
+            terms = {(degree, 0, kdeg): GaussianRational(1, -2)}
+            for _ in range(rng.randint(1, 10)):
+                terms[(rng.randint(0, degree), rng.randint(0, degree), rng.randint(0, kdeg))] = \
+                    GaussianRational(Fraction(rng.randint(-60, 60), rng.choice(DENOMINATORS)),
+                                     Fraction(rng.randint(-60, 60), rng.choice(DENOMINATORS)))
+            p = MPoly(terms)
+            assert p.deg_t() == kdeg and not p.is_real_valued()
+            yield p
+
+
+def test_xy_coefficients_match_sympy_expansion(seed22, seed32):
+    # real W, complex polynomials in t, and every slot and denominator of a
+    # static and a time wave: each part of each a[k, m, n] is the exact
+    # coefficient of t^k x^m y^n, rounded once
     x, y = sp.symbols("x y", real=True)
-    for w in real_ws(1618):
-        expr = sp.expand(to_sympy(w).subs({Z: x + sp.I * y, ZB: x - sp.I * y}))
+    polys = [*real_ws(1618), *complex_t_polys(1619)]
+    for fw in (build_faddeev(seed22), nv.nv_faddeev(seed32)):
+        polys += [fw.w, *fw.psi.coeffs.values()]
+    for p in polys:
+        expr = sp.expand(to_sympy(p).subs({Z: x + sp.I * y, ZB: x - sp.I * y}))
         want = {}
-        for (m, n), c in sp.Poly(expr, x, y).as_dict().items():
-            assert c.is_rational
-            want[(m, n)] = c.p / c.q
-        a = w.xy_coefficients()[0]
-        got = {(m, n): v for (m, n), v in np.ndenumerate(a) if v}
+        for e, c in sp.Poly(expr, T, x, y).as_dict().items():
+            re, im = c.as_real_imag()
+            want[e] = (re.p / re.q, im.p / im.q)
+        a = p.xy_coefficients()
+        got = {e: (v.real, v.imag) for e, v in np.ndenumerate(a) if v}
         assert got == want
-        assert a.shape == (w.total_degree_space() + 1,) * 2
+        assert a.shape == (max(p.deg_t(), 0) + 1,) + (p.total_degree_space() + 1,) * 2
+        assert p.xy_coefficients() is a and not a.flags.writeable
 
 
 def test_eval_grid_matches_naive_within_xy_rounding_scale():
@@ -275,10 +297,10 @@ def test_slices_of_xy_coefficients_match_exact_xy_derivatives():
             xs = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(7)))
             ys = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(5)))
             for t0 in (0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)):
-                got = grid_product(nv._horner_t(a, t0), xs, ys)
+                got = grid_product(_horner_t(a, t0), xs, ys)
                 want = np.array([[eval_naive(w, complex(x0, y0), t0).real for x0 in xs]
                                  for y0 in ys])
-                scale = grid_product(nv._horner_t(np.abs(a), abs(t0)), np.abs(xs), np.abs(ys))
+                scale = grid_product(_horner_t(np.abs(a), abs(t0)), np.abs(xs), np.abs(ys))
                 assert (np.abs(got - want) <= 1e-12 * scale).all()
                 for sign in (1.0, -1.0):
                     fun = nv._slice_objective(a, t0, sign)
