@@ -185,22 +185,10 @@ class MPoly:
 
     __slots__ = ("_c", "_d", "_view", "_xy")
 
-    def __init__(self, terms=None):
-        acc = {}
-        for expo, coeff in ((terms.items() if isinstance(terms, dict) else terms) or ()):
-            coeff = _coerce(coeff)
-            if coeff.is_zero():
-                continue
-            i, j, k = expo
-            _check_expo(i, j, k)
-            if i < 0 or j < 0 or k < 0:
-                raise ValueError(f"negative exponent in {expo}")
-            expo = (i, j, k)
-            acc[expo] = acc[expo] + coeff if expo in acc else coeff
-        d = lcm(1, *(x.denominator for c in acc.values() for x in (c.re, c.im)))
-        _set(self, {e: (int(c.re * d), int(c.im * d))
-                    for e, c in acc.items() if not c.is_zero()}, d)
-        _normalize(self)
+    def __init__(self):
+        """The zero polynomial; every other one is built by `monomial`, by
+        `from_numerators` or by arithmetic."""
+        _set(self, {}, 1)
 
     # -- constructors -------------------------------------------------
 
@@ -211,18 +199,6 @@ class MPoly:
     @classmethod
     def const(cls, c) -> "MPoly":
         return cls.monomial(0, 0, 0, c)
-
-    @classmethod
-    def var_z(cls):
-        return cls.monomial(1, 0, 0)
-
-    @classmethod
-    def var_zbar(cls):
-        return cls.monomial(0, 1, 0)
-
-    @classmethod
-    def var_t(cls):
-        return cls.monomial(0, 0, 1)
 
     @classmethod
     def monomial(cls, i, j, k, coeff=1) -> "MPoly":
@@ -394,9 +370,6 @@ class MPoly:
     def antideriv_z(self) -> "MPoly":
         return self._antideriv(0)
 
-    def antideriv_zbar(self) -> "MPoly":
-        return self._antideriv(1)
-
     def antideriv_t(self) -> "MPoly":
         return self._antideriv(2)
 
@@ -429,9 +402,6 @@ class MPoly:
     def deg_z(self) -> int:
         return max((i for (i, _, _) in self._c), default=-1)
 
-    def deg_zbar(self) -> int:
-        return max((j for (_, j, _) in self._c), default=-1)
-
     def deg_t(self) -> int:
         return max((k for (_, _, k) in self._c), default=-1)
 
@@ -447,28 +417,6 @@ class MPoly:
             if i + j == d:
                 out.setdefault((i, j), {})[(0, 0, k)] = c
         return {ij: _poly(tk, self._d) for ij, tk in out.items()}
-
-    def subs_t(self, t0) -> "MPoly":
-        """Exact substitution of a rational value for t."""
-        tr, ti, td = _gauss(t0)
-        kmax = self.deg_t()
-        if kmax <= 0:
-            return self
-        # t0^k * td^kmax = (tr + i*ti)^k * td^(kmax-k), a Gaussian integer
-        powers = [(1, 0)]
-        for _ in range(kmax):
-            pr, pi = powers[-1]
-            powers.append((pr * tr - pi * ti, pr * ti + pi * tr))
-        powers = [(pr * td ** (kmax - k), pi * td ** (kmax - k))
-                  for k, (pr, pi) in enumerate(powers)]
-        acc = {}
-        for (i, j, k), (re, im) in self._c.items():
-            pr, pi = powers[k]
-            re, im = re * pr - im * pi, re * pi + im * pr
-            expo = (i, j, 0)
-            s = acc.get(expo)
-            acc[expo] = (re, im) if s is None else (s[0] + re, s[1] + im)
-        return _poly({e: v for e, v in acc.items() if v[0] or v[1]}, self._d * td ** kmax)
 
     def at_origin_t(self) -> "MPoly":
         """Restriction to z = zb = 0, leaving a polynomial in t."""

@@ -213,7 +213,13 @@ def cmd_verify(args) -> int:
             fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(es, wt))
             if fw is not None:
                 run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
-            run("blowup-search", lambda: nv.blowup_time(wt))
+
+            def blowup():
+                rep = nv.blowup_time(wt)
+                if rep.t_star == 0.0:
+                    raise AlgebraError(f"W vanishes at t = 0 near {rep.witness}")
+
+            run("blowup-search", blowup)
 
     ok = all(c[1] for c in checks)
     print(f"verify: {'PASS' if ok else 'FAIL'}")

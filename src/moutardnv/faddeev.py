@@ -44,10 +44,6 @@ class ScatteringData:
 
     a_coeffs: dict = field(default_factory=dict)     # k >= 1 -> GaussianRational (lam^-k)
 
-    @property
-    def b_is_zero(self) -> bool:
-        return True
-
     def a_at(self, lam0: complex) -> complex:
         return sum(complex(c) * complex(lam0) ** (-k) for k, c in self.a_coeffs.items())
 
@@ -119,8 +115,11 @@ def build_faddeev(seed: SeedPair) -> FaddeevWave:
     return frame_wave(build_frame(seed))
 
 
-def scattering_data(fw: FaddeevWave, validate: bool = True,
-                    ray_radius: float = 1e3, ray_tol: float = 0.05) -> ScatteringData:
+RAY_RADIUS = 1e3          # the rays are read at this radius and at twice it
+RAY_TOL = 0.05            # largest |Richardson estimate - exact A| on a ray
+
+
+def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
     """Exact extraction of A(lam) from degree-leading coefficients, checked
     against A = -2d/lam for W of degree 2d, with an independent numeric ray-fit
     validation.  B = 0 structurally: no conjugate exponential can arise from
@@ -158,17 +157,18 @@ def scattering_data(fw: FaddeevWave, validate: bool = True,
     if a_coeffs != {1: -d}:
         raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
     if validate:
-        _validate_rays(fw, sd, ray_radius, ray_tol)
+        _validate_rays(fw, sd)
     return sd
 
 
-def _validate_rays(fw: FaddeevWave, sd: ScatteringData, radius: float, tol: float):
+def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
-    so the Richardson estimate 2 g(2r) - g(r) meets the exact A to O(r^-2).
+    so the Richardson estimate 2 g(2r) - g(r), with r = RAY_RADIUS, meets the
+    exact A to O(r^-2), within RAY_TOL.
     Rays through a pole at either radius are skipped; a value beyond float
     range there raises CoefficientOverflow, so no ray goes uncompared."""
     import numpy as np
-    ray = radius * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
+    ray = RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
     z = np.stack([ray, 2.0 * ray])
     for lam0 in (1.0, 0.7 + 0.4j):
         expected = sd.a_at(lam0)
@@ -178,7 +178,7 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData, radius: float, tol: floa
         except FloatingPointError as exc:
             raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
         got = 2.0 * g[1] - g[0]
-        bad = np.flatnonzero(np.abs(got - expected) > tol)
+        bad = np.flatnonzero(np.abs(got - expected) > RAY_TOL)
         if bad.size:
             m = bad[0]
             raise AsymptoticMismatch(

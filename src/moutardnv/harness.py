@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 
 from .algebra import GaussianRational, MPoly, RationalFn
-from .exppoly import WaveFn, wave_eval
+from .exppoly import wave_eval
 from .faddeev import FaddeevWave
 from .moutard import SeedPair
 
@@ -54,26 +54,19 @@ class FDReport:
     points_used: int
 
 
-def _psi_value(psi, z, t0, lam0):
-    if isinstance(psi, FaddeevWave):
-        psi = psi.psi
-    if isinstance(psi, WaveFn):
-        return wave_eval(psi, z, t0, lam0)
-    return psi(z)
-
-
 def _grid_points(grid: GridSpec):
     """The grid as one complex array: y along the rows, x along the columns."""
     xs, ys = grid.points()
     return xs[None, :] + 1j * ys[:, None]
 
 
-def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> FDReport:
-    """Independent check of (-Laplacian + u) psi = 0 with the 5-point stencil.
+def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
+                h: float) -> FDReport:
+    """Independent check of (-Laplacian + u) psi = 0 with the 5-point stencil,
+    for the wave psi of fw.
 
     Evaluates at steps h and h/2 and reports the observed convergence order;
-    an exact eigenfunction gives order close to 2.  psi is a wave or a
-    function of an array of points, NaN at a pole; a grid point is used when
+    an exact eigenfunction gives order close to 2.  A grid point is used when
     neither u nor psi has a pole on its stencil.
     """
     import numpy as np
@@ -82,7 +75,7 @@ def fd_residual(u: RationalFn, psi, lam0: complex, grid: GridSpec, h: float) -> 
     res = []
     for step in (h, h / 2.0):
         shifts = np.array([0.0, step, -step, 1j * step, -1j * step])
-        values = _psi_value(psi, z + shifts[:, None, None], grid.t, lam0)
+        values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
         used = ~(np.isnan(uc) | np.isnan(values).any(axis=0))
         pc, pe, pw, pn, ps = values[:, used]
         lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2

@@ -124,13 +124,16 @@ class NonvanishingReport:
     """Grid/leading-form evidence that W has no real zero."""
 
     verdict: str                       # "certified-positive" | "zero-found" | "inconclusive"
-    sign: int                          # sign of W on the grid when constant, else 0
     witness: tuple = None              # (x, y) where W ~ 0, for zero-found
 
 
-def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
-                             grid_n: int = 201) -> NonvanishingReport:
-    """Check sign-definiteness of a real-valued W on a box plus its leading form.
+CERTIFICATE_BOX = (-10.0, 10.0, -10.0, 10.0)    # xmin, xmax, ymin, ymax of the grid
+CERTIFICATE_GRID_N = 201                        # points per axis of that grid
+
+
+def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
+    """Check sign-definiteness of a real-valued W on the CERTIFICATE_GRID_N^2
+    grid of CERTIFICATE_BOX plus its leading form.
 
     certified-positive means sign-definite on the grid: no sign change, |W|
     above its rounding scale sum |a_mn||x|^m|y|^n (a from
@@ -142,12 +145,12 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     if w.is_constant():
         c = w.constant_term()
         if c.is_zero() or not c.is_real():
-            return NonvanishingReport("zero-found", 0, (0.0, 0.0))
-        return NonvanishingReport("certified-positive", 1 if c.re > 0 else -1)
+            return NonvanishingReport("zero-found", (0.0, 0.0))
+        return NonvanishingReport("certified-positive")
     import numpy as np
-    xmin, xmax, ymin, ymax = box
-    xs = np.linspace(xmin, xmax, grid_n)
-    ys = np.linspace(ymin, ymax, grid_n)
+    xmin, xmax, ymin, ymax = CERTIFICATE_BOX
+    xs = np.linspace(xmin, xmax, CERTIFICATE_GRID_N)
+    ys = np.linspace(ymin, ymax, CERTIFICATE_GRID_N)
     a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
     re = grid_product(a, xs, ys)        # indexed [y, x]
     # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
@@ -155,8 +158,8 @@ def nonvanishing_certificate(w: MPoly, box=(-10.0, 10.0, -10.0, 10.0),
     mag = np.abs(re)
     if re.min() <= 0.0 <= re.max() or (mag <= 64 * np.finfo(float).eps * scale).any():
         iy, ix = np.unravel_index(mag.argmin(), re.shape)
-        return NonvanishingReport("zero-found", 0, (float(xs[ix]), float(ys[iy])))
+        return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
     sign = 1 if re.min() > 0 else -1
     ((i, j), c), *rest = w.spatial_leading_terms().items()
     definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
-    return NonvanishingReport("certified-positive" if definite else "inconclusive", sign)
+    return NonvanishingReport("certified-positive" if definite else "inconclusive")

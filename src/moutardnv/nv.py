@@ -95,15 +95,16 @@ def nv_residual(sol: NVSolution) -> MPoly:
     zero exactly when the pair evolves correctly.  As D_z^3 D_zb (Wt . Wt) / Wt^2 =
     U_zz + 3VU, the equation is d_t (D_z D_zb) = d_z (D_z^3 D_zb) + d_zb (D_z D_zb^3)
     for these forms on (Wt . Wt), each over Wt^2.  D_z D_zb (Wt . Wt) is read
-    off sol.u, whose numerator over Wt^2 `nv_potentials` stores as it is."""
+    off sol.u, whose numerator over Wt^2 `nv_potentials` stores as it is.
+    For a real Wt the zb term is the conjugate of the z term, so only the
+    z term is formed."""
     wt, u = sol.wt, sol.u
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
     if u.k != 2 or u.base != wt:
         raise ValueError("nv_residual expects U over Wt^2, as nv_potentials builds it")
-    return (_diff_over_w2(u.num, wt, MPoly.diff_t)
-            - _diff_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-            - _diff_over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, MPoly.diff_zbar))
+    b = _diff_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
+    return _diff_over_w2(u.num, wt, MPoly.diff_t) - (b + b.conj_swap())
 
 
 def _diff_over_w2(p: MPoly, w: MPoly, d) -> MPoly:
@@ -147,8 +148,9 @@ def kernel_mu(fw: FaddeevWave) -> dict:
 
 @dataclass
 class BlowupReport:
-    """First positive time at which the (normalized, real) denominator
-    acquires a real zero, with the witness point.
+    """First time t >= 0 at which the real denominator has a real zero, with
+    the witness point; t_star is 0.0 when the zero is already there at
+    t = 0, and found is False when there is none up to BLOWUP_T_MAX.
 
     `method` is "grid" when the denominator already changes sign on the
     search grid at t = 0, and "grid+descent" otherwise.  The result is
@@ -158,20 +160,6 @@ class BlowupReport:
     t_star: float = None
     witness: tuple = None
     method: str = ""
-    detail: str = ""
-
-
-def normalize_real(q: MPoly) -> MPoly:
-    """Rescale a complex multiple of a real-valued polynomial to the real form."""
-    if q.is_zero():
-        raise ZeroPolynomial("cannot normalize the zero polynomial")
-    if q.is_real_valued():
-        return q
-    for _, c in q.sorted_terms():
-        cand = q * c.conjugate()
-        if cand.is_real_valued():
-            return cand
-    raise ValueError("polynomial is not real-valued up to a constant scale")
 
 
 def _slice_objective(a, t: float, sign: float):
@@ -217,6 +205,9 @@ DESCENT_XTOL = 1e-12       # step length, relative to 1 + |x|, that ends a desce
 DESCENT_MAXITER = 100
 DESCENT_HALVINGS = 60
 SCAN_TOL = 1e-10           # t-interval length that ends the bisection of `_scan`
+BLOWUP_BOX = (-5.0, 5.0, -5.0, 5.0)    # xmin, xmax, ymin, ymax of the search grid
+BLOWUP_GRID_N = 161        # points per axis of that grid
+BLOWUP_T_MAX = 10.0        # the search covers t in (0, BLOWUP_T_MAX]
 
 
 def minimize(fun, x0) -> LocalMin:
@@ -247,17 +238,18 @@ def minimize(fun, x0) -> LocalMin:
     return LocalMin(x, f, nfev)
 
 
-def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
-                t_max: float = 10.0) -> BlowupReport:
-    """t_star = inf{t > 0: the normalized real form of q has a real zero}.
+def blowup_time(q: MPoly) -> BlowupReport:
+    """t_star = inf{t > 0: the real-valued q has a real zero}; ValueError for
+    a q that is not real-valued, ZeroPolynomial for q = 0.
 
     The slice q(., t) is the array sum_k a[k] t^k of the x-y coefficients a
-    of q (`MPoly.xy_coefficients`), read on the grid by `grid_product` and
-    at a point by `_slice_objective`.  Where q(., 0) changes sign on the
-    grid, t_star is 0.  Otherwise, with s its sign there, the minimum of a
-    slice is that of s q(., t), found by a damped Newton descent on the
-    exact derivatives from the slice's grid argmin; among equal grid values
-    the argmin is the node of least x, then of least y.
+    of q (`MPoly.xy_coefficients`), read on the BLOWUP_GRID_N^2 grid of
+    BLOWUP_BOX by `grid_product` and at a point by `_slice_objective`.
+    Where q(., 0) changes sign on the grid, t_star is 0.  Otherwise, with s
+    its sign there, the minimum of a slice is that of s q(., t), found by a
+    damped Newton descent on the exact derivatives from the slice's grid
+    argmin; among equal grid values the argmin is the node of least x, then
+    of least y.
 
     One descent at t = 0 gives m0 = min s W0.  If m0 <= 0, W0 already
     vanishes off the grid's nodes (between them or past the box) and t_star
@@ -266,15 +258,18 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     When q = W0(x, y) + kappa t with a constant kappa (every degree-2 time
     seed), the first zero is then closed and only the t = 0 grid is
     evaluated: t_star = m0 / |kappa| when s kappa < 0; if s kappa >= 0, or
-    m0 / |kappa| > t_max, no zero is reported.  Any other q is scanned over
-    200 t-slices of (0, t_max], and the first slice whose minimum reaches
-    zero is refined by bisection to SCAN_TOL (`_scan`).
+    m0 / |kappa| > BLOWUP_T_MAX, no zero is reported.  Any other q is
+    scanned over 200 t-slices of (0, BLOWUP_T_MAX], and the first slice
+    whose minimum reaches zero is refined by bisection to SCAN_TOL (`_scan`).
     """
     import numpy as np
-    q = normalize_real(q)
+    if q.is_zero():
+        raise ZeroPolynomial("blowup_time needs a nonzero W")
+    if not q.is_real_valued():
+        raise ValueError("blowup_time expects a real-valued W")
     a = q.xy_coefficients().real       # q is real-valued: Im a = 0
-    xmin, xmax, ymin, ymax = box
-    xs, ys = np.linspace(xmin, xmax, grid_n), np.linspace(ymin, ymax, grid_n)
+    xmin, xmax, ymin, ymax = BLOWUP_BOX
+    xs, ys = np.linspace(xmin, xmax, BLOWUP_GRID_N), np.linspace(ymin, ymax, BLOWUP_GRID_N)
 
     def grid(t):                        # q(., t) on the grid, indexed [x, y]
         return grid_product(_horner_t(a, t), xs, ys).T
@@ -282,8 +277,7 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
     f0 = grid(0.0)
     if f0.min() <= 0.0 <= f0.max():
         ix, iy = np.unravel_index(np.abs(f0).argmin(), f0.shape)
-        return BlowupReport(True, 0.0, (float(xs[ix]), float(ys[iy])),
-                            "grid", "zero already present at t = 0")
+        return BlowupReport(True, 0.0, (float(xs[ix]), float(ys[iy])), "grid")
     sign = 1.0 if f0.min() > 0 else -1.0
     m0, witness = _slice_min(a, 0.0, sign, xs, ys, f0)
     if m0 <= 0.0:
@@ -292,17 +286,15 @@ def blowup_time(q: MPoly, box=(-5.0, 5.0, -5.0, 5.0), grid_n: int = 161,
             objective = _slice_objective(a, 0.0, sign)
             witness = _zero_between(lambda p: objective(p)[0],
                                     (float(xs[ix]), float(ys[iy])), witness)
-        return BlowupReport(True, 0.0, witness, "grid+descent",
-                            "zero already present at t = 0")
+        return BlowupReport(True, 0.0, witness, "grid+descent")
     kappa = _constant_slope(q)
     if kappa is None:
-        hit = _scan(lambda t: _slice_min(a, t, sign, xs, ys, grid(t)), t_max)
+        hit = _scan(lambda t: _slice_min(a, t, sign, xs, ys, grid(t)))
     else:
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
-    if hit is None or hit[0] > t_max:
-        return BlowupReport(False, None, None, "grid+descent",
-                            f"no zero for t in (0, {t_max}]")
-    return BlowupReport(True, hit[0], hit[1], "grid+descent", "")
+    if hit is None or hit[0] > BLOWUP_T_MAX:
+        return BlowupReport(False, None, None, "grid+descent")
+    return BlowupReport(True, hit[0], hit[1], "grid+descent")
 
 
 def _zero_between(f, a, b):
@@ -338,15 +330,15 @@ def _constant_slope(q: MPoly):
     return float(q.xy_coefficients()[1, 0, 0].real) if q.deg_t() == 1 else 0.0
 
 
-def _scan(slice_min, t_max: float):
-    """(t, witness) at the first of 200 t-slices of (0, t_max] whose minimum
-    reaches zero, refined by bisection until the interval is at most
+def _scan(slice_min):
+    """(t, witness) at the first of 200 t-slices of (0, BLOWUP_T_MAX] whose
+    minimum reaches zero, refined by bisection until the interval is at most
     SCAN_TOL or its midpoint meets an end in floating point (as it can for a
-    large t_max); None when no slice reaches zero."""
+    large BLOWUP_T_MAX); None when no slice reaches zero."""
     import numpy as np
     lo = 0.0
     hi = None
-    for t in np.linspace(0.0, t_max, 201)[1:]:
+    for t in np.linspace(0.0, BLOWUP_T_MAX, 201)[1:]:
         m, _ = slice_min(float(t))
         if m <= 0.0:
             hi = float(t)

@@ -1,6 +1,10 @@
 """Reference code that only the tests use.
 
 - Term-by-term evaluators, the independent references of the x-y one.
+- Polynomial reads the library does not need: the zb-degree, and the exact
+  substitution of a time, the reference for a slice at t.
+- The evolution residual with both of its Hirota forms, the reference of
+  `nv.nv_residual`, which forms one and conjugates it.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -37,6 +41,32 @@ def wave_eval_naive(w, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:
     if w.den is not None:
         total /= eval_naive(w.den, z0, t0)
     return cmath.exp(phase) * total
+
+
+def deg_zbar(p: MPoly) -> int:
+    """The zb-degree; -1 for the zero polynomial."""
+    return max((j for (_, j, _) in p.numerators), default=-1)
+
+
+def subs_t(p: MPoly, t0) -> MPoly:
+    """p with the exact number t0 put for t."""
+    t = MPoly.const(t0)
+    return sum((MPoly.monomial(i, j, 0, c) * t ** k for (i, j, k), c in p.terms.items()),
+               MPoly.zero())
+
+
+def nv_residual_two_forms(sol) -> MPoly:
+    """`nv.nv_residual` with the zb term formed on its own: the numerator over
+    Wt^3 of d_t (D_z D_zb) - d_z (D_z^3 D_zb) - d_zb (D_z D_zb^3), each form
+    on (Wt . Wt) over Wt^2."""
+    wt = sol.wt
+
+    def over_w2(p, d):
+        return d(p) * wt - p * d(wt) * 2
+
+    return (over_w2(sol.u.num, MPoly.diff_t)
+            - over_w2(hirota(wt, wt, {(3, 1, 0): 1}), MPoly.diff_z)
+            - over_w2(hirota(wt, wt, {(1, 3, 0): 1}), MPoly.diff_zbar))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +235,7 @@ def hermitian_square_certificate(num: MPoly):
     in z; returns (sign_is_nonpositive_consistent, detail)."""
     if num.is_zero():
         return True, "numerator is zero"
-    if num.deg_z() > 1 or num.deg_zbar() > 1 or num.deg_t() > 0:
+    if num.deg_z() > 1 or deg_zbar(num) > 1 or num.deg_t() > 0:
         return False, "no certificate attempted (numerator not bilinear)"
     c00, c10, c01, c11 = (num.coeff(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
     if not (c00.is_real() and c11.is_real()):

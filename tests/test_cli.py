@@ -428,6 +428,28 @@ def test_verify_on_a_zero_w_seed_prints_every_check(time, tmp_path):
         assert lines[1].split(" ", 2)[2] == lines[2].split(" ", 2)[2]
 
 
+@pytest.mark.parametrize("time", [False, True])
+def test_verify_fails_where_w_vanishes_at_t0(time, tmp_path):
+    # p1 = z, p2 = iz, c = -1: W = -1 + 2 z zb at t = 0, zero on a circle of
+    # the grids, so the static and the time verify fail on the same zero
+    seed = tmp_path / "circle.json"
+    seed.write_text(json.dumps({"p1": [[1, {"re": "1"}]], "p2": [[1, {"re": "0", "im": "1"}]],
+                                "c": {"re": "-1"}, "time": time}))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", str(seed)])
+    lines = stdout.getvalue().splitlines()
+    assert rc == 1 and lines[0] == "verify: FAIL"
+    failed = [line for line in lines[1:] if line.startswith("FAIL")]
+    if time:
+        assert failed == ["FAIL blowup-search (AlgebraError: W vanishes at t = 0 "
+                          "near (-0.5, -0.5))"]
+        assert len(lines) == 6              # the five rows of every time verify
+    else:
+        assert failed == ["FAIL denominator-nonvanishing (AlgebraError: W vanishes "
+                          "near (-0.5, -0.5))"]
+
+
 ZERO_W_ARGV = {"sample-grid": ["--grid=-1,1,-1,1,3", "--out"]}
 
 
@@ -516,8 +538,8 @@ def test_each_object_is_built_once(what, name, expected):
 
 def test_verify_on_sec32_forms_hirota_products_once():
     # D_z D_zb (W . W) is formed once, by nv_potentials; nv_residual reads it
-    # off U. Then D_z^2, D_z^3 D_zb and D_z D_zb^3 on (W . W), and the two wave
-    # residuals.
+    # off U. Then D_z^2 and D_z^3 D_zb on (W . W), whose conjugate is
+    # D_z D_zb^3 for the real W, and the two wave residuals.
     counts = _build_counts(lambda: cli.main(["verify", "--seed", fixture_path("sec32.json")]),
                            ("hirota",))
-    assert counts == {"hirota": 6}
+    assert counts == {"hirota": 5}

@@ -21,14 +21,14 @@ def test_free_wave_derivative():
 
 
 def test_wave_antideriv_inverts_derivative():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     w = WaveFn({0: z * z * zb, 2: z * zb * zb, -1: MPoly.const(3)})
     assert wave_diff_z(wave_antideriv_z(w)) == w
 
 
 def test_wave_antideriv_formula():
     # int e^{lam z} z dz = e^{lam z}(z/lam - 1/lam^2)
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     w = wave_antideriv_z(WaveFn({0: z}))
     assert w.coeffs[1] == z
     assert w.coeffs[2] == MPoly.const(-1)
@@ -47,12 +47,12 @@ def test_time_phase_derivative():
     w = WaveFn.free(time_phase=True)
     d = wave_diff_t(w)
     assert set(d.coeffs) == {-3}
-    s = wave_diff_t(WaveFn({0: MPoly.var_t()}, time_phase=False))
+    s = wave_diff_t(WaveFn({0: MPoly.monomial(0, 0, 1)}, time_phase=False))
     assert s.coeffs[0] == MPoly.const(1)
 
 
 def test_wave_arithmetic_and_scale():
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     a = WaveFn({0: z, 1: MPoly.const(2)})
     b = WaveFn({1: MPoly.const(-2), 2: z})
     s = a + b
@@ -62,7 +62,7 @@ def test_wave_arithmetic_and_scale():
 
 
 def test_wave_eval_matches_naive_and_direct():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     w = WaveFn({0: MPoly.const(1), 1: z * zb, -1: zb})
     lam0, z0 = 0.7 - 0.3j, 1.2 + 0.4j
     got = wave_eval(w, z0, 0.0, lam0)
@@ -89,7 +89,7 @@ def test_wave_eval_lambda_zero_guard():
 
 
 def test_wave_denominator_and_pole():
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     den = z * zb - MPoly.const(1)
     w = WaveFn({0: MPoly.const(1)}, den=den)
     assert abs(wave_eval(w, 2.0, 0.0, 1.0) - cmath.exp(2.0) / 3.0) < 1e-12

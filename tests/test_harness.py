@@ -37,14 +37,15 @@ def test_fd_residual_reference(seed22):
 
 def test_fd_residual_free_wave():
     u = RationalFn(MPoly.zero(), MPoly.const(1))
-    rep = fd_residual(u, WaveFn.free(), 1.0, GridSpec(-1, 1, -1, 1, 5), 1e-2)
+    free = FaddeevWave(WaveFn(WaveFn.free().coeffs, den=MPoly.const(1)))
+    rep = fd_residual(u, free, 1.0, GridSpec(-1, 1, -1, 1, 5), 1e-2)
     assert abs(rep.order - 2.0) <= 0.1
 
 
 def test_fd_residual_corrupted_wave(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
-    bad[1] = bad[1] + MPoly.var_zbar() * gr("1/1000")
+    bad[1] = bad[1] + MPoly.monomial(0, 1, 0, gr("1/1000"))
     broken = FaddeevWave(WaveFn(bad, den=fw.w))
     rep = fd_residual(fw.u, broken, 1.0, GridSpec(-2, 2, -2, 2, 5), 1e-2)
     assert rep.order < 1.0
@@ -61,7 +62,7 @@ def test_decay_fit_reference_rates(seed22, seed32):
 
 
 def test_decay_fit_trivial():
-    den = MPoly.const(1) + MPoly.var_z() * MPoly.var_zbar()
+    den = MPoly.const(1) + MPoly.monomial(1, 1, 0)
     f = RationalFn(MPoly.const(1), den)
     fit = decay_fit(f)
     assert abs(fit.exponent + 2) < 0.05
@@ -79,7 +80,7 @@ def test_sign_check_reference(seed22):
 def test_sign_check_zero_and_positive():
     zero = RationalFn(MPoly.zero(), MPoly.const(1))
     assert sign_check(zero, GridSpec(-1, 1, -1, 1, 5)).verdict == "nonpositive"
-    den = MPoly.const(1) + MPoly.var_z() * MPoly.var_zbar()
+    den = MPoly.const(1) + MPoly.monomial(1, 1, 0)
     pos = RationalFn(MPoly.const(1), den)
     rep = sign_check(pos, GridSpec(-1, 1, -1, 1, 5))
     assert rep.verdict == "positive-somewhere"
@@ -150,7 +151,7 @@ def scalar_reference(fn, grid):
 
 
 def test_pole_mask_matches_scalar_reference():
-    base = MPoly.var_z() * MPoly.var_zbar() - MPoly.const(1)     # zero on |z| = 1
+    base = MPoly.monomial(1, 1, 0) - MPoly.const(1)             # zero on |z| = 1
     u = RationalFn(MPoly.const(1), base)
     grid = GridSpec(-1, 1, -1, 1, 9)                            # 4 points on |z| = 1
     ref = scalar_reference(lambda z: u.eval(z, grid.t), grid)
@@ -161,7 +162,7 @@ def test_pole_mask_matches_scalar_reference():
         assert abs(complex(re, im) - v) <= 1e-12 * abs(v)
 
     # a stencil point on the circle drops its grid point, as a scalar PoleError did
-    psi = WaveFn({0: MPoly.var_z() + MPoly.const(2)}, den=base)
+    psi = WaveFn({0: MPoly.monomial(1, 0, 0) + MPoly.const(2)}, den=base)
     h = 0.25
 
     def stencil_ok(z):
@@ -169,7 +170,7 @@ def test_pole_mask_matches_scalar_reference():
             wave_eval(psi, z + dz, grid.t, 1.0)
         return u.eval(z, grid.t)
 
-    rep = fd_residual(u, psi, 1.0, grid, h)
+    rep = fd_residual(u, FaddeevWave(psi), 1.0, grid, h)
     assert rep.points_used == len(scalar_reference(stencil_ok, grid)) < 77
 
     # ties at the maximum 16 go to the first point in row-major order
@@ -180,7 +181,7 @@ def test_pole_mask_matches_scalar_reference():
 
 
 def test_sample_grid_order_and_pole_skip():
-    den = MPoly.var_z() * MPoly.var_zbar() - MPoly.const(1)
+    den = MPoly.monomial(1, 1, 0) - MPoly.const(1)
     f = RationalFn(MPoly.const(1), den)
     rows = list(sample_grid(lambda z, t: f.eval(z, t), GridSpec(-1, 1, -1, 1, 3)))
     # y outer, x inner; the 4 pole points (|z| = 1) are skipped

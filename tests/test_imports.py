@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 module-level private function or class is read in its own module, every
 module-level function or class is reached from `mnv` or the benchmark, every
-method is read by name in the library or the benchmark, and no module
-imports numpy when it is itself imported.
+method is read by name in the library or the benchmark, every parameter with
+a default is passed at some call in the library or the benchmark, and no
+module imports numpy when it is itself imported.
 
 No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
@@ -202,19 +203,6 @@ def test_check_sees_an_unreached_definition():
     assert _unreached(modules, {"orphan"}) == []
 
 
-# Methods that only tests read, each with the reason it stays.  The list is
-# exact: a method the library or the benchmark comes to read leaves it.
-TEST_ONLY_METHODS = {
-    "MPoly.var_z": "the coordinate z, from which tests build polynomials",
-    "MPoly.var_zbar": "the coordinate zb, from which tests build polynomials",
-    "MPoly.var_t": "the time t, from which tests build polynomials",
-    "MPoly.antideriv_zbar": "the zb-antiderivative, checked with those in z and t",
-    "MPoly.deg_zbar": "the zb-degree, which tests check of the polynomials they draw",
-    "MPoly.subs_t": "exact substitution of a time: the reference for a slice at t",
-    "ScatteringData.b_is_zero": "the paper's B = 0, which the acceptance tests assert",
-}
-
-
 def _unread_methods(modules, readers):
     """'Class.method' of every method, dunders left out, of a module-level
     class of the modules (parsed trees) whose name no attribute of the
@@ -233,7 +221,7 @@ def test_every_method_is_read_in_the_library_or_the_benchmark():
     src = [_parse(os.path.join(SRC, f)) for f in ALL_MODULES]
     bench = [_parse(os.path.join(BENCH, f)) for f in sorted(os.listdir(BENCH))
              if f.endswith(".py")]
-    assert _unread_methods(src, src + bench) == sorted(TEST_ONLY_METHODS)
+    assert _unread_methods(src, src + bench) == []
 
 
 def test_check_sees_an_unread_method():
@@ -243,3 +231,90 @@ def test_check_sees_an_unread_method():
                      "    @property\n    def size(self):\n        return 3\n"
                      "def f(a):\n    return a.size\n")
     assert _unread_methods([tree], [tree]) == ["A.orphan"]
+
+
+def _calls(trees):
+    """(callee name, positional arguments before the first starred one,
+    whether one is starred, keyword names) of every call in the trees.  A
+    call names its callee by the name or attribute called; cls(...) in a
+    class body names that class."""
+    out = []
+    for tree in trees:
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            elif isinstance(func, ast.Name):
+                name = owner.get(node, func.id) if func.id == "cls" else func.id
+            else:
+                continue
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            out.append((name, starred[0] if starred else len(node.args), bool(starred),
+                        {kw.arg for kw in node.keywords}))
+    return out
+
+
+def _unpassed_parameters(modules, callers):
+    """'module.function.parameter' of every parameter with a default of a
+    function or method of the modules (name -> parsed tree) that no call in
+    the callers (parsed trees) to a callee of its name passes, by name or by
+    position.  A class's __init__ is called by the class's name, and a
+    method's positions start after self or cls; a starred positional
+    argument passes every later position."""
+    calls = _calls(callers)
+    out = []
+    for mod, tree in modules.items():
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods.update((fn, node.name) for fn in node.body
+                               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(fn)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls and not static else 0
+            callee = cls if cls and fn.name == "__init__" else fn.name
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            params = [(arg.arg, index - skip) for index, arg in
+                      enumerate(positional) if index >= len(positional) - len(args.defaults)]
+            params += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            where = f"{mod}.{cls}.{fn.name}" if cls else f"{mod}.{fn.name}"
+            for param, pos in params:
+                if not any(name == callee and (param in keywords or pos is not None
+                                                and (pos < npos or starred))
+                           for name, npos, starred, keywords in calls):
+                    out.append(f"{where}.{param}")
+    return sorted(out)
+
+
+def test_every_default_parameter_is_passed_by_mnv_or_the_benchmark():
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    bench = [_parse(os.path.join(BENCH, f)) for f in sorted(os.listdir(BENCH))
+             if f.endswith(".py")]
+    assert _unpassed_parameters(modules, [*modules.values(), *bench]) == []
+
+
+def test_check_sees_a_parameter_no_call_passes():
+    # f.b and g.x are passed by no call; K.__init__.n by cls(3), K.m.p and
+    # K.m.q by the starred argument, f.c by name and h.y by position
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    return a\n"
+                     "def g(x=0):\n    return x\n"
+                     "def h(x, y=0):\n    return y\n"
+                     "class K:\n    def __init__(self, n=0):\n        self.n = n\n"
+                     "    @classmethod\n    def make(cls):\n        return cls(3)\n"
+                     "    def m(self, p=1, q=2):\n        return p\n"
+                     "f(1, c=3)\nK.make().m(*[1, 2])\nh(1, 2)\n")
+    assert _unpassed_parameters({"a": tree}, [tree]) == ["a.f.b", "a.g.x"]
+    assert _unpassed_parameters({"a": tree}, [ast.parse("f(1, 2)\ng(x=1)\n")]) == \
+        ["a.K.__init__.n", "a.K.m.p", "a.K.m.q", "a.f.c", "a.h.y"]

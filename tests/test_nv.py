@@ -6,16 +6,18 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
-from moutardnv.errors import NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero
+from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero,
+                              ZeroPolynomial)
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
 from moutardnv.moutard import SeedPair, double_w
 from moutardnv import nv
 
 from conftest import T, Z, ZB, from_sympy, gr, poly
-from oracles import SingularBeforeBlowup, eigen_check, frac, mu2_integrability, same_fraction
+from oracles import (SingularBeforeBlowup, eigen_check, frac, mu2_integrability,
+                     nv_residual_two_forms, same_fraction, subs_t)
 
 
 RAW_Q = poly({
@@ -46,16 +48,16 @@ REF_V_NUM = from_sympy(6 * sp.I * (
 
 
 def test_heat3_evolve_basics():
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     assert nv.heat3_evolve(z * z) == z * z
-    assert nv.heat3_evolve(z ** 3) == z ** 3 + MPoly.var_t() * gr(6)
-    assert nv.heat3_evolve(z ** 4) == z ** 4 + MPoly.var_t() * z * gr(24)
+    assert nv.heat3_evolve(z ** 3) == z ** 3 + MPoly.monomial(0, 0, 1) * gr(6)
+    assert nv.heat3_evolve(z ** 4) == z ** 4 + MPoly.monomial(0, 0, 1) * z * gr(24)
     with pytest.raises(NotHolomorphic):
-        nv.heat3_evolve(MPoly.var_zbar())
+        nv.heat3_evolve(MPoly.monomial(0, 1, 0))
 
 
 def test_heat3_evolve_satisfies_flow_and_semigroup():
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     p = z ** 6 + z ** 4 * gr("1/3", "2") + z * gr(0, 1)
     q = nv.heat3_evolve(p)
     assert q.diff_t() == q.diff_z().diff_z().diff_z()
@@ -71,19 +73,19 @@ def test_heat3_evolve_satisfies_flow_and_semigroup():
 def _subs_t_shift(q, s):
     # q(z, t + s) expanded exactly
     out = MPoly.zero()
-    t, one = MPoly.var_t(), MPoly.const(1)
+    t, one = MPoly.monomial(0, 0, 1), MPoly.const(1)
     for (i, j, k), c in q.terms.items():
         out = out + MPoly.monomial(i, j, 0, c) * ((t + one * s) ** k)
     return out
 
 
 def _evolve_from_slice(q, s):
-    return nv.heat3_evolve(q.subs_t(s))
+    return nv.heat3_evolve(subs_t(q, s))
 
 
 def test_assert_evolved_rejects_static_cubic():
     with pytest.raises(NotEvolved):
-        nv.assert_evolved(MPoly.var_z() ** 3 + MPoly.var_t())
+        nv.assert_evolved(MPoly.monomial(3, 0, 0) + MPoly.monomial(0, 0, 1))
 
 
 def test_extended_w_reference(seed32):
@@ -94,11 +96,11 @@ def test_extended_w_reference(seed32):
 
 def test_extended_w_t0_slice_is_static(seed32):
     wt = nv.extended_w(seed32)
-    assert wt.subs_t(0) == double_w(seed32)
+    assert subs_t(wt, 0) == double_w(seed32)
 
 
 def test_extended_w_degenerate():
-    p = MPoly.var_z() ** 2
+    p = MPoly.monomial(2, 0, 0)
     assert nv.extended_w(SeedPair(p, p, gr(5))) == MPoly.const(5)
 
 
@@ -134,7 +136,7 @@ def test_nv_residual_nonzero_for_frozen_potential():
     # a static denominator outside the constructed class fails the evolution;
     # note 1 + z zb itself is stationary (it arises from degree-one data), so a
     # quartic is used here
-    zzb = MPoly.var_z() * MPoly.var_zbar()
+    zzb = MPoly.monomial(1, 1, 0)
     wt = MPoly.const(1) + zzb + zzb * zzb
     sol = nv.nv_potentials(wt)
     r = nv.nv_residual(sol)
@@ -156,7 +158,7 @@ def test_nv_faddeev_scattering_stationary(seed32):
     fw = nv.nv_faddeev(seed32)
     sd = scattering_data(fw)
     assert sd.a_coeffs == {1: gr("-4")}      # exact, with no t anywhere in it
-    assert sd.b_is_zero
+    assert str(sd).endswith(" B=0")           # as `mnv nv-faddeev` prints it
 
 
 def test_nv_faddeev_residuals(seed32):
@@ -168,18 +170,18 @@ def test_nv_faddeev_residuals(seed32):
 def test_nv_faddeev_t0_slice_matches_static(seed32):
     fw_t = nv.nv_faddeev(seed32)
     fw_s = build_faddeev(seed32)
-    assert fw_t.w.subs_t(0) == fw_s.w
+    assert subs_t(fw_t.w, 0) == fw_s.w
     assert set(fw_t.psi.coeffs) == set(fw_s.psi.coeffs)
     for k, f in fw_s.psi.coeffs.items():
-        assert fw_t.psi.coeffs[k].subs_t(0) == f
+        assert subs_t(fw_t.psi.coeffs[k], 0) == f
 
 
 def test_temporal_residual_detects_frozen_wave(seed32):
     from moutardnv.exppoly import WaveFn
     from moutardnv.faddeev import FaddeevWave
     fw = nv.nv_faddeev(seed32)
-    frozen = WaveFn({k: f.subs_t(0) for k, f in fw.psi.coeffs.items()},
-                    time_phase=True, den=fw.w.subs_t(0))
+    frozen = WaveFn({k: subs_t(f, 0) for k, f in fw.psi.coeffs.items()},
+                    time_phase=True, den=subs_t(fw.w, 0))
     broken = FaddeevWave(frozen)
     assert not nv.temporal_residual(broken).is_zero()
 
@@ -195,11 +197,11 @@ def test_blowup_reference(seed32):
 
 
 def test_blowup_trivial_cases():
-    t, one = MPoly.var_t(), MPoly.const(1)
+    t, one = MPoly.monomial(0, 0, 1), MPoly.const(1)
     rep = nv.blowup_time(t - one)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
-    zzb = MPoly.var_z() * MPoly.var_zbar()
-    rep2 = nv.blowup_time(t + one + zzb, t_max=5.0)
+    zzb = MPoly.monomial(1, 1, 0)
+    rep2 = nv.blowup_time(t + one + zzb)
     assert not rep2.found
     rep3 = nv.blowup_time(zzb - one + t)
     assert rep3.found and rep3.t_star == 0.0
@@ -210,7 +212,7 @@ def test_blowup_where_the_enumeration_misses_the_minimum():
     # (checked by sympy). A float enumeration of the stationary points of
     # t(x, y) missed that point and gave 9.95 from another; grid and descent
     # give 6.
-    z = MPoly.var_z()
+    z = MPoly.monomial(1, 0, 0)
     seed = SeedPair(z * z * gr("1/4"), z * gr(2, 1) + z * z * gr(1, "-3/4"), gr(-20))
     rep = nv.blowup_time(nv.extended_w(seed))
     assert rep.found and abs(rep.t_star - 6.0) < 1e-9
@@ -225,7 +227,7 @@ def test_blowup_affine_reference_is_closed(seed32):
 
 def _paraboloid(z0, c, slope):
     """|z - z0|^2 + c + slope * t."""
-    z, zb, t = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t()
+    z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
     return ((z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate()))
             + MPoly.const(c) + t * slope)
 
@@ -237,7 +239,6 @@ def test_blowup_zero_between_grid_nodes_at_t0(slope):
     z0 = gr("1/3", "2/7")
     rep = nv.blowup_time(_paraboloid(z0, gr("-1/10000"), slope))
     assert rep.found and rep.t_star == 0.0
-    assert rep.detail == "zero already present at t = 0"
     assert abs(complex(*rep.witness) - complex(z0)) < 1e-6
 
 
@@ -245,13 +246,13 @@ def test_blowup_zero_between_grid_nodes_at_t0(slope):
                                            (1, 1, 10.0),      # s kappa > 0
                                            (1, 0, 10.0),      # no t term
                                            (1, -1, 0.5)])     # t_star = 1 > t_max
-def test_blowup_affine_without_a_zero_up_to_t_max(c, slope, t_max):
-    rep = nv.blowup_time(_paraboloid(gr("1/3", "2/7"), gr(c), slope), t_max=t_max)
+def test_blowup_affine_without_a_zero_up_to_t_max(c, slope, t_max, monkeypatch):
+    monkeypatch.setattr(nv, "BLOWUP_T_MAX", t_max)
+    rep = nv.blowup_time(_paraboloid(gr("1/3", "2/7"), gr(c), slope))
     assert not rep.found and rep.t_star is None and rep.witness is None
-    assert rep.detail == f"no zero for t in (0, {t_max}]"
 
 
-BOX, GRID_N = (-5.0, 5.0, -5.0, 5.0), 161
+BOX, GRID_N = nv.BLOWUP_BOX, nv.BLOWUP_GRID_N
 _small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _coeff = st.builds(GaussianRational, _small, _small)
 
@@ -272,7 +273,7 @@ def degree2_time_w(draw):
     w = nv.extended_w(SeedPair(p1, p2, gr(1))) - MPoly.const(1)
     s = -1 if w.coeff(2, 2).re < 0 else 1
     xs = np.linspace(BOX[0], BOX[1], GRID_N)
-    w0 = w.subs_t(0).eval(xs[None, :] + 1j * xs[:, None]).real
+    w0 = subs_t(w, 0).eval(xs[None, :] + 1j * xs[:, None]).real
     c = s * (draw(st.sampled_from([-1, 1, 3, 10, 40])) - math.floor((s * w0).min()))
     return nv.extended_w(SeedPair(p1, p2, gr(c)))
 
@@ -280,18 +281,38 @@ def degree2_time_w(draw):
 @settings(max_examples=40, deadline=None)
 @given(degree2_time_w())
 def test_blowup_closed_form_agrees_with_the_scan(w):
-    assert nv._constant_slope(nv.normalize_real(w)) is not None
+    assert nv._constant_slope(w) is not None
     rep = nv.blowup_time(w)
     with mock.patch.object(nv, "_constant_slope", lambda q: None):
         scan = nv.blowup_time(w)
-    assert (rep.found, rep.method, rep.detail) == (scan.found, scan.method, scan.detail)
+    assert (rep.found, rep.method, rep.t_star == 0.0) == \
+        (scan.found, scan.method, scan.t_star == 0.0)
     if rep.found:
         assert abs(rep.t_star - scan.t_star) <= 1e-10
 
 
+@st.composite
+def real_w_of_t_degree_at_most_1(draw):
+    """q + conj(q) for up to six terms of q, of z- and zb-degree up to 3 and
+    t-degree up to 1."""
+    expo = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1))
+    terms = draw(st.dictionaries(expo, _coeff, min_size=1, max_size=6))
+    q = sum((MPoly.monomial(i, j, k, c) for (i, j, k), c in terms.items()), MPoly.zero())
+    w = q + q.conj_swap()
+    assume(not w.is_zero())
+    return w
+
+
+@settings(max_examples=30, deadline=None)
+@given(real_w_of_t_degree_at_most_1())
+def test_nv_residual_equals_the_two_form_reference(w):
+    sol = nv.nv_potentials(w)
+    assert nv.nv_residual(sol) == nv_residual_two_forms(sol)
+
+
 def _xy_poly(fn):
     """fn(x, y) for the real coordinates x = (z + zb)/2, y = (z - zb)/(2i)."""
-    z, zb = MPoly.var_z(), MPoly.var_zbar()
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     return fn((z + zb) * gr("1/2"), (z - zb) * gr(0, "-1/2"))
 
 
@@ -300,17 +321,18 @@ def test_blowup_zero_past_the_box_at_t0(tterm):
     # W0 = 200 - x^3 + y^2 is positive on the grid but vanishes at
     # (200^(1/3), 0), just past it; the t = 0 descent runs off along +x, and
     # the witness is the zero on the way, whether W is affine in t or not
-    q = _xy_poly(lambda x, y: MPoly.const(200) - x * x * x + y * y) + tterm(MPoly.var_t())
+    t = MPoly.monomial(0, 0, 1)
+    q = _xy_poly(lambda x, y: MPoly.const(200) - x * x * x + y * y) + tterm(t)
     rep = nv.blowup_time(q)
     assert rep.found and rep.t_star == 0.0 and rep.method == "grid+descent"
-    assert rep.detail == "zero already present at t = 0"
     assert abs(rep.witness[0] - 200 ** (1 / 3)) < 1e-6 and abs(rep.witness[1]) < 1e-6
 
 
 def test_blowup_shifted_paraboloid_is_exact():
     # |z - z0|^2 + 1 - t, z0 off the grid: first zero at t = 1, z = z0
     z0 = gr("1/3", "2/7")
-    z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
+    z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
+    one = MPoly.const(1)
     q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t
     rep = nv.blowup_time(q)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
@@ -321,7 +343,8 @@ def test_blowup_shifted_paraboloid_is_exact():
 def test_blowup_quadratic_in_t_uses_descent_alone():
     # deg_t = 2: the grid scan and the descent give t_star and z0
     z0 = gr("-5/7", "3/11")
-    z, zb, t, one = MPoly.var_z(), MPoly.var_zbar(), MPoly.var_t(), MPoly.const(1)
+    z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
+    one = MPoly.const(1)
     q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t * t
     rep = nv.blowup_time(q)
     assert rep.found and rep.method == "grid+descent"
@@ -329,16 +352,18 @@ def test_blowup_quadratic_in_t_uses_descent_alone():
     assert abs(rep.witness[0] + 5 / 7) < 1e-9 and abs(rep.witness[1] - 3 / 11) < 1e-9
 
 
-def test_blowup_descent_from_an_indefinite_hessian():
+def test_blowup_descent_from_an_indefinite_hessian(monkeypatch):
     # (x^2 - 1)^2 + y^2 + 1 - t: on a 3x3 grid the start is (-0.4, 0), where
     # q_xx = 12x^2 - 4 < 0; the descent must still reach a minimum (+-1, 0).
     # Each step must lower a value rounded to ~1e-16, so x is good to ~1e-8.
     q = _xy_poly(lambda x, y: (x * x - MPoly.const(1)) ** 2 + y * y
-                 + MPoly.const(1) - MPoly.var_t())
+                 + MPoly.const(1) - MPoly.monomial(0, 0, 1))
     box = (-0.4, 5.0, -1.0, 1.0)
     _, _, ((hxx, hxy), (_, hyy)) = nv._slice_objective(q.xy_coefficients(), 0.5, 1.0)((-0.4, 0))
     assert hxx * hyy - hxy * hxy < 0
-    rep = nv.blowup_time(q, box=box, grid_n=3)
+    monkeypatch.setattr(nv, "BLOWUP_BOX", box)
+    monkeypatch.setattr(nv, "BLOWUP_GRID_N", 3)
+    rep = nv.blowup_time(q)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
     x, y = rep.witness
     assert abs(abs(x) - 1.0) < 1e-7 and abs(y) < 1e-7
@@ -376,7 +401,7 @@ def test_minimize_backtracks_an_overshooting_newton_step():
 
 
 def test_slice_objective_matches_exact_xy_derivatives(seed32):
-    q = nv.normalize_real(nv.extended_w(seed32))
+    q = nv.extended_w(seed32)
     dx = lambda p: p.diff_z() + p.diff_zbar()
     dy = lambda p: (p.diff_z() - p.diff_zbar()) * GR_I
     exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
@@ -390,12 +415,14 @@ def test_slice_objective_matches_exact_xy_derivatives(seed32):
             assert all(abs(a - b) < 1e-9 * (1 + abs(b)) for a, b in zip(got, ref))
 
 
-def test_normalize_real(seed32):
-    q = nv.normalize_real(RAW_Q)
-    assert q.is_real_valued()
-    assert set(q.terms) == set(RAW_Q.terms)
-    with pytest.raises(ValueError):
-        nv.normalize_real(MPoly.var_z() + MPoly.const(1))
+def test_blowup_rejects_a_non_real_or_zero_w():
+    # RAW_Q is (3/2)(1 - i) times the real W of sec32: a complex multiple of
+    # a real W is not real-valued either
+    for q in (RAW_Q, MPoly.monomial(1, 0, 0) + MPoly.const(1)):
+        with pytest.raises(ValueError):
+            nv.blowup_time(q)
+    with pytest.raises(ZeroPolynomial):
+        nv.blowup_time(MPoly.zero())
 
 
 def test_mu2_integrability_report(seed32):
@@ -440,7 +467,8 @@ def test_mu2_integrability_singularities(seed32):
 
 
 def test_temporal_residual_message_is_a_summary(seed32, monkeypatch):
-    big = (MPoly.var_z() + MPoly.var_zbar() * gr("123456789/987654321", "-1/7")) ** 9
+    zb = MPoly.monomial(0, 1, 0, gr("123456789/987654321", "-1/7"))
+    big = (MPoly.monomial(1, 0, 0) + zb) ** 9
     monkeypatch.setattr(nv, "temporal_residual", lambda fw: big)
     with pytest.raises(TemporalResidualNonzero) as err:
         nv.nv_faddeev(seed32)
@@ -455,13 +483,13 @@ def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
     n2 = fw.psi.coeffs[2]
     harmonic = n2 + n2.conj_swap()
     assert eigen_check(harmonic, sol.u)
-    assert not eigen_check(harmonic + fw.w * MPoly.var_z(), sol.u)
+    assert not eigen_check(harmonic + fw.w * MPoly.monomial(1, 0, 0), sol.u)
     rep = mu2_integrability(nv.NVSolution(sol.wt, sol.u * 2, sol.v), fw, [])
     assert not rep.harmonic_real and not rep.harmonic_imag
 
 
 def test_an_evolved_seed_is_not_evolved_again(seed32):
     assert nv.evolved_seed(seed32) is seed32        # quadratics are their own evolution
-    cubic = SeedPair(MPoly.var_z() ** 3, MPoly.var_z(), gr(-20))
+    cubic = SeedPair(MPoly.monomial(3, 0, 0), MPoly.monomial(1, 0, 0), gr(-20))
     es = nv.evolved_seed(cubic)
     assert es.p1.deg_t() == 1 and nv.evolved_seed(es) is es
