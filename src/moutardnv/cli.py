@@ -129,10 +129,18 @@ def cmd_nv_faddeev(args) -> int:
     return 0
 
 
+def _blowup_time(wt):
+    """`nv.blowup_time`, failing where W already vanishes at t = 0: there the
+    solution is singular from the start, and no blow-up time is found."""
+    rep = nv.blowup_time(wt)
+    if rep.t_star == 0.0:
+        raise AlgebraError(f"W vanishes at t = 0 near {rep.witness}")
+    return rep
+
+
 def cmd_blowup(args) -> int:
     seed, _ = hn.load_seed(args.seed)
-    wt = nv.extended_w(seed)
-    rep = nv.blowup_time(wt)
+    rep = _blowup_time(nv.extended_w(seed))
     if not rep.found:
         print("no_blowup")
         return 0
@@ -213,13 +221,7 @@ def cmd_verify(args) -> int:
             fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(es, wt))
             if fw is not None:
                 run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
-
-            def blowup():
-                rep = nv.blowup_time(wt)
-                if rep.t_star == 0.0:
-                    raise AlgebraError(f"W vanishes at t = 0 near {rep.witness}")
-
-            run("blowup-search", blowup)
+            run("blowup-search", lambda: _blowup_time(wt))
 
     ok = all(c[1] for c in checks)
     print(f"verify: {'PASS' if ok else 'FAIL'}")

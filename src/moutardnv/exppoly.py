@@ -8,11 +8,11 @@ which is why it carries the whole eigenfunction pipeline.
 from __future__ import annotations
 
 import cmath
-from itertools import product
-from math import comb, prod
+from functools import lru_cache
+from math import comb, lcm, perm
 
-from .algebra import MPoly, divide_off_poles, xy_eval
-from .errors import LambdaZeroError, ZeroPolynomial
+from .algebra import MAX_EXPONENT, MPoly, divide_off_poles, xy_eval
+from .errors import ExponentOverflow, LambdaZeroError, ZeroPolynomial
 
 
 class WaveFn:
@@ -27,11 +27,7 @@ class WaveFn:
 
     def __init__(self, coeffs=None, time_phase: bool = False, den: MPoly = None):
         self.time_phase = time_phase
-        self.coeffs = {}
-        if coeffs:
-            for k, f in coeffs.items():
-                if not f.is_zero():
-                    self.coeffs[k] = f
+        self.coeffs = {k: f for k, f in (coeffs or {}).items() if not f.is_zero()}
         if den is not None and den.is_zero():
             raise ZeroPolynomial("wave denominator is zero")
         self.den = den
@@ -42,10 +38,7 @@ class WaveFn:
         return cls({0: MPoly.const(1)}, time_phase=time_phase)
 
     def slot(self, k: int):
-        f = self.coeffs.get(k)
-        if f is not None:
-            return f
-        return MPoly.zero()
+        return self.coeffs[k] if k in self.coeffs else MPoly.zero()
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -53,20 +46,15 @@ class WaveFn:
     def __eq__(self, other):
         if not isinstance(other, WaveFn):
             return NotImplemented
-        if self.time_phase != other.time_phase:
-            return False
-        if (self.den is None) != (other.den is None):
-            return False
-        if self.den is not None and self.den != other.den:
-            return False
-        return self.coeffs == other.coeffs
+        return ((self.time_phase, self.den, self.coeffs)
+                == (other.time_phase, other.den, other.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, WaveFn):
             return NotImplemented
         if self.time_phase != other.time_phase:
             raise ValueError("cannot add waves with different phases")
-        if not _same_den(self.den, other.den):
+        if self.den != other.den:
             raise ValueError("cannot add waves over different denominators")
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
@@ -86,9 +74,6 @@ class WaveFn:
         """Multiply every coefficient by an MPoly or scalar."""
         return WaveFn({k: f * factor for k, f in self.coeffs.items()}, self.time_phase, self.den)
 
-    def map_coeffs(self, fn) -> "WaveFn":
-        return WaveFn({k: fn(f) for k, f in self.coeffs.items()}, self.time_phase, self.den)
-
     def __repr__(self):
         phase = "e^{lam z + lam^3 t}" if self.time_phase else "e^{lam z}"
         body = " + ".join(f"lam^{-k}*({f})" for k, f in sorted(self.coeffs.items()))
@@ -96,88 +81,95 @@ class WaveFn:
         return f"WaveFn[{phase} * ({body}){den}]"
 
 
-def _same_den(a, b):
-    if a is None and b is None:
-        return True
-    if a is None or b is None:
-        return False
-    return a == b
-
-
-def wave_diff_z(w: WaveFn) -> WaveFn:
-    """d/dz: the phase contributes lam * f at slot k-1, the coefficient its z-derivative."""
-    out = {}
-    for k, f in w.coeffs.items():
-        _acc(out, k - 1, f)
-        _acc(out, k, f.diff_z())
-    return WaveFn(out, w.time_phase, w.den)
-
-
-def wave_diff_zbar(w: WaveFn) -> WaveFn:
-    return w.map_coeffs(lambda f: f.diff_zbar())
-
-
-def wave_diff_t(w: WaveFn) -> WaveFn:
-    """d/dt; with the time phase set, e^{lam^3 t} contributes lam^3 * f at slot k-3."""
-    out = {}
-    for k, f in w.coeffs.items():
-        _acc(out, k, f.diff_t())
-        if w.time_phase:
-            _acc(out, k - 3, f)
-    return WaveFn(out, w.time_phase, w.den)
-
-
-def _acc(out, k, f):
-    if f.is_zero():
-        return
-    s = out.get(k)
-    out[k] = f if s is None else s + f
-
-
 D_ZZBAR = {(1, 1, 0): 1}                                    # D_z D_zb
 D_ZZ = {(2, 0, 0): 1}                                       # D_z^2
 D_TIME_LEG = {(0, 0, 1): 1, (3, 0, 0): -1, (0, 3, 0): -1}   # D_t - D_z^3 - D_zb^3
-_POLY_DIFFS = (MPoly.diff_z, MPoly.diff_zbar, MPoly.diff_t)
 
 
 def hirota(f, g: MPoly, form: dict):
     """sum c D^a (f . g) over the items (a, c) of form, a = (m, n, p) the
-    orders in z, zb and t, for a wave or polynomial f and a polynomial g:
-    D^a (f . g) is the sum over b <= a of (-1)^|b| C(a, b) d^(a-b) f d^b g.
+    orders in z, zb and t, for a wave or polynomial f and a polynomial g.
 
-    A wave's derivatives carry its phase.  Each pair of derivatives is scaled
-    once, by its summed weight, and the f-terms met by one derivative of g
-    share one product with it; for f is g, so do both orders of a pair.
+    One pass over the term pairs of f (every slot of a wave) and g: as
+    D_x^m (x^i . x^i') = H_m(i, i') x^(i+i'-m) (`_weights`), a pair adds
+    c H_m H_n H_p times its coefficient product at one exponent.  A wave's
+    phase makes D^a the sum in `_phase_orders`, whose power of lam shifts the
+    slot.  The weighted terms of g met by one exponent of f are listed once
+    for every slot.  For f is g only the pairs i <= i' are read, the others
+    counted by symmetry.  The numerators are summed over one denominator and
+    each output slot is brought to lowest terms once.
     """
     wave = isinstance(f, WaveFn)
-    fdiffs = (wave_diff_z, wave_diff_zbar, wave_diff_t) if wave else _POLY_DIFFS
-    times = WaveFn.scale if wave else MPoly.__mul__
-    gcache = {(0, 0, 0): g}
-    fcache = gcache if f is g else {(0, 0, 0): f}
-    weights = {}
-    for a, c in form.items():
-        for b in product(*(range(x + 1) for x in a)):
-            fb, gb = tuple(x - y for x, y in zip(a, b)), b
-            if f is g and fb < gb:
-                fb, gb = gb, fb
-            weights[gb, fb] = weights.get((gb, fb), 0) + c * (-1) ** sum(b) * prod(map(comb, a, b))
-    by_g = {}
-    for (gb, fb), c in weights.items():
-        term = times(_partial(fcache, fdiffs, fb), c)
-        by_g[gb] = by_g[gb] + term if gb in by_g else term
-    out = times(f, 0)
-    for gb, fsum in by_g.items():
-        out = out + times(fsum, _partial(gcache, _POLY_DIFFS, gb))
-    return out
+    slots = f.coeffs if wave else {0: f}
+    fdeg = [max((e[x] for p in slots.values() for e in p.numerators), default=0) for x in range(3)]
+    gdeg = [max((e[x] for e in g.numerators), default=0) for x in range(3)]
+    expo = tuple(map(sum, zip(fdeg, gdeg)))
+    if max(expo) > MAX_EXPONENT:
+        raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
+    orders = [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
+              for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
+                                                 f is g).items()]
+    gterms = [(_pack(e), *e, re, im) for e, (re, im) in g.numerators.items()]
+    doubled = [(e, i, j, k, 2 * re, 2 * im) for e, i, j, k, re, im in gterms]
+    den = lcm(*(p.denominator for p in slots.values()))
+    weighted, acc = {}, {}      # (order, exponent of f) -> [(exponent, weighted coefficient of g)]
+    for slot, p in slots.items():
+        scale = den // p.denominator
+        for n, (e1, (p1, q1)) in enumerate(p.numerators.items()):
+            p1, q1 = p1 * scale, q1 * scale
+            for o, (shift, b, c, (hz, hzb, ht)) in enumerate(orders):
+                terms = weighted.get((o, e1))
+                if terms is None:
+                    # on f is g the diagonal pair once, each later pair for both orders
+                    partners = gterms[n:n + 1] + doubled[n + 1:] if f is g else gterms
+                    rz, rzb, rt, base = hz[e1[0]], hzb[e1[1]], ht[e1[2]], _pack(e1) - b
+                    terms = weighted[o, e1] = [
+                        (base + e2, w * re, w * im) for e2, i2, j2, k2, re, im in partners
+                        for w in (c * rz[i2] * rzb[j2] * rt[k2],) if w]
+                out = acc.setdefault(slot - shift, {})
+                for e, re, im in terms:
+                    s = out.get(e)
+                    if s is None:
+                        out[e] = [p1 * re - q1 * im, p1 * im + q1 * re]
+                    else:
+                        s[0] += p1 * re - q1 * im
+                        s[1] += p1 * im + q1 * re
+    polys = {slot: MPoly.from_numerators({(e >> 16, e >> 8 & 255, e & 255): (re, im)
+                                          for e, (re, im) in out.items() if re or im},
+                                         den * g.denominator)
+             for slot, out in acc.items()}
+    return WaveFn(polys, f.time_phase, f.den) if wave else polys.get(0, MPoly.zero())
 
 
-def _partial(cache: dict, diffs, b):
-    """d_z^i d_zb^j d_t^k of cache[(0, 0, 0)] for b = (i, j, k), memoized."""
-    if b not in cache:
-        axis = next(x for x in range(3) if b[x])
-        prev = tuple(v - (x == axis) for x, v in enumerate(b))
-        cache[b] = diffs[axis](_partial(cache, diffs, prev))
-    return cache[b]
+def _pack(e) -> int:
+    """An exponent triple as one int, 8 bits an axis: sums of packed triples
+    are the packed sums while each axis stays in 0..255."""
+    return e[0] << 16 | e[1] << 8 | e[2]
+
+
+def _phase_orders(form: dict, z_phase: bool, t_phase: bool, symmetric: bool) -> dict:
+    """(shift, b) -> integer weight of the orders b = (m, n, p) in form under
+    the phase: D^a on e^{lam z} f becomes (D_z + lam)^m D_zb^n D^p_t, and on
+    e^{lam z + lam^3 t} f (D_z + lam)^m D_zb^n (D_t + lam^3)^p, with lam^shift
+    shifting slot k to k - shift.  For D_TIME_LEG on the time phase the lam^3
+    of D_t cancels the lam^3 of -D_z^3.  On f is g an odd order is 0."""
+    out = {}
+    for (m, n, p), c in form.items():
+        for s in range(m + 1 if z_phase else 1):
+            for u in range(p + 1 if t_phase else 1):
+                key = (s + 3 * u, (m - s, n, p - u))
+                out[key] = out.get(key, 0) + c * comb(m, s) * comb(p, u)
+    return {key: c for key, c in out.items() if c and not (symmetric and sum(key[1]) % 2)}
+
+
+@lru_cache(maxsize=None)
+def _weights(m: int, di: int, dj: int) -> tuple:
+    """H[i][i'] = H_m(i, i') = sum_r (-1)^r C(m, r) i^(m-r) i'^(r), falling
+    factorials, for i <= di and i' <= dj: D_x^m (x^i . x^i') = H x^(i+i'-m)."""
+    return tuple(tuple(sum((-1) ** r * comb(m, r) * perm(i, m - r) * perm(j, r)
+                           for r in range(m + 1))
+                       for j in range(dj + 1))
+                 for i in range(di + 1))
 
 
 def wave_antideriv_z(w: WaveFn) -> WaveFn:
@@ -196,7 +188,8 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
                 slots.setdefault(j, {})[(n - j, m, p)] = (re * fac, im * fac)
                 fac *= j - n
         for j, nums in slots.items():
-            _acc(out, k + j + 1, MPoly.from_numerators(nums, f.denominator))
+            q = MPoly.from_numerators(nums, f.denominator)
+            out[k + j + 1] = out[k + j + 1] + q if k + j + 1 in out else q
     return WaveFn(out, w.time_phase, w.den)
 
 

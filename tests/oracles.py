@@ -5,6 +5,9 @@
   substitution of a time, the reference for a slice at t.
 - The evolution residual with both of its Hirota forms, the reference of
   `nv.nv_residual`, which forms one and conjugates it.
+- Derivatives of waves, and `hirota_by_products`, the Hirota form built
+  from those derivatives and one product per derivative of g: the
+  reference of `exppoly.hirota`, which reads every term pair once.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -18,13 +21,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partialmethod
+from itertools import product
 
 import numpy as np
 
 from moutardnv import nv
 from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import AlgebraError, PoleError
-from moutardnv.exppoly import D_ZZBAR, hirota
+from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota
 from moutardnv.harness import _gr_from_json, _grid_points
 
 
@@ -67,6 +71,81 @@ def nv_residual_two_forms(sol) -> MPoly:
     return (over_w2(sol.u.num, MPoly.diff_t)
             - over_w2(hirota(wt, wt, {(3, 1, 0): 1}), MPoly.diff_z)
             - over_w2(hirota(wt, wt, {(1, 3, 0): 1}), MPoly.diff_zbar))
+
+
+# ---------------------------------------------------------------------------
+# wave derivatives and the Hirota form by products
+
+
+def wave_diff_z(w: WaveFn) -> WaveFn:
+    """d/dz: the phase contributes lam * f at slot k-1, the coefficient its z-derivative."""
+    out = {}
+    for k, f in w.coeffs.items():
+        _acc(out, k - 1, f)
+        _acc(out, k, f.diff_z())
+    return WaveFn(out, w.time_phase, w.den)
+
+
+def wave_diff_zbar(w: WaveFn) -> WaveFn:
+    return WaveFn({k: f.diff_zbar() for k, f in w.coeffs.items()}, w.time_phase, w.den)
+
+
+def wave_diff_t(w: WaveFn) -> WaveFn:
+    """d/dt; with the time phase set, e^{lam^3 t} contributes lam^3 * f at slot k-3."""
+    out = {}
+    for k, f in w.coeffs.items():
+        _acc(out, k, f.diff_t())
+        if w.time_phase:
+            _acc(out, k - 3, f)
+    return WaveFn(out, w.time_phase, w.den)
+
+
+def _acc(out, k, f):
+    if f.is_zero():
+        return
+    s = out.get(k)
+    out[k] = f if s is None else s + f
+
+
+_POLY_DIFFS = (MPoly.diff_z, MPoly.diff_zbar, MPoly.diff_t)
+
+
+def hirota_by_products(f, g: MPoly, form: dict):
+    """`exppoly.hirota` built from derivatives: D^a (f . g) is the sum over
+    b <= a of (-1)^|b| C(a, b) d^(a-b) f d^b g, a wave's derivatives carrying
+    its phase.  Each pair of derivatives is scaled once, by its summed
+    weight, and the f-terms met by one derivative of g share one product
+    with it; for f is g, so do both orders of a pair."""
+    wave = isinstance(f, WaveFn)
+    fdiffs = (wave_diff_z, wave_diff_zbar, wave_diff_t) if wave else _POLY_DIFFS
+    times = WaveFn.scale if wave else MPoly.__mul__
+    gcache = {(0, 0, 0): g}
+    fcache = gcache if f is g else {(0, 0, 0): f}
+    weights = {}
+    for a, c in form.items():
+        for b in product(*(range(x + 1) for x in a)):
+            fb, gb = tuple(x - y for x, y in zip(a, b)), b
+            if f is g and fb < gb:
+                fb, gb = gb, fb
+            weights[gb, fb] = (weights.get((gb, fb), 0)
+                               + c * (-1) ** sum(b) * math.prod(map(math.comb, a, b)))
+    by_g = {}
+    for (gb, fb), c in weights.items():
+        term = times(_partial(fcache, fdiffs, fb), c)
+        by_g[gb] = by_g[gb] + term if gb in by_g else term
+    out = times(f, 0)
+    for gb, fsum in by_g.items():
+        out = out + times(fsum, _partial(gcache, _POLY_DIFFS, gb))
+    return out
+
+
+def _partial(cache: dict, diffs, b):
+    """d_z^i d_zb^j d_t^k of cache[(0, 0, 0)] for b = (i, j, k), memoized."""
+    if b not in cache:
+        axis = next(x for x in range(3) if b[x])
+        prev = tuple(v - (x == axis) for x, v in enumerate(b))
+        cache[b] = diffs[axis](_partial(cache, diffs, prev))
+    return cache[b]
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,19 @@ def test_verify_fails_where_w_vanishes_at_t0(time, tmp_path):
                           "near (-0.5, -0.5))"]
 
 
+def test_blowup_fails_where_w_vanishes_at_t0(tmp_path):
+    # the time seed of test_verify_fails_where_w_vanishes_at_t0: blowup fails
+    # on the zero at t = 0 as verify's blowup-search row does
+    seed = tmp_path / "circle.json"
+    seed.write_text(json.dumps({"p1": [[1, {"re": "1"}]], "p2": [[1, {"re": "0", "im": "1"}]],
+                                "c": {"re": "-1"}, "time": True}))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["blowup", "--seed", str(seed)])
+    assert rc == 1
+    assert stdout.getvalue() == "FAIL AlgebraError: W vanishes at t = 0 near (-0.5, -0.5)\n"
+
+
 ZERO_W_ARGV = {"sample-grid": ["--grid=-1,1,-1,1,3", "--out"]}
 
 

@@ -8,11 +8,12 @@ import pytest
 from moutardnv import nv
 from moutardnv.algebra import GR_I, MPoly
 from moutardnv.errors import AsymptoticMismatch
-from moutardnv.exppoly import WaveFn, wave_diff_z, wave_diff_zbar
+from moutardnv.exppoly import WaveFn
 from moutardnv.faddeev import build_faddeev, scattering_data
 from moutardnv.moutard import SeedPair, harmonic_from_holomorphic, moutard_transform_wave
 
 from conftest import gr
+from oracles import wave_diff_z, wave_diff_zbar
 from test_bench_contract import bench_module
 from test_properties import random_gr, random_holomorphic
 

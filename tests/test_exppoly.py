@@ -3,12 +3,11 @@ import cmath
 import pytest
 
 from moutardnv.algebra import MPoly
-from moutardnv.errors import LambdaZeroError, PoleError
-from moutardnv.exppoly import (WaveFn, wave_antideriv_z, wave_diff_t, wave_diff_z,
-                               wave_diff_zbar, wave_eval)
+from moutardnv.errors import ExponentOverflow, LambdaZeroError, PoleError
+from moutardnv.exppoly import D_TIME_LEG, WaveFn, hirota, wave_antideriv_z, wave_eval
 
 from conftest import gr
-from oracles import wave_eval_naive
+from oracles import wave_diff_t, wave_diff_z, wave_diff_zbar, wave_eval_naive
 
 
 def test_free_wave_derivative():
@@ -49,6 +48,16 @@ def test_time_phase_derivative():
     assert set(d.coeffs) == {-3}
     s = wave_diff_t(WaveFn({0: MPoly.monomial(0, 0, 1)}, time_phase=False))
     assert s.coeffs[0] == MPoly.const(1)
+
+
+def test_hirota_checks_the_exponent_cap_before_the_pass():
+    """An odd form on f is g is exactly 0, so no output exponent is left to
+    check; the cap still holds, as it would for the product f g."""
+    w = MPoly.monomial(40, 0, 0) + MPoly.monomial(0, 40, 0)
+    assert hirota(MPoly.monomial(32, 0, 0), MPoly.monomial(32, 0, 0), {(1, 0, 0): 1}).is_zero()
+    for f, form in ((w, D_TIME_LEG), (w, {(1, 0, 0): 1}), (WaveFn({2: w}), D_TIME_LEG)):
+        with pytest.raises(ExponentOverflow, match="exceeds cap"):
+            hirota(f, w, form)
 
 
 def test_wave_arithmetic_and_scale():

@@ -7,13 +7,13 @@ import sympy as sp
 
 from moutardnv.algebra import GR_I, MPoly
 from moutardnv.errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
-from moutardnv.exppoly import WaveFn, wave_diff_z, wave_diff_zbar
+from moutardnv.exppoly import WaveFn
 from moutardnv.moutard import (SeedPair, build_frame, double_w, harmonic_from_holomorphic,
                                laplace_log, moutard_transform_wave, nonvanishing_certificate,
                                potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
-from oracles import Frac, same_fraction
+from oracles import Frac, same_fraction, wave_diff_z, wave_diff_zbar
 from test_properties import random_holomorphic
 
 

@@ -7,14 +7,14 @@ import pytest
 
 from moutardnv.algebra import GaussianRational, MPoly
 from moutardnv.errors import AsymptoticMismatch
-from moutardnv.exppoly import (D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_diff_t, wave_diff_z,
-                               wave_diff_zbar)
+from moutardnv.exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
 from moutardnv.moutard import SeedPair, build_frame, laplace_log
 from moutardnv import nv
 
 from conftest import gr
-from oracles import Frac, frac, same_fraction
+from oracles import (Frac, frac, hirota_by_products, same_fraction, wave_diff_t, wave_diff_z,
+                     wave_diff_zbar)
 
 
 def random_holomorphic(rng, max_deg):
@@ -155,6 +155,46 @@ def test_residuals_are_hirota_forms_over_w2():
         assert time_leg.coeffs == over_w2(hirota(chi, w, D_TIME_LEG), w), f"trial {trial}"
 
 
+def random_poly(rng, deg, tdeg):
+    """Up to 6 terms of total degree at most deg in z, zb and degree at most
+    tdeg in t, with coefficients over denominators 1-12."""
+    p = MPoly.zero()
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randint(0, deg)
+        p = p + MPoly.monomial(i, rng.randint(0, deg - i), rng.randint(0, tdeg), GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+    return p
+
+
+def test_hirota_is_the_product_construction():
+    """The one-pass kernel equals the Hirota form built from derivatives and
+    products: W.W forms, odd forms on f is g (exactly 0), and waves with and
+    without the time phase, slots -1..4 over unequal denominators, at total
+    degree 1-6 and t-degree 0-3."""
+    rng = random.Random(20261020)
+    w_forms = [D_ZZBAR, D_ZZ, {(3, 1, 0): 1}, {(1, 3, 0): 1}]
+    odd_forms = [D_TIME_LEG, {(1, 0, 0): 1}, {(2, 1, 0): 3, (0, 0, 1): -2}]
+    wave_forms = [D_ZZBAR, D_TIME_LEG, {(2, 1, 1): 2, (0, 2, 0): -1}]
+    uneven = 0
+    for trial in range(60):
+        deg, tdeg = rng.randint(1, 6), rng.randint(0, 3)
+        w, v = random_poly(rng, deg, tdeg), random_poly(rng, deg, tdeg)
+        for form in w_forms:
+            assert hirota(w, w, form) == hirota_by_products(w, w, form), f"trial {trial}"
+        for form in odd_forms:
+            assert hirota(w, w, form).is_zero(), f"trial {trial}"
+        form = rng.choice(wave_forms)
+        assert hirota(v, w, form) == hirota_by_products(v, w, form), f"trial {trial}"
+        keys = rng.sample(range(-1, 5), rng.randint(1, 4))
+        slots = {k: random_poly(rng, deg, tdeg) for k in keys}
+        chi = WaveFn(slots, time_phase=trial % 2 == 0, den=v if trial % 3 == 0 else None)
+        uneven += len({p.denominator for p in chi.coeffs.values()}) > 1
+        for form in wave_forms:
+            assert hirota(chi, w, form) == hirota_by_products(chi, w, form), f"trial {trial}"
+    assert uneven >= 20
+
+
 def lifted_nv_residual(w):
     """U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U) for U = 2 d dbar log w and
     V = 2 d^2 log w, differentiated and multiplied as fractions over w."""
@@ -197,13 +237,17 @@ def term_pairs(monkeypatch, fn):
 
 
 def test_residual_work_is_bilinear(monkeypatch):
-    """fd.residual multiplies W-sized polynomials by slots, not lifted
-    fractions: at most a third of the 6938 MPoly term pairs that lifting
-    every slot to a fraction over W cost on this dense degree-3 seed."""
+    """fd.residual reads the term pairs of the slots and W, not of lifted
+    fractions, and makes no MPoly product: its pairs, one per reduced order
+    of (D_z + lam) D_zb (D_z D_zb and D_zb), are at most a third of the 6938
+    MPoly term pairs that lifting every slot to a fraction over W cost on
+    this dense degree-3 seed."""
     fw = build_faddeev(random_seed(random.Random(0), 3))
-    res, pairs = term_pairs(monkeypatch, lambda: residual(fw))
+    res, products = term_pairs(monkeypatch, lambda: residual(fw))
     assert res.is_zero()
-    assert 0 < pairs <= 6938 // 3
+    assert products == 0
+    pairs = sum(len(n.numerators) for n in fw.psi.coeffs.values()) * len(fw.w.numerators) * 2
+    assert pairs <= 6938 // 3
 
 
 def test_nv_residual_work_is_bilinear(seed32, monkeypatch):
