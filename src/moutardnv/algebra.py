@@ -418,9 +418,9 @@ class MPoly:
                 out.setdefault((i, j), {})[(0, 0, k)] = c
         return {ij: _poly(tk, self._d) for ij, tk in out.items()}
 
-    def at_origin_t(self) -> "MPoly":
-        """Restriction to z = zb = 0, leaving a polynomial in t."""
-        return _poly({e: c for e, c in self._c.items() if e[0] == 0 and e[1] == 0}, self._d)
+    def coeff_t(self, i, j) -> "MPoly":
+        """The coefficient of z^i zb^j: a polynomial in t."""
+        return _poly({(0, 0, e[2]): c for e, c in self._c.items() if e[:2] == (i, j)}, self._d)
 
     # -- numerics -----------------------------------------------------
 

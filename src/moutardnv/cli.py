@@ -50,11 +50,12 @@ def _fmt_coord(v: float) -> str:
 
 
 def _pipeline(time: bool):
-    """The W builder and the wave builder of a seed: the time layer's for a
-    time seed, the static ones otherwise."""
+    """The potential builder and the wave builder of a seed: on a time seed
+    u = -2 Laplacian(log W) = -4U, U from `_nv_solution` of the extended W,
+    and the time wave; the static ones otherwise."""
     if time:
-        return nv.extended_w, nv.nv_faddeev
-    return mt.double_w, fd.build_faddeev
+        return lambda seed: _nv_solution(nv.extended_w(seed)).u * -4, nv.nv_faddeev
+    return lambda seed: mt.potential(mt.double_w(seed)), fd.build_faddeev
 
 
 def _evolved_w(seed):
@@ -63,13 +64,21 @@ def _evolved_w(seed):
     return es, nv.extended_w(es)
 
 
+def _nv_solution(wt):
+    """The (U, V) pair of a time W, failing unless its evolution residual is
+    exactly zero: the check of every W that `nv.extended_w` builds."""
+    sol = nv.nv_potentials(wt)
+    if not nv.nv_residual(sol).is_zero():
+        raise AlgebraError("evolution residual nonzero")
+    return sol
+
+
 def cmd_potential(args) -> int:
     seed, time = hn.load_seed(args.seed)
-    build_w, _ = _pipeline(time)
-    w = build_w(seed)
-    u = mt.potential(w)
+    build_u, _ = _pipeline(time)
+    u = build_u(seed)
     print(u)
-    _write_json(args, {"u": hn.rational_to_json(u), "w": hn.poly_to_json(w)})
+    _write_json(args, {"u": hn.rational_to_json(u), "w": hn.poly_to_json(u.base)})
     return 0
 
 
@@ -108,7 +117,7 @@ def cmd_scatter(args) -> int:
 def cmd_nv_evolve(args) -> int:
     seed, _ = hn.load_seed(args.seed)
     es, wt = _evolved_w(seed)
-    sol = nv.nv_potentials(wt)
+    sol = _nv_solution(wt)
     print(f"p1(t) = {es.p1}")
     print(f"p2(t) = {es.p2}")
     print(f"Wt = {wt}")
@@ -140,7 +149,7 @@ def _blowup_time(wt):
 
 def cmd_blowup(args) -> int:
     seed, _ = hn.load_seed(args.seed)
-    rep = _blowup_time(nv.extended_w(seed))
+    rep = _blowup_time(_nv_solution(nv.extended_w(seed)).wt)
     if not rep.found:
         print("no_blowup")
         return 0
@@ -158,13 +167,13 @@ def cmd_sample_grid(args) -> int:
     if args.out is None:
         raise ValueError("sample-grid requires --out")
     grid = _parse_grid(args.grid, args.t)
-    build_w, build_wave = _pipeline(time)
+    build_u, build_wave = _pipeline(time)
     if args.lam is not None:
         lam0 = _parse_lambda(args.lam)
         fw = build_wave(seed)
         fn = lambda z, t: wave_eval(fw.psi, z, t, lam0)
     else:
-        u = mt.potential(build_w(seed))
+        u = build_u(seed)
         fn = lambda z, t: u.eval(z, t)
     hn.write_grid_csv(args.out, hn.sample_grid(fn, grid))
     print(f"wrote {args.out}")
@@ -213,11 +222,7 @@ def cmd_verify(args) -> int:
         built = run("extended-w", lambda: _evolved_w(seed))
         if built is not None:
             es, wt = built
-            def residual_zero():
-                if not nv.nv_residual(nv.nv_potentials(wt)).is_zero():
-                    raise AlgebraError("evolution residual nonzero")
-
-            run("evolution-residual-exact", residual_zero)
+            run("evolution-residual-exact", lambda: _nv_solution(wt))
             fw = run("wave-residuals-exact", lambda: nv.nv_faddeev(es, wt))
             if fw is not None:
                 run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))

@@ -60,7 +60,7 @@ def double_w(seed: SeedPair) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula:
     W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed.  W is
     zero only when c = 0 and p1, p2 are real multiples of one polynomial, and
-    then so is the time leg of `nv.extended_w`: this is the one place that
+    then so is the time term of `nv.extended_w`: this is the one place that
     rejects it."""
     w = w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
     if w.is_zero():

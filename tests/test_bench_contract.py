@@ -69,6 +69,20 @@ def test_blowup_matches_goldens_on_sec32_and_time_candidates():
         assert not wl.compare_outputs(got, {"blowup": gold[name]["blowup"]}), name
 
 
+def test_time_op_passes_every_check_on_cubic_seeds():
+    """The benchmark's untimed cubic time ops and the cubic fixture run every
+    check of the time op and fail none. The goldens may still record a
+    failure on these seeds, and a recorded failure does not fail a run, so
+    only this test shows a regression on them."""
+    wl = bench_module("workloads")
+    seeds = {**wl.cubic_pool(), "sec22_cubic": wl.fixture("sec22_cubic")[0]}
+    assert len(seeds) == wl.CUBIC_POOL + 1
+    for name, seed in seeds.items():
+        checks, res = wl.time_op(seed)
+        assert not checks.failures, (name, checks.failures)
+        assert res["w"].deg_t() >= 2 and res["blowup"] is not None, name
+
+
 def test_traced_blowup_counts_minimize_calls(seed32):
     tracing = bench_module("tracing")
     tracer = tracing.Tracer()

@@ -11,7 +11,7 @@ import pytest
 
 from moutardnv import cli, nv
 from moutardnv import faddeev as fd
-from moutardnv.algebra import RationalFn
+from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.harness import load_seed
 from moutardnv.moutard import double_w, potential
 
@@ -73,6 +73,44 @@ def test_verify_passes_on_fixtures():
         lines = r.stdout.splitlines()
         assert lines[0] == "verify: PASS"
         assert all(l.startswith("PASS") for l in lines[1:])
+
+
+def test_cubic_time_seed_passes_every_time_subcommand(tmp_path):
+    # sec22_cubic's polynomials as a time seed: W is the static W of the
+    # evolved cubics plus their origin time term, and every check accepts it
+    seed = tmp_path / "cubic_time.json"
+    with open(fixture_path("sec22_cubic.json")) as fh:
+        seed.write_text(json.dumps({**json.load(fh), "time": True}))
+    for command in ("nv-evolve", "nv-faddeev", "verify", "blowup", "potential", "scatter"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main([command, "--seed", str(seed)])
+        assert rc == 0, (command, stdout.getvalue())
+
+
+@pytest.mark.parametrize("term", [MPoly.monomial(0, 0, 1), MPoly.monomial(0, 0, 2, 5)],
+                         ids=["t", "5t^2"])
+def test_a_wrong_time_term_fails_every_time_subcommand(monkeypatch, tmp_path, term):
+    # W + t and W + 5t^2 are real and free of zb, so no check inside
+    # extended_w sees them: the evolution residual, which nv-evolve, blowup,
+    # potential, sample-grid and verify run, and the wave's temporal
+    # residual, which nv-faddeev and scatter run, do
+    build = nv.extended_w
+    monkeypatch.setattr(nv, "extended_w", lambda seed: build(seed) + term)
+    out = tmp_path / "u.csv"
+    argvs = [[command, "--seed", fixture_path(f"{name}.json")]
+             for command in ("nv-evolve", "blowup") for name in ("sec32", "sec22_cubic")]
+    argvs += [[command, "--seed", fixture_path("sec32.json")]
+              for command in ("potential", "verify", "nv-faddeev", "scatter")]
+    argvs.append(["sample-grid", "--seed", fixture_path("sec32.json"),
+                  "--grid=-1,1,-1,1,3", "--out", str(out)])
+    for argv in argvs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        assert rc == 1, (argv, stdout.getvalue())
+        assert "FAIL" in stdout.getvalue(), argv
+    assert not out.exists()
 
 
 def test_nv_faddeev_output():
@@ -233,7 +271,6 @@ def test_cli_determinism(tmp_path):
 # (command, fixture) -> sha256 of (stdout, the --out file), or None where the
 # command writes no --out file (verify). Printed fractions are in canonical
 # form, so any change to the exact objects or to their printing shows here.
-# nv-evolve, nv-faddeev and blowup do not apply to the cubic static seed.
 OUTPUT_DIGESTS = {
     ("potential", "sec22"):
         ("c540c0bcff3c768db5b3645c8c5259df8579582e8fd691dab9ec80f23b310d19",
@@ -274,15 +311,23 @@ OUTPUT_DIGESTS = {
     ("nv-evolve", "sec22"):
         ("b86c2ee807e4cd340bfcb354ca17c7a36e2fc84a02a8b58c5e94c97c7d51974b",
          "581104839f33de79bdd70bc8d840c02a3d70a6b7d0594d31a7fb1f520d08ee88"),
+    ("nv-evolve", "sec22_cubic"):
+        ("56a3889ce27c1c97b9f11309e698caab38c7e0a0246c3b029e41e0e87d482f14",
+         "10e3cdb224e1988cf29fa61e3fa75317316b1303b620b7ac96dc5d0be77c1e0d"),
     ("nv-evolve", "sec32"):
         ("a540582cce8753eca4de6545f81c637ad0fdb69679624f4ecfcb0f25a7e4ec6e",
          "0d5c82f2f3e8f4e85e97d60b2271b061419b0f9de8f9d2736b33241eb734758b"),
     ("nv-faddeev", "sec22"):
         ("e19393911d58ed471e5ced016b440cd665022e931512fe9683460e8ecedb8f51",
          "584df153a9c38312d676d957cf0bcf76360450c3ac685f1d4c2d9ba5394ef6da"),
+    ("nv-faddeev", "sec22_cubic"):
+        ("9e79adf7ebcab0b8959db8c62af1806cce0ca5a5bf1896945d7199ae30b73a8f",
+         "d038ec4163ae37c2c0dc2a87ec73532af337544ec64a910db5757500633224fa"),
     ("nv-faddeev", "sec32"):
         ("43f2891ed2533f6e2e84683cacfbdea41dfe9f30918444a9254b27542754351f",
          "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
+    ("blowup", "sec22_cubic"):     # no blow-up up to t = 10: no --out file
+        ("8cf468de26239f028e1748dfd9cdb8ac3eb80d8f9f45c2294b283f6af255fdea", None),
     ("blowup", "sec32"):
         ("4a169e89f01561098d98a9c94bb8b7615da2881ef577185bb8f2422ecf808add",
          "2b1d02f6f6ab88e03ee626913a678b01afd874e9005dd6d001c9723f91d5097b"),
@@ -396,9 +441,8 @@ def test_import_does_not_load_scipy():
                   for name in ("sec22", "sec22_cubic", "sec32")]
     rcs, loaded = _loaded_after(*exact_only)
     assert loaded == []
-    # the cubic static seed does not evolve (NotEvolved); every other call succeeds
-    assert rcs == [1 if argv[0] == "nv-evolve" and "sec22_cubic" in argv[2] else 0
-                   for argv in exact_only]
+    # every call succeeds, nv-evolve on the cubic static seed too
+    assert rcs == [0] * len(exact_only)
     assert _loaded_after(["verify", "--seed", fixture_path("sec22.json")]) == [[0], ["numpy"]]
     # the blow-up search is grid evaluation and descent: no numpy.polynomial
     assert _loaded_after(["blowup", "--seed", fixture_path("sec32.json")]) == [[0], ["numpy"]]

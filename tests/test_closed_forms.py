@@ -1,5 +1,6 @@
 """The closed forms of the free wave's transform and of the superposed wave,
-checked exactly over seeds of degree 1-6 and the benchmark's time candidates."""
+checked exactly over seeds of degree 1-6, the benchmark's time candidates
+and time seeds of degree 3-5."""
 
 import random
 
@@ -91,3 +92,17 @@ def test_time_wave_closed_forms():
     for seed in seeds.values():
         checked += check_closed_forms(nv.nv_faddeev(seed), nv.evolved_seed(seed))
     assert checked >= 45
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_time_wave_closed_forms_by_degree(degree):
+    """Time waves of degree 3-5, over the static W of the evolved seed plus
+    its origin time term: N_k in the evolved p1, p2, and A = -2d/lam."""
+    rng = random.Random(300 + degree)
+    checked = 0
+    for trial in range(6):
+        constant = trial % 2
+        seed = SeedPair(holomorphic(rng, degree, constant), holomorphic(rng, degree, constant),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        checked += check_closed_forms(nv.nv_faddeev(seed), nv.evolved_seed(seed))
+    assert checked >= 5

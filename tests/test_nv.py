@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -11,13 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero,
                               ZeroPolynomial)
-from moutardnv.faddeev import build_faddeev, residual, scattering_data
-from moutardnv.moutard import SeedPair, double_w
+from moutardnv.faddeev import build_faddeev, frame_wave, residual, scattering_data
+from moutardnv.moutard import SeedPair, build_frame, double_w
 from moutardnv import nv
 
 from conftest import T, Z, ZB, from_sympy, gr, poly
 from oracles import (SingularBeforeBlowup, eigen_check, frac, mu2_integrability,
                      nv_residual_two_forms, same_fraction, subs_t)
+from test_properties import random_seed
 
 
 RAW_Q = poly({
@@ -102,6 +104,24 @@ def test_extended_w_t0_slice_is_static(seed32):
 def test_extended_w_degenerate():
     p = MPoly.monomial(2, 0, 0)
     assert nv.extended_w(SeedPair(p, p, gr(5))) == MPoly.const(5)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_extended_w_time_term_is_the_one_both_residuals_accept(degree):
+    """W is double_w of the evolved seed plus a polynomial in t alone, and
+    both exact residuals accept it; with 7t or 5t^2 added, or without that
+    polynomial, both reject it."""
+    seed = random_seed(random.Random(400 + degree), degree, constant=True)
+    es = nv.evolved_seed(seed)
+    w = nv.extended_w(seed)
+    c = w - double_w(es)
+    assert c.deg_t() >= 1 and c == c.coeff_t(0, 0)
+    for term, good in ((MPoly.zero(), True), (MPoly.monomial(0, 0, 1, 7), False),
+                       (MPoly.monomial(0, 0, 2, 5), False), (-c, False)):
+        wt = w + term
+        assert nv.nv_residual(nv.nv_potentials(wt)).is_zero() == good, term
+        fw = frame_wave(build_frame(es, wt), time_phase=True)
+        assert nv.temporal_residual(fw).is_zero() == good, term
 
 
 def test_nv_potentials_reference(seed32):
