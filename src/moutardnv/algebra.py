@@ -551,13 +551,12 @@ def xy_eval(a, z0, t0: float = 0.0):
     return out.view(complex).reshape(z.shape)
 
 
-def grid_product(a, xs, ys):
-    """sum a[m, n] x^m y^n at each point of the grid of the 1-D axes xs and
-    ys, indexed [y, x]: two matrix products V_y a^T V_x^T of the power tables
-    V_x[:, m] = xs^m and V_y[:, n] = ys^n."""
-    import numpy as np
-    vx = np.vander(xs, a.shape[0], increasing=True)
-    vy = np.vander(ys, a.shape[1], increasing=True)
+def grid_product(a, vx, vy):
+    """sum a[m, n] x^m y^n at each point of the grid of two 1-D axes xs and
+    ys, indexed [y, x], from their power tables vx[:, m] = xs^m and
+    vy[:, n] = ys^n (`np.vander(..., increasing=True)`, as wide as a): the
+    two matrix products V_y a^T V_x^T.  A caller that reads the grid in row
+    strips passes the rows of vy of one strip."""
     return (vy @ a.T) @ vx.T
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import MPoly, RationalFn
+from .algebra import MPoly, RationalFn, divide_off_poles
 from .errors import AsymptoticMismatch, CoefficientOverflow, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
@@ -164,19 +164,24 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
 def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
     so the Richardson estimate 2 g(2r) - g(r), with r = RAY_RADIUS, meets the
-    exact A to O(r^-2), within RAY_TOL.
+    exact A to O(r^-2), within RAY_TOL.  W is read on the rays once, and
+    divides the slots' sum at each lam.
     Rays through a pole at either radius are skipped; a value beyond float
     range there raises CoefficientOverflow, so no ray goes uncompared."""
     import numpy as np
     ray = RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
     z = np.stack([ray, 2.0 * ray])
-    for lam0 in (1.0, 0.7 + 0.4j):
+    chi = WaveFn(fw.psi.coeffs, fw.psi.time_phase)      # the slots, without W
+    lams = (1.0, 0.7 + 0.4j)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w = fw.w.eval(z, 0.0)
+            gs = [z * (divide_off_poles(wave_multiplier(chi, z, 0.0, lam0), w,
+                                        "wave denominator", z, 0.0) - 1.0) for lam0 in lams]
+    except FloatingPointError as exc:
+        raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
+    for lam0, g in zip(lams, gs):
         expected = sd.a_at(lam0)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                g = z * (wave_multiplier(fw.psi, z, 0.0, lam0) - 1.0)
-        except FloatingPointError as exc:
-            raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
         got = 2.0 * g[1] - g[0]
         bad = np.flatnonzero(np.abs(got - expected) > RAY_TOL)
         if bad.size:

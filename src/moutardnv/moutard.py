@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
-from .errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
+from .errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
@@ -129,6 +129,10 @@ class NonvanishingReport:
 
 CERTIFICATE_BOX = (-10.0, 10.0, -10.0, 10.0)    # xmin, xmax, ymin, ymax of the grid
 CERTIFICATE_GRID_N = 201                        # points per axis of that grid
+# grid rows read at once: a strip's arrays (77 KB) stay small enough for the
+# allocator to reuse, where a whole-grid array (323 KB) is mapped afresh and
+# faulted in again on every call
+CERTIFICATE_STRIP = 48
 
 
 def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
@@ -141,6 +145,9 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     form is one t-free monomial c|z|^{2k}, read exactly, with c of the grid's
     sign.  Then W has that sign far enough out on every ray; how far is not
     bounded, so a zero between the box and that radius is not excluded.
+    zero-found names the grid node of least |W|, the first in [y, x] order.
+    The grid is read in strips of CERTIFICATE_STRIP rows; a value or scale
+    beyond float range there raises CoefficientOverflow.
     """
     if w.is_constant():
         c = w.constant_term()
@@ -152,14 +159,32 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     xs = np.linspace(xmin, xmax, CERTIFICATE_GRID_N)
     ys = np.linspace(ymin, ymax, CERTIFICATE_GRID_N)
     a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
-    re = grid_product(a, xs, ys)        # indexed [y, x]
-    # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
-    scale = grid_product(np.abs(a), np.abs(xs), np.abs(ys))
-    mag = np.abs(re)
-    if re.min() <= 0.0 <= re.max() or (mag <= 64 * np.finfo(float).eps * scale).any():
-        iy, ix = np.unravel_index(mag.argmin(), re.shape)
+    vx = np.vander(xs, a.shape[0], increasing=True)
+    vy = np.vander(ys, a.shape[1], increasing=True)
+    abs_a, abs_vx, abs_vy = np.abs(a), np.abs(vx), np.abs(vy)
+    lo, hi, near = np.inf, -np.inf, False
+    least, iy, ix = np.inf, 0, 0        # least |W| so far and its node
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for s in range(0, CERTIFICATE_GRID_N, CERTIFICATE_STRIP):
+                rows = slice(s, s + CERTIFICATE_STRIP)
+                re = grid_product(a, vx, vy[rows])      # indexed [y - s, x]
+                # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
+                tol = grid_product(abs_a, abs_vx, abs_vy[rows])
+                tol *= 64 * np.finfo(float).eps
+                mag = np.abs(re)
+                lo, hi = min(lo, re.min()), max(hi, re.max())
+                near = near or bool((mag <= tol).any())
+                k = mag.argmin()
+                if mag.flat[k] < least:         # strictly: the first argmin stays
+                    least, (iy, ix) = mag.flat[k], divmod(s * CERTIFICATE_GRID_N + k,
+                                                          CERTIFICATE_GRID_N)
+    except FloatingPointError as exc:
+        raise CoefficientOverflow(
+            f"W on the certificate's grid leaves float range ({exc})") from None
+    if lo <= 0.0 <= hi or near:
         return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
-    sign = 1 if re.min() > 0 else -1
+    sign = 1 if lo > 0 else -1
     ((i, j), c), *rest = w.spatial_leading_terms().items()
     definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
     return NonvanishingReport("certified-positive" if definite else "inconclusive")

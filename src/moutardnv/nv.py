@@ -265,9 +265,10 @@ def blowup_time(q: MPoly) -> BlowupReport:
     a = q.xy_coefficients().real       # q is real-valued: Im a = 0
     xmin, xmax, ymin, ymax = BLOWUP_BOX
     xs, ys = np.linspace(xmin, xmax, BLOWUP_GRID_N), np.linspace(ymin, ymax, BLOWUP_GRID_N)
+    vx, vy = np.vander(xs, a.shape[1], increasing=True), np.vander(ys, a.shape[2], increasing=True)
 
     def grid(t):                        # q(., t) on the grid, indexed [x, y]
-        return grid_product(_horner_t(a, t), xs, ys).T
+        return grid_product(_horner_t(a, t), vx, vy).T
 
     f0 = grid(0.0)
     if f0.min() <= 0.0 <= f0.max():

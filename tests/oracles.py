@@ -8,6 +8,9 @@
 - Derivatives of waves, and `hirota_by_products`, the Hirota form built
   from those derivatives and one product per derivative of g: the
   reference of `exppoly.hirota`, which reads every term pair once.
+- `certificate_full_grid`: the nonvanishing certificate read on its whole
+  grid at once, the reference of `moutard.nonvanishing_certificate`, which
+  reads it in row strips.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -25,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from moutardnv import nv
-from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn
+from moutardnv import moutard, nv
+from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, grid_product
 from moutardnv.errors import AlgebraError, PoleError
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota
 from moutardnv.harness import _gr_from_json, _grid_points
@@ -45,6 +48,32 @@ def wave_eval_naive(w, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:
     if w.den is not None:
         total /= eval_naive(w.den, z0, t0)
     return cmath.exp(phase) * total
+
+
+def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
+    """`moutard.nonvanishing_certificate` with W, its rounding scale and |W|
+    formed on the whole grid at once."""
+    if w.is_constant():
+        c = w.constant_term()
+        if c.is_zero() or not c.is_real():
+            return moutard.NonvanishingReport("zero-found", (0.0, 0.0))
+        return moutard.NonvanishingReport("certified-positive")
+    xmin, xmax, ymin, ymax = moutard.CERTIFICATE_BOX
+    xs = np.linspace(xmin, xmax, moutard.CERTIFICATE_GRID_N)
+    ys = np.linspace(ymin, ymax, moutard.CERTIFICATE_GRID_N)
+    a = w.xy_coefficients()[0].real
+    vx = np.vander(xs, a.shape[0], increasing=True)
+    vy = np.vander(ys, a.shape[1], increasing=True)
+    re = grid_product(a, vx, vy)
+    scale = grid_product(np.abs(a), np.abs(vx), np.abs(vy))
+    mag = np.abs(re)
+    if re.min() <= 0.0 <= re.max() or (mag <= 64 * np.finfo(float).eps * scale).any():
+        iy, ix = np.unravel_index(mag.argmin(), re.shape)
+        return moutard.NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
+    sign = 1 if re.min() > 0 else -1
+    ((i, j), c), *rest = w.spatial_leading_terms().items()
+    definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
+    return moutard.NonvanishingReport("certified-positive" if definite else "inconclusive")
 
 
 def deg_zbar(p: MPoly) -> int:

@@ -15,6 +15,7 @@ from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
+from oracles import certificate_full_grid
 from test_cli import _build_counts
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
@@ -138,14 +139,16 @@ def test_ops_form_each_hirota_product_once():
 
 
 def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):
-    """No polynomial's x-y array is expanded twice, and each wave_multiplier
-    call reads the lam-summed numerator and W in one `xy_eval` each,
-    whatever the number of slots (d + 1 for a seed of degree d)."""
+    """No polynomial's x-y array is expanded twice.  Each wave_multiplier
+    call reads the lam-summed numerator in one `xy_eval` and W, when the
+    wave carries it, in another, whatever the number of slots (d + 1 for a
+    seed of degree d).  The ray check reads the slots without W at its two
+    lam and W once: three `xy_eval` calls."""
     wl = bench_module("workloads")
     sec22, cubic, sec32 = (wl.fixture(name)[0] for name in ("sec22", "sec22_cubic", "sec32"))
-    expanded, per_call, inside = [], [], []
-    xy_coefficients, xy_eval, multiplier = (MPoly.xy_coefficients, algebra.xy_eval,
-                                            exppoly.wave_multiplier)
+    expanded, per_call, rays, inside = [], [], [], []
+    xy_coefficients, xy_eval, multiplier, validate_rays = (
+        MPoly.xy_coefficients, algebra.xy_eval, exppoly.wave_multiplier, faddeev._validate_rays)
 
     def counted_xy_coefficients(p):
         if p._xy is None:
@@ -153,29 +156,33 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
         return xy_coefficients(p)
 
     def counted_xy_eval(*args):
-        if inside:
-            inside[-1] += 1
+        inside[:] = [n + 1 for n in inside]     # every open call made it
         return xy_eval(*args)
 
-    def counted_multiplier(*args, **kwargs):
-        inside.append(0)
-        try:
-            return multiplier(*args, **kwargs)
-        finally:
-            per_call.append(inside.pop())
+    def counted(fn, calls):             # (first argument, xy_eval calls) per call
+        def wrapped(*args, **kwargs):
+            inside.append(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append((args[0], inside.pop()))
+        return wrapped
 
     monkeypatch.setattr(MPoly, "xy_coefficients", counted_xy_coefficients)
     for module in (algebra, exppoly):
         monkeypatch.setattr(module, "xy_eval", counted_xy_eval)
     for module in (exppoly, faddeev):
-        monkeypatch.setattr(module, "wave_multiplier", counted_multiplier)
+        monkeypatch.setattr(module, "wave_multiplier", counted(multiplier, per_call))
+    monkeypatch.setattr(faddeev, "_validate_rays", counted(validate_rays, rays))
     for op, seed in ((wl.static_op, sec22), (wl.static_op, cubic), (wl.time_op, sec32)):
         expanded.clear()
         per_call.clear()
+        rays.clear()
         checks, _ = op(seed)
         assert not checks.failures
         assert expanded and len({id(p) for p in expanded}) == len(expanded)
-        assert per_call and set(per_call) == {2}
+        assert per_call and all(n == 1 + (wave.den is not None) for wave, n in per_call)
+        assert [n for _, n in rays] == [3]
 
 
 def test_nonvanishing_certificate_matches_eval_on_static_candidates():
@@ -183,7 +190,8 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
     evaluates W in its x-y basis, agrees with the sign of W.eval on the same
     201 x 201 grid.  On those and on the two static fixtures, it finds a zero
     exactly when the blow-up search does, which reads the static W as a W of
-    t that is constant in t."""
+    t that is constant in t.  Its row strips give the verdict and witness of
+    the whole-grid reference everywhere."""
     wl = bench_module("workloads")
     xs = np.linspace(-10.0, 10.0, 201)
     grid = xs[None, :] + 1j * xs[:, None]
@@ -191,6 +199,7 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
     for name, (seed, _) in wl.static_candidates().items():
         w = double_w(seed)
         rep = nonvanishing_certificate(w)
+        assert rep == certificate_full_grid(w), name
         values = w.eval(grid).real
         counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
         if rep.verdict == "certified-positive":
@@ -202,15 +211,17 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
     assert counts == {"certified-positive": 99, "zero-found": 149}
     for name in ("sec22", "sec22_cubic"):
         w = double_w(wl.fixture(name)[0])
-        assert nonvanishing_certificate(w).verdict == "certified-positive", name
+        rep = nonvanishing_certificate(w)
+        assert rep.verdict == "certified-positive" and rep == certificate_full_grid(w), name
         assert not nv.blowup_time(w).found, name
 
 
 def test_nonvanishing_certificate_memory_peak():
     """The benchmark bounds the peak RSS of the static ops, and the
-    certificate's 201 x 201 grid is their largest allocation: W is evaluated
-    there as two matrix products of 1-D power tables, and its rounding scale
-    as two more, within 2.0 MiB."""
+    certificate's 201 x 201 grid is their largest allocation.  It is read in
+    strips of CERTIFICATE_STRIP rows, W and its rounding scale as two matrix
+    products each of 1-D power tables, so no array of the whole grid is made:
+    within 0.5 MiB (about 1.3 MiB for the whole grid at once)."""
     wl = bench_module("workloads")
     pool = wl.static_pool(wl.load_goldens())
     seed = next(s for s, d in pool.values() if d == 5)
@@ -222,7 +233,7 @@ def test_nonvanishing_certificate_memory_peak():
     finally:
         tracemalloc.stop()
     assert rep.verdict != "zero-found"
-    assert peak <= 2.0 * 2 ** 20
+    assert peak <= 0.5 * 2 ** 20
 
 
 def test_blowup_time_memory_peak(seed32):

@@ -6,14 +6,16 @@ import pytest
 import sympy as sp
 
 from moutardnv.algebra import GR_I, MPoly
-from moutardnv.errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
+from moutardnv.errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from moutardnv.exppoly import WaveFn
-from moutardnv.moutard import (SeedPair, build_frame, double_w, harmonic_from_holomorphic,
+from moutardnv.moutard import (CERTIFICATE_GRID_N, CERTIFICATE_STRIP, NonvanishingReport,
+                               SeedPair, build_frame, double_w, harmonic_from_holomorphic,
                                laplace_log, moutard_transform_wave, nonvanishing_certificate,
                                potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
-from oracles import Frac, same_fraction, wave_diff_z, wave_diff_zbar
+from oracles import (Frac, certificate_full_grid, same_fraction, wave_diff_z,
+                     wave_diff_zbar)
 from test_properties import random_holomorphic
 
 
@@ -126,6 +128,42 @@ def test_nonvanishing_certificate_zero_found():
     w = (x * x - MPoly.const(1)) ** 2 + (z * zb + MPoly.const(1)) ** 2 * Fraction(1, 2 ** 47)
     rep = nonvanishing_certificate(w)
     assert rep.verdict == "zero-found" and rep.witness == (-1.0, 0.0)
+
+
+# a grid row on either side of the first strip boundary, and one in the
+# last, partial strip (y = 9.7)
+@pytest.mark.parametrize("row", [CERTIFICATE_STRIP - 1, CERTIFICATE_STRIP,
+                                 CERTIFICATE_GRID_N - 4])
+def test_nonvanishing_certificate_reads_every_strip(row):
+    # W = |z - z0|^2 with z0 on a grid node: the only |W| within the rounding
+    # scale is at z0, whichever strip of rows holds it
+    axis = np.linspace(-10.0, 10.0, CERTIFICATE_GRID_N)
+    x0, y0 = axis[110], axis[row]
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    w = (z - MPoly.const(gr(x0, y0))) * (zb - MPoly.const(gr(x0, -y0)))
+    rep = nonvanishing_certificate(w)
+    assert rep == NonvanishingReport("zero-found", (x0, y0)) == certificate_full_grid(w)
+
+
+def test_nonvanishing_certificate_witness_is_the_first_least_node():
+    # x^2 + ((y + 6)(y + 5))^2 is exactly 0 at the nodes (0, -6) and (0, -5),
+    # which lie in two strips: the witness is the first in [y, x] order
+    assert 40 // CERTIFICATE_STRIP != 50 // CERTIFICATE_STRIP
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
+    w = x * x + ((y + MPoly.const(6)) * (y + MPoly.const(5))) ** 2
+    rep = nonvanishing_certificate(w)
+    assert rep == NonvanishingReport("zero-found", (0.0, -6.0)) == certificate_full_grid(w)
+
+
+def test_nonvanishing_certificate_overflow_is_input_error():
+    # W = 1 at the origin, but its 2e304 |z|^4 term takes the grid past float
+    # range: an inf there is no zero of W
+    big = 10 ** 152
+    z, z2 = MPoly.monomial(1, 0, 0), MPoly.monomial(2, 0, 0)
+    w = double_w(SeedPair(z + z2 * big, z * gr(1, 1) + z2 * gr(0, big), gr(1)))
+    with pytest.raises(CoefficientOverflow, match="float range"):
+        nonvanishing_certificate(w)
 
 
 def test_nonvanishing_certificate_wide_range_degree5():

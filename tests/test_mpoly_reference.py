@@ -254,16 +254,22 @@ def test_xy_coefficients_match_sympy_expansion(seed22, seed32):
         assert p.xy_coefficients() is a and not a.flags.writeable
 
 
+def grid(a, xs, ys):
+    """`grid_product` of a on the grid of the axes xs and ys."""
+    return grid_product(a, np.vander(xs, a.shape[0], increasing=True),
+                        np.vander(ys, a.shape[1], increasing=True))
+
+
 def test_eval_grid_matches_naive_within_xy_rounding_scale():
     rng = random.Random(4669)
     for w in real_ws(2718):
         xs = np.array(sorted(rng.uniform(-3, 3) for _ in range(7)))
         ys = np.array(sorted(rng.uniform(-3, 3) for _ in range(5)))
         a = w.xy_coefficients()[0]
-        got = grid_product(a, xs, ys)
+        got = grid(a, xs, ys)
         assert got.shape == (len(ys), len(xs))
         want = np.array([[eval_naive(w, complex(x0, y0)).real for x0 in xs] for y0 in ys])
-        scale = grid_product(np.abs(a), np.abs(xs), np.abs(ys))
+        scale = grid(np.abs(a), np.abs(xs), np.abs(ys))
         assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
@@ -277,10 +283,10 @@ def test_eval_grid_reads_the_terms_at_t_zero():
         a, b = w.xy_coefficients()[0], subs_t(w, 0).xy_coefficients()[0]
         a0 = np.zeros_like(a)
         a0[:b.shape[0], :b.shape[1]] = b
-        assert np.array_equal(grid_product(a, xs, ys), grid_product(a0, xs, ys))
+        assert np.array_equal(grid(a, xs, ys), grid(a0, xs, ys))
         assert np.array_equal(a, a0)
     t_only = MPoly.monomial(0, 0, 1) * 3
-    assert (grid_product(t_only.xy_coefficients()[0], xs, ys) == 0).all()
+    assert (grid(t_only.xy_coefficients()[0], xs, ys) == 0).all()
 
 
 def test_slices_of_xy_coefficients_match_exact_xy_derivatives():
@@ -302,10 +308,10 @@ def test_slices_of_xy_coefficients_match_exact_xy_derivatives():
             xs = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(7)))
             ys = np.array(sorted(rng.uniform(-1.5, 1.5) for _ in range(5)))
             for t0 in (0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)):
-                got = grid_product(_horner_t(a, t0), xs, ys)
+                got = grid(_horner_t(a, t0), xs, ys)
                 want = np.array([[eval_naive(w, complex(x0, y0), t0).real for x0 in xs]
                                  for y0 in ys])
-                scale = grid_product(_horner_t(np.abs(a), abs(t0)), np.abs(xs), np.abs(ys))
+                scale = grid(_horner_t(np.abs(a), abs(t0)), np.abs(xs), np.abs(ys))
                 assert (np.abs(got - want) <= 1e-12 * scale).all()
                 for sign in (1.0, -1.0):
                     fun = nv._slice_objective(a, t0, sign)
