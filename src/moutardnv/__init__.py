@@ -11,9 +11,9 @@ from .exppoly import WaveFn, wave_eval
 from .faddeev import (FaddeevWave, ScatteringData, build_faddeev, faddeev_superpose,
                       residual, scattering_data)
 from .harness import GridSpec, fd_residual, load_seed, sample_grid, save_seed, write_grid_csv
-from .moutard import (MoutardFrame, SeedPair, build_frame, double_w,
-                      harmonic_from_holomorphic, kernel_functions, laplace_log,
-                      moutard_transform_wave, nonvanishing_certificate, potential)
+from .moutard import (MoutardFrame, SeedPair, build_frame, double_w, harmonic_from_holomorphic,
+                      kernel_functions, moutard_transform_wave, nonvanishing_certificate,
+                      potential)
 from .nv import (BlowupReport, NVSolution, blowup_time, extended_w, heat3_evolve,
                  kernel_mu, nv_faddeev, nv_potentials, nv_residual, temporal_residual)
 

@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
     if not time:
         frame = run("frame-build", lambda: mt.build_frame(seed))
         # without a frame, building it again fails this row with the same error
-        fw = run("wave-residual-exact", lambda: fd.frame_wave(
+        fw = run("wave-residual-exact", lambda: fd.faddeev_superpose(
             frame if frame is not None else mt.build_frame(seed)))
         if fw is not None:
             run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(fw))

@@ -37,9 +37,6 @@ class WaveFn:
         """The free wave e^{lam z} (or e^{lam z + lam^3 t})."""
         return cls({0: MPoly.const(1)}, time_phase=time_phase)
 
-    def slot(self, k: int):
-        return self.coeffs[k] if k in self.coeffs else MPoly.zero()
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -61,27 +61,21 @@ class ScatteringData:
         return f"A={self.format_a()} B=0"
 
 
-def faddeev_superpose(frame: MoutardFrame, psi1: WaveFn, psi2: WaveFn) -> FaddeevWave:
-    """psi = e^{lam z} + (omega2/theta1)(psi2 - psi1), assembled over W.
+def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevWave:
+    """psi = e^{lam z} + (omega2/theta1)(psi2 - psi1) for the transforms psi_j
+    of the free wave (with the time phase, e^{lam z + lam^3 t}) by the
+    frame's omega_j, assembled over W and returned once its exact residual
+    is zero.
 
-    psi_j must be the transforms of the free wave by omega_j (slots over the
-    denominator omega_j); the omega_j denominators cancel exactly in the
-    combination, which is asserted.
+    With theta1 = W/omega1 and psi_j = r_j/omega_j, psi is
+    (W + omega1 r2 - omega2 r1) / W: slot 0 of each r_j is -i omega_j, so
+    slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.
     """
-    w = frame.w
-    if psi1.den != frame.omega1 or psi2.den != frame.omega2:
-        raise ValueError("psi_j must come from the omega_j transforms")
-    if psi1.time_phase != psi2.time_phase:
-        raise ValueError("mixed phases")
-    r1 = WaveFn(psi1.coeffs, psi1.time_phase)      # omega1 * psi1, polynomial slots
-    r2 = WaveFn(psi2.coeffs, psi2.time_phase)
-    combo = r2.scale(frame.omega1) - r1.scale(frame.omega2)
-    if not combo.slot(0).is_zero():
-        raise ResidualNonzero("omega denominators failed to cancel in the superposition")
-    coeffs = dict(combo.coeffs)
-    coeffs[0] = w                                  # the leading 1, over the common denominator
-    psi = WaveFn(coeffs, psi1.time_phase, den=w)
-    fw = FaddeevWave(psi)
+    r1, r2 = (WaveFn(moutard_transform_wave(om, time_phase).coeffs, time_phase)
+              for om in (frame.omega1, frame.omega2))
+    coeffs = dict((r2.scale(frame.omega1) - r1.scale(frame.omega2)).coeffs)
+    coeffs[0] = frame.w                            # the leading 1, over the common denominator
+    fw = FaddeevWave(WaveFn(coeffs, time_phase, den=frame.w))
     res = residual(fw)
     if not res.is_zero():
         raise ResidualNonzero(
@@ -103,16 +97,9 @@ def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
     return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
 
 
-def frame_wave(frame: MoutardFrame, time_phase: bool = False) -> FaddeevWave:
-    """The free wave (with the time phase, e^{lam z + lam^3 t}) transformed by
-    omega1 and by omega2, superposed over the frame's W."""
-    return faddeev_superpose(frame, moutard_transform_wave(frame.omega1, time_phase),
-                             moutard_transform_wave(frame.omega2, time_phase))
-
-
 def build_faddeev(seed: SeedPair) -> FaddeevWave:
     """Run the whole static pipeline: frame, two wave transforms, superposition."""
-    return frame_wave(build_frame(seed))
+    return faddeev_superpose(build_frame(seed))
 
 
 RAY_RADIUS = 1e3          # the rays are read at this radius and at twice it

@@ -68,14 +68,10 @@ def double_w(seed: SeedPair) -> MPoly:
     return w
 
 
-def laplace_log(w: MPoly) -> RationalFn:
-    """Laplacian of log w: 4 d dbar log w = 2 D_z D_zb (w . w) / w^2."""
-    return RationalFn(hirota(w, w, D_ZZBAR) * 2, w, 2)
-
-
 def potential(w: MPoly) -> RationalFn:
-    """u = -2 * Laplacian(log W)."""
-    return laplace_log(w) * -2
+    """u = -2 * Laplacian(log W) = -4 D_z D_zb (W . W) / W^2, as the Laplacian
+    of log W is 4 d dbar log W = 2 D_z D_zb (W . W) / W^2."""
+    return RationalFn(hirota(w, w, D_ZZBAR) * -4, w, 2)
 
 
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):

@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, _horner_t, grid_product
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
-from .faddeev import FaddeevWave, bilinear_residual, frame_wave
+from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
 
 
@@ -56,33 +57,37 @@ def extended_w(seed: SeedPair) -> MPoly:
     + 2(p1'p2'' - p1''p2') at z = 0: 6(a3 b0 - a0 b3) + 4(a1 b2 - a2 b1) in
     the z^k coefficients a_k, b_k of p1, p2, polynomials in t.  c(t) is the
     one time term that both exact residuals (`nv_residual`,
-    `temporal_residual`) accept, at every degree; neither is run here."""
+    `temporal_residual`) accept, at every degree; neither is run here.  Both
+    terms are real-valued: double_w is i times a bracket B with conj(B) = -B,
+    and i(X0 - conj(X0)) is real."""
     seed = evolved_seed(seed)
     a, b = ([p.coeff_t(k, 0) for k in range(4)] for p in (seed.p1, seed.p2))
     x0 = (a[3] * b[0] - a[0] * b[3]) * 6 + (a[1] * b[2] - a[2] * b[1]) * 4
-    w = double_w(seed) + ((x0 - x0.conj_swap()) * GR_I).antideriv_t()
-    if not w.is_real_valued():
-        raise NotEvolved("extended W failed to be real-valued")
-    return w
+    return double_w(seed) + ((x0 - x0.conj_swap()) * GR_I).antideriv_t()
 
 
 @dataclass
 class NVSolution:
     """An exact rational solution of the evolution system: the denominator
-    polynomial and the potential pair built from it, both over wt^2."""
+    polynomial and the potential pair built from it, both over wt^2.  U is
+    built with the solution; V, which only `mnv nv-evolve` reads, is built on
+    first read, once."""
 
     wt: MPoly
     u: RationalFn
-    v: RationalFn
+
+    @cached_property
+    def v(self) -> RationalFn:
+        """V = 2 d^2 log Wt, the form D_z^2 on (Wt . Wt) over Wt^2."""
+        return RationalFn(hirota(self.wt, self.wt, D_ZZ), self.wt, 2)
 
 
 def nv_potentials(wt: MPoly) -> NVSolution:
-    """U = 2 d dbar log Wt and V = 2 d^2 log Wt, the forms D_z D_zb and D_z^2 on
-    (Wt . Wt) over Wt^2, with dbar V = d U asserted exactly over Wt^3."""
-    pu, pv = hirota(wt, wt, D_ZZBAR), hirota(wt, wt, D_ZZ)
-    if _diff_over_w2(pv, wt, MPoly.diff_zbar) != _diff_over_w2(pu, wt, MPoly.diff_z):
-        raise TemporalResidualNonzero("dbar V != d U for this Wt")
-    return NVSolution(wt, RationalFn(pu, wt, 2), RationalFn(pv, wt, 2))
+    """U = 2 d dbar log Wt, the form D_z D_zb on (Wt . Wt) over Wt^2, and V
+    on first read.  dbar V = d U holds for every nonzero Wt, both sides
+    being 2 d^2 dbar log Wt: an identity of the construction, left to the
+    tests."""
+    return NVSolution(wt, RationalFn(hirota(wt, wt, D_ZZBAR), wt, 2))
 
 
 def nv_residual(sol: NVSolution) -> MPoly:
@@ -116,7 +121,7 @@ def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
     seed = evolved_seed(seed)
     if w is None:
         w = extended_w(seed)
-    fw = frame_wave(build_frame(seed, w), time_phase=True)
+    fw = faddeev_superpose(build_frame(seed, w), time_phase=True)
     tres = temporal_residual(fw)
     if not tres.is_zero():
         raise TemporalResidualNonzero(f"time leg fails: residual {tres.summary()}")

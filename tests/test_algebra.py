@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import ExponentOverflow, PoleError
-from moutardnv.moutard import laplace_log
+from moutardnv.moutard import potential
 
 from conftest import gr, poly, to_sympy
 from oracles import deg_zbar, eval_naive, same_fraction
@@ -134,9 +134,10 @@ def test_laplace_log_matches_sympy():
     import sympy as sp
     from conftest import Z, ZB
     w = poly({(0, 0, 0): ("160", "0"), (1, 1, 0): ("4", "0"), (2, 2, 0): ("17", "0")})
-    f = laplace_log(w)
+    # u = -2 Laplacian(log W), the Laplacian being 4 d dbar
+    f = potential(w)
     ws = to_sympy(w)
-    expected = sp.simplify(4 * sp.diff(sp.log(ws), Z, ZB))
+    expected = sp.simplify(-8 * sp.diff(sp.log(ws), Z, ZB))
     num, den = sp.fraction(sp.cancel(expected))
     lhs = to_sympy(f.num) * den
     rhs = to_sympy(f.den) * num
@@ -157,11 +158,11 @@ def test_rational_equality_over_bases_differing_by_a_constant():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     w = (MPoly.const(3) + z * zb * gr(2) + z * z * zb * zb
          + z * gr("1/2", "1") + zb * gr("1/2", "-1"))
-    f = laplace_log(w)
-    assert same_fraction(f, laplace_log(-w))
-    assert same_fraction(f, laplace_log(w * 3))
+    f = potential(w)
+    assert same_fraction(f, potential(-w))
+    assert same_fraction(f, potential(w * 3))
     assert same_fraction(RationalFn(z, w), RationalFn(z * w, -w, 2))
-    g = laplace_log(-w)
+    g = potential(-w)
     bad = RationalFn(g.num + z, g.base, g.k)
     assert not same_fraction(f, bad) and not same_fraction(bad, f)
     assert not same_fraction(RationalFn(z, w), RationalFn(z, -w))

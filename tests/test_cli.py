@@ -3,6 +3,7 @@ import cProfile
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.harness import load_seed
 from moutardnv.moutard import double_w, potential
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run_cli(*args):
@@ -75,16 +76,13 @@ def test_verify_passes_on_fixtures():
         assert all(l.startswith("PASS") for l in lines[1:])
 
 
-def test_cubic_time_seed_passes_every_time_subcommand(tmp_path):
+def test_cubic_time_seed_passes_every_time_subcommand():
     # sec22_cubic's polynomials as a time seed: W is the static W of the
     # evolved cubics plus their origin time term, and every check accepts it
-    seed = tmp_path / "cubic_time.json"
-    with open(fixture_path("sec22_cubic.json")) as fh:
-        seed.write_text(json.dumps({**json.load(fh), "time": True}))
     for command in ("nv-evolve", "nv-faddeev", "verify", "blowup", "potential", "scatter"):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            rc = cli.main([command, "--seed", str(seed)])
+            rc = cli.main([command, "--seed", fixture_path("sec22_cubic_time.json")])
         assert rc == 0, (command, stdout.getvalue())
 
 
@@ -197,12 +195,8 @@ def test_sample_grid_time_seed_samples_extended_w(tmp_path):
 
 
 def test_kernel_on_a_cubic_time_seed_prints_the_t0_kernel(tmp_path):
-    data = json.loads(open(fixture_path("sec22_cubic.json")).read())
-    data["time"] = True
-    time_seed = tmp_path / "sec22_cubic_time.json"
-    time_seed.write_text(json.dumps(data))
     outputs = []
-    for path in (fixture_path("sec22_cubic.json"), str(time_seed)):
+    for path in (fixture_path("sec22_cubic.json"), fixture_path("sec22_cubic_time.json")):
         out, stdout = tmp_path / "kernel.json", io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli.main(["kernel", "--seed", path, "--out", str(out)])
@@ -281,6 +275,9 @@ OUTPUT_DIGESTS = {
     ("potential", "sec32"):
         ("6aa660c873d1902be23b0fe2f0856d6bb43716aa5a77e4472f14a23076ec568c",
          "69a5bdaedcb1ebc78f6810fd2bf9dae8221148ee83e8ccdb4aad5a3f869055b2"),
+    ("potential", "sec22_cubic_time"):
+        ("91121d7bb79681edc9342f336bca83481e8188980bc60a57803a33913940e3f7",
+         "dd66274f8049c280eb417c89fffbeb3c348592d25f6cdaf8fcca3e6ea122c577"),
     ("kernel", "sec22"):
         ("e6b79ce379ad8bd179414d334f944e1ba8354d54927dbb09bd6164dce95a62b9",
          "e3b9fe3e08a02587c2be8f7b6bb64f3f6868fac7523fdbce4fc7895595f38dda"),
@@ -290,6 +287,9 @@ OUTPUT_DIGESTS = {
     ("kernel", "sec32"):
         ("a5453e5c5b222eff48033af1bb43fab1289d8181eefd0762393aa7c6be9a73d1",
          "a4e091089b2862d76768851c0b25f6cabad5bce044941f3dfc3c2153bfa2a3c8"),
+    ("kernel", "sec22_cubic_time"):
+        ("a81b7d80a17f4ac158760ce08c529dfab4455fcd0034882f32a7fd5044af93f7",
+         "f34b1b38713cecf55b9f239e4a73b25d54ac3b9ebf7214056df675dbf144bd7d"),
     ("faddeev", "sec22"):
         ("c669ba52629fe08a1c87627ae0211b44de8c3ce9c432092327ec532a5bcb5b12",
          "b07075863953864fd1707198b5c6237682a39b24d11688f99ffd852b282d7792"),
@@ -299,6 +299,9 @@ OUTPUT_DIGESTS = {
     ("faddeev", "sec32"):
         ("e9fb4b15d6f13ca3a1e488f11bd4e2d8294065f65d94edf2c3633220f25922bc",
          "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
+    ("faddeev", "sec22_cubic_time"):
+        ("24f12ac85cd4cdddf3c8cfb1cc04b4ed34e209f189cdf35aa410a50600786bf3",
+         "d038ec4163ae37c2c0dc2a87ec73532af337544ec64a910db5757500633224fa"),
     ("scatter", "sec22"):
         ("627803eb44dff7828eb1561a7fa2c2abdd7a94e4472c9d7afcf2f43263c1cc4f",
          "21cd3cd837bd4dcd7f7aaff14aa98ff7eeddc44d707210bb83f1b949ce606a60"),
@@ -308,6 +311,9 @@ OUTPUT_DIGESTS = {
     ("scatter", "sec32"):
         ("627803eb44dff7828eb1561a7fa2c2abdd7a94e4472c9d7afcf2f43263c1cc4f",
          "21cd3cd837bd4dcd7f7aaff14aa98ff7eeddc44d707210bb83f1b949ce606a60"),
+    ("scatter", "sec22_cubic_time"):
+        ("8588246465403e76000e00f5fc8b637b9c7d351b656a93fdde2c3e546f9ee20a",
+         "a626bb12ae0898ff94abe76fb1996e899b57b2626566786297077c0be6a0b85b"),
     ("nv-evolve", "sec22"):
         ("b86c2ee807e4cd340bfcb354ca17c7a36e2fc84a02a8b58c5e94c97c7d51974b",
          "581104839f33de79bdd70bc8d840c02a3d70a6b7d0594d31a7fb1f520d08ee88"),
@@ -317,6 +323,9 @@ OUTPUT_DIGESTS = {
     ("nv-evolve", "sec32"):
         ("a540582cce8753eca4de6545f81c637ad0fdb69679624f4ecfcb0f25a7e4ec6e",
          "0d5c82f2f3e8f4e85e97d60b2271b061419b0f9de8f9d2736b33241eb734758b"),
+    ("nv-evolve", "sec22_cubic_time"):
+        ("56a3889ce27c1c97b9f11309e698caab38c7e0a0246c3b029e41e0e87d482f14",
+         "10e3cdb224e1988cf29fa61e3fa75317316b1303b620b7ac96dc5d0be77c1e0d"),
     ("nv-faddeev", "sec22"):
         ("e19393911d58ed471e5ced016b440cd665022e931512fe9683460e8ecedb8f51",
          "584df153a9c38312d676d957cf0bcf76360450c3ac685f1d4c2d9ba5394ef6da"),
@@ -326,16 +335,25 @@ OUTPUT_DIGESTS = {
     ("nv-faddeev", "sec32"):
         ("43f2891ed2533f6e2e84683cacfbdea41dfe9f30918444a9254b27542754351f",
          "e649f5fe3aa80da10fb3c788b3c10d466c464a326a410ed0818ba04e632b8070"),
-    ("blowup", "sec22_cubic"):     # no blow-up up to t = 10: no --out file
+    ("nv-faddeev", "sec22_cubic_time"):
+        ("9e79adf7ebcab0b8959db8c62af1806cce0ca5a5bf1896945d7199ae30b73a8f",
+         "d038ec4163ae37c2c0dc2a87ec73532af337544ec64a910db5757500633224fa"),
+    ("blowup", "sec22"):           # no blow-up up to t = 10: no --out file
+        ("8cf468de26239f028e1748dfd9cdb8ac3eb80d8f9f45c2294b283f6af255fdea", None),
+    ("blowup", "sec22_cubic"):
         ("8cf468de26239f028e1748dfd9cdb8ac3eb80d8f9f45c2294b283f6af255fdea", None),
     ("blowup", "sec32"):
         ("4a169e89f01561098d98a9c94bb8b7615da2881ef577185bb8f2422ecf808add",
          "2b1d02f6f6ab88e03ee626913a678b01afd874e9005dd6d001c9723f91d5097b"),
+    ("blowup", "sec22_cubic_time"):
+        ("8cf468de26239f028e1748dfd9cdb8ac3eb80d8f9f45c2294b283f6af255fdea", None),
     ("verify", "sec22"):
         ("d5143ad9e0c75620b5a24c3280bd1cd1bb2b038e724c9c18986920314de0c821", None),
     ("verify", "sec22_cubic"):
         ("d5143ad9e0c75620b5a24c3280bd1cd1bb2b038e724c9c18986920314de0c821", None),
     ("verify", "sec32"):
+        ("d05ad73952d061da9db3cd2977de109710157d44382ca42765d337422872a7bc", None),
+    ("verify", "sec22_cubic_time"):
         ("d05ad73952d061da9db3cd2977de109710157d44382ca42765d337422872a7bc", None),
 }
 
@@ -350,6 +368,14 @@ def test_cli_output_bytes_unchanged(command, name, tmp_path):
     got = (hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
            hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None)
     assert got == OUTPUT_DIGESTS[(command, name)]
+
+
+def test_every_fixture_is_pinned_on_every_subcommand():
+    # sample-grid needs a --grid, which these rows do not pass
+    fixtures = {f[:-len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json")}
+    commands = set(cli.COMMANDS) - {"sample-grid"}
+    assert len(fixtures) >= 4
+    assert set(OUTPUT_DIGESTS) == {(c, n) for c in commands for n in fixtures}
 
 
 # sha256 of the stdout of the exact subcommands on BIG_SEED: they read no
@@ -548,7 +574,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert len(options) == 8
 
 
-BUILDERS = ("extended_w", "double_w", "build_frame", "laplace_log", "nv_potentials",
+BUILDERS = ("extended_w", "double_w", "build_frame", "potential", "nv_potentials", "v",
             "heat3_evolve")
 
 
@@ -566,10 +592,13 @@ def _build_counts(fn, names=BUILDERS):
 
 
 BUILD_COUNTS = [
-    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
-    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "laplace_log": 1}),
+    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
+    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
                          "nv_potentials": 1}),
+    ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
+                                    "nv_potentials": 1, "heat3_evolve": 2}),
+    ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1}),
     ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
     ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1}),
@@ -580,9 +609,10 @@ BUILD_COUNTS = [
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W and one frame per call, and verify's (U, V) pair; the potential
-    # only where it is read, by the static verify's finite-difference check;
-    # sec32's quadratics are their own evolution, so heat3_evolve never runs on it
+    # one W and one frame per call, and the time verify's NVSolution; the potential
+    # only where it is read, by the static verify's finite-difference check, and
+    # V only by nv-evolve, which writes it; sec32's quadratics are their own
+    # evolution, so heat3_evolve never runs on it, and once per cubic otherwise
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:
@@ -595,8 +625,9 @@ def test_each_object_is_built_once(what, name, expected):
 
 def test_verify_on_sec32_forms_hirota_products_once():
     # D_z D_zb (W . W) is formed once, by nv_potentials; nv_residual reads it
-    # off U. Then D_z^2 and D_z^3 D_zb on (W . W), whose conjugate is
-    # D_z D_zb^3 for the real W, and the two wave residuals.
+    # off U. Then D_z^3 D_zb on (W . W), whose conjugate is D_z D_zb^3 for
+    # the real W, and the two wave residuals; V's D_z^2 is never formed.
     counts = _build_counts(lambda: cli.main(["verify", "--seed", fixture_path("sec32.json")]),
                            ("hirota",))
-    assert counts == {"hirota": 5}
+    assert counts == {"hirota": 4}
+

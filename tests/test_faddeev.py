@@ -146,26 +146,21 @@ def test_wave_value_agrees_with_direct_sum(seed22):
     assert abs(got - direct) < 1e-12 * abs(got)
 
 
-def test_superposition_input_validation(seed22):
-    from moutardnv.faddeev import faddeev_superpose
+def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
+    from moutardnv import faddeev
     from moutardnv.moutard import moutard_transform_wave
     frame = build_frame(seed22)
-    psi1 = moutard_transform_wave(frame.omega1)
-    psi2 = moutard_transform_wave(frame.omega2)
-    with pytest.raises(ValueError):
-        faddeev_superpose(frame, psi2, psi1)
 
+    def corrupted(omega, time_phase=False):
+        psi = moutard_transform_wave(omega, time_phase)
+        if omega != frame.omega2:
+            return psi
+        return psi + WaveFn({1: MPoly.monomial(1, 1, 0)}, den=omega)    # a lam^-1 term
 
-def test_corrupted_wave_residual_message_is_a_summary(seed22):
-    from moutardnv.faddeev import faddeev_superpose
-    from moutardnv.moutard import moutard_transform_wave
-    frame = build_frame(seed22)
-    psi1 = moutard_transform_wave(frame.omega1)
-    psi2 = moutard_transform_wave(frame.omega2)
-    # a lam^-1 term leaves the omega cancellation in slot 0 intact
-    bad = psi2 + WaveFn({1: MPoly.monomial(1, 1, 0)}, den=frame.omega2)
+    monkeypatch.setattr(faddeev, "moutard_transform_wave", corrupted)
     with pytest.raises(ResidualNonzero) as err:
-        faddeev_superpose(frame, psi1, bad)
+        faddeev.faddeev_superpose(frame)
+    psi1, bad = corrupted(frame.omega1), corrupted(frame.omega2)
     combo = WaveFn(bad.coeffs).scale(frame.omega1) - WaveFn(psi1.coeffs).scale(frame.omega2)
     coeffs = dict(combo.coeffs)
     coeffs[0] = frame.w

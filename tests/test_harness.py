@@ -112,7 +112,7 @@ def test_seed_roundtrip_bit_exact(tmp_path, seed22, seed22_cubic, seed32):
 
 
 def test_fixture_files_roundtrip():
-    for name in ("sec22.json", "sec22_cubic.json", "sec32.json"):
+    for name in ("sec22.json", "sec22_cubic.json", "sec22_cubic_time.json", "sec32.json"):
         seed, time = load_seed(fixture_path(name))
         again, time2 = seed_from_json(seed_to_json(seed, time))
         assert again.p1 == seed.p1 and again.p2 == seed.p2 and again.c == seed.c

@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero,
                               ZeroPolynomial)
-from moutardnv.faddeev import build_faddeev, frame_wave, residual, scattering_data
+from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
 from moutardnv.moutard import SeedPair, build_frame, double_w
 from moutardnv import nv
 
 from conftest import T, Z, ZB, from_sympy, gr, poly
 from oracles import (SingularBeforeBlowup, eigen_check, frac, mu2_integrability,
                      nv_residual_two_forms, same_fraction, subs_t)
-from test_properties import random_seed
+from test_properties import random_real_w, random_seed
 
 
 RAW_Q = poly({
@@ -120,7 +120,7 @@ def test_extended_w_time_term_is_the_one_both_residuals_accept(degree):
                        (MPoly.monomial(0, 0, 2, 5), False), (-c, False)):
         wt = w + term
         assert nv.nv_residual(nv.nv_potentials(wt)).is_zero() == good, term
-        fw = frame_wave(build_frame(es, wt), time_phase=True)
+        fw = faddeev_superpose(build_frame(es, wt), time_phase=True)
         assert nv.temporal_residual(fw).is_zero() == good, term
 
 
@@ -137,8 +137,13 @@ def test_nv_potentials_reference(seed32):
 
 
 def test_nv_constraint_exact(seed32):
-    sol = nv.nv_potentials(nv.extended_w(seed32))
-    assert same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z())
+    """dbar V = d U, both sides 2 d^2 dbar log W, for every nonzero W: on
+    sec32's W and on random real W with t of spatial degree 2-5."""
+    rng = random.Random(20261021)
+    ws = [nv.extended_w(seed32)] + [random_real_w(rng, degrees=(2, 5)) for _ in range(12)]
+    for trial, w in enumerate(ws):
+        sol = nv.nv_potentials(w)
+        assert same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z()), f"trial {trial}"
 
 
 def test_nv_residual_zero_for_construction(seed32):
@@ -504,7 +509,7 @@ def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
     harmonic = n2 + n2.conj_swap()
     assert eigen_check(harmonic, sol.u)
     assert not eigen_check(harmonic + fw.w * MPoly.monomial(1, 0, 0), sol.u)
-    rep = mu2_integrability(nv.NVSolution(sol.wt, sol.u * 2, sol.v), fw, [])
+    rep = mu2_integrability(nv.NVSolution(sol.wt, sol.u * 2), fw, [])
     assert not rep.harmonic_real and not rep.harmonic_imag
 
 

@@ -9,7 +9,7 @@ from moutardnv.algebra import GaussianRational, MPoly
 from moutardnv.errors import AsymptoticMismatch
 from moutardnv.exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
 from moutardnv.faddeev import build_faddeev, residual, scattering_data
-from moutardnv.moutard import SeedPair, build_frame, laplace_log
+from moutardnv.moutard import SeedPair, build_frame, potential
 from moutardnv import nv
 
 from conftest import gr
@@ -53,7 +53,7 @@ def test_static_pipeline_random_seeds():
         assert residual(fw).is_zero(), f"trial {trial}: {seed}"
         # commuting square: both iteration orders share one final potential
         frame = build_frame(seed)
-        assert same_fraction(laplace_log(frame.w), laplace_log(-frame.w))
+        assert same_fraction(potential(frame.w), potential(-frame.w))
 
 
 def test_scattering_degree_bookkeeping_random_seeds():
@@ -129,9 +129,10 @@ def random_gr(rng):
                             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
 
 
-def random_real_w(rng):
-    """A real-valued W with t, of spatial degree 2-8 and a nonzero constant."""
-    d, a = rng.randint(2, 8), rng.randint(0, 8)
+def random_real_w(rng, degrees=(2, 8)):
+    """A real-valued W with t, of spatial degree in the closed range degrees
+    and a nonzero constant."""
+    d, a = rng.randint(*degrees), rng.randint(0, 8)
     p = MPoly.monomial(min(a, d), d - min(a, d), 0, rng.randint(1, 5))
     for _ in range(3):
         i = rng.randint(0, d - 1)
