@@ -92,9 +92,12 @@ def hirota(f, g: MPoly, form: dict):
     c H_m H_n H_p times its coefficient product at one exponent.  A wave's
     phase makes D^a the sum in `_phase_orders`, whose power of lam shifts the
     slot.  The weighted terms of g met by one exponent of f are listed once
-    for every slot.  For f is g only the pairs i <= i' are read, the others
-    counted by symmetry.  The numerators are summed over one denominator and
-    each output slot is brought to lowest terms once.
+    for every slot.  A slot that is g itself (a polynomial f is its one
+    slot) is read by symmetry: D^b (g . g) is 0 for an odd order |b| and
+    symmetric in its pair for an even one, so only the even orders and the
+    pairs i <= i' are read, the diagonal once and each later pair doubled.
+    The numerators are summed over one denominator and each output slot is
+    brought to lowest terms once.
     """
     wave = isinstance(f, WaveFn)
     slots = f.coeffs if wave else {0: f}
@@ -103,22 +106,28 @@ def hirota(f, g: MPoly, form: dict):
     expo = tuple(map(sum, zip(fdeg, gdeg)))
     if max(expo) > MAX_EXPONENT:
         raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
-    orders = [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
-              for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
-                                                 f is g).items()]
     gterms = [(_pack(e), *e, re, im) for e, (re, im) in g.numerators.items()]
     doubled = [(e, i, j, k, 2 * re, 2 * im) for e, i, j, k, re, im in gterms]
     den = lcm(*(p.denominator for p in slots.values()))
-    weighted, acc = {}, {}      # (order, exponent of f) -> [(exponent, weighted coefficient of g)]
+    # symmetric -> (its reduced orders, (order, exponent of f) -> [(exponent,
+    # weighted coefficient of g)]), built on first use
+    kinds, acc = {}, {}
     for slot, p in slots.items():
+        symmetric = p is g
+        kind = kinds.get(symmetric)
+        if kind is None:
+            kind = kinds[symmetric] = (
+                [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
+                 for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
+                                                    symmetric).items()], {})
+        orders, weighted = kind
         scale = den // p.denominator
         for n, (e1, (p1, q1)) in enumerate(p.numerators.items()):
             p1, q1 = p1 * scale, q1 * scale
             for o, (shift, b, c, (hz, hzb, ht)) in enumerate(orders):
                 terms = weighted.get((o, e1))
                 if terms is None:
-                    # on f is g the diagonal pair once, each later pair for both orders
-                    partners = gterms[n:n + 1] + doubled[n + 1:] if f is g else gterms
+                    partners = gterms[n:n + 1] + doubled[n + 1:] if symmetric else gterms
                     rz, rzb, rt, base = hz[e1[0]], hzb[e1[1]], ht[e1[2]], _pack(e1) - b
                     terms = weighted[o, e1] = [
                         (base + e2, w * re, w * im) for e2, i2, j2, k2, re, im in partners
@@ -149,7 +158,8 @@ def _phase_orders(form: dict, z_phase: bool, t_phase: bool, symmetric: bool) -> 
     the phase: D^a on e^{lam z} f becomes (D_z + lam)^m D_zb^n D^p_t, and on
     e^{lam z + lam^3 t} f (D_z + lam)^m D_zb^n (D_t + lam^3)^p, with lam^shift
     shifting slot k to k - shift.  For D_TIME_LEG on the time phase the lam^3
-    of D_t cancels the lam^3 of -D_z^3.  On f is g an odd order is 0."""
+    of D_t cancels the lam^3 of -D_z^3.  On symmetric, for a slot that is g,
+    an odd order, which is 0 there, is left out."""
     out = {}
     for (m, n, p), c in form.items():
         for s in range(m + 1 if z_phase else 1):

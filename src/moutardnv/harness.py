@@ -66,18 +66,21 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     for the wave psi of fw.
 
     Evaluates at steps h and h/2 and reports the observed convergence order;
-    an exact eigenfunction gives order close to 2.  A grid point is used when
-    neither u nor psi has a pole on its stencil.
+    an exact eigenfunction gives order close to 2.  The wave is read once, at
+    the centre and the four neighbours of both steps.  A grid point is used
+    for a step when neither u nor psi has a pole on its stencil.
     """
     import numpy as np
     z = _grid_points(grid)
     uc = u.eval(z, grid.t)
+    steps = (h, h / 2.0)
+    shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
+    values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
     res = []
-    for step in (h, h / 2.0):
-        shifts = np.array([0.0, step, -step, 1j * step, -1j * step])
-        values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
-        used = ~(np.isnan(uc) | np.isnan(values).any(axis=0))
-        pc, pe, pw, pn, ps = values[:, used]
+    for n, step in enumerate(steps):
+        stencil = values[[0, *range(4 * n + 1, 4 * n + 5)]]     # centre, E, W, N, S
+        used = ~(np.isnan(uc) | np.isnan(stencil).any(axis=0))
+        pc, pe, pw, pn, ps = stencil[:, used]
         lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
         r = np.abs(-lap + uc[used] * pc) / np.maximum(1.0, np.abs(pc))
         res.append((float(r.max(initial=0.0)), int(used.sum())))

@@ -51,9 +51,12 @@ def harmonic_from_holomorphic(p: MPoly) -> MPoly:
 def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
     """(p1*conj(p2) - p2*conj(p1)) + F - conj(F) with F the z-antiderivative of
     p1'p2 - p1 p2' (the dzb-integrand is minus the conjugate of the
-    dz-integrand, which is what makes i times the bracket real-valued)."""
+    dz-integrand, which is what makes i times the bracket real-valued).  As
+    p2*conj(p1) is the conjugate of p1*conj(p2), the bracket is G - conj(G)
+    for G = p1*conj(p2) + F."""
     f = (p1.diff_z() * p2 - p1 * p2.diff_z()).antideriv_z()
-    return (p1 * p2.conj_swap() - p2 * p1.conj_swap()) + f - f.conj_swap()
+    g = p1 * p2.conj_swap() + f
+    return g - g.conj_swap()
 
 
 def double_w(seed: SeedPair) -> MPoly:
@@ -142,8 +145,10 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     sign.  Then W has that sign far enough out on every ray; how far is not
     bounded, so a zero between the box and that radius is not excluded.
     zero-found names the grid node of least |W|, the first in [y, x] order.
-    The grid is read in strips of CERTIFICATE_STRIP rows; a value or scale
-    beyond float range there raises CoefficientOverflow.
+    The grid is read in strips of CERTIFICATE_STRIP rows; a strip's rounding
+    scale is formed only when its least |W| is within 64 eps of the scale at
+    the box corner, which bounds every node's.  A value or scale beyond float
+    range there raises CoefficientOverflow.
     """
     if w.is_constant():
         c = w.constant_term()
@@ -158,20 +163,26 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     vx = np.vander(xs, a.shape[0], increasing=True)
     vy = np.vander(ys, a.shape[1], increasing=True)
     abs_a, abs_vx, abs_vy = np.abs(a), np.abs(vx), np.abs(vy)
+    eps = np.finfo(float).eps
     lo, hi, near = np.inf, -np.inf, False
     least, iy, ix = np.inf, 0, 0        # least |W| so far and its node
     try:
         with np.errstate(over="raise", invalid="raise"):
+            # no node's rounding scale exceeds the one formed from each axis's
+            # largest powers, those of the box corner; the margin covers the
+            # rounding of the two sums
+            bound = abs_vx.max(axis=0) @ abs_a @ abs_vy.max(axis=0) * (64 * eps * (1 + 1e-9))
             for s in range(0, CERTIFICATE_GRID_N, CERTIFICATE_STRIP):
                 rows = slice(s, s + CERTIFICATE_STRIP)
                 re = grid_product(a, vx, vy[rows])      # indexed [y - s, x]
-                # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
-                tol = grid_product(abs_a, abs_vx, abs_vy[rows])
-                tol *= 64 * np.finfo(float).eps
                 mag = np.abs(re)
                 lo, hi = min(lo, re.min()), max(hi, re.max())
-                near = near or bool((mag <= tol).any())
                 k = mag.argmin()
+                if not near and mag.flat[k] <= bound:
+                    # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
+                    tol = grid_product(abs_a, abs_vx, abs_vy[rows])
+                    tol *= 64 * eps
+                    near = bool((mag <= tol).any())
                 if mag.flat[k] < least:         # strictly: the first argmin stays
                     least, (iy, ix) = mag.flat[k], divmod(s * CERTIFICATE_GRID_N + k,
                                                           CERTIFICATE_GRID_N)

@@ -39,16 +39,25 @@ def assert_evolved(p: MPoly) -> None:
         raise NotEvolved("polynomial does not satisfy dp/dt = d^3 p/dz^3")
 
 
+class _Evolved(SeedPair):
+    """A seed that `evolved_seed` returned: p1 and p2 evolve in t."""
+
+
 def evolved_seed(seed: SeedPair) -> SeedPair:
     """Evolve a static seed in time.  A t-dependent seed is validated instead,
-    and so is a static seed of degree below 3, its own evolution; both are
-    returned as they are, so an evolved seed is never evolved again."""
+    and so is a static seed of degree below 3, its own evolution.  The seed
+    returned is a new one, which any later evolved_seed returns as it is: an
+    evolved seed is neither evolved nor validated again, while a seed from
+    outside is validated on every call."""
+    if isinstance(seed, _Evolved):
+        return seed
     p1, p2 = seed.p1, seed.p2
     if p1.deg_t() == 0 and p2.deg_t() == 0 and max(p1.deg_z(), p2.deg_z()) >= 3:
-        return SeedPair(heat3_evolve(p1), heat3_evolve(p2), seed.c)
-    assert_evolved(p1)
-    assert_evolved(p2)
-    return seed
+        p1, p2 = heat3_evolve(p1), heat3_evolve(p2)
+    else:
+        assert_evolved(p1)
+        assert_evolved(p2)
+    return _Evolved(p1, p2, seed.c)
 
 
 def extended_w(seed: SeedPair) -> MPoly:

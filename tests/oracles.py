@@ -11,6 +11,9 @@
 - `certificate_full_grid`: the nonvanishing certificate read on its whole
   grid at once, the reference of `moutard.nonvanishing_certificate`, which
   reads it in row strips.
+- `fd_residual_per_step`: the finite-difference check with one read of the
+  wave per step, the reference of `harness.fd_residual`, which reads both
+  steps' stencils at once.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -31,8 +34,8 @@ import numpy as np
 from moutardnv import moutard, nv
 from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, grid_product
 from moutardnv.errors import AlgebraError, PoleError
-from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota
-from moutardnv.harness import _gr_from_json, _grid_points
+from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
+from moutardnv.harness import FDReport, _gr_from_json, _grid_points
 
 
 def eval_naive(p: MPoly, z0, t0: float = 0.0) -> complex:
@@ -74,6 +77,24 @@ def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
     ((i, j), c), *rest = w.spatial_leading_terms().items()
     definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
     return moutard.NonvanishingReport("certified-positive" if definite else "inconclusive")
+
+
+def fd_residual_per_step(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:
+    """`harness.fd_residual` with the wave read once for each step."""
+    z = _grid_points(grid)
+    uc = u.eval(z, grid.t)
+    res = []
+    for step in (h, h / 2.0):
+        shifts = np.array([0.0, step, -step, 1j * step, -1j * step])
+        values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
+        used = ~(np.isnan(uc) | np.isnan(values).any(axis=0))
+        pc, pe, pw, pn, ps = values[:, used]
+        lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
+        r = np.abs(-lap + uc[used] * pc) / np.maximum(1.0, np.abs(pc))
+        res.append((float(r.max(initial=0.0)), int(used.sum())))
+    res_h, res_half = res[0][0], res[1][0]
+    order = math.log2(res_h / res_half) if res_half > 0 else float("inf")
+    return FDReport(res_h, res_half, order, h, res[0][1])
 
 
 def deg_zbar(p: MPoly) -> int:

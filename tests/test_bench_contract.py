@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from moutardnv import algebra, exppoly, faddeev, nv
+from moutardnv import algebra, exppoly, faddeev, harness, moutard, nv
 from moutardnv.algebra import MPoly
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
@@ -17,6 +17,7 @@ from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
 from oracles import certificate_full_grid
 from test_cli import _build_counts
+from test_moutard import near_zero_w
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -138,6 +139,19 @@ def test_ops_form_each_hirota_product_once():
     assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 4}
 
 
+def test_time_op_validates_a_seed_once_per_entry():
+    """time_op passes its seed to evolved_seed and to nv_faddeev, and each
+    validates sec32's quadratics (one assert_evolved per polynomial) or
+    evolves a cubic once; the evolved seed passes every layer below as it is."""
+    wl = bench_module("workloads")
+    names = ("assert_evolved", "heat3_evolve")
+    sec32, cubic = wl.fixture("sec32")[0], wl.cubic_pool()["tc-0"]
+    assert _build_counts(lambda: wl.time_op(sec32), names) == {"assert_evolved": 4,
+                                                               "heat3_evolve": 0}
+    assert _build_counts(lambda: wl.time_op(cubic), names) == {"assert_evolved": 0,
+                                                               "heat3_evolve": 4}
+
+
 def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):
     """No polynomial's x-y array is expanded twice.  Each wave_multiplier
     call reads the lam-summed numerator in one `xy_eval` and W, when the
@@ -214,6 +228,38 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
         rep = nonvanishing_certificate(w)
         assert rep.verdict == "certified-positive" and rep == certificate_full_grid(w), name
         assert not nv.blowup_time(w).found, name
+
+
+def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
+    """fd_residual reads the wave once for both steps.  The certificate forms
+    W by one grid_product per strip and a strip's rounding scale only where
+    its least |W| is within 64 eps of the corner's scale: on sec22's W no
+    strip is, on the near-zero W of test_moutard one strip is."""
+    wl = bench_module("workloads")
+    sec22 = wl.fixture("sec22")[0]
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(harness, "wave_eval")
+    counted(moutard, "grid_product")
+    fw = build_faddeev(sec22)
+    harness.fd_residual(fw.u, fw, 1.0, harness.GridSpec(-2, 2, -2, 2, 7), 1e-2)
+    assert calls == ["wave_eval"]
+    strips = -(-moutard.CERTIFICATE_GRID_N // moutard.CERTIFICATE_STRIP)
+    assert strips == 5
+    calls.clear()
+    assert nonvanishing_certificate(fw.w).verdict == "certified-positive"
+    assert calls == ["grid_product"] * strips
+    calls.clear()
+    assert nonvanishing_certificate(near_zero_w()).verdict == "zero-found"
+    assert calls == ["grid_product"] * (strips + 1)
 
 
 def test_nonvanishing_certificate_memory_peak():

@@ -575,7 +575,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 
 BUILDERS = ("extended_w", "double_w", "build_frame", "potential", "nv_potentials", "v",
-            "heat3_evolve")
+            "heat3_evolve", "assert_evolved")
 
 
 def _build_counts(fn, names=BUILDERS):
@@ -595,13 +595,15 @@ BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                         "nv_potentials": 1}),
+                         "nv_potentials": 1, "assert_evolved": 2}),
     ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
                                     "nv_potentials": 1, "heat3_evolve": 2}),
-    ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1}),
+    ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1,
+                            "assert_evolved": 2}),
     ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
     ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
-    ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1}),
+    ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
+                             "assert_evolved": 2}),
     ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1}),
 ]
 
@@ -612,7 +614,9 @@ def test_each_object_is_built_once(what, name, expected):
     # one W and one frame per call, and the time verify's NVSolution; the potential
     # only where it is read, by the static verify's finite-difference check, and
     # V only by nv-evolve, which writes it; sec32's quadratics are their own
-    # evolution, so heat3_evolve never runs on it, and once per cubic otherwise
+    # evolution, so heat3_evolve never runs on it, and once per cubic otherwise;
+    # the seed read from the file is validated once, each polynomial by one
+    # assert_evolved, and the evolved seed passes every later layer as it is
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:

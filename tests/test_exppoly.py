@@ -1,13 +1,19 @@
 import cmath
+import random
 
 import pytest
 
+from moutardnv import nv
 from moutardnv.algebra import MPoly
 from moutardnv.errors import ExponentOverflow, LambdaZeroError, PoleError
-from moutardnv.exppoly import D_TIME_LEG, WaveFn, hirota, wave_antideriv_z, wave_eval
+from moutardnv.exppoly import (D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota, wave_antideriv_z,
+                               wave_eval)
+from moutardnv.faddeev import build_faddeev
+from moutardnv.moutard import SeedPair
 
 from conftest import gr
 from oracles import wave_diff_t, wave_diff_z, wave_diff_zbar, wave_eval_naive
+from test_closed_forms import holomorphic
 
 
 def test_free_wave_derivative():
@@ -105,3 +111,25 @@ def test_wave_denominator_and_pole():
     with pytest.raises(PoleError):
         wave_eval(w, 1.0, 0.0, 1.0)
 
+
+@pytest.mark.parametrize("time_phase,degree", [(False, d) for d in range(1, 7)]
+                         + [(True, d) for d in range(2, 6)])
+def test_hirota_reads_a_slot_that_is_g_by_symmetry(time_phase, degree):
+    """Slot 0 of a wave is W itself, and W . W is one such slot: read by
+    symmetry, with the odd orders dropped and each pair i < i' doubled, each
+    form equals the general pass over an equal copy of W."""
+    rng = random.Random(500 + 10 * degree + time_phase)
+    for constant in (0, 1):
+        seed = SeedPair(holomorphic(rng, degree, constant), holomorphic(rng, degree, constant),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        fw = nv.nv_faddeev(seed) if time_phase else build_faddeev(seed)
+        w = fw.w
+        copy = MPoly.from_numerators(dict(w.numerators), w.denominator)
+        assert copy == w and copy is not w
+        chi = WaveFn(fw.psi.coeffs, time_phase)
+        assert chi.coeffs[0] is w
+        chi_copy = WaveFn({**chi.coeffs, 0: copy}, time_phase)
+        for form in (D_ZZBAR, D_TIME_LEG):
+            assert hirota(chi, w, form) == hirota(chi_copy, w, form), (constant, form)
+        for form in (D_ZZBAR, D_ZZ, {(3, 1, 0): 1}):
+            assert hirota(w, w, form) == hirota(copy, w, form), (constant, form)

@@ -11,8 +11,8 @@ from moutardnv.moutard import build_frame
 from moutardnv import nv
 
 from conftest import fixture_path, gr, poly
-from oracles import (decay_fit, hermitian_square_certificate, poly_from_json,
-                     rational_from_json, same_fraction, sign_check)
+from oracles import (decay_fit, fd_residual_per_step, hermitian_square_certificate,
+                     poly_from_json, rational_from_json, same_fraction, sign_check)
 
 
 def test_grid_spec_validation():
@@ -49,6 +49,24 @@ def test_fd_residual_corrupted_wave(seed22):
     broken = FaddeevWave(WaveFn(bad, den=fw.w))
     rep = fd_residual(fw.u, broken, 1.0, GridSpec(-2, 2, -2, 2, 5), 1e-2)
     assert rep.order < 1.0
+
+
+def assert_same_fd_report(rep, ref):
+    assert (rep.h, rep.points_used) == (ref.h, ref.points_used)
+    for got, want in ((rep.res_h, ref.res_h), (rep.res_half, ref.res_half)):
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["sec22", "sec22_cubic", "sec32"])
+def test_fd_residual_reads_both_steps_at_once(name):
+    """One read of the wave for both steps gives the report of one read per
+    step: the same points, the same residuals to rounding."""
+    seed, time = load_seed(fixture_path(f"{name}.json"))
+    fw = nv.nv_faddeev(seed) if time else build_faddeev(seed)
+    grid = GridSpec(-2, 2, -2, 2, 7)
+    rep = fd_residual(fw.u, fw, 1.0, grid, 1e-2)
+    assert rep.points_used == 49
+    assert_same_fd_report(rep, fd_residual_per_step(fw.u, fw, 1.0, grid, 1e-2))
 
 
 def test_decay_fit_reference_rates(seed22, seed32):
@@ -172,6 +190,7 @@ def test_pole_mask_matches_scalar_reference():
 
     rep = fd_residual(u, FaddeevWave(psi), 1.0, grid, h)
     assert rep.points_used == len(scalar_reference(stencil_ok, grid)) < 77
+    assert_same_fd_report(rep, fd_residual_per_step(u, FaddeevWave(psi), 1.0, grid, h))
 
     # ties at the maximum 16 go to the first point in row-major order
     best = max(ref, key=lambda r: r[2].real)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from moutardnv.algebra import GR_I, MPoly
+from moutardnv.algebra import GR_I, MPoly, grid_product
 from moutardnv.errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from moutardnv.exppoly import WaveFn
 from moutardnv.moutard import (CERTIFICATE_GRID_N, CERTIFICATE_STRIP, NonvanishingReport,
@@ -127,6 +127,29 @@ def test_nonvanishing_certificate_zero_found():
     w = (x * x - MPoly.const(1)) ** 2 + (z * zb + MPoly.const(1)) ** 2 * Fraction(1, 2 ** 47)
     rep = nonvanishing_certificate(w)
     assert rep.verdict == "zero-found" and rep.witness == (-1.0, 0.0)
+
+
+def near_zero_w():
+    """|z - 1|^2 + 10^-14: positive, with its least node (1, 0), where W is
+    about 1e-14 on a rounding scale of about 4."""
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    return (z - MPoly.const(1)) * (zb - MPoly.const(1)) + MPoly.const(gr(Fraction(1, 10 ** 14)))
+
+
+def test_nonvanishing_certificate_finds_a_positive_near_zero():
+    # no node is <= 0 on the certificate's grid and the leading form |z|^2 has
+    # the grid's sign, so only the rounding scale finds the node (1, 0)
+    w = near_zero_w()
+    axis = np.linspace(-10.0, 10.0, CERTIFICATE_GRID_N)
+    a = w.xy_coefficients()[0].real
+    vx = np.vander(axis, a.shape[0], increasing=True)
+    vy = np.vander(axis, a.shape[1], increasing=True)
+    values = grid_product(a, vx, vy)
+    iy, ix = np.unravel_index(values.argmin(), values.shape)
+    assert values.min() > 0.0 and (axis[ix], axis[iy]) == (1.0, 0.0)
+    assert values.min() <= 64 * np.finfo(float).eps * 4.0
+    rep = nonvanishing_certificate(w)
+    assert rep == NonvanishingReport("zero-found", (1.0, 0.0)) == certificate_full_grid(w)
 
 
 # a grid row on either side of the first strip boundary, and one in the

@@ -514,7 +514,15 @@ def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
 
 
 def test_an_evolved_seed_is_not_evolved_again(seed32):
-    assert nv.evolved_seed(seed32) is seed32        # quadratics are their own evolution
+    es = nv.evolved_seed(seed32)        # quadratics are their own evolution
+    assert (es.p1, es.p2, es.c) == (seed32.p1, seed32.p2, seed32.c)
+    assert nv.evolved_seed(es) is es
     cubic = SeedPair(MPoly.monomial(3, 0, 0), MPoly.monomial(1, 0, 0), gr(-20))
     es = nv.evolved_seed(cubic)
     assert es.p1.deg_t() == 1 and nv.evolved_seed(es) is es
+    # a seed from outside is validated, even one with the evolved polynomials
+    with mock.patch.object(nv, "assert_evolved", wraps=nv.assert_evolved) as check:
+        again = nv.evolved_seed(SeedPair(es.p1, es.p2, es.c))
+        assert check.call_count == 2 and again == es
+    with pytest.raises(NotEvolved):
+        nv.evolved_seed(SeedPair(es.p1 + MPoly.monomial(0, 0, 1), es.p2, es.c))
