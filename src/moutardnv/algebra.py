@@ -288,7 +288,8 @@ class MPoly:
         a, b = self._c, other._c
         if not a or not b:
             return _wrap({}, 1)
-        expo = tuple(max(e[x] for e in a) + max(e[x] for e in b) for x in range(3))
+        # the per-axis maxima of the exponents, each read in one pass
+        expo = tuple(map(int.__add__, map(max, zip(*a)), map(max, zip(*b))))
         if max(expo) > MAX_EXPONENT:
             raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
         acc = {}
@@ -433,23 +434,39 @@ class MPoly:
         m and n running to the total degree; built once, read-only.  Term
         c z^i zb^j t^k adds i^n K[n] c at [k, i + j - n, n] for the row
         K = `_xy_row(i, j)`, in Python ints on the Gaussian-integer numerators,
-        so each part is exact until its one division by the denominator."""
+        so each part is exact until its one division by the denominator.  The
+        sums are kept in two flat lists, real and imaginary parts, with the
+        place of (k, s - n, n) at k T + s(s + 1)/2 + n for the T places of one
+        power of t (`_xy_plan`); the array is filled from them in one pass."""
         a = self._xy
         if a is not None:
             return a
         import numpy as np
-        acc = {}
-        for (i, j, k), (re, im) in self._c.items():
-            parts = ((re, im), (-im, re), (-re, -im), (im, -re))    # i^n (re + i im)
-            for n, kn in enumerate(_xy_row(i, j)):
-                pr, pi = parts[n % 4]
-                s = acc.setdefault((k, i + j - n, n), [0, 0])
-                s[0] += kn * pr
-                s[1] += kn * pi
         deg = max(self.total_degree_space(), 0) + 1
-        a = np.zeros((max(self.deg_t(), 0) + 1, deg, deg), complex)
-        for e, (re, im) in acc.items():
-            a[e] = complex(_to_float(re, self._d), _to_float(im, self._d))
+        powers, places = max(self.deg_t(), 0) + 1, deg * (deg + 1) // 2
+        real, imag = [0] * (powers * places), [0] * (powers * places)
+        for (i, j, k), (re, im) in self._c.items():
+            base = k * places
+            even, odd = _xy_plan(i, j)
+            for o, kn in even:          # i^n = +-1: (re, im) times the signed K[n]
+                o += base
+                real[o] += re * kn
+                imag[o] += im * kn
+            for o, kn in odd:           # i^n = +-i: (-im, re) times the signed K[n]
+                o += base
+                real[o] -= im * kn
+                imag[o] += re * kn
+        d = self._d
+        try:
+            flat = [v / d for pair in zip(real, imag) for v in pair]
+        except OverflowError:
+            for pair in zip(real, imag):
+                for v in pair:
+                    _to_float(v, d)     # CoefficientOverflow at the first one
+            raise
+        m, n = _xy_places(deg)
+        a = np.zeros((powers, deg, deg), complex)
+        a[:, m, n] = np.array(flat).view(complex).reshape(powers, places)
         a.flags.writeable = False
         self._xy = a
         return a
@@ -516,6 +533,32 @@ def _xy_row(i: int, j: int) -> tuple:
     return tuple(p + sign * q for p, q in zip(prev + (0,), (0,) + prev))
 
 
+@lru_cache(maxsize=None)
+def _xy_plan(i: int, j: int) -> tuple:
+    """The places s(s + 1)/2 + n, s = i + j, of the nonzero K[n] of
+    `_xy_row(i, j)`, each with K[n] times the sign of i^n, split into even n
+    (i^n real) and odd n: the plan of `MPoly.xy_coefficients` for one term."""
+    first = (i + j) * (i + j + 1) // 2
+    even, odd = [], []
+    for n, kn in enumerate(_xy_row(i, j)):
+        if kn:
+            (odd if n % 2 else even).append((first + n, -kn if n % 4 >= 2 else kn))
+    return tuple(even), tuple(odd)
+
+
+@lru_cache(maxsize=None)
+def _xy_places(deg: int) -> tuple:
+    """Index arrays (m, n) of the places of `_xy_plan` for total degree below
+    deg: place s(s + 1)/2 + n holds the coefficient of x^(s-n) y^n.  Shared
+    by every caller, so read-only."""
+    import numpy as np
+    s = np.repeat(np.arange(deg), np.arange(1, deg + 1))
+    n = np.arange(s.size) - s * (s + 1) // 2
+    m = s - n
+    m.flags.writeable = n.flags.writeable = False
+    return m, n
+
+
 def _horner_t(coeffs, t: float):
     """sum_k coeffs[k] t^k."""
     acc = coeffs[-1]
@@ -551,12 +594,20 @@ def xy_eval(a, z0, t0: float = 0.0):
     return out.view(complex).reshape(z.shape)
 
 
+# grid rows or columns read at once: a strip's arrays (77 KB on a 201-point
+# axis) stay small enough for the allocator to reuse, where a whole-grid
+# array (323 KB) is mapped afresh and faulted in again on every call
+GRID_STRIP = 48
+
+
 def grid_product(a, vx, vy):
     """sum a[m, n] x^m y^n at each point of the grid of two 1-D axes xs and
     ys, indexed [y, x], from their power tables vx[:, m] = xs^m and
     vy[:, n] = ys^n (`np.vander(..., increasing=True)`, as wide as a): the
-    two matrix products V_y a^T V_x^T.  A caller that reads the grid in row
-    strips passes the rows of vy of one strip."""
+    two matrix products V_y a^T V_x^T.  A caller that reads the grid in
+    strips of GRID_STRIP rows (or columns) passes the rows of vy (or vx) of
+    one strip; at that width the tests find a strip's values to be those of
+    the whole grid bit for bit."""
     return (vy @ a.T) @ vx.T
 
 

@@ -69,9 +69,12 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
 
     With theta1 = W/omega1 and psi_j = r_j/omega_j, psi is
     (W + omega1 r2 - omega2 r1) / W: slot 0 of each r_j is -i omega_j, so
-    slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.
+    slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.  Only
+    the slots k >= 1 of omega1 r2 - omega2 r1 are formed, not the two
+    largest products, which cancel in slot 0; that they do is a test.
     """
-    r1, r2 = (WaveFn(moutard_transform_wave(om, time_phase).coeffs, time_phase)
+    r1, r2 = (WaveFn({k: f for k, f in moutard_transform_wave(om, time_phase).coeffs.items()
+                      if k}, time_phase)
               for om in (frame.omega1, frame.omega2))
     coeffs = dict((r2.scale(frame.omega1) - r1.scale(frame.omega2)).coeffs)
     coeffs[0] = frame.w                            # the leading 1, over the common denominator

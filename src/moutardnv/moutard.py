@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_product
+from .algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_product
 from .errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
@@ -128,10 +128,6 @@ class NonvanishingReport:
 
 CERTIFICATE_BOX = (-10.0, 10.0, -10.0, 10.0)    # xmin, xmax, ymin, ymax of the grid
 CERTIFICATE_GRID_N = 201                        # points per axis of that grid
-# grid rows read at once: a strip's arrays (77 KB) stay small enough for the
-# allocator to reuse, where a whole-grid array (323 KB) is mapped afresh and
-# faulted in again on every call
-CERTIFICATE_STRIP = 48
 
 
 def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
@@ -145,7 +141,7 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     sign.  Then W has that sign far enough out on every ray; how far is not
     bounded, so a zero between the box and that radius is not excluded.
     zero-found names the grid node of least |W|, the first in [y, x] order.
-    The grid is read in strips of CERTIFICATE_STRIP rows; a strip's rounding
+    The grid is read in strips of GRID_STRIP rows; a strip's rounding
     scale is formed only when its least |W| is within 64 eps of the scale at
     the box corner, which bounds every node's.  A value or scale beyond float
     range there raises CoefficientOverflow.
@@ -172,8 +168,8 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
             # largest powers, those of the box corner; the margin covers the
             # rounding of the two sums
             bound = abs_vx.max(axis=0) @ abs_a @ abs_vy.max(axis=0) * (64 * eps * (1 + 1e-9))
-            for s in range(0, CERTIFICATE_GRID_N, CERTIFICATE_STRIP):
-                rows = slice(s, s + CERTIFICATE_STRIP)
+            for s in range(0, CERTIFICATE_GRID_N, GRID_STRIP):
+                rows = slice(s, s + GRID_STRIP)
                 re = grid_product(a, vx, vy[rows])      # indexed [y - s, x]
                 mag = np.abs(re)
                 lo, hi = min(lo, re.min()), max(hi, re.max())

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, _horner_t, grid_product
+from .algebra import (GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, _horner_t,
+                      grid_product)
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
@@ -102,23 +103,23 @@ def nv_potentials(wt: MPoly) -> NVSolution:
 def nv_residual(sol: NVSolution) -> MPoly:
     """Cleared numerator over Wt^3 of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U),
     zero exactly when the pair evolves correctly.  As D_z^3 D_zb (Wt . Wt) / Wt^2 =
-    U_zz + 3VU, the equation is d_t (D_z D_zb) = d_z (D_z^3 D_zb) + d_zb (D_z D_zb^3)
-    for these forms on (Wt . Wt), each over Wt^2.  D_z D_zb (Wt . Wt) is read
-    off sol.u, whose numerator over Wt^2 `nv_potentials` stores as it is.
-    For a real Wt the zb term is the conjugate of the z term, so only the
-    z term is formed."""
+    U_zz + 3VU, the equation is d_t (P / Wt^2) = d_z (Q / Wt^2) + d_zb (Qb / Wt^2)
+    for P = D_z D_zb (Wt . Wt), Q = D_z^3 D_zb (Wt . Wt) and Qb = D_z D_zb^3
+    (Wt . Wt), the conjugate of Q for a real Wt: the numerator over Wt^3 is
+    (P_t - Q_z - conj(Q_z)) Wt - 2(P Wt_t - Q Wt_z - conj(Q Wt_z)), three
+    products, of which P Wt_t is a scalar multiple when Wt_t is constant (every
+    degree-2 time seed).  P is read off sol.u, whose numerator over Wt^2
+    `nv_potentials` stores as it is."""
     wt, u = sol.wt, sol.u
     if not wt.is_real_valued():
         raise ValueError("nv_residual expects a real-valued Wt")
     if u.k != 2 or u.base != wt:
         raise ValueError("nv_residual expects U over Wt^2, as nv_potentials builds it")
-    b = _diff_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-    return _diff_over_w2(u.num, wt, MPoly.diff_t) - (b + b.conj_swap())
-
-
-def _diff_over_w2(p: MPoly, w: MPoly, d) -> MPoly:
-    """Numerator over w^3 of d(p / w^2) for a derivation d of MPoly."""
-    return d(p) * w - p * d(w) * 2
+    p, q = u.num, hirota(wt, wt, {(3, 1, 0): 1})
+    q_z, w_t = q.diff_z(), wt.diff_t()
+    qw = q * wt.diff_z()
+    pw = p * (w_t.constant_term() if w_t.is_constant() else w_t)
+    return (p.diff_t() - q_z - q_z.conj_swap()) * wt - (pw - qw - qw.conj_swap()) * 2
 
 
 def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
@@ -253,12 +254,14 @@ def blowup_time(q: MPoly) -> BlowupReport:
 
     The slice q(., t) is the array sum_k a[k] t^k of the x-y coefficients a
     of q (`MPoly.xy_coefficients`), read on the BLOWUP_GRID_N^2 grid of
-    BLOWUP_BOX by `grid_product` and at a point by `_slice_objective`.
-    Where q(., 0) changes sign on the grid, t_star is 0.  Otherwise, with s
-    its sign there, the minimum of a slice is that of s q(., t), found by a
-    damped Newton descent on the exact derivatives from the slice's grid
-    argmin; among equal grid values the argmin is the node of least x, then
-    of least y.
+    BLOWUP_BOX in strips of GRID_STRIP x-columns by `_grid_extremes`, which
+    keeps only its least and greatest values and three nodes, and at a point
+    by `_slice_objective`.  Where q(., 0) changes sign on the grid, t_star
+    is 0, with the node of least |q| as witness.  Otherwise, with s its sign
+    there, the minimum of a slice is that of s q(., t), found by a damped
+    Newton descent on the exact derivatives from the slice's grid argmin;
+    among equal grid values the argmin, and the node of least |q|, is the
+    node of least x, then of least y.
 
     One descent at t = 0 gives m0 = min s W0.  If m0 <= 0, W0 already
     vanishes off the grid's nodes (between them or past the box) and t_star
@@ -281,25 +284,29 @@ def blowup_time(q: MPoly) -> BlowupReport:
     xs, ys = np.linspace(xmin, xmax, BLOWUP_GRID_N), np.linspace(ymin, ymax, BLOWUP_GRID_N)
     vx, vy = np.vander(xs, a.shape[1], increasing=True), np.vander(ys, a.shape[2], increasing=True)
 
-    def grid(t):                        # q(., t) on the grid, indexed [x, y]
-        return grid_product(_horner_t(a, t), vx, vy).T
+    def extremes(t):
+        return _grid_extremes(_horner_t(a, t), vx, vy)
 
-    f0 = grid(0.0)
-    if f0.min() <= 0.0 <= f0.max():
-        ix, iy = np.unravel_index(np.abs(f0).argmin(), f0.shape)
-        return BlowupReport(True, 0.0, (float(xs[ix]), float(ys[iy])), "grid")
-    sign = 1.0 if f0.min() > 0 else -1.0
-    m0, witness = _slice_min(a, 0.0, sign, xs, ys, f0)
+    def node(index):
+        return float(xs[index[0]]), float(ys[index[1]])
+
+    lo, hi, low, high, least = extremes(0.0)
+    if lo <= 0.0 <= hi:
+        return BlowupReport(True, 0.0, node(least), "grid")
+    sign = 1.0 if lo > 0 else -1.0
+    x0 = node(low if sign > 0 else high)
+    m0, witness = _slice_min(a, 0.0, sign, x0)
     if m0 <= 0.0:
         if not (xmin <= witness[0] <= xmax and ymin <= witness[1] <= ymax):
-            ix, iy = np.unravel_index((sign * f0).argmin(), f0.shape)
             objective = _slice_objective(a, 0.0, sign)
-            witness = _zero_between(lambda p: objective(p)[0],
-                                    (float(xs[ix]), float(ys[iy])), witness)
+            witness = _zero_between(lambda p: objective(p)[0], x0, witness)
         return BlowupReport(True, 0.0, witness, "grid+descent")
     kappa = _constant_slope(q)
     if kappa is None:
-        hit = _scan(lambda t: _slice_min(a, t, sign, xs, ys, grid(t)))
+        def slice_min(t):
+            _, _, low, high, _ = extremes(t)
+            return _slice_min(a, t, sign, node(low if sign > 0 else high))
+        hit = _scan(slice_min)
     else:
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
     if hit is None or hit[0] > BLOWUP_T_MAX:
@@ -322,13 +329,37 @@ def _zero_between(f, a, b):
             a = mid
 
 
-def _slice_min(a, t: float, sign: float, xs, ys, grid):
-    """The minimum of sign * q(., t), for q with x-y coefficients a, and
-    where it is: a damped Newton descent from the argmin of sign * grid,
-    the slice on the grid of the axes xs, ys, indexed [x, y]."""
+def _grid_extremes(c, vx, vy):
+    """The least and the greatest value of the slice sum c[m, n] x^m y^n on
+    the grid of the power tables vx, vy, and, as index pairs (ix, iy), the
+    first node of least value, of greatest value and of least |value| in
+    x-major order: least x, then least y.  The grid is read in strips of
+    GRID_STRIP x-columns, each one `grid_product` with the rows of vx of
+    the strip, so no array of the whole grid is made."""
     import numpy as np
-    ix, iy = np.unravel_index((sign * grid).argmin(), grid.shape)
-    r = minimize(_slice_objective(a, t, sign), (xs[ix], ys[iy]))
+    ny = len(vy)
+    lo = hi = small = None
+    for s in range(0, len(vx), GRID_STRIP):
+        # indexed [x - s, y], in x-major order for the three reductions
+        f = np.ascontiguousarray(grid_product(c, vx[s:s + GRID_STRIP], vy).T)
+        first = s * ny                  # the flat [x, y] index of f's first node
+        k = f.argmin()
+        if lo is None or f.flat[k] < lo:        # strictly: the first one stays
+            lo, low = f.flat[k], first + k
+        k = f.argmax()
+        if hi is None or f.flat[k] > hi:
+            hi, high = f.flat[k], first + k
+        k = np.abs(f, out=f).argmin()
+        if small is None or f.flat[k] < small:
+            small, least = f.flat[k], first + k
+    return lo, hi, divmod(low, ny), divmod(high, ny), divmod(least, ny)
+
+
+def _slice_min(a, t: float, sign: float, start):
+    """The minimum of sign * q(., t), for q with x-y coefficients a, and
+    where it is: a damped Newton descent from the point start, the grid
+    node of least sign * q(., t)."""
+    r = minimize(_slice_objective(a, t, sign), start)
     return r.fun, r.x
 
 

@@ -3,14 +3,21 @@
 - Term-by-term evaluators, the independent references of the x-y one.
 - Polynomial reads the library does not need: the zb-degree, and the exact
   substitution of a time, the reference for a slice at t.
-- The evolution residual with both of its Hirota forms, the reference of
-  `nv.nv_residual`, which forms one and conjugates it.
+- The evolution residual with both of its Hirota forms, and with each form
+  P taken through its derivative as d(P) W - 2 P d(W) (four full-plane
+  products): the references of `nv.nv_residual`, which forms one form,
+  conjugates it, and makes three products.
+- `xy_coefficients_per_term`: the x-y float form summed per exponent in a
+  dict, the reference of `MPoly.xy_coefficients`, which sums into flat
+  lists by a cached plan per (i, j).
 - Derivatives of waves, and `hirota_by_products`, the Hirota form built
   from those derivatives and one product per derivative of g: the
   reference of `exppoly.hirota`, which reads every term pair once.
 - `certificate_full_grid`: the nonvanishing certificate read on its whole
   grid at once, the reference of `moutard.nonvanishing_certificate`, which
-  reads it in row strips.
+  reads it in row strips.  `grid_extremes_full_grid`: the blow-up search's
+  slice read on its whole grid, the reference of `nv._grid_extremes`,
+  which reads it in x-column strips.
 - `fd_residual_per_step`: the finite-difference check with one read of the
   wave per step, the reference of `harness.fd_residual`, which reads both
   steps' stencils at once.
@@ -32,7 +39,8 @@ from itertools import product
 import numpy as np
 
 from moutardnv import moutard, nv
-from moutardnv.algebra import GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, grid_product
+from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
+                               _xy_row, grid_product)
 from moutardnv.errors import AlgebraError, PoleError
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
@@ -79,6 +87,14 @@ def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
     return moutard.NonvanishingReport("certified-positive" if definite else "inconclusive")
 
 
+def grid_extremes_full_grid(c, vx, vy):
+    """`nv._grid_extremes` with the slice formed on the whole grid at once,
+    indexed [x, y], and its nodes found by `unravel_index`."""
+    f = grid_product(c, vx, vy).T
+    nodes = (np.unravel_index(k, f.shape) for k in (f.argmin(), f.argmax(), np.abs(f).argmin()))
+    return (f.min(), f.max(), *(tuple(map(int, n)) for n in nodes))
+
+
 def fd_residual_per_step(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:
     """`harness.fd_residual` with the wave read once for each step."""
     z = _grid_points(grid)
@@ -109,18 +125,47 @@ def subs_t(p: MPoly, t0) -> MPoly:
                MPoly.zero())
 
 
+def _over_w2(p: MPoly, w: MPoly, d) -> MPoly:
+    """Numerator over w^3 of d(p / w^2) for a derivation d of MPoly."""
+    return d(p) * w - p * d(w) * 2
+
+
 def nv_residual_two_forms(sol) -> MPoly:
     """`nv.nv_residual` with the zb term formed on its own: the numerator over
     Wt^3 of d_t (D_z D_zb) - d_z (D_z^3 D_zb) - d_zb (D_z D_zb^3), each form
     on (Wt . Wt) over Wt^2."""
     wt = sol.wt
+    return (_over_w2(sol.u.num, wt, MPoly.diff_t)
+            - _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
+            - _over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, MPoly.diff_zbar))
 
-    def over_w2(p, d):
-        return d(p) * wt - p * d(wt) * 2
 
-    return (over_w2(sol.u.num, MPoly.diff_t)
-            - over_w2(hirota(wt, wt, {(3, 1, 0): 1}), MPoly.diff_z)
-            - over_w2(hirota(wt, wt, {(1, 3, 0): 1}), MPoly.diff_zbar))
+def nv_residual_four_products(sol) -> MPoly:
+    """`nv.nv_residual` with each form P through its own quotient rule,
+    d(P) Wt - 2 P d(Wt), and the zb term the conjugate of the z term: four
+    full-plane products."""
+    wt = sol.wt
+    b = _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
+    return _over_w2(sol.u.num, wt, MPoly.diff_t) - (b + b.conj_swap())
+
+
+def xy_coefficients_per_term(p: MPoly):
+    """`MPoly.xy_coefficients`, uncached, with the exact sums kept in a dict
+    by exponent (k, m, n) and each part converted by `_to_float` in the
+    dict's order, real part first."""
+    acc = {}
+    for (i, j, k), (re, im) in p.numerators.items():
+        parts = ((re, im), (-im, re), (-re, -im), (im, -re))    # i^n (re + i im)
+        for n, kn in enumerate(_xy_row(i, j)):
+            pr, pi = parts[n % 4]
+            s = acc.setdefault((k, i + j - n, n), [0, 0])
+            s[0] += kn * pr
+            s[1] += kn * pi
+    deg = max(p.total_degree_space(), 0) + 1
+    a = np.zeros((max(p.deg_t(), 0) + 1, deg, deg), complex)
+    for e, (re, im) in acc.items():
+        a[e] = complex(_to_float(re, p.denominator), _to_float(im, p.denominator))
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
-from oracles import certificate_full_grid
+from oracles import certificate_full_grid, grid_extremes_full_grid
 from test_cli import _build_counts
 from test_moutard import near_zero_w
 
@@ -69,6 +69,26 @@ def test_blowup_matches_goldens_on_sec32_and_time_candidates():
         rep = nv.blowup_time(nv.extended_w(seed))
         got = wl.exact_outputs({"w": None, "fw": None, "blowup": rep})
         assert not wl.compare_outputs(got, {"blowup": gold[name]["blowup"]}), name
+
+
+def test_blowup_grid_strips_match_the_whole_grid_on_the_time_pools():
+    """The blow-up search's strips give the whole grid's extremes and first
+    nodes bit for bit on every W of the time candidates and the cubic pool,
+    at t = 0 and at two later slices."""
+    wl = bench_module("workloads")
+    seeds = {**wl.time_candidates(), **wl.cubic_pool()}
+    xs = np.linspace(nv.BLOWUP_BOX[0], nv.BLOWUP_BOX[1], nv.BLOWUP_GRID_N)
+    ys = np.linspace(nv.BLOWUP_BOX[2], nv.BLOWUP_BOX[3], nv.BLOWUP_GRID_N)
+    slices = 0
+    for name, seed in seeds.items():
+        a = nv.extended_w(seed).xy_coefficients().real
+        vx = np.vander(xs, a.shape[1], increasing=True)
+        vy = np.vander(ys, a.shape[2], increasing=True)
+        for t in (0.0, 0.37, 2.5):
+            c = algebra._horner_t(a, t)
+            assert nv._grid_extremes(c, vx, vy) == grid_extremes_full_grid(c, vx, vy), (name, t)
+            slices += 1
+    assert slices == 3 * (wl.TIME_CANDIDATES + wl.CUBIC_POOL) == 162
 
 
 def test_time_op_passes_every_check_on_cubic_seeds():
@@ -252,7 +272,7 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     fw = build_faddeev(sec22)
     harness.fd_residual(fw.u, fw, 1.0, harness.GridSpec(-2, 2, -2, 2, 7), 1e-2)
     assert calls == ["wave_eval"]
-    strips = -(-moutard.CERTIFICATE_GRID_N // moutard.CERTIFICATE_STRIP)
+    strips = -(-moutard.CERTIFICATE_GRID_N // algebra.GRID_STRIP)
     assert strips == 5
     calls.clear()
     assert nonvanishing_certificate(fw.w).verdict == "certified-positive"
@@ -265,7 +285,7 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
 def test_nonvanishing_certificate_memory_peak():
     """The benchmark bounds the peak RSS of the static ops, and the
     certificate's 201 x 201 grid is their largest allocation.  It is read in
-    strips of CERTIFICATE_STRIP rows, W and its rounding scale as two matrix
+    strips of GRID_STRIP rows, W and its rounding scale as two matrix
     products each of 1-D power tables, so no array of the whole grid is made:
     within 0.5 MiB (about 1.3 MiB for the whole grid at once)."""
     wl = bench_module("workloads")
@@ -284,8 +304,9 @@ def test_nonvanishing_certificate_memory_peak():
 
 def test_blowup_time_memory_peak(seed32):
     """The time ops' largest allocation is the blow-up search's 161 x 161
-    grid of one time slice of W, evaluated from 1-D power tables without a
-    mesh of points: within 2.0 MiB on sec32."""
+    grid of one time slice of W.  It is read in strips of GRID_STRIP
+    x-columns from 1-D power tables, so no array of the whole grid is made:
+    within 0.3 MiB on sec32 (about 0.6 MiB for the whole grid at once)."""
     wt = nv.extended_w(seed32)
     tracemalloc.start()
     try:
@@ -294,7 +315,7 @@ def test_blowup_time_memory_peak(seed32):
     finally:
         tracemalloc.stop()
     assert rep.found and rep.witness == (-1.0, 0.0)
-    assert peak <= 2.0 * 2 ** 20
+    assert peak <= 0.3 * 2 ** 20
 
 
 def test_grid_eval_memory_peak(seed22):

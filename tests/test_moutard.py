@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from moutardnv.algebra import GR_I, MPoly, grid_product
+from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_product
 from moutardnv.errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from moutardnv.exppoly import WaveFn
-from moutardnv.moutard import (CERTIFICATE_GRID_N, CERTIFICATE_STRIP, NonvanishingReport,
-                               SeedPair, build_frame, double_w, harmonic_from_holomorphic,
-                               moutard_transform_wave, nonvanishing_certificate, potential)
+from moutardnv.moutard import (CERTIFICATE_GRID_N, NonvanishingReport, SeedPair, build_frame,
+                               double_w, harmonic_from_holomorphic, moutard_transform_wave,
+                               nonvanishing_certificate, potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
 from oracles import (Frac, certificate_full_grid, same_fraction, wave_diff_z,
@@ -154,7 +154,7 @@ def test_nonvanishing_certificate_finds_a_positive_near_zero():
 
 # a grid row on either side of the first strip boundary, and one in the
 # last, partial strip (y = 9.7)
-@pytest.mark.parametrize("row", [CERTIFICATE_STRIP - 1, CERTIFICATE_STRIP,
+@pytest.mark.parametrize("row", [GRID_STRIP - 1, GRID_STRIP,
                                  CERTIFICATE_GRID_N - 4])
 def test_nonvanishing_certificate_reads_every_strip(row):
     # W = |z - z0|^2 with z0 on a grid node: the only |W| within the rounding
@@ -170,7 +170,7 @@ def test_nonvanishing_certificate_reads_every_strip(row):
 def test_nonvanishing_certificate_witness_is_the_first_least_node():
     # x^2 + ((y + 6)(y + 5))^2 is exactly 0 at the nodes (0, -6) and (0, -5),
     # which lie in two strips: the witness is the first in [y, x] order
-    assert 40 // CERTIFICATE_STRIP != 50 // CERTIFICATE_STRIP
+    assert 40 // GRID_STRIP != 50 // GRID_STRIP
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
     w = x * x + ((y + MPoly.const(6)) * (y + MPoly.const(5))) ** 2

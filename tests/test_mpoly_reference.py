@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import sympy as sp
 from conftest import T, Z, ZB, to_sympy
-from oracles import deg_zbar, eval_naive, subs_t
+from oracles import deg_zbar, eval_naive, subs_t, xy_coefficients_per_term
 
 from moutardnv import nv
 from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly, _horner_t, grid_product
-from moutardnv.errors import ExponentOverflow
+from moutardnv.errors import CoefficientOverflow, ExponentOverflow
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
 
@@ -252,6 +252,48 @@ def test_xy_coefficients_match_sympy_expansion(seed22, seed32):
         assert got == want
         assert a.shape == (max(p.deg_t(), 0) + 1,) + (p.total_degree_space() + 1,) * 2
         assert p.xy_coefficients() is a and not a.flags.writeable
+
+
+def big_polys(seed):
+    """Polynomials of spatial degree 1-8 and t-degree 0-3 whose Gaussian
+    rational coefficients have numerators up to about 2^1000."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        d, kdeg = rng.randint(1, 8), rng.randint(0, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            i = rng.randint(0, d)
+            bits = rng.choice((8, 200, 1000))
+            terms[i, rng.randint(0, d - i), rng.randint(0, kdeg)] = GaussianRational(
+                Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.choice(DENOMINATORS)),
+                Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.choice(DENOMINATORS)))
+        terms[rng.randint(0, d), 0, kdeg] = GaussianRational(rng.randint(1, 9), 0)
+        yield from_terms(terms)
+
+
+def test_xy_coefficients_match_the_per_term_sums():
+    # the flat sums by plan round each part as the per-exponent sums do
+    polys = list(big_polys(20261019))
+    assert {p.deg_t() for p in polys} == {0, 1, 2, 3}
+    assert {p.total_degree_space() for p in polys} >= set(range(2, 9))
+    for p in polys + [MPoly.zero(), MPoly.const(3)]:
+        assert np.array_equal(p.xy_coefficients(), xy_coefficients_per_term(p))
+
+
+@pytest.mark.parametrize("expo,coeff", [((0, 0, 0), GaussianRational(2 ** 1100, 0)),
+                                        ((2, 0, 1), GaussianRational(3, -2 ** 1030)),
+                                        ((3, 3, 0), GaussianRational(Fraction(2 ** 1200, 7), 1))])
+def test_xy_coefficients_overflow_names_the_same_coefficient(expo, coeff):
+    # one term beyond float range among small ones: both forms raise the
+    # same CoefficientOverflow, which names the same part: for -i 2^1030 z^2 t
+    # the imaginary part of the x^2 t coefficient, not the real part, twice
+    # as large, of the x y t one
+    p = next(big_polys(expo[0])) + MPoly.monomial(*expo, coeff)
+    with pytest.raises(CoefficientOverflow) as want:
+        xy_coefficients_per_term(p)
+    with pytest.raises(CoefficientOverflow, match="beyond float range") as got:
+        p.xy_coefficients()
+    assert str(got.value) == str(want.value)
 
 
 def grid(a, xs, ys):

@@ -9,16 +9,18 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
+from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero,
                               ZeroPolynomial)
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
+from moutardnv.harness import load_seed
 from moutardnv.moutard import SeedPair, build_frame, double_w
 from moutardnv import nv
 
-from conftest import T, Z, ZB, from_sympy, gr, poly
-from oracles import (SingularBeforeBlowup, eigen_check, frac, mu2_integrability,
-                     nv_residual_two_forms, same_fraction, subs_t)
+from conftest import T, Z, ZB, fixture_path, from_sympy, gr, poly
+from oracles import (SingularBeforeBlowup, eigen_check, frac, grid_extremes_full_grid,
+                     mu2_integrability, nv_residual_four_products, nv_residual_two_forms,
+                     same_fraction, subs_t)
 from test_properties import random_real_w, random_seed
 
 
@@ -146,6 +148,29 @@ def test_nv_constraint_exact(seed32):
         assert same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z()), f"trial {trial}"
 
 
+def test_nv_residual_equals_the_four_product_form(seed32):
+    """The three-product residual is the four-product one, exactly: on sec32,
+    on the cubic time fixture, and on random real W with t of spatial degree
+    2-5, with a constant W_t and without; W + 7t, W + 5t^2 and W - c(t)
+    stay rejected."""
+    rng = random.Random(20261020)
+    fixed = [nv.extended_w(seed32),
+             nv.extended_w(load_seed(fixture_path("sec22_cubic_time.json"))[0])]
+    varying = [w for w in (random_real_w(rng, degrees=(2, 5)) for _ in range(20))
+               if not w.diff_t().is_constant()][:6]
+    constant = [subs_t(w, 0) + MPoly.monomial(0, 0, 1, rng.choice([-7, 3])) for w in varying]
+    assert len(varying) == 6
+    seed = nv.evolved_seed(random_seed(random.Random(402), 2, constant=True))
+    w = nv.extended_w(seed)
+    rejected = [w + MPoly.monomial(0, 0, 1, 7), w + MPoly.monomial(0, 0, 2, 5), double_w(seed)]
+    for trial, w in enumerate(fixed + varying + constant + rejected):
+        sol = nv.nv_potentials(w)
+        res = nv.nv_residual(sol)
+        assert res == nv_residual_four_products(sol), f"trial {trial}"
+        if w in fixed or w in rejected:
+            assert res.is_zero() == (w in fixed), f"trial {trial}"
+
+
 def test_nv_residual_zero_for_construction(seed32):
     sol = nv.nv_potentials(nv.extended_w(seed32))
     assert nv.nv_residual(sol).is_zero()
@@ -267,6 +292,64 @@ def test_blowup_zero_between_grid_nodes_at_t0(slope):
     assert abs(complex(*rep.witness) - complex(z0)) < 1e-6
 
 
+BOX, GRID_N = nv.BLOWUP_BOX, nv.BLOWUP_GRID_N
+
+
+def _blowup_axes():
+    return np.linspace(BOX[0], BOX[1], GRID_N), np.linspace(BOX[2], BOX[3], GRID_N)
+
+
+def _blowup_tables(w):
+    """The x-y coefficients of w and the power tables of `nv.blowup_time`'s
+    grid for them."""
+    a = w.xy_coefficients().real
+    xs, ys = _blowup_axes()
+    return a, np.vander(xs, a.shape[1], increasing=True), np.vander(ys, a.shape[2], increasing=True)
+
+
+def _node(ix, iy):
+    xs, ys = _blowup_axes()
+    return float(xs[ix]), float(ys[iy])
+
+
+# an x-column on either side of the first strip boundary, and one in the
+# last, partial strip (x = 4.8125)
+@pytest.mark.parametrize("column", [GRID_STRIP - 1, GRID_STRIP, GRID_N - 4])
+def test_blowup_grid_reads_every_strip(column):
+    # W = |z - z0|^2 + 1 - t with z0 on a grid node: its one least node, of
+    # value 1, and of W - 1 its one zero, whichever strip of columns holds it
+    assert GRID_N % GRID_STRIP and (GRID_N - 4) // GRID_STRIP == GRID_N // GRID_STRIP
+    x0, y0 = _node(column, 110)
+    w = _paraboloid(gr(x0, y0), gr(1), -1)
+    a, vx, vy = _blowup_tables(w)
+    got = nv._grid_extremes(a[0], vx, vy)
+    assert got == grid_extremes_full_grid(a[0], vx, vy)
+    assert got[0] == 1.0 and got[2] == got[4] == (column, 110)
+    assert nv.blowup_time(w - MPoly.const(1) + MPoly.monomial(0, 0, 1)) == \
+        nv.BlowupReport(True, 0.0, (x0, y0), "grid")
+    rep = nv.blowup_time(w)
+    assert rep.found and rep.t_star == 1.0 and rep.witness == (x0, y0)
+
+
+def test_blowup_grid_ties_take_the_least_x():
+    # y^2 + ((x + 3) x)^2 is exactly 0 at the nodes (-3, 0) and (0, 0), which
+    # lie in two strips: the least node, and the argmin of it plus 1, is the
+    # one of least x
+    assert 32 // GRID_STRIP != 80 // GRID_STRIP
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
+    w = y * y + ((x + MPoly.const(3)) * x) ** 2
+    a, vx, vy = _blowup_tables(w)
+    got = nv._grid_extremes(a[0], vx, vy)
+    assert got == grid_extremes_full_grid(a[0], vx, vy)
+    assert got[0] == 0.0 and got[4] == (32, 80)
+    assert nv.blowup_time(w) == nv.BlowupReport(True, 0.0, (-3.0, 0.0), "grid")
+    w1 = w + MPoly.const(1) - MPoly.monomial(0, 0, 1)
+    a, vx, vy = _blowup_tables(w1)
+    assert nv._grid_extremes(a[0], vx, vy)[2] == (32, 80)
+    assert nv.blowup_time(w1) == nv.BlowupReport(True, 1.0, (-3.0, 0.0), "grid+descent")
+
+
 @pytest.mark.parametrize("c,slope,t_max", [(20, -1, 10.0),    # t_star = 20 > t_max
                                            (1, 1, 10.0),      # s kappa > 0
                                            (1, 0, 10.0),      # no t term
@@ -277,7 +360,6 @@ def test_blowup_affine_without_a_zero_up_to_t_max(c, slope, t_max, monkeypatch):
     assert not rep.found and rep.t_star is None and rep.witness is None
 
 
-BOX, GRID_N = nv.BLOWUP_BOX, nv.BLOWUP_GRID_N
 _small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _coeff = st.builds(GaussianRational, _small, _small)
 
