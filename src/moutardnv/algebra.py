@@ -604,11 +604,40 @@ def grid_product(a, vx, vy):
     """sum a[m, n] x^m y^n at each point of the grid of two 1-D axes xs and
     ys, indexed [y, x], from their power tables vx[:, m] = xs^m and
     vy[:, n] = ys^n (`np.vander(..., increasing=True)`, as wide as a): the
-    two matrix products V_y a^T V_x^T.  A caller that reads the grid in
-    strips of GRID_STRIP rows (or columns) passes the rows of vy (or vx) of
-    one strip; at that width the tests find a strip's values to be those of
-    the whole grid bit for bit."""
+    two matrix products V_y a^T V_x^T.  `grid_extremes` passes one strip of
+    GRID_STRIP rows as vy; at that width the tests find a strip's values to
+    be those of the whole grid bit for bit."""
     return (vy @ a.T) @ vx.T
+
+
+def grid_extremes(c, v1, v2):
+    """The least and the greatest value of f = (v1 @ c) @ v2^T, the grid of
+    the power tables v1, v2 indexed [first, second], and, as index pairs,
+    its first node of least value, of greatest value and of least |value|
+    in first-axis-major order.  f is read in strips of GRID_STRIP rows of
+    v1, each one `grid_product`, so no array of the whole grid is made; a
+    value beyond float range raises CoefficientOverflow, so no inf or NaN
+    is read as a value."""
+    import numpy as np
+    n2 = len(v2)
+    lo = hi = small = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for s in range(0, len(v1), GRID_STRIP):
+                f = grid_product(c.T, v2, v1[s:s + GRID_STRIP])    # indexed [first - s, second]
+                first = s * n2                  # the flat index of f's first node
+                k = f.argmin()
+                if lo is None or f.flat[k] < lo:        # strictly: the first one stays
+                    lo, low = f.flat[k], first + k
+                k = f.argmax()
+                if hi is None or f.flat[k] > hi:
+                    hi, high = f.flat[k], first + k
+                k = np.abs(f, out=f).argmin()
+                if small is None or f.flat[k] < small:
+                    small, least = f.flat[k], first + k
+    except FloatingPointError as exc:
+        raise CoefficientOverflow(f"values on a check's grid leave float range ({exc})") from None
+    return lo, hi, divmod(low, n2), divmod(high, n2), divmod(least, n2)
 
 
 def _set(p: MPoly, c: dict, d: int) -> None:

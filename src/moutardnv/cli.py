@@ -85,8 +85,8 @@ def cmd_potential(args) -> int:
 def cmd_kernel(args) -> int:
     seed, _ = hn.load_seed(args.seed)
     frame = mt.build_frame(seed)
-    fracs = {"theta1": frame.theta1, "theta2": frame.theta2,
-             "phi1": frame.phi1, "phi2": frame.phi2}
+    fracs = dict(zip(("theta1", "theta2", "phi1", "phi2"),
+                     mt.kernel_functions(frame.omega1, frame.omega2, frame.w)))
     for name, f in fracs.items():
         print(f"{name} = {f}")
     _write_json(args, {name: hn.rational_to_json(f) for name, f in fracs.items()})

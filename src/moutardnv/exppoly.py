@@ -101,8 +101,9 @@ def hirota(f, g: MPoly, form: dict):
     """
     wave = isinstance(f, WaveFn)
     slots = f.coeffs if wave else {0: f}
-    fdeg = [max((e[x] for p in slots.values() for e in p.numerators), default=0) for x in range(3)]
-    gdeg = [max((e[x] for e in g.numerators), default=0) for x in range(3)]
+    # the per-axis maxima of the exponents, each read in one pass (0 when empty)
+    fdeg = tuple(map(max, zip((0, 0, 0), *(e for p in slots.values() for e in p.numerators))))
+    gdeg = tuple(map(max, zip((0, 0, 0), *g.numerators)))
     expo = tuple(map(sum, zip(fdeg, gdeg)))
     if max(expo) > MAX_EXPONENT:
         raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")

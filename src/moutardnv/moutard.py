@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_product
-from .errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_extremes
+from .errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
@@ -30,15 +30,12 @@ class SeedPair:
 
 @dataclass
 class MoutardFrame:
-    """All pieces of one double Moutard iteration."""
+    """The polynomials of one double Moutard iteration: the harmonic omegas
+    and W, from which `kernel_functions` forms its fractions."""
 
     omega1: MPoly
     omega2: MPoly
     w: MPoly
-    theta1: RationalFn
-    theta2: RationalFn
-    phi1: RationalFn
-    phi2: RationalFn
 
 
 def harmonic_from_holomorphic(p: MPoly) -> MPoly:
@@ -79,8 +76,6 @@ def potential(w: MPoly) -> RationalFn:
 
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
     """theta1 = W/omega1, theta2 = -W/omega2 and their reciprocals phi_j."""
-    if omega1.is_zero() or omega2.is_zero() or w.is_zero():
-        raise ZeroPolynomial("kernel_functions needs nonzero omega1, omega2, W")
     theta1 = RationalFn(w, omega1)
     theta2 = RationalFn(-w, omega2)
     phi1 = RationalFn(omega1, w)
@@ -90,13 +85,16 @@ def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
 
 def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
     """The frame of the seed around w, by default double_w(seed); the time
-    layer passes the extended W of an evolved seed."""
+    layer passes the extended W of an evolved seed.  Every frame's omegas
+    and W are nonzero, the denominators of `kernel_functions` and of the
+    waves."""
     omega1 = harmonic_from_holomorphic(seed.p1)
     omega2 = harmonic_from_holomorphic(seed.p2)
     if w is None:
         w = double_w(seed)
-    theta1, theta2, phi1, phi2 = kernel_functions(omega1, omega2, w)
-    return MoutardFrame(omega1, omega2, w, theta1, theta2, phi1, phi2)
+    if omega1.is_zero() or omega2.is_zero() or w.is_zero():
+        raise ZeroPolynomial("kernel_functions needs nonzero omega1, omega2, W")
+    return MoutardFrame(omega1, omega2, w)
 
 
 def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
@@ -141,10 +139,11 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     sign.  Then W has that sign far enough out on every ray; how far is not
     bounded, so a zero between the box and that radius is not excluded.
     zero-found names the grid node of least |W|, the first in [y, x] order.
-    The grid is read in strips of GRID_STRIP rows; a strip's rounding
-    scale is formed only when its least |W| is within 64 eps of the scale at
-    the box corner, which bounds every node's.  A value or scale beyond float
-    range there raises CoefficientOverflow.
+    W is read by `algebra.grid_extremes` in [y, x] order, which raises
+    CoefficientOverflow where a value leaves float range.  The rounding
+    scale is read only when the least |W| is within 64 eps of the scale at
+    the box corner, which bounds every node's: then |W| less 64 eps times
+    the scale is read as one more grid, in the same strips.
     """
     if w.is_constant():
         c = w.constant_term()
@@ -158,36 +157,26 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
     vx = np.vander(xs, a.shape[0], increasing=True)
     vy = np.vander(ys, a.shape[1], increasing=True)
-    abs_a, abs_vx, abs_vy = np.abs(a), np.abs(vx), np.abs(vy)
-    eps = np.finfo(float).eps
-    lo, hi, near = np.inf, -np.inf, False
-    least, iy, ix = np.inf, 0, 0        # least |W| so far and its node
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            # no node's rounding scale exceeds the one formed from each axis's
-            # largest powers, those of the box corner; the margin covers the
-            # rounding of the two sums
-            bound = abs_vx.max(axis=0) @ abs_a @ abs_vy.max(axis=0) * (64 * eps * (1 + 1e-9))
-            for s in range(0, CERTIFICATE_GRID_N, GRID_STRIP):
-                rows = slice(s, s + GRID_STRIP)
-                re = grid_product(a, vx, vy[rows])      # indexed [y - s, x]
-                mag = np.abs(re)
-                lo, hi = min(lo, re.min()), max(hi, re.max())
-                k = mag.argmin()
-                if not near and mag.flat[k] <= bound:
-                    # the rounding scale of that sum, sum |a_mn| |x|^m |y|^n
-                    tol = grid_product(abs_a, abs_vx, abs_vy[rows])
-                    tol *= 64 * eps
-                    near = bool((mag <= tol).any())
-                if mag.flat[k] < least:         # strictly: the first argmin stays
-                    least, (iy, ix) = mag.flat[k], divmod(s * CERTIFICATE_GRID_N + k,
-                                                          CERTIFICATE_GRID_N)
-    except FloatingPointError as exc:
-        raise CoefficientOverflow(
-            f"W on the certificate's grid leaves float range ({exc})") from None
-    if lo <= 0.0 <= hi or near:
-        return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
+    lo, hi, _, _, (iy, ix) = grid_extremes(a.T, vy, vx)    # indexed [y, x]
     sign = 1 if lo > 0 else -1
+    near = lo <= 0.0 <= hi
+    if not near:
+        tol = np.abs(a) * (64 * np.finfo(float).eps)       # exact: a power of 2
+        abs_vx, abs_vy = np.abs(vx), np.abs(vy)
+        # no node's scale exceeds the one formed from each axis's largest
+        # powers, those of the box corner; the margin covers the rounding of
+        # the two sums, and an inf bound only sends W to the guarded grid
+        with np.errstate(over="ignore"):
+            bound = abs_vx.max(axis=0) @ tol @ abs_vy.max(axis=0) * (1 + 1e-9)
+        if (lo if sign > 0 else -hi) <= bound:
+            # sign W - 64 eps scale, W's power tables next to their absolute
+            # values and the two coefficient arrays on the diagonal
+            zero = np.zeros_like(tol.T)
+            gap, *_ = grid_extremes(np.block([[sign * a.T, zero], [zero, -tol.T]]),
+                                    np.hstack((vy, abs_vy)), np.hstack((vx, abs_vx)))
+            near = gap <= 0.0
+    if near:
+        return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
     ((i, j), c), *rest = w.spatial_leading_terms().items()
     definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
     return NonvanishingReport("certified-positive" if definite else "inconclusive")

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, _horner_t,
-                      grid_product)
+from .algebra import GR_I, GaussianRational, MPoly, RationalFn, _horner_t, grid_extremes
 from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
@@ -254,9 +253,10 @@ def blowup_time(q: MPoly) -> BlowupReport:
 
     The slice q(., t) is the array sum_k a[k] t^k of the x-y coefficients a
     of q (`MPoly.xy_coefficients`), read on the BLOWUP_GRID_N^2 grid of
-    BLOWUP_BOX in strips of GRID_STRIP x-columns by `_grid_extremes`, which
-    keeps only its least and greatest values and three nodes, and at a point
-    by `_slice_objective`.  Where q(., 0) changes sign on the grid, t_star
+    BLOWUP_BOX by `algebra.grid_extremes` in x-major order, which keeps only
+    its least and greatest values and three nodes and raises
+    CoefficientOverflow where a value leaves float range, and at a point by
+    `_slice_objective`.  Where q(., 0) changes sign on the grid, t_star
     is 0, with the node of least |q| as witness.  Otherwise, with s its sign
     there, the minimum of a slice is that of s q(., t), found by a damped
     Newton descent on the exact derivatives from the slice's grid argmin;
@@ -285,7 +285,7 @@ def blowup_time(q: MPoly) -> BlowupReport:
     vx, vy = np.vander(xs, a.shape[1], increasing=True), np.vander(ys, a.shape[2], increasing=True)
 
     def extremes(t):
-        return _grid_extremes(_horner_t(a, t), vx, vy)
+        return grid_extremes(_horner_t(a, t), vx, vy)     # indexed [x, y]
 
     def node(index):
         return float(xs[index[0]]), float(ys[index[1]])
@@ -327,32 +327,6 @@ def _zero_between(f, a, b):
             b = mid
         else:
             a = mid
-
-
-def _grid_extremes(c, vx, vy):
-    """The least and the greatest value of the slice sum c[m, n] x^m y^n on
-    the grid of the power tables vx, vy, and, as index pairs (ix, iy), the
-    first node of least value, of greatest value and of least |value| in
-    x-major order: least x, then least y.  The grid is read in strips of
-    GRID_STRIP x-columns, each one `grid_product` with the rows of vx of
-    the strip, so no array of the whole grid is made."""
-    import numpy as np
-    ny = len(vy)
-    lo = hi = small = None
-    for s in range(0, len(vx), GRID_STRIP):
-        # indexed [x - s, y], in x-major order for the three reductions
-        f = np.ascontiguousarray(grid_product(c, vx[s:s + GRID_STRIP], vy).T)
-        first = s * ny                  # the flat [x, y] index of f's first node
-        k = f.argmin()
-        if lo is None or f.flat[k] < lo:        # strictly: the first one stays
-            lo, low = f.flat[k], first + k
-        k = f.argmax()
-        if hi is None or f.flat[k] > hi:
-            hi, high = f.flat[k], first + k
-        k = np.abs(f, out=f).argmin()
-        if small is None or f.flat[k] < small:
-            small, least = f.flat[k], first + k
-    return lo, hi, divmod(low, ny), divmod(high, ny), divmod(least, ny)
 
 
 def _slice_min(a, t: float, sign: float, start):

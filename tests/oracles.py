@@ -13,11 +13,11 @@
 - Derivatives of waves, and `hirota_by_products`, the Hirota form built
   from those derivatives and one product per derivative of g: the
   reference of `exppoly.hirota`, which reads every term pair once.
-- `certificate_full_grid`: the nonvanishing certificate read on its whole
-  grid at once, the reference of `moutard.nonvanishing_certificate`, which
-  reads it in row strips.  `grid_extremes_full_grid`: the blow-up search's
-  slice read on its whole grid, the reference of `nv._grid_extremes`,
-  which reads it in x-column strips.
+- `certificate_full_grid`: the nonvanishing certificate with W, |W| and its
+  rounding scale formed on the whole grid at once, the reference of
+  `moutard.nonvanishing_certificate`.  `grid_extremes_full_grid`: a grid
+  formed whole, the reference of `algebra.grid_extremes`, which reads it in
+  strips for the certificate and the blow-up search.
 - `fd_residual_per_step`: the finite-difference check with one read of the
   wave per step, the reference of `harness.fd_residual`, which reads both
   steps' stencils at once.
@@ -87,10 +87,11 @@ def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
     return moutard.NonvanishingReport("certified-positive" if definite else "inconclusive")
 
 
-def grid_extremes_full_grid(c, vx, vy):
-    """`nv._grid_extremes` with the slice formed on the whole grid at once,
-    indexed [x, y], and its nodes found by `unravel_index`."""
-    f = grid_product(c, vx, vy).T
+def grid_extremes_full_grid(c, v1, v2):
+    """`algebra.grid_extremes` with the grid formed whole at once, by the
+    same association (v1 @ c) @ v2^T, indexed [first, second], and its nodes
+    found by `unravel_index`."""
+    f = grid_product(c.T, v2, v1)
     nodes = (np.unravel_index(k, f.shape) for k in (f.argmin(), f.argmax(), np.abs(f).argmin()))
     return (f.min(), f.max(), *(tuple(map(int, n)) for n in nodes))
 

@@ -2,14 +2,16 @@
 coefficients as GaussianRationals; a rename or a change of the polynomial
 core must fail here rather than break the benchmark silently."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import sys
 import tracemalloc
 
 import numpy as np
 
-from moutardnv import algebra, exppoly, faddeev, harness, moutard, nv
+from moutardnv import algebra, cli, exppoly, faddeev, harness, moutard, nv
 from moutardnv.algebra import MPoly
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
@@ -60,6 +62,28 @@ def test_bench_reads_mpoly_as_before():
     assert wl.exact_outputs({"w": bad, "fw": None})["w"] != digest
 
 
+def test_cli_ops_match_their_goldens_in_process(tmp_path, monkeypatch):
+    """Every cli op of the benchmark, run by `cli.main` in this process on
+    the fixtures saved to inputs/ as the benchmark saves them, gives its
+    golden exit code, stdout and output file: a renamed verify row, a
+    dropped option or a changed wave file fails here, and not only in a
+    benchmark run."""
+    wl = bench_module("workloads")
+    gold = wl.load_goldens()["cli"]
+    assert sorted(op[0] for op in wl.CLI_OPS) == sorted(gold)
+    for sub in ("inputs", "out"):
+        (tmp_path / sub).mkdir()
+    for name in ("sec22", "sec22_cubic", "sec32"):
+        wl.hn.save_seed(tmp_path / "inputs" / f"{name}.json", *wl.fixture(name))
+    monkeypatch.chdir(tmp_path)
+    for op in wl.CLI_OPS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(op[1])
+        got = wl.cli_outputs(op, rc, stdout.getvalue(), tmp_path)
+        assert not wl.compare_cli(op[0], got, gold[op[0]]), op[0]
+
+
 def test_blowup_matches_goldens_on_sec32_and_time_candidates():
     wl = bench_module("workloads")
     gold = wl.load_goldens()["time"]
@@ -72,9 +96,9 @@ def test_blowup_matches_goldens_on_sec32_and_time_candidates():
 
 
 def test_blowup_grid_strips_match_the_whole_grid_on_the_time_pools():
-    """The blow-up search's strips give the whole grid's extremes and first
-    nodes bit for bit on every W of the time candidates and the cubic pool,
-    at t = 0 and at two later slices."""
+    """The blow-up search's strips give the extremes and first nodes of the
+    whole grid formed the same way bit for bit on every W of the time
+    candidates and the cubic pool, at t = 0 and at two later slices."""
     wl = bench_module("workloads")
     seeds = {**wl.time_candidates(), **wl.cubic_pool()}
     xs = np.linspace(nv.BLOWUP_BOX[0], nv.BLOWUP_BOX[1], nv.BLOWUP_GRID_N)
@@ -86,7 +110,8 @@ def test_blowup_grid_strips_match_the_whole_grid_on_the_time_pools():
         vy = np.vander(ys, a.shape[2], increasing=True)
         for t in (0.0, 0.37, 2.5):
             c = algebra._horner_t(a, t)
-            assert nv._grid_extremes(c, vx, vy) == grid_extremes_full_grid(c, vx, vy), (name, t)
+            assert algebra.grid_extremes(c, vx, vy) == grid_extremes_full_grid(c, vx, vy), \
+                (name, t)
             slices += 1
     assert slices == 3 * (wl.TIME_CANDIDATES + wl.CUBIC_POOL) == 162
 
@@ -251,10 +276,11 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
 
 
 def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
-    """fd_residual reads the wave once for both steps.  The certificate forms
-    W by one grid_product per strip and a strip's rounding scale only where
-    its least |W| is within 64 eps of the corner's scale: on sec22's W no
-    strip is, on the near-zero W of test_moutard one strip is."""
+    """fd_residual reads the wave once for both steps.  The certificate reads
+    W by one grid_product per strip, and its rounding scale, as a second
+    grid of as many strips, only where the least |W| is within 64 eps of the
+    corner's scale: on sec22's W it is not, on the near-zero W of
+    test_moutard it is."""
     wl = bench_module("workloads")
     sec22 = wl.fixture("sec22")[0]
     calls = []
@@ -268,7 +294,7 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     counted(harness, "wave_eval")
-    counted(moutard, "grid_product")
+    counted(algebra, "grid_product")
     fw = build_faddeev(sec22)
     harness.fd_residual(fw.u, fw, 1.0, harness.GridSpec(-2, 2, -2, 2, 7), 1e-2)
     assert calls == ["wave_eval"]
@@ -279,7 +305,7 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     assert calls == ["grid_product"] * strips
     calls.clear()
     assert nonvanishing_certificate(near_zero_w()).verdict == "zero-found"
-    assert calls == ["grid_product"] * (strips + 1)
+    assert calls == ["grid_product"] * (2 * strips)
 
 
 def test_nonvanishing_certificate_memory_peak():

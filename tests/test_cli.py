@@ -428,6 +428,39 @@ def test_ray_values_beyond_float_range_are_input_error(tmp_path):
             assert "seed too large" in stderr.getvalue(), (command, time)
 
 
+def test_blowup_grid_values_beyond_float_range_are_input_error(tmp_path):
+    # W has a 2e306 |z|^4 leading term, finite as a coefficient: the blow-up
+    # grid leaves float range, and an inf there is no value of W
+    big = "1" + "0" * 153
+    seed = tmp_path / "huge.json"
+    seed.write_text(json.dumps({
+        "p1": [[1, {"re": "1", "im": "0"}], [2, {"re": big, "im": "0"}]],
+        "p2": [[1, {"re": "1", "im": "1"}], [2, {"re": "0", "im": big}]],
+        "c": {"re": "1", "im": "0"}, "time": True}))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["blowup", "--seed", str(seed)])
+    assert rc == 2 and stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("input error: seed too large: ")
+    assert "float range" in stderr.getvalue()
+
+
+def test_a_zero_omega_is_rejected_where_a_frame_is_built(tmp_path):
+    # p1 = i gives omega1 = i + conj(i) = 0 and W = 1: the potential u = 0 is
+    # printed, and every subcommand that builds the frame rejects it
+    seed = tmp_path / "omega0.json"
+    seed.write_text(json.dumps({"p1": [[0, {"re": "0", "im": "1"}]],
+                                "p2": [[1, {"re": "1", "im": "0"}]],
+                                "c": {"re": "1", "im": "0"}, "time": False}))
+    message = "ZeroPolynomial: kernel_functions needs nonzero omega1, omega2, W"
+    for command, expected in (("potential", 0), ("kernel", 1), ("faddeev", 1), ("verify", 1)):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main([command, "--seed", str(seed)])
+        assert rc == expected, (command, stdout.getvalue())
+        assert (message in stdout.getvalue()) == (expected == 1), command
+
+
 def test_oversized_seed_is_input_error(tmp_path):
     seed = tmp_path / "z40.json"
     seed.write_text(json.dumps({"p1": [[40, {"re": "1", "im": "0"}]],

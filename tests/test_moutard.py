@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_product
+from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_extremes, grid_product
 from moutardnv.errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
 from moutardnv.exppoly import WaveFn
 from moutardnv.moutard import (CERTIFICATE_GRID_N, NonvanishingReport, SeedPair, build_frame,
-                               double_w, harmonic_from_holomorphic, moutard_transform_wave,
-                               nonvanishing_certificate, potential)
+                               double_w, harmonic_from_holomorphic, kernel_functions,
+                               moutard_transform_wave, nonvanishing_certificate, potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
-from oracles import (Frac, certificate_full_grid, same_fraction, wave_diff_z,
-                     wave_diff_zbar)
+from oracles import (Frac, certificate_full_grid, grid_extremes_full_grid, same_fraction,
+                     wave_diff_z, wave_diff_zbar)
 from test_properties import random_holomorphic
 
 
@@ -55,12 +55,13 @@ def test_potential_is_neg_two_laplacian_log(seed22):
 
 def test_kernel_functions_reciprocal(seed22):
     frame = build_frame(seed22)
+    theta1, theta2, phi1, phi2 = kernel_functions(frame.omega1, frame.omega2, frame.w)
     # theta_j * phi_j = 1, cleared of denominators
-    for theta, phi in ((frame.theta1, frame.phi1), (frame.theta2, frame.phi2)):
+    for theta, phi in ((theta1, phi1), (theta2, phi2)):
         assert theta.num * phi.num == theta.den * phi.den
     # product omega_j * theta_j reproduces +-W
-    assert same_fraction(frame.theta1 * frame.omega1, frame.w)
-    assert same_fraction(frame.theta2 * frame.omega2, -frame.w)
+    assert same_fraction(theta1 * frame.omega1, frame.w)
+    assert same_fraction(theta2 * frame.omega2, -frame.w)
 
 
 def test_kernel_functions_are_zero_modes(seed22):
@@ -136,14 +137,30 @@ def near_zero_w():
     return (z - MPoly.const(1)) * (zb - MPoly.const(1)) + MPoly.const(gr(Fraction(1, 10 ** 14)))
 
 
+def _certificate_tables(w):
+    """The grid axis, the x-y coefficients of the static w and the power
+    tables of the certificate's grid for them."""
+    axis = np.linspace(-10.0, 10.0, CERTIFICATE_GRID_N)
+    a = w.xy_coefficients()[0].real
+    return axis, a, np.vander(axis, a.shape[0], increasing=True), \
+        np.vander(axis, a.shape[1], increasing=True)
+
+
+def _assert_least_node(w, iy, ix):
+    """grid_extremes reads w on the certificate's grid, [y, x] as the
+    certificate reads it and [x, y], as the whole-grid reference does, with
+    its node of least |w| at (ix, iy)."""
+    _, a, vx, vy = _certificate_tables(w)
+    for c, v1, v2, node in ((a.T, vy, vx, (iy, ix)), (a, vx, vy, (ix, iy))):
+        got = grid_extremes(c, v1, v2)
+        assert got == grid_extremes_full_grid(c, v1, v2) and got[4] == node
+
+
 def test_nonvanishing_certificate_finds_a_positive_near_zero():
     # no node is <= 0 on the certificate's grid and the leading form |z|^2 has
     # the grid's sign, so only the rounding scale finds the node (1, 0)
     w = near_zero_w()
-    axis = np.linspace(-10.0, 10.0, CERTIFICATE_GRID_N)
-    a = w.xy_coefficients()[0].real
-    vx = np.vander(axis, a.shape[0], increasing=True)
-    vy = np.vander(axis, a.shape[1], increasing=True)
+    axis, a, vx, vy = _certificate_tables(w)
     values = grid_product(a, vx, vy)
     iy, ix = np.unravel_index(values.argmin(), values.shape)
     assert values.min() > 0.0 and (axis[ix], axis[iy]) == (1.0, 0.0)
@@ -165,17 +182,20 @@ def test_nonvanishing_certificate_reads_every_strip(row):
     w = (z - MPoly.const(gr(x0, y0))) * (zb - MPoly.const(gr(x0, -y0)))
     rep = nonvanishing_certificate(w)
     assert rep == NonvanishingReport("zero-found", (x0, y0)) == certificate_full_grid(w)
+    _assert_least_node(w, row, 110)
 
 
 def test_nonvanishing_certificate_witness_is_the_first_least_node():
     # x^2 + ((y + 6)(y + 5))^2 is exactly 0 at the nodes (0, -6) and (0, -5),
-    # which lie in two strips: the witness is the first in [y, x] order
+    # which lie in two strips of rows: the witness is the first in [y, x]
+    # order; read [x, y], both lie in column 100
     assert 40 // GRID_STRIP != 50 // GRID_STRIP
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
     w = x * x + ((y + MPoly.const(6)) * (y + MPoly.const(5))) ** 2
     rep = nonvanishing_certificate(w)
     assert rep == NonvanishingReport("zero-found", (0.0, -6.0)) == certificate_full_grid(w)
+    _assert_least_node(w, 40, 100)
 
 
 def test_nonvanishing_certificate_overflow_is_input_error():

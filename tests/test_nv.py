@@ -9,9 +9,9 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn
-from moutardnv.errors import (NotEvolved, NotHolomorphic, PoleError, TemporalResidualNonzero,
-                              ZeroPolynomial)
+from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_extremes
+from moutardnv.errors import (CoefficientOverflow, NotEvolved, NotHolomorphic, PoleError,
+                              TemporalResidualNonzero, ZeroPolynomial)
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
 from moutardnv.harness import load_seed
 from moutardnv.moutard import SeedPair, build_frame, double_w
@@ -317,14 +317,16 @@ def _node(ix, iy):
 @pytest.mark.parametrize("column", [GRID_STRIP - 1, GRID_STRIP, GRID_N - 4])
 def test_blowup_grid_reads_every_strip(column):
     # W = |z - z0|^2 + 1 - t with z0 on a grid node: its one least node, of
-    # value 1, and of W - 1 its one zero, whichever strip of columns holds it
+    # value 1, and of W - 1 its one zero, whichever strip of columns holds it;
+    # read [x, y] as the blow-up search reads it, and [y, x]
     assert GRID_N % GRID_STRIP and (GRID_N - 4) // GRID_STRIP == GRID_N // GRID_STRIP
     x0, y0 = _node(column, 110)
     w = _paraboloid(gr(x0, y0), gr(1), -1)
     a, vx, vy = _blowup_tables(w)
-    got = nv._grid_extremes(a[0], vx, vy)
-    assert got == grid_extremes_full_grid(a[0], vx, vy)
-    assert got[0] == 1.0 and got[2] == got[4] == (column, 110)
+    for c, v1, v2, node in ((a[0], vx, vy, (column, 110)), (a[0].T, vy, vx, (110, column))):
+        got = grid_extremes(c, v1, v2)
+        assert got == grid_extremes_full_grid(c, v1, v2)
+        assert got[0] == 1.0 and got[2] == got[4] == node
     assert nv.blowup_time(w - MPoly.const(1) + MPoly.monomial(0, 0, 1)) == \
         nv.BlowupReport(True, 0.0, (x0, y0), "grid")
     rep = nv.blowup_time(w)
@@ -333,21 +335,34 @@ def test_blowup_grid_reads_every_strip(column):
 
 def test_blowup_grid_ties_take_the_least_x():
     # y^2 + ((x + 3) x)^2 is exactly 0 at the nodes (-3, 0) and (0, 0), which
-    # lie in two strips: the least node, and the argmin of it plus 1, is the
-    # one of least x
+    # lie in two strips of x-columns: the least node, and the argmin of it
+    # plus 1, is the one of least x; read [y, x], both lie in row 80
     assert 32 // GRID_STRIP != 80 // GRID_STRIP
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
     w = y * y + ((x + MPoly.const(3)) * x) ** 2
     a, vx, vy = _blowup_tables(w)
-    got = nv._grid_extremes(a[0], vx, vy)
-    assert got == grid_extremes_full_grid(a[0], vx, vy)
-    assert got[0] == 0.0 and got[4] == (32, 80)
+    for c, v1, v2, node in ((a[0], vx, vy, (32, 80)), (a[0].T, vy, vx, (80, 32))):
+        got = grid_extremes(c, v1, v2)
+        assert got == grid_extremes_full_grid(c, v1, v2)
+        assert got[0] == 0.0 and got[4] == node
     assert nv.blowup_time(w) == nv.BlowupReport(True, 0.0, (-3.0, 0.0), "grid")
     w1 = w + MPoly.const(1) - MPoly.monomial(0, 0, 1)
     a, vx, vy = _blowup_tables(w1)
-    assert nv._grid_extremes(a[0], vx, vy)[2] == (32, 80)
+    assert grid_extremes(a[0], vx, vy)[2] == (32, 80)
     assert nv.blowup_time(w1) == nv.BlowupReport(True, 1.0, (-3.0, 0.0), "grid+descent")
+
+
+def test_blowup_grid_beyond_float_range_is_input_error():
+    # 10^306 (|z|^6 - |z|^2) + 1 - t is negative near |z| = 1 at t = 0, and
+    # its grid leaves float range from |z| = 5 on: an inf or NaN there is no
+    # value of W, so the search neither finds a zero nor rules one out
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    r2 = z * zb
+    w = (r2 ** 3 - r2) * 10 ** 306 + MPoly.const(1) - MPoly.monomial(0, 0, 1)
+    assert np.isfinite(w.xy_coefficients()).all()
+    with pytest.raises(CoefficientOverflow, match="float range"):
+        nv.blowup_time(w)
 
 
 @pytest.mark.parametrize("c,slope,t_max", [(20, -1, 10.0),    # t_star = 20 > t_max
