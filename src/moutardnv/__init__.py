@@ -5,8 +5,7 @@ independent numeric cross-checks."""
 
 from .algebra import GaussianRational, MPoly, RationalFn
 from .errors import (AlgebraError, AsymptoticMismatch, CoefficientOverflow, ExponentOverflow,
-                     LambdaZeroError, NotEvolved, NotHarmonic, NotHolomorphic, PoleError,
-                     ResidualNonzero, TemporalResidualNonzero, ZeroPolynomial)
+                     NotHolomorphic, ResidualNonzero, TemporalResidualNonzero, ZeroPolynomial)
 from .exppoly import WaveFn, wave_eval
 from .faddeev import (FaddeevWave, ScatteringData, build_faddeev, faddeev_superpose,
                       residual, scattering_data)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import CoefficientOverflow, ExponentOverflow, PoleError, ZeroPolynomial
+from .errors import CoefficientOverflow, ExponentOverflow, ZeroPolynomial
 
 #: Per-variable exponent cap; terms beyond this signal malformed input.
 MAX_EXPONENT = 64
@@ -19,14 +19,9 @@ MAX_EXPONENT = 64
 POLE_FLOOR = 1e-12
 
 
-def divide_off_poles(num, den, what: str, z0, t0):
-    """num / den, where |den| < POLE_FLOOR * (1 + |num|) marks a pole: at one
-    point that raises PoleError, in an array of points the value there is
-    NaN (and no division by zero happens)."""
-    if isinstance(den, (int, float, complex)):
-        if abs(den) < POLE_FLOOR * (1.0 + abs(num)):
-            raise PoleError(f"{what} ~ 0 at z={z0}, t={t0}")
-        return num / den
+def divide_off_poles(num, den):
+    """num / den over arrays of points, where |den| < POLE_FLOOR * (1 + |num|)
+    marks a pole: the value there is NaN, and no division by zero happens."""
     import numpy as np
     off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
     return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
@@ -345,10 +340,6 @@ class MPoly:
         return _poly({(i - 1, j, k): (re * i, im * i)
                       for (i, j, k), (re, im) in self._c.items() if i > 0}, self._d)
 
-    def diff_zbar(self) -> "MPoly":
-        return _poly({(i, j - 1, k): (re * j, im * j)
-                      for (i, j, k), (re, im) in self._c.items() if j > 0}, self._d)
-
     def diff_t(self) -> "MPoly":
         return _poly({(i, j, k - 1): (re * k, im * k)
                       for (i, j, k), (re, im) in self._c.items() if k > 0}, self._d)
@@ -377,9 +368,6 @@ class MPoly:
     def conj_swap(self) -> "MPoly":
         """Complex conjugation of a function of (z, zb): swap z <-> zb, conjugate coefficients."""
         return _wrap({(j, i, k): (re, -im) for (i, j, k), (re, im) in self._c.items()}, self._d)
-
-    def is_real_valued(self) -> bool:
-        return self.conj_swap() == self
 
     # -- structure ----------------------------------------------------
 
@@ -426,7 +414,7 @@ class MPoly:
     # -- numerics -----------------------------------------------------
 
     def eval(self, z0, t0: float = 0.0):
-        """`xy_eval` at the real time t0 and one point or an array of points."""
+        """`xy_eval` at the real time t0 and an array of points."""
         return xy_eval(self.xy_coefficients(), z0, t0)
 
     def xy_coefficients(self):
@@ -576,8 +564,8 @@ def xy_eval(a, z0, t0: float = 0.0):
     of a polynomial (`MPoly.xy_coefficients`): the slice c = sum_k a[k] t0^k,
     then, per block of XY_BLOCK points, one real matrix product of the powers
     of x with the real and imaginary parts of c side by side, and one with
-    the powers of y.  z0 is one point, giving a Python complex, or an array
-    of points, giving an array of their shape."""
+    the powers of y.  z0 is an array of points, and the values have its
+    shape."""
     import numpy as np
     c = _horner_t(a, t0)
     m, n = c.shape
@@ -589,8 +577,6 @@ def xy_eval(a, z0, t0: float = 0.0):
         block = flat[s:s + XY_BLOCK]
         rows = (np.vander(block.real, m, increasing=True) @ parts).reshape(-1, 2, n)
         out[s:s + XY_BLOCK] = (rows @ np.vander(block.imag, n, increasing=True)[:, :, None])[..., 0]
-    if isinstance(z0, (int, float, complex)):
-        return complex(*out[0])
     return out.view(complex).reshape(z.shape)
 
 
@@ -707,9 +693,8 @@ class RationalFn:
     __rmul__ = __mul__
 
     def eval(self, z0, t0: float = 0.0):
-        """Value at a point or an array of points, by `divide_off_poles`."""
-        return divide_off_poles(self.num.eval(z0, t0), self.base.eval(z0, t0) ** self.k,
-                                "denominator", z0, t0)
+        """Values at an array of points, by `divide_off_poles`."""
+        return divide_off_poles(self.num.eval(z0, t0), self.base.eval(z0, t0) ** self.k)
 
     def canonical(self):
         """(num, den) with the common monomial factor removed and den's

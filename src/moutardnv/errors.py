@@ -14,27 +14,12 @@ class ExponentOverflow(AlgebraError):
 
 
 class CoefficientOverflow(AlgebraError):
-    """An exact coefficient that a numeric check needs as a float is beyond float range."""
-
-
-class PoleError(AlgebraError):
-    """Numeric evaluation hit (or came too close to) a zero of a denominator."""
-
-
-class LambdaZeroError(AlgebraError):
-    """Wave evaluation at lambda = 0 while negative powers of lambda are present."""
+    """A coefficient, or a value on a check's grid or rays, that a numeric check
+    reads as a float is beyond float range."""
 
 
 class NotHolomorphic(AlgebraError):
-    """Seed data must depend on z (and optionally t) only."""
-
-
-class NotHarmonic(AlgebraError):
-    """First-step Moutard transform requires a harmonic omega."""
-
-
-class NotEvolved(AlgebraError):
-    """Time-dependent seed does not satisfy dp/dt = d^3 p/dz^3."""
+    """Seed data must depend on z only."""
 
 
 class ResidualNonzero(AlgebraError):

@@ -7,12 +7,11 @@ which is why it carries the whole eigenfunction pipeline.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import comb, lcm, perm
 
 from .algebra import MAX_EXPONENT, MPoly, divide_off_poles, xy_eval
-from .errors import ExponentOverflow, LambdaZeroError, ZeroPolynomial
+from .errors import ExponentOverflow, ZeroPolynomial
 
 
 class WaveFn:
@@ -202,14 +201,12 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
 
 
 def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
-    """Value of the wave without its exponential prefactor, at a point or an
-    array of points: sum_k lam^{-k} f_k formed on the slots' x-y coefficients
-    and read by one `xy_eval`, over the shared denominator read by another; a
-    pole of it as in `divide_off_poles`."""
+    """Values of the wave without its exponential prefactor at an array of
+    points, for a nonzero lam: sum_k lam^{-k} f_k formed on the slots' x-y
+    coefficients and read by one `xy_eval`, over the shared denominator read
+    by another; a pole of it as in `divide_off_poles`."""
     import numpy as np
     lam0 = complex(lam0)
-    if lam0 == 0 and any(k > 0 for k in w.coeffs):
-        raise LambdaZeroError("lam = 0 with negative powers of lam present")
     arrays = {k: f.xy_coefficients() for k, f in w.coeffs.items()}
     shape = tuple(map(max, zip((1, 1, 1), *(a.shape for a in arrays.values()))))
     total = np.zeros(shape, complex)            # each slot's array fills one corner
@@ -218,22 +215,21 @@ def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     num = xy_eval(total, z0, t0)
     if w.den is None:
         return num
-    return divide_off_poles(num, w.den.eval(z0, t0), "wave denominator", z0, t0)
+    return divide_off_poles(num, w.den.eval(z0, t0))
 
 
 def wave_eval(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
-    """Numeric value including the exponential prefactor, at a point or an
-    array of points (NaN at a pole)."""
+    """Values including the exponential prefactor at an array of points (NaN
+    at a pole)."""
     mult = wave_multiplier(w, z0, t0, lam0)
     return exp_phase(complex(lam0), z0, t0 if w.time_phase else None) * mult
 
 
 def exp_phase(lam0: complex, z0, t0=None):
-    """e^{lam z0}, times e^{lam^3 t0} unless t0 is None."""
+    """e^{lam z0} at an array of points z0, times e^{lam^3 t0} unless t0 is
+    None."""
+    import numpy as np
     phase = lam0 * z0
     if t0 is not None:
         phase += lam0 ** 3 * t0
-    if isinstance(phase, complex):
-        return cmath.exp(phase)
-    import numpy as np
     return np.exp(phase)

@@ -132,11 +132,7 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
 
     a_coeffs = {}
     for k, num in sorted(fw.psi.coeffs.items()):
-        if k == 0:
-            if num != w:
-                raise AsymptoticMismatch("slot 0 is not normalized to 1")
-            continue
-        if num.total_degree_space() < d - 1:
+        if k == 0 or num.total_degree_space() < d - 1:
             continue
         for (i, j), cpoly in num.spatial_leading_terms().items():
             if (i, j) != (a - 1, b) or cpoly.deg_t() > 0:
@@ -166,8 +162,8 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     try:
         with np.errstate(over="raise", invalid="raise"):
             w = fw.w.eval(z, 0.0)
-            gs = [z * (divide_off_poles(wave_multiplier(chi, z, 0.0, lam0), w,
-                                        "wave denominator", z, 0.0) - 1.0) for lam0 in lams]
+            gs = [z * (divide_off_poles(wave_multiplier(chi, z, 0.0, lam0), w) - 1.0)
+                  for lam0 in lams]
     except FloatingPointError as exc:
         raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
     for lam0, g in zip(lams, gs):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 
 from .algebra import GaussianRational, MPoly, RationalFn
+from .errors import CoefficientOverflow
 from .exppoly import wave_eval
 from .faddeev import FaddeevWave
 from .moutard import SeedPair
@@ -68,14 +69,21 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     Evaluates at steps h and h/2 and reports the observed convergence order;
     an exact eigenfunction gives order close to 2.  The wave is read once, at
     the centre and the four neighbours of both steps.  A grid point is used
-    for a step when neither u nor psi has a pole on its stencil.
+    for a step when neither u nor psi has a pole on its stencil.  A value of
+    u or psi, or a step of computing it, beyond float range raises
+    CoefficientOverflow, so no overflow is read as a pole.
     """
     import numpy as np
     z = _grid_points(grid)
-    uc = u.eval(z, grid.t)
     steps = (h, h / 2.0)
     shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
-    values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            uc = u.eval(z, grid.t)
+            values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
+    except FloatingPointError as exc:
+        raise CoefficientOverflow(
+            f"the finite-difference grid leaves float range ({exc})") from None
     res = []
     for n, step in enumerate(steps):
         stencil = values[[0, *range(4 * n + 1, 4 * n + 5)]]     # centre, E, W, N, S

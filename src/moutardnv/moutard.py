@@ -7,14 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_extremes
-from .errors import NotHarmonic, NotHolomorphic, ZeroPolynomial
+from .errors import NotHolomorphic, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
 @dataclass(frozen=True)
 class SeedPair:
-    """Two holomorphic polynomials and the real integration constant of the
-    double-iteration formula."""
+    """Two polynomials in z alone and the real integration constant of the
+    double-iteration formula, checked here once: no layer below re-checks a
+    seed."""
 
     p1: MPoly
     p2: MPoly
@@ -22,8 +23,8 @@ class SeedPair:
 
     def __post_init__(self):
         for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not p.is_holomorphic():
-                raise NotHolomorphic(f"{name} depends on zb")
+            if not p.is_holomorphic() or p.deg_t() > 0:
+                raise NotHolomorphic(f"{name} depends on zb or t")
         if not self.c.is_real():
             raise ValueError("integration constant must be real")
 
@@ -39,9 +40,7 @@ class MoutardFrame:
 
 
 def harmonic_from_holomorphic(p: MPoly) -> MPoly:
-    """omega = p + conj(p): real-valued and harmonic."""
-    if not p.is_holomorphic():
-        raise NotHolomorphic("seed polynomial depends on zb")
+    """omega = p + conj(p) for a holomorphic p: real-valued and harmonic."""
     return p + p.conj_swap()
 
 
@@ -107,10 +106,10 @@ def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
     omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega), since omega_z
     is holomorphic.  The antiderivative is taken in the exponential class,
     where it is unique, so no integration constant appears and the transform
-    decays by construction.
+    decays by construction.  omega is `harmonic_from_holomorphic` of a seed
+    polynomial, so harmonic: an identity of the construction, left to the
+    tests.
     """
-    if not omega.diff_z().diff_zbar().is_zero():
-        raise NotHarmonic("the transform needs a harmonic omega")
     free = WaveFn.free(time_phase)
     prod = (wave_antideriv_z(free.scale(omega.diff_z())).scale(2) - free.scale(omega)).scale(GR_I)
     return WaveFn(prod.coeffs, time_phase, den=omega)

@@ -11,53 +11,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, _horner_t, grid_extremes
-from .errors import NotEvolved, NotHolomorphic, TemporalResidualNonzero, ZeroPolynomial
+from .algebra import GR_I, MPoly, RationalFn, _horner_t, grid_extremes
+from .errors import TemporalResidualNonzero
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
 
 
 def heat3_evolve(p: MPoly) -> MPoly:
-    """exp(t d^3/dz^3) p = sum_k t^k/k! d^{3k}p: the polynomial flow of
-    dp/dt = d^3 p/dz^3."""
-    if not p.is_holomorphic() or p.deg_t() > 0:
-        raise NotHolomorphic("heat3_evolve expects a static holomorphic polynomial")
-    out = MPoly.zero()
-    term = p
-    k = 0
+    """exp(t d^3/dz^3) p = sum_k t^k/k! d^{3k}p for a polynomial p in z alone:
+    the polynomial flow of dp/dt = d^3 p/dz^3, and p itself below degree 3.
+    That it solves the flow is an identity of the construction, left to the
+    tests."""
+    out, term, k = p, p.diff_z().diff_z().diff_z(), 1
     while not term.is_zero():
-        tk = term * MPoly.monomial(0, 0, k, GaussianRational(Fraction(1, math.factorial(k))))
-        out = out + tk
+        out = out + term * MPoly.monomial(0, 0, k, Fraction(1, math.factorial(k)))
         term = term.diff_z().diff_z().diff_z()
         k += 1
     return out
 
 
-def assert_evolved(p: MPoly) -> None:
-    if p.diff_t() != p.diff_z().diff_z().diff_z():
-        raise NotEvolved("polynomial does not satisfy dp/dt = d^3 p/dz^3")
-
-
 class _Evolved(SeedPair):
-    """A seed that `evolved_seed` returned: p1 and p2 evolve in t."""
+    """A seed that `evolved_seed` returned: p1 and p2 evolve in t, so the
+    seed check of `SeedPair`, which a seed from outside has passed, is not
+    made again."""
+
+    def __post_init__(self):
+        pass
 
 
 def evolved_seed(seed: SeedPair) -> SeedPair:
-    """Evolve a static seed in time.  A t-dependent seed is validated instead,
-    and so is a static seed of degree below 3, its own evolution.  The seed
-    returned is a new one, which any later evolved_seed returns as it is: an
-    evolved seed is neither evolved nor validated again, while a seed from
-    outside is validated on every call."""
+    """The seed evolved in time by `heat3_evolve`, as a new seed that any
+    later evolved_seed returns as it is: each seed is evolved once."""
     if isinstance(seed, _Evolved):
         return seed
-    p1, p2 = seed.p1, seed.p2
-    if p1.deg_t() == 0 and p2.deg_t() == 0 and max(p1.deg_z(), p2.deg_z()) >= 3:
-        p1, p2 = heat3_evolve(p1), heat3_evolve(p2)
-    else:
-        assert_evolved(p1)
-        assert_evolved(p2)
-    return _Evolved(p1, p2, seed.c)
+    return _Evolved(heat3_evolve(seed.p1), heat3_evolve(seed.p2), seed.c)
 
 
 def extended_w(seed: SeedPair) -> MPoly:
@@ -108,13 +96,10 @@ def nv_residual(sol: NVSolution) -> MPoly:
     (P_t - Q_z - conj(Q_z)) Wt - 2(P Wt_t - Q Wt_z - conj(Q Wt_z)), three
     products, of which P Wt_t is a scalar multiple when Wt_t is constant (every
     degree-2 time seed).  P is read off sol.u, whose numerator over Wt^2
-    `nv_potentials` stores as it is."""
-    wt, u = sol.wt, sol.u
-    if not wt.is_real_valued():
-        raise ValueError("nv_residual expects a real-valued Wt")
-    if u.k != 2 or u.base != wt:
-        raise ValueError("nv_residual expects U over Wt^2, as nv_potentials builds it")
-    p, q = u.num, hirota(wt, wt, {(3, 1, 0): 1})
+    `nv_potentials` stores as it is; Wt is an `extended_w`, real-valued by
+    construction."""
+    wt = sol.wt
+    p, q = sol.u.num, hirota(wt, wt, {(3, 1, 0): 1})
     q_z, w_t = q.diff_z(), wt.diff_t()
     qw = q * wt.diff_z()
     pw = p * (w_t.constant_term() if w_t.is_constant() else w_t)
@@ -248,8 +233,8 @@ def minimize(fun, x0) -> LocalMin:
 
 
 def blowup_time(q: MPoly) -> BlowupReport:
-    """t_star = inf{t > 0: the real-valued q has a real zero}; ValueError for
-    a q that is not real-valued, ZeroPolynomial for q = 0.
+    """t_star = inf{t > 0: q has a real zero}, for q an `extended_w`: nonzero
+    and real-valued by construction.
 
     The slice q(., t) is the array sum_k a[k] t^k of the x-y coefficients a
     of q (`MPoly.xy_coefficients`), read on the BLOWUP_GRID_N^2 grid of
@@ -275,10 +260,6 @@ def blowup_time(q: MPoly) -> BlowupReport:
     whose minimum reaches zero is refined by bisection to SCAN_TOL (`_scan`).
     """
     import numpy as np
-    if q.is_zero():
-        raise ZeroPolynomial("blowup_time needs a nonzero W")
-    if not q.is_real_valued():
-        raise ValueError("blowup_time expects a real-valued W")
     a = q.xy_coefficients().real       # q is real-valued: Im a = 0
     xmin, xmax, ymin, ymax = BLOWUP_BOX
     xs, ys = np.linspace(xmin, xmax, BLOWUP_GRID_N), np.linspace(ymin, ymax, BLOWUP_GRID_N)

@@ -1,7 +1,8 @@
 """Reference code that only the tests use.
 
 - Term-by-term evaluators, the independent references of the x-y one.
-- Polynomial reads the library does not need: the zb-degree, and the exact
+- Polynomial reads the library does not need: the zb-degree, the
+  zb-derivative, whether a polynomial is real-valued, and the exact
   substitution of a time, the reference for a slice at t.
 - The evolution residual with both of its Hirota forms, and with each form
   P taken through its derivative as d(P) W - 2 P d(W) (four full-plane
@@ -41,7 +42,7 @@ import numpy as np
 from moutardnv import moutard, nv
 from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
                                _xy_row, grid_product)
-from moutardnv.errors import AlgebraError, PoleError
+from moutardnv.errors import AlgebraError
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
 
@@ -119,6 +120,15 @@ def deg_zbar(p: MPoly) -> int:
     return max((j for (_, j, _) in p.numerators), default=-1)
 
 
+def diff_zbar(p: MPoly) -> MPoly:
+    """d/dzb, the conjugate of d/dz on the conjugate: conj(d conj(p))."""
+    return p.conj_swap().diff_z().conj_swap()
+
+
+def is_real_valued(p: MPoly) -> bool:
+    return p.conj_swap() == p
+
+
 def subs_t(p: MPoly, t0) -> MPoly:
     """p with the exact number t0 put for t."""
     t = MPoly.const(t0)
@@ -138,7 +148,7 @@ def nv_residual_two_forms(sol) -> MPoly:
     wt = sol.wt
     return (_over_w2(sol.u.num, wt, MPoly.diff_t)
             - _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-            - _over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, MPoly.diff_zbar))
+            - _over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, diff_zbar))
 
 
 def nv_residual_four_products(sol) -> MPoly:
@@ -183,7 +193,7 @@ def wave_diff_z(w: WaveFn) -> WaveFn:
 
 
 def wave_diff_zbar(w: WaveFn) -> WaveFn:
-    return WaveFn({k: f.diff_zbar() for k, f in w.coeffs.items()}, w.time_phase, w.den)
+    return WaveFn({k: diff_zbar(f) for k, f in w.coeffs.items()}, w.time_phase, w.den)
 
 
 def wave_diff_t(w: WaveFn) -> WaveFn:
@@ -203,7 +213,7 @@ def _acc(out, k, f):
     out[k] = f if s is None else s + f
 
 
-_POLY_DIFFS = (MPoly.diff_z, MPoly.diff_zbar, MPoly.diff_t)
+_POLY_DIFFS = (MPoly.diff_z, diff_zbar, MPoly.diff_t)
 
 
 def hirota_by_products(f, g: MPoly, form: dict):
@@ -334,7 +344,7 @@ class Frac(RationalFn):
                     self.base, self.k + 1)
 
     diff_z = partialmethod(_diff, MPoly.diff_z)
-    diff_zbar = partialmethod(_diff, MPoly.diff_zbar)
+    diff_zbar = partialmethod(_diff, diff_zbar)
     diff_t = partialmethod(_diff, MPoly.diff_t)
 
     def conj_swap(self) -> "Frac":
@@ -426,6 +436,10 @@ def hermitian_square_certificate(num: MPoly):
 
 # ---------------------------------------------------------------------------
 # square-integrability of the kernel fraction mu2
+
+
+class PoleError(AlgebraError):
+    """A numeric reference met a zero of a denominator."""
 
 
 class SingularBeforeBlowup(AlgebraError):

@@ -9,7 +9,7 @@ from moutardnv.moutard import build_frame, kernel_functions, potential
 from moutardnv import nv
 
 from conftest import gr
-from oracles import Frac, decay_fit, frac, same_fraction, sign_check
+from oracles import Frac, decay_fit, diff_zbar, frac, same_fraction, sign_check
 from test_faddeev import REF_POTENTIAL_DEN_ROOT, REF_POTENTIAL_NUM
 from test_nv import RAW_Q, REF_U_NUM, REF_V_NUM
 from test_properties import random_seed
@@ -37,7 +37,7 @@ def test_criterion_2_kernel_functions(seed22):
         ok = False
     # (-4 d dbar + u) phi_j = 0 exactly
     w = frame.w
-    u_num = (w * w.diff_z().diff_zbar() - w.diff_z() * w.diff_zbar()) * (-8)
+    u_num = (w * diff_zbar(w.diff_z()) - w.diff_z() * diff_zbar(w)) * (-8)
     u = Frac(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
         f = Frac(om, w, 1)

@@ -1,14 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
-from moutardnv.errors import ExponentOverflow, PoleError
+from moutardnv.errors import ExponentOverflow
 from moutardnv.moutard import potential
 
 from conftest import gr, poly, to_sympy
-from oracles import deg_zbar, eval_naive, same_fraction
+from oracles import deg_zbar, diff_zbar, eval_naive, is_real_valued, same_fraction
 
 
 def test_gaussian_rational_arithmetic():
@@ -47,10 +48,10 @@ def test_mpoly_construction_and_degrees():
 def test_mpoly_differentiation_and_antiderivative():
     p = poly({(3, 2, 1): ("5", "0")})
     assert p.diff_z() == poly({(2, 2, 1): ("15", "0")})
-    assert p.diff_zbar() == poly({(3, 1, 1): ("10", "0")})
+    assert diff_zbar(p) == poly({(3, 1, 1): ("10", "0")})
     assert p.diff_t() == poly({(3, 2, 0): ("5", "0")})
     assert p.antideriv_z().diff_z() == p
-    assert p._antideriv(1).diff_zbar() == p
+    assert diff_zbar(p._antideriv(1)) == p
     assert p.antideriv_t().diff_t() == p
 
 
@@ -59,13 +60,13 @@ def test_mpoly_conj_swap():
     q = p.conj_swap()
     assert q == poly({(0, 2, 0): ("1", "-1"), (1, 0, 1): ("0", "3")})
     assert q.conj_swap() == p
-    assert (p + p.conj_swap()).is_real_valued()
+    assert is_real_valued(p + p.conj_swap())
 
 
 def test_mpoly_real_valued():
-    assert poly({(1, 1, 0): ("2", "0"), (0, 0, 0): ("7", "0")}).is_real_valued()
-    assert not poly({(1, 0, 0): ("1", "0")}).is_real_valued()
-    assert poly({(1, 0, 0): ("1", "1"), (0, 1, 0): ("1", "-1")}).is_real_valued()
+    assert is_real_valued(poly({(1, 1, 0): ("2", "0"), (0, 0, 0): ("7", "0")}))
+    assert not is_real_valued(poly({(1, 0, 0): ("1", "0")}))
+    assert is_real_valued(poly({(1, 0, 0): ("1", "1"), (0, 1, 0): ("1", "-1")}))
 
 
 def test_mpoly_exponent_cap():
@@ -105,7 +106,7 @@ def test_mpoly_ring_axioms(a, b, c):
 @given(small_polys, small_polys)
 def test_mpoly_derivations(a, b):
     assert (a * b).diff_z() == a.diff_z() * b + a * b.diff_z()
-    assert a.diff_z().diff_zbar() == a.diff_zbar().diff_z()
+    assert diff_zbar(a.diff_z()) == diff_zbar(a).diff_z()
     assert a.antideriv_z().diff_z() == a
     assert (a + b).conj_swap() == a.conj_swap() + b.conj_swap()
     assert (a * b).conj_swap() == a.conj_swap() * b.conj_swap()
@@ -124,10 +125,9 @@ def test_rational_equality_cross_multiplied():
 def test_rational_eval_and_pole():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     f = RationalFn(MPoly.const(1), z * zb - MPoly.const(1))
-    v = f.eval(2.0)
+    v, pole = f.eval(np.array([2.0, 1.0]))
     assert abs(v - 1 / 3) < 1e-12
-    with pytest.raises(PoleError):
-        f.eval(1.0)
+    assert np.isnan(pole)
 
 
 def test_laplace_log_matches_sympy():

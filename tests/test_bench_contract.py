@@ -186,15 +186,12 @@ def test_ops_form_each_hirota_product_once():
 
 def test_time_op_validates_a_seed_once_per_entry():
     """time_op passes its seed to evolved_seed and to nv_faddeev, and each
-    validates sec32's quadratics (one assert_evolved per polynomial) or
-    evolves a cubic once; the evolved seed passes every layer below as it is."""
+    evolves it once, one heat3_evolve per polynomial (sec32's quadratics are
+    their own evolution); the evolved seed passes every layer below as it is."""
     wl = bench_module("workloads")
-    names = ("assert_evolved", "heat3_evolve")
     sec32, cubic = wl.fixture("sec32")[0], wl.cubic_pool()["tc-0"]
-    assert _build_counts(lambda: wl.time_op(sec32), names) == {"assert_evolved": 4,
-                                                               "heat3_evolve": 0}
-    assert _build_counts(lambda: wl.time_op(cubic), names) == {"assert_evolved": 0,
-                                                               "heat3_evolve": 4}
+    for seed in (sec32, cubic):
+        assert _build_counts(lambda: wl.time_op(seed), ("heat3_evolve",)) == {"heat3_evolve": 4}
 
 
 def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):

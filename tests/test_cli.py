@@ -20,8 +20,9 @@ from conftest import FIXTURES, fixture_path
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "moutardnv.cli", *args],
-                          capture_output=True, text=True)
+    # numpy warnings are errors, as in-process under pytest's filterwarnings
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "moutardnv.cli",
+                           *args], capture_output=True, text=True)
 
 
 def test_scatter_reference_output():
@@ -428,6 +429,40 @@ def test_ray_values_beyond_float_range_are_input_error(tmp_path):
             assert "seed too large" in stderr.getvalue(), (command, time)
 
 
+def _scaled(name, exponent):
+    """The fixture with p1 and p2 times 10^exponent and c times its square:
+    W is scaled by 10^(2 exponent), and u = -2 Laplacian(log W) and the wave
+    stay the fixture's."""
+    with open(fixture_path(f"{name}.json")) as fh:
+        data = json.load(fh)
+    s = 10 ** exponent
+
+    def scale(c, f):
+        return {k: str(Fraction(v) * f) for k, v in c.items()}
+
+    return json.dumps({**data, "p1": [[n, scale(c, s)] for n, c in data["p1"]],
+                       "p2": [[n, scale(c, s)] for n, c in data["p2"]],
+                       "c": scale(data["c"], s * s)})
+
+
+@pytest.mark.parametrize("name,exponent,rc", [("sec22", 75, 0), ("sec22", 76, 2),
+                                              ("sec32", 76, 0)])
+def test_fd_grid_values_beyond_float_range_are_input_error(tmp_path, name, exponent, rc):
+    # at 10^76, W^2 below u leaves float range on the finite-difference
+    # grid: the seed is too large for that check, which has not failed; the
+    # time branch runs no finite-difference check and passes every row
+    seed = tmp_path / "scaled.json"
+    seed.write_text(_scaled(name, exponent))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main(["verify", "--seed", str(seed)]) == rc, stdout.getvalue()
+    if rc:
+        assert "the finite-difference grid leaves float range" in stderr.getvalue()
+        assert "FAIL" not in stdout.getvalue()
+    else:
+        assert stdout.getvalue().startswith("verify: PASS")
+
+
 def test_blowup_grid_values_beyond_float_range_are_input_error(tmp_path):
     # W has a 2e306 |z|^4 leading term, finite as a coefficient: the blow-up
     # grid leaves float range, and an inf there is no value of W
@@ -608,7 +643,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 
 BUILDERS = ("extended_w", "double_w", "build_frame", "potential", "nv_potentials", "v",
-            "heat3_evolve", "assert_evolved")
+            "heat3_evolve")
 
 
 def _build_counts(fn, names=BUILDERS):
@@ -628,15 +663,15 @@ BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                         "nv_potentials": 1, "assert_evolved": 2}),
+                         "nv_potentials": 1, "heat3_evolve": 2}),
     ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
                                     "nv_potentials": 1, "heat3_evolve": 2}),
     ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1,
-                            "assert_evolved": 2}),
+                            "heat3_evolve": 2}),
     ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
     ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "assert_evolved": 2}),
+                             "heat3_evolve": 2}),
     ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1}),
 ]
 
@@ -646,10 +681,9 @@ BUILD_COUNTS = [
 def test_each_object_is_built_once(what, name, expected):
     # one W and one frame per call, and the time verify's NVSolution; the potential
     # only where it is read, by the static verify's finite-difference check, and
-    # V only by nv-evolve, which writes it; sec32's quadratics are their own
-    # evolution, so heat3_evolve never runs on it, and once per cubic otherwise;
-    # the seed read from the file is validated once, each polynomial by one
-    # assert_evolved, and the evolved seed passes every later layer as it is
+    # V only by nv-evolve, which writes it; the seed read from the file is
+    # evolved once, one heat3_evolve per polynomial (sec32's quadratics are
+    # their own evolution), and the evolved seed passes every later layer as it is
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:

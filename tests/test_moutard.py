@@ -6,25 +6,23 @@ import pytest
 import sympy as sp
 
 from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_extremes, grid_product
-from moutardnv.errors import CoefficientOverflow, NotHarmonic, NotHolomorphic, ZeroPolynomial
+from moutardnv.errors import CoefficientOverflow, NotHolomorphic, ZeroPolynomial
 from moutardnv.exppoly import WaveFn
 from moutardnv.moutard import (CERTIFICATE_GRID_N, NonvanishingReport, SeedPair, build_frame,
                                double_w, harmonic_from_holomorphic, kernel_functions,
                                moutard_transform_wave, nonvanishing_certificate, potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
-from oracles import (Frac, certificate_full_grid, grid_extremes_full_grid, same_fraction,
-                     wave_diff_z, wave_diff_zbar)
+from oracles import (Frac, certificate_full_grid, diff_zbar, grid_extremes_full_grid,
+                     is_real_valued, same_fraction, wave_diff_z, wave_diff_zbar)
 from test_properties import random_holomorphic
 
 
 def test_harmonic_from_holomorphic():
     p = poly({(2, 0, 0): ("1", "-1/4"), (1, 0, 0): ("1/2", "0")})
     om = harmonic_from_holomorphic(p)
-    assert om.is_real_valued()
-    assert om.diff_z().diff_zbar().is_zero()
-    with pytest.raises(NotHolomorphic):
-        harmonic_from_holomorphic(MPoly.monomial(0, 1, 0))
+    assert is_real_valued(om)
+    assert diff_zbar(om.diff_z()).is_zero()
 
 
 def test_seed_pair_validation():
@@ -37,7 +35,7 @@ def test_seed_pair_validation():
 
 def test_double_w_real_and_degenerate(seed22):
     w = double_w(seed22)
-    assert w.is_real_valued()
+    assert is_real_valued(w)
     p = seed22.p1
     assert double_w(SeedPair(p, p, gr("-7"))) == MPoly.const(gr("-7"))
 
@@ -69,7 +67,7 @@ def test_kernel_functions_are_zero_modes(seed22):
     # -4 d dbar phi + u phi = 0 with phi = omega/W
     frame = build_frame(seed22)
     w = frame.w
-    u_num = (w * w.diff_z().diff_zbar() - w.diff_z() * w.diff_zbar()) * (-8)
+    u_num = (w * diff_zbar(w.diff_z()) - w.diff_z() * diff_zbar(w)) * (-8)
     u = Frac(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
         f = Frac(om, w, 1)
@@ -87,15 +85,9 @@ def test_transform_free_wave_product_form(seed22):
     prod = WaveFn(theta.coeffs)
     phi = WaveFn.free()
     rhs_z = (phi.scale(om.diff_z()) - wave_diff_z(phi).scale(om)).scale(GR_I)
-    rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(om.diff_zbar())).scale(GR_I)
+    rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(diff_zbar(om))).scale(GR_I)
     assert wave_diff_z(prod) == rhs_z
     assert wave_diff_zbar(prod) == rhs_zb
-
-
-def test_transform_requires_harmonic_omega():
-    om = MPoly.monomial(1, 1, 0)                # not harmonic
-    with pytest.raises(NotHarmonic):
-        moutard_transform_wave(om)
 
 
 def test_commuting_square_same_potential(seed22):

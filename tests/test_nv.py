@@ -10,17 +10,16 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_extremes
-from moutardnv.errors import (CoefficientOverflow, NotEvolved, NotHolomorphic, PoleError,
-                              TemporalResidualNonzero, ZeroPolynomial)
+from moutardnv.errors import CoefficientOverflow, NotHolomorphic, TemporalResidualNonzero
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
 from moutardnv.harness import load_seed
 from moutardnv.moutard import SeedPair, build_frame, double_w
 from moutardnv import nv
 
 from conftest import T, Z, ZB, fixture_path, from_sympy, gr, poly
-from oracles import (SingularBeforeBlowup, eigen_check, frac, grid_extremes_full_grid,
-                     mu2_integrability, nv_residual_four_products, nv_residual_two_forms,
-                     same_fraction, subs_t)
+from oracles import (PoleError, SingularBeforeBlowup, diff_zbar, eigen_check, frac,
+                     grid_extremes_full_grid, is_real_valued, mu2_integrability,
+                     nv_residual_four_products, nv_residual_two_forms, same_fraction, subs_t)
 from test_properties import random_real_w, random_seed
 
 
@@ -56,8 +55,6 @@ def test_heat3_evolve_basics():
     assert nv.heat3_evolve(z * z) == z * z
     assert nv.heat3_evolve(z ** 3) == z ** 3 + MPoly.monomial(0, 0, 1) * gr(6)
     assert nv.heat3_evolve(z ** 4) == z ** 4 + MPoly.monomial(0, 0, 1) * z * gr(24)
-    with pytest.raises(NotHolomorphic):
-        nv.heat3_evolve(MPoly.monomial(0, 1, 0))
 
 
 def test_heat3_evolve_satisfies_flow_and_semigroup():
@@ -65,7 +62,6 @@ def test_heat3_evolve_satisfies_flow_and_semigroup():
     p = z ** 6 + z ** 4 * gr("1/3", "2") + z * gr(0, 1)
     q = nv.heat3_evolve(p)
     assert q.diff_t() == q.diff_z().diff_z().diff_z()
-    nv.assert_evolved(q)
     # semigroup: shifting t by s equals evolving the t = s slice
     s = gr("2/7")
     shifted = _subs_t_shift(q, s)
@@ -87,15 +83,17 @@ def _evolve_from_slice(q, s):
     return nv.heat3_evolve(subs_t(q, s))
 
 
-def test_assert_evolved_rejects_static_cubic():
-    with pytest.raises(NotEvolved):
-        nv.assert_evolved(MPoly.monomial(3, 0, 0) + MPoly.monomial(0, 0, 1))
+def test_a_seed_that_depends_on_t_is_rejected():
+    # no seed file can hold t; a seed built with it fails the seed check
+    with pytest.raises(NotHolomorphic):
+        SeedPair(MPoly.monomial(3, 0, 0) + MPoly.monomial(0, 0, 1), MPoly.monomial(1, 0, 0),
+                 gr(-20))
 
 
 def test_extended_w_reference(seed32):
     wt = nv.extended_w(seed32)
     assert wt == RAW_Q * gr("1/3", "1/3")
-    assert wt.is_real_valued()
+    assert is_real_valued(wt)
 
 
 def test_extended_w_t0_slice_is_static(seed32):
@@ -524,8 +522,8 @@ def test_minimize_backtracks_an_overshooting_newton_step():
 
 def test_slice_objective_matches_exact_xy_derivatives(seed32):
     q = nv.extended_w(seed32)
-    dx = lambda p: p.diff_z() + p.diff_zbar()
-    dy = lambda p: (p.diff_z() - p.diff_zbar()) * GR_I
+    dx = lambda p: p.diff_z() + diff_zbar(p)
+    dy = lambda p: (p.diff_z() - diff_zbar(p)) * GR_I
     exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
     for t, sign in ((0.7, 1.0), (2.1, -1.0)):
         fun = nv._slice_objective(q.xy_coefficients(), t, sign)
@@ -535,16 +533,6 @@ def test_slice_objective_matches_exact_xy_derivatives(seed32):
             got = [f, gx, gy, hxx, hxy, hyy]
             assert hxy == hyx
             assert all(abs(a - b) < 1e-9 * (1 + abs(b)) for a, b in zip(got, ref))
-
-
-def test_blowup_rejects_a_non_real_or_zero_w():
-    # RAW_Q is (3/2)(1 - i) times the real W of sec32: a complex multiple of
-    # a real W is not real-valued either
-    for q in (RAW_Q, MPoly.monomial(1, 0, 0) + MPoly.const(1)):
-        with pytest.raises(ValueError):
-            nv.blowup_time(q)
-    with pytest.raises(ZeroPolynomial):
-        nv.blowup_time(MPoly.zero())
 
 
 def test_mu2_integrability_report(seed32):
@@ -617,9 +605,10 @@ def test_an_evolved_seed_is_not_evolved_again(seed32):
     cubic = SeedPair(MPoly.monomial(3, 0, 0), MPoly.monomial(1, 0, 0), gr(-20))
     es = nv.evolved_seed(cubic)
     assert es.p1.deg_t() == 1 and nv.evolved_seed(es) is es
-    # a seed from outside is validated, even one with the evolved polynomials
-    with mock.patch.object(nv, "assert_evolved", wraps=nv.assert_evolved) as check:
-        again = nv.evolved_seed(SeedPair(es.p1, es.p2, es.c))
-        assert check.call_count == 2 and again == es
-    with pytest.raises(NotEvolved):
-        nv.evolved_seed(SeedPair(es.p1 + MPoly.monomial(0, 0, 1), es.p2, es.c))
+    # a seed from outside is evolved on every call, one heat3_evolve per polynomial
+    with mock.patch.object(nv, "heat3_evolve", wraps=nv.heat3_evolve) as evolve:
+        again = nv.evolved_seed(cubic)
+        assert evolve.call_count == 2 and again == es and again is not es
+    # the evolved polynomials depend on t, so they are no seed from outside
+    with pytest.raises(NotHolomorphic):
+        SeedPair(es.p1, es.p2, es.c)

@@ -13,8 +13,8 @@ from moutardnv.moutard import SeedPair, build_frame, potential
 from moutardnv import nv
 
 from conftest import gr
-from oracles import (Frac, frac, hirota_by_products, same_fraction, wave_diff_t, wave_diff_z,
-                     wave_diff_zbar)
+from oracles import (Frac, diff_zbar, frac, hirota_by_products, same_fraction, wave_diff_t,
+                     wave_diff_z, wave_diff_zbar)
 
 
 def random_holomorphic(rng, max_deg):
@@ -173,7 +173,7 @@ def test_residuals_are_hirota_forms_over_w2():
         w = random_real_w(rng)
         chi = random_wave(rng, time_phase=rng.random() < 0.5)
         m = lifted(chi, w)
-        u = log_d2(w, MPoly.diff_z, MPoly.diff_zbar) * -8
+        u = log_d2(w, MPoly.diff_z, diff_zbar) * -8
         spatial = wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(u)
         assert spatial.coeffs == over_w2(hirota(chi, w, D_ZZBAR), w, -4), f"trial {trial}"
         v3 = log_d2(w, MPoly.diff_z, MPoly.diff_z) * 6
@@ -226,7 +226,7 @@ def test_hirota_is_the_product_construction():
 def lifted_nv_residual(w):
     """U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U) for U = 2 d dbar log w and
     V = 2 d^2 log w, differentiated and multiplied as fractions over w."""
-    u = log_d2(w, MPoly.diff_z, MPoly.diff_zbar) * 2
+    u = log_d2(w, MPoly.diff_z, diff_zbar) * 2
     v = log_d2(w, MPoly.diff_z, MPoly.diff_z) * 2
     return (u.diff_t() - u.diff_z().diff_z().diff_z() - u.diff_zbar().diff_zbar().diff_zbar()
             - (v * u).diff_z() * 3 - (v.conj_swap() * u).diff_zbar() * 3)
