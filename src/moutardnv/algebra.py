@@ -6,6 +6,7 @@ exact; floating point only ever appears in the evaluators.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -25,6 +26,20 @@ def divide_off_poles(num, den):
     import numpy as np
     off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
     return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
+
+
+@contextmanager
+def float_range(what: str):
+    """The one float-range rule of the checks' numeric reads: an overflow or
+    an invalid operation of numpy inside the block ends it with
+    CoefficientOverflow, the text what and numpy's reason, so no inf or NaN
+    is read as a value or as a pole."""
+    import numpy as np
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CoefficientOverflow(f"{what} ({exc})") from None
 
 
 def _to_float(n: int, d: int) -> float:
@@ -55,29 +70,12 @@ class GaussianRational:
         self.re = _as_fraction(re)
         self.im = _as_fraction(im)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -88,9 +86,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -106,9 +101,6 @@ class GaussianRational:
             other = _coerce(other)
             return self.re == other.re and self.im == other.im
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __complex__(self):
         re, im = self.re, self.im
@@ -260,8 +252,6 @@ class MPoly:
             out[e] = (re, im)
         return _poly(out, d)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _wrap({e: (-re, -im) for e, (re, im) in self._c.items()}, self._d)
 
@@ -271,9 +261,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -330,9 +317,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._d == other._d and self._c == other._c
-
-    def __hash__(self):
-        return hash((self._d, frozenset(self._c.items())))
 
     # -- calculus -----------------------------------------------------
 
@@ -602,27 +586,23 @@ def grid_extremes(c, v1, v2):
     its first node of least value, of greatest value and of least |value|
     in first-axis-major order.  f is read in strips of GRID_STRIP rows of
     v1, each one `grid_product`, so no array of the whole grid is made; a
-    value beyond float range raises CoefficientOverflow, so no inf or NaN
-    is read as a value."""
+    value beyond float range raises CoefficientOverflow (`float_range`)."""
     import numpy as np
     n2 = len(v2)
     lo = hi = small = None
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for s in range(0, len(v1), GRID_STRIP):
-                f = grid_product(c.T, v2, v1[s:s + GRID_STRIP])    # indexed [first - s, second]
-                first = s * n2                  # the flat index of f's first node
-                k = f.argmin()
-                if lo is None or f.flat[k] < lo:        # strictly: the first one stays
-                    lo, low = f.flat[k], first + k
-                k = f.argmax()
-                if hi is None or f.flat[k] > hi:
-                    hi, high = f.flat[k], first + k
-                k = np.abs(f, out=f).argmin()
-                if small is None or f.flat[k] < small:
-                    small, least = f.flat[k], first + k
-    except FloatingPointError as exc:
-        raise CoefficientOverflow(f"values on a check's grid leave float range ({exc})") from None
+    with float_range("values on a check's grid leave float range"):
+        for s in range(0, len(v1), GRID_STRIP):
+            f = grid_product(c.T, v2, v1[s:s + GRID_STRIP])    # indexed [first - s, second]
+            first = s * n2                  # the flat index of f's first node
+            k = f.argmin()
+            if lo is None or f.flat[k] < lo:        # strictly: the first one stays
+                lo, low = f.flat[k], first + k
+            k = f.argmax()
+            if hi is None or f.flat[k] > hi:
+                hi, high = f.flat[k], first + k
+            k = np.abs(f, out=f).argmin()
+            if small is None or f.flat[k] < small:
+                small, least = f.flat[k], first + k
     return lo, hi, divmod(low, n2), divmod(high, n2), divmod(least, n2)
 
 
@@ -689,8 +669,6 @@ class RationalFn:
         if isinstance(other, (int, Fraction, GaussianRational, MPoly)):
             return RationalFn(self.num * other, self.base, self.k)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def eval(self, z0, t0: float = 0.0):
         """Values at an array of points, by `divide_off_poles`."""

@@ -98,7 +98,7 @@ def cmd_faddeev(args) -> int:
     _, build_wave = _pipeline(time)
     fw = build_wave(seed)
     print("residual=0")
-    print(fw.psi)
+    print(fw)
     _write_json(args, hn.wave_to_json(fw))
     return 0
 
@@ -109,8 +109,7 @@ def cmd_scatter(args) -> int:
     fw = build_wave(seed)
     sd = fd.scattering_data(fw)
     print(sd)
-    _write_json(args, {"A": {str(k): {"re": str(c.re), "im": str(c.im)}
-                             for k, c in sorted(sd.a_coeffs.items())}, "B": "0"})
+    _write_json(args, hn.scattering_to_json(sd))
     return 0
 
 
@@ -171,7 +170,7 @@ def cmd_sample_grid(args) -> int:
     if args.lam is not None:
         lam0 = _parse_lambda(args.lam)
         fw = build_wave(seed)
-        fn = lambda z, t: wave_eval(fw.psi, z, t, lam0)
+        fn = lambda z, t: wave_eval(fw.psi, fw.w, z, t, lam0)
     else:
         u = build_u(seed)
         fn = lambda z, t: u.eval(z, t)

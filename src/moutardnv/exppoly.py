@@ -1,5 +1,5 @@
 """Exponential-polynomial waves: e^{lam*z} (optionally e^{lam*z + lam^3*t}) times
-a finite Laurent sum in lam with polynomial or shared-denominator coefficients.
+a finite Laurent sum in lam with polynomial coefficients.
 
 This class of functions is closed under the Moutard transform of the free wave,
 which is why it carries the whole eigenfunction pipeline.
@@ -11,25 +11,23 @@ from functools import lru_cache
 from math import comb, lcm, perm
 
 from .algebra import MAX_EXPONENT, MPoly, divide_off_poles, xy_eval
-from .errors import ExponentOverflow, ZeroPolynomial
+from .errors import ExponentOverflow
 
 
 class WaveFn:
     """e^{lam z} * sum_k lam^{-k} f_k, with integer k of either sign.
 
     coeffs maps k to the MPoly f_k; negative keys carry positive powers of
-    lam, which derivatives produce.
-    den, when set, is one shared MPoly denominator for every slot.
+    lam, which derivatives produce.  A wave has no denominator: the Faddeev
+    wave chi / W reads its W as slot 0 of chi (`faddeev.FaddeevWave`), and
+    `wave_eval` takes the denominator to divide by.
     """
 
-    __slots__ = ("time_phase", "coeffs", "den")
+    __slots__ = ("time_phase", "coeffs")
 
-    def __init__(self, coeffs=None, time_phase: bool = False, den: MPoly = None):
+    def __init__(self, coeffs=None, time_phase: bool = False):
         self.time_phase = time_phase
         self.coeffs = {k: f for k, f in (coeffs or {}).items() if not f.is_zero()}
-        if den is not None and den.is_zero():
-            raise ZeroPolynomial("wave denominator is zero")
-        self.den = den
 
     @classmethod
     def free(cls, time_phase: bool = False) -> "WaveFn":
@@ -42,24 +40,21 @@ class WaveFn:
     def __eq__(self, other):
         if not isinstance(other, WaveFn):
             return NotImplemented
-        return ((self.time_phase, self.den, self.coeffs)
-                == (other.time_phase, other.den, other.coeffs))
+        return (self.time_phase, self.coeffs) == (other.time_phase, other.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, WaveFn):
             return NotImplemented
         if self.time_phase != other.time_phase:
             raise ValueError("cannot add waves with different phases")
-        if self.den != other.den:
-            raise ValueError("cannot add waves over different denominators")
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
             s = out.get(k)
             out[k] = f if s is None else s + f
-        return WaveFn(out, self.time_phase, self.den)
+        return WaveFn(out, self.time_phase)
 
     def __neg__(self):
-        return WaveFn({k: -f for k, f in self.coeffs.items()}, self.time_phase, self.den)
+        return WaveFn({k: -f for k, f in self.coeffs.items()}, self.time_phase)
 
     def __sub__(self, other):
         if not isinstance(other, WaveFn):
@@ -68,13 +63,12 @@ class WaveFn:
 
     def scale(self, factor) -> "WaveFn":
         """Multiply every coefficient by an MPoly or scalar."""
-        return WaveFn({k: f * factor for k, f in self.coeffs.items()}, self.time_phase, self.den)
+        return WaveFn({k: f * factor for k, f in self.coeffs.items()}, self.time_phase)
 
     def __repr__(self):
         phase = "e^{lam z + lam^3 t}" if self.time_phase else "e^{lam z}"
         body = " + ".join(f"lam^{-k}*({f})" for k, f in sorted(self.coeffs.items()))
-        den = f" / ({self.den})" if self.den is not None else ""
-        return f"WaveFn[{phase} * ({body}){den}]"
+        return f"WaveFn[{phase} * ({body})]"
 
 
 D_ZZBAR = {(1, 1, 0): 1}                                    # D_z D_zb
@@ -144,7 +138,7 @@ def hirota(f, g: MPoly, form: dict):
                                           for e, (re, im) in out.items() if re or im},
                                          den * g.denominator)
              for slot, out in acc.items()}
-    return WaveFn(polys, f.time_phase, f.den) if wave else polys.get(0, MPoly.zero())
+    return WaveFn(polys, f.time_phase) if wave else polys.get(0, MPoly.zero())
 
 
 def _pack(e) -> int:
@@ -197,14 +191,13 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
         for j, nums in slots.items():
             q = MPoly.from_numerators(nums, f.denominator)
             out[k + j + 1] = out[k + j + 1] + q if k + j + 1 in out else q
-    return WaveFn(out, w.time_phase, w.den)
+    return WaveFn(out, w.time_phase)
 
 
 def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     """Values of the wave without its exponential prefactor at an array of
     points, for a nonzero lam: sum_k lam^{-k} f_k formed on the slots' x-y
-    coefficients and read by one `xy_eval`, over the shared denominator read
-    by another; a pole of it as in `divide_off_poles`."""
+    coefficients and read by one `xy_eval`."""
     import numpy as np
     lam0 = complex(lam0)
     arrays = {k: f.xy_coefficients() for k, f in w.coeffs.items()}
@@ -212,16 +205,14 @@ def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     total = np.zeros(shape, complex)            # each slot's array fills one corner
     for k, a in arrays.items():
         total[tuple(map(slice, a.shape))] += lam0 ** (-k) * a
-    num = xy_eval(total, z0, t0)
-    if w.den is None:
-        return num
-    return divide_off_poles(num, w.den.eval(z0, t0))
+    return xy_eval(total, z0, t0)
 
 
-def wave_eval(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
-    """Values including the exponential prefactor at an array of points (NaN
-    at a pole)."""
-    mult = wave_multiplier(w, z0, t0, lam0)
+def wave_eval(w: WaveFn, den: MPoly, z0, t0: float = 0.0, lam0: complex = 1.0):
+    """Values of the wave w / den, including the exponential prefactor, at an
+    array of points: its multiplier over den's values, NaN at a pole as in
+    `divide_off_poles`."""
+    mult = divide_off_poles(wave_multiplier(w, z0, t0, lam0), den.eval(z0, t0))
     return exp_phase(complex(lam0), z0, t0 if w.time_phase else None) * mult
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import MPoly, RationalFn, divide_off_poles
-from .errors import AsymptoticMismatch, CoefficientOverflow, ResidualNonzero
+from .algebra import MPoly, RationalFn, divide_off_poles, float_range
+from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
@@ -17,24 +17,24 @@ class FaddeevWave:
     """A wave psi = e^{lam z} chi / W (e^{lam z + lam^3 t} chi / W on the time
     phase) for (-4 d dbar + u) psi = 0.
 
-    psi holds the multiplier slots chi over its denominator W, so W and the
-    potential u = -2*Laplacian(log W) are read off psi: u is built on first
-    read, once.
+    psi holds the multiplier slots chi.  As psi e^{-lam z} = 1 + O(1/lam),
+    slot 0 of chi is W itself, so W and the potential u = -2*Laplacian(log W)
+    are read off psi: u is built on first read, once.
     """
 
     psi: WaveFn
 
-    def __post_init__(self):
-        if self.psi.den is None:
-            raise ValueError("a Faddeev wave needs its denominator W")
-
     @property
     def w(self) -> MPoly:
-        return self.psi.den
+        return self.psi.coeffs[0]
 
     @cached_property
     def u(self) -> RationalFn:
         return potential(self.w)
+
+    def __str__(self):
+        """psi's slots over W: WaveFn[phase * (slots) / (W)]."""
+        return f"{repr(self.psi)[:-1]} / ({self.w})]"
 
 
 @dataclass
@@ -78,7 +78,7 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
               for om in (frame.omega1, frame.omega2))
     coeffs = dict((r2.scale(frame.omega1) - r1.scale(frame.omega2)).coeffs)
     coeffs[0] = frame.w                            # the leading 1, over the common denominator
-    fw = FaddeevWave(WaveFn(coeffs, time_phase, den=frame.w))
+    fw = FaddeevWave(WaveFn(coeffs, time_phase))
     res = residual(fw)
     if not res.is_zero():
         raise ResidualNonzero(
@@ -95,8 +95,9 @@ def residual(fw: FaddeevWave) -> MPoly:
 
 def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
     """The first nonzero slot of hirota(chi, w, form) for the wave
-    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase)."""
-    res = hirota(WaveFn(fw.psi.coeffs, fw.psi.time_phase), fw.w, form)
+    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase).
+    Slot 0 of chi is w itself, which hirota reads by symmetry."""
+    res = hirota(fw.psi, fw.w, form)
     return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
 
 
@@ -153,19 +154,16 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     exact A to O(r^-2), within RAY_TOL.  W is read on the rays once, and
     divides the slots' sum at each lam.
     Rays through a pole at either radius are skipped; a value beyond float
-    range there raises CoefficientOverflow, so no ray goes uncompared."""
+    range there raises CoefficientOverflow (`algebra.float_range`), so no ray
+    goes uncompared."""
     import numpy as np
     ray = RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
     z = np.stack([ray, 2.0 * ray])
-    chi = WaveFn(fw.psi.coeffs, fw.psi.time_phase)      # the slots, without W
     lams = (1.0, 0.7 + 0.4j)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            w = fw.w.eval(z, 0.0)
-            gs = [z * (divide_off_poles(wave_multiplier(chi, z, 0.0, lam0), w) - 1.0)
-                  for lam0 in lams]
-    except FloatingPointError as exc:
-        raise CoefficientOverflow(f"the wave on the rays leaves float range ({exc})") from None
+    with float_range("the wave on the rays leaves float range"):
+        w = fw.w.eval(z, 0.0)
+        gs = [z * (divide_off_poles(wave_multiplier(fw.psi, z, 0.0, lam0), w) - 1.0)
+              for lam0 in lams]
     for lam0, g in zip(lams, gs):
         expected = sd.a_at(lam0)
         got = 2.0 * g[1] - g[0]

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
-from .algebra import GaussianRational, MPoly, RationalFn
-from .errors import CoefficientOverflow
+from .algebra import GaussianRational, MPoly, RationalFn, float_range
 from .exppoly import wave_eval
-from .faddeev import FaddeevWave
+from .faddeev import FaddeevWave, ScatteringData
 from .moutard import SeedPair
 
 
@@ -71,19 +70,16 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     the centre and the four neighbours of both steps.  A grid point is used
     for a step when neither u nor psi has a pole on its stencil.  A value of
     u or psi, or a step of computing it, beyond float range raises
-    CoefficientOverflow, so no overflow is read as a pole.
+    CoefficientOverflow (`algebra.float_range`), so no overflow is read as a
+    pole.
     """
     import numpy as np
     z = _grid_points(grid)
     steps = (h, h / 2.0)
     shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            uc = u.eval(z, grid.t)
-            values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
-    except FloatingPointError as exc:
-        raise CoefficientOverflow(
-            f"the finite-difference grid leaves float range ({exc})") from None
+    with float_range("the finite-difference grid leaves float range"):
+        uc = u.eval(z, grid.t)
+        values = wave_eval(fw.psi, fw.w, z + shifts[:, None, None], grid.t, lam0)
     res = []
     for n, step in enumerate(steps):
         stencil = values[[0, *range(4 * n + 1, 4 * n + 5)]]     # centre, E, W, N, S
@@ -179,6 +175,10 @@ def poly_to_json(p: MPoly) -> dict:
 def rational_to_json(f: RationalFn) -> dict:
     num, den = f.canonical()
     return {"num": poly_to_json(num), "den": poly_to_json(den)}
+
+
+def scattering_to_json(sd: ScatteringData) -> dict:
+    return {"A": {str(k): _gr_to_json(c) for k, c in sorted(sd.a_coeffs.items())}, "B": "0"}
 
 
 def wave_to_json(fw: FaddeevWave) -> dict:

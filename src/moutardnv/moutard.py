@@ -97,9 +97,9 @@ def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
 
 
 def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
-    """Transform of the free wave phi = e^{lam z} (e^{lam z + lam^3 t} with
-    the time phase) by a harmonic omega, as omega*theta over the denominator
-    omega.
+    """Transform theta of the free wave phi = e^{lam z} (e^{lam z + lam^3 t}
+    with the time phase) by a harmonic omega, returned as the numerator
+    omega*theta: theta is it over omega.
 
     The first-order system d(omega*theta)/dz = i(phi*omega_z - omega*phi_z),
     d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb) has the closed solution
@@ -111,8 +111,7 @@ def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
     tests.
     """
     free = WaveFn.free(time_phase)
-    prod = (wave_antideriv_z(free.scale(omega.diff_z())).scale(2) - free.scale(omega)).scale(GR_I)
-    return WaveFn(prod.coeffs, time_phase, den=omega)
+    return (wave_antideriv_z(free.scale(omega.diff_z())).scale(2) - free.scale(omega)).scale(GR_I)
 
 
 @dataclass

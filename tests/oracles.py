@@ -53,13 +53,12 @@ def eval_naive(p: MPoly, z0, t0: float = 0.0) -> complex:
     return sum(complex(c) * z0 ** i * zb0 ** j * t0 ** k for (i, j, k), c in p.sorted_terms())
 
 
-def wave_eval_naive(w, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:
+def wave_eval_naive(w, den: MPoly, z0, t0: float = 0.0, lam0: complex = 1.0) -> complex:
+    """The wave w / den at one point, term by term."""
     lam0 = complex(lam0)
     phase = lam0 * complex(z0) + (lam0 ** 3 * t0 if w.time_phase else 0.0)
     total = sum(lam0 ** (-k) * eval_naive(f, z0, t0) for k, f in w.coeffs.items())
-    if w.den is not None:
-        total /= eval_naive(w.den, z0, t0)
-    return cmath.exp(phase) * total
+    return cmath.exp(phase) * total / eval_naive(den, z0, t0)
 
 
 def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
@@ -104,7 +103,7 @@ def fd_residual_per_step(u: RationalFn, fw, lam0: complex, grid, h: float) -> FD
     res = []
     for step in (h, h / 2.0):
         shifts = np.array([0.0, step, -step, 1j * step, -1j * step])
-        values = wave_eval(fw.psi, z + shifts[:, None, None], grid.t, lam0)
+        values = wave_eval(fw.psi, fw.w, z + shifts[:, None, None], grid.t, lam0)
         used = ~(np.isnan(uc) | np.isnan(values).any(axis=0))
         pc, pe, pw, pn, ps = values[:, used]
         lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
@@ -189,11 +188,11 @@ def wave_diff_z(w: WaveFn) -> WaveFn:
     for k, f in w.coeffs.items():
         _acc(out, k - 1, f)
         _acc(out, k, f.diff_z())
-    return WaveFn(out, w.time_phase, w.den)
+    return WaveFn(out, w.time_phase)
 
 
 def wave_diff_zbar(w: WaveFn) -> WaveFn:
-    return WaveFn({k: diff_zbar(f) for k, f in w.coeffs.items()}, w.time_phase, w.den)
+    return WaveFn({k: diff_zbar(f) for k, f in w.coeffs.items()}, w.time_phase)
 
 
 def wave_diff_t(w: WaveFn) -> WaveFn:
@@ -203,7 +202,7 @@ def wave_diff_t(w: WaveFn) -> WaveFn:
         _acc(out, k, f.diff_t())
         if w.time_phase:
             _acc(out, k - 3, f)
-    return WaveFn(out, w.time_phase, w.den)
+    return WaveFn(out, w.time_phase)
 
 
 def _acc(out, k, f):

@@ -196,15 +196,16 @@ def test_time_op_validates_a_seed_once_per_entry():
 
 def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):
     """No polynomial's x-y array is expanded twice.  Each wave_multiplier
-    call reads the lam-summed numerator in one `xy_eval` and W, when the
-    wave carries it, in another, whatever the number of slots (d + 1 for a
-    seed of degree d).  The ray check reads the slots without W at its two
-    lam and W once: three `xy_eval` calls."""
+    call reads the lam-summed slots in one `xy_eval`, whatever their number
+    (d + 1 for a seed of degree d), and each wave_eval W in one more.  The
+    ray check reads the slots at its two lam and W once: three `xy_eval`
+    calls."""
     wl = bench_module("workloads")
     sec22, cubic, sec32 = (wl.fixture(name)[0] for name in ("sec22", "sec22_cubic", "sec32"))
-    expanded, per_call, rays, inside = [], [], [], []
-    xy_coefficients, xy_eval, multiplier, validate_rays = (
-        MPoly.xy_coefficients, algebra.xy_eval, exppoly.wave_multiplier, faddeev._validate_rays)
+    expanded, per_call, evals, rays, inside = [], [], [], [], []
+    xy_coefficients, xy_eval, multiplier, evaluate, validate_rays = (
+        MPoly.xy_coefficients, algebra.xy_eval, exppoly.wave_multiplier, exppoly.wave_eval,
+        faddeev._validate_rays)
 
     def counted_xy_coefficients(p):
         if p._xy is None:
@@ -229,15 +230,18 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
         monkeypatch.setattr(module, "xy_eval", counted_xy_eval)
     for module in (exppoly, faddeev):
         monkeypatch.setattr(module, "wave_multiplier", counted(multiplier, per_call))
+    monkeypatch.setattr(harness, "wave_eval", counted(evaluate, evals))
     monkeypatch.setattr(faddeev, "_validate_rays", counted(validate_rays, rays))
     for op, seed in ((wl.static_op, sec22), (wl.static_op, cubic), (wl.time_op, sec32)):
         expanded.clear()
         per_call.clear()
+        evals.clear()
         rays.clear()
         checks, _ = op(seed)
         assert not checks.failures
         assert expanded and len({id(p) for p in expanded}) == len(expanded)
-        assert per_call and all(n == 1 + (wave.den is not None) for wave, n in per_call)
+        assert per_call and all(n == 1 for _, n in per_call)
+        assert [n for _, n in evals] == ([2] if op is wl.static_op else [])
         assert [n for _, n in rays] == [3]
 
 
@@ -349,7 +353,7 @@ def test_grid_eval_memory_peak(seed22):
     u = fw.u
     xs = np.linspace(-3.0, 3.0, 101)
     z = xs[None, :] + 1j * xs[:, None]
-    for evaluate in (lambda: u.eval(z, 0.0), lambda: wave_eval(fw.psi, z, 0.0, 1.0)):
+    for evaluate in (lambda: u.eval(z, 0.0), lambda: wave_eval(fw.psi, fw.w, z, 0.0, 1.0)):
         tracemalloc.start()
         try:
             values = evaluate()

@@ -46,14 +46,13 @@ def test_transform_solves_the_first_order_system(degree, time_phase):
         if time_phase:
             p = nv.heat3_evolve(p)
         om = harmonic_from_holomorphic(p)
-        theta = moutard_transform_wave(om, time_phase)
-        assert theta.den == om and theta.time_phase == time_phase
-        prod = WaveFn(theta.coeffs, time_phase)
+        prod = moutard_transform_wave(om, time_phase)
+        assert prod.time_phase == time_phase
+        assert prod.coeffs[0] == -om * GR_I, f"trial {trial}: {p}"
         rhs_z = (phi.scale(om.diff_z()) - wave_diff_z(phi).scale(om)).scale(GR_I)
         rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(diff_zbar(om))).scale(GR_I)
         assert wave_diff_z(prod) == rhs_z, f"trial {trial}: {p}"
         assert wave_diff_zbar(prod) == rhs_zb, f"trial {trial}: {p}"
-        assert prod.coeffs[0] * GR_I == om, f"trial {trial}: {p}"
         if prev is not None:
             assert 0 not in (prod.scale(prev[0]) - prev[1].scale(om)).coeffs, f"trial {trial}"
         prev = om, prod
@@ -66,7 +65,8 @@ def d_z(p, k):
 
 
 def check_closed_forms(fw, seed):
-    """W is real-valued, slot 0 is W, slot k is
+    """W, slot 0, is real-valued and is double_w (static) or extended_w
+    (time) of the seed, slot k is
     2i(-1)^(k-1)(omega1 d^k p2 - omega2 d^k p1) for 1 <= k <= d and no other
     slot exists; A = -2d/lam wherever the exact extraction accepts W's
     leading form.  Returns whether A was checked."""
@@ -74,7 +74,7 @@ def check_closed_forms(fw, seed):
     om1, om2 = harmonic_from_holomorphic(p1), harmonic_from_holomorphic(p2)
     d = max(p1.deg_z(), p2.deg_z())
     assert is_real_valued(fw.w)
-    assert fw.psi.den == fw.w and fw.psi.coeffs[0] == fw.w
+    assert fw.w == (nv.extended_w(seed) if fw.psi.time_phase else double_w(seed))
     assert set(fw.psi.coeffs) <= set(range(d + 1))
     for k in range(1, d + 1):
         n_k = (om1 * d_z(p2, k) - om2 * d_z(p1, k)) * GR_I * (2 * (-1) ** (k - 1))
@@ -130,7 +130,7 @@ def test_identities_of_the_construction(degree, time_phase):
     without constant terms: each omega_j = p_j + conj(p_j) is harmonic; W,
     double_w or extended_w, is real-valued; on the time branch each evolved
     p_j is heat3_evolve(p_j), equals p_j at t = 0 and satisfies
-    p_t = p_zzz; slot 0 of the superposed wave is its W."""
+    p_t = p_zzz; the superposed wave's W, its slot 0, is that W."""
     rng = random.Random(600 + 10 * degree + time_phase)
     for trial in range(4):
         constant = trial % 2
@@ -148,4 +148,4 @@ def test_identities_of_the_construction(degree, time_phase):
         for om in (frame.omega1, frame.omega2):
             assert diff_zbar(om.diff_z()).is_zero(), f"trial {trial}: {seed}"
         fw = faddeev_superpose(frame, time_phase)
-        assert fw.psi.coeffs[0] == fw.w == w, f"trial {trial}: {seed}"
+        assert fw.w == w, f"trial {trial}: {seed}"

@@ -81,8 +81,9 @@ def test_wave_eval_matches_naive_and_direct():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     w = WaveFn({0: MPoly.const(1), 1: z * zb, -1: zb})
     lam0, z0 = 0.7 - 0.3j, 1.2 + 0.4j
-    got = wave_eval(w, z0, 0.0, lam0)
-    naive = wave_eval_naive(w, z0, 0.0, lam0)
+    one = MPoly.const(1)
+    got = wave_eval(w, one, z0, 0.0, lam0)
+    naive = wave_eval_naive(w, one, z0, 0.0, lam0)
     direct = cmath.exp(lam0 * z0) * (1 + (z0 * z0.conjugate()) / lam0
                                      + lam0 * z0.conjugate())
     assert abs(got - naive) < 1e-12 * abs(got)
@@ -92,15 +93,14 @@ def test_wave_eval_matches_naive_and_direct():
 def test_wave_eval_time_phase():
     w = WaveFn.free(time_phase=True)
     lam0, z0, t0 = 0.5 + 0.2j, 0.3 - 1.0j, 0.7
-    got = wave_eval(w, z0, t0, lam0)
+    got = wave_eval(w, MPoly.const(1), z0, t0, lam0)
     assert abs(got - cmath.exp(lam0 * z0 + lam0 ** 3 * t0)) < 1e-12
 
 
 def test_wave_denominator_and_pole():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     den = z * zb - MPoly.const(1)
-    w = WaveFn({0: MPoly.const(1)}, den=den)
-    v, pole = wave_eval(w, np.array([2.0, 1.0]), 0.0, 1.0)
+    v, pole = wave_eval(WaveFn.free(), den, np.array([2.0, 1.0]), 0.0, 1.0)
     assert abs(v - cmath.exp(2.0) / 3.0) < 1e-12
     assert np.isnan(pole)
 
@@ -119,7 +119,7 @@ def test_hirota_reads_a_slot_that_is_g_by_symmetry(time_phase, degree):
         w = fw.w
         copy = MPoly.from_numerators(dict(w.numerators), w.denominator)
         assert copy == w and copy is not w
-        chi = WaveFn(fw.psi.coeffs, time_phase)
+        chi = fw.psi
         assert chi.coeffs[0] is w
         chi_copy = WaveFn({**chi.coeffs, 0: copy}, time_phase)
         for form in (D_ZZBAR, D_TIME_LEG):

@@ -39,7 +39,7 @@ def test_reference_potential_identity(seed22):
 
 
 def test_reference_wave_slots_exact(seed22):
-    # N1, N2 of the two-slot Laurent multiplier, at the recorded W-scale -1/8
+    # W, N1, N2 of the Laurent multiplier, at the recorded W-scale -1/8
     fw = build_faddeev(seed22)
     scale = gr("-8")
     n1 = poly({(1, 1, 0): ("-32", "8"), (0, 1, 0): ("-8", "0"),
@@ -48,7 +48,7 @@ def test_reference_wave_slots_exact(seed22):
     assert fw.psi.coeffs[1] * scale == n1
     assert fw.psi.coeffs[2] * scale == n2
     assert set(fw.psi.coeffs) == {0, 1, 2}
-    assert fw.psi.coeffs[0] == fw.w
+    assert fw.psi.coeffs[0] * scale == REF_POTENTIAL_DEN_ROOT
 
 
 def test_reference_kernel_functions_scalar_match(seed22):
@@ -73,7 +73,7 @@ def test_residual_detects_corruption(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.monomial(0, 1, 0)
-    broken = FaddeevWave(WaveFn(bad, den=fw.w))
+    broken = FaddeevWave(WaveFn(bad))
     assert not residual(broken).is_zero()
 
 
@@ -91,7 +91,7 @@ def test_scattering_cubic_reference(seed22_cubic):
 
 
 def test_scattering_free_wave():
-    fw = FaddeevWave(WaveFn({0: MPoly.const(1)}, den=MPoly.const(1)))
+    fw = FaddeevWave(WaveFn.free())
     assert scattering_data(fw).a_coeffs == {}
 
 
@@ -99,7 +99,7 @@ def test_scattering_rejects_bad_degree(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.monomial(4, 0, 0)
-    broken = FaddeevWave(WaveFn(bad, den=fw.w))
+    broken = FaddeevWave(WaveFn(bad))
     with pytest.raises(AsymptoticMismatch):
         scattering_data(broken, validate=False)
 
@@ -123,7 +123,7 @@ def test_ray_validation_catches_corrupted_slot(seed22, extra):
     i, j = (a - 1, b) if extra == "radial" else (a, b - 1)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.monomial(i, j, 0, lead.constant_term() * gr("1/5"))
-    broken = FaddeevWave(WaveFn(bad, den=fw.w))
+    broken = FaddeevWave(WaveFn(bad))
     with pytest.raises(AsymptoticMismatch):
         _validate_rays(broken, sd)
     if extra == "radial":
@@ -139,7 +139,7 @@ def test_decay_bookkeeping(seed22):
 def test_wave_value_agrees_with_direct_sum(seed22):
     fw = build_faddeev(seed22)
     lam0, z0 = 0.9 + 0.3j, 1.3 - 0.8j
-    got = wave_eval(fw.psi, z0, 0.0, lam0)
+    got = wave_eval(fw.psi, fw.w, z0, 0.0, lam0)
     wv = fw.w.eval(z0)
     direct = cmath.exp(lam0 * z0) * (1
                                      + fw.psi.coeffs[1].eval(z0) / (lam0 * wv)
@@ -156,24 +156,22 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
         psi = moutard_transform_wave(omega, time_phase)
         if omega != frame.omega2:
             return psi
-        return psi + WaveFn({1: MPoly.monomial(1, 1, 0)}, den=omega)    # a lam^-1 term
+        return psi + WaveFn({1: MPoly.monomial(1, 1, 0)})    # a lam^-1 term
 
     monkeypatch.setattr(faddeev, "moutard_transform_wave", corrupted)
     with pytest.raises(ResidualNonzero) as err:
         faddeev.faddeev_superpose(frame)
     psi1, bad = corrupted(frame.omega1), corrupted(frame.omega2)
-    combo = WaveFn(bad.coeffs).scale(frame.omega1) - WaveFn(psi1.coeffs).scale(frame.omega2)
-    coeffs = dict(combo.coeffs)
+    coeffs = dict((bad.scale(frame.omega1) - psi1.scale(frame.omega2)).coeffs)
     coeffs[0] = frame.w
-    res = residual(FaddeevWave(WaveFn(coeffs, den=frame.w)))
+    res = residual(FaddeevWave(WaveFn(coeffs)))
     message = str(err.value)
     assert f"residual {len(res.terms)} terms, total degree" in message
     assert len(message) < 200 < len(str(res))
 
 
 def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
-    # W is psi's denominator and u = potential(W) is built on first read, once;
-    # a wave without a denominator has no W to read
+    # W is psi's slot 0 and u = potential(W) is built on first read, once
     from moutardnv import faddeev
     fw = build_faddeev(seed22)
     built = []
@@ -183,8 +181,6 @@ def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
         return potential(w)
 
     monkeypatch.setattr(faddeev, "potential", counted)
-    assert fw.w is fw.psi.den
+    assert fw.w is fw.psi.coeffs[0]
     assert same_fraction(fw.u, potential(fw.w))
     assert fw.u is fw.u and built == [fw.w]
-    with pytest.raises(ValueError):
-        FaddeevWave(WaveFn.free())

@@ -39,7 +39,7 @@ def test_fd_residual_reference(seed22):
 
 def test_fd_residual_free_wave():
     u = RationalFn(MPoly.zero(), MPoly.const(1))
-    free = FaddeevWave(WaveFn(WaveFn.free().coeffs, den=MPoly.const(1)))
+    free = FaddeevWave(WaveFn.free())
     rep = fd_residual(u, free, 1.0, GridSpec(-1, 1, -1, 1, 5), 1e-2)
     assert abs(rep.order - 2.0) <= 0.1
 
@@ -48,7 +48,7 @@ def test_fd_residual_corrupted_wave(seed22):
     fw = build_faddeev(seed22)
     bad = dict(fw.psi.coeffs)
     bad[1] = bad[1] + MPoly.monomial(0, 1, 0, gr("1/1000"))
-    broken = FaddeevWave(WaveFn(bad, den=fw.w))
+    broken = FaddeevWave(WaveFn(bad))
     rep = fd_residual(fw.u, broken, 1.0, GridSpec(-2, 2, -2, 2, 5), 1e-2)
     assert rep.order < 1.0
 
@@ -181,12 +181,15 @@ def test_pole_mask_matches_scalar_reference():
         assert (x, y, t) == (rx, ry, grid.t)
         assert abs(complex(re, im) - v) <= 1e-12 * abs(v)
 
-    # a stencil point on the circle drops its grid point, one point at a time
-    psi = WaveFn({0: MPoly.monomial(1, 0, 0) + MPoly.const(2)}, den=base)
+    # a stencil point on the circle drops its grid point, one point at a time:
+    # the wave's W, its slot 0, is base, and its multiplier base + (z + 2)/lam
+    # is z + 2 there
+    psi = WaveFn({0: base, 1: MPoly.monomial(1, 0, 0) + MPoly.const(2)})
     h = 0.25
 
     def stencil_ok(z):
-        if any(np.isnan(wave_eval(psi, z + dz, grid.t, 1.0)) for dz in (0, h, -h, 1j * h, -1j * h)):
+        if any(np.isnan(wave_eval(psi, base, z + dz, grid.t, 1.0))
+               for dz in (0, h, -h, 1j * h, -1j * h)):
             return complex("nan")
         return u.eval(z, grid.t)
 

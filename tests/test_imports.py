@@ -2,8 +2,10 @@
 module-level private function or class is read in its own module, every
 module-level function or class is reached from `mnv` or the benchmark, every
 method is read by name in the library or the benchmark, every parameter with
-a default is passed at some call in the library or the benchmark, and no
-module imports numpy when it is itself imported.
+a default is passed at some call in the library or the benchmark, every
+operator of the exact types and the wave is called by `mnv` or the
+benchmark or named by the benchmark, and no module imports numpy when it is
+itself imported.
 
 No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
@@ -11,7 +13,9 @@ __init__.py re-exports, so it is left out of the first two) and compare the
 names its imports or definitions bind with the names code reads, string
 annotations included.  The numpy check parses __init__.py too: the exact
 chain runs without numpy, which only the functions that evaluate floats
-import, each in its own body.
+import, each in its own body.  The operator check runs the code instead of
+parsing it: which special method an operator reaches (`x + y` or `y + x`,
+`__add__` or `__radd__`) is decided at run time.
 """
 
 import ast
@@ -181,13 +185,15 @@ def _unreached(modules, roots):
                   if isinstance(node, DEFINITIONS) and node.name not in reached)
 
 
+def _bench_names():
+    """Every name, attribute and identifier string the benchmark reads."""
+    return set().union(*(_reads(_parse(os.path.join(BENCH, f)), strings=True)
+                         for f in sorted(os.listdir(BENCH)) if f.endswith(".py")))
+
+
 def test_every_definition_is_reached_from_mnv_or_the_benchmark():
     modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
-    roots = set()
-    for f in sorted(os.listdir(BENCH)):
-        if f.endswith(".py"):
-            roots |= _reads(_parse(os.path.join(BENCH, f)), strings=True)
-    assert _unreached(modules, roots) == []
+    assert _unreached(modules, _bench_names()) == []
 
 
 def test_check_sees_an_unreached_definition():
@@ -318,3 +324,104 @@ def test_check_sees_a_parameter_no_call_passes():
     assert _unpassed_parameters({"a": tree}, [tree]) == ["a.f.b", "a.g.x"]
     assert _unpassed_parameters({"a": tree}, [ast.parse("f(1, 2)\ng(x=1)\n")]) == \
         ["a.K.__init__.n", "a.K.m.p", "a.K.m.q", "a.f.c", "a.h.y"]
+
+
+# the operators left to the language's defaults or read only by tests and
+# printing: construction, equality, text and the complex value of a scalar
+UNPROBED = {"__init__", "__eq__", "__repr__", "__str__", "__complex__"}
+
+
+def _operators(classes):
+    """(class, name) of every special method defined in the classes' bodies,
+    an alias such as __radd__ = __add__ under its own name, UNPROBED left
+    out."""
+    return [(cls, name) for cls in classes for name, fn in vars(cls).items()
+            if name.startswith("__") and name.endswith("__") and callable(fn)
+            and name not in UNPROBED]
+
+
+def _uncalled_operators(monkeypatch, classes, drive, named):
+    """'Class.name' of every operator of the classes that drive() never
+    calls and that is not in named: each is replaced, while drive runs, by a
+    wrapper that records its call."""
+    called = set()
+
+    def probe(key, fn):
+        def wrapped(*args, **kwargs):
+            called.add(key)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    operators = _operators(classes)
+    with monkeypatch.context() as patch:
+        for cls, name in operators:
+            patch.setattr(cls, name, probe((cls, name), vars(cls)[name]))
+        drive()
+    return sorted(f"{cls.__name__}.{name}" for cls, name in operators
+                  if (cls, name) not in called and name not in named)
+
+
+def test_every_operator_is_called_by_mnv_or_the_benchmark(monkeypatch, tmp_path):
+    """Every subcommand in-process on each fixture, sample-grid with and
+    without --lambda, a static and a time op of the benchmark and its seed
+    generation call every arithmetic or hash operator of the exact types
+    and the wave that the benchmark does not patch by name."""
+    import contextlib
+    import io
+
+    from moutardnv import cli
+    from moutardnv.algebra import GaussianRational, MPoly, RationalFn
+    from moutardnv.exppoly import WaveFn
+
+    from conftest import FIXTURES
+    from test_bench_contract import bench_module
+
+    wl = bench_module("workloads")
+    fixtures = sorted(os.path.join(FIXTURES, f) for f in os.listdir(FIXTURES)
+                      if f.endswith(".json"))
+    assert len(fixtures) >= 4
+    grid = ["--grid=-1,1,-1,1,5", "--t", "0.3"]
+
+    def drive():
+        for path in fixtures:
+            for command in cli.COMMANDS:
+                for extra in ([grid, [*grid, "--lambda=0.7,0.4"]] if command == "sample-grid"
+                              else [[]]):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        rc = cli.main([command, "--seed", path, "--out", str(tmp_path / "out"),
+                                       *extra])
+                    assert rc == 0, (command, path, extra)
+        wl.static_op(wl.fixture("sec22")[0])
+        wl.time_op(wl.fixture("sec32")[0])
+        wl.static_candidates()
+        wl.time_candidates()
+
+    classes = (GaussianRational, MPoly, RationalFn, WaveFn)
+    assert _uncalled_operators(monkeypatch, classes, drive, _bench_names()) == []
+
+
+def test_check_sees_an_uncalled_operator(monkeypatch):
+    class Num:
+        def __init__(self, v):
+            self.v = v
+
+        def __add__(self, other):
+            return Num(self.v + other.v)
+
+        __radd__ = __add__
+
+        def __neg__(self):
+            return Num(-self.v)
+
+        def __hash__(self):
+            return hash(self.v)
+
+    def drive():
+        assert (Num(1) + Num(2)).v == 3
+
+    assert _uncalled_operators(monkeypatch, [Num], drive, set()) == ["Num.__hash__",
+                                                                     "Num.__neg__",
+                                                                     "Num.__radd__"]
+    assert _uncalled_operators(monkeypatch, [Num], drive, {"__neg__", "__radd__"}) == \
+        ["Num.__hash__"]
+    assert Num.__add__ is Num.__radd__          # the probes are gone

@@ -228,8 +228,7 @@ def test_temporal_residual_detects_frozen_wave(seed32):
     from moutardnv.exppoly import WaveFn
     from moutardnv.faddeev import FaddeevWave
     fw = nv.nv_faddeev(seed32)
-    frozen = WaveFn({k: subs_t(f, 0) for k, f in fw.psi.coeffs.items()},
-                    time_phase=True, den=subs_t(fw.w, 0))
+    frozen = WaveFn({k: subs_t(f, 0) for k, f in fw.psi.coeffs.items()}, time_phase=True)
     broken = FaddeevWave(frozen)
     assert not nv.temporal_residual(broken).is_zero()
 
