@@ -20,7 +20,9 @@ class WaveFn:
     coeffs maps k to the MPoly f_k; negative keys carry positive powers of
     lam, which derivatives produce.  A wave has no denominator: the Faddeev
     wave chi / W reads its W as slot 0 of chi (`faddeev.FaddeevWave`), and
-    `wave_eval` takes the denominator to divide by.
+    `wave_eval` takes the denominator to divide by.  Nor has it arithmetic:
+    the transform and the superposition form their slots in closed form
+    (`moutard.moutard_transform_wave`, `faddeev.faddeev_superpose`).
     """
 
     __slots__ = ("time_phase", "coeffs")
@@ -29,11 +31,6 @@ class WaveFn:
         self.time_phase = time_phase
         self.coeffs = {k: f for k, f in (coeffs or {}).items() if not f.is_zero()}
 
-    @classmethod
-    def free(cls, time_phase: bool = False) -> "WaveFn":
-        """The free wave e^{lam z} (or e^{lam z + lam^3 t})."""
-        return cls({0: MPoly.const(1)}, time_phase=time_phase)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -41,29 +38,6 @@ class WaveFn:
         if not isinstance(other, WaveFn):
             return NotImplemented
         return (self.time_phase, self.coeffs) == (other.time_phase, other.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, WaveFn):
-            return NotImplemented
-        if self.time_phase != other.time_phase:
-            raise ValueError("cannot add waves with different phases")
-        out = dict(self.coeffs)
-        for k, f in other.coeffs.items():
-            s = out.get(k)
-            out[k] = f if s is None else s + f
-        return WaveFn(out, self.time_phase)
-
-    def __neg__(self):
-        return WaveFn({k: -f for k, f in self.coeffs.items()}, self.time_phase)
-
-    def __sub__(self, other):
-        if not isinstance(other, WaveFn):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "WaveFn":
-        """Multiply every coefficient by an MPoly or scalar."""
-        return WaveFn({k: f * factor for k, f in self.coeffs.items()}, self.time_phase)
 
     def __repr__(self):
         phase = "e^{lam z + lam^3 t}" if self.time_phase else "e^{lam z}"

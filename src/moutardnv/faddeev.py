@@ -4,11 +4,12 @@ superposition, exact residuals, and scattering-data extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .algebra import MPoly, RationalFn, divide_off_poles, float_range
 from .errors import AsymptoticMismatch, ResidualNonzero
-from .exppoly import D_ZZBAR, WaveFn, hirota, wave_multiplier
+from .exppoly import D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
 
@@ -69,15 +70,17 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
 
     With theta1 = W/omega1 and psi_j = r_j/omega_j, psi is
     (W + omega1 r2 - omega2 r1) / W: slot 0 of each r_j is -i omega_j, so
-    slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.  Only
-    the slots k >= 1 of omega1 r2 - omega2 r1 are formed, not the two
-    largest products, which cancel in slot 0; that they do is a test.
+    slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.  Slot
+    k >= 1 is omega1 r2_k - omega2 r1_k, formed per slot over the slots of
+    either transform, not the two largest products, which cancel in slot 0;
+    that they do is a test.
     """
-    r1, r2 = (WaveFn({k: f for k, f in moutard_transform_wave(om, time_phase).coeffs.items()
-                      if k}, time_phase)
-              for om in (frame.omega1, frame.omega2))
-    coeffs = dict((r2.scale(frame.omega1) - r1.scale(frame.omega2)).coeffs)
-    coeffs[0] = frame.w                            # the leading 1, over the common denominator
+    om1, om2 = frame.omega1, frame.omega2
+    r1, r2 = (moutard_transform_wave(om, time_phase).coeffs for om in (om1, om2))
+    coeffs = {0: frame.w}                          # the leading 1, over the common denominator
+    for k in sorted((r1.keys() | r2.keys()) - {0}):
+        coeffs[k] = ((r2[k] * om1 if k in r2 else MPoly.zero())
+                     - (r1[k] * om2 if k in r1 else MPoly.zero()))
     fw = FaddeevWave(WaveFn(coeffs, time_phase))
     res = residual(fw)
     if not res.is_zero():
@@ -89,8 +92,20 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
 def residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of (-4 d dbar + u) psi, zero exactly when psi is an
     eigenfunction: with u = -2*Laplacian(log w) it is
-    -4 e^{lam z} D_z D_zb (chi . w) / w^2, read by `bilinear_residual`."""
-    return bilinear_residual(fw, D_ZZBAR)
+    -4 e^{lam z} D_z D_zb (chi . w) / w^2, whose first nonzero slot is
+    returned.  Under the phase the form is (D_z + lam) D_zb.  hirota forms it
+    on the slots k >= 1 of chi; slot 0 is w itself, whose one term,
+    D_z D_zb (w . w) in slot 0, is -u/4 over w^2.  That term is read off
+    fw.u, so the wave is checked against the u that the numeric checks read,
+    and u is formed once: slot 0 is r0 - u/4 for the r0 that hirota gives
+    there, zero exactly when 4 r0 is u's numerator."""
+    psi = fw.psi
+    res = hirota(WaveFn({k: f for k, f in psi.coeffs.items() if k}, psi.time_phase),
+                 fw.w, D_ZZBAR).coeffs
+    r0 = res.pop(0, MPoly.zero())
+    if r0 * 4 != fw.u.num:                         # slot 0, r0 - u/4, is not zero
+        res[0] = r0 - fw.u.num * Fraction(1, 4)
+    return res[min(res)] if res else MPoly.zero()
 
 
 def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
@@ -151,19 +166,29 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
 def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
     so the Richardson estimate 2 g(2r) - g(r), with r = RAY_RADIUS, meets the
-    exact A to O(r^-2), within RAY_TOL.  W is read on the rays once, and
-    divides the slots' sum at each lam.
+    exact A to O(r^-2), within RAY_TOL.  Every slot v_k, W = v_0 among them,
+    is read at the 12 points once, at t = 0, from one pair of power tables
+    in one product; m at each lam is sum_k lam^-k v_k over v_0.
     Rays through a pole at either radius are skipped; a value beyond float
     range there raises CoefficientOverflow (`algebra.float_range`), so no ray
     goes uncompared."""
     import numpy as np
     ray = RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
-    z = np.stack([ray, 2.0 * ray])
+    z = np.outer([1.0, 2.0], ray).ravel()          # the rays at r, then at 2r
     lams = (1.0, 0.7 + 0.4j)
+    ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
+    arrays = [fw.psi.coeffs[k].xy_coefficients()[0] for k in ks]
+    n = max(map(len, arrays))
+    parts = np.zeros((n, len(ks), 2, n))           # each slot's Re and Im fill one corner
+    for s, a in enumerate(arrays):
+        parts[:len(a), s, :, :len(a)] = np.stack((a.real, a.imag), axis=1)
     with float_range("the wave on the rays leaves float range"):
-        w = fw.w.eval(z, 0.0)
-        gs = [z * (divide_off_poles(wave_multiplier(fw.psi, z, 0.0, lam0), w) - 1.0)
-              for lam0 in lams]
+        vx, vy = (np.vander(part, n, increasing=True) for part in (z.real, z.imag))
+        rows = (vx @ parts.reshape(n, -1)).reshape(len(z), -1, n)
+        v = (rows @ vy[:, :, None]).reshape(len(z), -1).view(complex).T   # v[s]: slot ks[s]
+        sums = (np.array([[lam0 ** -k for k in ks] for lam0 in lams])[:, :, None] * v).sum(axis=1)
+        gs = (z * (divide_off_poles(sums, np.broadcast_to(v[0], sums.shape)) - 1.0)).reshape(
+            len(lams), 2, len(ray))
     for lam0, g in zip(lams, gs):
         expected = sd.a_at(lam0)
         got = 2.0 * g[1] - g[0]

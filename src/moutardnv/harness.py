@@ -190,20 +190,17 @@ def wave_to_json(fw: FaddeevWave) -> dict:
     }
 
 
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_grid_csv(path, rows) -> None:
-    """rows: iterable of (x, y, t, re, im), written with 17 significant digits.
+    """rows: iterable of (x, y, t, re, im), written with 17 significant
+    digits by one printf-style format per row, streamed to one writelines.
     The first row is taken before the file is opened, so rows that raise at
     once (as `sample_grid` does) leave no file."""
     rows = iter(rows)
     first = list(islice(rows, 1))
     with open(path, "w") as fh:
         fh.write("x,y,t,re,im\n")
-        for x, y, t, re, im in chain(first, rows):
-            fh.write(",".join(_fmt17(v) for v in (x, y, t, re, im)) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+                      for row in chain(first, rows))
 
 
 def sample_grid(fn, grid: GridSpec):

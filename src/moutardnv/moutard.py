@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_extremes
 from .errors import NotHolomorphic, ZeroPolynomial
-from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
+from .exppoly import WaveFn, hirota, wave_antideriv_z
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ def double_w(seed: SeedPair) -> MPoly:
 
 def potential(w: MPoly) -> RationalFn:
     """u = -2 * Laplacian(log W) = -4 D_z D_zb (W . W) / W^2, as the Laplacian
-    of log W is 4 d dbar log W = 2 D_z D_zb (W . W) / W^2."""
-    return RationalFn(hirota(w, w, D_ZZBAR) * -4, w, 2)
+    of log W is 4 d dbar log W = 2 D_z D_zb (W . W) / W^2: the form
+    -4 D_z D_zb, so its numerator is brought to lowest terms once."""
+    return RationalFn(hirota(w, w, {(1, 1, 0): -4}), w, 2)
 
 
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
@@ -104,14 +105,16 @@ def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
     The first-order system d(omega*theta)/dz = i(phi*omega_z - omega*phi_z),
     d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb) has the closed solution
     omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega), since omega_z
-    is holomorphic.  The antiderivative is taken in the exponential class,
-    where it is unique, so no integration constant appears and the transform
-    decays by construction.  omega is `harmonic_from_holomorphic` of a seed
+    is holomorphic: slot 0 is -i omega, and the slots k >= 1 are the
+    antiderivative of the one-slot wave 2i omega_z.  The antiderivative is
+    taken in the exponential class (`wave_antideriv_z`), where it is unique,
+    so no integration constant appears and the transform decays by
+    construction.  omega is `harmonic_from_holomorphic` of a seed
     polynomial, so harmonic: an identity of the construction, left to the
     tests.
     """
-    free = WaveFn.free(time_phase)
-    return (wave_antideriv_z(free.scale(omega.diff_z())).scale(2) - free.scale(omega)).scale(GR_I)
+    rest = wave_antideriv_z(WaveFn({0: omega.diff_z() * (GR_I * 2)}, time_phase))
+    return WaveFn({0: -(omega * GR_I), **rest.coeffs}, time_phase)
 
 
 @dataclass

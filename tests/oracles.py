@@ -14,6 +14,11 @@
 - Derivatives of waves, and `hirota_by_products`, the Hirota form built
   from those derivatives and one product per derivative of g: the
   reference of `exppoly.hirota`, which reads every term pair once.
+- Wave algebra slot by slot (the free wave, sums and scaling), which the
+  library's waves do not have, and with it the transform of the free wave
+  and the superposition as that algebra forms them: the references of
+  `moutard.moutard_transform_wave` and `faddeev.faddeev_superpose`, which
+  form their slots in closed form.
 - `certificate_full_grid`: the nonvanishing certificate with W, |W| and its
   rounding scale formed on the whole grid at once, the reference of
   `moutard.nonvanishing_certificate`.  `grid_extremes_full_grid`: a grid
@@ -43,7 +48,7 @@ from moutardnv import moutard, nv
 from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
                                _xy_row, grid_product)
 from moutardnv.errors import AlgebraError
-from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
+from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
 
 
@@ -212,6 +217,48 @@ def _acc(out, k, f):
     out[k] = f if s is None else s + f
 
 
+def free_wave(time_phase: bool = False) -> WaveFn:
+    """The free wave e^{lam z} (or e^{lam z + lam^3 t})."""
+    return WaveFn({0: MPoly.const(1)}, time_phase)
+
+
+def wave_scale(w: WaveFn, factor) -> WaveFn:
+    """Every slot times a polynomial, a fraction or a number."""
+    return WaveFn({k: f * factor for k, f in w.coeffs.items()}, w.time_phase)
+
+
+def wave_add(a: WaveFn, b: WaveFn) -> WaveFn:
+    """The slot-by-slot sum of two waves of one phase."""
+    assert a.time_phase == b.time_phase
+    out = dict(a.coeffs)
+    for k, f in b.coeffs.items():
+        _acc(out, k, f)
+    return WaveFn(out, a.time_phase)
+
+
+def wave_sub(a: WaveFn, b: WaveFn) -> WaveFn:
+    return wave_add(a, wave_scale(b, -1))
+
+
+def transform_by_wave_algebra(omega: MPoly, time_phase: bool = False) -> WaveFn:
+    """omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega) formed
+    by the wave algebra on the free wave."""
+    free = free_wave(time_phase)
+    integral = wave_antideriv_z(wave_scale(free, omega.diff_z()))
+    return wave_scale(wave_sub(wave_scale(integral, 2), wave_scale(free, omega)), GR_I)
+
+
+def superpose_by_wave_algebra(frame, time_phase: bool = False) -> WaveFn:
+    """The slots of the superposed wave: omega1 r2 - omega2 r1 for the
+    transforms r_j by omega_j, their slots 0 left out, and W in slot 0."""
+    r1, r2 = (WaveFn({k: f for k, f in transform_by_wave_algebra(om, time_phase).coeffs.items()
+                      if k}, time_phase)
+              for om in (frame.omega1, frame.omega2))
+    coeffs = dict(wave_sub(wave_scale(r2, frame.omega1), wave_scale(r1, frame.omega2)).coeffs)
+    coeffs[0] = frame.w
+    return WaveFn(coeffs, time_phase)
+
+
 _POLY_DIFFS = (MPoly.diff_z, diff_zbar, MPoly.diff_t)
 
 
@@ -223,7 +270,7 @@ def hirota_by_products(f, g: MPoly, form: dict):
     with it; for f is g, so do both orders of a pair."""
     wave = isinstance(f, WaveFn)
     fdiffs = (wave_diff_z, wave_diff_zbar, wave_diff_t) if wave else _POLY_DIFFS
-    times = WaveFn.scale if wave else MPoly.__mul__
+    times, plus = (wave_scale, wave_add) if wave else (MPoly.__mul__, MPoly.__add__)
     gcache = {(0, 0, 0): g}
     fcache = gcache if f is g else {(0, 0, 0): f}
     weights = {}
@@ -237,10 +284,10 @@ def hirota_by_products(f, g: MPoly, form: dict):
     by_g = {}
     for (gb, fb), c in weights.items():
         term = times(_partial(fcache, fdiffs, fb), c)
-        by_g[gb] = by_g[gb] + term if gb in by_g else term
+        by_g[gb] = plus(by_g[gb], term) if gb in by_g else term
     out = times(f, 0)
     for gb, fsum in by_g.items():
-        out = out + times(fsum, _partial(gcache, _POLY_DIFFS, gb))
+        out = plus(out, times(fsum, _partial(gcache, _POLY_DIFFS, gb)))
     return out
 
 

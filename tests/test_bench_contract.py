@@ -84,6 +84,31 @@ def test_cli_ops_match_their_goldens_in_process(tmp_path, monkeypatch):
         assert not wl.compare_cli(op[0], got, gold[op[0]]), op[0]
 
 
+def test_ops_replay_the_exact_goldens():
+    """The static op on the static pool and both static fixtures, and the
+    time op on sec32, the timed time pool and the cubic pool, give the exact
+    outputs that goldens.json records (the digests of W and of the wave, A
+    and the blow-up report) and fail no check the goldens do not record:
+    a changed slot byte fails here, and not only in a benchmark run."""
+    wl = bench_module("workloads")
+    goldens = wl.load_goldens()
+    static = {name: wl.fixture(name)[0] for name in ("sec22", "sec22_cubic")}
+    static.update((i, seed) for i, (seed, _) in wl.static_pool(goldens).items())
+    cands = wl.time_candidates()
+    timed = {"sec32": wl.fixture("sec32")[0], **wl.cubic_pool()}
+    for stratum, (size, _) in wl.TIME_DRAW.items():
+        ids = [i for i in sorted(cands) if goldens["time"][i]["stratum"] == stratum][:size]
+        timed.update((i, cands[i]) for i in ids)
+    assert (len(static), len(timed)) == (33, 21)
+    for kind, op, seeds in (("static", wl.static_op, static), ("time", wl.time_op, timed)):
+        for name, seed in seeds.items():
+            gold = goldens[kind][name]
+            checks, res = op(seed)
+            assert not wl.compare_outputs(wl.exact_outputs(res), gold), name
+            recorded = {tuple(f) for f in gold["failures"]}
+            assert set(checks.failures) <= recorded, (name, checks.failures)
+
+
 def test_blowup_matches_goldens_on_sec32_and_time_candidates():
     wl = bench_module("workloads")
     gold = wl.load_goldens()["time"]
@@ -174,14 +199,16 @@ def test_traced_names_keep_their_callers():
 
 
 def test_ops_form_each_hirota_product_once():
-    """static_op(sec22): the wave residual and the potential that the
-    finite-difference check reads.  time_op(sec32): U, the one third-order
-    form of the evolution residual (the other is its conjugate), and the
-    wave's two residuals; V, which no check reads, is not formed."""
+    """static_op(sec22): the wave's slots k >= 1 and its potential, which
+    the wave residual and the finite-difference check both read.
+    time_op(sec32): U, the one third-order form of the evolution residual
+    (the other is its conjugate), the wave's slots k >= 1 and its u, and
+    the time leg; V, which no check reads, is not formed.  D_z D_zb (W . W)
+    is formed twice on the time op, as U and as the wave's u."""
     wl = bench_module("workloads")
     sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
     assert _build_counts(lambda: wl.static_op(sec22), ("hirota",)) == {"hirota": 2}
-    assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 4}
+    assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 5}
 
 
 def test_time_op_validates_a_seed_once_per_entry():
@@ -198,8 +225,8 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
     """No polynomial's x-y array is expanded twice.  Each wave_multiplier
     call reads the lam-summed slots in one `xy_eval`, whatever their number
     (d + 1 for a seed of degree d), and each wave_eval W in one more.  The
-    ray check reads the slots at its two lam and W once: three `xy_eval`
-    calls."""
+    ray check makes no `xy_eval` call: it reads each slot's x-y array once,
+    W's among them, and every slot at both lam in one product."""
     wl = bench_module("workloads")
     sec22, cubic, sec32 = (wl.fixture(name)[0] for name in ("sec22", "sec22_cubic", "sec32"))
     expanded, per_call, evals, rays, inside = [], [], [], [], []
@@ -210,15 +237,18 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
     def counted_xy_coefficients(p):
         if p._xy is None:
             expanded.append(p)          # held, so no id is reused
+        for reads in inside:            # every open call made it
+            reads.append(p)
         return xy_coefficients(p)
 
     def counted_xy_eval(*args):
-        inside[:] = [n + 1 for n in inside]     # every open call made it
+        for reads in inside:
+            reads.append("xy_eval")
         return xy_eval(*args)
 
-    def counted(fn, calls):             # (first argument, xy_eval calls) per call
+    def counted(fn, calls):             # (first argument, reads) per call
         def wrapped(*args, **kwargs):
-            inside.append(0)
+            inside.append([])
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -228,8 +258,7 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
     monkeypatch.setattr(MPoly, "xy_coefficients", counted_xy_coefficients)
     for module in (algebra, exppoly):
         monkeypatch.setattr(module, "xy_eval", counted_xy_eval)
-    for module in (exppoly, faddeev):
-        monkeypatch.setattr(module, "wave_multiplier", counted(multiplier, per_call))
+    monkeypatch.setattr(exppoly, "wave_multiplier", counted(multiplier, per_call))
     monkeypatch.setattr(harness, "wave_eval", counted(evaluate, evals))
     monkeypatch.setattr(faddeev, "_validate_rays", counted(validate_rays, rays))
     for op, seed in ((wl.static_op, sec22), (wl.static_op, cubic), (wl.time_op, sec32)):
@@ -240,9 +269,12 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
         checks, _ = op(seed)
         assert not checks.failures
         assert expanded and len({id(p) for p in expanded}) == len(expanded)
-        assert per_call and all(n == 1 for _, n in per_call)
-        assert [n for _, n in evals] == ([2] if op is wl.static_op else [])
-        assert [n for _, n in rays] == [3]
+        assert all(reads.count("xy_eval") == 1 for _, reads in per_call)
+        assert [reads.count("xy_eval") for _, reads in evals] == \
+            ([2] if op is wl.static_op else [])
+        assert len(per_call) == len(evals)
+        [(fw, reads)] = rays
+        assert reads == [fw.psi.coeffs[k] for k in sorted(fw.psi.coeffs)]
 
 
 def test_nonvanishing_certificate_matches_eval_on_static_candidates():

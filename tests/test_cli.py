@@ -662,26 +662,27 @@ def _build_counts(fn, names=BUILDERS):
 BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
-    ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
+    ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1, "potential": 1,
                          "nv_potentials": 1, "heat3_evolve": 2}),
     ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                                    "nv_potentials": 1, "heat3_evolve": 2}),
+                                    "potential": 1, "nv_potentials": 1, "heat3_evolve": 2}),
     ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1,
                             "heat3_evolve": 2}),
-    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
-    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1}),
+    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
+    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "heat3_evolve": 2}),
-    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1}),
+                             "potential": 1, "heat3_evolve": 2}),
+    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
 ]
 
 
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W and one frame per call, and the time verify's NVSolution; the potential
-    # only where it is read, by the static verify's finite-difference check, and
-    # V only by nv-evolve, which writes it; the seed read from the file is
+    # one W and one frame per call, and the time verify's NVSolution; the
+    # potential once per wave, by the wave's exact residual, which the static
+    # verify's finite-difference check reads again, and V only by nv-evolve,
+    # which writes it; the seed read from the file is
     # evolved once, one heat3_evolve per polynomial (sec32's quadratics are
     # their own evolution), and the evolved seed passes every later layer as it is
     path = fixture_path(f"{name}.json")
@@ -695,10 +696,12 @@ def test_each_object_is_built_once(what, name, expected):
 
 
 def test_verify_on_sec32_forms_hirota_products_once():
-    # D_z D_zb (W . W) is formed once, by nv_potentials; nv_residual reads it
+    # D_z D_zb (W . W) is formed by nv_potentials, and nv_residual reads it
     # off U. Then D_z^3 D_zb on (W . W), whose conjugate is D_z D_zb^3 for
-    # the real W, and the two wave residuals; V's D_z^2 is never formed.
+    # the real W; the wave's slots k >= 1 and its u, from which the spatial
+    # residual reads W's own term; and the time leg. V's D_z^2 is never
+    # formed.
     counts = _build_counts(lambda: cli.main(["verify", "--seed", fixture_path("sec32.json")]),
                            ("hirota",))
-    assert counts == {"hirota": 4}
+    assert counts == {"hirota": 5}
 

@@ -1,9 +1,10 @@
 """The closed forms of the free wave's transform and of the superposed wave,
 checked exactly over seeds of degree 1-6, the benchmark's time candidates
-and time seeds of degree 2-5, with the identities of the construction that
-the library does not check at run time: harmonic omegas, the cancellation in
-slot 0 of the superposition, a real-valued W, static or extended, and the
-evolution of the seed."""
+and time seeds of degree 2-5, against README's N_k and against the same
+waves formed by the wave algebra of `oracles`, with the identities of the
+construction that the library does not check at run time: harmonic omegas,
+the cancellation in slot 0 of the superposition, a real-valued W, static or
+extended, and the evolution of the seed."""
 
 import random
 
@@ -12,13 +13,13 @@ import pytest
 from moutardnv import nv
 from moutardnv.algebra import GR_I, MPoly
 from moutardnv.errors import AsymptoticMismatch
-from moutardnv.exppoly import WaveFn
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, scattering_data
 from moutardnv.moutard import (SeedPair, build_frame, double_w, harmonic_from_holomorphic,
                                moutard_transform_wave)
 
 from conftest import gr
-from oracles import diff_zbar, is_real_valued, subs_t, wave_diff_z, wave_diff_zbar
+from oracles import (diff_zbar, free_wave, is_real_valued, subs_t, superpose_by_wave_algebra,
+                     transform_by_wave_algebra, wave_diff_z, wave_diff_zbar, wave_scale, wave_sub)
 from test_bench_contract import bench_module
 from test_properties import random_gr, random_holomorphic
 
@@ -39,7 +40,7 @@ def test_transform_solves_the_first_order_system(degree, time_phase):
     omega1 (omega2 theta2) - omega2 (omega1 theta1) is zero: the cancellation
     that leaves slot 0 of the superposed wave to W."""
     rng = random.Random(100 * degree + time_phase)
-    phi = WaveFn.free(time_phase)
+    phi = free_wave(time_phase)
     prev = None
     for trial in range(6):
         p = holomorphic(rng, degree, constant=trial % 2)
@@ -49,12 +50,15 @@ def test_transform_solves_the_first_order_system(degree, time_phase):
         prod = moutard_transform_wave(om, time_phase)
         assert prod.time_phase == time_phase
         assert prod.coeffs[0] == -om * GR_I, f"trial {trial}: {p}"
-        rhs_z = (phi.scale(om.diff_z()) - wave_diff_z(phi).scale(om)).scale(GR_I)
-        rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(diff_zbar(om))).scale(GR_I)
+        rhs_z = wave_scale(wave_sub(wave_scale(phi, om.diff_z()),
+                                    wave_scale(wave_diff_z(phi), om)), GR_I)
+        rhs_zb = wave_scale(wave_sub(wave_scale(wave_diff_zbar(phi), om),
+                                     wave_scale(phi, diff_zbar(om))), GR_I)
         assert wave_diff_z(prod) == rhs_z, f"trial {trial}: {p}"
         assert wave_diff_zbar(prod) == rhs_zb, f"trial {trial}: {p}"
         if prev is not None:
-            assert 0 not in (prod.scale(prev[0]) - prev[1].scale(om)).coeffs, f"trial {trial}"
+            assert 0 not in wave_sub(wave_scale(prod, prev[0]),
+                                     wave_scale(prev[1], om)).coeffs, f"trial {trial}"
         prev = om, prod
 
 
@@ -64,27 +68,66 @@ def d_z(p, k):
     return p
 
 
-def check_closed_forms(fw, seed):
-    """W, slot 0, is real-valued and is double_w (static) or extended_w
-    (time) of the seed, slot k is
-    2i(-1)^(k-1)(omega1 d^k p2 - omega2 d^k p1) for 1 <= k <= d and no other
-    slot exists; A = -2d/lam wherever the exact extraction accepts W's
-    leading form.  Returns whether A was checked."""
+def assert_slots_are_n_k(fw, seed):
+    """Slot k is N_k = 2i(-1)^(k-1)(omega1 d^k p2 - omega2 d^k p1) for
+    1 <= k <= d, d the larger degree of p1 and p2, and no slot but these
+    and slot 0 exists."""
     p1, p2 = seed.p1, seed.p2
     om1, om2 = harmonic_from_holomorphic(p1), harmonic_from_holomorphic(p2)
     d = max(p1.deg_z(), p2.deg_z())
-    assert is_real_valued(fw.w)
-    assert fw.w == (nv.extended_w(seed) if fw.psi.time_phase else double_w(seed))
     assert set(fw.psi.coeffs) <= set(range(d + 1))
     for k in range(1, d + 1):
         n_k = (om1 * d_z(p2, k) - om2 * d_z(p1, k)) * GR_I * (2 * (-1) ** (k - 1))
         assert fw.psi.coeffs.get(k, MPoly.zero()) == n_k, f"slot {k}"
+    return d
+
+
+def check_closed_forms(fw, seed):
+    """W, slot 0, is real-valued and is double_w (static) or extended_w
+    (time) of the seed, the slots k >= 1 are N_k (`assert_slots_are_n_k`),
+    and A = -2d/lam wherever the exact extraction accepts W's leading form.
+    Returns whether A was checked."""
+    assert is_real_valued(fw.w)
+    assert fw.w == (nv.extended_w(seed) if fw.psi.time_phase else double_w(seed))
+    d = assert_slots_are_n_k(fw, seed)
     try:
         sd = scattering_data(fw, validate=False)
     except AsymptoticMismatch:
         return False
     assert sd.a_coeffs == {1: gr(-2 * d)}
     return True
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_closed_form_slots_are_the_wave_algebra_and_n_k(degree, time_phase):
+    """The transform in closed form (slot 0 -i omega, the slots k >= 1 the
+    antiderivative of 2i omega_z) and the superposition formed per slot
+    (omega1 r2_k - omega2 r1_k) equal the transform and superposition formed
+    by the wave algebra (free wave, antiderivative, scaling, subtraction),
+    and the superposed slots are N_k, on seeds with and without constants
+    and with p1, p2 of one degree and of two; on the time branch the seed
+    is evolved in t and W is the extended W."""
+    rng = random.Random(700 + 10 * degree + time_phase)
+    others = [d for d in range(1, 7) if d != degree]
+    for trial in range(4):
+        constant = trial % 2
+        d1, d2 = (degree, degree) if trial < 2 else (degree, rng.choice(others))
+        if trial == 3:
+            d1, d2 = d2, d1
+        seed = SeedPair(holomorphic(rng, d1, constant), holomorphic(rng, d2, constant),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        if time_phase:
+            es, fw = nv.evolved_seed(seed), nv.nv_faddeev(seed)
+            frame = build_frame(es, nv.extended_w(seed))
+        else:
+            es, fw = seed, build_faddeev(seed)
+            frame = build_frame(seed)
+        for om in (frame.omega1, frame.omega2):
+            assert moutard_transform_wave(om, time_phase) == \
+                transform_by_wave_algebra(om, time_phase), f"trial {trial}: {seed}"
+        assert fw.psi == superpose_by_wave_algebra(frame, time_phase), f"trial {trial}: {seed}"
+        assert_slots_are_n_k(fw, es)
 
 
 @pytest.mark.parametrize("degree", range(1, 7))

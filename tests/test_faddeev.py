@@ -1,16 +1,21 @@
 import cmath
+import os
+import random
 
 import pytest
 
+from moutardnv import nv
 from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.errors import AsymptoticMismatch, ResidualNonzero
-from moutardnv.exppoly import WaveFn, wave_eval
-from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev,
-                               residual, scattering_data)
+from moutardnv.exppoly import D_ZZBAR, WaveFn, wave_eval
+from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, bilinear_residual,
+                               build_faddeev, residual, scattering_data)
+from moutardnv.harness import load_seed
 from moutardnv.moutard import build_frame, kernel_functions, potential
 
-from conftest import gr, poly
-from oracles import same_fraction
+from conftest import FIXTURES, gr, poly
+from oracles import free_wave, same_fraction, wave_add, wave_scale, wave_sub
+from test_properties import random_real_w, random_wave
 
 
 REF_POTENTIAL_NUM = poly({
@@ -91,7 +96,7 @@ def test_scattering_cubic_reference(seed22_cubic):
 
 
 def test_scattering_free_wave():
-    fw = FaddeevWave(WaveFn.free())
+    fw = FaddeevWave(free_wave())
     assert scattering_data(fw).a_coeffs == {}
 
 
@@ -156,13 +161,13 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
         psi = moutard_transform_wave(omega, time_phase)
         if omega != frame.omega2:
             return psi
-        return psi + WaveFn({1: MPoly.monomial(1, 1, 0)})    # a lam^-1 term
+        return wave_add(psi, WaveFn({1: MPoly.monomial(1, 1, 0)}))    # a lam^-1 term
 
     monkeypatch.setattr(faddeev, "moutard_transform_wave", corrupted)
     with pytest.raises(ResidualNonzero) as err:
         faddeev.faddeev_superpose(frame)
     psi1, bad = corrupted(frame.omega1), corrupted(frame.omega2)
-    coeffs = dict((bad.scale(frame.omega1) - psi1.scale(frame.omega2)).coeffs)
+    coeffs = dict(wave_sub(wave_scale(bad, frame.omega1), wave_scale(psi1, frame.omega2)).coeffs)
     coeffs[0] = frame.w
     res = residual(FaddeevWave(WaveFn(coeffs)))
     message = str(err.value)
@@ -171,9 +176,9 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
 
 
 def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
-    # W is psi's slot 0 and u = potential(W) is built on first read, once
+    # W is psi's slot 0 and u = potential(W) is built on first read, once:
+    # the exact residual reads it, so the superposition builds it
     from moutardnv import faddeev
-    fw = build_faddeev(seed22)
     built = []
 
     def counted(w):
@@ -181,6 +186,41 @@ def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
         return potential(w)
 
     monkeypatch.setattr(faddeev, "potential", counted)
-    assert fw.w is fw.psi.coeffs[0]
+    fw = build_faddeev(seed22)
+    assert fw.w is fw.psi.coeffs[0] and built == [fw.w]
     assert same_fraction(fw.u, potential(fw.w))
     assert fw.u is fw.u and built == [fw.w]
+
+
+def test_residual_reading_u_is_the_full_hirota_residual():
+    """residual(fw) forms the slots k >= 1 and adds W's term -u/4 read off
+    fw.u; bilinear_residual forms every slot, W's by symmetry.  Both give
+    the same first nonzero slot on the fixtures' waves (zero), on those
+    waves with W plus a constant and the slots kept (zero too: N_k does not
+    read the constant c of W), with slot k, W among them, plus a monomial
+    (nonzero), and on random waves over a random real W, with and without
+    the time phase and with a slot -1 (nonzero)."""
+    def same(fw):
+        res = residual(fw)
+        assert res == bilinear_residual(fw, D_ZZBAR)
+        return res
+
+    waves = []
+    for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json")):
+        seed, time = load_seed(os.path.join(FIXTURES, name))
+        waves.append(nv.nv_faddeev(seed) if time else build_faddeev(seed))
+    assert len(waves) >= 4
+    for fw in waves:
+        assert same(fw).is_zero()
+        psi = fw.psi
+        shifted = FaddeevWave(WaveFn({**psi.coeffs, 0: fw.w + MPoly.const(3)}, psi.time_phase))
+        assert same(shifted).is_zero()
+        for k in sorted(psi.coeffs):
+            broken = FaddeevWave(WaveFn({**psi.coeffs, k: psi.coeffs[k] + MPoly.monomial(1, 0, 0)},
+                                        psi.time_phase))
+            assert not same(broken).is_zero(), k
+    rng = random.Random(20261020)
+    for trial in range(20):
+        chi = random_wave(rng, time_phase=trial % 2 == 0)
+        fw = FaddeevWave(WaveFn({**chi.coeffs, 0: random_real_w(rng, (1, 5))}, chi.time_phase))
+        assert not same(fw).is_zero(), trial

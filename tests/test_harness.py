@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from moutardnv.moutard import build_frame, kernel_functions
 from moutardnv import nv
 
 from conftest import fixture_path, gr, poly
-from oracles import (decay_fit, fd_residual_per_step, hermitian_square_certificate,
+from oracles import (decay_fit, fd_residual_per_step, free_wave, hermitian_square_certificate,
                      poly_from_json, rational_from_json, same_fraction, sign_check)
 
 
@@ -39,7 +40,7 @@ def test_fd_residual_reference(seed22):
 
 def test_fd_residual_free_wave():
     u = RationalFn(MPoly.zero(), MPoly.const(1))
-    free = FaddeevWave(WaveFn.free())
+    free = FaddeevWave(free_wave())
     rep = fd_residual(u, free, 1.0, GridSpec(-1, 1, -1, 1, 5), 1e-2)
     assert abs(rep.order - 2.0) <= 0.1
 
@@ -155,6 +156,26 @@ def test_grid_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert fields[3] == format(1.0 / 3.0, ".17g")
     assert float(fields[4]) == -2.0 / 7.0
+
+
+def test_grid_csv_rows_are_the_per_value_format(tmp_path):
+    """One printf-style format per row writes the bytes of
+    format(float(v), ".17g") per value: on -0.0, subnormals, 1e+-300,
+    integers, and the rows sample_grid leaves after its NaN points, at an
+    integer t."""
+    rows = [(-0.0, 0.0, 0, 5e-324, -2.2250738585072014e-308 / 3),
+            (1e300, -1e-300, 3, 1.0000000000000002, -7),
+            (0.1, 1.0 / 3.0, 2.5, math.pi, -0.0),
+            (-1.7976931348623157e308, 2 ** 60, -4, 1e-310, 123456789012345678)]
+    grid = GridSpec(-1, 1, -1, 1, 5, t=2)
+    sampled = list(sample_grid(lambda z, t: np.where(z.real > 0.2, np.nan, z * t - 0.5j), grid))
+    assert len(sampled) == 15 and all(t == 2 and isinstance(t, int) for _, _, t, _, _ in sampled)
+    rows += sampled
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, rows)
+    expected = "x,y,t,re,im\n" + "".join(",".join(format(float(v), ".17g") for v in row) + "\n"
+                                         for row in rows)
+    assert path.read_text() == expected
 
 
 def scalar_reference(fn, grid):

@@ -7,14 +7,14 @@ import sympy as sp
 
 from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_extremes, grid_product
 from moutardnv.errors import CoefficientOverflow, NotHolomorphic, ZeroPolynomial
-from moutardnv.exppoly import WaveFn
 from moutardnv.moutard import (CERTIFICATE_GRID_N, NonvanishingReport, SeedPair, build_frame,
                                double_w, harmonic_from_holomorphic, kernel_functions,
                                moutard_transform_wave, nonvanishing_certificate, potential)
 
 from conftest import Z, ZB, gr, poly, to_sympy
-from oracles import (Frac, certificate_full_grid, diff_zbar, grid_extremes_full_grid,
-                     is_real_valued, same_fraction, wave_diff_z, wave_diff_zbar)
+from oracles import (Frac, certificate_full_grid, diff_zbar, free_wave, grid_extremes_full_grid,
+                     is_real_valued, same_fraction, wave_diff_z, wave_diff_zbar, wave_scale,
+                     wave_sub)
 from test_properties import random_holomorphic
 
 
@@ -81,9 +81,11 @@ def test_transform_free_wave_product_form(seed22):
     # slot 0 of omega*theta is exactly -i*omega
     assert prod.coeffs[0] == -om * GR_I
     # the defining first-order system holds slotwise
-    phi = WaveFn.free()
-    rhs_z = (phi.scale(om.diff_z()) - wave_diff_z(phi).scale(om)).scale(GR_I)
-    rhs_zb = (wave_diff_zbar(phi).scale(om) - phi.scale(diff_zbar(om))).scale(GR_I)
+    phi = free_wave()
+    rhs_z = wave_scale(wave_sub(wave_scale(phi, om.diff_z()), wave_scale(wave_diff_z(phi), om)),
+                       GR_I)
+    rhs_zb = wave_scale(wave_sub(wave_scale(wave_diff_zbar(phi), om),
+                                 wave_scale(phi, diff_zbar(om))), GR_I)
     assert wave_diff_z(prod) == rhs_z
     assert wave_diff_zbar(prod) == rhs_zb
 

@@ -13,8 +13,8 @@ from moutardnv.moutard import SeedPair, build_frame, potential
 from moutardnv import nv
 
 from conftest import gr
-from oracles import (Frac, diff_zbar, frac, hirota_by_products, same_fraction, wave_diff_t,
-                     wave_diff_z, wave_diff_zbar)
+from oracles import (Frac, diff_zbar, frac, hirota_by_products, same_fraction, wave_add,
+                     wave_diff_t, wave_diff_z, wave_diff_zbar, wave_scale, wave_sub)
 
 
 def random_holomorphic(rng, max_deg):
@@ -174,12 +174,14 @@ def test_residuals_are_hirota_forms_over_w2():
         chi = random_wave(rng, time_phase=rng.random() < 0.5)
         m = lifted(chi, w)
         u = log_d2(w, MPoly.diff_z, diff_zbar) * -8
-        spatial = wave_diff_z(wave_diff_zbar(m)).scale(-4) + m.scale(u)
+        spatial = wave_add(wave_scale(wave_diff_z(wave_diff_zbar(m)), -4), wave_scale(m, u))
         assert spatial.coeffs == over_w2(hirota(chi, w, D_ZZBAR), w, -4), f"trial {trial}"
         v3 = log_d2(w, MPoly.diff_z, MPoly.diff_z) * 6
         d1, b1 = wave_diff_z(m), wave_diff_zbar(m)
-        time_leg = (wave_diff_t(m) - wave_diff_z(wave_diff_z(d1))
-                    - wave_diff_zbar(wave_diff_zbar(b1)) - d1.scale(v3) - b1.scale(v3.conj_swap()))
+        time_leg = wave_diff_t(m)
+        for term in (wave_diff_z(wave_diff_z(d1)), wave_diff_zbar(wave_diff_zbar(b1)),
+                     wave_scale(d1, v3), wave_scale(b1, v3.conj_swap())):
+            time_leg = wave_sub(time_leg, term)
         assert time_leg.coeffs == over_w2(hirota(chi, w, D_TIME_LEG), w), f"trial {trial}"
 
 
