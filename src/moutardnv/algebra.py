@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import CoefficientOverflow, ExponentOverflow, ZeroPolynomial
+from .errors import CoefficientOverflow, ExponentOverflow
 
 #: Per-variable exponent cap; terms beyond this signal malformed input.
 MAX_EXPONENT = 64
@@ -80,8 +80,6 @@ class GaussianRational:
     def __truediv__(self, other):
         other = _coerce(other)
         n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
@@ -193,16 +191,13 @@ class MPoly:
         if not re and not im:
             return _wrap({}, 1)
         _check_expo(i, j, k)
-        if i < 0 or j < 0 or k < 0:
-            raise ValueError(f"negative exponent in {(i, j, k)}")
         return _poly({(i, j, k): (re, im)}, d)
 
     @classmethod
     def from_numerators(cls, numerators: dict, denominator: int) -> "MPoly":
         """The polynomial sum (re + i*im)/denominator * z^i zb^j t^k over a dict
-        (i, j, k) -> (re, im) of nonzero Gaussian integers."""
-        if denominator <= 0:
-            raise ValueError("denominator must be positive")
+        (i, j, k) -> (re, im) of nonzero Gaussian integers, the denominator a
+        positive integer."""
         return _poly(numerators, denominator)
 
     # -- representation -----------------------------------------------
@@ -299,8 +294,7 @@ class MPoly:
                      self._d * d)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
+        """self^n for an integer n >= 0."""
         result = MPoly.const(1)
         base = self
         while n:
@@ -360,10 +354,6 @@ class MPoly:
 
     def is_constant(self) -> bool:
         return all(e == (0, 0, 0) for e in self._c)
-
-    def is_holomorphic(self) -> bool:
-        """True when the polynomial depends on z and t only."""
-        return all(j == 0 for (_, j, _) in self._c)
 
     def constant_term(self) -> GaussianRational:
         return self.coeff(0, 0, 0)
@@ -643,19 +633,19 @@ def _normalize(p: MPoly) -> MPoly:
 class RationalFn:
     """The fraction num / base**k.
 
-    Every denominator of the construction is a power of one polynomial (W or
-    an omega_j), kept as its base and exponent.  The library builds
-    fractions, scales them by a number or a polynomial, evaluates and prints
-    them; every identity it checks is a polynomial numerator.  The canonical
-    form (common monomial removed, leading denominator coefficient 1) is
-    applied only for printing and serialization.
+    Every denominator of the construction is a power of one nonzero
+    polynomial (W, which `moutard.double_w` or `nv.extended_w` checks, or an
+    omega_j, which `moutard.build_frame` checks), kept as its base and
+    exponent.  The library builds fractions, scales them by a number or a
+    polynomial, evaluates and prints them; every identity it checks is a
+    polynomial numerator.  The canonical form (common monomial removed,
+    leading denominator coefficient 1) is applied only for printing and
+    serialization.
     """
 
     __slots__ = ("num", "base", "k")
 
     def __init__(self, num: MPoly, base: MPoly, k: int = 1):
-        if base.is_zero():
-            raise ZeroPolynomial("RationalFn base is zero")
         self.num = num
         self.base = base
         self.k = k

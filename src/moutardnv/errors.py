@@ -18,10 +18,6 @@ class CoefficientOverflow(AlgebraError):
     reads as a float is beyond float range."""
 
 
-class NotHolomorphic(AlgebraError):
-    """Seed data must depend on z only."""
-
-
 class ResidualNonzero(AlgebraError):
     """A construction that must solve the Schroedinger equation exactly does not."""
 

@@ -129,12 +129,10 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
     """Exact extraction of A(lam) from degree-leading coefficients, checked
     against A = -2d/lam for W of degree 2d, with an independent numeric ray-fit
     validation.  B = 0 structurally: no conjugate exponential can arise from
-    rational multipliers."""
+    rational multipliers.  A constant W has no slot but W itself (README, "A
+    constant W"), so psi is e^{lam z} and A = 0."""
     w = fw.w
     if w.is_constant():
-        for k in fw.psi.coeffs:
-            if k != 0:
-                raise AsymptoticMismatch("nontrivial slots over a constant denominator")
         return ScatteringData({})
     d = w.total_degree_space()
     lead = w.spatial_leading_terms()

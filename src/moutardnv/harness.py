@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 
 from .algebra import GaussianRational, MPoly, RationalFn, float_range
 from .exppoly import wave_eval
@@ -134,7 +134,8 @@ def seed_to_json(seed: SeedPair, time: bool = False) -> dict:
 def seed_from_json(data: dict):
     """The seed and its time flag; ValueError for any other shape than
     {"p1": [[n, coefficient], ...], "p2": ..., "c": coefficient, "time": bool},
-    n an integer >= 0 and "time" optional."""
+    n an integer >= 0, c real and "time" optional.  Each polynomial is a sum
+    of monomials z^n, so a seed file can hold no zb or t."""
     if not isinstance(data, dict):
         raise ValueError("a seed must be a JSON object")
 
@@ -154,7 +155,10 @@ def seed_from_json(data: dict):
     time = data.get("time", False)
     if not isinstance(time, bool):
         raise ValueError(f"time must be true or false, got {time!r}")
-    return SeedPair(poly("p1"), poly("p2"), _gr_from_json(data["c"])), time
+    p1, p2, c = poly("p1"), poly("p2"), _gr_from_json(data["c"])
+    if not c.is_real():
+        raise ValueError("integration constant must be real")
+    return SeedPair(p1, p2, c), time
 
 
 def save_seed(path, seed: SeedPair, time: bool = False) -> None:
@@ -208,7 +212,9 @@ def sample_grid(fn, grid: GridSpec):
     array of points giving their complex values, NaN at a pole.  Points
     where fn has a pole are skipped.  ValueError when a value, or a step of
     computing it, leaves float range (say W at a huge bound, W^2 below the
-    potential, or the wave's e^{lam z})."""
+    potential, or the wave's e^{lam z}).  The values are computed before
+    the first point is yielded, and each row is turned into Python floats
+    only as it is reached."""
     import numpy as np
     xs, ys = grid.points()
     with np.errstate(all="raise", under="ignore"):
@@ -216,7 +222,8 @@ def sample_grid(fn, grid: GridSpec):
             values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
         except FloatingPointError as exc:
             raise ValueError(f"values on the grid leave float range ({exc})") from None
-    finite = ~np.isnan(values)
-    rows, cols = np.nonzero(finite)
-    yield from zip(xs[cols].tolist(), ys[rows].tolist(), repeat(grid.t),
-                   values.real[finite].tolist(), values.imag[finite].tolist())
+    xs = xs.tolist()
+    for y, row in zip(ys.tolist(), values):
+        keep = (~np.isnan(row)).tolist()
+        yield from zip(compress(xs, keep), repeat(y), repeat(grid.t),
+                       compress(row.real.tolist(), keep), compress(row.imag.tolist(), keep))

@@ -7,26 +7,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_extremes
-from .errors import NotHolomorphic, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .exppoly import WaveFn, hirota, wave_antideriv_z
 
 
 @dataclass(frozen=True)
 class SeedPair:
     """Two polynomials in z alone and the real integration constant of the
-    double-iteration formula, checked here once: no layer below re-checks a
-    seed."""
+    double-iteration formula: `harness.seed_from_json` checks a seed file's
+    constant, and its polynomials can hold no other variable than z."""
 
     p1: MPoly
     p2: MPoly
     c: GaussianRational
-
-    def __post_init__(self):
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not p.is_holomorphic() or p.deg_t() > 0:
-                raise NotHolomorphic(f"{name} depends on zb or t")
-        if not self.c.is_real():
-            raise ValueError("integration constant must be real")
 
 
 @dataclass
@@ -57,10 +50,9 @@ def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
 
 def double_w(seed: SeedPair) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula:
-    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed.  W is
-    zero only when c = 0 and p1, p2 are real multiples of one polynomial, and
-    then so is the time term of `nv.extended_w`: this is the one place that
-    rejects it."""
+    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed,
+    rejected when zero: p2 = mu p1 + i nu for real mu, nu makes W the
+    constant c + 2 nu Re p1(0) (README, "A constant W")."""
     w = w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
     if w.is_zero():
         raise ZeroPolynomial("W is identically zero")
@@ -87,12 +79,13 @@ def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
     """The frame of the seed around w, by default double_w(seed); the time
     layer passes the extended W of an evolved seed.  Every frame's omegas
     and W are nonzero, the denominators of `kernel_functions` and of the
-    waves."""
+    waves: a seed polynomial p = i gives omega = 0, and double_w and
+    `nv.extended_w` reject a zero W."""
     omega1 = harmonic_from_holomorphic(seed.p1)
     omega2 = harmonic_from_holomorphic(seed.p2)
     if w is None:
         w = double_w(seed)
-    if omega1.is_zero() or omega2.is_zero() or w.is_zero():
+    if omega1.is_zero() or omega2.is_zero():
         raise ZeroPolynomial("kernel_functions needs nonzero omega1, omega2, W")
     return MoutardFrame(omega1, omega2, w)
 
@@ -144,12 +137,10 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     CoefficientOverflow where a value leaves float range.  The rounding
     scale is read only when the least |W| is within 64 eps of the scale at
     the box corner, which bounds every node's: then |W| less 64 eps times
-    the scale is read as one more grid, in the same strips.
+    the scale is read as one more grid, in the same strips.  A constant W,
+    nonzero and real (`double_w`), is certified-positive.
     """
     if w.is_constant():
-        c = w.constant_term()
-        if c.is_zero() or not c.is_real():
-            return NonvanishingReport("zero-found", (0.0, 0.0))
         return NonvanishingReport("certified-positive")
     import numpy as np
     xmin, xmax, ymin, ymax = CERTIFICATE_BOX

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import GR_I, MPoly, RationalFn, _horner_t, grid_extremes
-from .errors import TemporalResidualNonzero
+from .errors import TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
@@ -32,12 +32,8 @@ def heat3_evolve(p: MPoly) -> MPoly:
 
 
 class _Evolved(SeedPair):
-    """A seed that `evolved_seed` returned: p1 and p2 evolve in t, so the
-    seed check of `SeedPair`, which a seed from outside has passed, is not
-    made again."""
-
-    def __post_init__(self):
-        pass
+    """A seed that `evolved_seed` returned, p1 and p2 evolved in t: the
+    mark that it is not evolved again."""
 
 
 def evolved_seed(seed: SeedPair) -> SeedPair:
@@ -56,11 +52,17 @@ def extended_w(seed: SeedPair) -> MPoly:
     one time term that both exact residuals (`nv_residual`,
     `temporal_residual`) accept, at every degree; neither is run here.  Both
     terms are real-valued: double_w is i times a bracket B with conj(B) = -B,
-    and i(X0 - conj(X0)) is real."""
+    and i(X0 - conj(X0)) is real.  The sum is rejected when zero, as
+    double_w is: for p2 = mu p1 + i nu, double_w of the evolved seed is
+    c + 2 nu Re p1(0) at t, which c(t) brings back to its value at t = 0, so
+    the sum can be zero where double_w of the evolved seed is not."""
     seed = evolved_seed(seed)
     a, b = ([p.coeff_t(k, 0) for k in range(4)] for p in (seed.p1, seed.p2))
     x0 = (a[3] * b[0] - a[0] * b[3]) * 6 + (a[1] * b[2] - a[2] * b[1]) * 4
-    return double_w(seed) + ((x0 - x0.conj_swap()) * GR_I).antideriv_t()
+    w = double_w(seed) + ((x0 - x0.conj_swap()) * GR_I).antideriv_t()
+    if w.is_zero():
+        raise ZeroPolynomial("W is identically zero")
+    return w
 
 
 @dataclass

@@ -39,8 +39,6 @@ def test_mpoly_construction_and_degrees():
     assert p.deg_z() == 2 and deg_zbar(p) == 1 and p.deg_t() == 3
     assert p.total_degree_space() == 3
     assert p.coeff(2, 1, 0) == gr(1)
-    assert not p.is_holomorphic()
-    assert poly({(3, 0, 0): ("1", "0")}).is_holomorphic()
 
 
 def test_mpoly_differentiation_and_antiderivative():

@@ -394,3 +394,20 @@ def test_grid_eval_memory_peak(seed22):
             tracemalloc.stop()
         assert values.shape == z.shape and np.isfinite(values).all()
         assert peak <= 1.0 * 2 ** 20
+
+
+def test_sample_grid_memory_peak(seed22):
+    """sample-grid on a 400 x 400 grid of u holds the grid's complex values
+    and turns one row at a time into Python floats, so streaming its points
+    peaks within 14 MiB (about 10 MiB; Python lists of the whole grid would
+    take about 26)."""
+    u = build_faddeev(seed22).u
+    grid = harness.GridSpec(-3.0, 3.0, -3.0, 3.0, 400)
+    tracemalloc.start()
+    try:
+        points = sum(1 for _ in harness.sample_grid(u.eval, grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == 400 * 400
+    assert peak <= 14 * 2 ** 20

@@ -227,6 +227,7 @@ MALFORMED_SEEDS = {
     "float-part": _sec22_with(p1=[[1, {"re": 0.1}]]),
     "zero-denominator": _sec22_with(p1=[[1, {"re": "1/0"}]]),
     "c-number": _sec22_with(c=7),
+    "complex-c": _sec22_with(c={"re": "-20", "im": "1"}),
     "time-string": _sec22_with(time="no"),
 }
 
@@ -607,20 +608,23 @@ ZERO_W_ARGV = {"sample-grid": ["--grid=-1,1,-1,1,3", "--out"]}
 @pytest.mark.parametrize("time", [False, True])
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_every_subcommand_rejects_a_zero_w_with_one_message(command, time, tmp_path):
-    # p2 = 3 p1 and c = 0 give W = 0, and on the time seed a zero time leg too
-    p1 = [[1, {"re": "1", "im": "0"}], [2, {"re": "1", "im": "0"}]]
-    p2 = [[1, {"re": "3", "im": "0"}], [2, {"re": "3", "im": "0"}]]
-    seed = tmp_path / "zero.json"
-    seed.write_text(json.dumps({"p1": p1, "p2": p2, "c": {"re": "0", "im": "0"},
-                                "time": time}))
-    out = tmp_path / "out.csv"
-    argv = [command, "--seed", str(seed)] + ZERO_W_ARGV.get(command, ["--out"]) + [str(out)]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        rc = cli.main(argv)
-    assert rc == 1
-    assert "ZeroPolynomial: W is identically zero" in stdout.getvalue()
-    assert not out.exists()
+    # p2 = 3 p1 and c = 0 give W = 0, and on the time seed a zero time leg
+    # too; p2 = p1 + i and c = -2 Re p1(0) with p1 cubic give W = 0 while
+    # the static W of the evolved seed is 12t, which the time term cancels
+    seeds = [([[1, {"re": "1"}], [2, {"re": "1"}]], [[1, {"re": "3"}], [2, {"re": "3"}]], "0"),
+             ([[0, {"re": "1"}], [3, {"re": "1"}]],
+              [[0, {"re": "1", "im": "1"}], [3, {"re": "1"}]], "-2")]
+    for p1, p2, c in seeds:
+        seed = tmp_path / "zero.json"
+        seed.write_text(json.dumps({"p1": p1, "p2": p2, "c": {"re": c}, "time": time}))
+        out = tmp_path / "out.csv"
+        argv = [command, "--seed", str(seed)] + ZERO_W_ARGV.get(command, ["--out"]) + [str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        assert rc == 1, c
+        assert "ZeroPolynomial: W is identically zero" in stdout.getvalue(), c
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["potential", "--t", "5"], ["verify", "--tol", "1"],

@@ -4,22 +4,28 @@ and time seeds of degree 2-5, against README's N_k and against the same
 waves formed by the wave algebra of `oracles`, with the identities of the
 construction that the library does not check at run time: harmonic omegas,
 the cancellation in slot 0 of the superposition, a real-valued W, static or
-extended, and the evolution of the seed."""
+extended, the evolution of the seed, seed files in z alone, an extended W
+as nonzero as the static one, no slot over a constant W, and the kernel
+functions in the kernel."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from moutardnv import nv
 from moutardnv.algebra import GR_I, MPoly
-from moutardnv.errors import AsymptoticMismatch
+from moutardnv.errors import AsymptoticMismatch, ZeroPolynomial
+from moutardnv.exppoly import D_ZZBAR, hirota
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, scattering_data
+from moutardnv.harness import load_seed, seed_from_json
 from moutardnv.moutard import (SeedPair, build_frame, double_w, harmonic_from_holomorphic,
-                               moutard_transform_wave)
+                               moutard_transform_wave, nonvanishing_certificate)
 
-from conftest import gr
-from oracles import (diff_zbar, free_wave, is_real_valued, subs_t, superpose_by_wave_algebra,
-                     transform_by_wave_algebra, wave_diff_z, wave_diff_zbar, wave_scale, wave_sub)
+from conftest import fixture_path, gr
+from oracles import (deg_zbar, diff_zbar, free_wave, is_real_valued, subs_t,
+                     superpose_by_wave_algebra, transform_by_wave_algebra, wave_diff_z,
+                     wave_diff_zbar, wave_scale, wave_sub)
 from test_bench_contract import bench_module
 from test_properties import random_gr, random_holomorphic
 
@@ -192,3 +198,146 @@ def test_identities_of_the_construction(degree, time_phase):
             assert diff_zbar(om.diff_z()).is_zero(), f"trial {trial}: {seed}"
         fw = faddeev_superpose(frame, time_phase)
         assert fw.w == w, f"trial {trial}: {seed}"
+
+
+def random_part(rng):
+    """A rational part of a seed-file coefficient: an integer or a string."""
+    n, d = rng.randint(-9, 9), rng.randint(1, 5)
+    return n if rng.random() < 0.3 else (f"{n}/{d}" if d > 1 else str(n))
+
+
+def random_seed_json(rng, degree, constant, time):
+    """A seed file's object: each polynomial lists degrees 1..degree, and 0
+    if `constant`, some twice, in random order, each coefficient with or
+    without "im"."""
+    def entries():
+        degrees = [*range(0 if constant else 1, degree + 1), *rng.sample(range(degree + 1), 2)]
+        rng.shuffle(degrees)
+        return [[n, {"re": random_part(rng), **({"im": random_part(rng)}
+                                                 if rng.random() < 0.8 else {})}]
+                for n in degrees]
+    c = {"re": random_part(rng), **({"im": rng.choice([0, "0", "0/3"])}
+                                    if rng.random() < 0.5 else {})}
+    return {"p1": entries(), "p2": entries(), "c": c, **({"time": time} if time else {})}
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_seed_files_hold_no_zbar_or_t(degree, time_phase):
+    """Every polynomial `seed_from_json` reads is a sum of monomials z^n, so
+    p1 and p2 have no zb and no t and c is real, on seed files of degree 1-6
+    with and without constants, so SeedPair needs no check of its own."""
+    rng = random.Random(800 + 10 * degree + time_phase)
+    for trial in range(6):
+        data = random_seed_json(rng, degree, constant=trial % 2, time=time_phase)
+        seed, time = seed_from_json(data)
+        assert time == time_phase
+        for p in (seed.p1, seed.p2):
+            assert deg_zbar(p) == 0 and p.deg_t() == 0 and p.deg_z() <= degree, data
+        assert seed.c.is_real(), data
+    for name in ("sec22", "sec22_cubic", "sec32", "sec22_cubic_time"):
+        seed, _ = load_seed(fixture_path(f"{name}.json"))
+        assert all(deg_zbar(p) == 0 and p.deg_t() == 0 for p in (seed.p1, seed.p2))
+
+
+def imaginary_shift(rng, p1):
+    """(p2, s) with p2 = mu p1 + i nu for a real mu != 0 and a real nu: W is
+    then the constant c + s, s = 2 nu Re p1(0) (README, "A constant
+    W")."""
+    mu = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+    nu = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return p1 * mu + MPoly.const(gr(0, nu)), 2 * nu * p1.constant_term().re
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_extended_w_is_nonzero_where_double_w_is(degree):
+    """The extended W is the static W at t = 0, so `double_w`'s zero check
+    covers it: on seeds of degree 1-6 with and without constants, generic,
+    with a constant W (p2 = mu p1 + i nu) and with W = 0 (the same with
+    c = -2 nu Re p1(0)), either both raise ZeroPolynomial or neither is
+    zero and the extended W's t = 0 slice is double_w."""
+    rng = random.Random(900 + degree)
+    zeros = 0
+    for trial in range(12):
+        p1, kind = holomorphic(rng, degree, constant=trial % 2), trial // 2 % 3
+        if kind == 0:
+            seed = SeedPair(p1, holomorphic(rng, degree, trial % 2), gr(rng.choice([-1000, 1000])))
+        else:
+            p2, s = imaginary_shift(rng, p1)
+            seed = SeedPair(p1, p2, gr(-s if kind == 2 else rng.choice([-1000, 1000])))
+        try:
+            w = double_w(seed)
+        except ZeroPolynomial:
+            zeros += 1
+            with pytest.raises(ZeroPolynomial):
+                nv.extended_w(seed)
+            continue
+        wt = nv.extended_w(seed)
+        assert not wt.is_zero() and subs_t(wt, 0) == w, f"trial {trial}: {seed}"
+    assert zeros == 4
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_a_constant_w_has_no_slots(degree, time_phase):
+    """p2 = mu p1 + i nu (`imaginary_shift`) makes W the constant c + s,
+    static and extended alike, and then omega2 = mu omega1 and
+    d^k p2 = mu d^k p1, so every N_k is zero: the wave has no slot but W,
+    A = 0, and the certificate reads certified-positive.  Seeds of degree
+    1-6 with and without constants; on the time branch p1 is evolved, and
+    the time term cancels the drift of 2 nu Re p1(0) in t."""
+    rng = random.Random(1000 + 10 * degree + time_phase)
+    for trial in range(4):
+        p1 = holomorphic(rng, degree, constant=trial % 2)
+        p2, s = imaginary_shift(rng, p1)
+        c = rng.choice([-1000, -100, 100, 1000])
+        seed = SeedPair(p1, p2, gr(c))
+        fw = nv.nv_faddeev(seed) if time_phase else build_faddeev(seed)
+        assert fw.w == MPoly.const(gr(c + s)), f"trial {trial}: {seed}"
+        assert set(fw.psi.coeffs) == {0}, f"trial {trial}: {seed}"
+        assert scattering_data(fw).a_coeffs == {}
+        assert nonvanishing_certificate(fw.w).verdict == "certified-positive"
+
+
+def kernel_form(omega, w):
+    """D_z D_zb (omega . W): (-4 d dbar + u)(omega/W) is -4 times it over W^2
+    for u = -2 Laplacian(log W)."""
+    return hirota(omega, w, D_ZZBAR)
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_kernel_functions_solve_the_equation(degree, time_phase):
+    """phi_j = +-omega_j / W is in the kernel of -4 d dbar + u: D_z D_zb
+    (omega_j . W) is zero for j = 1, 2, on seeds of degree 1-6 with and
+    without constants (on the time branch, the evolved omegas over the
+    extended W at every t).  W + z zb in place of W, or omega_j + 1 in place
+    of omega_j, makes it nonzero wherever p_j has degree 2 or more."""
+    rng = random.Random(1100 + 10 * degree + time_phase)
+    zzb = MPoly.monomial(1, 1, 0)
+    for trial in range(4):
+        constant = trial % 2
+        seed = SeedPair(holomorphic(rng, degree, constant), holomorphic(rng, degree, constant),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        frame = (build_frame(nv.evolved_seed(seed), nv.extended_w(seed)) if time_phase
+                 else build_frame(seed))
+        for p, om in ((seed.p1, frame.omega1), (seed.p2, frame.omega2)):
+            assert kernel_form(om, frame.w).is_zero(), f"trial {trial}: {seed}"
+            if p.deg_z() >= 2:
+                assert not kernel_form(om, frame.w + zzb).is_zero(), f"trial {trial}: {seed}"
+                assert not kernel_form(om + MPoly.const(1), frame.w).is_zero(), \
+                    f"trial {trial}: {seed}"
+
+
+@pytest.mark.parametrize("name", ["sec22", "sec22_cubic", "sec32", "sec22_cubic_time"])
+def test_kernel_functions_of_the_fixtures_solve_the_equation(name):
+    seed, time = load_seed(fixture_path(f"{name}.json"))
+    zzb = MPoly.monomial(1, 1, 0)
+    frames = [build_frame(seed)]
+    if time:
+        frames.append(build_frame(nv.evolved_seed(seed), nv.extended_w(seed)))
+    for frame in frames:
+        for om in (frame.omega1, frame.omega2):
+            assert kernel_form(om, frame.w).is_zero()
+            assert not kernel_form(om, frame.w + zzb).is_zero()
+            assert not kernel_form(om + MPoly.const(1), frame.w).is_zero()

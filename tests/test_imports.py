@@ -425,3 +425,37 @@ def test_check_sees_an_uncalled_operator(monkeypatch):
     assert _uncalled_operators(monkeypatch, [Num], drive, {"__neg__", "__radd__"}) == \
         ["Num.__hash__"]
     assert Num.__add__ is Num.__radd__          # the probes are gone
+
+
+def _unraised_errors(errors, modules):
+    """Every exception class that the errors module (a parsed tree) defines,
+    its base AlgebraError left out, that no raise statement of the modules
+    (parsed trees) names, as `raise E` or `raise E(...)`."""
+    raised = set()
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= _reads(exc)
+    return sorted(node.name for node in errors.body
+                  if isinstance(node, ast.ClassDef) and node.name != "AlgebraError"
+                  and node.name not in raised)
+
+
+def test_every_error_type_is_raised_by_the_library():
+    modules = [_parse(os.path.join(SRC, f)) for f in MODULES]
+    assert _unraised_errors(_parse(os.path.join(SRC, "errors.py")), modules) == []
+
+
+def test_check_sees_an_unraised_error_type():
+    errors = ast.parse("class AlgebraError(Exception):\n    pass\n"
+                       "class Used(AlgebraError):\n    pass\n"
+                       "class Bare(AlgebraError):\n    pass\n"
+                       "class Caught(AlgebraError):\n    pass\n"
+                       "class Orphan(AlgebraError):\n    pass\n")
+    module = ast.parse("from .errors import Bare, Caught, Orphan, Used, errors\n"
+                       "def f(x):\n    if x:\n        raise Used(f'{x}')\n"
+                       "    try:\n        raise errors.Bare\n"
+                       "    except Caught:\n        raise\n"
+                       "    return isinstance(x, Orphan)\n")
+    assert _unraised_errors(errors, [module]) == ["Caught", "Orphan"]

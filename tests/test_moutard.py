@@ -6,16 +6,18 @@ import pytest
 import sympy as sp
 
 from moutardnv.algebra import GR_I, GRID_STRIP, MPoly, grid_extremes, grid_product
-from moutardnv.errors import CoefficientOverflow, NotHolomorphic, ZeroPolynomial
+from moutardnv.errors import CoefficientOverflow
+from moutardnv.harness import load_seed, seed_from_json
 from moutardnv.moutard import (CERTIFICATE_GRID_N, NonvanishingReport, SeedPair, build_frame,
                                double_w, harmonic_from_holomorphic, kernel_functions,
                                moutard_transform_wave, nonvanishing_certificate, potential)
+from moutardnv import nv
 
-from conftest import Z, ZB, gr, poly, to_sympy
+from conftest import Z, ZB, fixture_path, gr, poly, to_sympy
 from oracles import (Frac, certificate_full_grid, diff_zbar, free_wave, grid_extremes_full_grid,
                      is_real_valued, same_fraction, wave_diff_z, wave_diff_zbar, wave_scale,
                      wave_sub)
-from test_properties import random_holomorphic
+from test_properties import degenerate_leading_form, random_holomorphic
 
 
 def test_harmonic_from_holomorphic():
@@ -26,11 +28,12 @@ def test_harmonic_from_holomorphic():
 
 
 def test_seed_pair_validation():
+    # the seed file is checked where it is read; SeedPair is plain data
+    data = {"p1": [[1, {"re": "1"}]], "p2": [[2, {"re": "1"}]], "c": {"re": "1", "im": "1"}}
+    with pytest.raises(ValueError, match="^integration constant must be real$"):
+        seed_from_json(data)
     z = MPoly.monomial(1, 0, 0)
-    with pytest.raises(NotHolomorphic):
-        SeedPair(MPoly.monomial(0, 1, 0), z, gr(1))
-    with pytest.raises(ValueError):
-        SeedPair(z, z * z, gr(1, 1))
+    assert seed_from_json({**data, "c": {"re": "1"}}) == (SeedPair(z, z * z, gr(1)), False)
 
 
 def test_double_w_real_and_degenerate(seed22):
@@ -47,8 +50,6 @@ def test_potential_is_neg_two_laplacian_log(seed22):
     num, den = sp.fraction(sp.cancel(sp.together(-2 * 4 * (ws * sp.diff(ws, Z, ZB)
                                                            - sp.diff(ws, Z) * sp.diff(ws, ZB)) / ws ** 2)))
     assert sp.expand(to_sympy(u.num) * den - to_sympy(u.den) * num) == 0
-    with pytest.raises(ZeroPolynomial):
-        potential(MPoly.zero())
 
 
 def test_kernel_functions_reciprocal(seed22):
@@ -212,5 +213,32 @@ def test_nonvanishing_certificate_wide_range_degree5():
 
 
 def test_nonvanishing_certificate_constant():
-    assert nonvanishing_certificate(MPoly.const(5)).verdict == "certified-positive"
-    assert nonvanishing_certificate(MPoly.zero()).verdict == "zero-found"
+    for c in (5, -5, gr("1/1000")):
+        assert nonvanishing_certificate(MPoly.const(c)).verdict == "certified-positive"
+
+
+def decay_exponent(w):
+    """e = deg(u.num) - 2 deg(W) for u = -2 Laplacian(log W): |u| <= C r^e far
+    out when W's leading form is definite."""
+    return potential(w).num.total_degree_space() - 2 * w.total_degree_space()
+
+
+def test_potential_decay_exponent():
+    """e is -3 on every benchmark static candidate whose W has a monomial
+    leading form and -2 on the 13 whose leading form is degenerate
+    (Im(a_d conj(b_d)) = 0); on the fixtures it is -6 (sec22), -8
+    (sec22_cubic) and -3 (sec32), static and extended alike."""
+    from test_bench_contract import bench_module    # it imports this module
+
+    exponents = {}
+    for name, (seed, _) in bench_module("workloads").static_candidates().items():
+        w = double_w(seed)
+        degenerate = degenerate_leading_form(seed)
+        assert (len(w.spatial_leading_terms()) != 1) == degenerate, name
+        exponents.setdefault(degenerate, []).append(decay_exponent(w))
+    assert exponents[False] == [-3] * 235 and exponents[True] == [-2] * 13
+    for name, e in (("sec22", -6), ("sec22_cubic", -8), ("sec32", -3),
+                    ("sec22_cubic_time", -8)):
+        seed, time = load_seed(fixture_path(f"{name}.json"))
+        ws = [double_w(seed)] + ([nv.extended_w(seed)] if time else [])
+        assert [decay_exponent(w) for w in ws] == [e] * len(ws), name

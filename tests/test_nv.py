@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_extremes
-from moutardnv.errors import CoefficientOverflow, NotHolomorphic, TemporalResidualNonzero
+from moutardnv.errors import CoefficientOverflow, TemporalResidualNonzero
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
 from moutardnv.harness import load_seed
 from moutardnv.moutard import SeedPair, build_frame, double_w
@@ -81,13 +81,6 @@ def _subs_t_shift(q, s):
 
 def _evolve_from_slice(q, s):
     return nv.heat3_evolve(subs_t(q, s))
-
-
-def test_a_seed_that_depends_on_t_is_rejected():
-    # no seed file can hold t; a seed built with it fails the seed check
-    with pytest.raises(NotHolomorphic):
-        SeedPair(MPoly.monomial(3, 0, 0) + MPoly.monomial(0, 0, 1), MPoly.monomial(1, 0, 0),
-                 gr(-20))
 
 
 def test_extended_w_reference(seed32):
@@ -608,6 +601,48 @@ def test_an_evolved_seed_is_not_evolved_again(seed32):
     with mock.patch.object(nv, "heat3_evolve", wraps=nv.heat3_evolve) as evolve:
         again = nv.evolved_seed(cubic)
         assert evolve.call_count == 2 and again == es and again is not es
-    # the evolved polynomials depend on t, so they are no seed from outside
-    with pytest.raises(NotHolomorphic):
-        SeedPair(es.p1, es.p2, es.c)
+
+
+def manakov_remainder(a=3, b=3):
+    """(L_t + [L, A] - B L) psi + 4 r psi for L = -4 d dbar + u, u = -4U,
+    A = d^3 + dbar^3 + a V d + a Vb dbar, B = b (V_z + Vb_zb) and the
+    evolution residual r = U_t - U_zzz - U_zbzbzb - 3(VU)_z - 3(Vb U)_zb, with
+    U, V, Vb and psi functions of z, zb and t, and dbar V = d U,
+    d Vb = dbar U imposed by writing every derivative of V (Vb) that has a
+    zb (z) as one of U."""
+    U, V, Vb, psi = (sp.Function(name)(Z, ZB, T) for name in ("U", "V", "Vb", "psi"))
+    u = -4 * U
+
+    def op_l(f):
+        return -4 * sp.diff(f, Z, ZB) + u * f
+
+    def op_a(f):
+        return sp.diff(f, Z, 3) + sp.diff(f, ZB, 3) + a * V * sp.diff(f, Z) + a * Vb * sp.diff(f, ZB)
+
+    r = (sp.diff(U, T) - sp.diff(U, Z, 3) - sp.diff(U, ZB, 3) - 3 * sp.diff(V * U, Z)
+         - 3 * sp.diff(Vb * U, ZB))
+    expr = sp.expand(sp.diff(u, T) * psi + op_l(op_a(psi)) - op_a(op_l(psi))
+                     - b * (sp.diff(V, Z) + sp.diff(Vb, ZB)) * op_l(psi) + 4 * r * psi)
+    subs = {}
+    for d in expr.atoms(sp.Derivative):
+        n = {Z: 0, ZB: 0, T: 0, **dict(d.variable_count)}
+        if d.expr == V and n[ZB]:
+            n[Z], n[ZB] = n[Z] + 1, n[ZB] - 1
+        elif d.expr == Vb and n[Z]:
+            n[Z], n[ZB] = n[Z] - 1, n[ZB] + 1
+        else:
+            continue
+        subs[d] = sp.diff(U, *((x, k) for x, k in n.items() if k))
+    return sp.expand(expr.xreplace(subs)), psi
+
+
+def test_manakov_identity():
+    """L_t + [L, A] - 3(V_z + Vb_zb) L is multiplication by -4 times the
+    evolution residual (README, "The Lax triple"), so an exact wave with
+    L psi = 0 and psi_t = A psi forces r psi = 0.  With 2V in place of 3V in
+    A, or 2 or 0 in place of B's 3, derivatives of psi are left over."""
+    remainder, _ = manakov_remainder()
+    assert remainder == 0
+    for a, b in ((2, 3), (3, 2), (3, 0)):
+        remainder, psi = manakov_remainder(a, b)
+        assert any(d.expr == psi for d in remainder.atoms(sp.Derivative)), (a, b)
