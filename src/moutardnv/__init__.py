@@ -13,7 +13,7 @@ from .harness import GridSpec, fd_residual, load_seed, sample_grid, save_seed, w
 from .moutard import (MoutardFrame, SeedPair, build_frame, double_w, harmonic_from_holomorphic,
                       kernel_functions, moutard_transform_wave, nonvanishing_certificate,
                       potential)
-from .nv import (BlowupReport, NVSolution, blowup_time, extended_w, heat3_evolve,
-                 kernel_mu, nv_faddeev, nv_potentials, nv_residual, temporal_residual)
+from .nv import (BlowupReport, blowup_time, extended_w, heat3_evolve, kernel_mu, nv_faddeev,
+                 nv_potentials, nv_residual, nv_v, temporal_residual)
 
 __version__ = "1.0.0"

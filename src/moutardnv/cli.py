@@ -21,8 +21,10 @@ from .exppoly import wave_eval
 
 
 def _parse_lambda(text: str) -> complex:
-    re, im = text.split(",")
-    lam = complex(float(re), float(im))
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"lambda must be re,im, got {text}")
+    lam = complex(float(parts[0]), float(parts[1]))
     if lam == 0 or not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite and nonzero, got {text}")
     return lam
@@ -54,7 +56,7 @@ def _pipeline(time: bool):
     u = -2 Laplacian(log W) = -4U, U from `_nv_solution` of the extended W,
     and the time wave; the static ones otherwise."""
     if time:
-        return lambda seed: _nv_solution(nv.extended_w(seed)).u * -4, nv.nv_faddeev
+        return lambda seed: _nv_solution(nv.extended_w(seed)) * -4, nv.nv_faddeev
     return lambda seed: mt.potential(mt.double_w(seed)), fd.build_faddeev
 
 
@@ -65,12 +67,12 @@ def _evolved_w(seed):
 
 
 def _nv_solution(wt):
-    """The (U, V) pair of a time W, failing unless its evolution residual is
-    exactly zero: the check of every W that `nv.extended_w` builds."""
-    sol = nv.nv_potentials(wt)
-    if not nv.nv_residual(sol).is_zero():
+    """U of a time W, failing unless its evolution residual is exactly zero:
+    the check of every W that `nv.extended_w` builds."""
+    U = nv.nv_potentials(wt)
+    if not nv.nv_residual(U).is_zero():
         raise AlgebraError("evolution residual nonzero")
-    return sol
+    return U
 
 
 def cmd_potential(args) -> int:
@@ -116,13 +118,13 @@ def cmd_scatter(args) -> int:
 def cmd_nv_evolve(args) -> int:
     seed, _ = hn.load_seed(args.seed)
     es, wt = _evolved_w(seed)
-    sol = _nv_solution(wt)
+    U = _nv_solution(wt)
     print(f"p1(t) = {es.p1}")
     print(f"p2(t) = {es.p2}")
     print(f"Wt = {wt}")
     _write_json(args, {"p1": hn.poly_to_json(es.p1), "p2": hn.poly_to_json(es.p2),
-                       "wt": hn.poly_to_json(wt), "u": hn.rational_to_json(sol.u),
-                       "v": hn.rational_to_json(sol.v)})
+                       "wt": hn.poly_to_json(wt), "u": hn.rational_to_json(U),
+                       "v": hn.rational_to_json(nv.nv_v(wt))})
     return 0
 
 
@@ -148,7 +150,7 @@ def _blowup_time(wt):
 
 def cmd_blowup(args) -> int:
     seed, _ = hn.load_seed(args.seed)
-    rep = _blowup_time(_nv_solution(nv.extended_w(seed)).wt)
+    rep = _blowup_time(_nv_solution(nv.extended_w(seed)).base)
     if not rep.found:
         print("no_blowup")
         return 0

@@ -76,7 +76,7 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
     that they do is a test.
     """
     om1, om2 = frame.omega1, frame.omega2
-    r1, r2 = (moutard_transform_wave(om, time_phase).coeffs for om in (om1, om2))
+    r1, r2 = (moutard_transform_wave(om).coeffs for om in (om1, om2))
     coeffs = {0: frame.w}                          # the leading 1, over the common denominator
     for k in sorted((r1.keys() | r2.keys()) - {0}):
         coeffs[k] = ((r2[k] * om1 if k in r2 else MPoly.zero())
@@ -106,14 +106,6 @@ def residual(fw: FaddeevWave) -> MPoly:
     if r0 * 4 != fw.u.num:                         # slot 0, r0 - u/4, is not zero
         res[0] = r0 - fw.u.num * Fraction(1, 4)
     return res[min(res)] if res else MPoly.zero()
-
-
-def bilinear_residual(fw: FaddeevWave, form: dict) -> MPoly:
-    """The first nonzero slot of hirota(chi, w, form) for the wave
-    psi = e^{lam z} chi / w (e^{lam z + lam^3 t} chi / w on the time phase).
-    Slot 0 of chi is w itself, which hirota reads by symmetry."""
-    res = hirota(fw.psi, fw.w, form)
-    return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
 
 
 def build_faddeev(seed: SeedPair) -> FaddeevWave:

@@ -138,6 +138,9 @@ def seed_from_json(data: dict):
     of monomials z^n, so a seed file can hold no zb or t."""
     if not isinstance(data, dict):
         raise ValueError("a seed must be a JSON object")
+    missing = [name for name in ("p1", "p2", "c") if name not in data]
+    if missing:
+        raise ValueError(f"a seed must hold {', '.join(map(repr, missing))}")
 
     def poly(name):
         entries = data[name]

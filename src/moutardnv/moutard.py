@@ -90,10 +90,11 @@ def build_frame(seed: SeedPair, w: MPoly = None) -> MoutardFrame:
     return MoutardFrame(omega1, omega2, w)
 
 
-def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
-    """Transform theta of the free wave phi = e^{lam z} (e^{lam z + lam^3 t}
-    with the time phase) by a harmonic omega, returned as the numerator
-    omega*theta: theta is it over omega.
+def moutard_transform_wave(omega: MPoly) -> WaveFn:
+    """Transform theta of the free wave phi = e^{lam z} by a harmonic omega,
+    returned as the numerator omega*theta: theta is it over omega.  The
+    time phase e^{lam^3 t} is constant in z and zb, so the slots are those
+    of e^{lam z + lam^3 t} too; the superposed wave carries the phase.
 
     The first-order system d(omega*theta)/dz = i(phi*omega_z - omega*phi_z),
     d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb) has the closed solution
@@ -106,8 +107,8 @@ def moutard_transform_wave(omega: MPoly, time_phase: bool = False) -> WaveFn:
     polynomial, so harmonic: an identity of the construction, left to the
     tests.
     """
-    rest = wave_antideriv_z(WaveFn({0: omega.diff_z() * (GR_I * 2)}, time_phase))
-    return WaveFn({0: -(omega * GR_I), **rest.coeffs}, time_phase)
+    rest = wave_antideriv_z(WaveFn({0: omega.diff_z() * (GR_I * 2)}))
+    return WaveFn({0: -(omega * GR_I), **rest.coeffs})
 
 
 @dataclass

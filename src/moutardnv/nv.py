@@ -9,12 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import GR_I, MPoly, RationalFn, _horner_t, grid_extremes
 from .errors import TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
-from .faddeev import FaddeevWave, bilinear_residual, faddeev_superpose
+from .faddeev import FaddeevWave, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
 
 
@@ -31,17 +30,15 @@ def heat3_evolve(p: MPoly) -> MPoly:
     return out
 
 
-class _Evolved(SeedPair):
-    """A seed that `evolved_seed` returned, p1 and p2 evolved in t: the
-    mark that it is not evolved again."""
-
-
 def evolved_seed(seed: SeedPair) -> SeedPair:
-    """The seed evolved in time by `heat3_evolve`, as a new seed that any
-    later evolved_seed returns as it is: each seed is evolved once."""
-    if isinstance(seed, _Evolved):
+    """The seed evolved in time by `heat3_evolve`, or the seed itself where
+    each polynomial holds t or has degree below 3: heat3_evolve leaves a
+    polynomial of degree below 3 as it is and gives one of degree 3 or more
+    the nonzero t term d^3 p, so an evolved seed reads as evolved and each
+    seed is evolved once."""
+    if all(p.deg_t() > 0 or p.deg_z() < 3 for p in (seed.p1, seed.p2)):
         return seed
-    return _Evolved(heat3_evolve(seed.p1), heat3_evolve(seed.p2), seed.c)
+    return SeedPair(heat3_evolve(seed.p1), heat3_evolve(seed.p2), seed.c)
 
 
 def extended_w(seed: SeedPair) -> MPoly:
@@ -65,31 +62,20 @@ def extended_w(seed: SeedPair) -> MPoly:
     return w
 
 
-@dataclass
-class NVSolution:
-    """An exact rational solution of the evolution system: the denominator
-    polynomial and the potential pair built from it, both over wt^2.  U is
-    built with the solution; V, which only `mnv nv-evolve` reads, is built on
-    first read, once."""
-
-    wt: MPoly
-    u: RationalFn
-
-    @cached_property
-    def v(self) -> RationalFn:
-        """V = 2 d^2 log Wt, the form D_z^2 on (Wt . Wt) over Wt^2."""
-        return RationalFn(hirota(self.wt, self.wt, D_ZZ), self.wt, 2)
+def nv_potentials(wt: MPoly) -> RationalFn:
+    """U = 2 d dbar log Wt, the form D_z D_zb on (Wt . Wt) over Wt^2: its
+    base is Wt.  u = -2 Laplacian(log Wt) is -4U."""
+    return RationalFn(hirota(wt, wt, D_ZZBAR), wt, 2)
 
 
-def nv_potentials(wt: MPoly) -> NVSolution:
-    """U = 2 d dbar log Wt, the form D_z D_zb on (Wt . Wt) over Wt^2, and V
-    on first read.  dbar V = d U holds for every nonzero Wt, both sides
-    being 2 d^2 dbar log Wt: an identity of the construction, left to the
-    tests."""
-    return NVSolution(wt, RationalFn(hirota(wt, wt, D_ZZBAR), wt, 2))
+def nv_v(wt: MPoly) -> RationalFn:
+    """V = 2 d^2 log Wt, the form D_z^2 on (Wt . Wt) over Wt^2.  dbar V = d U
+    holds for every nonzero Wt, both sides being 2 d^2 dbar log Wt: an
+    identity of the construction, left to the tests."""
+    return RationalFn(hirota(wt, wt, D_ZZ), wt, 2)
 
 
-def nv_residual(sol: NVSolution) -> MPoly:
+def nv_residual(U: RationalFn) -> MPoly:
     """Cleared numerator over Wt^3 of U_t - d^3 U - dbar^3 U - 3d(VU) - 3dbar(Vb U),
     zero exactly when the pair evolves correctly.  As D_z^3 D_zb (Wt . Wt) / Wt^2 =
     U_zz + 3VU, the equation is d_t (P / Wt^2) = d_z (Q / Wt^2) + d_zb (Qb / Wt^2)
@@ -97,11 +83,11 @@ def nv_residual(sol: NVSolution) -> MPoly:
     (Wt . Wt), the conjugate of Q for a real Wt: the numerator over Wt^3 is
     (P_t - Q_z - conj(Q_z)) Wt - 2(P Wt_t - Q Wt_z - conj(Q Wt_z)), three
     products, of which P Wt_t is a scalar multiple when Wt_t is constant (every
-    degree-2 time seed).  P is read off sol.u, whose numerator over Wt^2
-    `nv_potentials` stores as it is; Wt is an `extended_w`, real-valued by
-    construction."""
-    wt = sol.wt
-    p, q = sol.u.num, hirota(wt, wt, {(3, 1, 0): 1})
+    degree-2 time seed).  Wt and P are read off U = `nv_potentials`(Wt), as
+    its base and its numerator over Wt^2; Wt is an `extended_w`, real-valued
+    by construction."""
+    wt, p = U.base, U.num
+    q = hirota(wt, wt, {(3, 1, 0): 1})
     q_z, w_t = q.diff_z(), wt.diff_t()
     qw = q * wt.diff_z()
     pw = p * (w_t.constant_term() if w_t.is_constant() else w_t)
@@ -128,8 +114,10 @@ def temporal_residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of d psi/dt - (d^3 + dbar^3 + 3V d + 3Vb dbar) psi,
     V = 2 d^2 log w: for psi = e^{lam z + lam^3 t} chi / w it is
     (D_t - D_z^3 - D_zb^3)(chi . w) / w^2, whose first nonzero slot is
-    returned; zero exactly when the wave follows the evolution."""
-    return bilinear_residual(fw, D_TIME_LEG)
+    returned; zero exactly when the wave follows the evolution.  Slot 0 of
+    chi is w itself, which hirota reads by symmetry."""
+    res = hirota(fw.psi, fw.w, D_TIME_LEG).coeffs
+    return res[min(res)] if res else MPoly.zero()
 
 
 def kernel_mu(fw: FaddeevWave) -> dict:
@@ -278,17 +266,19 @@ def blowup_time(q: MPoly) -> BlowupReport:
         return BlowupReport(True, 0.0, node(least), "grid")
     sign = 1.0 if lo > 0 else -1.0
     x0 = node(low if sign > 0 else high)
-    m0, witness = _slice_min(a, 0.0, sign, x0)
+    objective = _slice_objective(a, 0.0, sign)
+    r = minimize(objective, x0)
+    m0, witness = r.fun, r.x
     if m0 <= 0.0:
         if not (xmin <= witness[0] <= xmax and ymin <= witness[1] <= ymax):
-            objective = _slice_objective(a, 0.0, sign)
             witness = _zero_between(lambda p: objective(p)[0], x0, witness)
         return BlowupReport(True, 0.0, witness, "grid+descent")
     kappa = _constant_slope(q)
     if kappa is None:
         def slice_min(t):
             _, _, low, high, _ = extremes(t)
-            return _slice_min(a, t, sign, node(low if sign > 0 else high))
+            r = minimize(_slice_objective(a, t, sign), node(low if sign > 0 else high))
+            return r.fun, r.x
         hit = _scan(slice_min)
     else:
         hit = (m0 / abs(kappa), witness) if sign * kappa < 0.0 else None
@@ -310,14 +300,6 @@ def _zero_between(f, a, b):
             b = mid
         else:
             a = mid
-
-
-def _slice_min(a, t: float, sign: float, start):
-    """The minimum of sign * q(., t), for q with x-y coefficients a, and
-    where it is: a damped Newton descent from the point start, the grid
-    node of least sign * q(., t)."""
-    r = minimize(_slice_objective(a, t, sign), start)
-    return r.fun, r.x
 
 
 def _constant_slope(q: MPoly):

@@ -145,23 +145,23 @@ def _over_w2(p: MPoly, w: MPoly, d) -> MPoly:
     return d(p) * w - p * d(w) * 2
 
 
-def nv_residual_two_forms(sol) -> MPoly:
+def nv_residual_two_forms(U: RationalFn) -> MPoly:
     """`nv.nv_residual` with the zb term formed on its own: the numerator over
     Wt^3 of d_t (D_z D_zb) - d_z (D_z^3 D_zb) - d_zb (D_z D_zb^3), each form
     on (Wt . Wt) over Wt^2."""
-    wt = sol.wt
-    return (_over_w2(sol.u.num, wt, MPoly.diff_t)
+    wt = U.base
+    return (_over_w2(U.num, wt, MPoly.diff_t)
             - _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
             - _over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, diff_zbar))
 
 
-def nv_residual_four_products(sol) -> MPoly:
+def nv_residual_four_products(U: RationalFn) -> MPoly:
     """`nv.nv_residual` with each form P through its own quotient rule,
     d(P) Wt - 2 P d(Wt), and the zb term the conjugate of the z term: four
     full-plane products."""
-    wt = sol.wt
+    wt = U.base
     b = _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-    return _over_w2(sol.u.num, wt, MPoly.diff_t) - (b + b.conj_swap())
+    return _over_w2(U.num, wt, MPoly.diff_t) - (b + b.conj_swap())
 
 
 def xy_coefficients_per_term(p: MPoly):
@@ -508,15 +508,15 @@ class Mu2Report:
     entries: list = field(default_factory=list)
 
 
-def mu2_integrability(sol, fw, t_samples, r_outer: float = 40.0,
+def mu2_integrability(U: RationalFn, fw, t_samples, r_outer: float = 40.0,
                       t_star: float = None) -> Mu2Report:
     """Zero-energy eigenfunction check and square-integrability evidence for
     the lam^{-2} kernel fraction at times t_samples before t_star."""
     mu2 = nv.kernel_mu(fw)[2]
     n2 = mu2.num
-    u_ok = potential_gap(sol.u, sol.wt).is_zero()
-    report = Mu2Report(u_ok and eigen_check(n2 + n2.conj_swap(), sol.u),
-                       u_ok and eigen_check((n2 - n2.conj_swap()) * GR_I, sol.u),
+    u_ok = potential_gap(U, U.base).is_zero()
+    report = Mu2Report(u_ok and eigen_check(n2 + n2.conj_swap(), U),
+                       u_ok and eigen_check((n2 - n2.conj_swap()) * GR_I, U),
                        n2.total_degree_space() - mu2.base.total_degree_space())
     for t0 in map(float, t_samples):
         half, full = (_disc_l2(mu2, t0, r, t_star) for r in (r_outer / 2.0, r_outer))

@@ -69,12 +69,12 @@ def test_criterion_4_cubic_scattering(seed22_cubic):
 def test_criterion_5_nv_example(seed32):
     wt = nv.extended_w(seed32)
     ok = wt == RAW_Q * gr("1/3", "1/3")
-    sol = nv.nv_potentials(wt)
+    U, V = nv.nv_potentials(wt), nv.nv_v(wt)
     q2 = RAW_Q * RAW_Q
-    ok = ok and same_fraction(sol.u, RationalFn(REF_U_NUM, q2))
-    ok = ok and same_fraction(sol.v, RationalFn(REF_V_NUM, q2))
-    ok = ok and same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z())
-    ok = ok and nv.nv_residual(sol).is_zero()
+    ok = ok and same_fraction(U, RationalFn(REF_U_NUM, q2))
+    ok = ok and same_fraction(V, RationalFn(REF_V_NUM, q2))
+    ok = ok and same_fraction(frac(V).diff_zbar(), frac(U).diff_z())
+    ok = ok and nv.nv_residual(U).is_zero()
     fw = nv.nv_faddeev(seed32)
     from test_nv import test_nv_faddeev_mu_reference
     try:
@@ -132,8 +132,8 @@ def test_criterion_8_numeric_cross_checks(seed22, seed22_cubic, seed32):
     ok = ok and abs(decay_fit(fw22.u).exponent + 6) < 0.2
     ok = ok and abs(decay_fit(phi1).exponent + 2) < 0.2
     ok = ok and abs(decay_fit(phi2).exponent + 2) < 0.2
-    sol = nv.nv_potentials(nv.extended_w(seed32))
-    ok = ok and abs(decay_fit(sol.u, t0=0.0).exponent + 3) < 0.2
+    U = nv.nv_potentials(nv.extended_w(seed32))
+    ok = ok and abs(decay_fit(U, t0=0.0).exponent + 3) < 0.2
     rep = sign_check(fw22.u, GridSpec(-5, 5, -5, 5, 41))
     ok = ok and rep.verdict == "nonpositive" and rep.certificate
     _report(8, "finite differences, decay rates, sign certificate", ok)

@@ -151,29 +151,37 @@ def test_sample_grid_in_a_fresh_interpreter_matches_in_process(name, options, tm
 
 
 BAD_GRID_OPTIONS = {
-    "infinite-bound": ("sec22", ["--grid=-inf,3,-3,3,5"]),
-    "nan-t": ("sec22", ["--grid=-1,1,-1,1,5", "--t", "nan"]),
-    "nan-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=nan,0"]),
-    "infinite-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=1,inf"]),
-    "zero-lambda": ("sec32", ["--grid=-1,1,-1,1,5", "--lambda=0,0"]),
+    "infinite-bound": ("sec22", ["--grid=-inf,3,-3,3,5"], "grid bounds and t must be finite"),
+    "nan-t": ("sec22", ["--grid=-1,1,-1,1,5", "--t", "nan"], "grid bounds and t must be finite"),
+    "nan-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=nan,0"],
+                   "lambda must be finite and nonzero, got nan,0"),
+    "infinite-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=1,inf"],
+                        "lambda must be finite and nonzero, got 1,inf"),
+    "zero-lambda": ("sec32", ["--grid=-1,1,-1,1,5", "--lambda=0,0"],
+                    "lambda must be finite and nonzero, got 0,0"),
+    "one-part-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=1"],
+                        "lambda must be re,im, got 1"),
+    "three-part-lambda": ("sec22", ["--grid=-1,1,-1,1,5", "--lambda=1,0,2"],
+                          "lambda must be re,im, got 1,0,2"),
     # the span, and so np.linspace's step, overflows
-    "huge-span": ("sec22", ["--grid=-1e308,1e308,-1,1,3"]),
+    "huge-span": ("sec22", ["--grid=-1e308,1e308,-1,1,3"], "grid spans must be finite floats"),
     # W overflows at x = +-1e200: these points read as poles and were dropped
-    "huge-w": ("sec22", ["--grid=-1e200,1e200,-1,1,3"]),
-    "huge-wave-phase": ("sec22", ["--grid=-1000,1000,-1,1,3", "--lambda=1,0"]),
+    "huge-w": ("sec22", ["--grid=-1e200,1e200,-1,1,3"], "values on the grid leave float range"),
+    "huge-wave-phase": ("sec22", ["--grid=-1000,1000,-1,1,3", "--lambda=1,0"],
+                        "values on the grid leave float range"),
 }
 
 
-@pytest.mark.parametrize("name,options", BAD_GRID_OPTIONS.values(),
+@pytest.mark.parametrize("name,options,message", BAD_GRID_OPTIONS.values(),
                          ids=BAD_GRID_OPTIONS.keys())
-def test_sample_grid_bad_number_is_input_error(name, options, tmp_path):
+def test_sample_grid_bad_number_is_input_error(name, options, message, tmp_path):
     out = tmp_path / "grid.csv"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = cli.main(["sample-grid", "--seed", fixture_path(f"{name}.json"), *options,
                        "--out", str(out)])
     assert rc == 2, stdout.getvalue()
-    assert "input error" in stderr.getvalue()
+    assert stderr.getvalue().startswith(f"input error: {message}")
     assert not out.exists()
 
 
@@ -211,36 +219,64 @@ def test_missing_seed_is_input_error():
     assert r.returncode == 2
 
 
-def _sec22_with(**changes):
+def _sec22_with(without=(), **changes):
     with open(fixture_path("sec22.json")) as fh:
-        return json.dumps({**json.load(fh), **changes})
+        data = {**json.load(fh), **changes}
+    return json.dumps({k: v for k, v in data.items() if k not in without})
 
 
 MALFORMED_SEEDS = {
-    "not-json": "{not json",
-    "top-level-list": "[]",
-    "p1-number": _sec22_with(p1=5),
-    "bare-coefficient": _sec22_with(p1=[[2, 3]]),
-    "fractional-degree": _sec22_with(p1=[[1.5, {"re": "1"}]]),
-    "bool-degree": _sec22_with(p1=[[True, {"re": "1"}]]),
-    "negative-degree": _sec22_with(p1=[[-1, {"re": "1"}]]),
-    "float-part": _sec22_with(p1=[[1, {"re": 0.1}]]),
-    "zero-denominator": _sec22_with(p1=[[1, {"re": "1/0"}]]),
-    "c-number": _sec22_with(c=7),
-    "complex-c": _sec22_with(c={"re": "-20", "im": "1"}),
-    "time-string": _sec22_with(time="no"),
+    "not-json": ("{not json", "Expecting property name"),
+    "top-level-list": ("[]", "a seed must be a JSON object"),
+    "p1-number": (_sec22_with(p1=5), "p1 must be a list of [degree, coefficient] pairs"),
+    "bare-coefficient": (_sec22_with(p1=[[2, 3]]), "a coefficient must be an object with 're'"),
+    "fractional-degree": (_sec22_with(p1=[[1.5, {"re": "1"}]]),
+                          "p1: expected [integer degree >= 0, coefficient]"),
+    "bool-degree": (_sec22_with(p1=[[True, {"re": "1"}]]),
+                    "p1: expected [integer degree >= 0, coefficient]"),
+    "negative-degree": (_sec22_with(p1=[[-1, {"re": "1"}]]),
+                        "p1: expected [integer degree >= 0, coefficient]"),
+    "float-part": (_sec22_with(p1=[[1, {"re": 0.1}]]),
+                   "coefficient parts must be strings or integers"),
+    "zero-denominator": (_sec22_with(p1=[[1, {"re": "1/0"}]]), "zero denominator in coefficient"),
+    "c-number": (_sec22_with(c=7), "a coefficient must be an object with 're'"),
+    "complex-c": (_sec22_with(c={"re": "-20", "im": "1"}), "integration constant must be real"),
+    "time-string": (_sec22_with(time="no"), "time must be true or false"),
+    "missing-p2": (_sec22_with(without=("p2",)), "a seed must hold 'p2'\n"),
+    "missing-c": (_sec22_with(without=("c",)), "a seed must hold 'c'\n"),
 }
 
 
-@pytest.mark.parametrize("text", MALFORMED_SEEDS.values(), ids=MALFORMED_SEEDS.keys())
-def test_malformed_seed_is_input_error(tmp_path, text):
+@pytest.mark.parametrize("text,message", MALFORMED_SEEDS.values(), ids=MALFORMED_SEEDS.keys())
+def test_malformed_seed_is_input_error(tmp_path, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["potential", "--seed", str(bad)])
     assert rc == 2
-    assert "input error" in stderr.getvalue()
+    assert stderr.getvalue().startswith(f"input error: {message}")
+
+
+def _times(poly_json, factor):
+    """A poly_to_json form with every coefficient times the rational factor."""
+    return {"terms": [[i, j, k, {part: str(Fraction(c[part]) * factor) for part in ("re", "im")}]
+                      for i, j, k, c in poly_json["terms"]]}
+
+
+@pytest.mark.parametrize("name", ["sec32", "sec22_cubic_time"])
+def test_nv_evolve_writes_u_over_minus_four(tmp_path, name):
+    """nv-evolve --out writes the NV potential U under "u", and potential
+    --out writes u = -2 Laplacian(log W) = -4U over the same W^2."""
+    outs = {}
+    for command in ("nv-evolve", "potential"):
+        outs[command] = tmp_path / f"{command}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--seed", fixture_path(f"{name}.json"),
+                             "--out", str(outs[command])]) == 0
+    U, u = (json.loads(outs[c].read_text())["u"] for c in ("nv-evolve", "potential"))
+    assert {"num": _times(U["num"], -4), "den": U["den"]} == u
+    assert U["num"] != u["num"]
 
 
 @pytest.mark.parametrize("name", ["sec22", "sec22_cubic", "sec32"])
@@ -646,7 +682,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert len(options) == 8
 
 
-BUILDERS = ("extended_w", "double_w", "build_frame", "potential", "nv_potentials", "v",
+BUILDERS = ("extended_w", "double_w", "build_frame", "potential", "nv_potentials", "nv_v",
             "heat3_evolve")
 
 
@@ -667,15 +703,14 @@ BUILD_COUNTS = [
     ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1, "potential": 1,
-                         "nv_potentials": 1, "heat3_evolve": 2}),
+                         "nv_potentials": 1}),
     ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
                                     "potential": 1, "nv_potentials": 1, "heat3_evolve": 2}),
-    ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "v": 1,
-                            "heat3_evolve": 2}),
+    ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "nv_v": 1}),
     ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "potential": 1, "heat3_evolve": 2}),
+                             "potential": 1}),
     ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
 ]
 
@@ -683,12 +718,13 @@ BUILD_COUNTS = [
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W and one frame per call, and the time verify's NVSolution; the
-    # potential once per wave, by the wave's exact residual, which the static
-    # verify's finite-difference check reads again, and V only by nv-evolve,
-    # which writes it; the seed read from the file is
-    # evolved once, one heat3_evolve per polynomial (sec32's quadratics are
-    # their own evolution), and the evolved seed passes every later layer as it is
+    # one W and one frame per call, and the time verify's U; the potential
+    # once per wave, by the wave's exact residual, which the static verify's
+    # finite-difference check reads again, and V only by nv-evolve, which
+    # writes it; the seed read from the file is evolved once, one
+    # heat3_evolve per polynomial, and the evolved seed passes every later
+    # layer as it is; sec32's quadratics are their own evolution, so are
+    # never evolved
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:

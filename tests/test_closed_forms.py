@@ -16,7 +16,7 @@ import pytest
 from moutardnv import nv
 from moutardnv.algebra import GR_I, MPoly
 from moutardnv.errors import AsymptoticMismatch, ZeroPolynomial
-from moutardnv.exppoly import D_ZZBAR, hirota
+from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, scattering_data
 from moutardnv.harness import load_seed, seed_from_json
 from moutardnv.moutard import (SeedPair, build_frame, double_w, harmonic_from_holomorphic,
@@ -41,7 +41,8 @@ def test_transform_solves_the_first_order_system(degree, time_phase):
     """omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega) satisfies
     d(omega*theta)/dz = i(phi omega_z - omega phi_z) and
     d(omega*theta)/dzb = i(omega phi_zb - phi omega_zb) for the free wave phi,
-    slot by slot; with the time phase omega is evolved in t.  Slot 0 is
+    slot by slot; with the time phase omega is evolved in t, and the same
+    slots solve the system for phi = e^{lam z + lam^3 t}.  Slot 0 is
     -i omega, so for the previous trial's transform slot 0 of
     omega1 (omega2 theta2) - omega2 (omega1 theta1) is zero: the cancellation
     that leaves slot 0 of the superposed wave to W."""
@@ -53,8 +54,7 @@ def test_transform_solves_the_first_order_system(degree, time_phase):
         if time_phase:
             p = nv.heat3_evolve(p)
         om = harmonic_from_holomorphic(p)
-        prod = moutard_transform_wave(om, time_phase)
-        assert prod.time_phase == time_phase
+        prod = WaveFn(moutard_transform_wave(om).coeffs, time_phase)
         assert prod.coeffs[0] == -om * GR_I, f"trial {trial}: {p}"
         rhs_z = wave_scale(wave_sub(wave_scale(phi, om.diff_z()),
                                     wave_scale(wave_diff_z(phi), om)), GR_I)
@@ -113,7 +113,8 @@ def test_closed_form_slots_are_the_wave_algebra_and_n_k(degree, time_phase):
     by the wave algebra (free wave, antiderivative, scaling, subtraction),
     and the superposed slots are N_k, on seeds with and without constants
     and with p1, p2 of one degree and of two; on the time branch the seed
-    is evolved in t and W is the extended W."""
+    is evolved in t, W is the extended W and the transform's slots are
+    those of the wave algebra on the free wave with the time phase."""
     rng = random.Random(700 + 10 * degree + time_phase)
     others = [d for d in range(1, 7) if d != degree]
     for trial in range(4):
@@ -130,8 +131,8 @@ def test_closed_form_slots_are_the_wave_algebra_and_n_k(degree, time_phase):
             es, fw = seed, build_faddeev(seed)
             frame = build_frame(seed)
         for om in (frame.omega1, frame.omega2):
-            assert moutard_transform_wave(om, time_phase) == \
-                transform_by_wave_algebra(om, time_phase), f"trial {trial}: {seed}"
+            assert moutard_transform_wave(om).coeffs == \
+                transform_by_wave_algebra(om, time_phase).coeffs, f"trial {trial}: {seed}"
         assert fw.psi == superpose_by_wave_algebra(frame, time_phase), f"trial {trial}: {seed}"
         assert_slots_are_n_k(fw, es)
 
@@ -198,6 +199,25 @@ def test_identities_of_the_construction(degree, time_phase):
             assert diff_zbar(om.diff_z()).is_zero(), f"trial {trial}: {seed}"
         fw = faddeev_superpose(frame, time_phase)
         assert fw.w == w, f"trial {trial}: {seed}"
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_an_evolved_seed_reads_as_evolved(degree):
+    """evolved_seed returns an evolved seed as it is, so no layer evolves a
+    seed twice: evolved_seed(evolved_seed(s)) is evolved_seed(s) and
+    extended_w(evolved_seed(s)) == extended_w(s), on seeds with and without
+    constants and with p1, p2 of one degree and of two.  A seed of degree
+    below 3 is its own evolution and is returned as it is."""
+    rng = random.Random(1200 + degree)
+    others = [d for d in range(1, 7) if d != degree]
+    for trial in range(4):
+        d1, d2 = (degree, degree) if trial < 2 else (degree, rng.choice(others))
+        seed = SeedPair(holomorphic(rng, d1, trial % 2), holomorphic(rng, d2, trial % 2),
+                        gr(rng.choice([-1000, -1, 1, 1000])))
+        es = nv.evolved_seed(seed)
+        assert nv.evolved_seed(es) is es, f"trial {trial}: {seed}"
+        assert nv.extended_w(es) == nv.extended_w(seed), f"trial {trial}: {seed}"
+        assert (es is seed) == (max(seed.p1.deg_z(), seed.p2.deg_z()) < 3), f"trial {trial}"
 
 
 def random_part(rng):

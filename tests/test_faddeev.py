@@ -7,9 +7,9 @@ import pytest
 from moutardnv import nv
 from moutardnv.algebra import MPoly, RationalFn
 from moutardnv.errors import AsymptoticMismatch, ResidualNonzero
-from moutardnv.exppoly import D_ZZBAR, WaveFn, wave_eval
-from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, bilinear_residual,
-                               build_faddeev, residual, scattering_data)
+from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
+from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev, residual,
+                               scattering_data)
 from moutardnv.harness import load_seed
 from moutardnv.moutard import build_frame, kernel_functions, potential
 
@@ -157,8 +157,8 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
     from moutardnv.moutard import moutard_transform_wave
     frame = build_frame(seed22)
 
-    def corrupted(omega, time_phase=False):
-        psi = moutard_transform_wave(omega, time_phase)
+    def corrupted(omega):
+        psi = moutard_transform_wave(omega)
         if omega != frame.omega2:
             return psi
         return wave_add(psi, WaveFn({1: MPoly.monomial(1, 1, 0)}))    # a lam^-1 term
@@ -194,15 +194,15 @@ def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
 
 def test_residual_reading_u_is_the_full_hirota_residual():
     """residual(fw) forms the slots k >= 1 and adds W's term -u/4 read off
-    fw.u; bilinear_residual forms every slot, W's by symmetry.  Both give
+    fw.u; hirota on the whole wave forms every slot, W's by symmetry.  Both give
     the same first nonzero slot on the fixtures' waves (zero), on those
     waves with W plus a constant and the slots kept (zero too: N_k does not
     read the constant c of W), with slot k, W among them, plus a monomial
     (nonzero), and on random waves over a random real W, with and without
     the time phase and with a slot -1 (nonzero)."""
     def same(fw):
-        res = residual(fw)
-        assert res == bilinear_residual(fw, D_ZZBAR)
+        res, full = residual(fw), hirota(fw.psi, fw.w, D_ZZBAR).coeffs
+        assert res == (full[min(full)] if full else MPoly.zero())
         return res
 
     waves = []

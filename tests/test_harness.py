@@ -79,8 +79,8 @@ def test_decay_fit_reference_rates(seed22, seed32):
     assert abs(decay_fit(fw.u).exponent + 6) < 0.2
     assert abs(decay_fit(phi1).exponent + 2) < 0.2
     assert abs(decay_fit(phi2).exponent + 2) < 0.2
-    sol = nv.nv_potentials(nv.extended_w(seed32))
-    assert abs(decay_fit(sol.u, t0=0.0).exponent + 3) < 0.2
+    U = nv.nv_potentials(nv.extended_w(seed32))
+    assert abs(decay_fit(U, t0=0.0).exponent + 3) < 0.2
 
 
 def test_decay_fit_trivial():

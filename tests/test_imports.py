@@ -4,8 +4,8 @@ module-level function or class is reached from `mnv` or the benchmark, every
 method is read by name in the library or the benchmark, every parameter with
 a default is passed at some call in the library or the benchmark, every
 operator of the exact types and the wave is called by `mnv` or the
-benchmark or named by the benchmark, and no module imports numpy when it is
-itself imported.
+benchmark or named by the benchmark, no module imports numpy when it is
+itself imported, and every library name and test that README cites exists.
 
 No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
@@ -19,12 +19,16 @@ parsing it: which special method an operator reaches (`x + y` or `y + x`,
 """
 
 import ast
+import importlib
 import os
+import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "moutardnv")
-BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, "..", "src", "moutardnv")
+BENCH = os.path.join(TESTS, "..", "bench")
+README = os.path.join(TESTS, "..", "README.md")
 ALL_MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 MODULES = [f for f in ALL_MODULES if f != "__init__.py"]
 
@@ -459,3 +463,38 @@ def test_check_sees_an_unraised_error_type():
                        "    except Caught:\n        raise\n"
                        "    return isinstance(x, Orphan)\n")
     assert _unraised_errors(errors, [module]) == ["Caught", "Orphan"]
+
+
+README_MODULES = ("algebra", "exppoly", "moutard", "faddeev", "nv", "harness", "cli")
+
+
+def _stale_references(text, tests_dir):
+    """README's `module.name` citations that name no attribute of
+    moutardnv.<module> (a `module.py` file name is not one), and its
+    `test_x.py::name` and `oracles.py::name` citations that name no def or
+    class in that file of tests_dir."""
+    stale = []
+    for module, name in re.findall(rf"`({'|'.join(README_MODULES)})\.(\w+)", text):
+        if name != "py" and not hasattr(importlib.import_module(f"moutardnv.{module}"), name):
+            stale.append(f"{module}.{name}")
+    defs = {}
+    for path, name in re.findall(r"\b((?:test_\w+|oracles)\.py)::(\w+)", text):
+        if path not in defs:
+            defs[path] = {node.name for node in ast.walk(_parse(os.path.join(tests_dir, path)))
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        if name not in defs[path]:
+            stale.append(f"{path}::{name}")
+    return stale
+
+
+def test_every_citation_in_readme_exists():
+    with open(README) as fh:
+        assert _stale_references(fh.read(), TESTS) == []
+
+
+def test_check_sees_a_stale_citation():
+    text = ("`nv.extended_w` and `nv._Evolved(seed)`, `moutard.py`, `cli.main`,\n"
+            "`faddeev.bilinear_residual`, tests/test_nv.py::test_manakov_identity,\n"
+            "`test_nv.py::no_such_test`, `oracles.py::Frac`, `oracles.py::gone`")
+    assert _stale_references(text, TESTS) == ["nv._Evolved", "faddeev.bilinear_residual",
+                                              "test_nv.py::no_such_test", "oracles.py::gone"]

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from moutardnv.algebra import GR_I, GRID_STRIP, GaussianRational, MPoly, RationalFn, grid_extremes
 from moutardnv.errors import CoefficientOverflow, TemporalResidualNonzero
 from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
-from moutardnv.harness import load_seed
-from moutardnv.moutard import SeedPair, build_frame, double_w
+from moutardnv.harness import load_seed, rational_to_json
+from moutardnv.moutard import SeedPair, build_frame, double_w, potential
 from moutardnv import nv
 
 from conftest import T, Z, ZB, fixture_path, from_sympy, gr, poly
@@ -119,14 +119,23 @@ def test_extended_w_time_term_is_the_one_both_residuals_accept(degree):
 
 def test_nv_potentials_reference(seed32):
     wt = nv.extended_w(seed32)
-    sol = nv.nv_potentials(wt)
+    U = nv.nv_potentials(wt)
     q2 = RAW_Q * RAW_Q
-    assert same_fraction(sol.u, RationalFn(REF_U_NUM, q2))
-    assert same_fraction(sol.v, RationalFn(REF_V_NUM, q2))
-    assert frac(sol.u).is_real_valued()
+    assert U.base is wt
+    assert same_fraction(U, RationalFn(REF_U_NUM, q2))
+    assert same_fraction(nv.nv_v(wt), RationalFn(REF_V_NUM, q2))
+    assert frac(U).is_real_valued()
     # vanishes at the origin for every t
     for k in range(REF_U_NUM.deg_t() + 1):
-        assert sol.u.num.coeff(0, 0, k).is_zero()
+        assert U.num.coeff(0, 0, k).is_zero()
+
+
+@pytest.mark.parametrize("name", ["sec32", "sec22_cubic_time"])
+def test_u_is_minus_four_nv_u(name):
+    """On the time fixtures u = -2 Laplacian(log W) is -4U, exactly and in
+    the canonical JSON that `mnv potential` and `mnv nv-evolve` write."""
+    w = nv.extended_w(load_seed(fixture_path(f"{name}.json"))[0])
+    assert rational_to_json(nv.nv_potentials(w) * -4) == rational_to_json(potential(w))
 
 
 def test_nv_constraint_exact(seed32):
@@ -135,8 +144,8 @@ def test_nv_constraint_exact(seed32):
     rng = random.Random(20261021)
     ws = [nv.extended_w(seed32)] + [random_real_w(rng, degrees=(2, 5)) for _ in range(12)]
     for trial, w in enumerate(ws):
-        sol = nv.nv_potentials(w)
-        assert same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z()), f"trial {trial}"
+        assert same_fraction(frac(nv.nv_v(w)).diff_zbar(), frac(nv.nv_potentials(w)).diff_z()), \
+            f"trial {trial}"
 
 
 def test_nv_residual_equals_the_four_product_form(seed32):
@@ -155,22 +164,21 @@ def test_nv_residual_equals_the_four_product_form(seed32):
     w = nv.extended_w(seed)
     rejected = [w + MPoly.monomial(0, 0, 1, 7), w + MPoly.monomial(0, 0, 2, 5), double_w(seed)]
     for trial, w in enumerate(fixed + varying + constant + rejected):
-        sol = nv.nv_potentials(w)
-        res = nv.nv_residual(sol)
-        assert res == nv_residual_four_products(sol), f"trial {trial}"
+        U = nv.nv_potentials(w)
+        res = nv.nv_residual(U)
+        assert res == nv_residual_four_products(U), f"trial {trial}"
         if w in fixed or w in rejected:
             assert res.is_zero() == (w in fixed), f"trial {trial}"
 
 
 def test_nv_residual_zero_for_construction(seed32):
-    sol = nv.nv_potentials(nv.extended_w(seed32))
-    assert nv.nv_residual(sol).is_zero()
+    assert nv.nv_residual(nv.nv_potentials(nv.extended_w(seed32))).is_zero()
 
 
 def test_nv_residual_zero_for_trivial():
-    sol = nv.nv_potentials(MPoly.const(1))
-    assert sol.u.num.is_zero() and sol.v.num.is_zero()
-    assert nv.nv_residual(sol).is_zero()
+    U = nv.nv_potentials(MPoly.const(1))
+    assert U.num.is_zero() and nv.nv_v(MPoly.const(1)).num.is_zero()
+    assert nv.nv_residual(U).is_zero()
 
 
 def test_nv_residual_nonzero_for_frozen_potential():
@@ -179,8 +187,7 @@ def test_nv_residual_nonzero_for_frozen_potential():
     # quartic is used here
     zzb = MPoly.monomial(1, 1, 0)
     wt = MPoly.const(1) + zzb + zzb * zzb
-    sol = nv.nv_potentials(wt)
-    r = nv.nv_residual(sol)
+    r = nv.nv_residual(nv.nv_potentials(wt))
     assert not r.is_zero()
     assert abs(r.eval(0.5 + 0.2j, 0.0)) > 1e-12
 
@@ -418,8 +425,8 @@ def real_w_of_t_degree_at_most_1(draw):
 @settings(max_examples=30, deadline=None)
 @given(real_w_of_t_degree_at_most_1())
 def test_nv_residual_equals_the_two_form_reference(w):
-    sol = nv.nv_potentials(w)
-    assert nv.nv_residual(sol) == nv_residual_two_forms(sol)
+    U = nv.nv_potentials(w)
+    assert nv.nv_residual(U) == nv_residual_two_forms(U)
 
 
 def _xy_poly(fn):
@@ -529,8 +536,7 @@ def test_slice_objective_matches_exact_xy_derivatives(seed32):
 
 def test_mu2_integrability_report(seed32):
     fw = nv.nv_faddeev(seed32)
-    sol = nv.nv_potentials(fw.w)
-    rep = mu2_integrability(sol, fw, [0.0, 2.0], r_outer=40.0, t_star=29 / 12)
+    rep = mu2_integrability(nv.nv_potentials(fw.w), fw, [0.0, 2.0], r_outer=40.0, t_star=29 / 12)
     assert rep.harmonic_real and rep.harmonic_imag
     assert rep.decay_exponent == -2
     assert len(rep.entries) == 2
@@ -545,8 +551,7 @@ def test_mu2_integrability_report(seed32):
 def test_mu2_norm_matches_direct_integral(seed32):
     # midpoint rule in polar coordinates over |z| < 20 on the exact fraction's eval
     fw = nv.nv_faddeev(seed32)
-    sol = nv.nv_potentials(fw.w)
-    rep = mu2_integrability(sol, fw, [0.0], r_outer=40.0, t_star=29 / 12)
+    rep = mu2_integrability(nv.nv_potentials(fw.w), fw, [0.0], r_outer=40.0, t_star=29 / 12)
     mu2 = nv.kernel_mu(fw)[2]
     nr, nth, radius = 60, 24, 20.0
     dr, dth = radius / nr, 2 * math.pi / nth
@@ -561,11 +566,11 @@ def test_mu2_norm_matches_direct_integral(seed32):
 
 def test_mu2_integrability_singularities(seed32):
     fw = nv.nv_faddeev(seed32)
-    sol = nv.nv_potentials(fw.w)
+    U = nv.nv_potentials(fw.w)
     with pytest.raises(SingularBeforeBlowup):
-        mu2_integrability(sol, fw, [3.0], t_star=10.0)
+        mu2_integrability(U, fw, [3.0], t_star=10.0)
     with pytest.raises(PoleError):
-        mu2_integrability(sol, fw, [29 / 12], t_star=None)
+        mu2_integrability(U, fw, [29 / 12], t_star=None)
 
 
 def test_temporal_residual_message_is_a_summary(seed32, monkeypatch):
@@ -581,19 +586,17 @@ def test_temporal_residual_message_is_a_summary(seed32, monkeypatch):
 
 def test_eigen_check_rejects_a_non_harmonic_numerator(seed32):
     fw = nv.nv_faddeev(seed32)
-    sol = nv.nv_potentials(fw.w)
+    U = nv.nv_potentials(fw.w)
     n2 = fw.psi.coeffs[2]
     harmonic = n2 + n2.conj_swap()
-    assert eigen_check(harmonic, sol.u)
-    assert not eigen_check(harmonic + fw.w * MPoly.monomial(1, 0, 0), sol.u)
-    rep = mu2_integrability(nv.NVSolution(sol.wt, sol.u * 2), fw, [])
+    assert eigen_check(harmonic, U)
+    assert not eigen_check(harmonic + fw.w * MPoly.monomial(1, 0, 0), U)
+    rep = mu2_integrability(U * 2, fw, [])
     assert not rep.harmonic_real and not rep.harmonic_imag
 
 
 def test_an_evolved_seed_is_not_evolved_again(seed32):
-    es = nv.evolved_seed(seed32)        # quadratics are their own evolution
-    assert (es.p1, es.p2, es.c) == (seed32.p1, seed32.p2, seed32.c)
-    assert nv.evolved_seed(es) is es
+    assert nv.evolved_seed(seed32) is seed32        # quadratics are their own evolution
     cubic = SeedPair(MPoly.monomial(3, 0, 0), MPoly.monomial(1, 0, 0), gr(-20))
     es = nv.evolved_seed(cubic)
     assert es.p1.deg_t() == 1 and nv.evolved_seed(es) is es

@@ -92,9 +92,9 @@ def test_nv_pipeline_random_seeds():
         wt = nv.extended_w(seed)
         if wt.is_constant():
             continue
-        sol = nv.nv_potentials(wt)
-        assert nv.nv_residual(sol).is_zero(), f"trial {trial}: {seed}"
-        assert same_fraction(frac(sol.v).diff_zbar(), frac(sol.u).diff_z())
+        U = nv.nv_potentials(wt)
+        assert nv.nv_residual(U).is_zero(), f"trial {trial}: {seed}"
+        assert same_fraction(frac(nv.nv_v(wt)).diff_zbar(), frac(U).diff_z())
 
 
 def test_nv_wave_random_seeds():
@@ -285,7 +285,7 @@ def test_nv_residual_work_is_bilinear(seed32, monkeypatch):
     """nv_residual multiplies W-sized polynomials, not lifted fractions: at
     most a tenth of the 4703 MPoly term pairs that differentiating U and V as
     fractions over W cost on sec32."""
-    sol = nv.nv_potentials(nv.extended_w(seed32))
-    res, pairs = term_pairs(monkeypatch, lambda: nv.nv_residual(sol))
+    U = nv.nv_potentials(nv.extended_w(seed32))
+    res, pairs = term_pairs(monkeypatch, lambda: nv.nv_residual(U))
     assert res.is_zero()
     assert 0 < pairs <= 4703 // 10
