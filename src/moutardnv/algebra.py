@@ -153,11 +153,6 @@ def _gr(re: int, im: int, d: int) -> GaussianRational:
     return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
-def _check_expo(i, j, k):
-    if i > MAX_EXPONENT or j > MAX_EXPONENT or k > MAX_EXPONENT:
-        raise ExponentOverflow(f"exponent triple {(i, j, k)} exceeds cap {MAX_EXPONENT}")
-
-
 class MPoly:
     """Sparse polynomial in (z, zb, t) over the Gaussian rationals.
 
@@ -190,7 +185,8 @@ class MPoly:
         re, im, d = _gauss(coeff)
         if not re and not im:
             return _wrap({}, 1)
-        _check_expo(i, j, k)
+        if max(i, j, k) > MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent triple {(i, j, k)} exceeds cap {MAX_EXPONENT}")
         return _poly({(i, j, k): (re, im)}, d)
 
     @classmethod
@@ -234,18 +230,8 @@ class MPoly:
         if not self._c:
             return other
         d = lcm(self._d, other._d)
-        ma, mb = d // self._d, d // other._d
-        out = {e: (re * ma, im * ma) for e, (re, im) in self._c.items()}
-        for e, (re, im) in other._c.items():
-            re, im = re * mb, im * mb
-            s = out.get(e)
-            if s is not None:
-                re, im = s[0] + re, s[1] + im
-                if not re and not im:
-                    del out[e]
-                    continue
-            out[e] = (re, im)
-        return _poly(out, d)
+        return gauss_sum([(e, re * m, im * m) for p in (self, other) for m in (d // p._d,)
+                          for e, (re, im) in p._c.items()], d)
 
     def __neg__(self):
         return _wrap({e: (-re, -im) for e, (re, im) in self._c.items()}, self._d)
@@ -262,27 +248,7 @@ class MPoly:
             return self._scale(*_gauss(other))
         if not isinstance(other, MPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _wrap({}, 1)
-        # the per-axis maxima of the exponents, each read in one pass
-        expo = tuple(map(int.__add__, map(max, zip(*a)), map(max, zip(*b))))
-        if max(expo) > MAX_EXPONENT:
-            raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
-        acc = {}
-        get = acc.get
-        inner = [(i, j, k, re, im) for (i, j, k), (re, im) in b.items()]
-        for (i1, j1, k1), (p, q) in a.items():
-            for i2, j2, k2, re, im in inner:
-                e = (i1 + i2, j1 + j2, k1 + k2)
-                s = get(e)
-                if s is None:
-                    acc[e] = [p * re - q * im, p * im + q * re]
-                else:
-                    s[0] += p * re - q * im
-                    s[1] += p * im + q * re
-        return _poly({e: (re, im) for e, (re, im) in acc.items() if re or im},
-                     self._d * other._d)
+        return sum_of_products(((self, other, 1),))
 
     __rmul__ = __mul__
 
@@ -322,27 +288,6 @@ class MPoly:
         return _poly({(i, j, k - 1): (re * k, im * k)
                       for (i, j, k), (re, im) in self._c.items() if k > 0}, self._d)
 
-    def _antideriv(self, axis: int) -> "MPoly":
-        """Integrate term by term in one variable: over the common multiple m
-        of the new exponents, term e gains the integer factor m / (e[axis] + 1)."""
-        m = 1
-        for e in self._c:
-            m = lcm(m, e[axis] + 1)
-        out = {}
-        for e, (re, im) in self._c.items():
-            n = e[axis] + 1
-            expo = e[:axis] + (n,) + e[axis + 1:]
-            _check_expo(*expo)
-            f = m // n
-            out[expo] = (re * f, im * f)
-        return _poly(out, self._d * m)
-
-    def antideriv_z(self) -> "MPoly":
-        return self._antideriv(0)
-
-    def antideriv_t(self) -> "MPoly":
-        return self._antideriv(2)
-
     def conj_swap(self) -> "MPoly":
         """Complex conjugation of a function of (z, zb): swap z <-> zb, conjugate coefficients."""
         return _wrap({(j, i, k): (re, -im) for (i, j, k), (re, im) in self._c.items()}, self._d)
@@ -380,10 +325,6 @@ class MPoly:
             if i + j == d:
                 out.setdefault((i, j), {})[(0, 0, k)] = c
         return {ij: _poly(tk, self._d) for ij, tk in out.items()}
-
-    def coeff_t(self, i, j) -> "MPoly":
-        """The coefficient of z^i zb^j: a polynomial in t."""
-        return _poly({(0, 0, e[2]): c for e, c in self._c.items() if e[:2] == (i, j)}, self._d)
 
     # -- numerics -----------------------------------------------------
 
@@ -628,6 +569,58 @@ def _normalize(p: MPoly) -> MPoly:
     p._c = {e: (re // g, im // g) for e, (re, im) in p._c.items()}
     p._d = d // g
     return p
+
+
+def gauss_sum(terms, den: int) -> MPoly:
+    """The polynomial sum of (re + i*im)/den z^i zb^j t^k over the items
+    ((i, j, k), re, im) of terms, Gaussian integers over one denominator,
+    an exponent as often as it comes: summed in [re, im] lists and brought
+    to lowest terms once.  Sums and the one-pass bilinear forms use it."""
+    acc = {}
+    get = acc.get
+    for e, re, im in terms:
+        s = get(e)
+        if s is None:
+            acc[e] = [re, im]
+        else:
+            s[0] += re
+            s[1] += im
+    return _poly({e: (re, im) for e, (re, im) in acc.items() if re or im}, den)
+
+
+def pair_degrees(fs, gs) -> tuple:
+    """The per-axis maxima of the exponents of the polynomials fs and of gs
+    (0 when empty), which bound the exponents their term pairs reach:
+    ExponentOverflow where the sum of the two is above the cap."""
+    fdeg = tuple(map(max, zip((0, 0, 0), *[e for p in fs for e in p._c])))
+    gdeg = tuple(map(max, zip((0, 0, 0), *[e for p in gs for e in p._c])))
+    expo = tuple(map(int.__add__, fdeg, gdeg))
+    if max(expo) > MAX_EXPONENT:
+        raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
+    return fdeg, gdeg
+
+
+def sum_of_products(products) -> MPoly:
+    """sum s f g over the items (f, g, s) of products, s an integer: one
+    pass over the term pairs of each product.  The sums of `gauss_sum`,
+    made in the pass itself: here the pairs are the whole cost."""
+    den = lcm(*(f._d * g._d for f, g, _ in products))
+    acc = {}
+    get = acc.get
+    for f, g, sign in products:
+        pair_degrees((f,), (g,))
+        scale = sign * den // (f._d * g._d)
+        inner = [(i, j, k, re * scale, im * scale) for (i, j, k), (re, im) in g._c.items()]
+        for (i1, j1, k1), (p, q) in f._c.items():
+            for i2, j2, k2, re, im in inner:
+                e = (i1 + i2, j1 + j2, k1 + k2)
+                s = get(e)
+                if s is None:
+                    acc[e] = [p * re - q * im, p * im + q * re]
+                else:
+                    s[0] += p * re - q * im
+                    s[1] += p * im + q * re
+    return _poly({e: (re, im) for e, (re, im) in acc.items() if re or im}, den)
 
 
 class RationalFn:

@@ -10,8 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, lcm, perm
 
-from .algebra import MAX_EXPONENT, MPoly, divide_off_poles, xy_eval
-from .errors import ExponentOverflow
+from .algebra import MPoly, divide_off_poles, pair_degrees, xy_eval
 
 
 class WaveFn:
@@ -68,12 +67,7 @@ def hirota(f, g: MPoly, form: dict):
     """
     wave = isinstance(f, WaveFn)
     slots = f.coeffs if wave else {0: f}
-    # the per-axis maxima of the exponents, each read in one pass (0 when empty)
-    fdeg = tuple(map(max, zip((0, 0, 0), *(e for p in slots.values() for e in p.numerators))))
-    gdeg = tuple(map(max, zip((0, 0, 0), *g.numerators)))
-    expo = tuple(map(sum, zip(fdeg, gdeg)))
-    if max(expo) > MAX_EXPONENT:
-        raise ExponentOverflow(f"product exponent {expo} exceeds cap {MAX_EXPONENT}")
+    fdeg, gdeg = pair_degrees(slots.values(), (g,))
     gterms = [(_pack(e), *e, re, im) for e, (re, im) in g.numerators.items()]
     doubled = [(e, i, j, k, 2 * re, 2 * im) for e, i, j, k, re, im in gterms]
     den = lcm(*(p.denominator for p in slots.values()))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import MPoly, RationalFn, divide_off_poles, float_range
+from .algebra import MPoly, RationalFn, divide_off_poles, float_range, sum_of_products
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
@@ -73,14 +73,15 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
     slot 0 of omega1 r2 - omega2 r1 is zero and slot 0 of psi is W.  Slot
     k >= 1 is omega1 r2_k - omega2 r1_k, formed per slot over the slots of
     either transform, not the two largest products, which cancel in slot 0;
-    that they do is a test.
+    that they do is a test.  Each slot is read in one pass over the term
+    pairs of both products.
     """
     om1, om2 = frame.omega1, frame.omega2
     r1, r2 = (moutard_transform_wave(om).coeffs for om in (om1, om2))
     coeffs = {0: frame.w}                          # the leading 1, over the common denominator
     for k in sorted((r1.keys() | r2.keys()) - {0}):
-        coeffs[k] = ((r2[k] * om1 if k in r2 else MPoly.zero())
-                     - (r1[k] * om2 if k in r1 else MPoly.zero()))
+        coeffs[k] = sum_of_products([(f, g, sign) for f, g, sign in
+                                     ((om1, r2.get(k), 1), (om2, r1.get(k), -1)) if g is not None])
     fw = FaddeevWave(WaveFn(coeffs, time_phase))
     res = residual(fw)
     if not res.is_zero():

@@ -103,8 +103,8 @@ def _gr_to_json(c: GaussianRational) -> dict:
 
 def _gr_from_json(d) -> GaussianRational:
     """{"re": x, "im": y} with y optional, each part a rational string or an int."""
-    if not isinstance(d, dict) or "re" not in d:
-        raise ValueError(f"a coefficient must be an object with 're', got {d!r}")
+    if not isinstance(d, dict) or "re" not in d or not d.keys() <= {"re", "im"}:
+        raise ValueError(f"a coefficient must be an object with 're' and optional 'im', got {d!r}")
     parts = (d["re"], d.get("im", "0"))
     if not all(isinstance(x, str) or _is_int(x) for x in parts):
         raise ValueError(f"coefficient parts must be strings or integers, got {d!r}")
@@ -138,6 +138,9 @@ def seed_from_json(data: dict):
     of monomials z^n, so a seed file can hold no zb or t."""
     if not isinstance(data, dict):
         raise ValueError("a seed must be a JSON object")
+    unknown = sorted(data.keys() - {"p1", "p2", "c", "time"})
+    if unknown:
+        raise ValueError(f"a seed holds only 'p1', 'p2', 'c' and 'time', not {unknown}")
     missing = [name for name in ("p1", "p2", "c") if name not in data]
     if missing:
         raise ValueError(f"a seed must hold {', '.join(map(repr, missing))}")

@@ -5,10 +5,12 @@ kernel functions, and the transform of wave eigenfunctions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .algebra import GR_I, GaussianRational, MPoly, RationalFn, grid_extremes
-from .errors import ZeroPolynomial
-from .exppoly import WaveFn, hirota, wave_antideriv_z
+from .algebra import (GR_I, GaussianRational, MPoly, RationalFn, _gauss, gauss_sum,
+                      grid_extremes, pair_degrees)
+from .errors import ResidualNonzero, ZeroPolynomial
+from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
 @dataclass(frozen=True)
@@ -37,23 +39,30 @@ def harmonic_from_holomorphic(p: MPoly) -> MPoly:
     return p + p.conj_swap()
 
 
-def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
-    """(p1*conj(p2) - p2*conj(p1)) + F - conj(F) with F the z-antiderivative of
-    p1'p2 - p1 p2' (the dzb-integrand is minus the conjugate of the
-    dz-integrand, which is what makes i times the bracket real-valued).  As
-    p2*conj(p1) is the conjugate of p1*conj(p2), the bracket is G - conj(G)
-    for G = p1*conj(p2) + F."""
-    f = (p1.diff_z() * p2 - p1 * p2.diff_z()).antideriv_z()
-    g = p1 * p2.conj_swap() + f
-    return g - g.conj_swap()
-
-
 def double_w(seed: SeedPair) -> MPoly:
-    """Argument of the logarithm in the double-iteration potential formula:
-    W = i*w_bracket(p1, p2) + c, at fixed t for a time-dependent seed,
-    rejected when zero: p2 = mu p1 + i nu for real mu, nu makes W the
-    constant c + 2 nu Re p1(0) (README, "A constant W")."""
-    w = w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
+    """Argument of the logarithm in the double-iteration potential formula,
+    W = i(p1 conj(p2) - p2 conj(p1) + F - conj(F)) + c with F the
+    z-antiderivative of p1'p2 - p1 p2', at fixed t for a time-dependent
+    seed, read in one pass over the term pairs of p1 and p2 (README, "W in
+    one pass") and rejected when zero: p2 = mu p1 + i nu for real mu, nu
+    makes W the constant c + 2 nu Re p1(0) (README, "A constant W")."""
+    p1, p2 = seed.p1, seed.p2
+    (m1, _, _), (n1, _, _) = pair_degrees((p1,), (p2,))
+    span = lcm(*range(1, m1 + n1 + 1))         # a multiple of every m + n
+    cr, ci, cd = _gauss(seed.c)
+    d12 = p1.denominator * p2.denominator
+    bs = [(n, k2, r * cd, s * cd) for (n, _, k2), (r, s) in p2.numerators.items()]
+    terms = [((0, 0, 0), cr * span * d12, ci * span * d12)]
+    for (m, _, k1), (p, q) in p1.numerators.items():
+        for n, k2, r, s in bs:
+            k = k1 + k2
+            re, im = (p * s - q * r) * span, (p * r + q * s) * span      # i a conj(b)
+            terms += ((m, n, k), re, im), ((n, m, k), re, -im)
+            if m != n:
+                f = (m - n) * (span // (m + n))
+                re, im = -(p * s + q * r) * f, (p * r - q * s) * f     # i a b (m - n)/(m + n)
+                terms += ((m + n, 0, k), re, im), ((0, m + n, k), re, -im)
+    w = gauss_sum(terms, d12 * span * cd)
     if w.is_zero():
         raise ZeroPolynomial("W is identically zero")
     return w
@@ -67,7 +76,14 @@ def potential(w: MPoly) -> RationalFn:
 
 
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
-    """theta1 = W/omega1, theta2 = -W/omega2 and their reciprocals phi_j."""
+    """theta1 = W/omega1, theta2 = -W/omega2 and their reciprocals phi_j =
+    +-omega_j/W, each in the kernel exactly when D_z D_zb (omega_j . W) is
+    zero (README, design notes, "Residuals"): ResidualNonzero otherwise."""
+    for omega in (omega1, omega2):
+        res = hirota(omega, w, D_ZZBAR)
+        if not res.is_zero():
+            raise ResidualNonzero(f"a kernel function is not in the kernel: "
+                                  f"residual {res.summary()}")
     theta1 = RationalFn(w, omega1)
     theta2 = RationalFn(-w, omega2)
     phi1 = RationalFn(omega1, w)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GR_I, MPoly, RationalFn, _horner_t, grid_extremes
+from .algebra import MPoly, RationalFn, _horner_t, gauss_sum, grid_extremes, pair_degrees
 from .errors import TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, faddeev_superpose
@@ -41,22 +41,33 @@ def evolved_seed(seed: SeedPair) -> SeedPair:
     return SeedPair(heat3_evolve(seed.p1), heat3_evolve(seed.p2), seed.c)
 
 
+#: (m, n) -> the weight of a_m b_n in X0 = 6(a3 b0 - a0 b3) + 4(a1 b2 - a2 b1)
+X0_WEIGHTS = {(3, 0): 6, (0, 3): -6, (1, 2): 4, (2, 1): -4}
+
+
 def extended_w(seed: SeedPair) -> MPoly:
     """The time-dependent W: the static double_w of the evolved seed plus
-    c(t) = int_0^t i(X0 - conj(X0)) ds, X0 the bracket X = p1'''p2 - p1 p2'''
-    + 2(p1'p2'' - p1''p2') at z = 0: 6(a3 b0 - a0 b3) + 4(a1 b2 - a2 b1) in
-    the z^k coefficients a_k, b_k of p1, p2, polynomials in t.  c(t) is the
+    c(t) = int_0^t i(X0 - conj(X0)) ds = -2 int_0^t Im X0 ds, X0 the
+    bracket X = p1'''p2 - p1 p2''' + 2(p1'p2'' - p1''p2') at z = 0: the sum
+    of X0_WEIGHTS times a_m b_n in the z^m coefficients a_m, b_n of p1, p2,
+    polynomials in t, read in one pass over their term pairs.  c(t) is the
     one time term that both exact residuals (`nv_residual`,
     `temporal_residual`) accept, at every degree; neither is run here.  Both
-    terms are real-valued: double_w is i times a bracket B with conj(B) = -B,
-    and i(X0 - conj(X0)) is real.  The sum is rejected when zero, as
-    double_w is: for p2 = mu p1 + i nu, double_w of the evolved seed is
-    c + 2 nu Re p1(0) at t, which c(t) brings back to its value at t = 0, so
-    the sum can be zero where double_w of the evolved seed is not."""
+    terms are real-valued: double_w is i times a bracket B with conj(B) = -B.
+    The sum is rejected when zero, as double_w is: for p2 = mu p1 + i nu,
+    double_w of the evolved seed is c + 2 nu Re p1(0) at t, which c(t)
+    brings back to its value at t = 0, so the sum can be zero where double_w
+    of the evolved seed is not."""
     seed = evolved_seed(seed)
-    a, b = ([p.coeff_t(k, 0) for k in range(4)] for p in (seed.p1, seed.p2))
-    x0 = (a[3] * b[0] - a[0] * b[3]) * 6 + (a[1] * b[2] - a[2] * b[1]) * 4
-    w = double_w(seed) + ((x0 - x0.conj_swap()) * GR_I).antideriv_t()
+    a, b = ([(m, k, re, im) for (m, _, k), (re, im) in p.numerators.items() if m <= 3]
+            for p in (seed.p1, seed.p2))
+    # a multiple of every k + k' + 1
+    span = math.lcm(*range(1, 2 * max((k for _, k, _, _ in a + b), default=0) + 2))
+    drift = gauss_sum([((0, 0, k1 + k2 + 1), 2 * x * (p * s + q * r) * span // (k1 + k2 + 1), 0)
+                       for m, k1, p, q in a for n, k2, r, s in b
+                       for x in (X0_WEIGHTS.get((m, n)),) if x],
+                      seed.p1.denominator * seed.p2.denominator * span)
+    w = double_w(seed) - drift
     if w.is_zero():
         raise ZeroPolynomial("W is identically zero")
     return w
@@ -81,17 +92,29 @@ def nv_residual(U: RationalFn) -> MPoly:
     U_zz + 3VU, the equation is d_t (P / Wt^2) = d_z (Q / Wt^2) + d_zb (Qb / Wt^2)
     for P = D_z D_zb (Wt . Wt), Q = D_z^3 D_zb (Wt . Wt) and Qb = D_z D_zb^3
     (Wt . Wt), the conjugate of Q for a real Wt: the numerator over Wt^3 is
-    (P_t - Q_z - conj(Q_z)) Wt - 2(P Wt_t - Q Wt_z - conj(Q Wt_z)), three
-    products, of which P Wt_t is a scalar multiple when Wt_t is constant (every
-    degree-2 time seed).  Wt and P are read off U = `nv_potentials`(Wt), as
-    its base and its numerator over Wt^2; Wt is an `extended_w`, real-valued
-    by construction."""
+    (P_t - Q_z - conj(Q_z)) Wt - 2(P Wt_t - Q Wt_z - conj(Q Wt_z)), read in
+    one pass over the term pairs of P and of Q with Wt (README, "The NV
+    residual in one pass").  Wt and P are read off U = `nv_potentials`(Wt),
+    as its base and its numerator over Wt^2; Wt is an `extended_w`,
+    real-valued by construction."""
     wt, p = U.base, U.num
     q = hirota(wt, wt, {(3, 1, 0): 1})
-    q_z, w_t = q.diff_z(), wt.diff_t()
-    qw = q * wt.diff_z()
-    pw = p * (w_t.constant_term() if w_t.is_constant() else w_t)
-    return (p.diff_t() - q_z - q_z.conj_swap()) * wt - (pw - qw - qw.conj_swap()) * 2
+    pair_degrees((p, q), (wt,))
+    ws = [(i, j, k, re, im) for (i, j, k), (re, im) in wt.numerators.items()]
+    terms = []
+    for (i, j, k), (a, b) in p.numerators.items():
+        a, b = a * q.denominator, b * q.denominator
+        terms += [((i + i2, j + j2, k + k2 - 1), f * (a * c - b * d), f * (a * d + b * c))
+                  for i2, j2, k2, c, d in ws for f in (k - 2 * k2,) if f]
+    for (i, j, k), (a, b) in q.numerators.items():
+        a, b = a * p.denominator, b * p.denominator
+        for i2, j2, k2, c, d in ws:
+            f = 2 * i2 - i
+            if f:
+                re, im = f * (a * c - b * d), f * (a * d + b * c)
+                terms += (((i + i2 - 1, j + j2, k + k2), re, im),
+                          ((j + j2, i + i2 - 1, k + k2), re, -im))
+    return gauss_sum(terms, p.denominator * q.denominator * wt.denominator)
 
 
 def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:

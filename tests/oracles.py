@@ -6,8 +6,13 @@
   substitution of a time, the reference for a slice at t.
 - The evolution residual with both of its Hirota forms, and with each form
   P taken through its derivative as d(P) W - 2 P d(W) (four full-plane
-  products): the references of `nv.nv_residual`, which forms one form,
-  conjugates it, and makes three products.
+  products): the references of `nv.nv_residual`, which forms one form and
+  reads the numerator in one pass over term pairs.
+- W, its time term and the superposed slots as compositions of MPoly
+  operations (antiderivatives, coefficient reads in t, products,
+  conjugation, sums): the references of `moutard.double_w`,
+  `nv.extended_w` and `faddeev.faddeev_superpose`, which read each in one
+  pass over term pairs.
 - `xy_coefficients_per_term`: the x-y float form summed per exponent in a
   dict, the reference of `MPoly.xy_coefficients`, which sums into flat
   lists by a cached plan per (i, j).
@@ -162,6 +167,53 @@ def nv_residual_four_products(U: RationalFn) -> MPoly:
     wt = U.base
     b = _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
     return _over_w2(U.num, wt, MPoly.diff_t) - (b + b.conj_swap())
+
+
+def antideriv(p: MPoly, axis: int) -> MPoly:
+    """The antiderivative in z, zb or t (axis 0, 1 or 2), term by term;
+    ExponentOverflow above the cap, as `MPoly.monomial` raises."""
+    return sum((MPoly.monomial(*(n + (x == axis) for x, n in enumerate(e)),
+                               c * Fraction(1, e[axis] + 1))
+                for e, c in p.terms.items()), MPoly.zero())
+
+
+def coeff_t(p: MPoly, i: int, j: int) -> MPoly:
+    """The coefficient of z^i zb^j: a polynomial in t."""
+    return sum((MPoly.monomial(0, 0, k, c) for (a, b, k), c in p.terms.items() if (a, b) == (i, j)),
+               MPoly.zero())
+
+
+def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
+    """(p1 conj(p2) - p2 conj(p1)) + F - conj(F) with F the z-antiderivative
+    of p1'p2 - p1 p2': G - conj(G) for G = p1 conj(p2) + F."""
+    f = antideriv(p1.diff_z() * p2 - p1 * p2.diff_z(), 0)
+    g = p1 * p2.conj_swap() + f
+    return g - g.conj_swap()
+
+
+def double_w_by_products(seed) -> MPoly:
+    """`moutard.double_w` as i*w_bracket(p1, p2) + c, without its zero
+    check."""
+    return w_bracket(seed.p1, seed.p2) * GR_I + MPoly.const(seed.c)
+
+
+def extended_w_by_products(seed) -> MPoly:
+    """`nv.extended_w` without its zero check, its time term formed from
+    the z^k coefficients a_k, b_k read as polynomials in t:
+    int_0^t i(X0 - conj(X0)) ds for X0 = 6(a3 b0 - a0 b3) + 4(a1 b2 - a2 b1)."""
+    es = nv.evolved_seed(seed)
+    a, b = ([coeff_t(p, k, 0) for k in range(4)] for p in (es.p1, es.p2))
+    x0 = (a[3] * b[0] - a[0] * b[3]) * 6 + (a[1] * b[2] - a[2] * b[1]) * 4
+    return double_w_by_products(es) + antideriv((x0 - x0.conj_swap()) * GR_I, 2)
+
+
+def slots_by_products(frame) -> dict:
+    """The slots k >= 1 of `faddeev.faddeev_superpose`, each
+    omega1 r2_k - omega2 r1_k as two MPoly products and a difference."""
+    r1, r2 = (moutard.moutard_transform_wave(om).coeffs for om in (frame.omega1, frame.omega2))
+    return {k: ((r2[k] * frame.omega1 if k in r2 else MPoly.zero())
+                - (r1[k] * frame.omega2 if k in r1 else MPoly.zero()))
+            for k in sorted((r1.keys() | r2.keys()) - {0})}
 
 
 def xy_coefficients_per_term(p: MPoly):

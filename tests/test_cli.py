@@ -112,6 +112,28 @@ def test_a_wrong_time_term_fails_every_time_subcommand(monkeypatch, tmp_path, te
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["sec22", "sec22_cubic", "sec32"])
+@pytest.mark.parametrize("term,expected", [(MPoly.monomial(1, 1, 0), 1), (MPoly.const(1), 0)],
+                         ids=["zzb", "1"])
+def test_kernel_checks_each_phi_is_in_the_kernel(monkeypatch, name, term, expected):
+    # W + zzb in place of W puts neither phi_j = +-omega_j/W in the kernel,
+    # and kernel fails on it; W + 1 keeps both there (c is free in W), and
+    # kernel prints them
+    from moutardnv import moutard
+    build = moutard.double_w
+    monkeypatch.setattr(moutard, "double_w", lambda seed: build(seed) + term)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["kernel", "--seed", fixture_path(f"{name}.json")])
+    assert rc == expected
+    if expected:
+        assert stdout.getvalue().startswith(
+            "FAIL ResidualNonzero: a kernel function is not in the kernel: residual ")
+    else:
+        names = [line.split(" = ")[0] for line in stdout.getvalue().splitlines()]
+        assert names == ["theta1", "theta2", "phi1", "phi2"]
+
+
 def test_nv_faddeev_output():
     r = run_cli("nv-faddeev", "--seed", fixture_path("sec32.json"))
     assert r.returncode == 0
@@ -244,6 +266,10 @@ MALFORMED_SEEDS = {
     "time-string": (_sec22_with(time="no"), "time must be true or false"),
     "missing-p2": (_sec22_with(without=("p2",)), "a seed must hold 'p2'\n"),
     "missing-c": (_sec22_with(without=("c",)), "a seed must hold 'c'\n"),
+    "misspelled-time": (_sec22_with(without=("time",), tmie=True),
+                        "a seed holds only 'p1', 'p2', 'c' and 'time', not ['tmie']\n"),
+    "misspelled-im": (_sec22_with(p1=[[1, {"re": "1", "img": "3"}]]),
+                      "a coefficient must be an object with 're' and optional 'im'"),
 }
 
 
@@ -544,6 +570,22 @@ def test_oversized_seed_is_input_error(tmp_path):
             rc = cli.main([command, "--seed", str(seed)])
         assert rc == 2, (command, stdout.getvalue())
         assert "ExponentOverflow" not in stdout.getvalue()
+        assert "exceeds cap" in stderr.getvalue()
+
+
+@pytest.mark.parametrize("time", [False, True], ids=["static", "time"])
+def test_w_beyond_the_exponent_cap_is_input_error(tmp_path, time):
+    # p1 of degree 33 and p2 of degree 32 give W an F term z^65, one past
+    # the cap: every subcommand that builds W exits 2 before reading it
+    seed = tmp_path / "z33.json"
+    seed.write_text(json.dumps({"p1": [[33, {"re": "1"}], [1, {"re": "1", "im": "2"}]],
+                                "p2": [[32, {"re": "2", "im": "1"}]],
+                                "c": {"re": "1"}, "time": time}))
+    for command in ("potential", "kernel", "scatter", "verify"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main([command, "--seed", str(seed)])
+        assert rc == 2, (command, stdout.getvalue())
         assert "exceeds cap" in stderr.getvalue()
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from conftest import T, Z, ZB, to_sympy
-from oracles import (deg_zbar, diff_zbar, eval_naive, is_real_valued, subs_t,
+from oracles import (antideriv, deg_zbar, diff_zbar, eval_naive, is_real_valued, subs_t,
                      xy_coefficients_per_term)
 
 from moutardnv import nv
@@ -23,6 +23,7 @@ from moutardnv.algebra import MAX_EXPONENT, GaussianRational, MPoly, _horner_t, 
 from moutardnv.errors import CoefficientOverflow, ExponentOverflow
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
+from moutardnv.moutard import SeedPair, double_w
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 25, 49, 360)
 
@@ -139,11 +140,9 @@ def test_calculus_and_substitution_match_reference():
                 GaussianRational(Fraction(2, 5), Fraction(-1, 3)))
     for p, _ in pairs(4242, 40):
         a = ref(p)
-        for axis, (d, integral) in enumerate(((p.diff_z, p.antideriv_z),
-                                              (lambda: diff_zbar(p), lambda: p._antideriv(1)),
-                                              (p.diff_t, p.antideriv_t))):
+        for axis, d in enumerate((p.diff_z, lambda: diff_zbar(p), p.diff_t)):
             assert ref(d()) == r_diff(a, axis)
-            assert ref(integral()) == r_antideriv(a, axis)
+            assert ref(antideriv(p, axis)) == r_antideriv(a, axis)
         assert ref(p.conj_swap()) == r_conj_swap(a)
         for t0 in t_values:
             assert ref(subs_t(p, t0)) == r_subs_t(a, t0)
@@ -376,7 +375,7 @@ def test_canonical_form_equality():
     for p, q in pairs(5, 30):
         i = GaussianRational(0, 1)
         for other in (p * Fraction(1, 3) * 3, (p + q) - q, p * i * -1 * i,
-                      from_terms(p.terms), p.antideriv_z().diff_z()):
+                      from_terms(p.terms), antideriv(p, 0).diff_z()):
             assert other == p
         d = p.denominator
         assert d > 0 and math.gcd(d, *(x for c in p.numerators.values() for x in c)) == 1
@@ -398,8 +397,10 @@ def test_exponent_cap_still_raises():
         top * MPoly.monomial(1, 0, 0)
     with pytest.raises(ExponentOverflow):
         MPoly.monomial(0, MAX_EXPONENT + 1, 0)
-    with pytest.raises(ExponentOverflow):
-        MPoly.monomial(0, 0, MAX_EXPONENT).antideriv_t()
+    with pytest.raises(ExponentOverflow, match="exceeds cap"):
+        # W's F term z^(m+n) for m + n = MAX_EXPONENT + 1
+        double_w(SeedPair(MPoly.monomial(33, 0, 0), MPoly.monomial(MAX_EXPONENT - 32, 0, 0),
+                          GaussianRational(1)))
     with pytest.raises(ExponentOverflow):
         MPoly.monomial(0, 1, 0) ** (MAX_EXPONENT + 1)
     assert (top * MPoly.const(5)).deg_z() == MAX_EXPONENT

@@ -108,7 +108,7 @@ def test_extended_w_time_term_is_the_one_both_residuals_accept(degree):
     es = nv.evolved_seed(seed)
     w = nv.extended_w(seed)
     c = w - double_w(es)
-    assert c.deg_t() >= 1 and c == c.coeff_t(0, 0)
+    assert c.deg_t() >= 1 and all(e[:2] == (0, 0) for e in c.numerators)
     for term, good in ((MPoly.zero(), True), (MPoly.monomial(0, 0, 1, 7), False),
                        (MPoly.monomial(0, 0, 2, 5), False), (-c, False)):
         wt = w + term

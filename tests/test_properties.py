@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from moutardnv.algebra import GaussianRational, MPoly
+from moutardnv.algebra import GaussianRational, MPoly, gauss_sum
 from moutardnv.errors import AsymptoticMismatch
 from moutardnv.exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, WaveFn, hirota
-from moutardnv.faddeev import build_faddeev, residual, scattering_data
-from moutardnv.moutard import SeedPair, build_frame, potential
+from moutardnv.faddeev import build_faddeev, faddeev_superpose, residual, scattering_data
+from moutardnv.moutard import SeedPair, build_frame, double_w, potential
 from moutardnv import nv
 
 from conftest import gr
-from oracles import (Frac, diff_zbar, frac, hirota_by_products, same_fraction, wave_add,
-                     wave_diff_t, wave_diff_z, wave_diff_zbar, wave_scale, wave_sub)
+from oracles import (Frac, diff_zbar, double_w_by_products, extended_w_by_products, frac,
+                     hirota_by_products, nv_residual_four_products, same_fraction,
+                     slots_by_products, wave_add, wave_diff_t, wave_diff_z, wave_diff_zbar,
+                     wave_scale, wave_sub)
 
 
 def random_holomorphic(rng, max_deg):
@@ -282,10 +284,57 @@ def test_residual_work_is_bilinear(monkeypatch):
 
 
 def test_nv_residual_work_is_bilinear(seed32, monkeypatch):
-    """nv_residual multiplies W-sized polynomials, not lifted fractions: at
-    most a tenth of the 4703 MPoly term pairs that differentiating U and V as
-    fractions over W cost on sec32."""
-    U = nv.nv_potentials(nv.extended_w(seed32))
-    res, pairs = term_pairs(monkeypatch, lambda: nv.nv_residual(U))
+    """nv_residual reads the term pairs of P and of Q with W, W-sized
+    polynomials, not lifted fractions, and makes no MPoly product: its one
+    pass adds at most one term per (P, W) pair and two per (Q, W) pair, at
+    most a tenth of the 4703 MPoly term pairs that differentiating U and V
+    as fractions over W cost on sec32."""
+    wt = nv.extended_w(seed32)
+    U = nv.nv_potentials(wt)
+    q = hirota(wt, wt, {(3, 1, 0): 1})
+    added = []
+
+    def counted(terms, den):
+        terms = list(terms)
+        added.append(len(terms))
+        return gauss_sum(terms, den)
+
+    monkeypatch.setattr(nv, "gauss_sum", counted)
+    res, products = term_pairs(monkeypatch, lambda: nv.nv_residual(U))
     assert res.is_zero()
-    assert 0 < pairs <= 4703 // 10
+    assert products == 0
+    assert len(added) == 1
+    assert 0 < added[0] <= (len(U.num.numerators) + 2 * len(q.numerators)) * len(wt.numerators)
+    assert added[0] <= 4703 // 10
+
+
+@pytest.mark.parametrize("time", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_one_pass_forms_equal_their_compositions(degree, time):
+    """double_w, extended_w's time term, the superposed slots and
+    nv_residual, each read in one pass over term pairs, equal exactly the
+    compositions of MPoly operations they replace (`tests/oracles.py`): on
+    seeds of degree 1-6, static and evolved, with and without constant
+    terms and c, p2 of p1's degree and of a lower one.  nv_residual is
+    compared where it is zero and on W + 7t and W + zzb, where it is not."""
+    rng = random.Random(3300 + 10 * degree + time)
+    for trial in range(3):
+        p1 = random_holomorphic(rng, degree)
+        p2 = random_holomorphic(rng, degree if trial == 0 else rng.randint(1, degree))
+        if trial % 2:
+            p1, p2 = p1 + MPoly.const(random_gr(rng)), p2 + MPoly.const(random_gr(rng))
+        if trial == 2:
+            p1, p2 = p2, p1
+        seed = SeedPair(p1, p2, gr(rng.choice([0, Fraction(-7, 3), 1000])))
+        es = nv.evolved_seed(seed) if time else seed
+        assert double_w(es) == double_w_by_products(es)
+        w = nv.extended_w(seed) if time else double_w(seed)
+        if time:
+            assert w == extended_w_by_products(seed)
+        frame = build_frame(es, w)
+        slots = dict(faddeev_superpose(frame, time).psi.coeffs)
+        assert slots.pop(0) == w and slots == slots_by_products(frame)
+        if degree <= 4 or trial == 0:
+            for term in (MPoly.zero(), MPoly.monomial(0, 0, 1, 7), MPoly.monomial(1, 1, 0)):
+                U = nv.nv_potentials(w + term)
+                assert nv.nv_residual(U) == nv_residual_four_products(U)
