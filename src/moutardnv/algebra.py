@@ -501,6 +501,20 @@ def xy_eval(a, z0, t0: float = 0.0):
 GRID_STRIP = 48
 
 
+@lru_cache(maxsize=None)
+def grid_axis(lo: float, hi: float, points: int, width: int) -> tuple:
+    """The axis np.linspace(lo, hi, points) of a check's fixed grid and its
+    power table np.vander(axis, width, increasing=True), built once per key.
+    The table is made at the exact width asked for, not cut from a wider one,
+    so every `grid_product` keeps its shape; shared by every caller, so both
+    are read-only."""
+    import numpy as np
+    axis = np.linspace(lo, hi, points)
+    table = np.vander(axis, width, increasing=True)
+    axis.flags.writeable = table.flags.writeable = False
+    return axis, table
+
+
 def grid_product(a, vx, vy):
     """sum a[m, n] x^m y^n at each point of the grid of two 1-D axes xs and
     ys, indexed [y, x], from their power tables vx[:, m] = xs^m and

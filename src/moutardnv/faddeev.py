@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .algebra import MPoly, RationalFn, divide_off_poles, float_range, sum_of_products
+from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
+                      sum_of_products)
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
@@ -123,29 +124,44 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
     against A = -2d/lam for W of degree 2d, with an independent numeric ray-fit
     validation.  B = 0 structurally: no conjugate exponential can arise from
     rational multipliers.  A constant W has no slot but W itself (README, "A
-    constant W"), so psi is e^{lam z} and A = 0."""
+    constant W"), so psi is e^{lam z} and A = 0.
+
+    W's leading term c z^a zb^b and each slot's terms of degree d - 1 are
+    read off their Gaussian-integer numerators in one walk, and A_k, the
+    slot's z^(a-1) zb^b coefficient over c, is formed as an exact number
+    only for the slots that reach that degree; the tests' reference reads
+    them by leading-term polynomials (README, "The scattering coefficient")."""
     w = fw.w
     if w.is_constant():
         return ScatteringData({})
     d = w.total_degree_space()
-    lead = w.spatial_leading_terms()
-    if len(lead) != 1:
+    lead = [(e, c) for e, c in w.numerators.items() if e[0] + e[1] == d]
+    ((a, b, k0), (lre, lim)), *rest = lead
+    if any(e[:2] != (a, b) for e, _ in rest):
         raise AsymptoticMismatch("denominator leading form is not a single monomial")
-    (a, b), lead_poly = next(iter(lead.items()))
-    if lead_poly.deg_t() > 0:
+    if rest or k0:
         raise AsymptoticMismatch("denominator leading coefficient depends on t")
-    lead_c = lead_poly.constant_term()
     assert_decay_bookkeeping(fw)
 
+    scale, norm = w.denominator, lre * lre + lim * lim    # 1/c = scale (lre - i lim) / norm
     a_coeffs = {}
     for k, num in sorted(fw.psi.coeffs.items()):
-        if k == 0 or num.total_degree_space() < d - 1:
+        top = [(e, c) for e, c in num.numerators.items() if e[0] + e[1] == d - 1] if k else ()
+        if not top:
             continue
-        for (i, j), cpoly in num.spatial_leading_terms().items():
-            if (i, j) != (a - 1, b) or cpoly.deg_t() > 0:
-                raise AsymptoticMismatch(
-                    f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{cpoly.deg_t()}")
-            a_coeffs[k] = cpoly.constant_term() / lead_c
+        ((i, j, kt), (re, im)), *more = top
+        if more or (i, j, kt) != (a - 1, b, 0):
+            # the first (i, j) of that degree that is not radial or holds t,
+            # with its t-degree
+            tdeg = {}
+            for (i, j, kt), _ in top:
+                tdeg[i, j] = max(tdeg.get((i, j), 0), kt)
+            (i, j), kt = next((ij, kt) for ij, kt in tdeg.items() if ij != (a - 1, b) or kt)
+            raise AsymptoticMismatch(
+                f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{kt}")
+        den = num.denominator * norm
+        a_coeffs[k] = GaussianRational(Fraction((re * lre + im * lim) * scale, den),
+                                       Fraction((im * lre - re * lim) * scale, den))
     sd = ScatteringData(a_coeffs)
     if a_coeffs != {1: -d}:
         raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
@@ -154,40 +170,54 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
     return sd
 
 
+@lru_cache(maxsize=None)
+def _ray_tables(radius: float, width: int) -> tuple:
+    """Six rays at the given radius, the 12 points z on them at that radius
+    and at twice it, and the power tables of Re z and Im z, width wide:
+    built once per key and shared, so read-only.  A table beyond float range
+    raises (numpy's errstate) and is not kept."""
+    import numpy as np
+    ray = radius * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
+    z = np.outer([1.0, 2.0], ray).ravel()          # the rays at r, then at 2r
+    vx, vy = (np.vander(part, width, increasing=True) for part in (z.real, z.imag))
+    for table in (ray, z, vx, vy):
+        table.flags.writeable = False
+    return ray, z, vx, vy
+
+
 def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
     so the Richardson estimate 2 g(2r) - g(r), with r = RAY_RADIUS, meets the
     exact A to O(r^-2), within RAY_TOL.  Every slot v_k, W = v_0 among them,
     is read at the 12 points once, at t = 0, from one pair of power tables
-    in one product; m at each lam is sum_k lam^-k v_k over v_0.
+    (`_ray_tables`, once per width) in one real product; m at each lam is
+    sum_k lam^-k v_k over v_0.
     Rays through a pole at either radius are skipped; a value beyond float
     range there raises CoefficientOverflow (`algebra.float_range`), so no ray
     goes uncompared."""
     import numpy as np
-    ray = RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
-    z = np.outer([1.0, 2.0], ray).ravel()          # the rays at r, then at 2r
     lams = (1.0, 0.7 + 0.4j)
     ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
     arrays = [fw.psi.coeffs[k].xy_coefficients()[0] for k in ks]
     n = max(map(len, arrays))
     parts = np.zeros((n, len(ks), 2, n))           # each slot's Re and Im fill one corner
     for s, a in enumerate(arrays):
-        parts[:len(a), s, :, :len(a)] = np.stack((a.real, a.imag), axis=1)
+        parts[:len(a), s, 0, :len(a)] = a.real
+        parts[:len(a), s, 1, :len(a)] = a.imag
     with float_range("the wave on the rays leaves float range"):
-        vx, vy = (np.vander(part, n, increasing=True) for part in (z.real, z.imag))
+        ray, z, vx, vy = _ray_tables(RAY_RADIUS, n)
         rows = (vx @ parts.reshape(n, -1)).reshape(len(z), -1, n)
         v = (rows @ vy[:, :, None]).reshape(len(z), -1).view(complex).T   # v[s]: slot ks[s]
         sums = (np.array([[lam0 ** -k for k in ks] for lam0 in lams])[:, :, None] * v).sum(axis=1)
         gs = (z * (divide_off_poles(sums, np.broadcast_to(v[0], sums.shape)) - 1.0)).reshape(
             len(lams), 2, len(ray))
-    for lam0, g in zip(lams, gs):
-        expected = sd.a_at(lam0)
-        got = 2.0 * g[1] - g[0]
-        bad = np.flatnonzero(np.abs(got - expected) > RAY_TOL)
-        if bad.size:
-            m = bad[0]
-            raise AsymptoticMismatch(
-                f"ray fit at z={ray[m]}, lam={lam0}: {got[m]} vs exact {expected}")
+    expected = [sd.a_at(lam0) for lam0 in lams]
+    got = 2.0 * gs[:, 1] - gs[:, 0]                # got[l]: the estimates at lams[l]
+    bad = np.flatnonzero(np.abs(got - np.array(expected)[:, None]) > RAY_TOL)
+    if bad.size:
+        l, m = divmod(int(bad[0]), len(ray))
+        raise AsymptoticMismatch(
+            f"ray fit at z={ray[m]}, lam={lams[l]}: {got[l, m]} vs exact {expected[l]}")
 
 
 def assert_decay_bookkeeping(fw: FaddeevWave) -> None:

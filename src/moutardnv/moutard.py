@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebra import (GR_I, GaussianRational, MPoly, RationalFn, _gauss, gauss_sum,
-                      grid_extremes, pair_degrees)
-from .errors import ResidualNonzero, ZeroPolynomial
+                      grid_axis, grid_extremes, pair_degrees)
+from .errors import AlgebraError, ResidualNonzero, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
@@ -78,7 +78,12 @@ def potential(w: MPoly) -> RationalFn:
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
     """theta1 = W/omega1, theta2 = -W/omega2 and their reciprocals phi_j =
     +-omega_j/W, each in the kernel exactly when D_z D_zb (omega_j . W) is
-    zero (README, design notes, "Residuals"): ResidualNonzero otherwise."""
+    zero (README, design notes, "Residuals"): ResidualNonzero otherwise.
+    A constant W is rejected first: it comes exactly from omega2 = mu omega1
+    (README, "A constant W"), so phi2 = -mu phi1 and neither decays."""
+    if w.is_constant():
+        raise AlgebraError("W is constant, so omega2 is a real multiple of omega1: "
+                           "the kernel functions are dependent and do not decay")
     for omega in (omega1, omega2):
         res = hirota(omega, w, D_ZZBAR)
         if not res.is_zero():
@@ -161,28 +166,25 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
         return NonvanishingReport("certified-positive")
     import numpy as np
     xmin, xmax, ymin, ymax = CERTIFICATE_BOX
-    xs = np.linspace(xmin, xmax, CERTIFICATE_GRID_N)
-    ys = np.linspace(ymin, ymax, CERTIFICATE_GRID_N)
     a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
-    vx = np.vander(xs, a.shape[0], increasing=True)
-    vy = np.vander(ys, a.shape[1], increasing=True)
+    xs, vx = grid_axis(xmin, xmax, CERTIFICATE_GRID_N, a.shape[0])
+    ys, vy = grid_axis(ymin, ymax, CERTIFICATE_GRID_N, a.shape[1])
     lo, hi, _, _, (iy, ix) = grid_extremes(a.T, vy, vx)    # indexed [y, x]
     sign = 1 if lo > 0 else -1
     near = lo <= 0.0 <= hi
     if not near:
         tol = np.abs(a) * (64 * np.finfo(float).eps)       # exact: a power of 2
-        abs_vx, abs_vy = np.abs(vx), np.abs(vy)
         # no node's scale exceeds the one formed from each axis's largest
         # powers, those of the box corner; the margin covers the rounding of
         # the two sums, and an inf bound only sends W to the guarded grid
         with np.errstate(over="ignore"):
-            bound = abs_vx.max(axis=0) @ tol @ abs_vy.max(axis=0) * (1 + 1e-9)
+            bound = np.abs(vx).max(axis=0) @ tol @ np.abs(vy).max(axis=0) * (1 + 1e-9)
         if (lo if sign > 0 else -hi) <= bound:
             # sign W - 64 eps scale, W's power tables next to their absolute
             # values and the two coefficient arrays on the diagonal
             zero = np.zeros_like(tol.T)
             gap, *_ = grid_extremes(np.block([[sign * a.T, zero], [zero, -tol.T]]),
-                                    np.hstack((vy, abs_vy)), np.hstack((vx, abs_vx)))
+                                    np.hstack((vy, np.abs(vy))), np.hstack((vx, np.abs(vx))))
             near = gap <= 0.0
     if near:
         return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MPoly, RationalFn, _horner_t, gauss_sum, grid_extremes, pair_degrees
+from .algebra import (MPoly, RationalFn, _horner_t, gauss_sum, grid_axis, grid_extremes,
+                      pair_degrees)
 from .errors import TemporalResidualNonzero, ZeroPolynomial
 from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, faddeev_superpose
@@ -272,11 +273,10 @@ def blowup_time(q: MPoly) -> BlowupReport:
     scanned over 200 t-slices of (0, BLOWUP_T_MAX], and the first slice
     whose minimum reaches zero is refined by bisection to SCAN_TOL (`_scan`).
     """
-    import numpy as np
     a = q.xy_coefficients().real       # q is real-valued: Im a = 0
     xmin, xmax, ymin, ymax = BLOWUP_BOX
-    xs, ys = np.linspace(xmin, xmax, BLOWUP_GRID_N), np.linspace(ymin, ymax, BLOWUP_GRID_N)
-    vx, vy = np.vander(xs, a.shape[1], increasing=True), np.vander(ys, a.shape[2], increasing=True)
+    xs, vx = grid_axis(xmin, xmax, BLOWUP_GRID_N, a.shape[1])
+    ys, vy = grid_axis(ymin, ymax, BLOWUP_GRID_N, a.shape[2])
 
     def extremes(t):
         return grid_extremes(_horner_t(a, t), vx, vy)     # indexed [x, y]

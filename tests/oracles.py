@@ -29,6 +29,10 @@
   `moutard.nonvanishing_certificate`.  `grid_extremes_full_grid`: a grid
   formed whole, the reference of `algebra.grid_extremes`, which reads it in
   strips for the certificate and the blow-up search.
+- `scattering_data_by_leading_terms`: the exact extraction of A from the
+  leading-term polynomials of W and of each slot, the reference of
+  `faddeev.scattering_data`, which reads their integer numerators in one
+  walk.
 - `fd_residual_per_step`: the finite-difference check with one read of the
   wave per step, the reference of `harness.fd_residual`, which reads both
   steps' stencils at once.
@@ -49,10 +53,10 @@ from itertools import product
 
 import numpy as np
 
-from moutardnv import moutard, nv
+from moutardnv import faddeev, moutard, nv
 from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
                                _xy_row, grid_product)
-from moutardnv.errors import AlgebraError
+from moutardnv.errors import AlgebraError, AsymptoticMismatch
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
 
@@ -104,6 +108,38 @@ def grid_extremes_full_grid(c, v1, v2):
     f = grid_product(c.T, v2, v1)
     nodes = (np.unravel_index(k, f.shape) for k in (f.argmin(), f.argmax(), np.abs(f).argmin()))
     return (f.min(), f.max(), *(tuple(map(int, n)) for n in nodes))
+
+
+def scattering_data_by_leading_terms(fw) -> faddeev.ScatteringData:
+    """The exact part of `faddeev.scattering_data` (no ray check), read off
+    the leading-term polynomials of W and of each slot
+    (`MPoly.spatial_leading_terms`) and formed by GaussianRational division:
+    the same checks in the same order, with the same messages."""
+    w = fw.w
+    if w.is_constant():
+        return faddeev.ScatteringData({})
+    d = w.total_degree_space()
+    lead = w.spatial_leading_terms()
+    if len(lead) != 1:
+        raise AsymptoticMismatch("denominator leading form is not a single monomial")
+    (a, b), lead_poly = next(iter(lead.items()))
+    if lead_poly.deg_t() > 0:
+        raise AsymptoticMismatch("denominator leading coefficient depends on t")
+    lead_c = lead_poly.constant_term()
+    faddeev.assert_decay_bookkeeping(fw)
+    a_coeffs = {}
+    for k, num in sorted(fw.psi.coeffs.items()):
+        if k == 0 or num.total_degree_space() < d - 1:
+            continue
+        for (i, j), cpoly in num.spatial_leading_terms().items():
+            if (i, j) != (a - 1, b) or cpoly.deg_t() > 0:
+                raise AsymptoticMismatch(
+                    f"slot {k} has a non-radial leading term z^{i} zb^{j} t^{cpoly.deg_t()}")
+            a_coeffs[k] = cpoly.constant_term() / lead_c
+    sd = faddeev.ScatteringData(a_coeffs)
+    if a_coeffs != {1: -d}:
+        raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
+    return sd
 
 
 def fd_residual_per_step(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:

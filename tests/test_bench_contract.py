@@ -342,6 +342,81 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     assert calls == ["grid_product"] * (2 * strips)
 
 
+def test_fixed_point_tables_are_built_once_per_width():
+    """The certificate's and the blow-up search's axes and power tables
+    (`algebra.grid_axis`) and the ray check's rays and tables
+    (`faddeev._ray_tables`) equal a fresh np.linspace and np.vander bit for
+    bit at every width that the W of the static and time candidates use,
+    are read-only, and are the same objects on a second call."""
+    wl = bench_module("workloads")
+    widths = {len(double_w(seed).xy_coefficients()[0]) for seed, _ in
+              wl.static_candidates().values()}
+    widths |= {len(nv.extended_w(seed).xy_coefficients()[0]) for seed in
+               wl.time_candidates().values()}
+    assert widths == set(range(4, 12))
+
+    def same(got, fresh):
+        assert not got.flags.writeable
+        assert got.dtype == fresh.dtype and got.shape == fresh.shape
+        assert got.tobytes() == fresh.tobytes()
+
+    for width in sorted(widths):
+        for (lo, hi), n in (((-10.0, 10.0), moutard.CERTIFICATE_GRID_N),
+                            (nv.BLOWUP_BOX[:2], nv.BLOWUP_GRID_N),
+                            (nv.BLOWUP_BOX[2:], nv.BLOWUP_GRID_N)):
+            tables = algebra.grid_axis(lo, hi, n, width)
+            axis = np.linspace(lo, hi, n)
+            for got, fresh in zip(tables, (axis, np.vander(axis, width, increasing=True))):
+                same(got, fresh)
+            assert algebra.grid_axis(lo, hi, n, width) is tables
+        tables = faddeev._ray_tables(faddeev.RAY_RADIUS, width)
+        ray = faddeev.RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
+        z = np.outer([1.0, 2.0], ray).ravel()
+        fresh = (ray, z, *(np.vander(part, width, increasing=True) for part in (z.real, z.imag)))
+        for got, want in zip(tables, fresh, strict=True):
+            same(got, want)
+        assert faddeev._ray_tables(faddeev.RAY_RADIUS, width) is tables
+
+
+def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
+    """A second time_op(sec32) and static_op(sec22) make no np.vander or
+    np.linspace call inside scattering_data, nonvanishing_certificate or
+    blowup_time: their fixed points' tables come from the caches.  (That
+    importing moutardnv and moutardnv.cli loads no numpy is
+    test_cli.py::test_import_does_not_load_scipy.)"""
+    wl = bench_module("workloads")
+    sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
+    inside, made = [], []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            if inside:
+                made.append((inside[-1], name))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((faddeev, "scattering_data"), (moutard, "nonvanishing_certificate"),
+                         (nv, "blowup_time")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for name in ("vander", "linspace"):
+        monkeypatch.setattr(np, name, recorded(name, getattr(np, name)))
+    for op, seed in ((wl.time_op, sec32), (wl.static_op, sec22)):
+        op(seed)
+        made.clear()
+        checks, _ = op(seed)
+        assert not checks.failures
+        assert made == [], op.__name__
+
+
 def test_nonvanishing_certificate_memory_peak():
     """The benchmark bounds the peak RSS of the static ops, and the
     certificate's 201 x 201 grid is their largest allocation.  It is read in

@@ -134,6 +134,27 @@ def test_kernel_checks_each_phi_is_in_the_kernel(monkeypatch, name, term, expect
         assert names == ["theta1", "theta2", "phi1", "phi2"]
 
 
+@pytest.mark.parametrize("time", [False, True], ids=["static", "time"])
+def test_kernel_rejects_dependent_kernel_functions(time, tmp_path):
+    # p2 = 2 p1 + i makes omega2 = 2 omega1 and W the constant 7 (README,
+    # "A constant W"), so phi2 = -2 phi1 and neither decays: kernel exits 1
+    # and writes nothing
+    seed, out = tmp_path / "dependent.json", tmp_path / "kernel.json"
+    seed.write_text(json.dumps({
+        "p1": [[0, {"re": "1"}], [1, {"re": "1"}], [3, {"re": "1"}]],
+        "p2": [[0, {"re": "2", "im": "1"}], [1, {"re": "2"}], [3, {"re": "2"}]],
+        "c": {"re": "5"}, "time": time}))
+    assert double_w(load_seed(str(seed))[0]) == MPoly.const(7)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["kernel", "--seed", str(seed), "--out", str(out)])
+    assert rc == 1
+    assert stdout.getvalue() == ("FAIL AlgebraError: W is constant, so omega2 is a real multiple "
+                                 "of omega1: the kernel functions are dependent and do not "
+                                 "decay\n")
+    assert not out.exists()
+
+
 def test_nv_faddeev_output():
     r = run_cli("nv-faddeev", "--seed", fixture_path("sec32.json"))
     assert r.returncode == 0

@@ -1,6 +1,7 @@
 import cmath
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +12,12 @@ from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
 from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev, residual,
                                scattering_data)
 from moutardnv.harness import load_seed
-from moutardnv.moutard import build_frame, kernel_functions, potential
+from moutardnv.moutard import SeedPair, build_frame, kernel_functions, potential
 
 from conftest import FIXTURES, gr, poly
-from oracles import free_wave, same_fraction, wave_add, wave_scale, wave_sub
-from test_properties import random_real_w, random_wave
+from oracles import (free_wave, same_fraction, scattering_data_by_leading_terms, wave_add,
+                     wave_scale, wave_sub)
+from test_properties import random_real_w, random_seed, random_wave
 
 
 REF_POTENTIAL_NUM = poly({
@@ -224,3 +226,75 @@ def test_residual_reading_u_is_the_full_hirota_residual():
         chi = random_wave(rng, time_phase=trial % 2 == 0)
         fw = FaddeevWave(WaveFn({**chi.coeffs, 0: random_real_w(rng, (1, 5))}, chi.time_phase))
         assert not same(fw).is_zero(), trial
+
+
+def _outcome(read, fw):
+    """A's coefficients as exact reprs, or the type and text of the
+    AsymptoticMismatch that read(fw) raises."""
+    try:
+        return {k: repr(c) for k, c in read(fw).a_coeffs.items()}
+    except AsymptoticMismatch as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _with_slot(fw, k, extra):
+    """fw with extra added to slot k (slot 0 is W)."""
+    psi = fw.psi
+    return FaddeevWave(WaveFn({**psi.coeffs, k: psi.coeffs.get(k, MPoly.zero()) + extra},
+                              psi.time_phase))
+
+
+@pytest.mark.parametrize("time_phase", [False, True], ids=["static", "time"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_scattering_data_matches_the_leading_term_oracle(degree, time_phase):
+    """The walk over the integer numerators gives the A of
+    `oracles.scattering_data_by_leading_terms`, exact number for exact
+    number, on seeds of degree 1-6 with and without constants, static and
+    evolved, and the same exception type and message on the same waves
+    corrupted: W plus t|z|^(2d) (a t-dependent leading coefficient), a slot
+    term above degree d - 1 (in slot 2 while slot 1 is non-radial, so the
+    bookkeeping of every slot comes first), a non-radial term with and
+    without t, and a radial term that moves A."""
+    rng = random.Random(3400 + 10 * degree + time_phase)
+    read = 0
+    for trial in range(4):
+        seed = random_seed(rng, degree, constant=trial % 2)
+        fw = nv.nv_faddeev(seed) if time_phase else build_faddeev(seed)
+        got = _outcome(lambda f: scattering_data(f, validate=False), fw)
+        assert got == _outcome(scattering_data_by_leading_terms, fw), f"trial {trial}: {seed}"
+        if isinstance(got, tuple):
+            continue                    # a degenerate leading form: no A to read
+        read += 1
+        d = fw.w.total_degree_space()
+        ((a, b, _), _), = [(e, c) for e, c in fw.w.numerators.items() if e[0] + e[1] == d]
+        c = fw.w.coeff(a, b) * gr("1/5")
+        broken = {
+            "denominator leading coefficient depends on t":
+                _with_slot(fw, 0, MPoly.monomial(a, b, 1)),
+            "slot 2 violates degree bookkeeping":
+                _with_slot(_with_slot(fw, 1, MPoly.monomial(a, b - 1, 0, c)), 2,
+                           MPoly.monomial(a, b, 0)),
+            f"slot 1 has a non-radial leading term z^{a} zb^{b - 1} t^0":
+                _with_slot(fw, 1, MPoly.monomial(a, b - 1, 0, c)),
+            f"slot 1 has a non-radial leading term z^{a - 1} zb^{b} t^2":
+                _with_slot(fw, 1, MPoly.monomial(a - 1, b, 2, c)),
+            f"A={Fraction(1, 5) - d}/λ is not -2d/λ = -{d}/λ for W of degree {d}":
+                _with_slot(fw, 1, MPoly.monomial(a - 1, b, 0, c)),
+        }
+        for message, bad in broken.items():
+            got = _outcome(lambda f: scattering_data(f, validate=False), bad)
+            assert got == _outcome(scattering_data_by_leading_terms, bad), (trial, message)
+            assert got == ("AsymptoticMismatch", message), trial
+    assert read >= 2
+
+
+def test_scattering_data_on_a_degenerate_seed_matches_the_oracle():
+    """z + z^2 and 2z + 3z^2 have a real ratio of top coefficients, so W
+    has no |z|^4 term: both readers reject its leading form with one
+    message, static and evolved."""
+    z = MPoly.monomial(1, 0, 0)
+    seed = SeedPair(z + z * z, z * 2 + z * z * 3, gr(1))
+    for fw in (build_faddeev(seed), nv.nv_faddeev(seed)):
+        got = _outcome(lambda f: scattering_data(f, validate=False), fw)
+        assert got == _outcome(scattering_data_by_leading_terms, fw)
+        assert got == ("AsymptoticMismatch", "denominator leading form is not a single monomial")

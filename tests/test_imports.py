@@ -5,7 +5,9 @@ method is read by name in the library or the benchmark, every parameter with
 a default is passed at some call in the library or the benchmark, every
 operator of the exact types and the wave is called by `mnv` or the
 benchmark or named by the benchmark, no module imports numpy when it is
-itself imported, and every library name and test that README cites exists.
+itself imported, every `lru_cache` is keyed on numbers alone (each of its
+function's parameters annotated int, float or bool), and every library name
+and test that README cites exists.
 
 No linter is installed, so these are the unused-import and dead-code
 checks: they parse each module under src/moutardnv/ (the package's
@@ -145,6 +147,54 @@ def test_check_sees_a_module_level_import():
                      "def f():\n    import scipy\n"
                      "    def g():\n        import math\n")
     assert _eager_imports(tree) == {"numpy", "json"}
+
+
+# the annotations a cached function's parameters may carry: its key is then
+# numbers only, so each cache is a table of constants and no call can reuse
+# a result built from another call's polynomial or seed
+CACHE_KEY_TYPES = {"int", "float", "bool"}
+
+
+def _cached_off_numbers(tree):
+    """'name' of every function decorated with lru_cache (`@lru_cache`,
+    `@lru_cache(...)`, `@functools.lru_cache...`) one of whose parameters
+    is not annotated int, float or bool."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cached = any(_reads(d.func if isinstance(d, ast.Call) else d) & {"lru_cache", "cache"}
+                     for d in fn.decorator_list)
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        if cached and not all(_annotation(a.annotation) in CACHE_KEY_TYPES for a in params):
+            out.append(fn.name)
+    return out
+
+
+def _annotation(node):
+    """The name an annotation gives, a string annotation parsed."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    return node.id if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_cache_is_keyed_on_numbers(module):
+    assert _cached_off_numbers(_parse(os.path.join(SRC, module))) == []
+
+
+def test_check_sees_a_cache_keyed_on_an_object():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=None)\ndef rows(i: int, j: 'int') -> tuple:\n    pass\n"
+                     "@lru_cache\ndef axis(lo: float, hi: float, on: bool):\n    pass\n"
+                     "@functools.lru_cache(maxsize=8)\ndef of_poly(p: MPoly):\n    pass\n"
+                     "@lru_cache\ndef bare(n):\n    pass\n"
+                     "@cache\ndef listed(ns: list):\n    pass\n"
+                     "@lru_cache\ndef star(*ns: int, **kw: int):\n    pass\n"
+                     "def plain(p: MPoly):\n    pass\n")
+    assert _cached_off_numbers(tree) == ["of_poly", "bare", "listed"]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
