@@ -470,29 +470,46 @@ def _horner_t(coeffs, t: float):
     return acc
 
 
-#: Points that `xy_eval` reads at once: its power tables stay this many rows.
+#: Points that `xy_read` reads at once: its power tables stay this many rows.
 XY_BLOCK = 1024
 
 
-def xy_eval(a, z0, t0: float = 0.0):
-    """sum a[k, m, n] t0^k x^m y^n at z0 = x + iy, for the x-y coefficients a
+def xy_read(a, t0: float, size: int, tables):
+    """sum a[k, m, n] t0^k x^m y^n at size points, for the x-y coefficients a
     of a polynomial (`MPoly.xy_coefficients`): the slice c = sum_k a[k] t0^k,
     then, per block of XY_BLOCK points, one real matrix product of the powers
     of x with the real and imaginary parts of c side by side, and one with
-    the powers of y.  z0 is an array of points, and the values have its
-    shape."""
+    the powers of y.  tables(s, e) gives those powers for the points s to e,
+    two tables vx[p, m] = x_p^m and vy[p, n] = y_p^n as wide as c's axes
+    (`np.vander(..., increasing=True)`), so the caller decides how its
+    points' tables are made.  The values are one flat complex array."""
     import numpy as np
     c = _horner_t(a, t0)
-    m, n = c.shape
+    n = c.shape[1]
     parts = np.concatenate((c.real, c.imag), axis=1)
+    out = np.empty((size, 2))           # (Re, Im) per point, read as complex
+    for s in range(0, size, XY_BLOCK):
+        e = min(s + XY_BLOCK, size)
+        vx, vy = tables(s, e)
+        rows = (vx @ parts).reshape(-1, 2, n)
+        out[s:e] = (rows @ vy[:, :, None])[..., 0]
+    return out.view(complex).reshape(size)
+
+
+def xy_eval(a, z0, t0: float = 0.0):
+    """`xy_read` of the x-y coefficients a at the array z0 of points, each
+    block's power tables made from its points by np.vander; the values have
+    z0's shape."""
+    import numpy as np
     z = np.asarray(z0, dtype=complex)
     flat = z.reshape(-1)
-    out = np.empty((flat.size, 2))      # (Re, Im) per point, read as complex
-    for s in range(0, flat.size, XY_BLOCK):
-        block = flat[s:s + XY_BLOCK]
-        rows = (np.vander(block.real, m, increasing=True) @ parts).reshape(-1, 2, n)
-        out[s:s + XY_BLOCK] = (rows @ np.vander(block.imag, n, increasing=True)[:, :, None])[..., 0]
-    return out.view(complex).reshape(z.shape)
+    m, n = a.shape[1:]
+
+    def tables(s, e):
+        block = flat[s:e]
+        return np.vander(block.real, m, increasing=True), np.vander(block.imag, n, increasing=True)
+
+    return xy_read(a, t0, flat.size, tables).reshape(z.shape)
 
 
 # grid rows or columns read at once: a strip's arrays (77 KB on a 201-point

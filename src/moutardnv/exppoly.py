@@ -57,13 +57,14 @@ def hirota(f, g: MPoly, form: dict):
     D_x^m (x^i . x^i') = H_m(i, i') x^(i+i'-m) (`_weights`), a pair adds
     c H_m H_n H_p times its coefficient product at one exponent.  A wave's
     phase makes D^a the sum in `_phase_orders`, whose power of lam shifts the
-    slot.  The weighted terms of g met by one exponent of f are listed once
-    for every slot.  A slot that is g itself (a polynomial f is its one
-    slot) is read by symmetry: D^b (g . g) is 0 for an odd order |b| and
-    symmetric in its pair for an even one, so only the even orders and the
-    pairs i <= i' are read, the diagonal once and each later pair doubled.
-    The numerators are summed over one denominator and each output slot is
-    brought to lowest terms once.
+    slot.  Each term of f is scaled by c and by its slot's share of the
+    common denominator once per order, and each pair's weight H_m H_n H_p is
+    read from the tables as the pair is met.  A slot that is g itself (a
+    polynomial f is its one slot) is read by symmetry: D^b (g . g) is 0 for
+    an odd order |b| and symmetric in its pair for an even one, so only the
+    even orders and the pairs i <= i' are read, the diagonal once and each
+    later pair doubled.  The numerators are summed over one denominator and
+    each output slot is brought to lowest terms once.
     """
     wave = isinstance(f, WaveFn)
     slots = f.coeffs if wave else {0: f}
@@ -71,37 +72,32 @@ def hirota(f, g: MPoly, form: dict):
     gterms = [(_pack(e), *e, re, im) for e, (re, im) in g.numerators.items()]
     doubled = [(e, i, j, k, 2 * re, 2 * im) for e, i, j, k, re, im in gterms]
     den = lcm(*(p.denominator for p in slots.values()))
-    # symmetric -> (its reduced orders, (order, exponent of f) -> [(exponent,
-    # weighted coefficient of g)]), built on first use
-    kinds, acc = {}, {}
+    # symmetric -> its reduced orders, each with its weight tables per axis
+    orders = {symmetric: [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
+                          for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
+                                                             symmetric).items()]
+              for symmetric in {p is g for p in slots.values()}}
+    acc = {}
     for slot, p in slots.items():
         symmetric = p is g
-        kind = kinds.get(symmetric)
-        if kind is None:
-            kind = kinds[symmetric] = (
-                [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
-                 for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
-                                                    symmetric).items()], {})
-        orders, weighted = kind
         scale = den // p.denominator
         for n, (e1, (p1, q1)) in enumerate(p.numerators.items()):
-            p1, q1 = p1 * scale, q1 * scale
-            for o, (shift, b, c, (hz, hzb, ht)) in enumerate(orders):
-                terms = weighted.get((o, e1))
-                if terms is None:
-                    partners = gterms[n:n + 1] + doubled[n + 1:] if symmetric else gterms
-                    rz, rzb, rt, base = hz[e1[0]], hzb[e1[1]], ht[e1[2]], _pack(e1) - b
-                    terms = weighted[o, e1] = [
-                        (base + e2, w * re, w * im) for e2, i2, j2, k2, re, im in partners
-                        for w in (c * rz[i2] * rzb[j2] * rt[k2],) if w]
+            partners = gterms[n:n + 1] + doubled[n + 1:] if symmetric else gterms
+            packed, p1, q1 = _pack(e1), p1 * scale, q1 * scale
+            for shift, b, c, (hz, hzb, ht) in orders[symmetric]:
+                rz, rzb, rt, base = hz[e1[0]], hzb[e1[1]], ht[e1[2]], packed - b
+                fre, fim = p1 * c, q1 * c
                 out = acc.setdefault(slot - shift, {})
-                for e, re, im in terms:
-                    s = out.get(e)
-                    if s is None:
-                        out[e] = [p1 * re - q1 * im, p1 * im + q1 * re]
-                    else:
-                        s[0] += p1 * re - q1 * im
-                        s[1] += p1 * im + q1 * re
+                for e2, i2, j2, k2, re, im in partners:
+                    w = rz[i2] * rzb[j2] * rt[k2]
+                    if w:
+                        re, im, e = w * re, w * im, base + e2
+                        s = out.get(e)
+                        if s is None:
+                            out[e] = [fre * re - fim * im, fre * im + fim * re]
+                        else:
+                            s[0] += fre * re - fim * im
+                            s[1] += fre * im + fim * re
     polys = {slot: MPoly.from_numerators({(e >> 16, e >> 8 & 255, e & 255): (re, im)
                                           for e, (re, im) in out.items() if re or im},
                                          den * g.denominator)
@@ -162,10 +158,10 @@ def wave_antideriv_z(w: WaveFn) -> WaveFn:
     return WaveFn(out, w.time_phase)
 
 
-def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
-    """Values of the wave without its exponential prefactor at an array of
-    points, for a nonzero lam: sum_k lam^{-k} f_k formed on the slots' x-y
-    coefficients and read by one `xy_eval`."""
+def multiplier_xy(w: WaveFn, lam0: complex):
+    """The x-y coefficients (`MPoly.xy_coefficients`) of the wave without its
+    exponential prefactor, for a nonzero lam: sum_k lam^{-k} f_k formed on
+    the slots' arrays, so one `xy_read` reads every slot."""
     import numpy as np
     lam0 = complex(lam0)
     arrays = {k: f.xy_coefficients() for k, f in w.coeffs.items()}
@@ -173,14 +169,14 @@ def wave_multiplier(w: WaveFn, z0, t0: float = 0.0, lam0: complex = 1.0):
     total = np.zeros(shape, complex)            # each slot's array fills one corner
     for k, a in arrays.items():
         total[tuple(map(slice, a.shape))] += lam0 ** (-k) * a
-    return xy_eval(total, z0, t0)
+    return total
 
 
 def wave_eval(w: WaveFn, den: MPoly, z0, t0: float = 0.0, lam0: complex = 1.0):
     """Values of the wave w / den, including the exponential prefactor, at an
-    array of points: its multiplier over den's values, NaN at a pole as in
-    `divide_off_poles`."""
-    mult = divide_off_poles(wave_multiplier(w, z0, t0, lam0), den.eval(z0, t0))
+    array of points: its multiplier (`multiplier_xy`) over den's values, NaN
+    at a pole as in `divide_off_poles`."""
+    mult = divide_off_poles(xy_eval(multiplier_xy(w, lam0), z0, t0), den.eval(z0, t0))
     return exp_phase(complex(lam0), z0, t0 if w.time_phase else None) * mult
 
 

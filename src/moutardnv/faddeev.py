@@ -192,9 +192,10 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     is read at the 12 points once, at t = 0, from one pair of power tables
     (`_ray_tables`, once per width) in one real product; m at each lam is
     sum_k lam^-k v_k over v_0.
-    Rays through a pole at either radius are skipped; a value beyond float
-    range there raises CoefficientOverflow (`algebra.float_range`), so no ray
-    goes uncompared."""
+    Rays through a pole at either radius are skipped, and a lam at which
+    every ray is skipped raises AsymptoticMismatch, as nothing was compared;
+    a value beyond float range there raises CoefficientOverflow
+    (`algebra.float_range`), so no ray goes uncompared."""
     import numpy as np
     lams = (1.0, 0.7 + 0.4j)
     ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
@@ -213,6 +214,10 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
             len(lams), 2, len(ray))
     expected = [sd.a_at(lam0) for lam0 in lams]
     got = 2.0 * gs[:, 1] - gs[:, 0]                # got[l]: the estimates at lams[l]
+    unread = np.flatnonzero(np.isnan(got).all(axis=1))
+    if unread.size:
+        raise AsymptoticMismatch(f"no ray is readable at lam={lams[unread[0]]}: "
+                                 f"each of the {len(ray)} meets a pole at r or 2r")
     bad = np.flatnonzero(np.abs(got - np.array(expected)[:, None]) > RAY_TOL)
     if bad.size:
         l, m = divmod(int(bad[0]), len(ray))

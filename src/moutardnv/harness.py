@@ -6,10 +6,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, islice, repeat
 
-from .algebra import GaussianRational, MPoly, RationalFn, float_range
-from .exppoly import wave_eval
+from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
+                      xy_read)
+from .errors import AlgebraError
+from .exppoly import exp_phase, multiplier_xy
 from .faddeev import FaddeevWave, ScatteringData
 from .moutard import SeedPair
 
@@ -60,34 +63,84 @@ def _grid_points(grid: GridSpec):
     return xs[None, :] + 1j * ys[:, None]
 
 
+#: The stencil of `fd_residual` in reading order, the centre and then E, W,
+#: N, S at step h and at step h/2: each point's x and y as places in the
+#: offsets (0, h, -h, h/2, -h/2) of `_stencil_tables`.
+_STENCIL = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (3, 0), (4, 0), (0, 3), (0, 4))
+
+
+@lru_cache(maxsize=None)
+def _stencil_tables(x_min: float, x_max: float, y_min: float, y_max: float, n: int,
+                    h: float, width: int) -> tuple:
+    """The stencil's distinct x's and y's, the grid's axes moved by 0, h, -h,
+    h/2 and -h/2 in that order (5n each), and their power tables
+    np.vander(..., width, increasing=True): built once per key and shared,
+    so read-only."""
+    import numpy as np
+    offsets = np.array([0.0, h, -h, h / 2.0, -h / 2.0])[:, None]
+    ax, ay = ((np.linspace(lo, hi, n) + offsets).ravel() for lo, hi in ((x_min, x_max),
+                                                                          (y_min, y_max)))
+    vx, vy = (np.vander(axis, width, increasing=True) for axis in (ax, ay))
+    for table in (ax, ay, vx, vy):
+        table.flags.writeable = False
+    return ax, ay, vx, vy
+
+
 def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
                 h: float) -> FDReport:
     """Independent check of (-Laplacian + u) psi = 0 with the 5-point stencil,
-    for the wave psi of fw.
+    for the wave psi of fw and its potential u = fw.u, a fraction over a
+    power of fw's W.
 
     Evaluates at steps h and h/2 and reports the observed convergence order;
-    an exact eigenfunction gives order close to 2.  The wave is read once, at
-    the centre and the four neighbours of both steps.  A grid point is used
-    for a step when neither u nor psi has a pole on its stencil.  A value of
-    u or psi, or a step of computing it, beyond float range raises
-    CoefficientOverflow (`algebra.float_range`), so no overflow is read as a
-    pole.
+    an exact eigenfunction gives order close to 2.  The stencil's 9n^2
+    points, in the order [_STENCIL, y, x], gather their x's and y's and
+    their powers from the tables of its 5n distinct x's and y's
+    (`_stencil_tables`, once per grid, step and width): W and the wave's
+    multiplier are each read once at every point, u's numerator at the n^2
+    centres, each by one `xy_read`, and u's W from the centres' W.  A grid
+    point is used for a step when neither u nor psi has a pole on its
+    stencil; a step that uses no point raises AlgebraError, as it has
+    checked nothing.  A value of u or psi, or a step of computing it,
+    beyond float range raises CoefficientOverflow (`algebra.float_range`),
+    so no overflow is read as a pole.
     """
     import numpy as np
-    z = _grid_points(grid)
-    steps = (h, h / 2.0)
-    shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
+    n, t = grid.n, grid.t
+    centres = n * n
+    lam0 = complex(lam0)
+    key = (grid.x_min, grid.x_max, grid.y_min, grid.y_max, n, h)
+    flat = np.arange(centres)                       # a centre is [y, x] at y n + x
+    sx, sy = (np.array(places)[:, None] * n for places in zip(*_STENCIL))
+    ix, iy = (sx + flat % n).ravel(), (sy + flat // n).ravel()     # each point's table rows
+
+    def read(a, size):
+        _, _, vx, vy = _stencil_tables(*key, len(a[0]))
+        return xy_read(a, t, size, lambda s, e: (vx.take(ix[s:e], axis=0),
+                                                 vy.take(iy[s:e], axis=0)))
+
     with float_range("the finite-difference grid leaves float range"):
-        uc = u.eval(z, grid.t)
-        values = wave_eval(fw.psi, fw.w, z + shifts[:, None, None], grid.t, lam0)
+        wa = fw.w.xy_coefficients()
+        w = read(wa, ix.size)
+        uc = divide_off_poles(read(u.num.xy_coefficients(), centres), w[:centres] ** u.k)
+        mult = divide_off_poles(read(multiplier_xy(fw.psi, lam0), ix.size), w)
+        ax, ay, _, _ = _stencil_tables(*key, len(wa[0]))
+        points = np.empty(ix.size, complex)
+        points.real, points.imag = ax.take(ix), ay.take(iy)
+        values = (exp_phase(lam0, points, t if fw.psi.time_phase else None) * mult).reshape(
+            len(_STENCIL), centres)
+    # both steps at once, each the E, W, N and S of the one centre
+    pc, pe, pw, pn, ps = values[0], *values[1:].reshape(2, 4, centres).transpose(1, 0, 2)
+    used = ~(np.isnan(uc) | np.isnan(pc) | np.isnan(pe) | np.isnan(pw) | np.isnan(pn)
+             | np.isnan(ps))
+    lap = (pe + pw + pn + ps - 4.0 * pc) / np.array([[h ** 2], [(h / 2.0) ** 2]])
+    r = np.abs(-lap + uc * pc) / np.maximum(1.0, np.abs(pc))
     res = []
-    for n, step in enumerate(steps):
-        stencil = values[[0, *range(4 * n + 1, 4 * n + 5)]]     # centre, E, W, N, S
-        used = ~(np.isnan(uc) | np.isnan(stencil).any(axis=0))
-        pc, pe, pw, pn, ps = stencil[:, used]
-        lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
-        r = np.abs(-lap + uc[used] * pc) / np.maximum(1.0, np.abs(pc))
-        res.append((float(r.max(initial=0.0)), int(used.sum())))
+    for k, step in enumerate((h, h / 2.0)):
+        if not used[k].any():
+            raise AlgebraError(f"the finite-difference check at step {step:g} reads no point: "
+                               f"each of the {centres} stencils meets a pole")
+        res.append((float(r[k, used[k]].max()), int(used[k].sum())))
     res_h, res_half = res[0][0], res[1][0]
     order = math.log2(res_h / res_half) if res_half > 0 else float("inf")
     return FDReport(res_h, res_half, order, h, res[0][1])
@@ -218,7 +271,8 @@ def sample_grid(fn, grid: GridSpec):
     array of points giving their complex values, NaN at a pole.  Points
     where fn has a pole are skipped.  ValueError when a value, or a step of
     computing it, leaves float range (say W at a huge bound, W^2 below the
-    potential, or the wave's e^{lam z}).  The values are computed before
+    potential, or the wave's e^{lam z}), and when every point is a pole,
+    as there is then nothing to sample.  The values are computed before
     the first point is yielded, and each row is turned into Python floats
     only as it is reached."""
     import numpy as np
@@ -228,6 +282,8 @@ def sample_grid(fn, grid: GridSpec):
             values = np.asarray(fn(_grid_points(grid), grid.t), dtype=complex)
         except FloatingPointError as exc:
             raise ValueError(f"values on the grid leave float range ({exc})") from None
+    if np.isnan(values).all():
+        raise ValueError("every point of the grid is a pole of the function sampled")
     xs = xs.tolist()
     for y, row in zip(ys.tolist(), values):
         keep = (~np.isnan(row)).tolist()

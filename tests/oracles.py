@@ -33,9 +33,12 @@
   leading-term polynomials of W and of each slot, the reference of
   `faddeev.scattering_data`, which reads their integer numerators in one
   walk.
-- `fd_residual_per_step`: the finite-difference check with one read of the
-  wave per step, the reference of `harness.fd_residual`, which reads both
-  steps' stencils at once.
+- `fd_residual_by_wave_eval`: the finite-difference check reading u and the
+  wave by `RationalFn.eval` and `wave_eval`, power tables made from the
+  points, the reference of `harness.fd_residual`, which gathers its rows
+  from tables of the stencil's distinct coordinates; its reports are equal.
+  `fd_residual_per_step`: the same with one read of the wave per step,
+  equal to rounding.
 - `Frac`: sums, products and derivatives of fractions over one shared base,
   with `same_fraction` as its equality.  The library itself only builds,
   scales, evaluates and prints fractions.
@@ -55,7 +58,7 @@ import numpy as np
 
 from moutardnv import faddeev, moutard, nv
 from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
-                               _xy_row, grid_product)
+                               _xy_row, float_range, grid_product)
 from moutardnv.errors import AlgebraError, AsymptoticMismatch
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
@@ -140,6 +143,30 @@ def scattering_data_by_leading_terms(fw) -> faddeev.ScatteringData:
     if a_coeffs != {1: -d}:
         raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
     return sd
+
+
+def fd_residual_by_wave_eval(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:
+    """`harness.fd_residual` as it read before its stencil tables: u by
+    `RationalFn.eval` at the centres and the wave by one `wave_eval` at all
+    nine shifts of the grid, so every power table made afresh from the
+    points.  A step that uses no point is reported, not raised."""
+    z = _grid_points(grid)
+    steps = (h, h / 2.0)
+    shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
+    with float_range("the finite-difference grid leaves float range"):
+        uc = u.eval(z, grid.t)
+        values = wave_eval(fw.psi, fw.w, z + shifts[:, None, None], grid.t, lam0)
+    res = []
+    for n, step in enumerate(steps):
+        stencil = values[[0, *range(4 * n + 1, 4 * n + 5)]]     # centre, E, W, N, S
+        used = ~(np.isnan(uc) | np.isnan(stencil).any(axis=0))
+        pc, pe, pw, pn, ps = stencil[:, used]
+        lap = (pe + pw + pn + ps - 4.0 * pc) / step ** 2
+        r = np.abs(-lap + uc[used] * pc) / np.maximum(1.0, np.abs(pc))
+        res.append((float(r.max(initial=0.0)), int(used.sum())))
+    res_h, res_half = res[0][0], res[1][0]
+    order = math.log2(res_h / res_half) if res_half > 0 else float("inf")
+    return FDReport(res_h, res_half, order, h, res[0][1])
 
 
 def fd_residual_per_step(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:

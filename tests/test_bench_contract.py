@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from moutardnv import algebra, cli, exppoly, faddeev, harness, moutard, nv
 from moutardnv.algebra import MPoly
@@ -17,7 +18,7 @@ from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
-from oracles import certificate_full_grid, grid_extremes_full_grid
+from oracles import certificate_full_grid, fd_residual_by_wave_eval, grid_extremes_full_grid
 from test_cli import _build_counts
 from test_moutard import near_zero_w
 
@@ -174,14 +175,18 @@ def test_traced_blowup_counts_minimize_calls(seed32):
     assert agg["nv.minimize"]["nfev"] >= len(calls)
 
 
-def test_traced_names_keep_their_callers():
-    """Every traced function but the two harness I/O helpers, which only the
-    cli workload reaches, records a span on the static and time ops: a
-    library change that stops calling one fails here instead of leaving its
-    per-layer metric empty."""
+def test_traced_names_keep_their_callers(tmp_path):
+    """Every traced function but the two harness I/O helpers and wave_eval,
+    which only the cli workload reaches, records a span on the static and
+    time ops: a library change that stops calling one fails here instead of
+    leaving its per-layer metric empty.  wave_eval is the wave's reader for
+    `mnv sample-grid --lambda`, where it records its span; fd_residual
+    reads the wave from its own stencil tables."""
     tracing = bench_module("tracing")
     wl = bench_module("workloads")
     sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
+    seed = tmp_path / "sec22.json"
+    wl.hn.save_seed(seed, sec22)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
@@ -189,13 +194,21 @@ def test_traced_names_keep_their_callers():
         static_checks, _ = wl.static_op(sec22)
         tracer.op = "time-sec32"
         time_checks, _ = wl.time_op(sec32)
+        tracer.op = "sample-grid-psi"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["sample-grid", "--seed", str(seed), "--grid=-1,1,-1,1,5",
+                           "--lambda=1,0", "--out", str(tmp_path / "psi.csv")])
     finally:
         tracer.op = None
         uninstall()
-    assert not static_checks.failures and not time_checks.failures
-    seen = {d["name"] for d in tracing.span_dicts(tracer.spans)}
+    assert not static_checks.failures and not time_checks.failures and rc == 0
+    seen = {}
+    for d in tracing.span_dicts(tracer.spans):
+        seen.setdefault(d["op"], set()).add(d["name"])
     traced = {f"{mod}.{fn}" for mod, fns in tracing.FUNCTIONS.items() for fn in fns}
-    assert traced - {"harness.write_grid_csv", "harness.load_seed"} - seen == set()
+    cli_only = {"harness.write_grid_csv", "harness.load_seed", "exppoly.wave_eval"}
+    assert traced - cli_only - seen["static-sec22"] - seen["time-sec32"] == set()
+    assert cli_only <= seen["sample-grid-psi"]
 
 
 def test_ops_form_each_hirota_product_once():
@@ -223,16 +236,18 @@ def test_time_op_validates_a_seed_once_per_entry():
 
 
 def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatch):
-    """No polynomial's x-y array is expanded twice.  Each wave_multiplier
-    call reads the lam-summed slots in one `xy_eval`, whatever their number
-    (d + 1 for a seed of degree d), and each wave_eval W in one more.  The
-    ray check makes no `xy_eval` call: it reads each slot's x-y array once,
-    W's among them, and every slot at both lam in one product."""
+    """No polynomial's x-y array is expanded twice.  fd_residual reads W once
+    at its 9n^2 stencil points, the wave's lam-summed slots (d + 1 of them
+    for a seed of degree d) in one more read at the same points, and u's
+    numerator once at the n^2 centres: three `xy_read` calls and no
+    `xy_eval`, u's W being the centres' W.  The ray check makes no
+    `xy_eval` call: it reads each slot's x-y array once, W's among them, and
+    every slot at both lam in one product."""
     wl = bench_module("workloads")
     sec22, cubic, sec32 = (wl.fixture(name)[0] for name in ("sec22", "sec22_cubic", "sec32"))
-    expanded, per_call, evals, rays, inside = [], [], [], [], []
-    xy_coefficients, xy_eval, multiplier, evaluate, validate_rays = (
-        MPoly.xy_coefficients, algebra.xy_eval, exppoly.wave_multiplier, exppoly.wave_eval,
+    expanded, fds, rays, inside = [], [], [], []
+    xy_coefficients, xy_eval, xy_read, fd_residual, validate_rays = (
+        MPoly.xy_coefficients, algebra.xy_eval, algebra.xy_read, harness.fd_residual,
         faddeev._validate_rays)
 
     def counted_xy_coefficients(p):
@@ -247,34 +262,47 @@ def test_ops_expand_each_polynomial_once_and_read_a_wave_in_two_calls(monkeypatc
             reads.append("xy_eval")
         return xy_eval(*args)
 
-    def counted(fn, calls):             # (first argument, reads) per call
+    def counted_xy_read(a, t0, size, tables):
+        for reads in inside:
+            reads.append((a, size))
+        return xy_read(a, t0, size, tables)
+
+    def counted(fn, calls):             # (arguments, reads) per call
         def wrapped(*args, **kwargs):
             inside.append([])
             try:
                 return fn(*args, **kwargs)
             finally:
-                calls.append((args[0], inside.pop()))
+                calls.append((args, inside.pop()))
         return wrapped
 
     monkeypatch.setattr(MPoly, "xy_coefficients", counted_xy_coefficients)
     for module in (algebra, exppoly):
         monkeypatch.setattr(module, "xy_eval", counted_xy_eval)
-    monkeypatch.setattr(exppoly, "wave_multiplier", counted(multiplier, per_call))
-    monkeypatch.setattr(harness, "wave_eval", counted(evaluate, evals))
+    for module in (algebra, harness):
+        monkeypatch.setattr(module, "xy_read", counted_xy_read)
+    monkeypatch.setattr(harness, "fd_residual", counted(fd_residual, fds))
     monkeypatch.setattr(faddeev, "_validate_rays", counted(validate_rays, rays))
     for op, seed in ((wl.static_op, sec22), (wl.static_op, cubic), (wl.time_op, sec32)):
         expanded.clear()
-        per_call.clear()
-        evals.clear()
+        fds.clear()
         rays.clear()
         checks, _ = op(seed)
         assert not checks.failures
         assert expanded and len({id(p) for p in expanded}) == len(expanded)
-        assert all(reads.count("xy_eval") == 1 for _, reads in per_call)
-        assert [reads.count("xy_eval") for _, reads in evals] == \
-            ([2] if op is wl.static_op else [])
-        assert len(per_call) == len(evals)
-        [(fw, reads)] = rays
+        if op is wl.static_op:
+            [((u, fw, _, grid, _), reads)] = fds
+            points = grid.n * grid.n
+            w, num = (p.xy_coefficients() for p in (fw.w, u.num))
+            assert "xy_eval" not in reads
+            (wa, wsize), (na, nsize), (ma, msize) = [r for r in reads if isinstance(r, tuple)]
+            assert wa is w and na is num and ma is not w
+            assert (wsize, nsize, msize) == (9 * points, points, 9 * points)
+            assert [r for r in reads if isinstance(r, MPoly)] == \
+                [fw.w, u.num, *fw.psi.coeffs.values()]
+        else:
+            assert fds == []
+        [((fw, _), reads)] = rays
         assert reads == [fw.psi.coeffs[k] for k in sorted(fw.psi.coeffs)]
 
 
@@ -310,11 +338,12 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
 
 
 def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
-    """fd_residual reads the wave once for both steps.  The certificate reads
-    W by one grid_product per strip, and its rounding scale, as a second
-    grid of as many strips, only where the least |W| is within 64 eps of the
-    corner's scale: on sec22's W it is not, on the near-zero W of
-    test_moutard it is."""
+    """fd_residual reads W, u's numerator and the wave for both steps at
+    once, each in one `xy_read`, and makes no `xy_eval`.  The certificate
+    reads W by one grid_product per strip, and its rounding scale, as a
+    second grid of as many strips, only where the least |W| is within
+    64 eps of the corner's scale: on sec22's W it is not, on the near-zero
+    W of test_moutard it is."""
     wl = bench_module("workloads")
     sec22 = wl.fixture("sec22")[0]
     calls = []
@@ -327,11 +356,14 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(harness, "wave_eval")
+    counted(harness, "xy_read")
+    counted(exppoly, "xy_eval")
+    counted(algebra, "xy_eval")
     counted(algebra, "grid_product")
     fw = build_faddeev(sec22)
     harness.fd_residual(fw.u, fw, 1.0, harness.GridSpec(-2, 2, -2, 2, 7), 1e-2)
-    assert calls == ["wave_eval"]
+    assert calls == ["xy_read"] * 3
+    calls.clear()
     strips = -(-moutard.CERTIFICATE_GRID_N // algebra.GRID_STRIP)
     assert strips == 5
     calls.clear()
@@ -380,8 +412,9 @@ def test_fixed_point_tables_are_built_once_per_width():
 
 def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
     """A second time_op(sec32) and static_op(sec22) make no np.vander or
-    np.linspace call inside scattering_data, nonvanishing_certificate or
-    blowup_time: their fixed points' tables come from the caches.  (That
+    np.linspace call inside scattering_data, nonvanishing_certificate,
+    blowup_time or fd_residual: their fixed points' tables come from the
+    caches.  (That
     importing moutardnv and moutardnv.cli loads no numpy is
     test_cli.py::test_import_does_not_load_scipy.)"""
     wl = bench_module("workloads")
@@ -405,7 +438,7 @@ def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
         return wrapped
 
     for module, name in ((faddeev, "scattering_data"), (moutard, "nonvanishing_certificate"),
-                         (nv, "blowup_time")):
+                         (nv, "blowup_time"), (harness, "fd_residual")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     for name in ("vander", "linspace"):
         monkeypatch.setattr(np, name, recorded(name, getattr(np, name)))
@@ -415,6 +448,67 @@ def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
         checks, _ = op(seed)
         assert not checks.failures
         assert made == [], op.__name__
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_stencil_tables_are_built_once_and_hold_5n_rows(monkeypatch, n):
+    """fd_residual's stencil tables (`harness._stencil_tables`) hold the 5n
+    distinct x's and y's of the 9n^2 stencil points, not a row per point:
+    every np.vander call inside fd_residual makes 5n rows, one table per
+    axis and width.  Each axis and table is read-only, bit-equal to the
+    grid's axis moved by 0, h, -h, h/2 and -h/2 and a fresh np.vander of
+    it, and the same object on a second call; the stencil points' x's and
+    y's are the axes' values, and the report is the reference's."""
+    fw = build_faddeev(bench_module("workloads").fixture("sec22")[0])
+    grid, h = harness.GridSpec(-2, 2, -2, 2, n), 1e-2
+    shapes = []
+
+    def recorded(fn):
+        def wrapped(x, width, increasing):
+            shapes.append((len(x), width))
+            return fn(x, width, increasing=increasing)
+        return wrapped
+
+    harness._stencil_tables.cache_clear()
+    monkeypatch.setattr(np, "vander", recorded(np.vander))
+    rep = harness.fd_residual(fw.u, fw, 1.0, grid, h)
+    monkeypatch.undo()
+    assert rep.points_used == n * n
+    assert rep == fd_residual_by_wave_eval(fw.u, fw, 1.0, grid, h)
+    widths = sorted({len(fw.w.xy_coefficients()[0]), len(fw.u.num.xy_coefficients()[0])})
+    assert sorted(shapes) == sorted((5 * n, width) for width in widths for _ in "xy")
+    xs = np.linspace(-2, 2, n)
+    moved = np.concatenate([xs + offset for offset in (0.0, h, -h, h / 2.0, -h / 2.0)])
+    steps = (h, h / 2.0)
+    shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
+    points = xs[None, :] + 1j * xs[:, None] + shifts[:, None, None]
+    for width in widths:
+        tables = harness._stencil_tables(-2, 2, -2, 2, n, h, width)
+        assert harness._stencil_tables(-2, 2, -2, 2, n, h, width) is tables
+        assert not any(table.flags.writeable for table in tables)
+        ax, ay, vx, vy = tables
+        for axis in (ax, ay):
+            assert axis.tobytes() == moved.tobytes()
+            assert set(points.real.ravel()) == set(points.imag.ravel()) == set(axis)
+        fresh = np.vander(moved, width, increasing=True)
+        for table in (vx, vy):
+            assert table.shape == fresh.shape == (5 * n, width)
+            assert table.tobytes() == fresh.tobytes()
+
+
+def test_fd_reports_equal_the_wave_eval_reader_on_static_candidates():
+    """On every static candidate of the benchmark, fd_residual's report at
+    the grid `mnv verify` uses equals, by ==, that of the reader before its
+    stencil tables (`oracles.fd_residual_by_wave_eval`): the same products
+    on the same rows give the same bits."""
+    wl = bench_module("workloads")
+    grid = harness.GridSpec(-2, 2, -2, 2, 7)
+    cands = wl.static_candidates()
+    assert len(cands) == 248
+    for name, (seed, _) in cands.items():
+        fw = build_faddeev(seed)
+        rep = harness.fd_residual(fw.u, fw, 1.0, grid, 1e-2)
+        assert rep == fd_residual_by_wave_eval(fw.u, fw, 1.0, grid, 1e-2), name
 
 
 def test_nonvanishing_certificate_memory_peak():

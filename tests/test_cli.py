@@ -547,6 +547,57 @@ def test_fd_grid_values_beyond_float_range_are_input_error(tmp_path, name, expon
         assert stdout.getvalue().startswith("verify: PASS")
 
 
+@pytest.mark.parametrize("exponent,failing", [
+    (-2, []),
+    (-6, ["finite-difference-order"]),
+    (-20, ["scattering-exact-vs-rays", "finite-difference-order"])])
+def test_a_numeric_check_that_reads_nothing_fails(tmp_path, exponent, failing):
+    # sec22 scaled by 10^(2 exponent): the pole rule |W| < POLE_FLOOR (1 + |num|)
+    # marks every stencil from 10^-6 and every ray from 10^-20, and a check
+    # that read no point has shown nothing, so its row fails (exit 1)
+    seed = tmp_path / "scaled.json"
+    seed.write_text(_scaled("sec22", exponent))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", str(seed)])
+    rows = stdout.getvalue().splitlines()
+    assert rc == (1 if failing else 0), rows
+    assert [row.split()[1] for row in rows[1:] if row.startswith("FAIL")] == failing
+    messages = {"finite-difference-order": "reads no point",
+                "scattering-exact-vs-rays": "no ray is readable at lam=1.0"}
+    for name in failing:
+        row = next(row for row in rows if row.startswith(f"FAIL {name} "))
+        assert messages[name] in row, row
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["scatter", "--seed", str(seed)])
+    if "scattering-exact-vs-rays" in failing:
+        assert rc == 1
+        assert stdout.getvalue().startswith("FAIL AsymptoticMismatch: no ray is readable")
+    else:
+        assert rc == 0 and stdout.getvalue().startswith("A=-4/λ B=0")
+
+
+@pytest.mark.parametrize("exponent,options,rc", [(0, [], 0), (-6, [], 2),
+                                                  (0, ["--lambda=1,0"], 0),
+                                                  (-20, ["--lambda=1,0"], 2)])
+def test_sample_grid_of_poles_only_is_input_error(tmp_path, exponent, options, rc):
+    # every point of the grid is a pole by the pole rule, of u at 10^-6 and
+    # of the wave at 10^-20: no CSV of a header alone is written
+    seed, out = tmp_path / "scaled.json", tmp_path / "grid.csv"
+    seed.write_text(_scaled("sec22", exponent))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(["sample-grid", "--seed", str(seed), "--grid=-3,3,-3,3,11", *options,
+                         "--out", str(out)]) == rc
+    if rc:
+        assert stderr.getvalue() == ("input error: every point of the grid is a pole of the "
+                                     "function sampled\n")
+        assert not out.exists()
+    else:
+        assert len(out.read_text().splitlines()) == 122
+
+
 def test_blowup_grid_values_beyond_float_range_are_input_error(tmp_path):
     # W has a 2e306 |z|^4 leading term, finite as a coefficient: the blow-up
     # grid leaves float range, and an inf there is no value of W

@@ -14,8 +14,9 @@ from moutardnv.moutard import build_frame, kernel_functions
 from moutardnv import nv
 
 from conftest import fixture_path, gr, poly
-from oracles import (decay_fit, fd_residual_per_step, free_wave, hermitian_square_certificate,
-                     poly_from_json, rational_from_json, same_fraction, sign_check)
+from oracles import (decay_fit, fd_residual_by_wave_eval, fd_residual_per_step, free_wave,
+                     hermitian_square_certificate, poly_from_json, rational_from_json,
+                     same_fraction, sign_check)
 
 
 def test_grid_spec_validation():
@@ -70,6 +71,20 @@ def test_fd_residual_reads_both_steps_at_once(name):
     rep = fd_residual(fw.u, fw, 1.0, grid, 1e-2)
     assert rep.points_used == 49
     assert_same_fd_report(rep, fd_residual_per_step(fw.u, fw, 1.0, grid, 1e-2))
+
+
+@pytest.mark.parametrize("name,t", [("sec22", 0.0), ("sec22_cubic", 0.0), ("sec32", 0.0),
+                                    ("sec32", 0.5)])
+def test_fd_residual_equals_the_wave_eval_reader(name, t):
+    """Rows gathered from the stencil tables give the report of the reader
+    that evaluated u and the wave at the points themselves, by ==: the
+    three fixtures, and the time wave at a later t."""
+    seed, time = load_seed(fixture_path(f"{name}.json"))
+    fw = nv.nv_faddeev(seed) if time else build_faddeev(seed)
+    grid = GridSpec(-2, 2, -2, 2, 7, t)
+    rep = fd_residual(fw.u, fw, 1.0, grid, 1e-2)
+    assert rep.points_used == 49
+    assert rep == fd_residual_by_wave_eval(fw.u, fw, 1.0, grid, 1e-2)
 
 
 def test_decay_fit_reference_rates(seed22, seed32):
@@ -217,6 +232,7 @@ def test_pole_mask_matches_scalar_reference():
     rep = fd_residual(u, FaddeevWave(psi), 1.0, grid, h)
     assert rep.points_used == len(scalar_reference(stencil_ok, grid)) < 77
     assert_same_fd_report(rep, fd_residual_per_step(u, FaddeevWave(psi), 1.0, grid, h))
+    assert rep == fd_residual_by_wave_eval(u, FaddeevWave(psi), 1.0, grid, h)
 
     # ties at the maximum 16 go to the first point in row-major order
     best = max(ref, key=lambda r: r[2].real)
