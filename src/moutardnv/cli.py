@@ -214,9 +214,15 @@ def cmd_verify(args) -> int:
             run("finite-difference-order", fd_order)
         if frame is not None:
             def nonvanish():
+                """Passes on certified-positive alone."""
                 rep = mt.nonvanishing_certificate(frame.w)
+                if rep.form is not None:
+                    raise AlgebraError(f"W vanishes: W has one sign on the grid and its "
+                                       f"leading form {rep.form} the other")
                 if rep.verdict == "zero-found":
                     raise AlgebraError(f"W vanishes near {rep.witness}")
+                if rep.verdict != "certified-positive":
+                    raise AlgebraError(f"W is not certified nonvanishing: {rep.verdict}")
 
             run("denominator-nonvanishing", nonvanish)
     else:

@@ -49,45 +49,70 @@ D_ZZ = {(2, 0, 0): 1}                                       # D_z^2
 D_TIME_LEG = {(0, 0, 1): 1, (3, 0, 0): -1, (0, 3, 0): -1}   # D_t - D_z^3 - D_zb^3
 
 
-def hirota(f, g: MPoly, form: dict):
-    """sum c D^a (f . g) over the items (a, c) of form, a = (m, n, p) the
+def hirota(f, g: MPoly, forms):
+    """sum c D^a (f . g) over the items (a, c) of a form, a = (m, n, p) the
     orders in z, zb and t, for a wave or polynomial f and a polynomial g.
+    forms is one form, whose result is returned, or a tuple of forms, all
+    formed in the one pass, whose results are returned in a list; for a wave
+    each is then the pair of D^a (f . g) and slot 0's own term, D^a (g . g)
+    where slot 0 is g (`faddeev.residual` reads u off it) and zero
+    otherwise.
 
     One pass over the term pairs of f (every slot of a wave) and g: as
     D_x^m (x^i . x^i') = H_m(i, i') x^(i+i'-m) (`_weights`), a pair adds
     c H_m H_n H_p times its coefficient product at one exponent.  A wave's
     phase makes D^a the sum in `_phase_orders`, whose power of lam shifts the
-    slot.  Each term of f is scaled by c and by its slot's share of the
-    common denominator once per order, and each pair's weight H_m H_n H_p is
+    slot.  Each slot's output for each form and order is chosen once, and
+    each term of f is scaled by c and by its slot's share of that output's
+    denominator, the lcm of those of the slots it reads, once per order:
+    a slot of large denominator (a wave's W) scales only the outputs that
+    read it, so the integers stay small.  Each pair's weight H_m H_n H_p is
     read from the tables as the pair is met.  A slot that is g itself (a
     polynomial f is its one slot) is read by symmetry: D^b (g . g) is 0 for
     an odd order |b| and symmetric in its pair for an even one, so only the
     even orders and the pairs i <= i' are read, the diagonal once and each
-    later pair doubled.  The numerators are summed over one denominator and
-    each output slot is brought to lowest terms once.
+    later pair doubled.  Slot 0's own term, which that slot gives unshifted,
+    is summed apart when its pair is asked for and added into slot 0 after
+    the pass.  Each output's numerators are summed over its one denominator
+    and brought to lowest terms once.
     """
+    several = isinstance(forms, tuple)
+    forms = forms if several else (forms,)
     wave = isinstance(f, WaveFn)
     slots = f.coeffs if wave else {0: f}
     fdeg, gdeg = pair_degrees(slots.values(), (g,))
     gterms = [(_pack(e), *e, re, im) for e, (re, im) in g.numerators.items()]
     doubled = [(e, i, j, k, 2 * re, 2 * im) for e, i, j, k, re, im in gterms]
-    den = lcm(*(p.denominator for p in slots.values()))
-    # symmetric -> its reduced orders, each with its weight tables per axis
-    orders = {symmetric: [(shift, _pack(b), c, [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
-                          for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase,
-                                                             symmetric).items()]
+    phased = [(at, shift, b, c) for at, form in enumerate(forms)
+              for (shift, b), c in _phase_orders(form, wave, wave and f.time_phase).items()]
+    # symmetric -> (form, shift, reduced order, weight, weight tables per
+    # axis); a slot that is g reads the even orders alone
+    orders = {symmetric: [(at, shift, _pack(b), c,
+                           [_weights(b[x], fdeg[x], gdeg[x]) for x in range(3)])
+                          for at, shift, b, c in phased if not (symmetric and sum(b) % 2)]
               for symmetric in {p is g for p in slots.values()}}
-    acc = {}
+    # per form: output slot -> the lcm of the denominators of the slots it reads
+    dens = [{} for _ in forms]
+    for slot, p in slots.items():
+        for at, shift in {order[:2] for order in orders[p is g]}:
+            dens[at][slot - shift] = lcm(dens[at].get(slot - shift, 1), p.denominator)
+    acc = [{} for _ in forms]      # per form: output slot -> packed exponent -> [re, im]
+    own = [{} for _ in forms]      # per form: slot 0's own term, summed apart for a pair
+    apart = several and wave
     for slot, p in slots.items():
         symmetric = p is g
-        scale = den // p.denominator
+        # each order's output, and its weight times the slot's share of that
+        # output's denominator
+        plan = [(own[at] if apart and symmetric and slot == shift == 0
+                 else acc[at].setdefault(slot - shift, {}), b,
+                 c * (dens[at][slot - shift] // p.denominator), tables)
+                for at, shift, b, c, tables in orders[symmetric]]
         for n, (e1, (p1, q1)) in enumerate(p.numerators.items()):
             partners = gterms[n:n + 1] + doubled[n + 1:] if symmetric else gterms
-            packed, p1, q1 = _pack(e1), p1 * scale, q1 * scale
-            for shift, b, c, (hz, hzb, ht) in orders[symmetric]:
+            packed = _pack(e1)
+            for out, b, c, (hz, hzb, ht) in plan:
                 rz, rzb, rt, base = hz[e1[0]], hzb[e1[1]], ht[e1[2]], packed - b
                 fre, fim = p1 * c, q1 * c
-                out = acc.setdefault(slot - shift, {})
                 for e2, i2, j2, k2, re, im in partners:
                     w = rz[i2] * rzb[j2] * rt[k2]
                     if w:
@@ -98,11 +123,26 @@ def hirota(f, g: MPoly, form: dict):
                         else:
                             s[0] += fre * re - fim * im
                             s[1] += fre * im + fim * re
-    polys = {slot: MPoly.from_numerators({(e >> 16, e >> 8 & 255, e & 255): (re, im)
-                                          for e, (re, im) in out.items() if re or im},
-                                         den * g.denominator)
-             for slot, out in acc.items()}
-    return WaveFn(polys, f.time_phase) if wave else polys.get(0, MPoly.zero())
+
+    def poly(out, den):
+        return MPoly.from_numerators({(e >> 16, e >> 8 & 255, e & 255): (re, im)
+                                      for e, (re, im) in out.items() if re or im},
+                                     den * g.denominator)
+
+    results = []
+    for out, mine, den in zip(acc, own, dens):
+        if mine:
+            zero = out.setdefault(0, {})
+            for e, (re, im) in mine.items():
+                s = zero.setdefault(e, [0, 0])
+                s[0] += re
+                s[1] += im
+        if not wave:
+            results.append(poly(out[0], den[0]) if 0 in out else MPoly.zero())
+            continue
+        res = WaveFn({slot: poly(o, den[slot]) for slot, o in out.items()}, f.time_phase)
+        results.append((res, poly(mine, den.get(0, 1))) if apart else res)
+    return results if several else results[0]
 
 
 def _pack(e) -> int:
@@ -111,20 +151,19 @@ def _pack(e) -> int:
     return e[0] << 16 | e[1] << 8 | e[2]
 
 
-def _phase_orders(form: dict, z_phase: bool, t_phase: bool, symmetric: bool) -> dict:
+def _phase_orders(form: dict, z_phase: bool, t_phase: bool) -> dict:
     """(shift, b) -> integer weight of the orders b = (m, n, p) in form under
     the phase: D^a on e^{lam z} f becomes (D_z + lam)^m D_zb^n D^p_t, and on
     e^{lam z + lam^3 t} f (D_z + lam)^m D_zb^n (D_t + lam^3)^p, with lam^shift
     shifting slot k to k - shift.  For D_TIME_LEG on the time phase the lam^3
-    of D_t cancels the lam^3 of -D_z^3.  On symmetric, for a slot that is g,
-    an odd order, which is 0 there, is left out."""
+    of D_t cancels the lam^3 of -D_z^3, and the order is left out."""
     out = {}
     for (m, n, p), c in form.items():
         for s in range(m + 1 if z_phase else 1):
             for u in range(p + 1 if t_phase else 1):
                 key = (s + 3 * u, (m - s, n, p - u))
                 out[key] = out.get(key, 0) + c * comb(m, s) * comb(p, u)
-    return {key: c for key, c in out.items() if c and not (symmetric and sum(key[1]) % 2)}
+    return {key: c for key, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

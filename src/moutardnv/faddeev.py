@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
                       sum_of_products)
 from .errors import AsymptoticMismatch, ResidualNonzero
-from .exppoly import D_ZZBAR, WaveFn, hirota
+from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
 
 
@@ -21,7 +21,9 @@ class FaddeevWave:
 
     psi holds the multiplier slots chi.  As psi e^{-lam z} = 1 + O(1/lam),
     slot 0 of chi is W itself, so W and the potential u = -2*Laplacian(log W)
-    are read off psi: u is built on first read, once.
+    are read off psi.  `residual` sets u, and on the time phase the time
+    leg, from its one pass; a wave that has not been through it forms each
+    alone, on first read, once.
     """
 
     psi: WaveFn
@@ -33,6 +35,12 @@ class FaddeevWave:
     @cached_property
     def u(self) -> RationalFn:
         return potential(self.w)
+
+    @cached_property
+    def time_leg(self) -> MPoly:
+        """The first nonzero slot of (D_t - D_z^3 - D_zb^3)(chi . w), read by
+        `nv.temporal_residual`."""
+        return _first_slot(hirota(self.psi, self.w, D_TIME_LEG))
 
     def __str__(self):
         """psi's slots over W: WaveFn[phase * (slots) / (W)]."""
@@ -75,7 +83,8 @@ def faddeev_superpose(frame: MoutardFrame, time_phase: bool = False) -> FaddeevW
     k >= 1 is omega1 r2_k - omega2 r1_k, formed per slot over the slots of
     either transform, not the two largest products, which cancel in slot 0;
     that they do is a test.  Each slot is read in one pass over the term
-    pairs of both products.
+    pairs of both products.  The residual's one pass sets the wave's u and,
+    on the time phase, its time leg, which `nv.nv_faddeev` checks next.
     """
     om1, om2 = frame.omega1, frame.omega2
     r1, r2 = (moutard_transform_wave(om).coeffs for om in (om1, om2))
@@ -95,19 +104,27 @@ def residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of (-4 d dbar + u) psi, zero exactly when psi is an
     eigenfunction: with u = -2*Laplacian(log w) it is
     -4 e^{lam z} D_z D_zb (chi . w) / w^2, whose first nonzero slot is
-    returned.  Under the phase the form is (D_z + lam) D_zb.  hirota forms it
-    on the slots k >= 1 of chi; slot 0 is w itself, whose one term,
-    D_z D_zb (w . w) in slot 0, is -u/4 over w^2.  That term is read off
-    fw.u, so the wave is checked against the u that the numeric checks read,
-    and u is formed once: slot 0 is r0 - u/4 for the r0 that hirota gives
-    there, zero exactly when 4 r0 is u's numerator."""
+    returned.  Under the phase the form is (D_z + lam) D_zb.
+
+    One hirota pass forms every exact check of the wave over every slot of
+    chi, slot 0 (w itself) by symmetry: D_z D_zb, and on the time phase
+    D_t - D_z^3 - D_zb^3 as well, whose first nonzero slot is set on
+    fw.time_leg for `nv.temporal_residual`.  Slot 0's own term,
+    D_z D_zb (w . w), is kept apart in the pass: it is -u/4 over w^2, so
+    fw.u is set from it, and the wave is checked against the u that the
+    numeric checks read, with no pass of its own."""
     psi = fw.psi
-    res = hirota(WaveFn({k: f for k, f in psi.coeffs.items() if k}, psi.time_phase),
-                 fw.w, D_ZZBAR).coeffs
-    r0 = res.pop(0, MPoly.zero())
-    if r0 * 4 != fw.u.num:                         # slot 0, r0 - u/4, is not zero
-        res[0] = r0 - fw.u.num * Fraction(1, 4)
-    return res[min(res)] if res else MPoly.zero()
+    (spatial, own), *legs = hirota(psi, fw.w, (D_ZZBAR, D_TIME_LEG) if psi.time_phase
+                                   else (D_ZZBAR,))
+    fw.u = RationalFn(own * -4, fw.w, 2)
+    for leg, _ in legs:                            # the time phase's one leg
+        fw.time_leg = _first_slot(leg)
+    return _first_slot(spatial)
+
+
+def _first_slot(res: WaveFn) -> MPoly:
+    """The slot of least key of a residual wave, zero when it has none."""
+    return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
 
 
 def build_faddeev(seed: SeedPair) -> FaddeevWave:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import (GR_I, GaussianRational, MPoly, RationalFn, _gauss, gauss_sum,
+from .algebra import (GaussianRational, MPoly, RationalFn, _gauss, gauss_sum,
                       grid_axis, grid_extremes, pair_degrees)
 from .errors import AlgebraError, ResidualNonzero, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
@@ -121,15 +121,22 @@ def moutard_transform_wave(omega: MPoly) -> WaveFn:
     d(omega*theta)/dzb = i(omega*phi_zb - phi*omega_zb) has the closed solution
     omega*theta = i(2 int e^{lam z} omega_z dz - e^{lam z} omega), since omega_z
     is holomorphic: slot 0 is -i omega, and the slots k >= 1 are the
-    antiderivative of the one-slot wave 2i omega_z.  The antiderivative is
+    antiderivative of the one-slot wave 2i omega_z.  Both are formed on
+    omega's Gaussian-integer numerators, over its denominator: -i(re + i im)
+    is im - i re, and 2i m(re + i im) is -2m im + 2i m re for the term of
+    z-degree m.  The antiderivative is
     taken in the exponential class (`wave_antideriv_z`), where it is unique,
     so no integration constant appears and the transform decays by
     construction.  omega is `harmonic_from_holomorphic` of a seed
     polynomial, so harmonic: an identity of the construction, left to the
     tests.
     """
-    rest = wave_antideriv_z(WaveFn({0: omega.diff_z() * (GR_I * 2)}))
-    return WaveFn({0: -(omega * GR_I), **rest.coeffs})
+    nums, d = omega.numerators, omega.denominator
+    two_i_z = MPoly.from_numerators({(i - 1, j, k): (-2 * i * im, 2 * i * re)
+                                     for (i, j, k), (re, im) in nums.items() if i}, d)
+    rest = wave_antideriv_z(WaveFn({0: two_i_z}))
+    return WaveFn({0: MPoly.from_numerators({e: (im, -re) for e, (re, im) in nums.items()}, d),
+                   **rest.coeffs})
 
 
 @dataclass
@@ -137,7 +144,8 @@ class NonvanishingReport:
     """Grid/leading-form evidence that W has no real zero."""
 
     verdict: str                       # "certified-positive" | "zero-found" | "inconclusive"
-    witness: tuple = None              # (x, y) where W ~ 0, for zero-found
+    witness: tuple = None              # (x, y) where W ~ 0, for a zero found on the grid
+    form: MPoly = None                 # the leading form, for a zero it implies past the grid
 
 
 CERTIFICATE_BOX = (-10.0, 10.0, -10.0, 10.0)    # xmin, xmax, ymin, ymax of the grid
@@ -154,7 +162,10 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     form is one t-free monomial c|z|^{2k}, read exactly, with c of the grid's
     sign.  Then W has that sign far enough out on every ray; how far is not
     bounded, so a zero between the box and that radius is not excluded.
-    zero-found names the grid node of least |W|, the first in [y, x] order.
+    zero-found names the grid node of least |W|, the first in [y, x] order,
+    or, where the grid has one sign and such a leading form the other, that
+    form: W then changes sign on a ray, so it has a real zero.  Any other
+    leading form is inconclusive.
     W is read by `algebra.grid_extremes` in [y, x] order, which raises
     CoefficientOverflow where a value leaves float range.  The rounding
     scale is read only when the least |W| is within 64 eps of the scale at
@@ -189,5 +200,8 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     if near:
         return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
     ((i, j), c), *rest = w.spatial_leading_terms().items()
-    definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
-    return NonvanishingReport("certified-positive" if definite else "inconclusive")
+    if rest or i != j or not c.is_constant():
+        return NonvanishingReport("inconclusive")
+    if sign * c.constant_term().re > 0:
+        return NonvanishingReport("certified-positive")
+    return NonvanishingReport("zero-found", form=MPoly.monomial(i, j, 0, c.constant_term()))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .algebra import (MPoly, RationalFn, _horner_t, gauss_sum, grid_axis, grid_extremes,
                       pair_degrees)
 from .errors import TemporalResidualNonzero, ZeroPolynomial
-from .exppoly import D_TIME_LEG, D_ZZ, D_ZZBAR, hirota
+from .exppoly import D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
 
@@ -122,7 +122,8 @@ def nv_faddeev(seed: SeedPair, w: MPoly = None) -> FaddeevWave:
     """Time-dependent wave: the spatial superposition over the evolved seed at
     symbolic t around w, by default extended_w(seed), with both the spatial
     equation and the temporal leg d psi/dt = (d^3 + dbar^3 + 3V d + 3Vb dbar) psi
-    checked as exact residuals.
+    checked as exact residuals, the spatial one first.  Both come from the
+    one pass of `faddeev.residual`, which the superposition runs.
     """
     seed = evolved_seed(seed)
     if w is None:
@@ -138,10 +139,11 @@ def temporal_residual(fw: FaddeevWave) -> MPoly:
     """Cleared numerator of d psi/dt - (d^3 + dbar^3 + 3V d + 3Vb dbar) psi,
     V = 2 d^2 log w: for psi = e^{lam z + lam^3 t} chi / w it is
     (D_t - D_z^3 - D_zb^3)(chi . w) / w^2, whose first nonzero slot is
-    returned; zero exactly when the wave follows the evolution.  Slot 0 of
-    chi is w itself, which hirota reads by symmetry."""
-    res = hirota(fw.psi, fw.w, D_TIME_LEG).coeffs
-    return res[min(res)] if res else MPoly.zero()
+    returned; zero exactly when the wave follows the evolution.  It is the
+    time leg that `faddeev.residual`'s pass stored on the wave, or for a
+    wave that has none, that form alone (`FaddeevWave.time_leg`), slot 0 of
+    chi, w itself, read by symmetry."""
+    return fw.time_leg
 
 
 def kernel_mu(fw: FaddeevWave) -> dict:

@@ -212,16 +212,17 @@ def test_traced_names_keep_their_callers(tmp_path):
 
 
 def test_ops_form_each_hirota_product_once():
-    """static_op(sec22): the wave's slots k >= 1 and its potential, which
-    the wave residual and the finite-difference check both read.
+    """static_op(sec22): the wave's one residual pass, which forms every
+    slot and sets the potential that the finite-difference check reads.
     time_op(sec32): U, the one third-order form of the evolution residual
-    (the other is its conjugate), the wave's slots k >= 1 and its u, and
-    the time leg; V, which no check reads, is not formed.  D_z D_zb (W . W)
-    is formed twice on the time op, as U and as the wave's u."""
+    (the other is its conjugate), and the wave's one pass, which forms its
+    spatial residual, its u and its time leg; V, which no check reads, is
+    not formed.  D_z D_zb (W . W) is formed twice on the time op, as U and
+    as the wave's u inside its pass."""
     wl = bench_module("workloads")
     sec22, sec32 = wl.fixture("sec22")[0], wl.fixture("sec32")[0]
-    assert _build_counts(lambda: wl.static_op(sec22), ("hirota",)) == {"hirota": 2}
-    assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 5}
+    assert _build_counts(lambda: wl.static_op(sec22), ("hirota",)) == {"hirota": 1}
+    assert _build_counts(lambda: wl.time_op(sec32), ("hirota",)) == {"hirota": 3}
 
 
 def test_time_op_validates_a_seed_once_per_entry():

@@ -814,31 +814,31 @@ def _build_counts(fn, names=BUILDERS):
 
 
 BUILD_COUNTS = [
-    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
-    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
-    ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1, "potential": 1,
+    ("verify", "sec22", {"double_w": 1, "build_frame": 1, "potential": 0}),
+    ("verify", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 0}),
+    ("verify", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1, "potential": 0,
                          "nv_potentials": 1}),
     ("verify", "sec22_cubic_time", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                                    "potential": 1, "nv_potentials": 1, "heat3_evolve": 2}),
+                                    "potential": 0, "nv_potentials": 1, "heat3_evolve": 2}),
     ("nv-evolve", "sec32", {"extended_w": 1, "double_w": 1, "nv_potentials": 1, "nv_v": 1}),
-    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
-    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 1}),
+    ("faddeev", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 0}),
+    ("scatter", "sec22_cubic", {"double_w": 1, "build_frame": 1, "potential": 0}),
     ("nv_faddeev", "sec32", {"extended_w": 1, "double_w": 1, "build_frame": 1,
-                             "potential": 1}),
-    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "potential": 1}),
+                             "potential": 0}),
+    ("build_faddeev", "sec22", {"double_w": 1, "build_frame": 1, "potential": 0}),
 ]
 
 
 @pytest.mark.parametrize("what,name,expected", BUILD_COUNTS,
                          ids=[f"{what}-{name}" for what, name, _ in BUILD_COUNTS])
 def test_each_object_is_built_once(what, name, expected):
-    # one W and one frame per call, and the time verify's U; the potential
-    # once per wave, by the wave's exact residual, which the static verify's
-    # finite-difference check reads again, and V only by nv-evolve, which
-    # writes it; the seed read from the file is evolved once, one
-    # heat3_evolve per polynomial, and the evolved seed passes every later
-    # layer as it is; sec32's quadratics are their own evolution, so are
-    # never evolved
+    # one W and one frame per call, and the time verify's U; no separate
+    # potential for a wave, whose exact residual sets its u from the pass
+    # that checks it, which the static verify's finite-difference check
+    # reads again, and V only by nv-evolve, which writes it; the seed read
+    # from the file is evolved once, one heat3_evolve per polynomial, and
+    # the evolved seed passes every later layer as it is; sec32's
+    # quadratics are their own evolution, so are never evolved
     path = fixture_path(f"{name}.json")
     builders = {"nv_faddeev": nv.nv_faddeev, "build_faddeev": fd.build_faddeev}
     if what in builders:
@@ -852,10 +852,43 @@ def test_each_object_is_built_once(what, name, expected):
 def test_verify_on_sec32_forms_hirota_products_once():
     # D_z D_zb (W . W) is formed by nv_potentials, and nv_residual reads it
     # off U. Then D_z^3 D_zb on (W . W), whose conjugate is D_z D_zb^3 for
-    # the real W; the wave's slots k >= 1 and its u, from which the spatial
-    # residual reads W's own term; and the time leg. V's D_z^2 is never
+    # the real W; and the wave's one pass, which forms its spatial residual,
+    # its u (W's own term, kept apart) and its time leg. V's D_z^2 is never
     # formed.
     counts = _build_counts(lambda: cli.main(["verify", "--seed", fixture_path("sec32.json")]),
                            ("hirota",))
-    assert counts == {"hirota": 5}
+    assert counts == {"hirota": 3}
 
+
+@pytest.mark.parametrize("name,c,form", [("sec22", "1000000", "-17/8*z^2*zb^2"),
+                                         ("sec22_cubic", "1000000000000", "-4*z^3*zb^3")])
+def test_verify_fails_on_a_leading_form_of_the_other_sign(name, c, form, tmp_path):
+    # W > 0 on the certificate's grid, and its leading form is negative: W
+    # has a real zero past the grid, and the row names the form
+    with open(fixture_path(f"{name}.json")) as fh:
+        data = {**json.load(fh), "c": {"re": c, "im": "0"}}
+    seed = tmp_path / "big_c.json"
+    seed.write_text(json.dumps(data))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", str(seed)])
+    lines = stdout.getvalue().splitlines()
+    assert rc == 1 and lines[0] == "verify: FAIL"
+    assert [line for line in lines[1:] if line.startswith("FAIL")] == [
+        f"FAIL denominator-nonvanishing (AlgebraError: W vanishes: W has one sign on the "
+        f"grid and its leading form {form} the other)"]
+
+
+def test_verify_passes_the_certificate_row_on_certified_positive_alone(monkeypatch):
+    # an inconclusive certificate is no proof that W does not vanish
+    from moutardnv import moutard
+    monkeypatch.setattr(moutard, "nonvanishing_certificate",
+                        lambda w: moutard.NonvanishingReport("inconclusive"))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["verify", "--seed", fixture_path("sec22.json")])
+    lines = stdout.getvalue().splitlines()
+    assert rc == 1 and lines[0] == "verify: FAIL"
+    assert [line for line in lines[1:] if line.startswith("FAIL")] == [
+        "FAIL denominator-nonvanishing (AlgebraError: W is not certified nonvanishing: "
+        "inconclusive)"]

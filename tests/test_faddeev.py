@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 
 from moutardnv import nv
-from moutardnv.algebra import MPoly, RationalFn
-from moutardnv.errors import AsymptoticMismatch, ResidualNonzero
-from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_eval
+from moutardnv.algebra import MPoly, RationalFn, sum_of_products
+from moutardnv.errors import AsymptoticMismatch, ResidualNonzero, TemporalResidualNonzero
+from moutardnv.exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_eval
 from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev, residual,
                                scattering_data)
 from moutardnv.harness import load_seed
-from moutardnv.moutard import SeedPair, build_frame, kernel_functions, potential
+from moutardnv.moutard import MoutardFrame, SeedPair, build_frame, kernel_functions, potential
 
 from conftest import FIXTURES, gr, poly
-from oracles import (free_wave, same_fraction, scattering_data_by_leading_terms, wave_add,
-                     wave_scale, wave_sub)
+from oracles import (free_wave, hirota_by_products, same_fraction,
+                     scattering_data_by_leading_terms, wave_add, wave_scale, wave_sub)
+from test_bench_contract import bench_module
 from test_properties import random_real_w, random_seed, random_wave
 
 
@@ -178,8 +179,8 @@ def test_corrupted_wave_residual_message_is_a_summary(seed22, monkeypatch):
 
 
 def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
-    # W is psi's slot 0 and u = potential(W) is built on first read, once:
-    # the exact residual reads it, so the superposition builds it
+    # W is psi's slot 0, and u is set by the exact residual's one pass, which
+    # the superposition runs: potential is never called, and u equals it
     from moutardnv import faddeev
     built = []
 
@@ -189,14 +190,15 @@ def test_wave_reads_w_and_u_off_psi(seed22, monkeypatch):
 
     monkeypatch.setattr(faddeev, "potential", counted)
     fw = build_faddeev(seed22)
-    assert fw.w is fw.psi.coeffs[0] and built == [fw.w]
+    assert fw.w is fw.psi.coeffs[0] and built == []
     assert same_fraction(fw.u, potential(fw.w))
-    assert fw.u is fw.u and built == [fw.w]
+    assert fw.u is fw.u and built == []
 
 
 def test_residual_reading_u_is_the_full_hirota_residual():
-    """residual(fw) forms the slots k >= 1 and adds W's term -u/4 read off
-    fw.u; hirota on the whole wave forms every slot, W's by symmetry.  Both give
+    """residual(fw) forms every slot with W's own term kept apart, from which
+    it sets fw.u; hirota on the whole wave with D_z D_zb alone forms every
+    slot, W's by symmetry.  Both give
     the same first nonzero slot on the fixtures' waves (zero), on those
     waves with W plus a constant and the slots kept (zero too: N_k does not
     read the constant c of W), with slot k, W among them, plus a monomial
@@ -298,3 +300,102 @@ def test_scattering_data_on_a_degenerate_seed_matches_the_oracle():
         got = _outcome(lambda f: scattering_data(f, validate=False), fw)
         assert got == _outcome(scattering_data_by_leading_terms, fw)
         assert got == ("AsymptoticMismatch", "denominator leading form is not a single monomial")
+
+
+def _first_slot(res):
+    """The slot of least key of a residual wave, zero when it has none."""
+    return res.coeffs[min(res.coeffs)] if res.coeffs else MPoly.zero()
+
+
+def _one_pass_seeds():
+    """(seed, time) for the benchmark's static candidates, its 48 time
+    candidates and its cubic pool, and for random seeds of degree 1-6,
+    static and time, with and without constant terms."""
+    wl = bench_module("workloads")
+    seeds = [(seed, False) for seed, _ in wl.static_candidates().values()]
+    seeds += [(seed, True) for seed in wl.time_candidates().values()]
+    seeds += [(seed, True) for seed in wl.cubic_pool().values()]
+    rng = random.Random(3602)
+    seeds += [(random_seed(rng, 1 + trial % 6, constant=trial // 6 % 2), trial >= 12)
+              for trial in range(24)]
+    return seeds
+
+
+def test_one_pass_sets_u_and_the_residuals_of_the_separate_forms():
+    """The wave's one Hirota pass sets u, equal to moutard.potential(W), and
+    on the time phase the time leg; residual and temporal_residual equal the
+    first slots of the two forms built from derivatives and products, and
+    the time leg formed alone on a wave that has none equals the stored one.
+    Every seed builds."""
+    seeds = _one_pass_seeds()
+    assert len(seeds) == 248 + 48 + 6 + 24
+    for seed, time in seeds:
+        fw = nv.nv_faddeev(seed) if time else build_faddeev(seed)
+        assert "u" in vars(fw)                     # set by the pass, not formed on read
+        u = potential(fw.w)
+        assert (fw.u.num, fw.u.base, fw.u.k) == (u.num, u.base, u.k)
+        assert residual(fw) == _first_slot(hirota_by_products(fw.psi, fw.w, D_ZZBAR))
+        if time:
+            assert "time_leg" in vars(fw)
+            leg = _first_slot(hirota_by_products(fw.psi, fw.w, D_TIME_LEG))
+            assert nv.temporal_residual(fw) == leg
+            assert nv.temporal_residual(FaddeevWave(fw.psi)) == leg
+
+
+SPATIAL_TEXT = "superposed wave is not an exact eigenfunction: residual {}"
+TIME_LEG_TEXT = "time leg fails: residual {}"
+
+
+def test_one_pass_fails_each_corruption_as_the_separate_forms(monkeypatch):
+    """One coefficient corrupted in slot 1, in slot 0 (W, passed to the
+    frame) and in W's time term (W + 7t passed as w): each wave fails with
+    the type and text that the separate forms give, the spatial check
+    first where both fail."""
+    from moutardnv import faddeev
+    seen = []
+
+    def spy(fw):
+        seen.append(fw)
+        return residual(fw)
+
+    monkeypatch.setattr(faddeev, "residual", spy)
+    calls = []
+
+    def corrupt_slot_1(products):
+        """Slot 1, the first slot the superposition forms, plus z."""
+        calls.append(products)
+        p = sum_of_products(products)
+        return p + MPoly.monomial(1, 0, 0) if len(calls) == 1 else p
+
+    raised = {ResidualNonzero: 0, TemporalResidualNonzero: 0}
+    both = 0
+    for seed, time in _one_pass_seeds()[::8]:
+        frame = build_frame(nv.evolved_seed(seed), nv.extended_w(seed) if time else None)
+        w = frame.w
+        e = next((e for e in w.numerators if e != (0, 0, 0)), (1, 1, 0))
+        cases = [("slot 1", w), ("slot 0", w + MPoly.monomial(*e, 1))]
+        if time:
+            cases.append(("time term", w + MPoly.monomial(0, 0, 1, 7)))
+        for where, bad_w in cases:
+            calls.clear()
+            with monkeypatch.context() as patch:
+                if where == "slot 1":
+                    patch.setattr(faddeev, "sum_of_products", corrupt_slot_1)
+                seen.clear()
+                with pytest.raises((ResidualNonzero, TemporalResidualNonzero)) as err:
+                    if time:
+                        nv.nv_faddeev(seed, bad_w)
+                    else:
+                        faddeev.faddeev_superpose(MoutardFrame(frame.omega1, frame.omega2, bad_w))
+            fw, = seen
+            spatial = _first_slot(hirota_by_products(fw.psi, fw.w, D_ZZBAR))
+            leg = _first_slot(hirota_by_products(fw.psi, fw.w, D_TIME_LEG))
+            if spatial.is_zero():
+                assert time and not leg.is_zero(), where
+                expected = TemporalResidualNonzero, TIME_LEG_TEXT.format(leg.summary())
+            else:
+                both += time and not leg.is_zero()
+                expected = ResidualNonzero, SPATIAL_TEXT.format(spatial.summary())
+            assert (err.type, str(err.value)) == expected, where
+            raised[err.type] += 1
+    assert raised == {ResidualNonzero: 82, TemporalResidualNonzero: 8} and both == 16

@@ -242,3 +242,29 @@ def test_potential_decay_exponent():
         seed, time = load_seed(fixture_path(f"{name}.json"))
         ws = [double_w(seed)] + ([nv.extended_w(seed)] if time else [])
         assert [decay_exponent(w) for w in ws] == [e] * len(ws), name
+
+
+@pytest.mark.parametrize("name,c,form", [("sec22", 10 ** 6, "-17/8*z^2*zb^2"),
+                                         ("sec22_cubic", 10 ** 12, "-4*z^3*zb^3")])
+def test_a_leading_form_of_the_other_sign_is_a_zero(name, c, form):
+    """W > 0 on the whole grid with a negative definite leading form changes
+    sign on every ray, so it has a real zero: zero-found, naming the form,
+    not a node.  The fixture's own c keeps both signs negative."""
+    seed = load_seed(fixture_path(f"{name}.json"))[0]
+    w = double_w(SeedPair(seed.p1, seed.p2, gr(c)))
+    xs = np.linspace(-10.0, 10.0, 201)
+    assert (w.eval(xs[None, :] + 1j * xs[:, None]).real > 0).all()
+    rep = nonvanishing_certificate(w)
+    assert rep.verdict == "zero-found" and rep.witness is None and str(rep.form) == form
+    far = 10.0 ** 6
+    assert w.eval(np.array([far]), 0.0).real[0] < 0 < w.eval(np.array([0.0]), 0.0).real[0]
+    assert nonvanishing_certificate(double_w(seed)) == NonvanishingReport("certified-positive")
+
+
+def test_a_degenerate_leading_form_is_inconclusive():
+    """A leading form that is no single |z|^(2k) monomial decides nothing:
+    -(x^2 - y^2)^2 / 16 + ... here, with W < 0 on the grid."""
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    w = -(z * z + zb * zb) ** 2 * Fraction(1, 16) - z * zb - MPoly.const(1)
+    rep = nonvanishing_certificate(w)
+    assert rep == NonvanishingReport("inconclusive")

@@ -87,10 +87,10 @@ def test_ray_check_passes_random_seeds(degree):
 
 
 def test_nv_pipeline_random_seeds():
-    """Degrees 2-5, with and without constant terms."""
+    """Degrees 1-6, with and without constant terms."""
     rng = random.Random(31415)
-    for trial in range(16):
-        seed = random_seed(rng, 2 + trial % 4, constant=trial // 4 % 2)
+    for trial in range(24):
+        seed = random_seed(rng, 1 + trial % 6, constant=trial // 6 % 2)
         wt = nv.extended_w(seed)
         if wt.is_constant():
             continue
@@ -100,12 +100,12 @@ def test_nv_pipeline_random_seeds():
 
 
 def test_nv_wave_random_seeds():
-    """Degrees 2-5, with and without constant terms; A is read wherever W
+    """Degrees 1-6, with and without constant terms; A is read wherever W
     has a |z|^(2d) term."""
     rng = random.Random(99)
     checked = 0
-    for trial in range(16):
-        seed = random_seed(rng, 2 + trial % 4, constant=trial // 4 % 2)
+    for trial in range(24):
+        seed = random_seed(rng, 1 + trial % 6, constant=trial // 6 % 2)
         fw = nv.nv_faddeev(seed)
         assert residual(fw).is_zero()
         assert nv.temporal_residual(fw).is_zero()
@@ -117,7 +117,7 @@ def test_nv_wave_random_seeds():
         for c in sd.a_coeffs.values():
             assert isinstance(c, GaussianRational)   # exact, necessarily t-free
         checked += 1
-    assert checked >= 12
+    assert checked >= 18
     # a real ratio of the top coefficients leaves W without a |z|^6 term
     z = MPoly.monomial(1, 0, 0)
     seed = SeedPair(z ** 3, z ** 3 * 2 + z, gr(1000))
