@@ -236,13 +236,6 @@ class MPoly:
     def __neg__(self):
         return _wrap({e: (-re, -im) for e, (re, im) in self._c.items()}, self._d)
 
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = MPoly.const(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self._scale(*_gauss(other))
@@ -476,24 +469,34 @@ XY_BLOCK = 1024
 
 def xy_read(a, t0: float, size: int, tables):
     """sum a[k, m, n] t0^k x^m y^n at size points, for the x-y coefficients a
-    of a polynomial (`MPoly.xy_coefficients`): the slice c = sum_k a[k] t0^k,
-    then, per block of XY_BLOCK points, one real matrix product of the powers
-    of x with the real and imaginary parts of c side by side, and one with
-    the powers of y.  tables(s, e) gives those powers for the points s to e,
-    two tables vx[p, m] = x_p^m and vy[p, n] = y_p^n as wide as c's axes
+    of a polynomial (`MPoly.xy_coefficients`), or for each array of a list a
+    of them: the slice c = sum_k a[k] t0^k, square, then, per block of
+    XY_BLOCK points, one real matrix product of the powers of x with the
+    real and imaginary parts of every c side by side, each in one corner of
+    a square as wide as the widest, and one batched product with the powers
+    of y.  tables(s, e) gives those powers for the points s to e, two
+    tables vx[p, m] = x_p^m and vy[p, n] = y_p^n of that width
     (`np.vander(..., increasing=True)`), so the caller decides how its
-    points' tables are made.  The values are one flat complex array."""
+    points' tables are made.  The values are one flat complex array, or
+    for a list one row per array; the arrays of a list are read in the one
+    product, as reading each alone at its own width moves the last bit."""
     import numpy as np
-    c = _horner_t(a, t0)
-    n = c.shape[1]
-    parts = np.concatenate((c.real, c.imag), axis=1)
-    out = np.empty((size, 2))           # (Re, Im) per point, read as complex
+    stack = isinstance(a, list)
+    cs = [_horner_t(b, t0) for b in a] if stack else [_horner_t(a, t0)]
+    n = max(map(len, cs))               # square: m and n run to the total degree
+    parts = np.zeros((n, len(cs), 2, n))
+    for s, c in enumerate(cs):
+        parts[:len(c), s, 0, :len(c)] = c.real
+        parts[:len(c), s, 1, :len(c)] = c.imag
+    parts = parts.reshape(n, -1)
+    out = np.empty((size, 2 * len(cs)))     # (Re, Im) per point and array, read as complex
     for s in range(0, size, XY_BLOCK):
         e = min(s + XY_BLOCK, size)
         vx, vy = tables(s, e)
-        rows = (vx @ parts).reshape(-1, 2, n)
+        rows = (vx @ parts).reshape(e - s, -1, n)
         out[s:e] = (rows @ vy[:, :, None])[..., 0]
-    return out.view(complex).reshape(size)
+    values = out.view(complex)
+    return values.T if stack else values.reshape(size)
 
 
 def xy_eval(a, z0, t0: float = 0.0):
@@ -519,14 +522,21 @@ GRID_STRIP = 48
 
 
 @lru_cache(maxsize=None)
-def grid_axis(lo: float, hi: float, points: int, width: int) -> tuple:
-    """The axis np.linspace(lo, hi, points) of a check's fixed grid and its
-    power table np.vander(axis, width, increasing=True), built once per key.
-    The table is made at the exact width asked for, not cut from a wider one,
-    so every `grid_product` keeps its shape; shared by every caller, so both
-    are read-only."""
+def grid_axis(lo: float, hi: float, points: int, width: int, *shifts: float) -> tuple:
+    """The axis np.linspace(lo, hi, points) of a check's fixed points, or
+    with shifts that axis moved by each shift in turn (points times as many
+    values), and its power table np.vander(axis, width, increasing=True),
+    built once per key: the certificate's and the blow-up search's grids
+    take an axis, the finite-difference stencil its grid's axes moved by
+    0, h, -h, h/2 and -h/2, and the ray check the one-point axis [0] moved
+    by each of its points' coordinates.  The table is made at the exact
+    width asked for, not cut from a wider one, so every product keeps its
+    shape; shared by every caller, so both are read-only.  A table beyond
+    float range raises inside `float_range` and is not kept."""
     import numpy as np
     axis = np.linspace(lo, hi, points)
+    if shifts:
+        axis = (axis + np.array(shifts)[:, None]).ravel()
     table = np.vander(axis, width, increasing=True)
     axis.flags.writeable = table.flags.writeable = False
     return axis, table

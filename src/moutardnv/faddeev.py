@@ -3,12 +3,13 @@ superposition, exact residuals, and scattering-data extraction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
-                      sum_of_products)
+                      grid_axis, sum_of_products, xy_read)
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
@@ -134,6 +135,11 @@ def build_faddeev(seed: SeedPair) -> FaddeevWave:
 
 RAY_RADIUS = 1e3          # the rays are read at this radius and at twice it
 RAY_TOL = 0.05            # largest |Richardson estimate - exact A| on a ray
+#: The ray check's six rays, z = RAY_RADIUS e^{i(k pi/3 + 0.1)}, and its 12
+#: points, the rays at that radius and then at twice it: formed at import.
+RAYS = tuple(complex(RAY_RADIUS * math.cos(a), RAY_RADIUS * math.sin(a))
+             for a in (k * (math.pi / 3) + 0.1 for k in range(6)))
+RAY_POINTS = RAYS + tuple(2.0 * z for z in RAYS)
 
 
 def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
@@ -187,28 +193,15 @@ def scattering_data(fw: FaddeevWave, validate: bool = True) -> ScatteringData:
     return sd
 
 
-@lru_cache(maxsize=None)
-def _ray_tables(radius: float, width: int) -> tuple:
-    """Six rays at the given radius, the 12 points z on them at that radius
-    and at twice it, and the power tables of Re z and Im z, width wide:
-    built once per key and shared, so read-only.  A table beyond float range
-    raises (numpy's errstate) and is not kept."""
-    import numpy as np
-    ray = radius * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
-    z = np.outer([1.0, 2.0], ray).ravel()          # the rays at r, then at 2r
-    vx, vy = (np.vander(part, width, increasing=True) for part in (z.real, z.imag))
-    for table in (ray, z, vx, vy):
-        table.flags.writeable = False
-    return ray, z, vx, vy
-
-
 def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
-    """On six rays, g(r) = z (m - 1) = A + c/r + O(r^-2) for the multiplier m,
-    so the Richardson estimate 2 g(2r) - g(r), with r = RAY_RADIUS, meets the
-    exact A to O(r^-2), within RAY_TOL.  Every slot v_k, W = v_0 among them,
-    is read at the 12 points once, at t = 0, from one pair of power tables
-    (`_ray_tables`, once per width) in one real product; m at each lam is
-    sum_k lam^-k v_k over v_0.
+    """On the six RAYS, g(r) = z (m - 1) = A + c/r + O(r^-2) for the
+    multiplier m, so the Richardson estimate 2 g(2r) - g(r), with
+    r = RAY_RADIUS, meets the exact A to O(r^-2), within RAY_TOL.  Every
+    slot v_k, W = v_0 among them, is read at the 12 RAY_POINTS once, at
+    t = 0, by one `xy_read` of the slots' t^0 arrays, its power tables
+    those of the points' x's and y's as the one-point axis [0] moved by
+    each (`grid_axis`, once per width); m at each lam is sum_k lam^-k v_k
+    over v_0.
     Rays through a pole at either radius are skipped, and a lam at which
     every ray is skipped raises AsymptoticMismatch, as nothing was compared;
     a value beyond float range there raises CoefficientOverflow
@@ -216,30 +209,27 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     import numpy as np
     lams = (1.0, 0.7 + 0.4j)
     ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
-    arrays = [fw.psi.coeffs[k].xy_coefficients()[0] for k in ks]
-    n = max(map(len, arrays))
-    parts = np.zeros((n, len(ks), 2, n))           # each slot's Re and Im fill one corner
-    for s, a in enumerate(arrays):
-        parts[:len(a), s, 0, :len(a)] = a.real
-        parts[:len(a), s, 1, :len(a)] = a.imag
+    arrays = [fw.psi.coeffs[k].xy_coefficients()[:1] for k in ks]
+    z = np.array(RAY_POINTS)
+    width = max(a.shape[1] for a in arrays)
     with float_range("the wave on the rays leaves float range"):
-        ray, z, vx, vy = _ray_tables(RAY_RADIUS, n)
-        rows = (vx @ parts.reshape(n, -1)).reshape(len(z), -1, n)
-        v = (rows @ vy[:, :, None]).reshape(len(z), -1).view(complex).T   # v[s]: slot ks[s]
+        (_, vx), (_, vy) = (grid_axis(0.0, 0.0, 1, width, *part.tolist())
+                            for part in (z.real, z.imag))
+        v = xy_read(arrays, 0.0, len(z), lambda s, e: (vx[s:e], vy[s:e]))   # v[s]: slot ks[s]
         sums = (np.array([[lam0 ** -k for k in ks] for lam0 in lams])[:, :, None] * v).sum(axis=1)
         gs = (z * (divide_off_poles(sums, np.broadcast_to(v[0], sums.shape)) - 1.0)).reshape(
-            len(lams), 2, len(ray))
+            len(lams), 2, len(RAYS))
     expected = [sd.a_at(lam0) for lam0 in lams]
     got = 2.0 * gs[:, 1] - gs[:, 0]                # got[l]: the estimates at lams[l]
     unread = np.flatnonzero(np.isnan(got).all(axis=1))
     if unread.size:
         raise AsymptoticMismatch(f"no ray is readable at lam={lams[unread[0]]}: "
-                                 f"each of the {len(ray)} meets a pole at r or 2r")
+                                 f"each of the {len(RAYS)} meets a pole at r or 2r")
     bad = np.flatnonzero(np.abs(got - np.array(expected)[:, None]) > RAY_TOL)
     if bad.size:
-        l, m = divmod(int(bad[0]), len(ray))
+        l, m = divmod(int(bad[0]), len(RAYS))
         raise AsymptoticMismatch(
-            f"ray fit at z={ray[m]}, lam={lams[l]}: {got[l, m]} vs exact {expected[l]}")
+            f"ray fit at z={RAYS[m]}, lam={lams[l]}: {got[l, m]} vs exact {expected[l]}")
 
 
 def assert_decay_bookkeeping(fw: FaddeevWave) -> None:

@@ -6,12 +6,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, compress, islice, repeat
 
-from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
-                      xy_read)
-from .errors import AlgebraError
+from .algebra import (MAX_EXPONENT, GaussianRational, MPoly, RationalFn, divide_off_poles,
+                      float_range, grid_axis, xy_read)
+from .errors import AlgebraError, ExponentOverflow
 from .exppoly import exp_phase, multiplier_xy
 from .faddeev import FaddeevWave, ScatteringData
 from .moutard import SeedPair
@@ -19,6 +18,11 @@ from .moutard import SeedPair
 
 #: Largest points per axis of a grid: n^2 complex values are held at once.
 MAX_GRID_N = 1000
+
+#: The highest seed degree d whose products stay within MAX_EXPONENT: a
+#: static seed's W * W reaches z-degree 2(2d - 1), and a time seed's
+#: nv_residual P * W reaches 5d - 3.
+SEED_DEGREE_CAP = {"static": (MAX_EXPONENT + 2) // 4, "time": (MAX_EXPONENT + 3) // 5}
 
 
 @dataclass
@@ -65,25 +69,8 @@ def _grid_points(grid: GridSpec):
 
 #: The stencil of `fd_residual` in reading order, the centre and then E, W,
 #: N, S at step h and at step h/2: each point's x and y as places in the
-#: offsets (0, h, -h, h/2, -h/2) of `_stencil_tables`.
+#: shifts (0, h, -h, h/2, -h/2) of its axes.
 _STENCIL = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (3, 0), (4, 0), (0, 3), (0, 4))
-
-
-@lru_cache(maxsize=None)
-def _stencil_tables(x_min: float, x_max: float, y_min: float, y_max: float, n: int,
-                    h: float, width: int) -> tuple:
-    """The stencil's distinct x's and y's, the grid's axes moved by 0, h, -h,
-    h/2 and -h/2 in that order (5n each), and their power tables
-    np.vander(..., width, increasing=True): built once per key and shared,
-    so read-only."""
-    import numpy as np
-    offsets = np.array([0.0, h, -h, h / 2.0, -h / 2.0])[:, None]
-    ax, ay = ((np.linspace(lo, hi, n) + offsets).ravel() for lo, hi in ((x_min, x_max),
-                                                                          (y_min, y_max)))
-    vx, vy = (np.vander(axis, width, increasing=True) for axis in (ax, ay))
-    for table in (ax, ay, vx, vy):
-        table.flags.writeable = False
-    return ax, ay, vx, vy
 
 
 def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
@@ -95,27 +82,31 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     Evaluates at steps h and h/2 and reports the observed convergence order;
     an exact eigenfunction gives order close to 2.  The stencil's 9n^2
     points, in the order [_STENCIL, y, x], gather their x's and y's and
-    their powers from the tables of its 5n distinct x's and y's
-    (`_stencil_tables`, once per grid, step and width): W and the wave's
-    multiplier are each read once at every point, u's numerator at the n^2
-    centres, each by one `xy_read`, and u's W from the centres' W.  A grid
-    point is used for a step when neither u nor psi has a pole on its
-    stencil; a step that uses no point raises AlgebraError, as it has
-    checked nothing.  A value of u or psi, or a step of computing it,
-    beyond float range raises CoefficientOverflow (`algebra.float_range`),
-    so no overflow is read as a pole.
+    their powers from the 5n distinct x's and y's of the grid's axes moved
+    by 0, h, -h, h/2 and -h/2 (`algebra.grid_axis`, once per grid, step and
+    width): W and the wave's multiplier are each read once at every point,
+    u's numerator at the n^2 centres, each by one `xy_read`, and u's W
+    from the centres' W.  A grid point is used for a step when neither u
+    nor psi has a pole on its stencil; a step that uses no point raises
+    AlgebraError, as it has checked nothing.  A value of u or psi, or a
+    step of computing it, beyond float range raises CoefficientOverflow
+    (`algebra.float_range`), so no overflow is read as a pole.
     """
     import numpy as np
     n, t = grid.n, grid.t
     centres = n * n
     lam0 = complex(lam0)
-    key = (grid.x_min, grid.x_max, grid.y_min, grid.y_max, n, h)
+    shifts = (0.0, h, -h, h / 2.0, -h / 2.0)
     flat = np.arange(centres)                       # a centre is [y, x] at y n + x
     sx, sy = (np.array(places)[:, None] * n for places in zip(*_STENCIL))
     ix, iy = (sx + flat % n).ravel(), (sy + flat // n).ravel()     # each point's table rows
 
+    def axes(width):
+        return (grid_axis(lo, hi, n, width, *shifts) for lo, hi in ((grid.x_min, grid.x_max),
+                                                                    (grid.y_min, grid.y_max)))
+
     def read(a, size):
-        _, _, vx, vy = _stencil_tables(*key, len(a[0]))
+        (_, vx), (_, vy) = axes(len(a[0]))
         return xy_read(a, t, size, lambda s, e: (vx.take(ix[s:e], axis=0),
                                                  vy.take(iy[s:e], axis=0)))
 
@@ -124,7 +115,7 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
         w = read(wa, ix.size)
         uc = divide_off_poles(read(u.num.xy_coefficients(), centres), w[:centres] ** u.k)
         mult = divide_off_poles(read(multiplier_xy(fw.psi, lam0), ix.size), w)
-        ax, ay, _, _ = _stencil_tables(*key, len(wa[0]))
+        (ax, _), (ay, _) = axes(len(wa[0]))
         points = np.empty(ix.size, complex)
         points.real, points.imag = ax.take(ix), ay.take(iy)
         values = (exp_phase(lam0, points, t if fw.psi.time_phase else None) * mult).reshape(
@@ -188,7 +179,9 @@ def seed_from_json(data: dict):
     """The seed and its time flag; ValueError for any other shape than
     {"p1": [[n, coefficient], ...], "p2": ..., "c": coefficient, "time": bool},
     n an integer >= 0, c real and "time" optional.  Each polynomial is a sum
-    of monomials z^n, so a seed file can hold no zb or t."""
+    of monomials z^n, so a seed file can hold no zb or t.  A seed whose
+    larger degree is above SEED_DEGREE_CAP for its kind raises
+    ExponentOverflow here, before any product."""
     if not isinstance(data, dict):
         raise ValueError("a seed must be a JSON object")
     unknown = sorted(data.keys() - {"p1", "p2", "c", "time"})
@@ -217,6 +210,11 @@ def seed_from_json(data: dict):
     p1, p2, c = poly("p1"), poly("p2"), _gr_from_json(data["c"])
     if not c.is_real():
         raise ValueError("integration constant must be real")
+    kind = "time" if time else "static"
+    degree, cap = max(p1.deg_z(), p2.deg_z()), SEED_DEGREE_CAP[kind]
+    if degree > cap:
+        raise ExponentOverflow(f"a {kind} seed of degree {degree} exceeds cap {cap}, the highest "
+                               f"degree whose products stay within exponent {MAX_EXPONENT}")
     return SeedPair(p1, p2, c), time
 
 

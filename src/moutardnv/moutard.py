@@ -39,16 +39,20 @@ def harmonic_from_holomorphic(p: MPoly) -> MPoly:
     return p + p.conj_swap()
 
 
-def double_w(seed: SeedPair) -> MPoly:
+def double_w(seed: SeedPair, time_term: tuple = ((), 1)) -> MPoly:
     """Argument of the logarithm in the double-iteration potential formula,
     W = i(p1 conj(p2) - p2 conj(p1) + F - conj(F)) + c with F the
     z-antiderivative of p1'p2 - p1 p2', at fixed t for a time-dependent
     seed, read in one pass over the term pairs of p1 and p2 (README, "W in
     one pass") and rejected when zero: p2 = mu p1 + i nu for real mu, nu
-    makes W the constant c + 2 nu Re p1(0) (README, "A constant W")."""
+    makes W the constant c + 2 nu Re p1(0) (README, "A constant W").
+    `nv.extended_w` passes its time term as time_term = (terms, tspan),
+    `gauss_sum` items over p1.denominator * p2.denominator * tspan, which
+    are added in the same sum."""
     p1, p2 = seed.p1, seed.p2
+    drift, tspan = time_term
     (m1, _, _), (n1, _, _) = pair_degrees((p1,), (p2,))
-    span = lcm(*range(1, m1 + n1 + 1))         # a multiple of every m + n
+    span = lcm(tspan, *range(1, m1 + n1 + 1))  # a multiple of tspan and of every m + n
     cr, ci, cd = _gauss(seed.c)
     d12 = p1.denominator * p2.denominator
     bs = [(n, k2, r * cd, s * cd) for (n, _, k2), (r, s) in p2.numerators.items()]
@@ -62,6 +66,8 @@ def double_w(seed: SeedPair) -> MPoly:
                 f = (m - n) * (span // (m + n))
                 re, im = -(p * s + q * r) * f, (p * r - q * s) * f     # i a b (m - n)/(m + n)
                 terms += ((m + n, 0, k), re, im), ((0, m + n, k), re, -im)
+    scale = span // tspan * cd
+    terms += ((e, re * scale, im * scale) for e, re, im in drift)
     w = gauss_sum(terms, d12 * span * cd)
     if w.is_zero():
         raise ZeroPolynomial("W is identically zero")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import (MPoly, RationalFn, _horner_t, gauss_sum, grid_axis, grid_extremes,
                       pair_degrees)
-from .errors import TemporalResidualNonzero, ZeroPolynomial
+from .errors import TemporalResidualNonzero
 from .exppoly import D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, faddeev_superpose
 from .moutard import SeedPair, build_frame, double_w
@@ -55,23 +55,18 @@ def extended_w(seed: SeedPair) -> MPoly:
     one time term that both exact residuals (`nv_residual`,
     `temporal_residual`) accept, at every degree; neither is run here.  Both
     terms are real-valued: double_w is i times a bracket B with conj(B) = -B.
-    The sum is rejected when zero, as double_w is: for p2 = mu p1 + i nu,
-    double_w of the evolved seed is c + 2 nu Re p1(0) at t, which c(t)
-    brings back to its value at t = 0, so the sum can be zero where double_w
-    of the evolved seed is not."""
+    double_w forms the sum, c(t) as its time_term, and rejects it when
+    zero: for p2 = mu p1 + i nu, double_w of the evolved seed is c + 2 nu
+    Re p1(0) at t, which c(t) brings back to its value at t = 0, so the sum
+    can be zero where double_w of the evolved seed is not."""
     seed = evolved_seed(seed)
     a, b = ([(m, k, re, im) for (m, _, k), (re, im) in p.numerators.items() if m <= 3]
             for p in (seed.p1, seed.p2))
     # a multiple of every k + k' + 1
     span = math.lcm(*range(1, 2 * max((k for _, k, _, _ in a + b), default=0) + 2))
-    drift = gauss_sum([((0, 0, k1 + k2 + 1), 2 * x * (p * s + q * r) * span // (k1 + k2 + 1), 0)
-                       for m, k1, p, q in a for n, k2, r, s in b
-                       for x in (X0_WEIGHTS.get((m, n)),) if x],
-                      seed.p1.denominator * seed.p2.denominator * span)
-    w = double_w(seed) - drift
-    if w.is_zero():
-        raise ZeroPolynomial("W is identically zero")
-    return w
+    drift = [((0, 0, k1 + k2 + 1), -2 * x * (p * s + q * r) * span // (k1 + k2 + 1), 0)
+             for m, k1, p, q in a for n, k2, r, s in b for x in (X0_WEIGHTS.get((m, n)),) if x]
+    return double_w(seed, (drift, span))
 
 
 def nv_potentials(wt: MPoly) -> RationalFn:

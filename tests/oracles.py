@@ -32,7 +32,9 @@
 - `scattering_data_by_leading_terms`: the exact extraction of A from the
   leading-term polynomials of W and of each slot, the reference of
   `faddeev.scattering_data`, which reads their integer numerators in one
-  walk.
+  walk.  `ray_slots_by_stacked_product`: the slots on the rays by the ray
+  check's own product, the reference of the one `algebra.xy_read` that
+  reads them now.
 - `fd_residual_by_wave_eval`: the finite-difference check reading u and the
   wave by `RationalFn.eval` and `wave_eval`, power tables made from the
   points, the reference of `harness.fd_residual`, which gathers its rows
@@ -100,8 +102,13 @@ def certificate_full_grid(w: MPoly) -> moutard.NonvanishingReport:
         return moutard.NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
     sign = 1 if re.min() > 0 else -1
     ((i, j), c), *rest = w.spatial_leading_terms().items()
-    definite = not rest and i == j and c.is_constant() and sign * c.constant_term().re > 0
-    return moutard.NonvanishingReport("certified-positive" if definite else "inconclusive")
+    if rest or i != j or not c.is_constant():
+        return moutard.NonvanishingReport("inconclusive")
+    if sign * c.constant_term().re > 0:
+        return moutard.NonvanishingReport("certified-positive")
+    # a definite leading form of the other sign: W changes sign on every ray
+    form = MPoly.monomial(i, j, 0, c.constant_term())
+    return moutard.NonvanishingReport("zero-found", form=form)
 
 
 def grid_extremes_full_grid(c, v1, v2):
@@ -143,6 +150,26 @@ def scattering_data_by_leading_terms(fw) -> faddeev.ScatteringData:
     if a_coeffs != {1: -d}:
         raise AsymptoticMismatch(f"A={sd.format_a()} is not -2d/λ = -{d}/λ for W of degree {d}")
     return sd
+
+
+def ray_slots_by_stacked_product(fw):
+    """Every slot of the wave at the ray check's 12 points at t = 0, row s
+    for slot s in key order, by the product the ray check made of its own:
+    each slot's t^0 parts in one corner of one array as wide as the widest,
+    one real product with the powers of x and one batched product with the
+    powers of y, from np.vander tables of the points' coordinates."""
+    ks = sorted(fw.psi.coeffs)
+    arrays = [fw.psi.coeffs[k].xy_coefficients()[0] for k in ks]
+    n = max(map(len, arrays))
+    parts = np.zeros((n, len(ks), 2, n))
+    for s, a in enumerate(arrays):
+        parts[:len(a), s, 0, :len(a)] = a.real
+        parts[:len(a), s, 1, :len(a)] = a.imag
+    ray = faddeev.RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
+    z = np.outer([1.0, 2.0], ray).ravel()
+    vx, vy = (np.vander(part, n, increasing=True) for part in (z.real, z.imag))
+    rows = (vx @ parts.reshape(n, -1)).reshape(len(z), -1, n)
+    return (rows @ vy[:, :, None]).reshape(len(z), -1).view(complex).T
 
 
 def fd_residual_by_wave_eval(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:
@@ -210,7 +237,7 @@ def subs_t(p: MPoly, t0) -> MPoly:
 
 def _over_w2(p: MPoly, w: MPoly, d) -> MPoly:
     """Numerator over w^3 of d(p / w^2) for a derivation d of MPoly."""
-    return d(p) * w - p * d(w) * 2
+    return d(p) * w + -p * d(w) * 2
 
 
 def nv_residual_two_forms(U: RationalFn) -> MPoly:
@@ -219,8 +246,8 @@ def nv_residual_two_forms(U: RationalFn) -> MPoly:
     on (Wt . Wt) over Wt^2."""
     wt = U.base
     return (_over_w2(U.num, wt, MPoly.diff_t)
-            - _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-            - _over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, diff_zbar))
+            + -_over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
+            + -_over_w2(hirota(wt, wt, {(1, 3, 0): 1}), wt, diff_zbar))
 
 
 def nv_residual_four_products(U: RationalFn) -> MPoly:
@@ -229,7 +256,7 @@ def nv_residual_four_products(U: RationalFn) -> MPoly:
     full-plane products."""
     wt = U.base
     b = _over_w2(hirota(wt, wt, {(3, 1, 0): 1}), wt, MPoly.diff_z)
-    return _over_w2(U.num, wt, MPoly.diff_t) - (b + b.conj_swap())
+    return _over_w2(U.num, wt, MPoly.diff_t) + -(b + b.conj_swap())
 
 
 def antideriv(p: MPoly, axis: int) -> MPoly:
@@ -249,9 +276,9 @@ def coeff_t(p: MPoly, i: int, j: int) -> MPoly:
 def w_bracket(p1: MPoly, p2: MPoly) -> MPoly:
     """(p1 conj(p2) - p2 conj(p1)) + F - conj(F) with F the z-antiderivative
     of p1'p2 - p1 p2': G - conj(G) for G = p1 conj(p2) + F."""
-    f = antideriv(p1.diff_z() * p2 - p1 * p2.diff_z(), 0)
+    f = antideriv(p1.diff_z() * p2 + -p1 * p2.diff_z(), 0)
     g = p1 * p2.conj_swap() + f
-    return g - g.conj_swap()
+    return g + -g.conj_swap()
 
 
 def double_w_by_products(seed) -> MPoly:
@@ -266,8 +293,8 @@ def extended_w_by_products(seed) -> MPoly:
     int_0^t i(X0 - conj(X0)) ds for X0 = 6(a3 b0 - a0 b3) + 4(a1 b2 - a2 b1)."""
     es = nv.evolved_seed(seed)
     a, b = ([coeff_t(p, k, 0) for k in range(4)] for p in (es.p1, es.p2))
-    x0 = (a[3] * b[0] - a[0] * b[3]) * 6 + (a[1] * b[2] - a[2] * b[1]) * 4
-    return double_w_by_products(es) + antideriv((x0 - x0.conj_swap()) * GR_I, 2)
+    x0 = (a[3] * b[0] + -a[0] * b[3]) * 6 + (a[1] * b[2] + -a[2] * b[1]) * 4
+    return double_w_by_products(es) + antideriv((x0 + -x0.conj_swap()) * GR_I, 2)
 
 
 def slots_by_products(frame) -> dict:
@@ -275,7 +302,7 @@ def slots_by_products(frame) -> dict:
     omega1 r2_k - omega2 r1_k as two MPoly products and a difference."""
     r1, r2 = (moutard.moutard_transform_wave(om).coeffs for om in (frame.omega1, frame.omega2))
     return {k: ((r2[k] * frame.omega1 if k in r2 else MPoly.zero())
-                - (r1[k] * frame.omega2 if k in r1 else MPoly.zero()))
+                + -(r1[k] * frame.omega2 if k in r1 else MPoly.zero()))
             for k in sorted((r1.keys() | r2.keys()) - {0})}
 
 
@@ -501,7 +528,7 @@ class Frac(RationalFn):
     def _diff(self, d) -> "Frac":
         if self.k == 0:
             return Frac(d(self.num), self.base, 0)
-        return Frac(d(self.num) * self.base - self.num * d(self.base) * self.k,
+        return Frac(d(self.num) * self.base + -self.num * d(self.base) * self.k,
                     self.base, self.k + 1)
 
     diff_z = partialmethod(_diff, MPoly.diff_z)
@@ -631,7 +658,7 @@ def mu2_integrability(U: RationalFn, fw, t_samples, r_outer: float = 40.0,
     n2 = mu2.num
     u_ok = potential_gap(U, U.base).is_zero()
     report = Mu2Report(u_ok and eigen_check(n2 + n2.conj_swap(), U),
-                       u_ok and eigen_check((n2 - n2.conj_swap()) * GR_I, U),
+                       u_ok and eigen_check((n2 + -n2.conj_swap()) * GR_I, U),
                        n2.total_degree_space() - mu2.base.total_degree_space())
     for t0 in map(float, t_samples):
         half, full = (_disc_l2(mu2, t0, r, t_star) for r in (r_outer / 2.0, r_outer))
@@ -644,7 +671,7 @@ def potential_gap(u: RationalFn, w: MPoly) -> MPoly:
     w^2: zero exactly when u = 2 d dbar log w."""
     if u.base != w or u.k != 2:
         raise ValueError("u must be a fraction over w^2")
-    return u.num - hirota(w, w, D_ZZBAR)
+    return u.num + -hirota(w, w, D_ZZBAR)
 
 
 def eigen_check(num: MPoly, u: RationalFn) -> bool:

@@ -37,7 +37,7 @@ def test_criterion_2_kernel_functions(seed22):
         ok = False
     # (-4 d dbar + u) phi_j = 0 exactly
     w = frame.w
-    u_num = (w * diff_zbar(w.diff_z()) - w.diff_z() * diff_zbar(w)) * (-8)
+    u_num = (w * diff_zbar(w.diff_z()) + -w.diff_z() * diff_zbar(w)) * (-8)
     u = Frac(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
         f = Frac(om, w, 1)

@@ -112,15 +112,15 @@ def test_mpoly_derivations(a, b):
 def test_rational_equality_cross_multiplied():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     one = MPoly.const(1)
-    f = RationalFn(z * z - z * zb, z)          # (z - zb) after cancel
-    g = RationalFn((z - zb) * (one + zb), one + zb)
+    f = RationalFn(z * z + -z * zb, z)          # (z - zb) after cancel
+    g = RationalFn((z + -zb) * (one + zb), one + zb)
     assert same_fraction(f, g)
     assert not same_fraction(f, RationalFn(z, one))
 
 
 def test_rational_eval_and_pole():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    f = RationalFn(MPoly.const(1), z * zb - MPoly.const(1))
+    f = RationalFn(MPoly.const(1), z * zb + MPoly.const(-1))
     v, pole = f.eval(np.array([2.0, 1.0]))
     assert abs(v - 1 / 3) < 1e-12
     assert np.isnan(pole)

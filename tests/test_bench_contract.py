@@ -376,11 +376,12 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
 
 
 def test_fixed_point_tables_are_built_once_per_width():
-    """The certificate's and the blow-up search's axes and power tables
-    (`algebra.grid_axis`) and the ray check's rays and tables
-    (`faddeev._ray_tables`) equal a fresh np.linspace and np.vander bit for
-    bit at every width that the W of the static and time candidates use,
-    are read-only, and are the same objects on a second call."""
+    """The certificate's and the blow-up search's axes and power tables and
+    the ray check's points' coordinates and tables, the one-point axis [0]
+    moved by each (all `algebra.grid_axis`), equal a fresh np.linspace (the
+    rays' coordinates) and np.vander bit for bit at every width that the W
+    of the static and time candidates use, are read-only, and are the same
+    objects on a second call."""
     wl = bench_module("workloads")
     widths = {len(double_w(seed).xy_coefficients()[0]) for seed, _ in
               wl.static_candidates().values()}
@@ -402,13 +403,14 @@ def test_fixed_point_tables_are_built_once_per_width():
             for got, fresh in zip(tables, (axis, np.vander(axis, width, increasing=True))):
                 same(got, fresh)
             assert algebra.grid_axis(lo, hi, n, width) is tables
-        tables = faddeev._ray_tables(faddeev.RAY_RADIUS, width)
         ray = faddeev.RAY_RADIUS * np.exp(1j * (np.arange(6) * (np.pi / 3) + 0.1))
         z = np.outer([1.0, 2.0], ray).ravel()
-        fresh = (ray, z, *(np.vander(part, width, increasing=True) for part in (z.real, z.imag)))
-        for got, want in zip(tables, fresh, strict=True):
-            same(got, want)
-        assert faddeev._ray_tables(faddeev.RAY_RADIUS, width) is tables
+        for part in (z.real, z.imag):
+            tables = algebra.grid_axis(0.0, 0.0, 1, width, *part.tolist())
+            fresh = (part, np.vander(part, width, increasing=True))
+            for got, want in zip(tables, fresh, strict=True):
+                same(got, want)
+            assert algebra.grid_axis(0.0, 0.0, 1, width, *part.tolist()) is tables
 
 
 def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
@@ -453,13 +455,15 @@ def test_a_second_op_builds_no_grid_or_ray_table(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 100])
 def test_stencil_tables_are_built_once_and_hold_5n_rows(monkeypatch, n):
-    """fd_residual's stencil tables (`harness._stencil_tables`) hold the 5n
-    distinct x's and y's of the 9n^2 stencil points, not a row per point:
-    every np.vander call inside fd_residual makes 5n rows, one table per
-    axis and width.  Each axis and table is read-only, bit-equal to the
-    grid's axis moved by 0, h, -h, h/2 and -h/2 and a fresh np.vander of
-    it, and the same object on a second call; the stencil points' x's and
-    y's are the axes' values, and the report is the reference's."""
+    """fd_residual's stencil tables (`algebra.grid_axis` of the grid's axes
+    moved by 0, h, -h, h/2 and -h/2) hold the 5n distinct x's and y's of
+    the 9n^2 stencil points, not a row per point: every np.vander call
+    inside fd_residual makes 5n rows, one table per width and distinct
+    axis (this grid's x and y axes are one).  Each axis and table is
+    read-only, bit-equal to the grid's axis moved by 0, h, -h, h/2 and
+    -h/2 and a fresh np.vander of it, and the same object on a second call;
+    the stencil points' x's and y's are the axes' values, and the report is
+    the reference's."""
     fw = build_faddeev(bench_module("workloads").fixture("sec22")[0])
     grid, h = harness.GridSpec(-2, 2, -2, 2, n), 1e-2
     shapes = []
@@ -470,31 +474,30 @@ def test_stencil_tables_are_built_once_and_hold_5n_rows(monkeypatch, n):
             return fn(x, width, increasing=increasing)
         return wrapped
 
-    harness._stencil_tables.cache_clear()
+    algebra.grid_axis.cache_clear()
     monkeypatch.setattr(np, "vander", recorded(np.vander))
     rep = harness.fd_residual(fw.u, fw, 1.0, grid, h)
     monkeypatch.undo()
     assert rep.points_used == n * n
     assert rep == fd_residual_by_wave_eval(fw.u, fw, 1.0, grid, h)
     widths = sorted({len(fw.w.xy_coefficients()[0]), len(fw.u.num.xy_coefficients()[0])})
-    assert sorted(shapes) == sorted((5 * n, width) for width in widths for _ in "xy")
+    assert sorted(shapes) == [(5 * n, width) for width in widths]
     xs = np.linspace(-2, 2, n)
-    moved = np.concatenate([xs + offset for offset in (0.0, h, -h, h / 2.0, -h / 2.0)])
+    offsets = (0.0, h, -h, h / 2.0, -h / 2.0)
+    moved = np.concatenate([xs + offset for offset in offsets])
     steps = (h, h / 2.0)
     shifts = np.array([0.0, *(s for step in steps for s in (step, -step, 1j * step, -1j * step))])
     points = xs[None, :] + 1j * xs[:, None] + shifts[:, None, None]
     for width in widths:
-        tables = harness._stencil_tables(-2, 2, -2, 2, n, h, width)
-        assert harness._stencil_tables(-2, 2, -2, 2, n, h, width) is tables
+        tables = algebra.grid_axis(-2, 2, n, width, *offsets)
+        assert algebra.grid_axis(-2, 2, n, width, *offsets) is tables
         assert not any(table.flags.writeable for table in tables)
-        ax, ay, vx, vy = tables
-        for axis in (ax, ay):
-            assert axis.tobytes() == moved.tobytes()
-            assert set(points.real.ravel()) == set(points.imag.ravel()) == set(axis)
+        axis, table = tables
+        assert axis.tobytes() == moved.tobytes()
+        assert set(points.real.ravel()) == set(points.imag.ravel()) == set(axis)
         fresh = np.vander(moved, width, increasing=True)
-        for table in (vx, vy):
-            assert table.shape == fresh.shape == (5 * n, width)
-            assert table.tobytes() == fresh.tobytes()
+        assert table.shape == fresh.shape == (5 * n, width)
+        assert table.tobytes() == fresh.tobytes()
 
 
 def test_fd_reports_equal_the_wave_eval_reader_on_static_candidates():

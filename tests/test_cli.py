@@ -13,7 +13,7 @@ import pytest
 from moutardnv import cli, nv
 from moutardnv import faddeev as fd
 from moutardnv.algebra import MPoly, RationalFn
-from moutardnv.harness import load_seed
+from moutardnv.harness import SEED_DEGREE_CAP, load_seed
 from moutardnv.moutard import double_w, potential
 
 from conftest import FIXTURES, fixture_path
@@ -659,6 +659,33 @@ def test_w_beyond_the_exponent_cap_is_input_error(tmp_path, time):
             rc = cli.main([command, "--seed", str(seed)])
         assert rc == 2, (command, stdout.getvalue())
         assert "exceeds cap" in stderr.getvalue()
+
+
+@pytest.mark.parametrize("kind,cap", [("static", 16), ("time", 13)])
+def test_a_seed_above_its_degree_cap_is_input_error_before_any_product(tmp_path, kind, cap):
+    # W * W reaches z-degree 2(2d - 1) on a static seed and nv_residual's
+    # P * W 5d - 3 on a time seed, so MAX_EXPONENT = 64 caps them at 16 and
+    # 13: a seed at its cap loads, and one degree past it exits 2 on
+    # potential and verify, naming its degree and the cap, before any W
+    def seed_file(degree):
+        path = tmp_path / f"z{degree}.json"
+        path.write_text(json.dumps({"p1": [[degree, {"re": "1"}], [1, {"re": "1", "im": "2"}]],
+                                    "p2": [[degree - 1, {"re": "2", "im": "1"}]],
+                                    "c": {"re": "1"}, "time": kind == "time"}))
+        return str(path)
+
+    assert SEED_DEGREE_CAP[kind] == cap
+    seed, time = load_seed(seed_file(cap))
+    assert (seed.p1.deg_z(), time) == (cap, kind == "time")
+    for command in ("potential", "verify"):
+        rcs, stderr = [], io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            counts = _build_counts(lambda: rcs.append(cli.main([command, "--seed",
+                                                                seed_file(cap + 1)])))
+        assert rcs == [2] and counts == dict.fromkeys(BUILDERS, 0), command
+        assert stderr.getvalue() == (f"input error: seed too large: a {kind} seed of degree "
+                                     f"{cap + 1} exceeds cap {cap}, the highest degree whose "
+                                     f"products stay within exponent 64\n")
 
 
 def _loaded_after(*argvs):

@@ -83,7 +83,7 @@ def assert_slots_are_n_k(fw, seed):
     d = max(p1.deg_z(), p2.deg_z())
     assert set(fw.psi.coeffs) <= set(range(d + 1))
     for k in range(1, d + 1):
-        n_k = (om1 * d_z(p2, k) - om2 * d_z(p1, k)) * GR_I * (2 * (-1) ** (k - 1))
+        n_k = (om1 * d_z(p2, k) + -om2 * d_z(p1, k)) * GR_I * (2 * (-1) ** (k - 1))
         assert fw.psi.coeffs.get(k, MPoly.zero()) == n_k, f"slot {k}"
     return d
 

@@ -101,7 +101,7 @@ def test_wave_eval_time_phase():
 
 def test_wave_denominator_and_pole():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    den = z * zb - MPoly.const(1)
+    den = z * zb + MPoly.const(-1)
     v, pole = wave_eval(free_wave(), den, np.array([2.0, 1.0]), 0.0, 1.0)
     assert abs(v - cmath.exp(2.0) / 3.0) < 1e-12
     assert np.isnan(pole)

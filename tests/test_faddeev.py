@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from moutardnv import nv
+from moutardnv import faddeev, nv
 from moutardnv.algebra import MPoly, RationalFn, sum_of_products
 from moutardnv.errors import AsymptoticMismatch, ResidualNonzero, TemporalResidualNonzero
 from moutardnv.exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_eval
@@ -15,8 +15,9 @@ from moutardnv.harness import load_seed
 from moutardnv.moutard import MoutardFrame, SeedPair, build_frame, kernel_functions, potential
 
 from conftest import FIXTURES, gr, poly
-from oracles import (free_wave, hirota_by_products, same_fraction,
-                     scattering_data_by_leading_terms, wave_add, wave_scale, wave_sub)
+from oracles import (free_wave, hirota_by_products, ray_slots_by_stacked_product,
+                     same_fraction, scattering_data_by_leading_terms, wave_add, wave_scale,
+                     wave_sub)
 from test_bench_contract import bench_module
 from test_properties import random_real_w, random_seed, random_wave
 
@@ -399,3 +400,40 @@ def test_one_pass_fails_each_corruption_as_the_separate_forms(monkeypatch):
             assert (err.type, str(err.value)) == expected, where
             raised[err.type] += 1
     assert raised == {ResidualNonzero: 82, TemporalResidualNonzero: 8} and both == 16
+
+
+def test_the_ray_check_reads_the_slots_as_one_stacked_product(monkeypatch):
+    """The slot values that the ray check reads at its 12 points, by one
+    `xy_read` of every slot's t^0 array, equal by == (bit for bit) those of
+    the stacked product that the ray check made of its own
+    (`oracles.ray_slots_by_stacked_product`), on every wave of the fixtures,
+    the benchmark's static and time candidates and its cubic pool that
+    reaches the rays: 292 of the 306, the other 14 having a leading form
+    of W that is no single monomial."""
+    wl = bench_module("workloads")
+    seeds = [wl.fixture(name) for name in ("sec22", "sec22_cubic", "sec22_cubic_time", "sec32")]
+    seeds += [(seed, False) for seed, _ in wl.static_candidates().values()]
+    seeds += [(seed, True) for seed in wl.time_candidates().values()]
+    seeds += [(seed, True) for seed in wl.cubic_pool().values()]
+    read, reads = faddeev.xy_read, []
+
+    def recorded(*args):
+        reads.append(read(*args))
+        return reads[-1]
+
+    monkeypatch.setattr(faddeev, "xy_read", recorded)
+    compared = 0
+    for seed, time in seeds:
+        fw = nv.nv_faddeev(seed) if time else build_faddeev(seed)
+        reads.clear()
+        try:
+            scattering_data(fw)
+        except AsymptoticMismatch:
+            pass
+        if reads:
+            [got] = reads
+            want = ray_slots_by_stacked_product(fw)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert (got == want).all()
+            compared += 1
+    assert compared == 292

@@ -207,7 +207,7 @@ def scalar_reference(fn, grid):
 
 
 def test_pole_mask_matches_scalar_reference():
-    base = MPoly.monomial(1, 1, 0) - MPoly.const(1)             # zero on |z| = 1
+    base = MPoly.monomial(1, 1, 0) + MPoly.const(-1)             # zero on |z| = 1
     u = RationalFn(MPoly.const(1), base)
     grid = GridSpec(-1, 1, -1, 1, 9)                            # 4 points on |z| = 1
     ref = scalar_reference(lambda z: u.eval(z, grid.t), grid)
@@ -242,7 +242,7 @@ def test_pole_mask_matches_scalar_reference():
 
 
 def test_sample_grid_order_and_pole_skip():
-    den = MPoly.monomial(1, 1, 0) - MPoly.const(1)
+    den = MPoly.monomial(1, 1, 0) + MPoly.const(-1)
     f = RationalFn(MPoly.const(1), den)
     rows = list(sample_grid(lambda z, t: f.eval(z, t), GridSpec(-1, 1, -1, 1, 3)))
     # y outer, x inner; the 4 pole points (|z| = 1) are skipped

@@ -6,7 +6,8 @@ a default is passed at some call in the library or the benchmark, every
 operator of the exact types and the wave is called by `mnv` or the
 benchmark or named by the benchmark, no module imports numpy when it is
 itself imported, every `lru_cache` is keyed on numbers alone (each of its
-function's parameters annotated int, float or bool), and every library name
+function's parameters annotated int, float or bool), np.vander is called
+only in `algebra.grid_axis` and `algebra.xy_eval`, and every library name
 and test that README cites exists.
 
 No linter is installed, so these are the unused-import and dead-code
@@ -198,6 +199,43 @@ def test_check_sees_a_cache_keyed_on_an_object():
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+# the one cached table builder of the checks' fixed points, and the reader
+# that makes the tables of the points it is given: another builder of power
+# tables would be another copy of every rule about float reads
+VANDER_CALLERS = {"algebra.grid_axis", "algebra.xy_eval"}
+
+
+def _vander_callers(modules):
+    """'module.name' of the module-level function or class around every
+    call `vander(...)` or `x.vander(...)` (np.vander) in the modules (name
+    -> parsed tree), and 'module.<top>' for a call outside them."""
+    out = set()
+    for module, tree in modules.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "vander" in (getattr(node.func, "attr", None),
+                                                               getattr(node.func, "id", None)):
+                    out.add(f"{module}.{top.name if isinstance(top, DEFINITIONS) else '<top>'}")
+    return out
+
+
+def test_np_vander_is_called_only_in_grid_axis_and_xy_eval():
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    assert _vander_callers(modules) == VANDER_CALLERS
+
+
+def test_check_sees_a_vander_call_outside_grid_axis_and_xy_eval():
+    tree = ast.parse("import numpy as np\nfrom numpy import vander\n"
+                     "def grid_axis(x):\n    return np.vander(x, 3)\n"
+                     "def xy_eval(z):\n    def tables(s):\n        return np.vander(s, 2)\n"
+                     "    return tables(z)\n"
+                     "class Rays:\n    def tables(self, x):\n        return vander(x, 4)\n"
+                     "def near(x):\n    return x.vander, np.vander_like(x)\n"
+                     "TABLE = np.vander([1.0], 2)\n")
+    assert _vander_callers({"algebra": tree}) == VANDER_CALLERS | {"algebra.Rays",
+                                                                   "algebra.<top>"}
 
 
 def _reads(node, strings=False):

@@ -68,7 +68,7 @@ def test_kernel_functions_are_zero_modes(seed22):
     # -4 d dbar phi + u phi = 0 with phi = omega/W
     frame = build_frame(seed22)
     w = frame.w
-    u_num = (w * diff_zbar(w.diff_z()) - w.diff_z() * diff_zbar(w)) * (-8)
+    u_num = (w * diff_zbar(w.diff_z()) + -w.diff_z() * diff_zbar(w)) * (-8)
     u = Frac(u_num, w, 2)
     for om in (frame.omega1, frame.omega2):
         f = Frac(om, w, 1)
@@ -108,7 +108,7 @@ def test_nonvanishing_certificate_positive(seed22):
 
 def test_nonvanishing_certificate_zero_found():
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    circle = z * zb - MPoly.const(1)
+    circle = z * zb + MPoly.const(-1)
     # a sign change, and a double zero where W touches 0 without changing sign
     for w in (circle, circle * circle):
         rep = nonvanishing_certificate(w)
@@ -118,7 +118,7 @@ def test_nonvanishing_certificate_zero_found():
     # (x^2 - 1)^2 + 2^-47 (|z|^2 + 1)^2 is positive, but below 64 eps times the
     # rounding scale on x = +-1, where the scale sums several terms per degree
     x = (z + zb) * Fraction(1, 2)
-    w = (x * x - MPoly.const(1)) ** 2 + (z * zb + MPoly.const(1)) ** 2 * Fraction(1, 2 ** 47)
+    w = (x * x + MPoly.const(-1)) ** 2 + (z * zb + MPoly.const(1)) ** 2 * Fraction(1, 2 ** 47)
     rep = nonvanishing_certificate(w)
     assert rep.verdict == "zero-found" and rep.witness == (-1.0, 0.0)
 
@@ -127,7 +127,7 @@ def near_zero_w():
     """|z - 1|^2 + 10^-14: positive, with its least node (1, 0), where W is
     about 1e-14 on a rounding scale of about 4."""
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    return (z - MPoly.const(1)) * (zb - MPoly.const(1)) + MPoly.const(gr(Fraction(1, 10 ** 14)))
+    return (z + MPoly.const(-1)) * (zb + MPoly.const(-1)) + MPoly.const(gr(Fraction(1, 10 ** 14)))
 
 
 def _certificate_tables(w):
@@ -172,7 +172,7 @@ def test_nonvanishing_certificate_reads_every_strip(row):
     axis = np.linspace(-10.0, 10.0, CERTIFICATE_GRID_N)
     x0, y0 = axis[110], axis[row]
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    w = (z - MPoly.const(gr(x0, y0))) * (zb - MPoly.const(gr(x0, -y0)))
+    w = (z + -MPoly.const(gr(x0, y0))) * (zb + -MPoly.const(gr(x0, -y0)))
     rep = nonvanishing_certificate(w)
     assert rep == NonvanishingReport("zero-found", (x0, y0)) == certificate_full_grid(w)
     _assert_least_node(w, row, 110)
@@ -184,7 +184,7 @@ def test_nonvanishing_certificate_witness_is_the_first_least_node():
     # order; read [x, y], both lie in column 100
     assert 40 // GRID_STRIP != 50 // GRID_STRIP
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
+    x, y = (z + zb) * Fraction(1, 2), (z + -zb) * gr(0, Fraction(-1, 2))
     w = x * x + ((y + MPoly.const(6)) * (y + MPoly.const(5))) ** 2
     rep = nonvanishing_certificate(w)
     assert rep == NonvanishingReport("zero-found", (0.0, -6.0)) == certificate_full_grid(w)
@@ -256,6 +256,7 @@ def test_a_leading_form_of_the_other_sign_is_a_zero(name, c, form):
     assert (w.eval(xs[None, :] + 1j * xs[:, None]).real > 0).all()
     rep = nonvanishing_certificate(w)
     assert rep.verdict == "zero-found" and rep.witness is None and str(rep.form) == form
+    assert rep == certificate_full_grid(w)
     far = 10.0 ** 6
     assert w.eval(np.array([far]), 0.0).real[0] < 0 < w.eval(np.array([0.0]), 0.0).real[0]
     assert nonvanishing_certificate(double_w(seed)) == NonvanishingReport("certified-positive")
@@ -265,6 +266,6 @@ def test_a_degenerate_leading_form_is_inconclusive():
     """A leading form that is no single |z|^(2k) monomial decides nothing:
     -(x^2 - y^2)^2 / 16 + ... here, with W < 0 on the grid."""
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    w = -(z * z + zb * zb) ** 2 * Fraction(1, 16) - z * zb - MPoly.const(1)
+    w = -(z * z + zb * zb) ** 2 * Fraction(1, 16) + -z * zb + MPoly.const(-1)
     rep = nonvanishing_certificate(w)
     assert rep == NonvanishingReport("inconclusive")

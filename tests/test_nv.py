@@ -107,7 +107,7 @@ def test_extended_w_time_term_is_the_one_both_residuals_accept(degree):
     seed = random_seed(random.Random(400 + degree), degree, constant=True)
     es = nv.evolved_seed(seed)
     w = nv.extended_w(seed)
-    c = w - double_w(es)
+    c = w + -double_w(es)
     assert c.deg_t() >= 1 and all(e[:2] == (0, 0) for e in c.numerators)
     for term, good in ((MPoly.zero(), True), (MPoly.monomial(0, 0, 1, 7), False),
                        (MPoly.monomial(0, 0, 2, 5), False), (-c, False)):
@@ -245,12 +245,12 @@ def test_blowup_reference(seed32):
 
 def test_blowup_trivial_cases():
     t, one = MPoly.monomial(0, 0, 1), MPoly.const(1)
-    rep = nv.blowup_time(t - one)
+    rep = nv.blowup_time(t + -one)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
     zzb = MPoly.monomial(1, 1, 0)
     rep2 = nv.blowup_time(t + one + zzb)
     assert not rep2.found
-    rep3 = nv.blowup_time(zzb - one + t)
+    rep3 = nv.blowup_time(zzb + -one + t)
     assert rep3.found and rep3.t_star == 0.0
 
 
@@ -275,7 +275,7 @@ def test_blowup_affine_reference_is_closed(seed32):
 def _paraboloid(z0, c, slope):
     """|z - z0|^2 + c + slope * t."""
     z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
-    return ((z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate()))
+    return ((z + -MPoly.const(z0)) * (zb + -MPoly.const(z0.conjugate()))
             + MPoly.const(c) + t * slope)
 
 
@@ -324,7 +324,7 @@ def test_blowup_grid_reads_every_strip(column):
         got = grid_extremes(c, v1, v2)
         assert got == grid_extremes_full_grid(c, v1, v2)
         assert got[0] == 1.0 and got[2] == got[4] == node
-    assert nv.blowup_time(w - MPoly.const(1) + MPoly.monomial(0, 0, 1)) == \
+    assert nv.blowup_time(w + MPoly.const(-1) + MPoly.monomial(0, 0, 1)) == \
         nv.BlowupReport(True, 0.0, (x0, y0), "grid")
     rep = nv.blowup_time(w)
     assert rep.found and rep.t_star == 1.0 and rep.witness == (x0, y0)
@@ -336,7 +336,7 @@ def test_blowup_grid_ties_take_the_least_x():
     # plus 1, is the one of least x; read [y, x], both lie in row 80
     assert 32 // GRID_STRIP != 80 // GRID_STRIP
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    x, y = (z + zb) * Fraction(1, 2), (z - zb) * gr(0, Fraction(-1, 2))
+    x, y = (z + zb) * Fraction(1, 2), (z + -zb) * gr(0, Fraction(-1, 2))
     w = y * y + ((x + MPoly.const(3)) * x) ** 2
     a, vx, vy = _blowup_tables(w)
     for c, v1, v2, node in ((a[0], vx, vy, (32, 80)), (a[0].T, vy, vx, (80, 32))):
@@ -344,7 +344,7 @@ def test_blowup_grid_ties_take_the_least_x():
         assert got == grid_extremes_full_grid(c, v1, v2)
         assert got[0] == 0.0 and got[4] == node
     assert nv.blowup_time(w) == nv.BlowupReport(True, 0.0, (-3.0, 0.0), "grid")
-    w1 = w + MPoly.const(1) - MPoly.monomial(0, 0, 1)
+    w1 = w + MPoly.const(1) + MPoly.monomial(0, 0, 1, -1)
     a, vx, vy = _blowup_tables(w1)
     assert grid_extremes(a[0], vx, vy)[2] == (32, 80)
     assert nv.blowup_time(w1) == nv.BlowupReport(True, 1.0, (-3.0, 0.0), "grid+descent")
@@ -356,7 +356,7 @@ def test_blowup_grid_beyond_float_range_is_input_error():
     # value of W, so the search neither finds a zero nor rules one out
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
     r2 = z * zb
-    w = (r2 ** 3 - r2) * 10 ** 306 + MPoly.const(1) - MPoly.monomial(0, 0, 1)
+    w = (r2 ** 3 + -r2) * 10 ** 306 + MPoly.const(1) + MPoly.monomial(0, 0, 1, -1)
     assert np.isfinite(w.xy_coefficients()).all()
     with pytest.raises(CoefficientOverflow, match="float range"):
         nv.blowup_time(w)
@@ -389,7 +389,7 @@ def degree2_time_w(draw):
 
     p1, p2 = holomorphic(), holomorphic()
     # W at c = 0, which may be zero: extended_w rejects that W, not W + 1
-    w = nv.extended_w(SeedPair(p1, p2, gr(1))) - MPoly.const(1)
+    w = nv.extended_w(SeedPair(p1, p2, gr(1))) + MPoly.const(-1)
     s = -1 if w.coeff(2, 2).re < 0 else 1
     xs = np.linspace(BOX[0], BOX[1], GRID_N)
     w0 = subs_t(w, 0).eval(xs[None, :] + 1j * xs[:, None]).real
@@ -432,7 +432,7 @@ def test_nv_residual_equals_the_two_form_reference(w):
 def _xy_poly(fn):
     """fn(x, y) for the real coordinates x = (z + zb)/2, y = (z - zb)/(2i)."""
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    return fn((z + zb) * gr("1/2"), (z - zb) * gr(0, "-1/2"))
+    return fn((z + zb) * gr("1/2"), (z + -zb) * gr(0, "-1/2"))
 
 
 @pytest.mark.parametrize("tterm", [lambda t: t * t, lambda t: -t], ids=["t^2", "-t"])
@@ -441,7 +441,7 @@ def test_blowup_zero_past_the_box_at_t0(tterm):
     # (200^(1/3), 0), just past it; the t = 0 descent runs off along +x, and
     # the witness is the zero on the way, whether W is affine in t or not
     t = MPoly.monomial(0, 0, 1)
-    q = _xy_poly(lambda x, y: MPoly.const(200) - x * x * x + y * y) + tterm(t)
+    q = _xy_poly(lambda x, y: MPoly.const(200) + -x * x * x + y * y) + tterm(t)
     rep = nv.blowup_time(q)
     assert rep.found and rep.t_star == 0.0 and rep.method == "grid+descent"
     assert abs(rep.witness[0] - 200 ** (1 / 3)) < 1e-6 and abs(rep.witness[1]) < 1e-6
@@ -452,7 +452,7 @@ def test_blowup_shifted_paraboloid_is_exact():
     z0 = gr("1/3", "2/7")
     z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
     one = MPoly.const(1)
-    q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t
+    q = (z + -MPoly.const(z0)) * (zb + -MPoly.const(z0.conjugate())) + one + -t
     rep = nv.blowup_time(q)
     assert rep.found and abs(rep.t_star - 1.0) < 1e-9
     assert rep.method == "grid+descent"
@@ -464,7 +464,7 @@ def test_blowup_quadratic_in_t_uses_descent_alone():
     z0 = gr("-5/7", "3/11")
     z, zb, t = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0), MPoly.monomial(0, 0, 1)
     one = MPoly.const(1)
-    q = (z - MPoly.const(z0)) * (zb - MPoly.const(z0.conjugate())) + one - t * t
+    q = (z + -MPoly.const(z0)) * (zb + -MPoly.const(z0.conjugate())) + one + -t * t
     rep = nv.blowup_time(q)
     assert rep.found and rep.method == "grid+descent"
     assert abs(rep.t_star - 1.0) < 1e-9
@@ -475,8 +475,8 @@ def test_blowup_descent_from_an_indefinite_hessian(monkeypatch):
     # (x^2 - 1)^2 + y^2 + 1 - t: on a 3x3 grid the start is (-0.4, 0), where
     # q_xx = 12x^2 - 4 < 0; the descent must still reach a minimum (+-1, 0).
     # Each step must lower a value rounded to ~1e-16, so x is good to ~1e-8.
-    q = _xy_poly(lambda x, y: (x * x - MPoly.const(1)) ** 2 + y * y
-                 + MPoly.const(1) - MPoly.monomial(0, 0, 1))
+    q = _xy_poly(lambda x, y: (x * x + MPoly.const(-1)) ** 2 + y * y
+                 + MPoly.const(1) + MPoly.monomial(0, 0, 1, -1))
     box = (-0.4, 5.0, -1.0, 1.0)
     _, _, ((hxx, hxy), (_, hyy)) = nv._slice_objective(q.xy_coefficients(), 0.5, 1.0)((-0.4, 0))
     assert hxx * hyy - hxy * hxy < 0
@@ -522,7 +522,7 @@ def test_minimize_backtracks_an_overshooting_newton_step():
 def test_slice_objective_matches_exact_xy_derivatives(seed32):
     q = nv.extended_w(seed32)
     dx = lambda p: p.diff_z() + diff_zbar(p)
-    dy = lambda p: (p.diff_z() - diff_zbar(p)) * GR_I
+    dy = lambda p: (p.diff_z() + -diff_zbar(p)) * GR_I
     exact = (q, dx(q), dy(q), dx(dx(q)), dx(dy(q)), dy(dy(q)))
     for t, sign in ((0.7, 1.0), (2.1, -1.0)):
         fun = nv._slice_objective(q.xy_coefficients(), t, sign)

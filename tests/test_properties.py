@@ -163,7 +163,7 @@ def over_w2(res, w, c=1):
 def log_d2(w, d1, d2):
     """d1 d2 log w = (w w_12 - w_1 w_2) / w^2, built here rather than by hirota."""
     w1 = d1(w)
-    return Frac(w * d2(w1) - w1 * d2(w), w, 2)
+    return Frac(w * d2(w1) + -w1 * d2(w), w, 2)
 
 
 def test_residuals_are_hirota_forms_over_w2():
