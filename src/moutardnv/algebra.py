@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import CoefficientOverflow, ExponentOverflow
 
@@ -182,11 +183,11 @@ class MPoly:
 
     @classmethod
     def monomial(cls, i, j, k, coeff=1) -> "MPoly":
+        if not 0 <= min(i, j, k) <= max(i, j, k) <= MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent triple {(i, j, k)} is outside 0..{MAX_EXPONENT}")
         re, im, d = _gauss(coeff)
         if not re and not im:
             return _wrap({}, 1)
-        if max(i, j, k) > MAX_EXPONENT:
-            raise ExponentOverflow(f"exponent triple {(i, j, k)} exceeds cap {MAX_EXPONENT}")
         return _poly({(i, j, k): (re, im)}, d)
 
     @classmethod
@@ -728,3 +729,13 @@ def _strip_common(num: MPoly, den: MPoly):
     if scale != GR_ONE:
         num, den = num * (GR_ONE / scale), den * (GR_ONE / scale)
     return num, den
+
+
+class SeedPair(NamedTuple):
+    """Two polynomials in z alone and the real integration constant of the
+    double-iteration formula: `harness.seed_from_json` checks a seed file's
+    constant, and its polynomials can hold no other variable than z."""
+
+    p1: MPoly
+    p2: MPoly
+    c: GaussianRational

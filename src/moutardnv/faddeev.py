@@ -4,18 +4,17 @@ superposition, exact residuals, and scattering-data extraction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
-from .algebra import (GaussianRational, MPoly, RationalFn, divide_off_poles, float_range,
-                      grid_axis, sum_of_products, xy_read)
+from .algebra import (GaussianRational, MPoly, RationalFn, SeedPair, divide_off_poles,
+                      float_range, grid_axis, sum_of_products, xy_read)
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
-from .moutard import MoutardFrame, SeedPair, build_frame, moutard_transform_wave, potential
+from .moutard import MoutardFrame, build_frame, moutard_transform_wave, potential
 
 
-@dataclass
 class FaddeevWave:
     """A wave psi = e^{lam z} chi / W (e^{lam z + lam^3 t} chi / W on the time
     phase) for (-4 d dbar + u) psi = 0.
@@ -27,7 +26,14 @@ class FaddeevWave:
     alone, on first read, once.
     """
 
-    psi: WaveFn
+    def __init__(self, psi: WaveFn):
+        self.psi = psi
+
+    def __eq__(self, other):
+        return self.psi == other.psi if other.__class__ is FaddeevWave else NotImplemented
+
+    def __repr__(self):
+        return f"FaddeevWave(psi={self.psi!r})"
 
     @property
     def w(self) -> MPoly:
@@ -48,12 +54,11 @@ class FaddeevWave:
         return f"{repr(self.psi)[:-1]} / ({self.w})]"
 
 
-@dataclass
-class ScatteringData:
+class ScatteringData(NamedTuple):
     """Leading asymptotic coefficients: A as an exact Laurent sum in lam, B = 0
     structurally for every wave in the constructed class."""
 
-    a_coeffs: dict = field(default_factory=dict)     # k >= 1 -> GaussianRational (lam^-k)
+    a_coeffs: dict                                  # k >= 1 -> GaussianRational (lam^-k)
 
     def a_at(self, lam0: complex) -> complex:
         return sum(complex(c) * complex(lam0) ** (-k) for k, c in self.a_coeffs.items())

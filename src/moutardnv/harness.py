@@ -4,37 +4,29 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
+from typing import NamedTuple
 
-from .algebra import (MAX_EXPONENT, GaussianRational, MPoly, RationalFn, divide_off_poles,
-                      float_range, grid_axis, xy_read)
+from .algebra import (MAX_EXPONENT, GaussianRational, MPoly, RationalFn, SeedPair,
+                      divide_off_poles, float_range, grid_axis, xy_read)
 from .errors import AlgebraError, ExponentOverflow
-from .exppoly import exp_phase, multiplier_xy
-from .faddeev import FaddeevWave, ScatteringData
-from .moutard import SeedPair
 
 
 #: Largest points per axis of a grid: n^2 complex values are held at once.
 MAX_GRID_N = 1000
 
-#: The highest seed degree d whose products stay within MAX_EXPONENT: a
-#: static seed's W * W reaches z-degree 2(2d - 1), and a time seed's
-#: nv_residual P * W reaches 5d - 3.
-SEED_DEGREE_CAP = {"static": (MAX_EXPONENT + 2) // 4, "time": (MAX_EXPONENT + 3) // 5}
+#: The highest degree whose products stay within MAX_EXPONENT: a static
+#: seed's W * W reaches twice the z-degree of W, and a time seed's
+#: nv_residual P * W reaches 5d - 3 for the larger seed degree d.
+SEED_DEGREE_CAP = {"static": MAX_EXPONENT // 2, "time": (MAX_EXPONENT + 3) // 5}
 
 
-@dataclass
 class GridSpec:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    n: int
-    t: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, x_min: float, x_max: float, y_min: float, y_max: float, n: int,
+                 t: float = 0.0):
+        self.x_min, self.x_max, self.y_min, self.y_max = x_min, x_max, y_min, y_max
+        self.n, self.t = n, t
         if not 2 <= self.n <= MAX_GRID_N:
             raise ValueError(f"n must be between 2 and {MAX_GRID_N}, got {self.n}")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max,
@@ -45,6 +37,12 @@ class GridSpec:
         if not all(map(math.isfinite, (self.x_max - self.x_min, self.y_max - self.y_min))):
             raise ValueError("grid spans must be finite floats")
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is GridSpec else NotImplemented
+
+    def __repr__(self):
+        return f"GridSpec({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
     def points(self):
         import numpy as np
         xs = np.linspace(self.x_min, self.x_max, self.n)
@@ -52,8 +50,7 @@ class GridSpec:
         return xs, ys
 
 
-@dataclass
-class FDReport:
+class FDReport(NamedTuple):
     res_h: float
     res_half: float
     order: float
@@ -93,6 +90,7 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     (`algebra.float_range`), so no overflow is read as a pole.
     """
     import numpy as np
+    from .exppoly import exp_phase, multiplier_xy
     n, t = grid.n, grid.t
     centres = n * n
     lam0 = complex(lam0)
@@ -179,9 +177,11 @@ def seed_from_json(data: dict):
     """The seed and its time flag; ValueError for any other shape than
     {"p1": [[n, coefficient], ...], "p2": ..., "c": coefficient, "time": bool},
     n an integer >= 0, c real and "time" optional.  Each polynomial is a sum
-    of monomials z^n, so a seed file can hold no zb or t.  A seed whose
-    larger degree is above SEED_DEGREE_CAP for its kind raises
-    ExponentOverflow here, before any product."""
+    of monomials z^n, so a seed file can hold no zb or t.  A static seed
+    whose W can pass z-degree SEED_DEGREE_CAP["static"], read off the term
+    degrees of p1 and p2, or a time seed whose larger degree passes
+    SEED_DEGREE_CAP["time"], raises ExponentOverflow here, before any
+    product."""
     if not isinstance(data, dict):
         raise ValueError("a seed must be a JSON object")
     unknown = sorted(data.keys() - {"p1", "p2", "c", "time"})
@@ -211,10 +211,15 @@ def seed_from_json(data: dict):
     if not c.is_real():
         raise ValueError("integration constant must be real")
     kind = "time" if time else "static"
-    degree, cap = max(p1.deg_z(), p2.deg_z()), SEED_DEGREE_CAP[kind]
+    if time:
+        what, degree = "degree", max(p1.deg_z(), p2.deg_z())
+    else:   # W's z-degree: m + n for a term pair of z-degrees m != n, m for m = n
+        what, degree = "W degree", max((m + n if m != n else m for m, _, _ in p1.numerators
+                                        for n, _, _ in p2.numerators), default=0)
+    cap = SEED_DEGREE_CAP[kind]
     if degree > cap:
-        raise ExponentOverflow(f"a {kind} seed of degree {degree} exceeds cap {cap}, the highest "
-                               f"degree whose products stay within exponent {MAX_EXPONENT}")
+        raise ExponentOverflow(f"a {kind} seed of {what} {degree} exceeds cap {cap}, the highest "
+                               f"{what} whose products stay within exponent {MAX_EXPONENT}")
     return SeedPair(p1, p2, c), time
 
 

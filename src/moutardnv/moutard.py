@@ -4,28 +4,16 @@ kernel functions, and the transform of wave eigenfunctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
-from .algebra import (GaussianRational, MPoly, RationalFn, _gauss, gauss_sum,
-                      grid_axis, grid_extremes, pair_degrees)
+from .algebra import (MPoly, RationalFn, SeedPair, _gauss, gauss_sum, grid_axis, grid_extremes,
+                      pair_degrees)
 from .errors import AlgebraError, ResidualNonzero, ZeroPolynomial
 from .exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z
 
 
-@dataclass(frozen=True)
-class SeedPair:
-    """Two polynomials in z alone and the real integration constant of the
-    double-iteration formula: `harness.seed_from_json` checks a seed file's
-    constant, and its polynomials can hold no other variable than z."""
-
-    p1: MPoly
-    p2: MPoly
-    c: GaussianRational
-
-
-@dataclass
-class MoutardFrame:
+class MoutardFrame(NamedTuple):
     """The polynomials of one double Moutard iteration: the harmonic omegas
     and W, from which `kernel_functions` forms its fractions."""
 
@@ -145,8 +133,7 @@ def moutard_transform_wave(omega: MPoly) -> WaveFn:
                    **rest.coeffs})
 
 
-@dataclass
-class NonvanishingReport:
+class NonvanishingReport(NamedTuple):
     """Grid/leading-form evidence that W has no real zero."""
 
     verdict: str                       # "certified-positive" | "zero-found" | "inconclusive"

@@ -7,15 +7,15 @@ code, kernel fractions, and blow-up time detection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import (MPoly, RationalFn, _horner_t, gauss_sum, grid_axis, grid_extremes,
-                      pair_degrees)
+from .algebra import (MPoly, RationalFn, SeedPair, _horner_t, gauss_sum, grid_axis,
+                      grid_extremes, pair_degrees)
 from .errors import TemporalResidualNonzero
 from .exppoly import D_ZZ, D_ZZBAR, hirota
 from .faddeev import FaddeevWave, faddeev_superpose
-from .moutard import SeedPair, build_frame, double_w
+from .moutard import build_frame, double_w
 
 
 def heat3_evolve(p: MPoly) -> MPoly:
@@ -151,8 +151,7 @@ def kernel_mu(fw: FaddeevWave) -> dict:
     return out
 
 
-@dataclass
-class BlowupReport:
+class BlowupReport(NamedTuple):
     """First time t >= 0 at which the real denominator has a real zero, with
     the witness point; t_star is 0.0 when the zero is already there at
     t = 0, and found is False when there is none up to BLOWUP_T_MAX.
@@ -186,8 +185,7 @@ def _slice_objective(a, t: float, sign: float):
     return fun
 
 
-@dataclass
-class LocalMin:
+class LocalMin(NamedTuple):
     """A local minimum found by `minimize`, and the objective calls it took."""
 
     x: tuple

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardnv.algebra import GR_I, GaussianRational, MPoly, RationalFn
+from moutardnv.algebra import GR_I, MAX_EXPONENT, GaussianRational, MPoly, RationalFn
 from moutardnv.errors import ExponentOverflow
 from moutardnv.moutard import potential
 
@@ -69,6 +69,19 @@ def test_mpoly_exponent_cap():
     z = MPoly.monomial(1, 0, 0)
     with pytest.raises(ExponentOverflow):
         (z ** 33) * (z ** 32)
+
+
+@pytest.mark.parametrize("triple", [(0, 0, -1), (-1, 2, 0), (0, MAX_EXPONENT + 1, 0)])
+def test_mpoly_monomial_takes_exponents_from_0_to_the_cap(triple):
+    # a negative exponent is rejected as one past the cap is, whatever the
+    # coefficient, and the triple is named
+    for coeff in (1, 0):
+        with pytest.raises(ExponentOverflow) as err:
+            MPoly.monomial(*triple, coeff)
+        assert str(err.value) == f"exponent triple {triple} is outside 0..{MAX_EXPONENT}"
+    top = MPoly.monomial(MAX_EXPONENT, 0, MAX_EXPONENT)
+    assert (top.deg_z(), top.deg_t()) == (MAX_EXPONENT, MAX_EXPONENT)
+    assert MPoly.monomial(0, 0, 0) == MPoly.const(1)
 
 
 def test_mpoly_eval_matches_naive():

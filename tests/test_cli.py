@@ -661,12 +661,14 @@ def test_w_beyond_the_exponent_cap_is_input_error(tmp_path, time):
         assert "exceeds cap" in stderr.getvalue()
 
 
-@pytest.mark.parametrize("kind,cap", [("static", 16), ("time", 13)])
-def test_a_seed_above_its_degree_cap_is_input_error_before_any_product(tmp_path, kind, cap):
-    # W * W reaches z-degree 2(2d - 1) on a static seed and nv_residual's
-    # P * W 5d - 3 on a time seed, so MAX_EXPONENT = 64 caps them at 16 and
-    # 13: a seed at its cap loads, and one degree past it exits 2 on
-    # potential and verify, naming its degree and the cap, before any W
+@pytest.mark.parametrize("kind,top", [("static", 16), ("time", 13)])
+def test_a_seed_above_its_degree_cap_is_input_error_before_any_product(tmp_path, kind, top):
+    # p1 = z^d + (1 + 2i) z and p2 = (2 + i) z^(d - 1) give W of z-degree
+    # 2d - 1, so W * W reaches 2(2d - 1) on a static seed, and nv_residual's
+    # P * W reaches 5d - 3 on a time seed: MAX_EXPONENT = 64 caps W's degree
+    # at 32 and a time seed's at 13.  The seed of degree top loads, and one
+    # degree past it exits 2 on potential and verify, naming the degree and
+    # the cap, before any W
     def seed_file(degree):
         path = tmp_path / f"z{degree}.json"
         path.write_text(json.dumps({"p1": [[degree, {"re": "1"}], [1, {"re": "1", "im": "2"}]],
@@ -674,18 +676,40 @@ def test_a_seed_above_its_degree_cap_is_input_error_before_any_product(tmp_path,
                                     "c": {"re": "1"}, "time": kind == "time"}))
         return str(path)
 
+    what, degree, cap = ("W degree", 2 * top + 1, 32) if kind == "static" else \
+        ("degree", top + 1, 13)
     assert SEED_DEGREE_CAP[kind] == cap
-    seed, time = load_seed(seed_file(cap))
-    assert (seed.p1.deg_z(), time) == (cap, kind == "time")
+    seed, time = load_seed(seed_file(top))
+    assert (seed.p1.deg_z(), time) == (top, kind == "time")
     for command in ("potential", "verify"):
         rcs, stderr = [], io.StringIO()
         with contextlib.redirect_stderr(stderr):
             counts = _build_counts(lambda: rcs.append(cli.main([command, "--seed",
-                                                                seed_file(cap + 1)])))
+                                                                seed_file(top + 1)])))
         assert rcs == [2] and counts == dict.fromkeys(BUILDERS, 0), command
-        assert stderr.getvalue() == (f"input error: seed too large: a {kind} seed of degree "
-                                     f"{cap + 1} exceeds cap {cap}, the highest degree whose "
+        assert stderr.getvalue() == (f"input error: seed too large: a {kind} seed of {what} "
+                                     f"{degree} exceeds cap {cap}, the highest {what} whose "
                                      f"products stay within exponent 64\n")
+
+
+@pytest.mark.parametrize("p1,p2,degree", [
+    ([[17, {"re": "1"}], [1, {"re": "1", "im": "2"}]], [[0, {"re": "2", "im": "1"}]], 17),
+    ([[17, {"re": "1"}], [1, {"re": "1", "im": "2"}]], [[1, {"re": "2", "im": "1"}]], 18),
+    ([[5, {"re": "1"}], [1, {"re": "1", "im": "2"}]], [[2, {"re": "2", "im": "1"}]], 7),
+    ([[32, {"re": "1"}]], [[0, {"re": "2", "im": "1"}]], 32),
+], ids=["17-0", "17-1", "5-2", "32-0"])
+def test_a_static_seed_is_capped_by_the_z_degree_of_its_w(tmp_path, p1, p2, degree):
+    # the static cap reads W's z-degree off the seeds' term degrees, m + n
+    # for a term pair of z-degrees m != n and m for m = n, not the larger
+    # seed degree: each seed here, the last at the cap of 32, loads, builds
+    # W of that z-degree and prints its potential
+    from moutardnv import moutard
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"p1": p1, "p2": p2, "c": {"re": "1"}, "time": False}))
+    seed, _ = load_seed(str(path))
+    assert moutard.double_w(seed).deg_z() == degree
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["potential", "--seed", str(path)]) == 0
 
 
 def _loaded_after(*argvs):
@@ -718,6 +742,30 @@ def test_import_does_not_load_scipy():
     assert _loaded_after(["verify", "--seed", fixture_path("sec22.json")]) == [[0], ["numpy"]]
     # the blow-up search is grid evaluation and descent: no numpy.polynomial
     assert _loaded_after(["blowup", "--seed", fixture_path("sec32.json")]) == [[0], ["numpy"]]
+
+
+def _loaded_by(code):
+    """The modules that a fresh interpreter has loaded after running code
+    and a bare one has not."""
+    show = "import sys\nprint(*sorted(sys.modules))\n"
+    bare, after = (set(subprocess.run([sys.executable, "-c", c], capture_output=True,
+                                      text=True, check=True).stdout.split())
+                   for c in (show, code + show))
+    return after - bare
+
+
+def test_a_cold_start_compiles_only_the_layers_it_reaches():
+    # loading a seed compiles algebra, errors and harness alone: no wave,
+    # float or time layer, no numpy, and no dataclasses with the inspect it
+    # pulls in; importing the CLI loads neither of those two either
+    heavy = {"dataclasses", "inspect", "numpy"}
+    loaded = _loaded_by("import moutardnv\nfrom moutardnv.harness import load_seed\n"
+                        f"load_seed({fixture_path('sec22.json')!r})\n")
+    assert not loaded & heavy
+    assert {m for m in loaded if m.startswith("moutardnv")} == {
+        "moutardnv", "moutardnv.algebra", "moutardnv.errors", "moutardnv.harness"}
+    loaded = _loaded_by("import moutardnv.cli\n")
+    assert not loaded & heavy and "moutardnv.nv" in loaded
 
 
 @pytest.mark.parametrize("time", [False, True])

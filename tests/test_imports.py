@@ -5,20 +5,21 @@ method is read by name in the library or the benchmark, every parameter with
 a default is passed at some call in the library or the benchmark, every
 operator of the exact types and the wave is called by `mnv` or the
 benchmark or named by the benchmark, no module imports numpy when it is
-itself imported, every `lru_cache` is keyed on numbers alone (each of its
-function's parameters annotated int, float or bool), np.vander is called
-only in `algebra.grid_axis` and `algebra.xy_eval`, and every library name
-and test that README cites exists.
+itself imported, no module imports dataclasses and harness imports no wave,
+float or time layer when it is itself imported, every `lru_cache` is keyed
+on numbers alone (each of its function's parameters annotated int, float
+or bool), np.vander is called only in `algebra.grid_axis` and
+`algebra.xy_eval`, and every library name and test that README cites
+exists.
 
 No linter is installed, so these are the unused-import and dead-code
-checks: they parse each module under src/moutardnv/ (the package's
-__init__.py re-exports, so it is left out of the first two) and compare the
-names its imports or definitions bind with the names code reads, string
-annotations included.  The numpy check parses __init__.py too: the exact
-chain runs without numpy, which only the functions that evaluate floats
-import, each in its own body.  The operator check runs the code instead of
-parsing it: which special method an operator reaches (`x + y` or `y + x`,
-`__add__` or `__radd__`) is decided at run time.
+checks: they parse each module under src/moutardnv/ and compare the names
+its imports or definitions bind with the names code reads, string
+annotations included.  The exact chain runs without numpy, which only the
+functions that evaluate floats import, each in its own body, and a seed
+loads without the layers that build from it.  The operator check runs the
+code instead of parsing it: which special method an operator reaches
+(`x + y` or `y + x`, `__add__` or `__radd__`) is decided at run time.
 """
 
 import ast
@@ -32,8 +33,7 @@ TESTS = os.path.dirname(__file__)
 SRC = os.path.join(TESTS, "..", "src", "moutardnv")
 BENCH = os.path.join(TESTS, "..", "bench")
 README = os.path.join(TESTS, "..", "README.md")
-ALL_MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-MODULES = [f for f in ALL_MODULES if f != "__init__.py"]
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
 def _parse(path):
@@ -119,23 +119,31 @@ def test_check_sees_an_unread_private_helper():
     assert set(_unread_private(tree)) == {"_a"}
 
 
-def _eager_imports(tree):
-    """Top-level package of every absolute import that runs when the module
-    is imported: every import statement outside a function body."""
-    out = set()
+def _import_nodes(tree, eager=False):
+    """Every import statement of the tree; with eager, those that run when
+    the module is imported: every one outside a function body."""
     nodes = [tree]
     while nodes:
         node = nodes.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        if not (eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def _eager_imports(tree):
+    """Top-level package of every absolute import that runs when the module
+    is imported."""
+    out = set()
+    for node in _import_nodes(tree, eager=True):
         if isinstance(node, ast.Import):
             out |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif node.level == 0:
             out.add(node.module.split(".")[0])
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            nodes.extend(ast.iter_child_nodes(node))
     return out
 
 
-@pytest.mark.parametrize("module", ALL_MODULES)
+@pytest.mark.parametrize("module", MODULES)
 def test_no_module_level_numpy_import(module):
     tree = _parse(os.path.join(SRC, module))
     assert "numpy" not in _eager_imports(tree), f"{module} imports numpy when imported"
@@ -148,6 +156,56 @@ def test_check_sees_a_module_level_import():
                      "def f():\n    import scipy\n"
                      "    def g():\n        import math\n")
     assert _eager_imports(tree) == {"numpy", "json"}
+
+
+# the layers that loading a seed does not reach: harness, which loads it,
+# imports them only in the bodies of the functions that read them
+SEED_LOADER_SKIPS = {".exppoly", ".faddeev", ".moutard", ".nv"}
+
+
+def _imported_modules(tree, eager=False):
+    """Each module that an import statement of the tree names, a relative
+    one with its dots ('.exppoly' for `from .exppoly import f` and for
+    `from . import exppoly`); with eager, only the imports that run when
+    the module is imported."""
+    out = set()
+    for node in _import_nodes(tree, eager):
+        if isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            out |= ({dots + node.module} if node.module
+                    else {dots + alias.name for alias in node.names})
+        else:
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def _cold_start_faults(modules):
+    """'module: imported' for every import of dataclasses in the modules
+    (name -> parsed tree), which pulls in inspect and ast, and for every
+    import of a layer in SEED_LOADER_SKIPS that runs when harness is
+    imported."""
+    faults = [f"{mod}: dataclasses" for mod, tree in modules.items()
+              if "dataclasses" in _imported_modules(tree)]
+    if "harness" in modules:
+        faults += [f"harness: {name}" for name in sorted(
+            _imported_modules(modules["harness"], eager=True) & SEED_LOADER_SKIPS)]
+    return sorted(faults)
+
+
+def test_no_dataclasses_and_a_seed_loads_without_the_layers_built_from_it():
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in MODULES}
+    assert "harness" in modules and _cold_start_faults(modules) == []
+
+
+def test_check_sees_a_dataclass_and_an_eager_layer_import():
+    modules = {"harness": ast.parse("from .moutard import SeedPair\nfrom . import nv, errors\n"
+                                    "from .algebra import MPoly\n"
+                                    "def f():\n    from .exppoly import exp_phase\n"),
+               "a": ast.parse("def g():\n    import dataclasses as dc\n"),
+               "b": ast.parse("from dataclasses import dataclass\n"),
+               "c": ast.parse("from .faddeev import FaddeevWave\n")}
+    assert _cold_start_faults(modules) == ["a: dataclasses", "b: dataclasses", "harness: .moutard",
+                                           "harness: .nv"]
 
 
 # the annotations a cached function's parameters may carry: its key is then
@@ -222,7 +280,7 @@ def _vander_callers(modules):
 
 
 def test_np_vander_is_called_only_in_grid_axis_and_xy_eval():
-    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in MODULES}
     assert _vander_callers(modules) == VANDER_CALLERS
 
 
@@ -284,7 +342,7 @@ def _bench_names():
 
 
 def test_every_definition_is_reached_from_mnv_or_the_benchmark():
-    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in MODULES}
     assert _unreached(modules, _bench_names()) == []
 
 
@@ -316,7 +374,7 @@ def _unread_methods(modules, readers):
 
 
 def test_every_method_is_read_in_the_library_or_the_benchmark():
-    src = [_parse(os.path.join(SRC, f)) for f in ALL_MODULES]
+    src = [_parse(os.path.join(SRC, f)) for f in MODULES]
     bench = [_parse(os.path.join(BENCH, f)) for f in sorted(os.listdir(BENCH))
              if f.endswith(".py")]
     assert _unread_methods(src, src + bench) == []
@@ -397,7 +455,7 @@ def _unpassed_parameters(modules, callers):
 
 
 def test_every_default_parameter_is_passed_by_mnv_or_the_benchmark():
-    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in ALL_MODULES}
+    modules = {f[:-3]: _parse(os.path.join(SRC, f)) for f in MODULES}
     bench = [_parse(os.path.join(BENCH, f)) for f in sorted(os.listdir(BENCH))
              if f.endswith(".py")]
     assert _unpassed_parameters(modules, [*modules.values(), *bench]) == []
