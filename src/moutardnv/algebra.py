@@ -334,36 +334,58 @@ class MPoly:
         so each part is exact until its one division by the denominator.  The
         sums are kept in two flat lists, real and imaginary parts, with the
         place of (k, s - n, n) at k T + s(s + 1)/2 + n for the T places of one
-        power of t (`_xy_plan`); the array is filled from them in one pass."""
+        power of t (`_xy_plan`); the array is filled from them in one pass.
+        A real-valued polynomial, each term's mirror (j, i, k) holding its
+        conjugate (W and u's numerator), has a real array: each pair of
+        mirrors adds twice the real part of one, so only the terms with
+        i <= j and the real sums are read, the same integers as the whole
+        sum's (README, "One float form per polynomial")."""
         a = self._xy
         if a is not None:
             return a
         import numpy as np
         deg = max(self.total_degree_space(), 0) + 1
         powers, places = max(self.deg_t(), 0) + 1, deg * (deg + 1) // 2
-        real, imag = [0] * (powers * places), [0] * (powers * places)
-        for (i, j, k), (re, im) in self._c.items():
-            base = k * places
-            even, odd = _xy_plan(i, j)
-            for o, kn in even:          # i^n = +-1: (re, im) times the signed K[n]
-                o += base
-                real[o] += re * kn
-                imag[o] += im * kn
-            for o, kn in odd:           # i^n = +-i: (-im, re) times the signed K[n]
-                o += base
-                real[o] -= im * kn
-                imag[o] += re * kn
+        c = self._c
+        mirrored = all(c.get((j, i, k)) == (re, -im) for (i, j, k), (re, im) in c.items())
+        real = [0] * (powers * places)
+        if mirrored:
+            for (i, j, k), (re, im) in c.items():
+                if i > j:
+                    continue
+                if i < j:               # the term and its mirror
+                    re, im = 2 * re, 2 * im
+                base = k * places
+                even, odd = _xy_plan(i, j)
+                for o, kn in even:
+                    real[base + o] += re * kn
+                for o, kn in odd:
+                    real[base + o] -= im * kn
+        else:
+            imag = [0] * (powers * places)
+            for (i, j, k), (re, im) in c.items():
+                base = k * places
+                even, odd = _xy_plan(i, j)
+                for o, kn in even:      # i^n = +-1: (re, im) times the signed K[n]
+                    o += base
+                    real[o] += re * kn
+                    imag[o] += im * kn
+                for o, kn in odd:       # i^n = +-i: (-im, re) times the signed K[n]
+                    o += base
+                    real[o] -= im * kn
+                    imag[o] += re * kn
         d = self._d
+        sums = real if mirrored else [v for pair in zip(real, imag) for v in pair]
         try:
-            flat = [v / d for pair in zip(real, imag) for v in pair]
+            flat = [v / d for v in sums]
         except OverflowError:
-            for pair in zip(real, imag):
-                for v in pair:
-                    _to_float(v, d)     # CoefficientOverflow at the first one
+            for v in sums:
+                _to_float(v, d)         # CoefficientOverflow at the first one
             raise
         m, n = _xy_places(deg)
         a = np.zeros((powers, deg, deg), complex)
-        a[:, m, n] = np.array(flat).view(complex).reshape(powers, places)
+        values = np.array(flat)
+        a[:, m, n] = (values if mirrored else values.view(complex)).reshape(powers, places)
         a.flags.writeable = False
         self._xy = a
         return a
@@ -535,12 +557,20 @@ def grid_axis(lo: float, hi: float, points: int, width: int, *shifts: float) -> 
     shape; shared by every caller, so both are read-only.  A table beyond
     float range raises inside `float_range` and is not kept."""
     import numpy as np
-    axis = np.linspace(lo, hi, points)
-    if shifts:
-        axis = (axis + np.array(shifts)[:, None]).ravel()
+    axis = moved_axis(lo, hi, points, *shifts)
     table = np.vander(axis, width, increasing=True)
     axis.flags.writeable = table.flags.writeable = False
     return axis, table
+
+
+def moved_axis(lo: float, hi: float, points: int, *shifts: float):
+    """np.linspace(lo, hi, points), or that axis moved by each shift in
+    turn: the axis of `grid_axis`, also read where no table is wanted."""
+    import numpy as np
+    axis = np.linspace(lo, hi, points)
+    if shifts:
+        axis = (axis + np.array(shifts)[:, None]).ravel()
+    return axis
 
 
 def grid_product(a, vx, vy):
@@ -559,7 +589,10 @@ def grid_extremes(c, v1, v2):
     its first node of least value, of greatest value and of least |value|
     in first-axis-major order.  f is read in strips of GRID_STRIP rows of
     v1, each one `grid_product`, so no array of the whole grid is made; a
-    value beyond float range raises CoefficientOverflow (`float_range`)."""
+    value beyond float range raises CoefficientOverflow (`float_range`).
+    Only a strip that holds both signs, or a zero, is read again as |f|: on
+    a strip of one sign the first node of least |value| is its argmin where
+    f > 0 and its argmax where f < 0."""
     import numpy as np
     n2 = len(v2)
     lo = hi = small = None
@@ -567,15 +600,19 @@ def grid_extremes(c, v1, v2):
         for s in range(0, len(v1), GRID_STRIP):
             f = grid_product(c.T, v2, v1[s:s + GRID_STRIP])    # indexed [first - s, second]
             first = s * n2                  # the flat index of f's first node
-            k = f.argmin()
-            if lo is None or f.flat[k] < lo:        # strictly: the first one stays
-                lo, low = f.flat[k], first + k
-            k = f.argmax()
-            if hi is None or f.flat[k] > hi:
-                hi, high = f.flat[k], first + k
-            k = np.abs(f, out=f).argmin()
-            if small is None or f.flat[k] < small:
-                small, least = f.flat[k], first + k
+            kmin, kmax = f.argmin(), f.argmax()
+            if lo is None or f.flat[kmin] < lo:     # strictly: the first one stays
+                lo, low = f.flat[kmin], first + kmin
+            if hi is None or f.flat[kmax] > hi:
+                hi, high = f.flat[kmax], first + kmax
+            if f.flat[kmin] > 0.0:
+                k = kmin
+            elif f.flat[kmax] < 0.0:
+                k = kmax
+            else:
+                k = np.abs(f, out=f).argmin()
+            if small is None or abs(f.flat[k]) < small:
+                small, least = abs(f.flat[k]), first + k
     return lo, hi, divmod(low, n2), divmod(high, n2), divmod(least, n2)
 
 

@@ -12,12 +12,11 @@ import cmath
 import json
 import sys
 
-from . import faddeev as fd
 from . import harness as hn
-from . import moutard as mt
-from . import nv
 from .errors import AlgebraError, CoefficientOverflow, ExponentOverflow
-from .exppoly import wave_eval
+
+# Each subcommand imports the layers it reaches in its own body, so that a
+# cold start compiles only those (README, "A cold start").
 
 
 def _parse_lambda(text: str) -> complex:
@@ -51,24 +50,45 @@ def _fmt_coord(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _pipeline(time: bool):
-    """The potential builder and the wave builder of a seed: on a time seed
-    u = -2 Laplacian(log W) = -4U, U from `_nv_solution` of the extended W,
-    and the time wave; the static ones otherwise."""
+def _build_u(seed, time: bool):
+    """u = -2 Laplacian(log W) of a seed: on a time seed -4U, U from
+    `_nv_solution` of the extended W; the static potential otherwise."""
     if time:
-        return lambda seed: _nv_solution(nv.extended_w(seed)) * -4, nv.nv_faddeev
-    return lambda seed: mt.potential(mt.double_w(seed)), fd.build_faddeev
+        from . import nv
+        return _nv_solution(nv.extended_w(seed)) * -4
+    from . import moutard as mt
+    return mt.potential(mt.double_w(seed))
+
+
+def _build_wave(seed, time: bool):
+    """The seed's Faddeev wave: the time wave on a time seed."""
+    if time:
+        from . import nv
+        return nv.nv_faddeev(seed)
+    from . import faddeev as fd
+    return fd.build_faddeev(seed)
 
 
 def _evolved_w(seed):
     """The evolved seed and its extended W."""
+    from . import nv
     es = nv.evolved_seed(seed)
     return es, nv.extended_w(es)
+
+
+def _static_frame(seed):
+    """The frame of a static seed, failing on a constant W as `mnv kernel`
+    does (`moutard.reject_constant_w`)."""
+    from . import moutard as mt
+    frame = mt.build_frame(seed)
+    mt.reject_constant_w(frame.w)
+    return frame
 
 
 def _nv_solution(wt):
     """U of a time W, failing unless its evolution residual is exactly zero:
     the check of every W that `nv.extended_w` builds."""
+    from . import nv
     U = nv.nv_potentials(wt)
     if not nv.nv_residual(U).is_zero():
         raise AlgebraError("evolution residual nonzero")
@@ -77,14 +97,14 @@ def _nv_solution(wt):
 
 def cmd_potential(args) -> int:
     seed, time = hn.load_seed(args.seed)
-    build_u, _ = _pipeline(time)
-    u = build_u(seed)
+    u = _build_u(seed, time)
     print(u)
     _write_json(args, {"u": hn.rational_to_json(u), "w": hn.poly_to_json(u.base)})
     return 0
 
 
 def cmd_kernel(args) -> int:
+    from . import moutard as mt
     seed, _ = hn.load_seed(args.seed)
     frame = mt.build_frame(seed)
     fracs = dict(zip(("theta1", "theta2", "phi1", "phi2"),
@@ -97,8 +117,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_faddeev(args) -> int:
     seed, time = hn.load_seed(args.seed)
-    _, build_wave = _pipeline(time)
-    fw = build_wave(seed)
+    fw = _build_wave(seed, time)
     print("residual=0")
     print(fw)
     _write_json(args, hn.wave_to_json(fw))
@@ -106,9 +125,9 @@ def cmd_faddeev(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from . import faddeev as fd
     seed, time = hn.load_seed(args.seed)
-    _, build_wave = _pipeline(time)
-    fw = build_wave(seed)
+    fw = _build_wave(seed, time)
     sd = fd.scattering_data(fw)
     print(sd)
     _write_json(args, hn.scattering_to_json(sd))
@@ -116,6 +135,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_nv_evolve(args) -> int:
+    from . import nv
     seed, _ = hn.load_seed(args.seed)
     es, wt = _evolved_w(seed)
     U = _nv_solution(wt)
@@ -129,6 +149,8 @@ def cmd_nv_evolve(args) -> int:
 
 
 def cmd_nv_faddeev(args) -> int:
+    from . import faddeev as fd
+    from . import nv
     seed, _ = hn.load_seed(args.seed)
     fw = nv.nv_faddeev(seed)
     sd = fd.scattering_data(fw)
@@ -142,6 +164,7 @@ def cmd_nv_faddeev(args) -> int:
 def _blowup_time(wt):
     """`nv.blowup_time`, failing where W already vanishes at t = 0: there the
     solution is singular from the start, and no blow-up time is found."""
+    from . import nv
     rep = nv.blowup_time(wt)
     if rep.t_star == 0.0:
         raise AlgebraError(f"W vanishes at t = 0 near {rep.witness}")
@@ -149,6 +172,7 @@ def _blowup_time(wt):
 
 
 def cmd_blowup(args) -> int:
+    from . import nv
     seed, _ = hn.load_seed(args.seed)
     rep = _blowup_time(_nv_solution(nv.extended_w(seed)).base)
     if not rep.found:
@@ -168,13 +192,13 @@ def cmd_sample_grid(args) -> int:
     if args.out is None:
         raise ValueError("sample-grid requires --out")
     grid = _parse_grid(args.grid, args.t)
-    build_u, build_wave = _pipeline(time)
     if args.lam is not None:
+        from .exppoly import wave_eval
         lam0 = _parse_lambda(args.lam)
-        fw = build_wave(seed)
+        fw = _build_wave(seed, time)
         fn = lambda z, t: wave_eval(fw.psi, fw.w, z, t, lam0)
     else:
-        u = build_u(seed)
+        u = _build_u(seed, time)
         fn = lambda z, t: u.eval(z, t)
     hn.write_grid_csv(args.out, hn.sample_grid(fn, grid))
     print(f"wrote {args.out}")
@@ -182,6 +206,8 @@ def cmd_sample_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import faddeev as fd
+    from . import moutard as mt
     seed, time = hn.load_seed(args.seed)
     checks = []
 
@@ -198,10 +224,10 @@ def cmd_verify(args) -> int:
         return out
 
     if not time:
-        frame = run("frame-build", lambda: mt.build_frame(seed))
+        frame = run("frame-build", lambda: _static_frame(seed))
         # without a frame, building it again fails this row with the same error
         fw = run("wave-residual-exact", lambda: fd.faddeev_superpose(
-            frame if frame is not None else mt.build_frame(seed)))
+            frame if frame is not None else _static_frame(seed)))
         if fw is not None:
             run("decay-bookkeeping", lambda: fd.assert_decay_bookkeeping(fw))
             run("scattering-exact-vs-rays", lambda: fd.scattering_data(fw))
@@ -226,6 +252,7 @@ def cmd_verify(args) -> int:
 
             run("denominator-nonvanishing", nonvanish)
     else:
+        from . import nv
         built = run("extended-w", lambda: _evolved_w(seed))
         if built is not None:
             es, wt = built

@@ -3,13 +3,15 @@ superposition, exact residuals, and scattering-data extraction."""
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import (GaussianRational, MPoly, RationalFn, SeedPair, divide_off_poles,
-                      float_range, grid_axis, sum_of_products, xy_read)
+from .algebra import (POLE_FLOOR, GaussianRational, MPoly, RationalFn, SeedPair, float_range,
+                      grid_axis, sum_of_products, xy_read)
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, build_frame, moutard_transform_wave, potential
@@ -206,35 +208,50 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     t = 0, by one `xy_read` of the slots' t^0 arrays, its power tables
     those of the points' x's and y's as the one-point axis [0] moved by
     each (`grid_axis`, once per width); m at each lam is sum_k lam^-k v_k
-    over v_0.
-    Rays through a pole at either radius are skipped, and a lam at which
-    every ray is skipped raises AsymptoticMismatch, as nothing was compared;
-    a value beyond float range there raises CoefficientOverflow
+    over v_0, formed with the estimates in Python complex arithmetic on the
+    24 values a lam needs, where numpy would spend a call on each step.
+    A point where |v_0| < POLE_FLOOR (1 + |sum_k lam^-k v_k|) is a pole
+    (`algebra.divide_off_poles`'s rule), and a ray through a pole at
+    either radius is skipped; a lam at which every ray is skipped raises
+    AsymptoticMismatch, as nothing was compared.  A value beyond float
+    range there, or one that is not finite, raises CoefficientOverflow
     (`algebra.float_range`), so no ray goes uncompared."""
-    import numpy as np
     lams = (1.0, 0.7 + 0.4j)
     ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
     arrays = [fw.psi.coeffs[k].xy_coefficients()[:1] for k in ks]
-    z = np.array(RAY_POINTS)
     width = max(a.shape[1] for a in arrays)
+    got = []                                       # got[l][m]: the estimate at lams[l], RAYS[m]
     with float_range("the wave on the rays leaves float range"):
-        (_, vx), (_, vy) = (grid_axis(0.0, 0.0, 1, width, *part.tolist())
-                            for part in (z.real, z.imag))
-        v = xy_read(arrays, 0.0, len(z), lambda s, e: (vx[s:e], vy[s:e]))   # v[s]: slot ks[s]
-        sums = (np.array([[lam0 ** -k for k in ks] for lam0 in lams])[:, :, None] * v).sum(axis=1)
-        gs = (z * (divide_off_poles(sums, np.broadcast_to(v[0], sums.shape)) - 1.0)).reshape(
-            len(lams), 2, len(RAYS))
-    expected = [sd.a_at(lam0) for lam0 in lams]
-    got = 2.0 * gs[:, 1] - gs[:, 0]                # got[l]: the estimates at lams[l]
-    unread = np.flatnonzero(np.isnan(got).all(axis=1))
-    if unread.size:
-        raise AsymptoticMismatch(f"no ray is readable at lam={lams[unread[0]]}: "
-                                 f"each of the {len(RAYS)} meets a pole at r or 2r")
-    bad = np.flatnonzero(np.abs(got - np.array(expected)[:, None]) > RAY_TOL)
-    if bad.size:
-        l, m = divmod(int(bad[0]), len(RAYS))
-        raise AsymptoticMismatch(
-            f"ray fit at z={RAYS[m]}, lam={lams[l]}: {got[l, m]} vs exact {expected[l]}")
+        xs, ys = [z.real for z in RAY_POINTS], [z.imag for z in RAY_POINTS]
+        (_, vx), (_, vy) = (grid_axis(0.0, 0.0, 1, width, *part) for part in (xs, ys))
+        # cols[p]: every slot at RAY_POINTS[p]
+        cols = xy_read(arrays, 0.0, len(RAY_POINTS), lambda s, e: (vx[s:e], vy[s:e])).T.tolist()
+        try:
+            sizes = [abs(col[0]) for col in cols]                       # |W|
+            for lam0 in lams:
+                powers = [lam0 ** -k for k in ks]
+                gs = []
+                for z, col, wsize in zip(RAY_POINTS, cols, sizes):
+                    total = sum(map(operator.mul, powers, col))
+                    size = abs(total)                   # raises past float range
+                    if not size < math.inf:             # an inf or NaN part
+                        raise OverflowError
+                    # off a pole |total / W| < 1e12, so g and the estimates stay finite
+                    gs.append(math.nan if wsize < POLE_FLOOR * (1.0 + size)
+                              else z * (total / col[0] - 1.0))
+                got.append([2.0 * far - near for near, far in zip(gs, gs[len(RAYS):])])
+        except OverflowError:
+            raise FloatingPointError("overflow encountered in the values on the rays") from None
+    for lam0, estimates in zip(lams, got):
+        if all(map(cmath.isnan, estimates)):
+            raise AsymptoticMismatch(f"no ray is readable at lam={lam0}: "
+                                     f"each of the {len(RAYS)} meets a pole at r or 2r")
+    for lam0, estimates in zip(lams, got):
+        expected = sd.a_at(lam0)
+        for z, e in zip(RAYS, estimates):
+            if abs(e - expected) > RAY_TOL:
+                raise AsymptoticMismatch(
+                    f"ray fit at z={z}, lam={lam0}: {e} vs exact {expected}")
 
 
 def assert_decay_bookkeeping(fw: FaddeevWave) -> None:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, islice, repeat
 from typing import NamedTuple
 
 from .algebra import (MAX_EXPONENT, GaussianRational, MPoly, RationalFn, SeedPair,
-                      divide_off_poles, float_range, grid_axis, xy_read)
+                      divide_off_poles, float_range, grid_axis, moved_axis, xy_read)
 from .errors import AlgebraError, ExponentOverflow
 
 
@@ -70,6 +71,40 @@ def _grid_points(grid: GridSpec):
 _STENCIL = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (3, 0), (4, 0), (0, 3), (0, 4))
 
 
+def _shifts(h: float) -> tuple:
+    return 0.0, h, -h, h / 2.0, -h / 2.0
+
+
+@lru_cache(maxsize=4)
+def _stencil_rows(n: int) -> tuple:
+    """The rows ix, iy of the 9n^2 stencil points of an n^2 grid, in the
+    order [_STENCIL, y, x], in the tables of its axes moved by `_shifts`
+    (a centre is [y, x] at y n + x): built once per n, read-only."""
+    import numpy as np
+    flat = np.arange(n * n)
+    sx, sy = (np.array(places)[:, None] * n for places in zip(*_STENCIL))
+    ix, iy = (sx + flat % n).ravel(), (sy + flat // n).ravel()
+    ix.flags.writeable = iy.flags.writeable = False
+    return ix, iy
+
+
+@lru_cache(maxsize=4)
+def _stencil_phase(x_min: float, x_max: float, y_min: float, y_max: float, n: int, h: float,
+                   lam_re: float, lam_im: float, t: float, timed: bool):
+    """e^{lam z} at the 9n^2 stencil points (`_stencil_rows`), times
+    e^{lam^3 t} when timed: built once per grid, step, lam, t and phase,
+    read-only.  A value beyond float range raises inside `float_range`."""
+    import numpy as np
+    from .exppoly import exp_phase
+    ix, iy = _stencil_rows(n)
+    points = np.empty(ix.size, complex)
+    points.real = moved_axis(x_min, x_max, n, *_shifts(h)).take(ix)
+    points.imag = moved_axis(y_min, y_max, n, *_shifts(h)).take(iy)
+    phase = exp_phase(complex(lam_re, lam_im), points, t if timed else None)
+    phase.flags.writeable = False
+    return phase
+
+
 def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
                 h: float) -> FDReport:
     """Independent check of (-Laplacian + u) psi = 0 with the 5-point stencil,
@@ -81,43 +116,36 @@ def fd_residual(u: RationalFn, fw: FaddeevWave, lam0: complex, grid: GridSpec,
     points, in the order [_STENCIL, y, x], gather their x's and y's and
     their powers from the 5n distinct x's and y's of the grid's axes moved
     by 0, h, -h, h/2 and -h/2 (`algebra.grid_axis`, once per grid, step and
-    width): W and the wave's multiplier are each read once at every point,
-    u's numerator at the n^2 centres, each by one `xy_read`, and u's W
-    from the centres' W.  A grid point is used for a step when neither u
+    width), by rows built once per n (`_stencil_rows`): W and the wave's
+    multiplier are each read once at every point, u's numerator at the
+    n^2 centres, each by one `xy_read`, and u's W from the centres' W; the
+    wave's exponential at the points is built once per grid, step, lam and
+    t (`_stencil_phase`).  A grid point is used for a step when neither u
     nor psi has a pole on its stencil; a step that uses no point raises
     AlgebraError, as it has checked nothing.  A value of u or psi, or a
     step of computing it, beyond float range raises CoefficientOverflow
     (`algebra.float_range`), so no overflow is read as a pole.
     """
     import numpy as np
-    from .exppoly import exp_phase, multiplier_xy
+    from .exppoly import multiplier_xy
     n, t = grid.n, grid.t
     centres = n * n
     lam0 = complex(lam0)
-    shifts = (0.0, h, -h, h / 2.0, -h / 2.0)
-    flat = np.arange(centres)                       # a centre is [y, x] at y n + x
-    sx, sy = (np.array(places)[:, None] * n for places in zip(*_STENCIL))
-    ix, iy = (sx + flat % n).ravel(), (sy + flat // n).ravel()     # each point's table rows
-
-    def axes(width):
-        return (grid_axis(lo, hi, n, width, *shifts) for lo, hi in ((grid.x_min, grid.x_max),
-                                                                    (grid.y_min, grid.y_max)))
+    ix, iy = _stencil_rows(n)
 
     def read(a, size):
-        (_, vx), (_, vy) = axes(len(a[0]))
+        vx, vy = (grid_axis(lo, hi, n, len(a[0]), *_shifts(h))[1]
+                  for lo, hi in ((grid.x_min, grid.x_max), (grid.y_min, grid.y_max)))
         return xy_read(a, t, size, lambda s, e: (vx.take(ix[s:e], axis=0),
                                                  vy.take(iy[s:e], axis=0)))
 
     with float_range("the finite-difference grid leaves float range"):
-        wa = fw.w.xy_coefficients()
-        w = read(wa, ix.size)
+        w = read(fw.w.xy_coefficients(), ix.size)
         uc = divide_off_poles(read(u.num.xy_coefficients(), centres), w[:centres] ** u.k)
         mult = divide_off_poles(read(multiplier_xy(fw.psi, lam0), ix.size), w)
-        (ax, _), (ay, _) = axes(len(wa[0]))
-        points = np.empty(ix.size, complex)
-        points.real, points.imag = ax.take(ix), ay.take(iy)
-        values = (exp_phase(lam0, points, t if fw.psi.time_phase else None) * mult).reshape(
-            len(_STENCIL), centres)
+        phase = _stencil_phase(grid.x_min, grid.x_max, grid.y_min, grid.y_max, n, h,
+                               lam0.real, lam0.imag, t, fw.psi.time_phase)
+        values = (phase * mult).reshape(len(_STENCIL), centres)
     # both steps at once, each the E, W, N and S of the one centre
     pc, pe, pw, pn, ps = values[0], *values[1:].reshape(2, 4, centres).transpose(1, 0, 2)
     used = ~(np.isnan(uc) | np.isnan(pc) | np.isnan(pe) | np.isnan(pw) | np.isnan(pn)

@@ -4,6 +4,7 @@ kernel functions, and the transform of wave eigenfunctions.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -69,15 +70,21 @@ def potential(w: MPoly) -> RationalFn:
     return RationalFn(hirota(w, w, {(1, 1, 0): -4}), w, 2)
 
 
+def reject_constant_w(w: MPoly) -> None:
+    """AlgebraError for a constant W: it comes exactly from omega2 = mu omega1
+    (README, "A constant W"), so phi2 = -mu phi1 and neither kernel function
+    decays.  `kernel_functions` and `mnv verify`'s frame row reject it."""
+    if w.is_constant():
+        raise AlgebraError("W is constant, so omega2 is a real multiple of omega1: "
+                           "the kernel functions are dependent and do not decay")
+
+
 def kernel_functions(omega1: MPoly, omega2: MPoly, w: MPoly):
     """theta1 = W/omega1, theta2 = -W/omega2 and their reciprocals phi_j =
     +-omega_j/W, each in the kernel exactly when D_z D_zb (omega_j . W) is
     zero (README, design notes, "Residuals"): ResidualNonzero otherwise.
-    A constant W is rejected first: it comes exactly from omega2 = mu omega1
-    (README, "A constant W"), so phi2 = -mu phi1 and neither decays."""
-    if w.is_constant():
-        raise AlgebraError("W is constant, so omega2 is a real multiple of omega1: "
-                           "the kernel functions are dependent and do not decay")
+    A constant W is rejected first (`reject_constant_w`)."""
+    reject_constant_w(w)
     for omega in (omega1, omega2):
         res = hirota(omega, w, D_ZZBAR)
         if not res.is_zero():
@@ -143,6 +150,44 @@ class NonvanishingReport(NamedTuple):
 
 CERTIFICATE_BOX = (-10.0, 10.0, -10.0, 10.0)    # xmin, xmax, ymin, ymax of the grid
 CERTIFICATE_GRID_N = 201                        # points per axis of that grid
+#: The grid's step, exactly, and the nodes from its centre, the origin, to an edge.
+CERTIFICATE_STEP = Fraction(CERTIFICATE_BOX[1] - CERTIFICATE_BOX[0]) / (CERTIFICATE_GRID_N - 1)
+CERTIFICATE_HALF = (CERTIFICATE_GRID_N - 1) // 2
+
+
+def dominance_steps(w: MPoly):
+    """The least m >= 1 with |C| r^2d > sum_{k < 2d} S_k r^k at r = m
+    CERTIFICATE_STEP, for a W whose leading form is one t-free monomial
+    C |z|^2d (over W's denominator) and S_k the sum of |re| + |im| over
+    W's t-free numerators of total degree k; None when m would reach
+    CERTIFICATE_HALF, the box's edge.  Decided in integers: with the step
+    p/q, |C| (m p)^2d > sum_k S_k (m p)^k q^(2d - k).  The polynomial
+    |C| r^2d - sum_k S_k r^k has one sign change, so by Descartes' rule one
+    positive root, and is positive past it: the inequality holds from m on,
+    and |W| >= |C| |z|^2d - sum_k S_k |z|^k > 0 wherever |z| >= m step, so
+    W has C's sign there (README, "The certificate's sub-grid")."""
+    sums = {}
+    for (i, j, k), (re, im) in w.numerators.items():
+        if not k:
+            sums[i + j] = sums.get(i + j, 0) + abs(re) + abs(im)
+    top = max(sums)
+    p, q = CERTIFICATE_STEP.numerator, CERTIFICATE_STEP.denominator
+    # the coefficients of |C| x^2d - sum_k S_k q^(2d - k) x^k, highest first
+    coeffs = [sums[top]] + [-sums.get(k, 0) * q ** (top - k) for k in range(top - 1, -1, -1)]
+
+    def dominates(m):
+        x, acc = m * p, 0
+        for c in coeffs:            # Horner at x = m p
+            acc = acc * x + c
+        return acc > 0
+
+    lo, hi = 0, CERTIFICATE_HALF - 1                # dominates(0) is false: 0 > S_0 q^2d
+    if not dominates(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if dominates(mid) else (mid, hi)
+    return hi
 
 
 def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
@@ -153,8 +198,9 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     above its rounding scale sum |a_mn||x|^m|y|^n (a from
     `MPoly.xy_coefficients`) at every grid point, and the leading homogeneous
     form is one t-free monomial c|z|^{2k}, read exactly, with c of the grid's
-    sign.  Then W has that sign far enough out on every ray; how far is not
-    bounded, so a zero between the box and that radius is not excluded.
+    sign.  Then W has that sign far enough out on every ray; unless that
+    radius is inside the box (`dominance_steps`), a zero between the box
+    and it is not excluded.
     zero-found names the grid node of least |W|, the first in [y, x] order,
     or, where the grid has one sign and such a leading form the other, that
     form: W then changes sign on a ray, so it has a real zero.  Any other
@@ -165,6 +211,13 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     the box corner, which bounds every node's: then |W| less 64 eps times
     the scale is read as one more grid, in the same strips.  A constant W,
     nonzero and real (`double_w`), is certified-positive.
+
+    With such a leading form and a radius m steps (`dominance_steps`) short
+    of the box's edge, W has c's sign at every node past it, so only the
+    sub-grid of the rows and columns within m + 1 steps of the origin is
+    read first: where it has c's sign and its least |W| clears the corner's
+    margin, W is certified-positive as the whole grid would be.  Any other
+    outcome reads the whole grid as above.
     """
     if w.is_constant():
         return NonvanishingReport("certified-positive")
@@ -173,28 +226,38 @@ def nonvanishing_certificate(w: MPoly) -> NonvanishingReport:
     a = w.xy_coefficients()[0].real     # static W (t = 0), real-valued: Im a = 0
     xs, vx = grid_axis(xmin, xmax, CERTIFICATE_GRID_N, a.shape[0])
     ys, vy = grid_axis(ymin, ymax, CERTIFICATE_GRID_N, a.shape[1])
-    lo, hi, _, _, (iy, ix) = grid_extremes(a.T, vy, vx)    # indexed [y, x]
-    sign = 1 if lo > 0 else -1
-    near = lo <= 0.0 <= hi
-    if not near:
-        tol = np.abs(a) * (64 * np.finfo(float).eps)       # exact: a power of 2
+    tol = np.abs(a) * (64 * np.finfo(float).eps)           # exact: a power of 2
+
+    def margin():
         # no node's scale exceeds the one formed from each axis's largest
         # powers, those of the box corner; the margin covers the rounding of
         # the two sums, and an inf bound only sends W to the guarded grid
         with np.errstate(over="ignore"):
-            bound = np.abs(vx).max(axis=0) @ tol @ np.abs(vy).max(axis=0) * (1 + 1e-9)
-        if (lo if sign > 0 else -hi) <= bound:
-            # sign W - 64 eps scale, W's power tables next to their absolute
-            # values and the two coefficient arrays on the diagonal
-            zero = np.zeros_like(tol.T)
-            gap, *_ = grid_extremes(np.block([[sign * a.T, zero], [zero, -tol.T]]),
-                                    np.hstack((vy, np.abs(vy))), np.hstack((vx, np.abs(vx))))
-            near = gap <= 0.0
+            return np.abs(vx).max(axis=0) @ tol @ np.abs(vy).max(axis=0) * (1 + 1e-9)
+
+    ((i, j), c), *rest = w.spatial_leading_terms().items()
+    definite = not rest and i == j and c.is_constant()
+    lead = c.constant_term().re if definite else 0
+    steps = dominance_steps(w) if definite else None
+    if steps is not None:
+        inner = slice(CERTIFICATE_HALF - steps - 1, CERTIFICATE_HALF + steps + 2)
+        lo, hi, *_ = grid_extremes(a.T, vy[inner], vx[inner])
+        if (lo if lead > 0 else -hi) > margin():
+            return NonvanishingReport("certified-positive")
+    lo, hi, _, _, (iy, ix) = grid_extremes(a.T, vy, vx)    # indexed [y, x]
+    sign = 1 if lo > 0 else -1
+    near = lo <= 0.0 <= hi
+    if not near and (lo if sign > 0 else -hi) <= margin():
+        # sign W - 64 eps scale, W's power tables next to their absolute
+        # values and the two coefficient arrays on the diagonal
+        zero = np.zeros_like(tol.T)
+        gap, *_ = grid_extremes(np.block([[sign * a.T, zero], [zero, -tol.T]]),
+                                np.hstack((vy, np.abs(vy))), np.hstack((vx, np.abs(vx))))
+        near = gap <= 0.0
     if near:
         return NonvanishingReport("zero-found", (float(xs[ix]), float(ys[iy])))
-    ((i, j), c), *rest = w.spatial_leading_terms().items()
-    if rest or i != j or not c.is_constant():
+    if not definite:
         return NonvanishingReport("inconclusive")
-    if sign * c.constant_term().re > 0:
+    if sign * lead > 0:
         return NonvanishingReport("certified-positive")
     return NonvanishingReport("zero-found", form=MPoly.monomial(i, j, 0, c.constant_term()))

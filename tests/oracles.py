@@ -34,7 +34,9 @@
   `faddeev.scattering_data`, which reads their integer numerators in one
   walk.  `ray_slots_by_stacked_product`: the slots on the rays by the ray
   check's own product, the reference of the one `algebra.xy_read` that
-  reads them now.
+  reads them now.  `validate_rays_by_numpy`: the ray check with its sums,
+  pole rule and estimates formed as numpy arrays, the reference of
+  `faddeev._validate_rays`, which forms them in Python complex arithmetic.
 - `fd_residual_by_wave_eval`: the finite-difference check reading u and the
   wave by `RationalFn.eval` and `wave_eval`, power tables made from the
   points, the reference of `harness.fd_residual`, which gathers its rows
@@ -60,7 +62,8 @@ import numpy as np
 
 from moutardnv import faddeev, moutard, nv
 from moutardnv.algebra import (GR_I, GR_ONE, GaussianRational, MPoly, RationalFn, _to_float,
-                               _xy_row, float_range, grid_product)
+                               _xy_row, divide_off_poles, float_range, grid_axis, grid_product,
+                               xy_read)
 from moutardnv.errors import AlgebraError, AsymptoticMismatch
 from moutardnv.exppoly import D_ZZBAR, WaveFn, hirota, wave_antideriv_z, wave_eval
 from moutardnv.harness import FDReport, _gr_from_json, _grid_points
@@ -170,6 +173,37 @@ def ray_slots_by_stacked_product(fw):
     vx, vy = (np.vander(part, n, increasing=True) for part in (z.real, z.imag))
     rows = (vx @ parts.reshape(n, -1)).reshape(len(z), -1, n)
     return (rows @ vy[:, :, None]).reshape(len(z), -1).view(complex).T
+
+
+def validate_rays_by_numpy(fw, sd) -> None:
+    """`faddeev._validate_rays` as numpy arrays formed it, about 20 calls:
+    the slots by the one stacked `xy_read`, then the lam sums, the pole rule
+    (`divide_off_poles`), g = z (m - 1) and the Richardson estimates each
+    as an array, inside `float_range`, with the same failures and texts."""
+    lams = (1.0, 0.7 + 0.4j)
+    ks = sorted(fw.psi.coeffs)
+    arrays = [fw.psi.coeffs[k].xy_coefficients()[:1] for k in ks]
+    z = np.array(faddeev.RAY_POINTS)
+    width = max(a.shape[1] for a in arrays)
+    rays = faddeev.RAYS
+    with float_range("the wave on the rays leaves float range"):
+        (_, vx), (_, vy) = (grid_axis(0.0, 0.0, 1, width, *part.tolist())
+                            for part in (z.real, z.imag))
+        v = xy_read(arrays, 0.0, len(z), lambda s, e: (vx[s:e], vy[s:e]))
+        sums = (np.array([[lam0 ** -k for k in ks] for lam0 in lams])[:, :, None] * v).sum(axis=1)
+        gs = (z * (divide_off_poles(sums, np.broadcast_to(v[0], sums.shape)) - 1.0)).reshape(
+            len(lams), 2, len(rays))
+    expected = [sd.a_at(lam0) for lam0 in lams]
+    got = 2.0 * gs[:, 1] - gs[:, 0]
+    unread = np.flatnonzero(np.isnan(got).all(axis=1))
+    if unread.size:
+        raise AsymptoticMismatch(f"no ray is readable at lam={lams[unread[0]]}: "
+                                 f"each of the {len(rays)} meets a pole at r or 2r")
+    bad = np.flatnonzero(np.abs(got - np.array(expected)[:, None]) > faddeev.RAY_TOL)
+    if bad.size:
+        l, m = divmod(int(bad[0]), len(rays))
+        raise AsymptoticMismatch(
+            f"ray fit at z={rays[m]}, lam={lams[l]}: {got[l, m]} vs exact {expected[l]}")
 
 
 def fd_residual_by_wave_eval(u: RationalFn, fw, lam0: complex, grid, h: float) -> FDReport:

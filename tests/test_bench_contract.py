@@ -8,17 +8,20 @@ import io
 import os
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from moutardnv import algebra, cli, exppoly, faddeev, harness, moutard, nv
-from moutardnv.algebra import MPoly
+from moutardnv.algebra import MPoly, grid_product
 from moutardnv.exppoly import wave_eval
 from moutardnv.faddeev import build_faddeev
 from moutardnv.moutard import build_frame, double_w, nonvanishing_certificate
 
-from oracles import certificate_full_grid, fd_residual_by_wave_eval, grid_extremes_full_grid
+from oracles import (certificate_full_grid, fd_residual_by_wave_eval, grid_extremes_full_grid,
+                     is_real_valued, xy_coefficients_per_term)
 from test_cli import _build_counts
 from test_moutard import near_zero_w
 
@@ -341,10 +344,15 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
 def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     """fd_residual reads W, u's numerator and the wave for both steps at
     once, each in one `xy_read`, and makes no `xy_eval`.  The certificate
-    reads W by one grid_product per strip, and its rounding scale, as a
-    second grid of as many strips, only where the least |W| is within
-    64 eps of the corner's scale: on sec22's W it is not, on the near-zero
-    W of test_moutard it is."""
+    reads W by one grid_product per strip: first of the sub-grid within
+    W's dominance radius, 2m + 3 rows and columns for m =
+    `moutard.dominance_steps`, and only where that does not certify, of
+    the whole grid, with its rounding scale as a second grid of as many
+    strips only where the least |W| is within 64 eps of the corner's scale.
+    sec22's W (m = 22) is certified from one strip; the near-zero W of
+    test_moutard (m = 25) reads the sub-grid's two strips and then both
+    whole grids; |z|^2 + 150, whose radius is past the box, reads the whole
+    grid alone."""
     wl = bench_module("workloads")
     sec22 = wl.fixture("sec22")[0]
     calls = []
@@ -367,12 +375,109 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     calls.clear()
     strips = -(-moutard.CERTIFICATE_GRID_N // algebra.GRID_STRIP)
     assert strips == 5
-    calls.clear()
-    assert nonvanishing_certificate(fw.w).verdict == "certified-positive"
-    assert calls == ["grid_product"] * strips
-    calls.clear()
-    assert nonvanishing_certificate(near_zero_w()).verdict == "zero-found"
-    assert calls == ["grid_product"] * (2 * strips)
+    z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
+    for w, steps, verdict, reads in ((fw.w, 22, "certified-positive", 1),
+                                     (near_zero_w(), 25, "zero-found", 2 + 2 * strips),
+                                     (z * zb + MPoly.const(150), None, "certified-positive",
+                                      strips)):
+        assert moutard.dominance_steps(w) == steps
+        calls.clear()
+        assert nonvanishing_certificate(w).verdict == verdict
+        assert calls == ["grid_product"] * reads
+
+
+def _definite(w):
+    """W's leading form is one t-free monomial C |z|^2d."""
+    ((i, j), c), *rest = w.spatial_leading_terms().items()
+    return not rest and i == j and c.is_constant()
+
+
+def _certificate_ws():
+    wl = bench_module("workloads")
+    ws = {name: double_w(seed) for name, (seed, _) in wl.static_candidates().items()}
+    ws.update((name, double_w(wl.fixture(name)[0])) for name in ("sec22", "sec22_cubic"))
+    ws["near-zero"] = near_zero_w()
+    return ws
+
+
+def test_dominance_steps_meet_their_inequality_exactly():
+    """R = m CERTIFICATE_STEP for m = `moutard.dominance_steps` meets
+    |C| R^2d > sum_k S_k R^k, read in exact rationals off W's terms, and
+    R less one step does not, on every W of the static candidates, the
+    static fixtures and the near-zero W with such a leading form; where m is
+    None, the inequality fails at the last step inside the box."""
+    step = moutard.CERTIFICATE_STEP
+    assert step == Fraction(1, 10) and moutard.CERTIFICATE_HALF == 100
+    found = Counter()
+    for name, w in _certificate_ws().items():
+        if not _definite(w):
+            continue
+        sums = Counter()
+        for (i, j, _), c in w.terms.items():
+            sums[i + j] += abs(c.re) + abs(c.im)
+        top = max(sums)
+
+        def excess(r):
+            return sums[top] * r ** top - sum(s * r ** k for k, s in sums.items() if k < top)
+
+        m = moutard.dominance_steps(w)
+        if m is None:
+            assert excess(99 * step) <= 0, name
+        else:
+            assert excess(m * step) > 0 >= excess((m - 1) * step), name
+        found[m is None] += 1
+    assert found == {False: 173, True: 65}
+
+
+def test_certified_ws_have_the_leading_sign_outside_the_sub_grid():
+    """On every W that the certificate certifies from its sub-grid, every
+    node of the whole grid outside it has the sign of the leading form, as
+    `moutard.dominance_steps` proves for the exact W, and the whole-grid
+    reference certifies it too."""
+    half, certified = moutard.CERTIFICATE_HALF, 0
+    for name, w in _certificate_ws().items():
+        m = moutard.dominance_steps(w) if _definite(w) else None
+        if m is None or nonvanishing_certificate(w).verdict != "certified-positive":
+            continue
+        assert certificate_full_grid(w).verdict == "certified-positive", name
+        a = w.xy_coefficients()[0].real
+        xs = np.linspace(-10.0, 10.0, moutard.CERTIFICATE_GRID_N)
+        values = grid_product(a, *(np.vander(xs, len(a), increasing=True) for _ in "xy"))
+        outside = np.ones(values.shape, bool)
+        outside[half - m - 1:half + m + 2, half - m - 1:half + m + 2] = False
+        sign = 1 if next(iter(w.spatial_leading_terms().values())).constant_term().re > 0 else -1
+        assert (sign * values[outside] > 0).all(), name
+        certified += 1
+    # the 99 certified candidates and the two fixtures, less s2-09, s2-32
+    # and s2-35, whose radius passes the box: the whole grid certifies them
+    assert certified == 98
+
+
+def test_real_valued_polynomials_read_half_their_terms_to_the_same_bits(monkeypatch):
+    """W and u's numerator of every static candidate and of the time and
+    cubic pools' extended W are real-valued: `MPoly.xy_coefficients` plans
+    only their terms with i <= j and gives the array of the general path,
+    every term and both parts (`oracles.xy_coefficients_per_term`), by ==
+    and bit for bit.  A polynomial that is not real-valued, a wave's slot,
+    plans every term."""
+    wl = bench_module("workloads")
+    ws = [double_w(seed) for seed, _ in wl.static_candidates().values()]
+    ws += [nv.extended_w(nv.evolved_seed(seed)) for seed in
+           [*wl.time_candidates().values(), *wl.cubic_pool().values()]]
+    fw = build_faddeev(wl.fixture("sec22")[0])
+    planned, plan = [], algebra._xy_plan
+    monkeypatch.setattr(algebra, "_xy_plan", lambda i, j: planned.append((i, j)) or plan(i, j))
+    polys = [p for w in ws for p in (w, moutard.potential(w).num)] + [fw.psi.coeffs[1]]
+    assert len(ws) == 248 + 48 + 6
+    assert [is_real_valued(p) for p in polys] == [True] * 2 * len(ws) + [False]
+    for p in polys:
+        p = MPoly.from_numerators(dict(p.numerators), p.denominator)     # not yet read
+        planned.clear()
+        a = p.xy_coefficients()
+        half = is_real_valued(p)
+        assert sorted(planned) == sorted((i, j) for i, j, _ in p.numerators if i <= j or not half)
+        ref = xy_coefficients_per_term(p)
+        assert (a == ref).all() and a.tobytes() == ref.tobytes()
 
 
 def test_fixed_point_tables_are_built_once_per_width():

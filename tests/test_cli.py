@@ -155,6 +155,28 @@ def test_kernel_rejects_dependent_kernel_functions(time, tmp_path):
     assert not out.exists()
 
 
+def test_verify_fails_a_constant_w_as_kernel_does(tmp_path):
+    # p1 = z, p2 = 2z, c = 5: omega2 = 2 omega1 and W the constant 5, so the
+    # kernel functions are dependent: verify fails its frame row with the
+    # error of kernel, and the wave row, which builds the frame again, with
+    # the same; no later row runs
+    seed = tmp_path / "constant.json"
+    seed.write_text(json.dumps({"p1": [[1, {"re": "1"}]], "p2": [[1, {"re": "2"}]],
+                                "c": {"re": "5"}}))
+    assert double_w(load_seed(str(seed))[0]) == MPoly.const(5)
+    text = ("AlgebraError: W is constant, so omega2 is a real multiple of omega1: the kernel "
+            "functions are dependent and do not decay")
+    outputs = {}
+    for command in ("verify", "kernel"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([command, "--seed", str(seed)]) == 1
+        outputs[command] = stdout.getvalue()
+    assert outputs["kernel"] == f"FAIL {text}\n"
+    assert outputs["verify"] == (f"verify: FAIL\nFAIL frame-build ({text})\n"
+                                 f"FAIL wave-residual-exact ({text})\n")
+
+
 def test_nv_faddeev_output():
     r = run_cli("nv-faddeev", "--seed", fixture_path("sec32.json"))
     assert r.returncode == 0
@@ -765,7 +787,20 @@ def test_a_cold_start_compiles_only_the_layers_it_reaches():
     assert {m for m in loaded if m.startswith("moutardnv")} == {
         "moutardnv", "moutardnv.algebra", "moutardnv.errors", "moutardnv.harness"}
     loaded = _loaded_by("import moutardnv.cli\n")
-    assert not loaded & heavy and "moutardnv.nv" in loaded
+    assert not loaded & heavy
+    assert {m for m in loaded if m.startswith("moutardnv")} == {
+        "moutardnv", "moutardnv.algebra", "moutardnv.cli", "moutardnv.errors",
+        "moutardnv.harness"}
+    # potential and kernel on a static seed reach moutard and the exppoly it
+    # imports, not the wave or time layers
+    for command in ("potential", "kernel"):
+        loaded = _loaded_by("import contextlib, io\nfrom moutardnv import cli\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            f"    assert cli.main([{command!r}, '--seed', "
+                            f"{fixture_path('sec22.json')!r}]) == 0\n")
+        assert {m for m in loaded if m.startswith("moutardnv")} == {
+            "moutardnv", "moutardnv.algebra", "moutardnv.cli", "moutardnv.errors",
+            "moutardnv.exppoly", "moutardnv.harness", "moutardnv.moutard"}, command
 
 
 @pytest.mark.parametrize("time", [False, True])

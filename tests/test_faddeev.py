@@ -1,23 +1,27 @@
 import cmath
+import json
 import os
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from moutardnv import faddeev, nv
 from moutardnv.algebra import MPoly, RationalFn, sum_of_products
-from moutardnv.errors import AsymptoticMismatch, ResidualNonzero, TemporalResidualNonzero
+from moutardnv.errors import (AsymptoticMismatch, CoefficientOverflow, ResidualNonzero,
+                              TemporalResidualNonzero)
 from moutardnv.exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota, wave_eval
 from moutardnv.faddeev import (FaddeevWave, assert_decay_bookkeeping, build_faddeev, residual,
                                scattering_data)
-from moutardnv.harness import load_seed
+from moutardnv.harness import load_seed, seed_from_json
 from moutardnv.moutard import MoutardFrame, SeedPair, build_frame, kernel_functions, potential
 
 from conftest import FIXTURES, gr, poly
 from oracles import (free_wave, hirota_by_products, ray_slots_by_stacked_product,
-                     same_fraction, scattering_data_by_leading_terms, wave_add, wave_scale,
-                     wave_sub)
+                     same_fraction, scattering_data_by_leading_terms, validate_rays_by_numpy,
+                     wave_add, wave_scale, wave_sub)
 from test_bench_contract import bench_module
 from test_properties import random_real_w, random_seed, random_wave
 
@@ -440,3 +444,60 @@ def test_the_ray_check_reads_the_slots_as_one_stacked_product(monkeypatch):
             assert (got == want).all()
             compared += 1
     assert compared == 292
+
+
+def test_the_ray_check_decides_as_its_numpy_reference():
+    """The ray check, its sums, pole rule and estimates formed in Python
+    complex arithmetic, passes or fails with the error and text of the same
+    check formed as numpy arrays (`oracles.validate_rays_by_numpy`) on the
+    292 waves above that reach the rays, on sec22 with c = -10^11 (a ray fit
+    that fails), on sec22 scaled by 10^-40 (every ray meets a pole) and on
+    the seeds whose wave leaves float range on the rays (a 2e300 |z|^4
+    term), static and time."""
+    from test_cli import _scaled
+
+    wl = bench_module("workloads")
+    seeds = [wl.fixture(name) for name in ("sec22", "sec22_cubic", "sec22_cubic_time", "sec32")]
+    seeds += [(seed, False) for seed, _ in wl.static_candidates().values()]
+    seeds += [(seed, True) for seed in wl.time_candidates().values()]
+    seeds += [(seed, True) for seed in wl.cubic_pool().values()]
+    sec22 = wl.fixture("sec22")[0]
+    seeds.append((SeedPair(sec22.p1, sec22.p2, gr(-10 ** 11)), False))
+    seeds.append(seed_from_json(json.loads(_scaled("sec22", -20))))   # W times 10^-40
+    big = "1" + "0" * 150
+    for time in (False, True):
+        seeds.append(seed_from_json({
+            "p1": [[1, {"re": "1", "im": "0"}], [2, {"re": big, "im": "0"}]],
+            "p2": [[1, {"re": "1", "im": "1"}], [2, {"re": "0", "im": big}]],
+            "c": {"re": "1", "im": "0"}, "time": time}))
+
+    def outcome(check, fw, sd):
+        """None for a pass, else the error's text: a failed fit's estimate
+        apart, as numpy may fuse a complex product's multiply and add, and
+        an overflow's text without numpy's reason."""
+        try:
+            check(fw, sd)
+        except CoefficientOverflow as exc:
+            return str(exc).split(" (")[0], None
+        except AsymptoticMismatch as exc:
+            fit = re.fullmatch(r"(ray fit at .*): (\S+) (vs exact .*)", str(exc))
+            return (f"{fit[1]}: {fit[3]}", complex(fit[2])) if fit else (str(exc), None)
+        return None
+
+    outcomes = Counter()
+    for seed, time in seeds:
+        fw = nv.nv_faddeev(seed) if time else build_faddeev(seed)
+        try:
+            sd = scattering_data(fw, validate=False)
+        except AsymptoticMismatch:
+            continue
+        got, want = (outcome(check, fw, sd) for check in (faddeev._validate_rays,
+                                                          validate_rays_by_numpy))
+        assert (got and got[0]) == (want and want[0])
+        if got and got[1] is not None:
+            assert cmath.isclose(got[1], want[1], rel_tol=1e-9)
+        outcomes[got and got[0]] += 1
+    assert outcomes == {
+        None: 292, "no ray is readable at lam=1.0: each of the 6 meets a pole at r or 2r": 1,
+        "ray fit at z=(995.0041652780258+99.83341664682816j), lam=1.0: vs exact (-4+0j)": 1,
+        "the wave on the rays leaves float range": 2}

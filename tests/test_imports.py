@@ -8,7 +8,7 @@ benchmark or named by the benchmark, no module imports numpy when it is
 itself imported, no module imports dataclasses and harness imports no wave,
 float or time layer when it is itself imported, every `lru_cache` is keyed
 on numbers alone (each of its function's parameters annotated int, float
-or bool), np.vander is called only in `algebra.grid_axis` and
+or bool) and returns no array that can be written, np.vander is called only in `algebra.grid_axis` and
 `algebra.xy_eval`, and every library name and test that README cites
 exists.
 
@@ -219,17 +219,20 @@ def _cached_off_numbers(tree):
     `@lru_cache(...)`, `@functools.lru_cache...`) one of whose parameters
     is not annotated int, float or bool."""
     out = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        cached = any(_reads(d.func if isinstance(d, ast.Call) else d) & {"lru_cache", "cache"}
-                     for d in fn.decorator_list)
+    for fn in _cached(tree):
         args = fn.args
         params = args.posonlyargs + args.args + args.kwonlyargs + [
             a for a in (args.vararg, args.kwarg) if a is not None]
-        if cached and not all(_annotation(a.annotation) in CACHE_KEY_TYPES for a in params):
+        if not all(_annotation(a.annotation) in CACHE_KEY_TYPES for a in params):
             out.append(fn.name)
     return out
+
+
+def _cached(tree):
+    """Every function of the tree decorated with lru_cache or cache."""
+    return [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_reads(d.func if isinstance(d, ast.Call) else d) & {"lru_cache", "cache"}
+                    for d in fn.decorator_list)]
 
 
 def _annotation(node):
@@ -254,6 +257,75 @@ def test_check_sees_a_cache_keyed_on_an_object():
                      "@lru_cache\ndef star(*ns: int, **kw: int):\n    pass\n"
                      "def plain(p: MPoly):\n    pass\n")
     assert _cached_off_numbers(tree) == ["of_poly", "bare", "listed"]
+
+
+# arguments that call each cached function of the library once: a cache
+# is shared by every caller, so an array it returns must be read-only
+CACHE_CALLS = {
+    "algebra._xy_row": (3, 2),
+    "algebra._xy_plan": (3, 2),
+    "algebra._xy_places": (5,),
+    "algebra.grid_axis": (-1.0, 1.0, 5, 3, 0.0, 0.25),
+    "exppoly._weights": (2, 3, 3),
+    "harness._stencil_rows": (3,),
+    "harness._stencil_phase": (-1.0, 1.0, -2.0, 2.0, 3, 0.01, 1.0, 0.5, 0.25, True),
+}
+
+
+def _writable_cached_arrays(calls):
+    """'name' of every cached function of calls (name -> (function, args))
+    that is not called there, and 'name: writable' for each that returns,
+    alone or in a tuple or list, an array that can be written."""
+    import numpy as np
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    out = []
+    for name, (fn, args) in calls.items():
+        if args is None:
+            out.append(name)
+        elif any(a.flags.writeable for a in arrays(fn(*args))):
+            out.append(f"{name}: writable")
+    return out
+
+
+def test_every_cache_returns_read_only_arrays():
+    calls = {}
+    for module in MODULES:
+        for fn in _cached(_parse(os.path.join(SRC, module))):
+            name = f"{module[:-3]}.{fn.name}"
+            calls[name] = (getattr(importlib.import_module(f"moutardnv.{module[:-3]}"), fn.name),
+                           CACHE_CALLS.get(name))
+    assert calls.keys() == CACHE_CALLS.keys()
+    assert _writable_cached_arrays(calls) == []
+
+
+def test_check_sees_a_cache_that_returns_a_writable_array():
+    import numpy as np
+    from functools import lru_cache
+
+    @lru_cache
+    def kept(n: int):
+        table = np.arange(n)
+        table.flags.writeable = False
+        return table, (n,)
+
+    @lru_cache
+    def shared(n: int):
+        return n, [np.arange(n)]
+
+    @lru_cache
+    def plain(n: int):
+        return np.zeros(n)
+
+    assert _writable_cached_arrays({"kept": (kept, (3,)), "shared": (shared, (3,)),
+                                    "plain": (plain, (2,)), "uncalled": (kept, None)}) == [
+        "shared: writable", "plain: writable", "uncalled"]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -191,6 +191,28 @@ def test_nonvanishing_certificate_witness_is_the_first_least_node():
     _assert_least_node(w, 40, 100)
 
 
+# the sign of each strip of rows: one sign, both signs with a zero, or zero
+STRIP_SIGNS = [("+", "-", "+"), ("-", "-", "+-0"), ("+", "+-0", "0"), ("-", "+", "-"),
+               ("+-0", "+", "+"), ("0", "-", "+")]
+
+
+@pytest.mark.parametrize("signs", STRIP_SIGNS)
+def test_grid_extremes_on_strips_with_ties_and_zeros(signs):
+    """f[i, j] = v1[i] v2[j], values drawn from a few small integers so that
+    every strip's least and greatest value and least |value| tie across rows,
+    columns and strips: grid_extremes, which reads |f| again only on a strip
+    holding both signs or a zero, gives the whole-grid reference's extremes
+    and first nodes.  The last strip is partial."""
+    rng = random.Random(len(signs) * 7 + STRIP_SIGNS.index(signs))
+    draws = {"+": (1.0, 2.0, 3.0), "-": (-1.0, -2.0, -3.0), "0": (0.0,),
+             "+-0": (-2.0, -1.0, 0.0, 1.0, 2.0)}
+    rows = [rng.choice(draws[sign]) for k, sign in enumerate(signs)
+            for _ in range(GRID_STRIP if k < len(signs) - 1 else GRID_STRIP // 2)]
+    v1, c = np.array(rows)[:, None], np.array([[1.0]])
+    v2 = np.array([[1.0], [2.0], [1.0], [3.0]])
+    assert grid_extremes(c, v1, v2) == grid_extremes_full_grid(c, v1, v2)
+
+
 def test_nonvanishing_certificate_overflow_is_input_error():
     # W = 1 at the origin, but its 2e304 |z|^4 term takes the grid past float
     # range: an inf there is no zero of W
