@@ -21,11 +21,17 @@ MAX_EXPONENT = 64
 POLE_FLOOR = 1e-12
 
 
+def is_pole(den_size, num_size):
+    """The pole rule, |den| < POLE_FLOOR * (1 + |num|), given |den| and |num|:
+    floats, or arrays of them point by point."""
+    return den_size < POLE_FLOOR * (1.0 + num_size)
+
+
 def divide_off_poles(num, den):
-    """num / den over arrays of points, where |den| < POLE_FLOOR * (1 + |num|)
-    marks a pole: the value there is NaN, and no division by zero happens."""
+    """num / den over arrays of points, where `is_pole` marks a pole: the
+    value there is NaN, and no division by zero happens."""
     import numpy as np
-    off = ~(np.abs(den) < POLE_FLOOR * (1.0 + np.abs(num)))
+    off = ~is_pole(np.abs(den), np.abs(num))
     return np.divide(num, den, out=np.full(den.shape, np.nan, dtype=complex), where=off)
 
 
@@ -583,7 +589,7 @@ def grid_product(a, vx, vy):
     return (vy @ a.T) @ vx.T
 
 
-def grid_extremes(c, v1, v2):
+def grid_extremes(c, v1, v2, rows=None, read=None):
     """The least and the greatest value of f = (v1 @ c) @ v2^T, the grid of
     the power tables v1, v2 indexed [first, second], and, as index pairs,
     its first node of least value, of greatest value and of least |value|
@@ -592,27 +598,42 @@ def grid_extremes(c, v1, v2):
     value beyond float range raises CoefficientOverflow (`float_range`).
     Only a strip that holds both signs, or a zero, is read again as |f|: on
     a strip of one sign the first node of least |value| is its argmin where
-    f > 0 and its argmax where f < 0."""
+    f > 0 and its argmax where f < 0.
+    rows, a range of strip starts (multiples of GRID_STRIP), limits the
+    read to those strips, every strip by default.  read, a dict, keeps each
+    strip's extremes by its start: a strip found there is not read again,
+    and each strip read is put there, so a second call over every strip
+    reads only the strips the first did not and returns what one call
+    would; the strips are combined in order, whatever order they were read
+    in, so the first node stays the first."""
     import numpy as np
     n2 = len(v2)
-    lo = hi = small = None
+    rows = range(0, len(v1), GRID_STRIP) if rows is None else rows
+    read = {} if read is None else read
     with float_range("values on a check's grid leave float range"):
-        for s in range(0, len(v1), GRID_STRIP):
+        for s in rows:
+            if s in read:
+                continue
             f = grid_product(c.T, v2, v1[s:s + GRID_STRIP])    # indexed [first - s, second]
             first = s * n2                  # the flat index of f's first node
             kmin, kmax = f.argmin(), f.argmax()
-            if lo is None or f.flat[kmin] < lo:     # strictly: the first one stays
-                lo, low = f.flat[kmin], first + kmin
-            if hi is None or f.flat[kmax] > hi:
-                hi, high = f.flat[kmax], first + kmax
-            if f.flat[kmin] > 0.0:
+            fmin, fmax = f.flat[kmin], f.flat[kmax]
+            if fmin > 0.0:
                 k = kmin
-            elif f.flat[kmax] < 0.0:
+            elif fmax < 0.0:
                 k = kmax
             else:
                 k = np.abs(f, out=f).argmin()
-            if small is None or abs(f.flat[k]) < small:
-                small, least = abs(f.flat[k]), first + k
+            read[s] = fmin, first + kmin, fmax, first + kmax, abs(f.flat[k]), first + k
+    lo = hi = small = None
+    for s in rows:
+        fmin, kmin, fmax, kmax, fsmall, k = read[s]
+        if lo is None or fmin < lo:         # strictly: the first one stays
+            lo, low = fmin, kmin
+        if hi is None or fmax > hi:
+            hi, high = fmax, kmax
+        if small is None or fsmall < small:
+            small, least = fsmall, k
     return lo, hi, divmod(low, n2), divmod(high, n2), divmod(least, n2)
 
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import (POLE_FLOOR, GaussianRational, MPoly, RationalFn, SeedPair, float_range,
-                      grid_axis, sum_of_products, xy_read)
+from .algebra import (GaussianRational, MPoly, RationalFn, SeedPair, float_range, grid_axis,
+                      is_pole, sum_of_products, xy_read)
 from .errors import AsymptoticMismatch, ResidualNonzero
 from .exppoly import D_TIME_LEG, D_ZZBAR, WaveFn, hirota
 from .moutard import MoutardFrame, build_frame, moutard_transform_wave, potential
@@ -211,11 +211,12 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
     over v_0, formed with the estimates in Python complex arithmetic on the
     24 values a lam needs, where numpy would spend a call on each step.
     A point where |v_0| < POLE_FLOOR (1 + |sum_k lam^-k v_k|) is a pole
-    (`algebra.divide_off_poles`'s rule), and a ray through a pole at
-    either radius is skipped; a lam at which every ray is skipped raises
-    AsymptoticMismatch, as nothing was compared.  A value beyond float
-    range there, or one that is not finite, raises CoefficientOverflow
-    (`algebra.float_range`), so no ray goes uncompared."""
+    (`algebra.is_pole`, the rule of `divide_off_poles`), and a ray through
+    a pole at either radius is skipped; a lam at which every ray is skipped
+    raises AsymptoticMismatch, as nothing was compared.  A value beyond
+    float range there, or one that is not finite, raises
+    CoefficientOverflow (`algebra.float_range`), so no ray goes
+    uncompared."""
     lams = (1.0, 0.7 + 0.4j)
     ks = sorted(fw.psi.coeffs)                     # slot 0, W, first: no slot is below it
     arrays = [fw.psi.coeffs[k].xy_coefficients()[:1] for k in ks]
@@ -237,8 +238,7 @@ def _validate_rays(fw: FaddeevWave, sd: ScatteringData):
                     if not size < math.inf:             # an inf or NaN part
                         raise OverflowError
                     # off a pole |total / W| < 1e12, so g and the estimates stay finite
-                    gs.append(math.nan if wsize < POLE_FLOOR * (1.0 + size)
-                              else z * (total / col[0] - 1.0))
+                    gs.append(math.nan if is_pole(wsize, size) else z * (total / col[0] - 1.0))
                 got.append([2.0 * far - near for near, far in zip(gs, gs[len(RAYS):])])
         except OverflowError:
             raise FloatingPointError("overflow encountered in the values on the rays") from None

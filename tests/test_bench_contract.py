@@ -344,15 +344,15 @@ def test_nonvanishing_certificate_matches_eval_on_static_candidates():
 def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     """fd_residual reads W, u's numerator and the wave for both steps at
     once, each in one `xy_read`, and makes no `xy_eval`.  The certificate
-    reads W by one grid_product per strip: first of the sub-grid within
-    W's dominance radius, 2m + 3 rows and columns for m =
-    `moutard.dominance_steps`, and only where that does not certify, of
-    the whole grid, with its rounding scale as a second grid of as many
-    strips only where the least |W| is within 64 eps of the corner's scale.
-    sec22's W (m = 22) is certified from one strip; the near-zero W of
-    test_moutard (m = 25) reads the sub-grid's two strips and then both
-    whole grids; |z|^2 + 150, whose radius is past the box, reads the whole
-    grid alone."""
+    reads W by one grid_product per strip of the whole grid, each strip at
+    most once: first the strips that hold the 2m + 3 rows within W's
+    dominance radius, m = `moutard.dominance_steps`, and only where those
+    do not certify, the other strips, with its rounding scale as a second
+    grid of as many strips only where the least |W| is within 64 eps of the
+    corner's scale.  sec22's W (m = 22, rows 77 to 123) is certified from
+    two strips; the near-zero W of test_moutard (m = 25) reads both whole
+    grids, as a read without the radius does; |z|^2 + 150, whose radius is
+    past the box, reads the whole grid alone."""
     wl = bench_module("workloads")
     sec22 = wl.fixture("sec22")[0]
     calls = []
@@ -376,8 +376,8 @@ def test_numeric_checks_skip_work_that_cannot_change_their_result(monkeypatch):
     strips = -(-moutard.CERTIFICATE_GRID_N // algebra.GRID_STRIP)
     assert strips == 5
     z, zb = MPoly.monomial(1, 0, 0), MPoly.monomial(0, 1, 0)
-    for w, steps, verdict, reads in ((fw.w, 22, "certified-positive", 1),
-                                     (near_zero_w(), 25, "zero-found", 2 + 2 * strips),
+    for w, steps, verdict, reads in ((fw.w, 22, "certified-positive", 2),
+                                     (near_zero_w(), 25, "zero-found", 2 * strips),
                                      (z * zb + MPoly.const(150), None, "certified-positive",
                                       strips)):
         assert moutard.dominance_steps(w) == steps
@@ -405,12 +405,15 @@ def test_dominance_steps_meet_their_inequality_exactly():
     |C| R^2d > sum_k S_k R^k, read in exact rationals off W's terms, and
     R less one step does not, on every W of the static candidates, the
     static fixtures and the near-zero W with such a leading form; where m is
-    None, the inequality fails at the last step inside the box."""
+    None, the inequality fails at the last step inside the box.  Any other
+    leading form has no m."""
     step = moutard.CERTIFICATE_STEP
     assert step == Fraction(1, 10) and moutard.CERTIFICATE_HALF == 100
     found = Counter()
     for name, w in _certificate_ws().items():
         if not _definite(w):
+            assert moutard.dominance_steps(w) is None, name
+            found["other"] += 1
             continue
         sums = Counter()
         for (i, j, _), c in w.terms.items():
@@ -426,25 +429,26 @@ def test_dominance_steps_meet_their_inequality_exactly():
         else:
             assert excess(m * step) > 0 >= excess((m - 1) * step), name
         found[m is None] += 1
-    assert found == {False: 173, True: 65}
+    assert found == {False: 173, True: 65, "other": 13}
 
 
-def test_certified_ws_have_the_leading_sign_outside_the_sub_grid():
-    """On every W that the certificate certifies from its sub-grid, every
-    node of the whole grid outside it has the sign of the leading form, as
+def test_certified_ws_have_the_leading_sign_outside_the_band():
+    """On every W that the certificate certifies from the band of strips
+    holding the rows within its dominance radius, every row of the whole
+    grid outside those rows has the sign of the leading form, as
     `moutard.dominance_steps` proves for the exact W, and the whole-grid
     reference certifies it too."""
     half, certified = moutard.CERTIFICATE_HALF, 0
     for name, w in _certificate_ws().items():
-        m = moutard.dominance_steps(w) if _definite(w) else None
+        m = moutard.dominance_steps(w)
         if m is None or nonvanishing_certificate(w).verdict != "certified-positive":
             continue
         assert certificate_full_grid(w).verdict == "certified-positive", name
         a = w.xy_coefficients()[0].real
         xs = np.linspace(-10.0, 10.0, moutard.CERTIFICATE_GRID_N)
         values = grid_product(a, *(np.vander(xs, len(a), increasing=True) for _ in "xy"))
-        outside = np.ones(values.shape, bool)
-        outside[half - m - 1:half + m + 2, half - m - 1:half + m + 2] = False
+        outside = np.ones(len(values), bool)          # rows, indexed by y
+        outside[half - m - 1:half + m + 2] = False
         sign = 1 if next(iter(w.spatial_leading_terms().values())).constant_term().re > 0 else -1
         assert (sign * values[outside] > 0).all(), name
         certified += 1

@@ -446,12 +446,21 @@ def test_the_ray_check_reads_the_slots_as_one_stacked_product(monkeypatch):
     assert compared == 292
 
 
+#: z and i z, with c = -2 10^6: W = 2|z|^2 - 2 10^6 vanishes on the circle
+#: |z| = RAY_RADIUS of the rays' first points, where it reads 1e-11 to 5e-10,
+#: above POLE_FLOOR, and slot 1, -4 zb, makes |sum| about 4000: only the
+#: pole rule's factor 1 + |sum| marks those points as poles.
+CIRCLE_SEED = SeedPair(poly({(1, 0, 0): ("1", "0")}), poly({(1, 0, 0): ("0", "1")}),
+                       gr(-2 * 10 ** 6))
+
+
 def test_the_ray_check_decides_as_its_numpy_reference():
     """The ray check, its sums, pole rule and estimates formed in Python
     complex arithmetic, passes or fails with the error and text of the same
     check formed as numpy arrays (`oracles.validate_rays_by_numpy`) on the
     292 waves above that reach the rays, on sec22 with c = -10^11 (a ray fit
-    that fails), on sec22 scaled by 10^-40 (every ray meets a pole) and on
+    that fails), on sec22 scaled by 10^-40 and on CIRCLE_SEED (every ray
+    meets a pole) and on
     the seeds whose wave leaves float range on the rays (a 2e300 |z|^4
     term), static and time."""
     from test_cli import _scaled
@@ -464,6 +473,7 @@ def test_the_ray_check_decides_as_its_numpy_reference():
     sec22 = wl.fixture("sec22")[0]
     seeds.append((SeedPair(sec22.p1, sec22.p2, gr(-10 ** 11)), False))
     seeds.append(seed_from_json(json.loads(_scaled("sec22", -20))))   # W times 10^-40
+    seeds.append((CIRCLE_SEED, False))
     big = "1" + "0" * 150
     for time in (False, True):
         seeds.append(seed_from_json({
@@ -498,6 +508,6 @@ def test_the_ray_check_decides_as_its_numpy_reference():
             assert cmath.isclose(got[1], want[1], rel_tol=1e-9)
         outcomes[got and got[0]] += 1
     assert outcomes == {
-        None: 292, "no ray is readable at lam=1.0: each of the 6 meets a pole at r or 2r": 1,
+        None: 292, "no ray is readable at lam=1.0: each of the 6 meets a pole at r or 2r": 2,
         "ray fit at z=(995.0041652780258+99.83341664682816j), lam=1.0: vs exact (-4+0j)": 1,
         "the wave on the rays leaves float range": 2}

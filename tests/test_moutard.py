@@ -202,7 +202,9 @@ def test_grid_extremes_on_strips_with_ties_and_zeros(signs):
     every strip's least and greatest value and least |value| tie across rows,
     columns and strips: grid_extremes, which reads |f| again only on a strip
     holding both signs or a zero, gives the whole-grid reference's extremes
-    and first nodes.  The last strip is partial."""
+    and first nodes.  The last strip is partial.  Read over a run of strips
+    first, it gives the reference's on their rows, and then over every
+    strip, the whole grid's again, whichever strips were read first."""
     rng = random.Random(len(signs) * 7 + STRIP_SIGNS.index(signs))
     draws = {"+": (1.0, 2.0, 3.0), "-": (-1.0, -2.0, -3.0), "0": (0.0,),
              "+-0": (-2.0, -1.0, 0.0, 1.0, 2.0)}
@@ -210,7 +212,17 @@ def test_grid_extremes_on_strips_with_ties_and_zeros(signs):
             for _ in range(GRID_STRIP if k < len(signs) - 1 else GRID_STRIP // 2)]
     v1, c = np.array(rows)[:, None], np.array([[1.0]])
     v2 = np.array([[1.0], [2.0], [1.0], [3.0]])
-    assert grid_extremes(c, v1, v2) == grid_extremes_full_grid(c, v1, v2)
+    whole = grid_extremes_full_grid(c, v1, v2)
+    assert grid_extremes(c, v1, v2) == whole
+    starts = range(0, len(v1), GRID_STRIP)
+    for first in (starts[1:], starts[-1:], starts[1:2], starts[:2]):
+        read = {}
+        lo, hi, *nodes = grid_extremes(c, v1, v2, first, read)
+        part = grid_extremes_full_grid(c, v1[first.start:first.stop], v2)
+        assert (lo, hi) == part[:2]
+        assert nodes == [(i + first.start, j) for i, j in part[2:]]
+        assert sorted(read) == list(first)
+        assert grid_extremes(c, v1, v2, read=read) == whole and sorted(read) == list(starts)
 
 
 def test_nonvanishing_certificate_overflow_is_input_error():
